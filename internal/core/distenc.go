@@ -250,6 +250,9 @@ type Layout struct {
 	// correct, and for fused partitions). See planKernels.
 	kernelOf []KernelMode
 	modePerm [][][]int32
+	// hs are the H_n matrices MTTKRPStage assembles into, reused by every
+	// stage run over this layout (the only mutable state in it).
+	hs []*mat.Dense
 }
 
 func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {

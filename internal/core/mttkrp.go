@@ -37,16 +37,33 @@ type PackedRows struct {
 	Vals []float64
 }
 
+// wire resolves the frame format AppendRecord writes.
+func (p *PackedRows) wire() rdd.WireFormat {
+	if !p.Wire.Valid() {
+		return rdd.WireRaw
+	}
+	return p.Wire
+}
+
+// RecordSize implements rdd.BinaryRecord: the exact frame length, so the
+// engine allocates a shuffle block once at its final size.
+func (p *PackedRows) RecordSize() int {
+	w := p.wire()
+	n := 3 + rdd.UvarintLen(uint64(len(p.Rows))) + rdd.UvarintLen(uint64(len(p.Vals))) + int(w.BytesPerVal())*len(p.Vals)
+	if w == rdd.WireRaw {
+		return n + 4*len(p.Rows)
+	}
+	return n + rdd.DeltaRowsSize(p.Rows)
+}
+
 // AppendRecord implements rdd.BinaryRecord. It runs once per shuffle record
-// on the map side's serialization path; the caller owns buf, so the only
-// growth is amortized inside the little-endian append helpers.
+// on the map side's serialization path, into a block the engine pre-sized
+// from RecordSize; the value helpers write their whole payload in one
+// bounds-check-free pass.
 //
 //distenc:hotpath
 func (p *PackedRows) AppendRecord(buf []byte) []byte {
-	w := p.Wire
-	if !w.Valid() {
-		w = rdd.WireRaw
-	}
+	w := p.wire()
 	buf = append(buf, byte(w))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Mode))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Rows)))
@@ -118,7 +135,7 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 	}
 	if a != nil {
 		p.Rows = a.Int32s(int(nr))
-		p.Vals = a.Float64s(int(nv))
+		p.Vals = a.Float64sDirty(int(nv)) // the value decoders overwrite it all, or fail the record
 	}
 	//distenc:coldpath -- heap fallback for arena-less callers (checkpoint reads, fuzzing); the shuffle fetch hot path passes an arena
 	if a == nil {
@@ -240,6 +257,44 @@ func fusedBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank 
 	return norm2
 }
 
+// addInto accumulates the record's partial rows into slab, the dense
+// rank-wide accumulator of global rows lo, lo+1, …, and marks each row it
+// hits in touched — the reduce side of the MTTKRP shuffle.
+//
+//distenc:hotpath
+func (p *PackedRows) addInto(slab []float64, touched []bool, lo, rank int) {
+	for i, row := range p.Rows {
+		li := int(row) - lo
+		touched[li] = true
+		dst := slab[li*rank : (li+1)*rank]
+		src := p.Vals[i*rank:][:len(dst)]
+		for r := range dst {
+			dst[r] += src[r]
+		}
+	}
+}
+
+// compactRows squeezes the touched rows of a reduce slab to its front — in
+// place, so the values are moved at most once and need no second slab — and
+// returns them as mode n's reduced record.
+//
+//distenc:hotpath
+func compactRows(a *rdd.Arena, n, lo, rank int, slab []float64, touched []bool) PackedRows {
+	rows := a.Int32s(len(touched))
+	ri := 0
+	for li, t := range touched {
+		if !t {
+			continue
+		}
+		rows[ri] = int32(lo + li)
+		if ri != li {
+			copy(slab[ri*rank:(ri+1)*rank], slab[li*rank:(li+1)*rank])
+		}
+		ri++
+	}
+	return PackedRows{Mode: int16(n), Rows: rows[:ri], Vals: slab[:ri*rank]}
+}
+
 // mttkrpMapScratch is the map task's stash-resident container set: the
 // slice-of-slice headers and fixed-size kernel scratch survive across
 // iterations in the arena stash, while the big slabs they point at are
@@ -267,7 +322,9 @@ const (
 )
 
 // MTTKRPStage executes the per-iteration distributed stage and returns the
-// assembled H_n = E_(n)·U(n) matrices plus ‖E‖²_F.
+// assembled H_n = E_(n)·U(n) matrices plus ‖E‖²_F. The matrices belong to
+// the layout and are overwritten by its next MTTKRPStage call: read them
+// before then, and do not write to them.
 //
 // The map side ships each block the factor rows its non-zeros touch (counted
 // as shuffle traffic — the O(T·N·M·I·R) term of Lemma 3, scaled by the wire
@@ -438,41 +495,16 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 				slabs[n] = a.Float64s((hi - lo) * rank)
 				touched[n] = a.Bools(hi - lo)
 			}
-			for i, row := range rec.Rows {
-				li := int(row) - lo
-				touched[n][li] = true
-				dst := slabs[n][li*rank : (li+1)*rank : (li+1)*rank]
-				src := rec.Vals[i*rank : (i+1)*rank : (i+1)*rank]
-				for r := 0; r < rank; r++ {
-					dst[r] += src[r]
-				}
-			}
+			rec.addInto(slabs[n], touched[n], lo, rank)
 		}
 		out := rs.out[:0]
-		//distenc:coldpath -- compaction runs per touched row into arena slabs, not per incoming value
 		for n := 0; n < l.order; n++ {
 			if slabs[n] == nil {
 				continue
 			}
 			lo, _ := bounds[n].Range(rp)
-			cnt := 0
-			for _, t := range touched[n] {
-				if t {
-					cnt++
-				}
-			}
-			rowsOut := a.Int32s(cnt)
-			valsOut := a.Float64s(cnt * rank)
-			ri := 0
-			for li, t := range touched[n] {
-				if !t {
-					continue
-				}
-				rowsOut[ri] = int32(lo + li)
-				copy(valsOut[ri*rank:(ri+1)*rank], slabs[n][li*rank:(li+1)*rank])
-				ri++
-			}
-			out = append(out, PackedRows{Mode: int16(n), Rows: rowsOut, Vals: valsOut})
+			//distenc:coldpath -- one record per mode into stash-pooled capacity
+			out = append(out, compactRows(a, n, lo, rank, slabs[n], touched[n]))
 		}
 		if rp == 0 {
 			nv := a.Float64s(1)
@@ -488,9 +520,15 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 	if err != nil {
 		return nil, 0, err
 	}
-	hs := make([]*mat.Dense, l.order)
-	for n := 0; n < l.order; n++ {
-		hs[n] = mat.NewDense(l.dims[n], rank)
+	// The rows a stage writes are fixed by the layout — every row with an
+	// observed entry, each overwritten in full, the rest never touched — so
+	// the H_n matrices are allocated once per layout and neither re-zeroed
+	// nor re-allocated afterwards.
+	if l.hs == nil {
+		l.hs = make([]*mat.Dense, l.order)
+		for n := range l.hs {
+			l.hs[n] = mat.NewDense(l.dims[n], rank)
+		}
 	}
 	var norm2 float64
 	for _, rec := range recs {
@@ -498,10 +536,10 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 			norm2 += rec.Vals[0]
 			continue
 		}
-		h := hs[rec.Mode]
+		h := l.hs[rec.Mode]
 		for i, row := range rec.Rows {
 			copy(h.Row(int(row)), rec.Vals[i*rank:(i+1)*rank])
 		}
 	}
-	return hs, norm2, nil
+	return l.hs, norm2, nil
 }

@@ -127,37 +127,11 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 		if err != nil {
 			panic(err)
 		}
-		n := int(rec.Mode)
-		for i, row := range rec.Rows {
-			li := int(row)
-			touched[n][li] = true
-			dst := slabs[n][li*rank : (li+1)*rank : (li+1)*rank]
-			src := rec.Vals[i*rank : (i+1)*rank : (i+1)*rank]
-			for r := 0; r < rank; r++ {
-				dst[r] += src[r]
-			}
-		}
+		rec.addInto(slabs[rec.Mode], touched[rec.Mode], 0, rank)
 	}
 	out := rs.out[:0]
 	for n := 0; n < l.order; n++ {
-		cnt := 0
-		for _, t := range touched[n] {
-			if t {
-				cnt++
-			}
-		}
-		rowsOut := a.Int32s(cnt)
-		valsOut := a.Float64s(cnt * rank)
-		ri := 0
-		for li, t := range touched[n] {
-			if !t {
-				continue
-			}
-			rowsOut[ri] = int32(li)
-			copy(valsOut[ri*rank:(ri+1)*rank], slabs[n][li*rank:(li+1)*rank])
-			ri++
-		}
-		out = append(out, PackedRows{Mode: int16(n), Rows: rowsOut, Vals: valsOut})
+		out = append(out, compactRows(a, n, 0, rank, slabs[n], touched[n]))
 	}
 	rs.out = out
 	return buf, norm2

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"distenc/internal/rdd"
@@ -69,6 +70,20 @@ func FuzzDecodeRecord(f *testing.F) {
 	over = binary.AppendVarint(over, math.MaxInt32)
 	over = binary.AppendVarint(over, 10) // running sum exceeds int32
 	f.Add(over)
+	// The bulk codecs move four values per step: records whose row and value
+	// counts sit on either side of a step (3, 4, 5, 8, 9), in every format,
+	// whole and cut one byte short.
+	for _, w := range []rdd.WireFormat{rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
+		for _, n := range []int{3, 4, 5, 8, 9} {
+			edge := PackedRows{Mode: 1, Wire: w, Rows: make([]int32, n), Vals: make([]float64, n)}
+			for i := range edge.Rows {
+				edge.Rows[i], edge.Vals[i] = int32(100*i), float64(i)+0.5
+			}
+			enc := edge.AppendRecord(nil)
+			f.Add(enc)
+			f.Add(enc[:len(enc)-1])
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p PackedRows
@@ -99,6 +114,70 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", p, q)
 		}
 	})
+}
+
+// refAppendRecord is the v2 frame written one value at a time — the encoder
+// as it was before the bulk codecs. The golden test below holds AppendRecord
+// to its bytes.
+func refAppendRecord(p *PackedRows) []byte {
+	w := p.wire()
+	buf := []byte{byte(w)}
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Mode))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Rows)))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
+	prev := int64(0)
+	for _, r := range p.Rows {
+		if w == rdd.WireRaw {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
+		} else {
+			buf = binary.AppendVarint(buf, int64(r)-prev)
+			prev = int64(r)
+		}
+	}
+	for _, v := range p.Vals {
+		if w == rdd.WireF32 {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
+		} else {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	return buf
+}
+
+// TestAppendRecordGoldenBytes pins the wire: for raw, varint and f32 frames
+// of every size around the codecs' four-value step, the bulk encoder emits
+// exactly the per-value encoder's bytes, RecordSize is their exact count,
+// and encoding into a buffer of that capacity never reallocates — which is
+// what lets the engine publish each shuffle block as one exact allocation.
+func TestAppendRecordGoldenBytes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, w := range []rdd.WireFormat{0, rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
+		for nrows := 0; nrows <= 9; nrows++ {
+			for _, rank := range []int{0, 1, 3, 4, 16} {
+				p := PackedRows{Mode: int16(nrows - 1), Wire: w, Rows: make([]int32, nrows), Vals: make([]float64, nrows*rank)}
+				row := int32(0)
+				for i := range p.Rows {
+					row += int32(rng.IntN(20000)) - 100 // mostly ascending, sometimes backwards
+					p.Rows[i] = row
+				}
+				for i := range p.Vals {
+					p.Vals[i] = rng.NormFloat64()
+				}
+				want := refAppendRecord(&p)
+				if p.RecordSize() != len(want) {
+					t.Fatalf("wire=%v rows=%d rank=%d: RecordSize %d, frame is %d bytes", w, nrows, rank, p.RecordSize(), len(want))
+				}
+				buf := make([]byte, 0, p.RecordSize())
+				got := p.AppendRecord(buf)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("wire=%v rows=%d rank=%d: bulk frame differs from the per-value frame", w, nrows, rank)
+				}
+				if &got[:1][0] != &buf[:1][0] {
+					t.Fatalf("wire=%v rows=%d rank=%d: AppendRecord reallocated an exact-size buffer", w, nrows, rank)
+				}
+			}
+		}
+	}
 }
 
 // TestCodecRoundTripAllWires pins the lossless (and exactly-representable

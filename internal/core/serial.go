@@ -124,6 +124,9 @@ type solverState struct {
 	phases    metrics.PhaseBreakdown
 	residDur  time.Duration // time of the last residual refresh in advance
 	scratch   []float64
+	// work[n] is mode n's I_n×R update workspace (ηA−Y, then the Eq. 16
+	// right-hand side): an iteration allocates only what it publishes.
+	work []*mat.Dense
 }
 
 func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solverState {
@@ -138,9 +141,11 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
 	st.mult = make([]*mat.Dense, t.Order())
+	st.work = make([]*mat.Dense, t.Order())
 	for n, d := range t.Dims {
 		st.aux[n] = mat.NewDense(d, opt.Rank)
 		st.mult[n] = mat.NewDense(d, opt.Rank)
+		st.work[n] = mat.NewDense(d, opt.Rank)
 	}
 	st.resid = sptensor.Residual(t, sptensor.NewKruskal(st.factors...))
 	return st
@@ -151,24 +156,27 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 // lines 7–12 do, with F and H cached per mode), returning the new factors
 // and aux variables without committing them. grams are the per-mode
 // self-products A(n)ᵀA(n); mttkrp supplies E_(n)·U(n) (in-process for the
-// serial solver, via the engine for DisTenC).
+// serial solver, via the engine for DisTenC) and is only read.
+//
+// The factor update is Algorithm 3 line 11, A ← (A·F + E_(n)·U(n) + ηB + Y)
+// (F + cI)⁻¹ with c = λ+η, in its one-multiply form: F(F+cI)⁻¹ = I − c(F+cI)⁻¹
+// turns it into A ← A + (E_(n)·U(n) + ηB + Y − cA)(F + cI)⁻¹ (DESIGN.md §5).
 func (st *solverState) iterateWith(grams []*mat.Dense, mttkrp func(mode int) *mat.Dense) (next, bs []*mat.Dense) {
 	order := st.t.Order()
 	next = make([]*mat.Dense, order)
 	bs = make([]*mat.Dense, order)
 	for n := 0; n < order; n++ {
-		bs[n] = st.updateAux(n)
-		// F_n = U(n)ᵀU(n) via the Hadamard-of-Grams identity (Eq. 12).
-		fn := sptensor.GramProduct(grams, n)
-		// H_n = A(n)·F_n + E_(n)·U(n): the Eq. (16) residual form.
-		h := mat.Mul(st.factors[n], fn)
-		h = mat.AddMat(h, mttkrp(n))
-		// A(n) ← (H + ηB + Y)(F + λI + ηI)⁻¹  (Algorithm 3 line 11).
-		h.AddScaled(st.eta, bs[n])
-		h.AddScaled(1, st.mult[n])
-		lhs := fn.Clone()
+		eta, c := st.eta, st.opt.Lambda+st.eta
+		a := st.factors[n].Data()
+		y, w := st.mult[n].Data()[:len(a)], st.work[n].Data()[:len(a)]
+		for i, av := range a {
+			w[i] = eta*av - y[i]
+		}
+		bs[n] = st.updateAux(n, st.work[n])
+		// F_n + (λ+η)I via the Hadamard-of-Grams identity (Eq. 12).
+		lhs := sptensor.GramProduct(grams, n)
 		for i := 0; i < lhs.Rows(); i++ {
-			lhs.Add(i, i, st.opt.Lambda+st.eta)
+			lhs.Add(i, i, c)
 		}
 		inv, err := mat.InverseSPD(lhs)
 		if err != nil {
@@ -176,20 +184,27 @@ func (st *solverState) iterateWith(grams []*mat.Dense, mttkrp func(mode int) *ma
 			// factors carry non-finite values and iteration must stop.
 			panic("core: normal-equation matrix not SPD: " + err.Error())
 		}
-		next[n] = mat.Mul(h, inv)
+		h, b := mttkrp(n).Data()[:len(a)], bs[n].Data()[:len(a)]
+		for i, av := range a {
+			w[i] = h[i] + eta*b[i] + y[i] - c*av
+		}
+		next[n] = mat.NewDense(st.factors[n].Dims())
+		mat.MulAddInto(next[n], 1, st.factors[n], st.work[n], inv)
 	}
 	return next, bs
 }
 
-// updateAux computes B(n) ← (ηI + αL_n)⁻¹(ηA(n) − Y(n)) via the spectral
-// machinery; without auxiliary information L = 0 and the update reduces to
-// (ηA − Y)/η.
-func (st *solverState) updateAux(n int) *mat.Dense {
-	x := st.factors[n].Clone().Scale(st.eta)
-	x.AddScaled(-1, st.mult[n])
+// updateAux computes B(n) ← (ηI + αL_n)⁻¹·x for x = ηA(n) − Y(n) via the
+// spectral machinery; without auxiliary information L = 0 and the update
+// reduces to x/η.
+func (st *solverState) updateAux(n int, x *mat.Dense) *mat.Dense {
 	var b *mat.Dense
 	if st.sp == nil || st.sp[n] == nil {
-		b = x.Scale(1 / st.eta)
+		b = mat.NewDense(x.Dims())
+		bd, inv := b.Data(), 1/st.eta
+		for i, v := range x.Data() {
+			bd[i] = v * inv
+		}
 	} else {
 		b = st.sp[n].InverseApply(st.opt.AlphaFor(n), st.eta, x)
 	}
@@ -219,16 +234,24 @@ func (st *solverState) advance(next, bs []*mat.Dense) float64 {
 // advanceNoResid is advance without the driver-side residual refresh —
 // DisTenC's stage recomputes residuals on the cluster instead (§III-D).
 // It also records the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1
-// stopping criterion.
+// stopping criterion. One pass per mode reads next/A/B and updates Y in
+// place.
 func (st *solverState) advanceNoResid(next, bs []*mat.Dense) float64 {
 	var maxDelta, consensus float64
 	for n := range st.factors {
-		d := mat.SubMat(next[n], st.factors[n]).NormF()
-		maxDelta = math.Max(maxDelta, d*d)
-		gap := mat.SubMat(bs[n], next[n])
-		consensus = math.Max(consensus, gap.NormF())
-		// Y(n) ← Y(n) + η(B(n) − A(n)).
-		st.mult[n].AddScaled(st.eta, gap)
+		nx := next[n].Data()
+		a, b, y := st.factors[n].Data()[:len(nx)], bs[n].Data()[:len(nx)], st.mult[n].Data()[:len(nx)]
+		var delta2, gap2 float64
+		for i, nv := range nx {
+			d := nv - a[i]
+			delta2 += d * d
+			gap := b[i] - nv
+			gap2 += gap * gap
+			// Y(n) ← Y(n) + η(B(n) − A(n)).
+			y[i] += st.eta * gap
+		}
+		maxDelta = math.Max(maxDelta, delta2)
+		consensus = math.Max(consensus, math.Sqrt(gap2))
 		st.factors[n] = next[n]
 		st.aux[n] = bs[n]
 	}

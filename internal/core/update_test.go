@@ -1,0 +1,198 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+
+	"distenc/internal/graph"
+	"distenc/internal/mat"
+	"distenc/internal/sptensor"
+)
+
+// referenceIterate is the driver update as it was composed before the
+// one-multiply form: explicit ηA−Y, the spectral B update written out with
+// MulATB/Mul/AddScaled, H = A·F + E_(n)U, (H + ηB + Y)(F + cI)⁻¹ with two
+// I×R×R products, and SubMat/NormF for the convergence values. It reads st
+// and the supplied hs and returns what iterateWith + advanceNoResid must
+// reproduce, without touching st.
+func referenceIterate(st *solverState, grams, hs []*mat.Dense) (next, bs, mult []*mat.Dense, maxDelta, consensus float64) {
+	order := st.t.Order()
+	next, bs, mult = make([]*mat.Dense, order), make([]*mat.Dense, order), make([]*mat.Dense, order)
+	for n := 0; n < order; n++ {
+		x := st.factors[n].Clone().Scale(st.eta)
+		x.AddScaled(-1, st.mult[n])
+		var b *mat.Dense
+		if st.sp == nil || st.sp[n] == nil {
+			b = x.Scale(1 / st.eta)
+		} else {
+			sp, alpha := st.sp[n], st.opt.AlphaFor(n)
+			w := mat.MulATB(sp.Vectors, x)
+			for i, lam := range sp.Values {
+				scale := 1 / (st.eta + alpha*lam)
+				if !sp.Full() {
+					scale -= 1 / st.eta
+				}
+				mat.ScaleVec(scale, w.Row(i))
+			}
+			b = mat.Mul(sp.Vectors, w)
+			if !sp.Full() {
+				b.AddScaled(1/st.eta, x)
+			}
+		}
+		if st.opt.NonNegative {
+			for i, v := range b.Data() {
+				if v < 0 {
+					b.Data()[i] = 0
+				}
+			}
+		}
+		bs[n] = b
+		fn := sptensor.GramProduct(grams, n)
+		h := mat.AddMat(mat.Mul(st.factors[n], fn), hs[n])
+		h.AddScaled(st.eta, b)
+		h.AddScaled(1, st.mult[n])
+		lhs := fn.Clone()
+		for i := 0; i < lhs.Rows(); i++ {
+			lhs.Add(i, i, st.opt.Lambda+st.eta)
+		}
+		inv, err := mat.InverseSPD(lhs)
+		if err != nil {
+			panic(err)
+		}
+		next[n] = mat.Mul(h, inv)
+		d := mat.SubMat(next[n], st.factors[n]).NormF()
+		maxDelta = math.Max(maxDelta, d*d)
+		gap := mat.SubMat(b, next[n])
+		consensus = math.Max(consensus, gap.NormF())
+		mult[n] = st.mult[n].Clone().AddScaled(st.eta, gap)
+	}
+	return next, bs, mult, maxDelta, consensus
+}
+
+// matsClose requires ‖got−want‖_max ≤ tol·max(1, ‖want‖_max) per matrix.
+func matsClose(t *testing.T, what string, got, want []*mat.Dense, tol float64) {
+	t.Helper()
+	for n := range want {
+		scale := 1.0
+		for _, v := range want[n].Data() {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		if d := mat.MaxAbsDiff(got[n], want[n]); !(d <= tol*scale) {
+			t.Fatalf("%s[%d]: max |Δ| = %g, want ≤ %g", what, n, d, tol*scale)
+		}
+	}
+}
+
+func ringSimilarity(n int) *graph.Similarity {
+	s := graph.NewSimilarity(n)
+	for i := 0; i < n; i++ {
+		s.AddEdge(i, (i+1)%n, 1)
+		s.AddEdge(i, (i+3)%n, 0.5)
+	}
+	return s
+}
+
+// TestFusedUpdateMatchesReferenceComposition is the differential test for
+// the one-multiply, workspace-based driver update: over several iterations
+// of order-3 and order-4 problems — without spectra, with exact and with
+// truncated spectra, NonNegative on and off — every quantity the update
+// publishes (next A, B, the updated Y, both convergence values) must agree
+// with the reference composition to 1e-12 relative.
+func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
+	const tol = 1e-12
+	for _, dims := range [][]int{{23, 17, 9}, {12, 10, 9, 7}} {
+		for _, simMode := range []string{"none", "exact", "truncated"} {
+			for _, nonNeg := range []bool{false, true} {
+				t.Run(fmt.Sprintf("order%d/%s/nonneg=%v", len(dims), simMode, nonNeg), func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(31, uint64(len(dims))))
+					ts := randomTensor(dims, 60*len(dims)*len(dims), rng)
+					ts.Dedupe()
+					opt := Options{Rank: 5, Seed: 4, NonNegative: nonNeg}
+					var sims []*graph.Similarity
+					if simMode != "none" {
+						sims = make([]*graph.Similarity, len(dims))
+						sims[0], sims[1] = ringSimilarity(dims[0]), ringSimilarity(dims[1])
+					}
+					if simMode == "truncated" {
+						opt.TruncK = 6
+					}
+					opt = opt.withDefaults()
+					sp, err := spectra(sims, opt.TruncK, opt.Seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := newSolverState(ts, sp, opt)
+					for iter := 0; iter < 4; iter++ {
+						grams := make([]*mat.Dense, ts.Order())
+						hs := make([]*mat.Dense, ts.Order())
+						for n, f := range st.factors {
+							grams[n] = mat.Gram(f)
+							hs[n] = sptensor.MTTKRP(st.resid, st.factors, n, nil)
+						}
+						wantNext, wantBs, wantMult, wantDelta, wantCons := referenceIterate(st, grams, hs)
+						next, bs := st.iterateWith(grams, func(n int) *mat.Dense { return hs[n] })
+						delta := st.advance(next, bs)
+						matsClose(t, "next", next, wantNext, tol)
+						matsClose(t, "bs", bs, wantBs, tol)
+						matsClose(t, "mult", st.mult, wantMult, tol)
+						if !relClose(delta, wantDelta, 1e-10) || !relClose(st.consensus, wantCons, 1e-10) {
+							t.Fatalf("iter %d: delta %g (want %g), consensus %g (want %g)", iter, delta, wantDelta, st.consensus, wantCons)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDriverUpdateAllocatesOnlyPublishedMatrices is the allocation budget of
+// one driver update (iterateWith + advanceNoResid): the only I-sized
+// allocations are the next and bs matrices it publishes. The byte budget is
+// those matrices plus a fixed allowance for the R×R and K×R pieces (Gram
+// products, Cholesky factor and inverse, the eigenbasis coefficients); the
+// object count must not depend on I at all.
+func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
+	const rank = 8
+	measure := func(dims []int) (objects int, bytes, published uint64) {
+		rng := rand.New(rand.NewPCG(7, 8))
+		ts := randomTensor(dims, 2000, rng)
+		ts.Dedupe()
+		sims := make([]*graph.Similarity, len(dims))
+		sims[0] = ringSimilarity(dims[0])
+		opt := Options{Rank: rank, Seed: 2, TruncK: 10}.withDefaults()
+		sp, err := spectra(sims, opt.TruncK, opt.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newSolverState(ts, sp, opt)
+		grams := make([]*mat.Dense, len(dims))
+		hs := make([]*mat.Dense, len(dims))
+		for n, f := range st.factors {
+			grams[n] = mat.Gram(f)
+			hs[n] = sptensor.MTTKRP(st.resid, st.factors, n, nil)
+			published += 2 * uint64(dims[n]) * rank * 8
+		}
+		step := func() {
+			next, bs := st.iterateWith(grams, func(n int) *mat.Dense { return hs[n] })
+			st.advanceNoResid(next, bs)
+		}
+		objects = int(testing.AllocsPerRun(5, step))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step()
+		runtime.ReadMemStats(&after)
+		return objects, after.TotalAlloc - before.TotalAlloc, published
+	}
+	smallN, _, _ := measure([]int{300, 250, 40})
+	largeN, largeBytes, published := measure([]int{3000, 2500, 40})
+	if smallN != largeN {
+		t.Errorf("driver update allocates %d objects at I=300 and %d at I=3000: the count must not depend on I", smallN, largeN)
+	}
+	// Large allocations round up to whole pages; the remainder is R×R work.
+	if slack := uint64(64 << 10); largeBytes > published+slack {
+		t.Errorf("driver update allocated %d bytes; published next/bs are %d (+%d allowed)", largeBytes, published, slack)
+	}
+}

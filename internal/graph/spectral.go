@@ -76,28 +76,27 @@ func (s *Spectral) InverseApply(alpha, eta float64, x *mat.Dense) *mat.Dense {
 	if x.Rows() != s.n {
 		panic(fmt.Sprintf("graph: InverseApply on %d rows, want %d", x.Rows(), s.n))
 	}
-	// W = Vᵀ X  (K×R) — the "last two matrices first" ordering of Eq. (7).
+	// W = Vᵀ X  (K×R) — the "last two matrices first" ordering of Eq. (7) —
+	// rescaled in the eigenbasis.
 	w := mat.MulATB(s.Vectors, x)
-	k, r := w.Dims()
-	if s.full {
-		for i := 0; i < k; i++ {
-			scale := 1 / (eta + alpha*s.Values[i])
-			row := w.Row(i)
-			for j := 0; j < r; j++ {
-				row[j] *= scale
-			}
+	for i, lam := range s.Values {
+		scale := 1 / (eta + alpha*lam)
+		if !s.full {
+			scale -= 1 / eta
 		}
-		return mat.Mul(s.Vectors, w)
-	}
-	for i := 0; i < k; i++ {
-		scale := 1/(eta+alpha*s.Values[i]) - 1/eta
 		row := w.Row(i)
-		for j := 0; j < r; j++ {
+		for j := range row {
 			row[j] *= scale
 		}
 	}
-	out := mat.Mul(s.Vectors, w)
-	out.AddScaled(1/eta, x)
+	// One pass over the output: each row is X/η + V·W (just V·W when exact),
+	// written once.
+	out := mat.NewDense(x.Dims())
+	if s.full {
+		mat.MulInto(out, s.Vectors, w)
+	} else {
+		mat.MulAddInto(out, 1/eta, x, s.Vectors, w)
+	}
 	return out
 }
 

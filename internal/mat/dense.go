@@ -78,13 +78,6 @@ func (m *Dense) CopyFrom(src *Dense) {
 	copy(m.data, src.data)
 }
 
-// Zero sets every element of m to 0.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // Fill sets every element of m to v.
 func (m *Dense) Fill(v float64) {
 	for i := range m.data {
@@ -204,44 +197,95 @@ func Mul(a, b *Dense) *Dense {
 }
 
 // MulInto computes dst = a·b. dst must be pre-sized and must not alias a or b.
-func MulInto(dst, a, b *Dense) {
+func MulInto(dst, a, b *Dense) { MulAddInto(dst, 0, nil, a, b) }
+
+// MulAddInto computes dst = s·c + a·b in one pass over dst: each output row
+// is seeded from c's row (or zero when c is nil), accumulated while it sits
+// in cache, and written once. dst may alias c but not a or b.
+func MulAddInto(dst *Dense, s float64, c, a, b *Dense) {
 	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
-		panic(dimErr("MulInto", a, b))
+		panic(dimErr("MulAddInto", a, b))
 	}
-	dst.Zero()
-	// ikj order: stream b rows, accumulate into dst rows.
+	if c != nil && (c.rows != dst.rows || c.cols != dst.cols) {
+		panic(dimErr("MulAddInto", dst, c))
+	}
+	n := b.cols
 	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
+		drow := dst.data[i*n : (i+1)*n]
+		if c == nil {
+			clear(drow)
+		} else {
+			for j, cv := range c.data[i*n : (i+1)*n] {
+				drow[j] = s * cv
 			}
 		}
+		axpyRows(drow, a.Row(i), b.data)
 	}
 }
 
-// MulATB returns aᵀ·b as a new matrix without forming aᵀ.
+// axpyRows accumulates dst += Σ_k x[k]·b[k·n : (k+1)·n] with n = len(dst):
+// one row of a matrix product in ikj order. Four b rows are consumed per
+// sweep with their multipliers held in registers, so dst is loaded and
+// stored once per four multiply-adds instead of once per one; the additions
+// still happen in ascending k, so the result is bit-identical to the plain
+// one-row-at-a-time loop. The inner loops carry no bounds checks
+// (scripts/check_bce.sh keeps it so).
+func axpyRows(dst, x, b []float64) {
+	n := len(dst)
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		x0, x1, x2, x3 := x[k], x[k+1], x[k+2], x[k+3]
+		b0 := b[k*n : (k+1)*n][:len(dst)]
+		b1 := b[(k+1)*n : (k+2)*n][:len(dst)]
+		b2 := b[(k+2)*n : (k+3)*n][:len(dst)]
+		b3 := b[(k+3)*n : (k+4)*n][:len(dst)]
+		//bce:begin
+		for j := range dst {
+			dst[j] = dst[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+		}
+		//bce:end
+	}
+	for ; k < len(x); k++ {
+		xv := x[k]
+		brow := b[k*n : (k+1)*n][:len(dst)]
+		//bce:begin
+		for j := range dst {
+			dst[j] += xv * brow[j]
+		}
+		//bce:end
+	}
+}
+
+// MulATB returns aᵀ·b as a new matrix without forming aᵀ. Like axpyRows it
+// folds four rows of a and b into the (small, cache-resident) result per
+// sweep, in ascending row order, so the sums match the one-row-at-a-time
+// loop bit for bit.
 func MulATB(a, b *Dense) *Dense {
 	if a.rows != b.rows {
 		panic(dimErr("MulATB", a, b))
 	}
 	out := NewDense(a.cols, b.cols)
-	for k := 0; k < a.rows; k++ {
-		arow := a.Row(k)
+	n := b.cols
+	k := 0
+	for ; k+4 <= a.rows; k += 4 {
+		a0 := a.Row(k)
+		a1, a2, a3 := a.Row(k + 1)[:len(a0)], a.Row(k + 2)[:len(a0)], a.Row(k + 3)[:len(a0)]
+		b0 := b.Row(k)
+		b1, b2, b3 := b.Row(k + 1)[:len(b0)], b.Row(k + 2)[:len(b0)], b.Row(k + 3)[:len(b0)]
+		for i := range a0 {
+			x0, x1, x2, x3 := a0[i], a1[i], a2[i], a3[i]
+			drow := out.data[i*n : (i+1)*n][:len(b0)]
+			//bce:begin
+			for j := range drow {
+				drow[j] = drow[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+			}
+			//bce:end
+		}
+	}
+	for ; k < a.rows; k++ {
 		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := out.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+		for i, av := range a.Row(k) {
+			axpyRows(out.data[i*n:(i+1)*n], []float64{av}, brow)
 		}
 	}
 	return out

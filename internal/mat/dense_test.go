@@ -244,3 +244,70 @@ func TestStringSmallAndLarge(t *testing.T) {
 		t.Fatalf("large String = %q", s)
 	}
 }
+
+// The driver-algebra shapes of the solve-highdim workload: I×R·R×R (Eq. 16),
+// I×K·K×R and (I×K)ᵀ·I×R (the spectral B update), I = 25000, R = 16, K = 20.
+func BenchmarkMulInto(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	a, c := randDense(rng, 25000, 16), randDense(rng, 16, 16)
+	dst := NewDense(25000, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulInto(dst, a, c)
+	}
+}
+
+func BenchmarkMulATB(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	v, x := randDense(rng, 25000, 20), randDense(rng, 25000, 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulATB(v, x)
+	}
+}
+
+// TestBlockedProductsMatchNaiveBits holds the four-rows-per-sweep kernels to
+// the sums of the plain one-row-at-a-time loops, bit for bit, on shapes whose
+// inner dimension is and is not a multiple of four (tails of 0–3).
+func TestBlockedProductsMatchNaiveBits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 12))
+	for _, shape := range [][3]int{{9, 16, 16}, {10, 7, 5}, {5, 1, 3}, {4, 4, 1}, {3, 0, 2}, {13, 22, 9}} {
+		m, p, n := shape[0], shape[1], shape[2]
+		a, b, c := randDense(rng, m, p), randDense(rng, p, n), randDense(rng, m, n)
+		const s = 0.375
+		want := NewDense(m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				want.Set(i, j, s*c.At(i, j))
+			}
+			for k := 0; k < p; k++ {
+				for j := 0; j < n; j++ {
+					want.Add(i, j, a.At(i, k)*b.At(k, j))
+				}
+			}
+		}
+		got := randDense(rng, m, n) // stale contents must not leak through
+		MulAddInto(got, s, c, a, b)
+		// aᵀ·c accumulated row by row of a, as MulATB's contract states.
+		wantATB := NewDense(p, n)
+		for k := 0; k < m; k++ {
+			for i := 0; i < p; i++ {
+				for j := 0; j < n; j++ {
+					wantATB.Add(i, j, a.At(k, i)*c.At(k, j))
+				}
+			}
+		}
+		for name, pair := range map[string][2]*Dense{"MulAddInto": {got, want}, "MulATB": {MulATB(a, c), wantATB}} {
+			for i, v := range pair[1].Data() {
+				if math.Float64bits(pair[0].Data()[i]) != math.Float64bits(v) {
+					t.Fatalf("%s %d×%d·%d×%d: element %d = %v, naive loop gives %v", name, m, p, p, n, i, pair[0].Data()[i], v)
+				}
+			}
+		}
+		// In place on c (dst aliases c) must give the same answer.
+		MulAddInto(c, s, c, a, b)
+		if MaxAbsDiff(c, want) != 0 {
+			t.Fatalf("MulAddInto with dst aliasing c differs for %v", shape)
+		}
+	}
+}

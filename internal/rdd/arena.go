@@ -46,7 +46,8 @@ type arenaSlab[T any] struct {
 	need int // total elements requested this cycle, across grows
 }
 
-func (s *arenaSlab[T]) alloc(n int) []T {
+// alloc hands out n elements, cleared like make's when zero is set.
+func (s *arenaSlab[T]) alloc(n int, zero bool) []T {
 	s.need += n
 	if s.off+n > len(s.buf) {
 		c := 2 * len(s.buf)
@@ -62,7 +63,9 @@ func (s *arenaSlab[T]) alloc(n int) []T {
 	}
 	out := s.buf[s.off : s.off+n : s.off+n]
 	s.off += n
-	clear(out) // reused region: hand out zeroed memory, like make
+	if zero {
+		clear(out)
+	}
 	return out
 }
 
@@ -76,16 +79,21 @@ func (s *arenaSlab[T]) trim() {
 }
 
 // Float64s returns a zeroed arena-backed []float64 of length n.
-func (a *Arena) Float64s(n int) []float64 { return a.f64.alloc(n) }
+func (a *Arena) Float64s(n int) []float64 { return a.f64.alloc(n, true) }
 
 // Int32s returns a zeroed arena-backed []int32 of length n.
-func (a *Arena) Int32s(n int) []int32 { return a.i32.alloc(n) }
+func (a *Arena) Int32s(n int) []int32 { return a.i32.alloc(n, true) }
+
+// Float64sDirty is Float64s without the clear — the contents are whatever
+// the previous cycle left — for slabs the caller overwrites in full (decoded
+// shuffle payloads), where zero-filling first would touch every byte twice.
+func (a *Arena) Float64sDirty(n int) []float64 { return a.f64.alloc(n, false) }
 
 // Bytes returns a zeroed arena-backed []byte of length n.
-func (a *Arena) Bytes(n int) []byte { return a.byt.alloc(n) }
+func (a *Arena) Bytes(n int) []byte { return a.byt.alloc(n, true) }
 
 // Bools returns a zeroed arena-backed []bool of length n.
-func (a *Arena) Bools(n int) []bool { return a.bl.alloc(n) }
+func (a *Arena) Bools(n int) []bool { return a.bl.alloc(n, true) }
 
 // Reset rewinds every slab to empty without freeing backing memory. The
 // stash survives. Called by the cluster when the arena is checked out to a

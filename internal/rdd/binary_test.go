@@ -2,10 +2,12 @@ package rdd
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,6 +17,10 @@ import (
 type slabRec struct {
 	Tag  int32
 	Vals []float64
+}
+
+func (s *slabRec) RecordSize() int {
+	return 4 + UvarintLen(uint64(len(s.Vals))) + 8*len(s.Vals)
 }
 
 func (s *slabRec) AppendRecord(buf []byte) []byte {
@@ -187,5 +193,61 @@ func TestGobBlockStillRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("round trip = %v, want %v", got, recs)
+	}
+}
+
+// A binary block is sized from its records and written into one allocation
+// with no slack: the published image carries no doubling garbage.
+func TestEncodeBlockIsOneExactAllocation(t *testing.T) {
+	recs := make([]slabRec, 5)
+	for i := range recs {
+		recs[i] = slabRec{Tag: int32(i), Vals: make([]float64, 100*(i+1))}
+	}
+	data, err := encodeBlock(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(data) != len(data) {
+		t.Fatalf("block has len %d, cap %d: want an exact-size allocation", len(data), cap(data))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { data, _ = encodeBlock(recs) }); allocs != 1 {
+		t.Fatalf("encodeBlock allocates %.0f objects, want 1", allocs)
+	}
+}
+
+// hugeRec claims a frame too large for a shuffle block. Its size is checked
+// before anything is encoded, so AppendRecord must never run (and no 2 GiB
+// buffer is ever allocated).
+type hugeRec struct{ size int }
+
+func (h *hugeRec) RecordSize() int { return h.size }
+func (h *hugeRec) AppendRecord(buf []byte) []byte {
+	panic("oversized block was encoded")
+}
+func (h *hugeRec) DecodeRecord(data []byte) ([]byte, error) { return data, nil }
+
+// A block of 2 GiB or more used to have its length stored as a wrapped int32;
+// it is now refused with an error naming the stage, map and reduce partition.
+func TestShuffleBlockTooLargeIsRejected(t *testing.T) {
+	for _, sizes := range [][]int{{math.MaxInt32}, {1 << 30, 1 << 30}, {math.MaxInt, math.MaxInt}} {
+		c := MustNewCluster(Config{Machines: 2, MaxTaskRetries: -1})
+		src := Parallelize(c, "ints", []int{1, 2}, 2)
+		out := ShuffleMap(src, "huge", 3, func(tc *TaskCtx, mp int, in []int) ([][]hugeRec, error) {
+			buckets := make([][]hugeRec, 3)
+			if mp == 1 {
+				for _, s := range sizes {
+					buckets[2] = append(buckets[2], hugeRec{size: s})
+				}
+			}
+			return buckets, nil
+		})
+		_, err := out.Collect()
+		if err == nil {
+			t.Fatalf("sizes %v: oversized shuffle block was accepted", sizes)
+		}
+		if !errors.Is(err, errBlockTooLarge) || !strings.Contains(err.Error(), "shuffle huge block 1/2") {
+			t.Fatalf("sizes %v: error %q does not name stage, map and reduce partition", sizes, err)
+		}
+		c.Close()
 	}
 }

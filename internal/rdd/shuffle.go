@@ -85,9 +85,9 @@ func (e *exchange[R]) evictMachine(m int) {
 	}
 }
 
-// encodeShuffleBuckets serializes one map task's buckets, counting every
+// encodeShuffleBuckets serializes map task mp's buckets, counting every
 // serialized byte as the producing task's shuffle traffic.
-func encodeShuffleBuckets[R any](tc *TaskCtx, bs [][]R) ([][]byte, error) {
+func (e *exchange[R]) encodeShuffleBuckets(tc *TaskCtx, mp int, bs [][]R) ([][]byte, error) {
 	enc := make([][]byte, len(bs))
 	for rp, records := range bs {
 		if len(records) == 0 {
@@ -95,7 +95,7 @@ func encodeShuffleBuckets[R any](tc *TaskCtx, bs [][]R) ([][]byte, error) {
 		}
 		data, err := encodeBlock(records)
 		if err != nil {
-			return nil, fmt.Errorf("rdd: encoding shuffle block: %w", err)
+			return nil, fmt.Errorf("rdd: encoding shuffle %s block %d/%d: %w", e.name, mp, rp, err)
 		}
 		tc.CountShuffled(int64(len(data)))
 		enc[rp] = data
@@ -129,7 +129,7 @@ func (e *exchange[R]) ensure() error {
 			if len(bs) != e.reduceParts {
 				return fmt.Errorf("rdd: shuffle %s map task %d produced %d buckets, want %d", e.name, p, len(bs), e.reduceParts)
 			}
-			enc, err := encodeShuffleBuckets(tc, bs)
+			enc, err := e.encodeShuffleBuckets(tc, p, bs)
 			if err != nil {
 				return err
 			}
@@ -312,7 +312,7 @@ func (e *exchange[R]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
 	if len(bs) != e.reduceParts {
 		return nil, fmt.Errorf("rdd: shuffle %s map task %d produced %d buckets, want %d", e.name, mp, len(bs), e.reduceParts)
 	}
-	enc, err := encodeShuffleBuckets(tc, bs)
+	enc, err := e.encodeShuffleBuckets(tc, mp, bs)
 	if err != nil {
 		return nil, err
 	}

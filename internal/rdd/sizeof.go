@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -49,6 +50,11 @@ func EstimateSize(v any) int64 {
 // DiskBytes accounting, so the engine's Lemma 3 bookkeeping stays honest —
 // the packed MTTKRP slab records in internal/core are the motivating user.
 type BinaryRecord interface {
+	// RecordSize returns the exact length of the frame AppendRecord writes,
+	// so a block is allocated once at its final size — the published image
+	// carries no doubling slack — and an oversized block is refused before
+	// any of it is encoded.
+	RecordSize() int
 	// AppendRecord appends the record's frame to buf and returns it.
 	AppendRecord(buf []byte) []byte
 	// DecodeRecord parses one frame from the front of data into the
@@ -83,11 +89,28 @@ func isArenaBinaryRecord[R any]() bool {
 	return ok
 }
 
+// maxBlockBytes bounds one encoded shuffle block: the exchange records block
+// lengths as int32 (and the frame readers refuse far less), so a larger block
+// could only be published with a wrapped length.
+const maxBlockBytes = math.MaxInt32
+
+// errBlockTooLarge is wrapped by the shuffle write path with the stage, map
+// and reduce partition of the offending block.
+var errBlockTooLarge = fmt.Errorf("block exceeds the %d-byte shuffle block limit", maxBlockBytes)
+
 // encodeBlock serializes a shuffle block: the BinaryRecord fast path when the
-// record type provides one, encoding/gob otherwise.
+// record type provides one, encoding/gob otherwise. Binary blocks are sized
+// from their records first and written into a single exact allocation.
 func encodeBlock[R any](records []R) ([]byte, error) {
 	if isBinaryRecord[R]() {
-		buf := binary.AppendUvarint(nil, uint64(len(records)))
+		size := UvarintLen(uint64(len(records)))
+		for i := range records {
+			size += any(&records[i]).(BinaryRecord).RecordSize()
+			if size < 0 || size > maxBlockBytes {
+				return nil, errBlockTooLarge
+			}
+		}
+		buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(records)))
 		for i := range records {
 			buf = any(&records[i]).(BinaryRecord).AppendRecord(buf)
 		}
@@ -96,6 +119,9 @@ func encodeBlock[R any](records []R) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(records); err != nil {
 		return nil, err
+	}
+	if buf.Len() > maxBlockBytes {
+		return nil, errBlockTooLarge
 	}
 	return buf.Bytes(), nil
 }

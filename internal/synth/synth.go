@@ -14,8 +14,10 @@ package synth
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"distenc/internal/graph"
 	"distenc/internal/mat"
@@ -126,7 +128,9 @@ func blockFactors(rng *rand.Rand, n, rank, nBlocks int, jitter float64) (*mat.De
 
 // communitySimilarity links objects sharing a planted block: the "same
 // affiliation / same location" auxiliary matrices of the paper's real
-// datasets. Each object gets ~deg within-block neighbors.
+// datasets. Each object gets ~deg within-block neighbors. Blocks are visited
+// in sorted label order: the draws come from one shared rng, so ranging over
+// the map directly would give a different graph on every run of one seed.
 func communitySimilarity(rng *rand.Rand, labels []int, deg int) *graph.Similarity {
 	n := len(labels)
 	byBlock := map[int][]int{}
@@ -135,7 +139,8 @@ func communitySimilarity(rng *rand.Rand, labels []int, deg int) *graph.Similarit
 	}
 	s := graph.NewSimilarity(n)
 	seen := map[[2]int]bool{}
-	for _, members := range byBlock {
+	for _, b := range slices.Sorted(maps.Keys(byBlock)) {
+		members := byBlock[b]
 		if len(members) < 2 {
 			continue
 		}

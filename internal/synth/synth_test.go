@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"distenc/internal/metrics"
@@ -166,5 +167,38 @@ func TestDBLP4SimConsistency(t *testing.T) {
 	}
 	if len(d.Sims) != 4 || d.Sims[0] == nil {
 		t.Fatal("author similarity missing")
+	}
+}
+
+// TestSimilaritiesReproducible pins that one seed gives one similarity graph:
+// every generator is run twice in this process and the adjacency lists must
+// agree exactly, edge order included. communitySimilarity used to range over
+// a Go map of planted blocks while drawing from a shared rng, so the graphs
+// differed from run to run.
+func TestSimilaritiesReproducible(t *testing.T) {
+	gens := map[string]func() *Dataset{
+		"netflix": func() *Dataset {
+			return NetflixSim(RecsysConfig{Users: 80, Items: 60, Contexts: 10, Rank: 4, NNZ: 2000, Noise: 0.1, Seed: 3})
+		},
+		"twitter": func() *Dataset {
+			return TwitterSim(RecsysConfig{Users: 60, Items: 60, Contexts: 16, Rank: 4, NNZ: 1500, Noise: 0.05, Seed: 4})
+		},
+		"facebook": func() *Dataset {
+			return FacebookSim(LinkPredConfig{Users: 70, Days: 5, Rank: 4, NNZ: 1500, Noise: 0.05, Seed: 5})
+		},
+	}
+	for name, gen := range gens {
+		a, b := gen(), gen()
+		for n := range a.Sims {
+			if a.Sims[n] == nil {
+				continue
+			}
+			if a.Sims[n].NumEdges() == 0 {
+				t.Fatalf("%s: mode %d similarity has no edges", name, n)
+			}
+			if !reflect.DeepEqual(a.Sims[n].Adj, b.Sims[n].Adj) {
+				t.Errorf("%s: mode %d similarity differs between two runs of one seed", name, n)
+			}
+		}
 	}
 }
