@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"os"
+	"sync"
 	"testing"
 
 	"distenc/internal/leakcheck"
@@ -194,5 +196,55 @@ func TestWorkerProcessKillMidRun(t *testing.T) {
 	assertBitIdentical(t, "worker-process kill vs clean", want.Model.Factors, got.Model.Factors)
 	if cleanB, gotB := clean.Metrics().BytesShuffled.Load(), c.Metrics().BytesShuffled.Load(); gotB != cleanB {
 		t.Errorf("BytesShuffled = %d after recovery, clean = %d: recompute traffic double-counted", gotB, cleanB)
+	}
+}
+
+// putRecorder remembers every shuffle block Put through it, and where.
+type putRecorder struct {
+	*transport.Client
+	mu   sync.Mutex
+	puts map[rdd.BlockID]int
+}
+
+func (p *putRecorder) Put(m int, id rdd.BlockID, data []byte) error {
+	if id.Kind == rdd.BlockShuffle {
+		p.mu.Lock()
+		p.puts[id] = m
+		p.mu.Unlock()
+	}
+	return p.Client.Put(m, id, data)
+}
+
+// TestTCPRetiredShuffleBlocksAreDropped is the worker-side half of the
+// shuffle lifetime, against real worker processes: after a solve, every
+// shuffle block any iteration stored is gone from the worker it was stored
+// on — each iteration's exchange was retired with a Drop, not left for the
+// processes' exit to clean up.
+func TestTCPRetiredShuffleBlocksAreDropped(t *testing.T) {
+	d := synth.LinearFactorDataset([]int{20, 20, 20}, 2, 1500, 61)
+	tcl, err := transport.StartWorkers(3, transport.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcl.Close()
+	rec := &putRecorder{Client: tcl, puts: map[rdd.BlockID]int{}}
+	c, err := rdd.NewCluster(rdd.Config{Machines: 3, Transport: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dopt := DistOptions{Options: Options{Rank: 3, MaxIter: 3, Tol: -1, Seed: 62}, GridPartition: true}
+	if _, err := CompleteDistributed(c, d.Tensor, d.Sims, dopt); err != nil {
+		t.Fatal(err)
+	}
+	owners := map[int64]bool{}
+	for id, m := range rec.puts {
+		owners[id.Owner] = true
+		if _, err := tcl.Fetch(m, id); !errors.Is(err, rdd.ErrBlockNotFound) {
+			t.Fatalf("block %v of a retired exchange is still on worker %d (Fetch: %v)", id, m, err)
+		}
+	}
+	if len(owners) != dopt.MaxIter {
+		t.Fatalf("recorded shuffle blocks of %d exchanges, want one per iteration (%d)", len(owners), dopt.MaxIter)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 
 	"distenc/internal/mat"
@@ -332,11 +333,17 @@ const (
 // SpMV-chain, see planKernels) into one flat accumulator slab per mode, and
 // emits one PackedRows record per (destination partition, mode): the layout's
 // sorted needed-row lists make each destination a contiguous slice of the
-// slab. The reduce side sums the incoming slabs into its dense row ranges and
-// returns one compacted record per mode for the driver to scatter into H_n.
-// The two sides run as distinct named stages — "mttkrp-map" (shuffle write)
-// and "mttkrp-reduce" (collect) — so stage logs, phase attribution and
-// fault-injection prefixes can tell the kernel from the reduction.
+// slab. The reduce side folds each incoming block into its dense row ranges
+// as it arrives, in map-partition order (it holds its slabs plus one decoded
+// block, never all P), and returns one compacted record per mode for the
+// driver to scatter into H_n. The two sides run as distinct named stages —
+// "mttkrp-map" (shuffle write) and "mttkrp-reduce" (collect) — so stage logs,
+// phase attribution and fault-injection prefixes can tell the two apart.
+//
+// The shuffle lives exactly as long as the call: on return the exchange is
+// retired — block images back to the cluster's pool for the next call to
+// encode into, spill files and worker-held blocks dropped. A machine killed
+// during the call is recovered from lineage; one killed later held nothing.
 //
 // All per-iteration scratch — accumulator slabs, SpMV residuals, emitted and
 // compacted record payloads — comes from the task arena, which the cluster
@@ -376,16 +383,17 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 	}
 	bounds := l.modeBounds
 
-	// The closure reads factors and the layout without mutating them; on a
+	// The closures read factors and the layout without mutating them; on a
 	// real cluster the touched rows are shipped to each block, and that
 	// traffic is charged explicitly below (CountShuffled(shipSizes[p]), the
 	// Lemma 3 term). Broadcasting the factors instead would replicate all
 	// ΣI_n·R entries to every machine and erase the row-shipment accounting
 	// the experiments measure, so the read-only capture is waived, not
-	// converted.
-	//distenc:capture-ok factors l shipSizes slabSizes wire -- read-only; row shipment charged via CountShuffled per Lemma 3
+	// converted. bounds is read-only layout metadata, a few dozen ints per
+	// partition that ride along with the reduce task.
+	//distenc:capture-ok factors l shipSizes slabSizes wire bounds -- read-only; row shipment charged via CountShuffled per Lemma 3, layout metadata negligible against the slab shuffle
 	//distenc:hotpath
-	packed := rdd.ShuffleMap(blocks, "mttkrp-map", l.parts, func(tc *rdd.TaskCtx, p int, in []*TensorBlock) ([][]PackedRows, error) {
+	reduced := rdd.ShuffleMap(blocks, "mttkrp-map", "mttkrp-reduce", l.parts, func(tc *rdd.TaskCtx, p int, in []*TensorBlock) ([][]PackedRows, error) {
 		if err := tc.ChargeTransient(shipSizes[p] + slabSizes[p]); err != nil {
 			return nil, err
 		}
@@ -455,13 +463,7 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		//distenc:coldpath -- one record per task into stash-pooled capacity
 		out[0] = append(out[0], PackedRows{Mode: -1, Wire: wire, Vals: nv})
 		return out, nil
-	})
-
-	// Same boundary story as the map side: l and bounds are read-only layout
-	// metadata, a few dozen ints per partition that ride along with the task.
-	//distenc:capture-ok l bounds -- read-only layout metadata; negligible against the slab shuffle
-	//distenc:hotpath
-	reduced := rdd.MapPartitions(packed, "mttkrp-reduce", func(tc *rdd.TaskCtx, rp int, in []PackedRows) ([]PackedRows, error) {
+	}, func(tc *rdd.TaskCtx, rp int, blocks iter.Seq2[[]PackedRows, error]) ([]PackedRows, error) {
 		a := tc.Arena()
 		rs, _ := a.Stash(mttkrpReduceStash).(*mttkrpReduceScratch)
 		//distenc:coldpath -- first-use stash setup; every later iteration reuses these containers from the arena stash
@@ -472,33 +474,40 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 			}
 			a.SetStash(mttkrpReduceStash, rs)
 		}
+		// Every slab is drawn before the first block arrives: the arena region
+		// a block is decoded into is rewound after it, with anything drawn
+		// meanwhile. A mode shorter than the partition count has no rows here.
 		slabs, touched := rs.slabs, rs.touched
 		for n := range slabs {
 			slabs[n], touched[n] = nil, nil
-		}
-		var norm2 float64
-		for _, rec := range in {
-			if rec.Mode < 0 {
-				norm2 += rec.Vals[0]
+			if rp >= bounds[n].NumPartitions() {
 				continue
 			}
-			n := int(rec.Mode)
 			lo, hi := bounds[n].Range(rp)
-			//distenc:coldpath -- lazy slab init, at most one arena draw per mode
-			if slabs[n] == nil {
-				// One rank-wide float64 row plus one byte of touched-bitmap
-				// per row — not (rank+1) full words, which over-charged the
-				// bitmap 8×.
-				if err := tc.ChargeTransient(int64(hi-lo) * (int64(rank)*8 + 1)); err != nil {
-					return nil, err
-				}
-				slabs[n] = a.Float64s((hi - lo) * rank)
-				touched[n] = a.Bools(hi - lo)
+			// One rank-wide float64 row plus one byte of touched-bitmap per
+			// row — not (rank+1) full words, which over-charged the bitmap 8×.
+			if err := tc.ChargeTransient(int64(hi-lo) * (int64(rank)*8 + 1)); err != nil {
+				return nil, err
 			}
-			rec.addInto(slabs[n], touched[n], lo, rank)
+			slabs[n] = a.Float64s((hi - lo) * rank)
+			touched[n] = a.Bools(hi - lo)
+		}
+		var norm2 float64
+		for in, err := range blocks {
+			if err != nil {
+				return nil, err
+			}
+			for _, rec := range in {
+				if rec.Mode < 0 {
+					norm2 += rec.Vals[0]
+					continue
+				}
+				lo, _ := bounds[rec.Mode].Range(rp)
+				rec.addInto(slabs[rec.Mode], touched[rec.Mode], lo, rank)
+			}
 		}
 		out := rs.out[:0]
-		for n := 0; n < l.order; n++ {
+		for n := range slabs {
 			if slabs[n] == nil {
 				continue
 			}
@@ -515,6 +524,7 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		rs.out = out
 		return out, nil
 	})
+	defer reduced.Unpersist()
 
 	recs, err := reduced.Collect()
 	if err != nil {

@@ -16,9 +16,11 @@ import "sync"
 // typically one solver iteration later. That makes arena memory safe for
 // (a) scratch consumed within the attempt and (b) task outputs the driver
 // consumes before the next iteration (collect/reduce results), but NOT for
-// anything with a longer life: cached RDD partitions, checkpoint data, and
-// encoded shuffle blocks (which live in the exchange across stages) must
-// stay on the ordinary heap.
+// anything with a longer life: cached RDD partitions and checkpoint data must
+// stay on the ordinary heap (encoded shuffle blocks belong to their exchange,
+// which recycles them through the cluster's block pool when it retires).
+// Mark/Rewind give a region a shorter life than the attempt: the shuffle
+// reader rewinds each decoded block once the reduce side has folded it.
 //
 // Concurrency: an arena is owned by exactly one task attempt at a time.
 // Speculative duplicate attempts run on distinct machines and thus draw
@@ -43,12 +45,14 @@ type Arena struct {
 type arenaSlab[T any] struct {
 	buf  []T
 	off  int
-	need int // total elements requested this cycle, across grows
+	need int // elements live right now, across grows (rewinds give them back)
+	high int // the cycle's high-water need: what trim sizes the backing to
 }
 
 // alloc hands out n elements, cleared like make's when zero is set.
 func (s *arenaSlab[T]) alloc(n int, zero bool) []T {
 	s.need += n
+	s.high = max(s.high, s.need)
 	if s.off+n > len(s.buf) {
 		c := 2 * len(s.buf)
 		if c < s.need {
@@ -69,13 +73,46 @@ func (s *arenaSlab[T]) alloc(n int, zero bool) []T {
 	return out
 }
 
-func (s *arenaSlab[T]) reset() { s.off, s.need = 0, 0 }
+func (s *arenaSlab[T]) reset() { s.off, s.need, s.high = 0, 0, 0 }
 
 func (s *arenaSlab[T]) trim() {
-	if s.need > len(s.buf) {
-		s.buf = make([]T, s.need)
+	if s.high > len(s.buf) {
+		s.buf = make([]T, s.high)
 		s.off = len(s.buf) // unusable until the next reset
 	}
+}
+
+// slabMark is one slab's position: bump offset, live need, and the backing's
+// length, which identifies the backing (a grow always lengthens it).
+type slabMark struct{ off, need, size int }
+
+func (s *arenaSlab[T]) mark() slabMark { return slabMark{s.off, s.need, len(s.buf)} }
+
+// rewind frees everything allocated since m. If the slab grew in between, the
+// marked offset belongs to the abandoned backing (which keeps what was live at
+// the mark) and the current one holds only memory being freed: it restarts.
+func (s *arenaSlab[T]) rewind(m slabMark) {
+	if len(s.buf) != m.size {
+		m.off = 0
+	}
+	s.off, s.need = m.off, m.need
+}
+
+// ArenaMark is a position in an arena, taken by Mark and restored by Rewind.
+type ArenaMark struct{ f64, i32, byt, bl slabMark }
+
+// Mark returns the arena's current position.
+func (a *Arena) Mark() ArenaMark {
+	return ArenaMark{a.f64.mark(), a.i32.mark(), a.byt.mark(), a.bl.mark()}
+}
+
+// Rewind frees every allocation made since m was taken; memory handed out
+// before the mark is untouched. Marks do not survive Reset.
+func (a *Arena) Rewind(m ArenaMark) {
+	a.f64.rewind(m.f64)
+	a.i32.rewind(m.i32)
+	a.byt.rewind(m.byt)
+	a.bl.rewind(m.bl)
 }
 
 // Float64s returns a zeroed arena-backed []float64 of length n.

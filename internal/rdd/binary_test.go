@@ -1,9 +1,11 @@
 package rdd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -63,11 +65,11 @@ func TestBinaryRecordBlockRoundTrip(t *testing.T) {
 			recs[i].Vals[j] = float64(rng.IntN(2_000_000)-1_000_000) / 1e6
 		}
 	}
-	data, err := encodeBlock(recs)
+	data, err := encodeBlock(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBlock[slabRec](data)
+	got, err := decodeBlock[slabRec](nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +93,11 @@ func TestBinaryRecordBlockRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRecordEmptyBlock(t *testing.T) {
-	data, err := encodeBlock([]slabRec(nil))
+	data, err := encodeBlock(nil, []slabRec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBlock[slabRec](data)
+	got, err := decodeBlock[slabRec](nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +108,14 @@ func TestBinaryRecordEmptyBlock(t *testing.T) {
 
 func TestBinaryRecordCorruptBlock(t *testing.T) {
 	recs := []slabRec{{Tag: 7, Vals: []float64{1, 2, 3}}}
-	data, err := encodeBlock(recs)
+	data, err := encodeBlock(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBlock[slabRec](data[:len(data)-3]); err == nil {
+	if _, err := decodeBlock[slabRec](nil, data[:len(data)-3]); err == nil {
 		t.Fatal("truncated block decoded without error")
 	}
-	if _, err := decodeBlock[slabRec](append(data, 0xFF)); err == nil {
+	if _, err := decodeBlock[slabRec](nil, append(data, 0xFF)); err == nil {
 		t.Fatal("trailing garbage decoded without error")
 	}
 }
@@ -124,14 +126,14 @@ func TestShuffleMapRoutesBuckets(t *testing.T) {
 	c := MustNewCluster(Config{Machines: 3})
 	src := Parallelize(c, "ints", []int{1, 2, 3, 4, 5, 6, 7, 8}, 4)
 	const parts = 3
-	out := ShuffleMap(src, "route", parts, func(tc *TaskCtx, mp int, in []int) ([][]slabRec, error) {
+	out := ShuffleMap(src, "route", "routed", parts, func(tc *TaskCtx, mp int, in []int) ([][]slabRec, error) {
 		buckets := make([][]slabRec, parts)
 		for _, v := range in {
 			rp := v % parts
 			buckets[rp] = append(buckets[rp], slabRec{Tag: int32(v), Vals: []float64{float64(mp)}})
 		}
 		return buckets, nil
-	})
+	}, gather[slabRec])
 	for rp := 0; rp < parts; rp++ {
 		recs, err := collectPartition(out, rp)
 		if err != nil {
@@ -157,12 +159,26 @@ func TestShuffleMapRoutesBuckets(t *testing.T) {
 func TestShuffleMapBucketCountMismatch(t *testing.T) {
 	c := MustNewCluster(Config{Machines: 2})
 	src := Parallelize(c, "ints", []int{1, 2}, 2)
-	out := ShuffleMap(src, "bad", 3, func(tc *TaskCtx, mp int, in []int) ([][]slabRec, error) {
+	out := ShuffleMap(src, "bad", "bad-reduce", 3, func(tc *TaskCtx, mp int, in []int) ([][]slabRec, error) {
 		return make([][]slabRec, 2), nil // wrong bucket count
-	})
+	}, gather[slabRec])
 	if _, err := out.Collect(); err == nil {
 		t.Fatal("mismatched bucket count did not error")
 	}
+}
+
+// gather is the reduce side of the ShuffleMap tests that only route: it keeps
+// every record it is handed. The test record types decode onto the heap, so
+// their payloads outlive the block that carried them.
+func gather[R any](_ *TaskCtx, _ int, blocks iter.Seq2[[]R, error]) ([]R, error) {
+	var out []R
+	for block, err := range blocks {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, block...)
+	}
+	return out, nil
 }
 
 // collectPartition materializes a single partition of r.
@@ -183,11 +199,11 @@ func collectPartition[T any](r *RDD[T], p int) ([]T, error) {
 func TestGobBlockStillRoundTrips(t *testing.T) {
 	type plain struct{ A, B int }
 	recs := []plain{{1, 2}, {3, 4}}
-	data, err := encodeBlock(recs)
+	data, err := encodeBlock(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBlock[plain](data)
+	got, err := decodeBlock[plain](nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +219,42 @@ func TestEncodeBlockIsOneExactAllocation(t *testing.T) {
 	for i := range recs {
 		recs[i] = slabRec{Tag: int32(i), Vals: make([]float64, 100*(i+1))}
 	}
-	data, err := encodeBlock(recs)
+	data, err := encodeBlock(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cap(data) != len(data) {
 		t.Fatalf("block has len %d, cap %d: want an exact-size allocation", len(data), cap(data))
 	}
-	if allocs := testing.AllocsPerRun(20, func() { data, _ = encodeBlock(recs) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(20, func() { data, _ = encodeBlock(nil, recs) }); allocs != 1 {
 		t.Fatalf("encodeBlock allocates %.0f objects, want 1", allocs)
+	}
+
+	// A second exchange of the same shape encodes into the images the first
+	// one retired: no allocation at all, byte-identical blocks. The retired
+	// images are scribbled over first, so stale bytes cannot pass for fresh.
+	const runs = 20
+	retired := make([][]byte, runs+2) // AllocsPerRun warms up with one extra call
+	for i := range retired {
+		retired[i] = bytes.Repeat([]byte{0xEE}, len(data))
+	}
+	c := MustNewCluster(Config{Machines: 1})
+	defer c.Close()
+	c.blockPool.refill([][][]byte{retired})
+	var again []byte
+	if allocs := testing.AllocsPerRun(runs, func() { again, _ = encodeBlock(c, recs) }); allocs != 0 {
+		t.Fatalf("encodeBlock into a pooled image allocates %.0f objects, want 0", allocs)
+	}
+	if !bytes.Equal(again, data) || cap(again) != len(again) {
+		t.Fatal("block encoded into a recycled image differs from the freshly allocated one")
+	}
+	if m := c.Metrics(); m.BlocksRecycled.Load() != runs+1 || m.BlocksAllocated.Load() != 0 {
+		t.Fatalf("recycled %d, allocated %d; want %d and 0", m.BlocksRecycled.Load(), m.BlocksAllocated.Load(), runs+1)
+	}
+	// An image of another size is never handed out for this block.
+	c.blockPool.refill([][][]byte{{make([]byte, len(data)+1)}})
+	if _, err := encodeBlock(c, recs); err != nil || c.Metrics().BlocksAllocated.Load() != 1 {
+		t.Fatalf("a pooled image of the wrong size was used (err %v)", err)
 	}
 }
 
@@ -232,7 +275,7 @@ func TestShuffleBlockTooLargeIsRejected(t *testing.T) {
 	for _, sizes := range [][]int{{math.MaxInt32}, {1 << 30, 1 << 30}, {math.MaxInt, math.MaxInt}} {
 		c := MustNewCluster(Config{Machines: 2, MaxTaskRetries: -1})
 		src := Parallelize(c, "ints", []int{1, 2}, 2)
-		out := ShuffleMap(src, "huge", 3, func(tc *TaskCtx, mp int, in []int) ([][]hugeRec, error) {
+		out := ShuffleMap(src, "huge", "huge-reduce", 3, func(tc *TaskCtx, mp int, in []int) ([][]hugeRec, error) {
 			buckets := make([][]hugeRec, 3)
 			if mp == 1 {
 				for _, s := range sizes {
@@ -240,7 +283,7 @@ func TestShuffleBlockTooLargeIsRejected(t *testing.T) {
 				}
 			}
 			return buckets, nil
-		})
+		}, gather[hugeRec])
 		_, err := out.Collect()
 		if err == nil {
 			t.Fatalf("sizes %v: oversized shuffle block was accepted", sizes)

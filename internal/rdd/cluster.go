@@ -163,6 +163,14 @@ type Metrics struct {
 	// execution (winners and losers alike).
 	SpeculativeTasks atomic.Int64
 	Stages           atomic.Int64
+	// ShuffleLiveBytes is a gauge: committed map-output bytes of exchanges not
+	// yet retired. A job that retires each iteration's shuffle reads zero
+	// between iterations; a leak reads a running total.
+	ShuffleLiveBytes atomic.Int64
+	// BlocksRecycled and BlocksAllocated count shuffle block images drawn from
+	// the retired-image pool versus freshly allocated.
+	BlocksRecycled  atomic.Int64
+	BlocksAllocated atomic.Int64
 }
 
 // Snapshot returns a plain-struct copy for reporting.
@@ -232,7 +240,8 @@ type Cluster struct {
 	attempts sync.WaitGroup
 	// arenas pools per-(machine, stage, partition) slab arenas across task
 	// attempts so steady-state iterations reuse scratch memory (see Arena).
-	arenas arenaPool
+	arenas    arenaPool
+	blockPool blockPool // retired shuffle block images awaiting the next encode
 
 	mu         sync.Mutex
 	nextID     int64
@@ -340,7 +349,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("rdd: transport fronts %d workers but the cluster has %d machines",
 			cfg.Transport.Workers(), cfg.Machines)
 	}
-	c := &Cluster{cfg: cfg, failOnce: map[string]int{}, start: time.Now()}
+	c := &Cluster{cfg: cfg, failOnce: map[string]int{}, start: time.Now(), blockPool: blockPool{free: map[int][][]byte{}}}
 	for i := 0; i < cfg.Machines; i++ {
 		c.machines = append(c.machines, &machine{
 			id:  i,
@@ -379,8 +388,10 @@ func MustNewCluster(cfg Config) *Cluster {
 func (c *Cluster) Quiesce() { c.attempts.Wait() }
 
 // Close releases the cluster's on-disk shuffle space, including any
-// Checkpoint files still alive in a caller-owned DiskDir. It first waits for
-// any straggling speculative attempts so nothing races the teardown.
+// Checkpoint files still alive in a caller-owned DiskDir, and retires every
+// shuffle exchange still alive (spill files removed, worker-held blocks
+// dropped). It first waits for any straggling speculative attempts so nothing
+// races the teardown.
 func (c *Cluster) Close() error {
 	c.Quiesce()
 	c.mu.Lock()
@@ -389,6 +400,8 @@ func (c *Cluster) Close() error {
 		return nil
 	}
 	c.closed = true
+	evictors := c.evictors
+	c.evictors = nil
 	remote := make([]int64, 0, len(c.ckptRemote))
 	for id := range c.ckptRemote {
 		remote = append(remote, id)
@@ -398,6 +411,11 @@ func (c *Cluster) Close() error {
 	files := c.ckptFiles
 	c.ckptFiles = nil
 	c.mu.Unlock()
+	for _, e := range evictors {
+		if ex, ok := e.(interface{ retire() }); ok {
+			ex.retire()
+		}
+	}
 	for _, id := range remote {
 		c.dropRemoteBlocks(id)
 	}
@@ -405,7 +423,7 @@ func (c *Cluster) Close() error {
 		return os.RemoveAll(tmpDir)
 	}
 	for _, paths := range files {
-		removeCheckpointFiles(paths)
+		removeFiles(paths)
 	}
 	return nil
 }

@@ -96,7 +96,7 @@ func Checkpoint[T any](r *RDD[T], name string) (*RDD[T], error) {
 		if err != nil {
 			return err
 		}
-		data, err := encodeBlock(items)
+		data, err := encodeBlock(nil, items)
 		if err != nil {
 			return fmt.Errorf("rdd: encoding checkpoint: %w", err)
 		}
@@ -127,7 +127,7 @@ func Checkpoint[T any](r *RDD[T], name string) (*RDD[T], error) {
 			}
 			tc.countSpillRead(int64(len(data)))
 			tc.c.diskDelay(len(data))
-			return decodeBlock[T](data)
+			return decodeBlock[T](nil, data)
 		},
 	}
 	out.cleanup = func() { r.c.dropCheckpoint(id) }
@@ -150,7 +150,7 @@ func checkpointRemote[T any](r *RDD[T], name string) (*RDD[T], error) {
 		if err != nil {
 			return err
 		}
-		data, err := encodeBlock(items)
+		data, err := encodeBlock(nil, items)
 		if err != nil {
 			return fmt.Errorf("rdd: encoding checkpoint: %w", err)
 		}
@@ -176,7 +176,7 @@ func checkpointRemote[T any](r *RDD[T], name string) (*RDD[T], error) {
 			}
 			tc.countSpillRead(int64(len(data)))
 			c.diskDelay(len(data))
-			return decodeBlock[T](data)
+			return decodeBlock[T](nil, data)
 		},
 	}
 	out.cleanup = func() { c.dropCheckpoint(id) }
@@ -271,7 +271,7 @@ func (c *Cluster) dropCheckpoint(id int64) {
 	_, remote := c.ckptRemote[id]
 	delete(c.ckptRemote, id)
 	c.mu.Unlock()
-	removeCheckpointFiles(paths)
+	removeFiles(paths)
 	if remote {
 		c.dropRemoteBlocks(id)
 	}
@@ -291,8 +291,8 @@ func (c *Cluster) dropRemoteBlocks(owner int64) {
 	}
 }
 
-// removeCheckpointFiles best-effort deletes checkpoint block files.
-func removeCheckpointFiles(paths []string) {
+// removeFiles best-effort deletes checkpoint and shuffle-spill block files.
+func removeFiles(paths []string) {
 	for _, p := range paths {
 		if p != "" {
 			os.Remove(p)

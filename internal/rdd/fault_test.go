@@ -544,6 +544,39 @@ func TestCheckpointFilesDeletedOnUnpersist(t *testing.T) {
 	}
 }
 
+// TestShuffleSpillFilesDeletedOnRetire: in ModeMapReduce a retired exchange
+// removes its spill files, so a caller-owned DiskDir never holds more than
+// the one exchange being consumed — and Close retires what is still alive.
+func TestShuffleSpillFilesDeletedOnRetire(t *testing.T) {
+	dir := t.TempDir()
+	c := MustNewCluster(Config{Mode: ModeMapReduce, DiskDir: dir, Machines: 2})
+	const parts = 3
+	for round := 0; round < 5; round++ {
+		r := foldRound(c, parts, round)
+		got, err := r.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBits(t, fmt.Sprintf("round %d", round), got, foldWant(parts, round))
+		if n := countFiles(t, dir, "ex"); n != parts*parts {
+			t.Fatalf("round %d: %d spill files while its exchange lives, want %d (earlier rounds' files still there?)", round, n, parts*parts)
+		}
+		r.Unpersist()
+		if n := countFiles(t, dir, "ex"); n != 0 {
+			t.Fatalf("round %d: %d spill files survive retirement", round, n)
+		}
+	}
+	if _, err := foldRound(c, parts, 5).Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countFiles(t, dir, "ex"); n != 0 {
+		t.Fatalf("%d spill files of an unretired exchange survive Close of a non-owned DiskDir", n)
+	}
+}
+
 // TestCheckpointFilesDeletedOnClose: Close must delete live checkpoint files
 // even from a caller-owned DiskDir it won't RemoveAll.
 func TestCheckpointFilesDeletedOnClose(t *testing.T) {

@@ -2,8 +2,10 @@ package rdd
 
 import (
 	"fmt"
+	"iter"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,9 +14,15 @@ import (
 // held in memory (ModeInMemory) or spilled through the filesystem
 // (ModeMapReduce), with every byte counted in the cluster metrics — the
 // quantity Lemma 3 of the paper bounds.
+//
+// An exchange lives until retire (Unpersist of the RDD that reads it, or
+// Cluster.Close). Until then a machine kill evicts its outputs and the next
+// fetch recomputes them from lineage; afterwards there is nothing to evict,
+// recompute or fetch, and an attempt that still tries gets errRetired.
 type exchange[R any] struct {
 	c           *Cluster
 	id          int64
+	evictID     int64
 	name        string
 	mapParts    int
 	reduceParts int
@@ -39,6 +47,13 @@ type exchange[R any] struct {
 	machines []int                 // machine whose memory holds map part p's output (-1: none)
 	lost     []bool                // map outputs evicted by a machine kill, pending recompute
 	inflight map[int]chan struct{} // map partitions being recomputed right now
+	live     int64                 // committed bytes this exchange added to Metrics.ShuffleLiveBytes
+
+	// retired is set (under mu) by retire. readers counts the reduce attempts
+	// inside records: each joins before it takes an image under mu, so a
+	// retire that reads zero under mu knows no image is held.
+	retired atomic.Bool
+	readers atomic.Int32
 }
 
 func newExchange[R any](c *Cluster, name string, parentDeps []dep, mapParts, reduceParts int,
@@ -52,8 +67,55 @@ func newExchange[R any](c *Cluster, name string, parentDeps []dep, mapParts, red
 		buckets:     buckets,
 		parentDeps:  parentDeps,
 	}
-	c.registerEvictor(e)
+	e.evictID = c.registerEvictor(e)
 	return e
+}
+
+// errRetired fails an attempt that outlived its exchange — a speculative
+// loser still running after the consuming stage committed.
+var errRetired = fmt.Errorf("rdd: shuffle exchange retired: %w", errObsolete)
+
+// retire ends the exchange's life: it leaves the kill-notification set, its
+// spill files are removed, every live worker drops its blocks, and its
+// in-memory images go to the cluster's block pool for the next exchange to
+// encode into — unless a reduce attempt is still reading them, in which case
+// they are left to the GC: an image a reader holds is never overwritten.
+func (e *exchange[R]) retire() {
+	e.c.unregisterEvictor(e.evictID)
+	e.mu.Lock()
+	if e.retired.Swap(true) {
+		e.mu.Unlock()
+		return
+	}
+	blocks, files, live, idle := e.blocks, e.files, e.live, e.readers.Load() == 0
+	e.blocks, e.files, e.lens = nil, nil, nil
+	e.mu.Unlock()
+	e.c.metrics.ShuffleLiveBytes.Add(-live)
+	if idle {
+		e.c.blockPool.refill(blocks)
+	}
+	for _, paths := range files {
+		removeFiles(paths)
+	}
+	if blocks != nil && e.c.cfg.Mode != ModeMapReduce {
+		e.c.dropRemoteBlocks(e.id)
+	}
+}
+
+// discardIfRetired is the check a map-side attempt makes after storing its
+// output outside the driver (spill files, blocks Put on machine m's worker):
+// if the exchange retired meanwhile nothing would ever clean up after the
+// attempt, so it removes what it stored and fails. A retire that lands after
+// this check finds the output already stored, and drops it itself.
+func (e *exchange[R]) discardIfRetired(m int, paths []string, put bool) error {
+	if !e.retired.Load() {
+		return nil
+	}
+	removeFiles(paths)
+	if put {
+		e.c.remote().Drop(m, e.id)
+	}
+	return errRetired
 }
 
 // evictMachine marks the in-memory map outputs the dead machine held as lost;
@@ -85,22 +147,24 @@ func (e *exchange[R]) evictMachine(m int) {
 	}
 }
 
-// encodeShuffleBuckets serializes map task mp's buckets, counting every
-// serialized byte as the producing task's shuffle traffic.
-func (e *exchange[R]) encodeShuffleBuckets(tc *TaskCtx, mp int, bs [][]R) ([][]byte, error) {
+// encodeShuffleBuckets serializes map task mp's buckets into pooled images,
+// counting every byte as the producing task's shuffle traffic (and in total).
+func (e *exchange[R]) encodeShuffleBuckets(tc *TaskCtx, mp int, bs [][]R) ([][]byte, int64, error) {
 	enc := make([][]byte, len(bs))
+	var total int64
 	for rp, records := range bs {
 		if len(records) == 0 {
 			continue
 		}
-		data, err := encodeBlock(records)
+		data, err := encodeBlock(e.c, records)
 		if err != nil {
-			return nil, fmt.Errorf("rdd: encoding shuffle %s block %d/%d: %w", e.name, mp, rp, err)
+			return nil, 0, fmt.Errorf("rdd: encoding shuffle %s block %d/%d: %w", e.name, mp, rp, err)
 		}
 		tc.CountShuffled(int64(len(data)))
+		total += int64(len(data))
 		enc[rp] = data
 	}
-	return enc, nil
+	return enc, total, nil
 }
 
 // ensure runs the map (shuffle-write) stage exactly once.
@@ -129,7 +193,7 @@ func (e *exchange[R]) ensure() error {
 			if len(bs) != e.reduceParts {
 				return fmt.Errorf("rdd: shuffle %s map task %d produced %d buckets, want %d", e.name, p, len(bs), e.reduceParts)
 			}
-			enc, err := e.encodeShuffleBuckets(tc, p, bs)
+			enc, total, err := e.encodeShuffleBuckets(tc, p, bs)
 			if err != nil {
 				return err
 			}
@@ -161,6 +225,9 @@ func (e *exchange[R]) ensure() error {
 					return err
 				}
 			}
+			if err := e.discardIfRetired(tc.Machine, paths, lens != nil); err != nil {
+				return err
+			}
 			// Publish on commit only: under speculative execution two
 			// attempts of the same map task can finish, and the map-output
 			// registry (in particular machines[p], which drives kill-time
@@ -172,7 +239,9 @@ func (e *exchange[R]) ensure() error {
 				e.lens[p] = lens
 				e.machines[p] = tc.Machine
 				e.lost[p] = false
+				e.live += total
 				e.mu.Unlock()
+				e.c.metrics.ShuffleLiveBytes.Add(total)
 			})
 			return nil
 		})
@@ -202,17 +271,34 @@ func (e *exchange[R]) putBlocks(tc *TaskCtx, mp int, enc [][]byte) ([]int32, err
 	return lens, nil
 }
 
-// blockFor returns map part mp's encoded bucket for reduce partition rp in
-// ModeInMemory, recomputing the whole map partition from lineage first if a
-// machine kill evicted it — Spark's FetchFailed → parent-stage re-execution,
-// collapsed into the fetching task (which pays and records the recompute).
-// Exactly one fetcher recomputes a given lost output; concurrent fetchers
-// wait for it and re-check, and e.mu is never held across the recompute (or,
-// under a remote Transport, across any network fetch).
+// blockFor returns map part mp's encoded bucket for reduce partition rp (nil:
+// none was sent): read back from its spill file in ModeMapReduce, otherwise
+// held in memory or on a worker, with the whole map partition recomputed from
+// lineage first if a machine kill evicted it — Spark's FetchFailed →
+// parent-stage re-execution, collapsed into the fetching task (which pays and
+// records the recompute). Exactly one fetcher recomputes a given lost output;
+// concurrent fetchers wait for it and re-check, and e.mu is never held across
+// the recompute or any file or network read.
 func (e *exchange[R]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 	rt := e.c.remote()
 	for {
 		e.mu.Lock()
+		if e.retired.Load() {
+			e.mu.Unlock()
+			return nil, errRetired
+		}
+		if e.c.cfg.Mode == ModeMapReduce {
+			paths := e.files[mp]
+			e.mu.Unlock()
+			if paths == nil || paths[rp] == "" {
+				return nil, nil
+			}
+			data, err := readFrameFile(paths[rp])
+			if err != nil {
+				return nil, fmt.Errorf("rdd: reading spilled shuffle block: %w", err)
+			}
+			return data, nil
+		}
 		if !e.lost[mp] {
 			if rt == nil {
 				data := e.blocks[mp][rp]
@@ -271,12 +357,14 @@ func (e *exchange[R]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 		var out []byte
 		if err == nil && rt != nil {
 			out = enc[rp]
-			lens, err = e.putBlocks(tc, mp, enc)
+			if lens, err = e.putBlocks(tc, mp, enc); err == nil {
+				err = e.discardIfRetired(tc.Machine, nil, true)
+			}
 		}
 
 		e.mu.Lock()
 		delete(e.inflight, mp)
-		if err == nil {
+		if err == nil && !e.retired.Load() {
 			e.blocks[mp] = enc
 			e.lens[mp] = lens
 			e.machines[mp] = tc.Machine
@@ -312,7 +400,7 @@ func (e *exchange[R]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
 	if len(bs) != e.reduceParts {
 		return nil, fmt.Errorf("rdd: shuffle %s map task %d produced %d buckets, want %d", e.name, mp, len(bs), e.reduceParts)
 	}
-	enc, err := e.encodeShuffleBuckets(tc, mp, bs)
+	enc, _, err := e.encodeShuffleBuckets(tc, mp, bs)
 	if err != nil {
 		return nil, err
 	}
@@ -327,63 +415,71 @@ func (e *exchange[R]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
 	return enc, nil
 }
 
-// fetch returns the decoded records destined for reduce partition rp,
-// attributing any disk reads (and lost-block recomputes) to the fetching
-// task.
+// records hands the loop body the blocks destined for reduce partition rp,
+// one decoded block at a time in map-partition order, attributing any disk
+// reads (and lost-block recomputes) to the fetching task. Each block is
+// decoded into an arena region that is rewound for the next (see ShuffleMap),
+// and the loop counts as a reader of the exchange until it ends (see retire).
+func (e *exchange[R]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
+	return func(yield func([]R, error) bool) {
+		e.readers.Add(1)
+		defer e.readers.Add(-1)
+		arena := tc.Arena()
+		mark := arena.Mark()
+		for mp := 0; mp < e.mapParts; mp++ {
+			data, err := e.blockFor(tc, mp, rp)
+			if err == nil && data == nil {
+				continue
+			}
+			var block []R
+			if err == nil {
+				if e.c.cfg.Mode == ModeMapReduce {
+					tc.countSpillRead(int64(len(data)))
+					e.c.diskDelay(len(data))
+				}
+				if block, err = decodeBlock[R](arena, data); err != nil {
+					err = fmt.Errorf("rdd: decoding shuffle block: %w", err)
+				}
+			}
+			if !yield(block, err) || err != nil {
+				return
+			}
+			arena.Rewind(mark)
+		}
+	}
+}
+
+// fetch returns every record destined for reduce partition rp, for the pair
+// operators, whose gob-decoded records own their memory and outlive a block.
 func (e *exchange[R]) fetch(tc *TaskCtx, rp int) ([]R, error) {
-	if err := e.ensure(); err != nil {
-		return nil, err
-	}
 	var out []R
-	var arena *Arena
-	if isArenaBinaryRecord[R]() {
-		// Fetched records live exactly as long as the consuming attempt, so
-		// their payloads can come from the task arena (see Arena).
-		arena = tc.Arena()
-	}
-	for mp := 0; mp < e.mapParts; mp++ {
-		var data []byte
-		if e.c.cfg.Mode == ModeMapReduce {
-			if e.files[mp] == nil || e.files[mp][rp] == "" {
-				continue
-			}
-			var err error
-			data, err = readFrameFile(e.files[mp][rp])
-			if err != nil {
-				return nil, fmt.Errorf("rdd: reading spilled shuffle block: %w", err)
-			}
-			tc.countSpillRead(int64(len(data)))
-			e.c.diskDelay(len(data))
-		} else {
-			var err error
-			data, err = e.blockFor(tc, mp, rp)
-			if err != nil {
-				return nil, err
-			}
-			if data == nil {
-				continue
-			}
-		}
-		records, err := decodeBlockArena[R](arena, data)
+	for block, err := range e.records(tc, rp) {
 		if err != nil {
-			return nil, fmt.Errorf("rdd: decoding shuffle block: %w", err)
+			return nil, err
 		}
-		out = append(out, records...)
+		out = append(out, block...)
 	}
 	return out, nil
 }
 
 // ShuffleMap is the engine's lowest-level wide transformation: bucket runs
-// once per map partition and returns the records destined for each of the
-// reduceParts reduce partitions; the result RDD's partition p holds the
-// concatenation of every map task's bucket p (in map-partition order, so the
-// output is deterministic). The pair-RDD shuffles are equivalent to this plus
-// per-key hashing; callers whose records are already grouped by destination —
-// such as the packed MTTKRP slab records, whose sorted row ranges map to
-// contiguous reduce partitions — use it directly to shuffle O(parts) records
-// instead of O(keys).
-func ShuffleMap[T, R any](r *RDD[T], name string, reduceParts int,
-	bucket func(tc *TaskCtx, mapPart int, in []T) ([][]R, error)) *RDD[R] {
+// once per map partition (stage "shuffle-write:"+name) and returns the
+// records destined for each of the reduceParts reduce partitions; reduce
+// computes partition p of the result RDD, named reduceName, by ranging over
+// blocks — every map task's bucket p, one decoded block at a time in
+// map-partition order, so the fold is deterministic and a reducer holds its
+// own state plus one block, not all of them. A block is valid until the next
+// loop iteration only, and arena memory reduce draws while it holds one is
+// freed with it (see Arena.Rewind). The pair-RDD shuffles are equivalent to
+// this plus per-key hashing; callers whose records are already grouped by
+// destination — such as the packed MTTKRP slab records, whose sorted row
+// ranges map to contiguous reduce partitions — use it directly to shuffle
+// O(parts) records instead of O(keys). Unpersist of the result retires the
+// exchange: block images, spill files and worker-held blocks are freed, and
+// lineage recovery for it ends.
+func ShuffleMap[T, R, U any](r *RDD[T], name, reduceName string, reduceParts int,
+	bucket func(tc *TaskCtx, mapPart int, in []T) ([][]R, error),
+	reduce func(tc *TaskCtx, p int, blocks iter.Seq2[[]R, error]) ([]U, error)) *RDD[U] {
 	if reduceParts <= 0 {
 		reduceParts = r.parts
 	}
@@ -401,13 +497,14 @@ func ShuffleMap[T, R any](r *RDD[T], name string, reduceParts int,
 		}
 		return out, nil
 	})
-	return &RDD[R]{
-		c:     r.c,
-		name:  name,
-		parts: reduceParts,
-		deps:  []dep{ex},
-		compute: func(tc *TaskCtx, p int) ([]R, error) {
-			return ex.fetch(tc, p)
+	return &RDD[U]{
+		c:       r.c,
+		name:    reduceName,
+		parts:   reduceParts,
+		deps:    []dep{ex},
+		cleanup: ex.retire,
+		compute: func(tc *TaskCtx, p int) ([]U, error) {
+			return reduce(tc, p, ex.records(tc, p))
 		},
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 )
 
 // Sizer lets a type report its in-memory footprint directly, skipping the
@@ -72,21 +73,15 @@ func isBinaryRecord[R any]() bool {
 
 // ArenaBinaryRecord is implemented by BinaryRecord types that can decode
 // their variable-length payloads into task-arena slabs instead of fresh heap
-// allocations. The shuffle fetch path uses it: fetched records live exactly
-// as long as the consuming task attempt, which is the arena lifetime. Paths
-// that outlive the attempt (Checkpoint reads, cached partitions) must keep
-// using DecodeRecord.
+// allocations. The shuffle fetch path uses it: a fetched block's records live
+// until the reduce side has folded them, a region of the consuming attempt's
+// arena (see exchange.records). Paths that outlive the attempt (Checkpoint
+// reads, cached partitions) must keep using DecodeRecord.
 type ArenaBinaryRecord interface {
 	BinaryRecord
 	// DecodeRecordArena parses one frame like DecodeRecord, drawing the
 	// receiver's slices from a.
 	DecodeRecordArena(a *Arena, data []byte) (rest []byte, err error)
-}
-
-// isArenaBinaryRecord reports whether *R implements ArenaBinaryRecord.
-func isArenaBinaryRecord[R any]() bool {
-	_, ok := any(new(R)).(ArenaBinaryRecord)
-	return ok
 }
 
 // maxBlockBytes bounds one encoded shuffle block: the exchange records block
@@ -98,10 +93,57 @@ const maxBlockBytes = math.MaxInt32
 // and reduce partition of the offending block.
 var errBlockTooLarge = fmt.Errorf("block exceeds the %d-byte shuffle block limit", maxBlockBytes)
 
+// blockPool is the cluster's free list of shuffle block images, keyed by
+// exact size. A retiring exchange refills it and the next exchange's encodes
+// drain it: an iterative job's layout fixes every block's size, so from the
+// second iteration on no shuffle bytes are allocated. It never holds more
+// than one exchange's images.
+type blockPool struct {
+	mu   sync.Mutex
+	free map[int][][]byte
+}
+
+// refill replaces the pool's contents with blocks, reusing the lists' capacity.
+func (bp *blockPool) refill(blocks [][][]byte) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for size, list := range bp.free {
+		clear(list)
+		bp.free[size] = list[:0]
+	}
+	for _, bs := range blocks {
+		for _, b := range bs {
+			if b != nil {
+				bp.free[cap(b)] = append(bp.free[cap(b)], b[:0])
+			}
+		}
+	}
+}
+
+// blockImage returns an empty image of exactly size bytes for encodeBlock to
+// fill: one from the block pool when it holds that size, else a fresh one
+// (always, for the checkpoint writers' nil cluster: their images never retire).
+func (c *Cluster) blockImage(size int) []byte {
+	if c == nil {
+		return make([]byte, 0, size)
+	}
+	bp := &c.blockPool
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	list := bp.free[size]
+	if len(list) == 0 {
+		c.metrics.BlocksAllocated.Add(1)
+		return make([]byte, 0, size)
+	}
+	c.metrics.BlocksRecycled.Add(1)
+	bp.free[size] = list[:len(list)-1]
+	return list[len(list)-1]
+}
+
 // encodeBlock serializes a shuffle block: the BinaryRecord fast path when the
 // record type provides one, encoding/gob otherwise. Binary blocks are sized
-// from their records first and written into a single exact allocation.
-func encodeBlock[R any](records []R) ([]byte, error) {
+// from their records first and written into one exact-size c.blockImage.
+func encodeBlock[R any](c *Cluster, records []R) ([]byte, error) {
 	if isBinaryRecord[R]() {
 		size := UvarintLen(uint64(len(records)))
 		for i := range records {
@@ -110,7 +152,7 @@ func encodeBlock[R any](records []R) ([]byte, error) {
 				return nil, errBlockTooLarge
 			}
 		}
-		buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(records)))
+		buf := binary.AppendUvarint(c.blockImage(size), uint64(len(records)))
 		for i := range records {
 			buf = any(&records[i]).(BinaryRecord).AppendRecord(buf)
 		}
@@ -126,15 +168,10 @@ func encodeBlock[R any](records []R) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBlock reverses encodeBlock.
-func decodeBlock[R any](data []byte) ([]R, error) {
-	return decodeBlockArena[R](nil, data)
-}
-
-// decodeBlockArena reverses encodeBlock, drawing record payload slices from
-// the arena when one is provided and the record type supports it (the
-// shuffle fetch hot path). With a nil arena it behaves like decodeBlock.
-func decodeBlockArena[R any](a *Arena, data []byte) ([]R, error) {
+// decodeBlock reverses encodeBlock, drawing record payload slices from the
+// arena when one is provided and the record type supports it (the shuffle
+// fetch hot path), from the heap otherwise.
+func decodeBlock[R any](a *Arena, data []byte) ([]R, error) {
 	if isBinaryRecord[R]() {
 		n, used := binary.Uvarint(data)
 		if used <= 0 {
@@ -149,12 +186,8 @@ func decodeBlockArena[R any](a *Arena, data []byte) ([]R, error) {
 		records := make([]R, n)
 		for i := range records {
 			var err error
-			if a != nil {
-				if ar, ok := any(&records[i]).(ArenaBinaryRecord); ok {
-					data, err = ar.DecodeRecordArena(a, data)
-				} else {
-					data, err = any(&records[i]).(BinaryRecord).DecodeRecord(data)
-				}
+			if ar, ok := any(&records[i]).(ArenaBinaryRecord); ok && a != nil {
+				data, err = ar.DecodeRecordArena(a, data)
 			} else {
 				data, err = any(&records[i]).(BinaryRecord).DecodeRecord(data)
 			}

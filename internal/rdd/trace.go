@@ -47,6 +47,8 @@ func (c *Cluster) Summary() string {
 		}
 		fmt.Fprintf(&b, "driver spans: %d totaling %s\n", len(spans), fmtDur(driver))
 	}
+	fmt.Fprintf(&b, "shuffle images: %d B live in unretired exchanges, %d recycled, %d allocated\n",
+		c.metrics.ShuffleLiveBytes.Load(), c.metrics.BlocksRecycled.Load(), c.metrics.BlocksAllocated.Load())
 	if recs := c.Recoveries(); len(recs) > 0 {
 		counts := map[string]int{}
 		for _, r := range recs {
