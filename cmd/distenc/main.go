@@ -89,7 +89,7 @@ func main() {
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated addresses of running distenc-worker daemons, one per machine (default with -backend tcp: spawn workers by re-execing this binary)")
 
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the simulated cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\" (needs -machines > 0; see distenc.ParseFaultPlan)")
-		kernelStr = flag.String("kernel", "auto", "MTTKRP kernel: auto (per-partition cost model), fused, or spmv (needs -machines > 0)")
+		kernelStr = flag.String("kernel", "auto", "MTTKRP kernel: auto (= fused), fused, or spmv (needs -machines > 0)")
 		wireStr   = flag.String("wire", "varint", "shuffle wire format: raw (u32+f64), varint (delta rows, lossless, default), or f32 (lossy values, f64 accumulation)")
 		specSpec  = flag.String("speculation", "", "speculative execution for straggler mitigation: \"on\" for defaults or \"quantile=0.75,multiplier=1.5,min=10ms\" (needs -machines > 0; see distenc.ParseSpeculation)")
 
@@ -257,7 +257,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer c.Close()
-		dopt := distenc.DistOptions{Options: opt, Kernel: kernel, Wire: wire}
+		dopt := distenc.DistOptions{Options: opt, GridPartition: true, Kernel: kernel, Wire: wire}
 		if *resume {
 			res, err = distenc.ResumeDistributed(c, t, similarities, dopt)
 		} else {
@@ -266,6 +266,9 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	if res.Blocking.Shape != nil {
+		log.Print(res.Blocking)
 	}
 	final, _ := res.Trace.Final()
 	log.Printf("finished: %d iterations, converged=%v, train RMSE %.6f, %.2fs",

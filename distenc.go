@@ -85,9 +85,9 @@ type RecoveryEvent = rdd.RecoveryEvent
 // CLI flag takes, e.g. "seed=7,failprob=0.02,kill=1@5".
 var ParseFaultPlan = rdd.ParseFaultPlan
 
-// KernelMode selects the map-side MTTKRP kernel: KernelAuto picks fused or
-// SpMV-chain per partition from a static cost model; KernelFused and
-// KernelSpMV force one everywhere (set DistOptions.Kernel).
+// KernelMode selects the map-side MTTKRP kernel: KernelAuto and KernelFused
+// run the fused kernel, KernelSpMV forces the SpMV chain (set
+// DistOptions.Kernel).
 type KernelMode = core.KernelMode
 
 // Kernel modes for DistOptions.Kernel.

@@ -59,7 +59,7 @@ func Kernels(w io.Writer, p Profile) ([]KernelRow, []WireRow) {
 		dim, nnz, reps = 1_000, 10_000, 3
 	}
 	header(w, "MTTKRP kernels & wire formats — fused vs SpMV-chain, raw vs compressed shuffle",
-		"auto tracks the faster kernel; compressed wire cuts the Lemma 3 shuffle term")
+		"auto runs fused, the faster kernel; compressed wire cuts the Lemma 3 shuffle term")
 
 	t := synth.ScalabilityTensor([]int{dim, dim, dim}, nnz, p.Seed)
 	opt := core.Options{Rank: rank, MaxIter: iters, Tol: 0, Seed: p.Seed}

@@ -313,7 +313,7 @@ func TestGridPartitionAgrees(t *testing.T) {
 			t.Fatalf("grid blocking changed mode-%d factors by %v", n, diff)
 		}
 	}
-	// And with 7 partitions (grid cells 2^3=8 > 7, cells merged round-robin).
+	// And with 7 partitions (prime: the grid degenerates to one cut mode).
 	c3 := rdd.MustNewCluster(rdd.Config{Machines: 7})
 	defer c3.Close()
 	grid7, err := CompleteDistributed(c3, d.Tensor, d.Sims, DistOptions{Options: opts, GridPartition: true})
@@ -328,23 +328,30 @@ func TestGridPartitionAgrees(t *testing.T) {
 }
 
 // Grid blocking must ship fewer factor-row bytes than mode-0 blocking once
-// there are enough partitions for mode-1/2 locality to matter.
+// there are enough partitions for mode-1/2 locality to matter — on a scattered
+// tensor (a few non-zeros per row) and on a dense one (every row has far more
+// than P, so an uncut mode costs the full P·Iₙ rows of Lemma 3; the dealt grid
+// this test was written for shipped a third more than mode-0 blocking there).
 func TestGridPartitionShipsFewerRows(t *testing.T) {
-	ts := synth.ScalabilityTensor([]int{2000, 2000, 2000}, 40000, 63)
 	opts := Options{Rank: 4, MaxIter: 2, Tol: 0, Seed: 64}
-	c1 := rdd.MustNewCluster(rdd.Config{Machines: 8})
-	defer c1.Close()
-	if _, err := CompleteDistributed(c1, ts, nil, DistOptions{Options: opts}); err != nil {
-		t.Fatal(err)
-	}
-	c2 := rdd.MustNewCluster(rdd.Config{Machines: 8})
-	defer c2.Close()
-	if _, err := CompleteDistributed(c2, ts, nil, DistOptions{Options: opts, GridPartition: true}); err != nil {
-		t.Fatal(err)
-	}
-	modeSplit := c1.Metrics().BytesShuffled.Load()
-	grid := c2.Metrics().BytesShuffled.Load()
-	if grid >= modeSplit {
-		t.Fatalf("grid blocking shuffled %d bytes, mode-0 blocking %d — expected a reduction", grid, modeSplit)
+	for _, tc := range []struct {
+		name     string
+		ts       *sptensor.Tensor
+		machines int
+	}{
+		{"scattered", synth.ScalabilityTensor([]int{2000, 2000, 2000}, 40000, 63), 8},
+		{"dense", synth.ScalabilityTensor([]int{300, 300, 300}, 60000, 63), 4},
+	} {
+		shuffled := func(grid bool) int64 {
+			c := rdd.MustNewCluster(rdd.Config{Machines: tc.machines})
+			defer c.Close()
+			if _, err := CompleteDistributed(c, tc.ts, nil, DistOptions{Options: opts, GridPartition: grid}); err != nil {
+				t.Fatal(err)
+			}
+			return c.Metrics().BytesShuffled.Load()
+		}
+		if grid, modeSplit := shuffled(true), shuffled(false); grid >= modeSplit {
+			t.Errorf("%s: grid blocking shuffled %d bytes, mode-0 blocking %d — expected a reduction", tc.name, grid, modeSplit)
+		}
 	}
 }

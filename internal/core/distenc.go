@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -30,19 +31,26 @@ type DistOptions struct {
 	// identical; the driver path avoids per-iteration stage overhead at the
 	// small scales of this reproduction.
 	DistributeGram bool
-	// GridPartition blocks the tensor on every mode (the paper's P×Q×K
-	// compartmentalization, §III-C) instead of only on mode 0. Each engine
-	// partition then covers a bounded index range per mode, which shrinks
-	// the factor rows shipped per block and the duplicated map-side
-	// combining — the property behind the paper's Figure 4 linearity. The
-	// solver's mathematics is independent of the blocking.
+	// GridPartition lets the blocking cut every mode instead of only mode 0
+	// (the paper's P×Q×K compartmentalization, §III-C). The P blocks are the
+	// leaves of a nested Algorithm 2 split of shape P₀×…×P_{N−1}, ΠPₙ = P:
+	// mode 0 is cut into P₀ ranges balanced on its non-zero counts, each slab's
+	// mode 1 into P₁ ranges balanced on that slab's counts, and so on, so the
+	// blocks are balanced by construction and a mode-n row is touched by at
+	// most P/Pₙ of them. The shape is the ordered factorization of P with the
+	// smallest refined Lemma 3 bound Σₙ Σᵢ min(θₙ[i], P/Pₙ) on the partial rows
+	// shuffled per iteration (chooseShape); false is the shape (P,1,…,1) of the
+	// same split, which the search contains, so true never ships more by the
+	// bound. Dealing an oversplit grid's cells round-robin, as this option
+	// once did, puts every row range of every mode in every partition — the
+	// full P·Iₙ rows Lemma 3 charges in the worst case — and leaves the blocks
+	// unbalanced when the cell count is not a multiple of P. The solver's
+	// mathematics is independent of the blocking.
 	GridPartition bool
-	// Kernel selects the map-side MTTKRP kernel: KernelAuto (default) picks
-	// fused or SpMV-chain per partition from the layout's static cost model;
-	// KernelFused and KernelSpMV force one kernel everywhere. The kernels
-	// agree to float rounding (identical residual norms, factor entries
-	// within summation-reorder error), and the choice is a pure function of
-	// the layout, so it never perturbs recovery behavior.
+	// Kernel selects the map-side MTTKRP kernel: KernelAuto (default) and
+	// KernelFused run the fused prefix/suffix kernel, KernelSpMV forces the
+	// SpMV chain everywhere. The kernels agree to float rounding (identical
+	// residual norms, factor entries within summation-reorder error).
 	Kernel KernelMode
 	// Wire selects the PackedRows shuffle wire format: unset resolves to
 	// rdd.WireVarint (lossless delta-varint row compression); rdd.WireF32
@@ -129,6 +137,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 	}
 
 	layout := NewLayout(t, opt)
+	c.Note(layout.Blocking().String())
 	blocksRDD := layout.BlocksRDD(c)
 	blocksRDD.Cache()
 	if err := blocksRDD.Materialize(); err != nil {
@@ -220,10 +229,12 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 			break
 		}
 	}
-	return st.result(start), nil
+	res := st.result(start)
+	res.Blocking = layout.Blocking()
+	return res, nil
 }
 
-// layout is the immutable block structure computed once before the loop.
+// Layout is the immutable block structure computed once before the loop.
 type Layout struct {
 	order      int
 	rank       int
@@ -244,17 +255,56 @@ type Layout struct {
 	// accumulator slab into per-destination PackedRows records.
 	rowRuns [][][]int
 	parts   int
-	// kernelOf[p] is the resolved MTTKRP kernel for partition p (fused or
-	// SpMV), and modePerm[p][n] the per-mode entry permutation the SpMV walk
-	// streams through (nil for mode 0, whose canonical order is already
-	// correct, and for fused partitions). See planKernels.
-	kernelOf []KernelMode
+	// blocking is what the nested split chose and what it costs per iteration.
+	blocking Blocking
+	// spmv routes every map task through the SpMV-chain kernel instead of the
+	// fused one (KernelSpMV forced), and modePerm[p][n] is then the per-mode
+	// entry permutation its walk streams through (nil for mode 0, whose
+	// canonical order is already correct). See buildModePerms.
+	spmv     bool
 	modePerm [][][]int32
 	// hs are the H_n matrices MTTKRPStage assembles into, reused by every
 	// stage run over this layout (the only mutable state in it).
 	hs []*mat.Dense
 }
 
+// Blocking reports how a Layout cut the tensor into its P blocks and what
+// that costs the MTTKRP shuffle.
+type Blocking struct {
+	// Shape is P₀×…×P_{N−1}, the number of ranges each mode is cut into; the
+	// product is the block count P.
+	Shape []int
+	// PartialRows is the number of partial H_n rows the P map tasks emit per
+	// iteration, all modes together (Σₚ Σₙ |rows of mode n block p touches|).
+	PartialRows int64
+	// Bound is the refined Lemma 3 bound Σₙ Σᵢ min(θₙ[i], P/Pₙ) on PartialRows
+	// that the shape was chosen by.
+	Bound int64
+	// Imbalance is the largest block's non-zero count over the mean.
+	Imbalance float64
+}
+
+// String renders the one-line form the CLI and Cluster.Summary print.
+func (b Blocking) String() string {
+	return fmt.Sprintf("blocking %s: %d partial rows/iter (bound %d), largest block %.2f× mean",
+		shapeString(b.Shape), b.PartialRows, b.Bound, b.Imbalance)
+}
+
+// shapeString renders a shape as "2×2×1".
+func shapeString(shape []int) string {
+	dims := make([]string, len(shape))
+	for n, pn := range shape {
+		dims[n] = strconv.Itoa(pn)
+	}
+	return strings.Join(dims, "×")
+}
+
+// NewLayout blocks t for opt.Partitions map tasks with a nested Algorithm 2
+// split (see GridPartition) and precomputes everything MTTKRPStage needs per
+// block. It is a pure function of the tensor and the options, so retries,
+// resume and both backends rebuild the same layout. The build is linear:
+// O(nnz·N) for the entry passes plus O(P·ΣIₙ) for the per-slab histograms and
+// row scans — the size of one iteration's worst-case shuffle (Lemma 3).
 func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 	p := opt.Partitions
 	order := t.Order()
@@ -264,115 +314,215 @@ func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 		dims:       t.Dims,
 		parts:      p,
 		modeBounds: make([]part.Boundaries, order),
+		blockParts: make([][]*TensorBlock, p),
+		neededRows: make([][][]int32, p),
+		locIdx:     make([][]int32, p),
+		rowRuns:    make([][][]int, p),
+		spmv:       opt.Kernel == KernelSpMV,
 	}
+	counts := make([][]int64, order)
 	for n := 0; n < order; n++ {
+		counts[n] = t.ModeCounts(n)
 		if opt.UniformPartition {
 			l.modeBounds[n] = part.Uniform(t.Dims[n], p)
 		} else {
-			l.modeBounds[n] = part.Greedy(t.ModeCounts(n), p)
+			l.modeBounds[n] = part.Greedy(counts[n], p)
 		}
 	}
-	blocks := make([]*TensorBlock, p)
-	for b := range blocks {
-		blocks[b] = &TensorBlock{Order: order}
-	}
-	if opt.GridPartition {
-		// Full grid blocking (the paper's P×Q×K compartmentalization):
-		// every mode is split into g ranges and the g^N grid cells are dealt
-		// round-robin onto the P engine partitions, so each partition covers
-		// bounded index ranges in every mode. Oversplitting (≈4 cells per
-		// partition) keeps the deal balanced when g^N is not a multiple of P
-		// — otherwise a partition stuck with ⌈g^N/P⌉ cells bounds the stage.
-		g := int(math.Ceil(math.Pow(4*float64(p), 1/float64(order))))
-		if g < 1 {
-			g = 1
-		}
-		gridBounds := make([]part.Boundaries, order)
-		for n := 0; n < order; n++ {
-			if opt.UniformPartition {
-				gridBounds[n] = part.Uniform(t.Dims[n], g)
-			} else {
-				gridBounds[n] = part.Greedy(t.ModeCounts(n), g)
-			}
-		}
-		for e := 0; e < t.NNZ(); e++ {
-			idx := t.Index(e)
-			cell := 0
-			for n := 0; n < order; n++ {
-				cn := gridBounds[n].PartitionOf(int(idx[n]))
-				cell = cell*gridBounds[n].NumPartitions() + cn
-			}
-			blk := blocks[cell%p]
-			blk.Idx = append(blk.Idx, idx...)
-			blk.Val = append(blk.Val, t.Val[e])
-		}
-	} else {
-		// Blocks split on mode 0: block b holds the slices whose mode-0
-		// index falls in boundary range b.
-		for e := 0; e < t.NNZ(); e++ {
-			idx := t.Index(e)
-			b := l.modeBounds[0].PartitionOf(int(idx[0]))
-			blk := blocks[b]
-			blk.Idx = append(blk.Idx, idx...)
-			blk.Val = append(blk.Val, t.Val[e])
-		}
-	}
-	l.blockParts = make([][]*TensorBlock, p)
-	l.neededRows = make([][][]int32, p)
-	l.locIdx = make([][]int32, p)
-	l.rowRuns = make([][][]int, p)
-	maxDim := 0
-	for _, d := range t.Dims {
-		maxDim = max(maxDim, d)
-	}
-	remap := make([]int32, maxDim) // global row → local slab index, per (block, mode)
+	l.blocking.Shape, l.blocking.Bound = chooseShape(counts, p, opt.GridPartition)
+	blocks := splitNested(t, counts, l.blocking.Shape, opt.UniformPartition)
+
+	// local[row] is 0 for a row the (block, mode) at hand does not touch, else
+	// the row's position in the block's needed-row list plus one.
+	local := make([]int32, slices.Max(t.Dims))
+	maxBlock := 0
 	for b, blk := range blocks {
 		sortEntriesModeMajor(blk)
+		nnz := blk.NNZ()
+		maxBlock = max(maxBlock, nnz)
 		l.blockParts[b] = []*TensorBlock{blk}
-		l.neededRows[b] = neededRows(blk)
-		loc := make([]int32, len(blk.Idx))
+		l.neededRows[b] = make([][]int32, order)
 		l.rowRuns[b] = make([][]int, order)
+		loc := make([]int32, len(blk.Idx))
 		for n := 0; n < order; n++ {
-			rows := l.neededRows[b][n]
-			for local, row := range rows {
-				remap[row] = int32(local)
+			rows := neededRows(blk, n, local)
+			for e := 0; e < nnz; e++ {
+				loc[e*order+n] = local[blk.Idx[e*order+n]] - 1
 			}
-			for e := 0; e < blk.NNZ(); e++ {
-				loc[e*order+n] = remap[blk.Idx[e*order+n]]
+			for _, row := range rows {
+				local[row] = 0
 			}
+			l.neededRows[b][n] = rows
 			l.rowRuns[b][n] = l.modeBounds[n].RunsOf(rows)
+			l.blocking.PartialRows += int64(len(rows))
 		}
 		l.locIdx[b] = loc
+		if l.spmv {
+			l.modePerm = append(l.modePerm, l.buildModePerms(b, blk))
+		}
 	}
-	l.planKernels(opt.Kernel)
+	l.blocking.Imbalance = 1
+	if t.NNZ() > 0 {
+		l.blocking.Imbalance = float64(maxBlock) * float64(p) / float64(t.NNZ())
+	}
 	return l
+}
+
+// chooseShape picks the shape P₀×…×P_{N−1}, ΠPₙ = p, of the nested split from
+// the per-mode non-zero histograms θₙ. Under such a split a mode-n row lies
+// in one mode-n range of every slab above it, so at most p/Pₙ blocks touch it
+// — and never more blocks than it has non-zeros — which refines Lemma 3's
+// per-iteration shuffle of P·Iₙ partial rows per mode to
+//
+//	Σₙ Σᵢ min(θₙ[i], p/Pₙ).
+//
+// The shape minimizing that bound wins; ties go to the shape that cuts the
+// earlier mode finer. Without grid only mode 0 is cut, the shape (p,1,…,1).
+// A factor larger than its mode's length is skipped, unless no shape fits: then
+// the ranges clamp to the mode's length and the surplus blocks stay empty.
+func chooseShape(counts [][]int64, p int, grid bool) (shape []int, bound int64) {
+	var divs []int
+	for d := p; d >= 1; d-- {
+		if p%d == 0 {
+			divs = append(divs, d)
+		}
+	}
+	// rows[n][k] is mode n's term of the bound when it is cut into divs[k] ranges.
+	rows := make([][]int64, len(counts))
+	for n, theta := range counts {
+		rows[n] = make([]int64, len(divs))
+		for k, d := range divs {
+			fan := int64(p / d)
+			for _, c := range theta {
+				rows[n][k] += min(c, fan)
+			}
+		}
+	}
+	shape = make([]int, len(counts))
+	cur := make([]int, len(counts))
+	bound = -1
+	fit := true
+	var search func(n, rem int, cost int64)
+	search = func(n, rem int, cost int64) {
+		if n == len(counts) {
+			if rem == 1 && (bound < 0 || cost < bound) {
+				bound = cost
+				copy(shape, cur)
+			}
+			return
+		}
+		for k, d := range divs {
+			if rem%d != 0 || (fit && d > len(counts[n])) || (!grid && n > 0 && d > 1) {
+				continue
+			}
+			cur[n] = d
+			search(n+1, rem/d, cost+rows[n][k])
+		}
+	}
+	if search(0, p, 0); bound < 0 {
+		fit = false
+		search(0, p, 0)
+	}
+	return shape, bound
+}
+
+// splitNested cuts t into the Πshape blocks of the nested Algorithm 2 split:
+// mode 0 into shape[0] ranges balanced on its non-zero counts, each of those
+// slabs' mode 1 into shape[1] ranges balanced on that slab's own counts, and
+// so on down the modes. The leaves are the blocks — balanced by construction,
+// where the P×Q×K grid of one boundary set per mode is balanced only when the
+// modes are independent — and a leaf's id is the mixed-radix number of its
+// range indices. Entries keep their relative order within a block. counts are
+// the whole tensor's per-mode histograms (what the first cut mode needs).
+func splitNested(t *sptensor.Tensor, counts [][]int64, shape []int, uniform bool) []*TensorBlock {
+	order, nnz := t.Order(), t.NNZ()
+	cell := make([]int32, nnz) // the slab each entry has reached so far
+	slabs := 1
+	for n, pn := range shape {
+		if pn == 1 {
+			continue
+		}
+		dim := t.Dims[n]
+		// hist[s·dim+i] counts slab s's non-zeros in mode-n row i, and
+		// rangeOf[s·dim+i] is the range of slab s that row falls in.
+		hist := counts[n]
+		if slabs > 1 && !uniform {
+			hist = make([]int64, slabs*dim)
+			for e, s := range cell {
+				hist[int(s)*dim+int(t.Idx[e*order+n])]++
+			}
+		}
+		rangeOf := make([]int32, slabs*dim)
+		for s := 0; s < slabs; s++ {
+			var b part.Boundaries
+			if uniform {
+				b = part.Uniform(dim, pn)
+			} else {
+				b = part.Greedy(hist[s*dim:(s+1)*dim], pn)
+			}
+			for r := 0; r < b.NumPartitions(); r++ {
+				lo, hi := b.Range(r)
+				for i := lo; i < hi; i++ {
+					rangeOf[s*dim+i] = int32(r)
+				}
+			}
+		}
+		for e, s := range cell {
+			cell[e] = s*int32(pn) + rangeOf[int(s)*dim+int(t.Idx[e*order+n])]
+		}
+		slabs *= pn
+	}
+
+	// Count, then fill: every block's slabs are allocated once at their size.
+	fill := make([]int, slabs)
+	for _, c := range cell {
+		fill[c]++
+	}
+	blocks := make([]*TensorBlock, slabs)
+	for b := range blocks {
+		blocks[b] = &TensorBlock{Order: order, Idx: make([]int32, fill[b]*order), Val: make([]float64, fill[b])}
+		fill[b] = 0
+	}
+	for e, c := range cell {
+		blk, k := blocks[c], fill[c]
+		copy(blk.Idx[k*order:(k+1)*order], t.Idx[e*order:(e+1)*order])
+		blk.Val[k] = t.Val[e]
+		fill[c] = k + 1
+	}
+	return blocks
 }
 
 // sortEntriesModeMajor reorders blk's entries lexicographically by their
 // multi-index. Runs of entries then share their leading fibers, which lets
 // the fused kernel reuse left-prefix Hadamard products (§III-C's row-wise
 // fiber MTTKRP) and gives the accumulator slab a sequential access pattern on
-// mode 0.
+// mode 0. A coalesced tensor arrives sorted and splitNested keeps entry order,
+// so the usual block is sorted already and costs one scan.
 func sortEntriesModeMajor(blk *TensorBlock) {
 	nnz := blk.NNZ()
-	if nnz <= 1 {
-		return
-	}
 	order := blk.Order
-	perm := make([]int32, nnz)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ia := blk.Idx[int(perm[a])*order : (int(perm[a])+1)*order]
-		ib := blk.Idx[int(perm[b])*order : (int(perm[b])+1)*order]
+	less := func(a, b int) bool {
+		ia := blk.Idx[a*order : (a+1)*order]
+		ib := blk.Idx[b*order : (b+1)*order]
 		for n := 0; n < order; n++ {
 			if ia[n] != ib[n] {
 				return ia[n] < ib[n]
 			}
 		}
 		return false
-	})
+	}
+	sorted := true
+	for e := 1; e < nnz && sorted; e++ {
+		sorted = !less(e, e-1)
+	}
+	if sorted {
+		return
+	}
+	perm := make([]int32, nnz)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(a, b int) bool { return less(int(perm[a]), int(perm[b])) })
 	idx := make([]int32, len(blk.Idx))
 	val := make([]float64, nnz)
 	for i, e := range perm {
@@ -392,6 +542,15 @@ func (l *Layout) BlocksRDD(c *rdd.Cluster) *rdd.RDD[*TensorBlock] {
 // Parts returns the block count P.
 func (l *Layout) Parts() int { return l.parts }
 
+// Shape returns P₀×…×P_{N−1}, the ranges per mode of the nested split.
+func (l *Layout) Shape() []int { return l.blocking.Shape }
+
+// PartialRows returns the partial H_n rows the map tasks emit per iteration.
+func (l *Layout) PartialRows() int64 { return l.blocking.PartialRows }
+
+// Blocking returns the chosen shape with its cost and balance.
+func (l *Layout) Blocking() Blocking { return l.blocking }
+
 // ModeBounds returns mode n's row partitioning.
 func (l *Layout) ModeBounds(n int) part.Boundaries { return l.modeBounds[n] }
 
@@ -401,24 +560,30 @@ func (l *Layout) Dims() []int { return l.dims }
 // Order returns the tensor order N.
 func (l *Layout) Order() int { return l.order }
 
-// neededRows returns, per mode, the sorted unique factor rows blk touches —
-// the "non-local factor matrix rows transferred to this process" of §III-C.
-// Sort-based dedupe on a flat slice: gathering O(nnz) int32s and sorting is
-// far cheaper than the O(nnz·N) hash-map inserts it replaces, and the sorted
-// result is exactly what the local-id remap and per-destination row runs need.
-func neededRows(blk *TensorBlock) [][]int32 {
+// neededRows returns the sorted unique mode-n factor rows blk touches — the
+// "non-local factor matrix rows transferred to this process" of §III-C — and
+// leaves local[row] = position+1 for each of them (the caller zeroes those
+// again; local must be all zero on entry). Mark, then scan the block's row
+// range: O(nnz + range), no sort.
+func neededRows(blk *TensorBlock, n int, local []int32) []int32 {
 	order := blk.Order
-	nnz := blk.NNZ()
-	out := make([][]int32, order)
-	for n := 0; n < order; n++ {
-		rows := make([]int32, nnz)
-		for e := 0; e < nnz; e++ {
-			rows[e] = blk.Idx[e*order+n]
+	lo, hi, distinct := int32(math.MaxInt32), int32(-1), 0
+	for e := n; e < len(blk.Idx); e += order {
+		row := blk.Idx[e]
+		if local[row] == 0 {
+			local[row] = 1
+			distinct++
+			lo, hi = min(lo, row), max(hi, row)
 		}
-		slices.Sort(rows)
-		out[n] = slices.Clip(slices.Compact(rows))
 	}
-	return out
+	rows := make([]int32, 0, distinct)
+	for row := lo; row <= hi; row++ {
+		if local[row] != 0 {
+			rows = append(rows, row)
+			local[row] = int32(len(rows))
+		}
+	}
+	return rows
 }
 
 // distributedGram computes A(n)ᵀA(n) = Σ_p A(n)ᵀ_(p)A(n)_(p) (Eq. 13): each

@@ -296,6 +296,24 @@ func compactRows(a *rdd.Arena, n, lo, rank int, slab []float64, touched []bool) 
 	return PackedRows{Mode: int16(n), Rows: rows[:ri], Vals: slab[:ri*rank]}
 }
 
+// mapSlabs points acc[n] at partition p's zeroed mode-n accumulator slab (one
+// rank-wide row per needed row) and returns the one-element slot the task's
+// ‖E‖²_F rides in — all cut from a single arena draw. Drawn one by one, the
+// first cycle regrows the arena's backing once per draw and leaves it up to
+// twice the demand; on solve-tcp-small that warm-up was 4 MB of peak RSS.
+func (l *Layout) mapSlabs(a *rdd.Arena, p, rank int, acc [][]float64) (norm []float64) {
+	total := 1
+	for _, rows := range l.neededRows[p] {
+		total += len(rows) * rank
+	}
+	slab := a.Float64s(total)
+	for n, rows := range l.neededRows[p] {
+		k := len(rows) * rank
+		acc[n], slab = slab[:k:k], slab[k:]
+	}
+	return slab // the slot comes last: ahead of the rows it would shift them off the backing's alignment
+}
+
 // mttkrpMapScratch is the map task's stash-resident container set: the
 // slice-of-slice headers and fixed-size kernel scratch survive across
 // iterations in the arena stash, while the big slabs they point at are
@@ -329,8 +347,8 @@ const (
 //
 // The map side ships each block the factor rows its non-zeros touch (counted
 // as shuffle traffic — the O(T·N·M·I·R) term of Lemma 3, scaled by the wire
-// format's bytes-per-value), runs the partition's planned kernel (fused or
-// SpMV-chain, see planKernels) into one flat accumulator slab per mode, and
+// format's bytes-per-value), runs the layout's kernel (fused, or the SpMV
+// chain when forced) into one flat accumulator slab per mode, and
 // emits one PackedRows record per (destination partition, mode): the layout's
 // sorted needed-row lists make each destination a contiguous slice of the
 // slab. The reduce side folds each incoming block into its dense row ranges
@@ -375,7 +393,7 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		}
 		shipSizes[p] = rows * int64(rank) * wire.BytesPerVal()
 		slabSizes[p] = rows * int64(rank) * 8
-		if l.kernelOf[p] == KernelSpMV {
+		if l.spmv {
 			for _, blk := range l.blockParts[p] {
 				slabSizes[p] += int64(blk.NNZ()) * 8
 			}
@@ -411,11 +429,9 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 			a.SetStash(mttkrpMapStash, ms)
 		}
 		acc := ms.acc
-		for n := range acc {
-			acc[n] = a.Float64s(len(l.neededRows[p][n]) * rank)
-		}
+		nv := l.mapSlabs(a, p, rank, acc)
 		var norm2 float64
-		if l.kernelOf[p] == KernelSpMV {
+		if l.spmv {
 			blk := l.blockParts[p][0]
 			left := a.Float64s((l.order + 1) * rank)
 			resid := a.Float64s(blk.NNZ())
@@ -423,11 +439,7 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 			norm2 = spmvResiduals(blk, factors, rank, left, resid)
 			for n := 0; n < l.order; n++ {
 				rest := restModes(ms.rest, l.order, n)
-				var perm []int32
-				if l.modePerm[p] != nil {
-					perm = l.modePerm[p][n]
-				}
-				spmvModeMTTKRP(blk, l.locIdx[p], perm, n, rest, factors, rank, resid, tmp, acc[n])
+				spmvModeMTTKRP(blk, l.locIdx[p], l.modePerm[p][n], n, rest, factors, rank, resid, tmp, acc[n])
 			}
 		} else {
 			off := 0
@@ -458,7 +470,6 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 			}
 		}
 		// The residual-norm side-channel rides to reduce partition 0.
-		nv := a.Float64s(1)
 		nv[0] = norm2
 		//distenc:coldpath -- one record per task into stash-pooled capacity
 		out[0] = append(out[0], PackedRows{Mode: -1, Wire: wire, Vals: nv})

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"distenc/internal/mat"
 	"distenc/internal/rdd"
+	"distenc/internal/sptensor"
 	"distenc/internal/synth"
 )
 
@@ -44,6 +46,28 @@ func BenchmarkMTTKRPStageGrid(b *testing.B) {
 	benchStage(b, DistOptions{Options: Options{Rank: 8}, GridPartition: true})
 }
 
+// layoutBenchTensor is the solve-scatter tensor of BENCHMARK.json (seed 1),
+// generated once: the benchmark function runs several times per measurement.
+var layoutBenchTensor = sync.OnceValue(func() *sptensor.Tensor {
+	return synth.ScalabilityTensor([]int{15_000, 15_000, 15_000}, 500_000, 1)
+})
+
+// BenchmarkNewLayout times the whole layout build — shape choice, nested
+// split, row lists and local ids — as set-up pays for it once per solve, and
+// reports it per non-zero next to what the chosen blocking ships.
+func BenchmarkNewLayout(b *testing.B) {
+	t := layoutBenchTensor()
+	opt := DistOptions{Options: Options{Rank: 10}.withDefaults(), Partitions: 4, GridPartition: true}
+	var l *Layout
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l = NewLayout(t, opt)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(t.NNZ()), "ns/nnz")
+	b.ReportMetric(float64(l.PartialRows())/float64(t.NNZ()), "rows/nnz")
+}
+
 // steadyWorkerIteration runs one worker-side MTTKRP iteration over every
 // partition of l against a single shared arena: map kernel, slab emission,
 // record encoding into buf, wire decode back out of buf, and the reduce
@@ -67,10 +91,8 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 	var norm2 float64
 	for p := 0; p < l.parts; p++ {
 		acc := ms.acc
-		for n := range acc {
-			acc[n] = a.Float64s(len(l.neededRows[p][n]) * rank)
-		}
-		if l.kernelOf[p] == KernelSpMV {
+		l.mapSlabs(a, p, rank, acc)
+		if l.spmv {
 			blk := l.blockParts[p][0]
 			left := a.Float64s((l.order + 1) * rank)
 			resid := a.Float64s(blk.NNZ())
@@ -78,11 +100,7 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 			norm2 += spmvResiduals(blk, factors, rank, left, resid)
 			for n := 0; n < l.order; n++ {
 				rest := restModes(ms.rest, l.order, n)
-				var perm []int32
-				if l.modePerm[p] != nil {
-					perm = l.modePerm[p][n]
-				}
-				spmvModeMTTKRP(blk, l.locIdx[p], perm, n, rest, factors, rank, resid, tmp, acc[n])
+				spmvModeMTTKRP(blk, l.locIdx[p], l.modePerm[p][n], n, rest, factors, rank, resid, tmp, acc[n])
 			}
 		} else {
 			off := 0

@@ -76,6 +76,11 @@ func TestObservabilityCoversFullSolve(t *testing.T) {
 				}
 			}
 
+			// The blocking the solver chose is said once, ahead of the stage table.
+			if line := res.Blocking.String(); !strings.HasPrefix(c.Summary(), line+"\n") || !strings.HasPrefix(line, "blocking 3×1×1: ") {
+				t.Errorf("Summary does not open with the result's blocking line %q:\n%s", line, c.Summary())
+			}
+
 			// Driver algebra is timed once per iteration.
 			algebra := 0
 			for _, sp := range c.DriverSpans() {

@@ -136,6 +136,9 @@ type Result struct {
 	Phases metrics.PhaseBreakdown
 	// Elapsed is the total wall-clock training time.
 	Elapsed time.Duration
+	// Blocking is how the distributed solver cut the tensor into blocks and
+	// what that ships per iteration (Shape is nil for the serial solver).
+	Blocking Blocking
 }
 
 // ErrDimensionMismatch is returned when sims do not match the tensor modes.

@@ -10,10 +10,9 @@ import (
 type KernelMode uint8
 
 const (
-	// KernelAuto picks fused or SpMV per partition from the static cost
-	// model evaluated over the partition's actual sparsity structure (the
-	// default). The choice is a pure function of the layout, so clean and
-	// fault-injected runs of the same problem always agree.
+	// KernelAuto (the default) resolves to KernelFused, which is faster on
+	// every measured workload; it stays a distinct value so callers need not
+	// name a kernel.
 	KernelAuto KernelMode = iota
 	// KernelFused forces the prefix/suffix Hadamard kernel everywhere.
 	KernelFused
@@ -59,153 +58,44 @@ func restModes(rest []int, order, n int) []int {
 	return rest
 }
 
-// planKernels resolves the per-partition kernel choice and, for partitions
-// that will run SpMV, builds the per-mode entry permutations. Called once
-// from NewLayout, after entries are sorted and local ids assigned.
+// buildModePerms builds, for every mode n > 0 of partition p's block, the
+// stable counting-sort permutation ordering entries by that mode's local row
+// id (mode 0's canonical order is already correct, so its perm is nil). The
+// layout calls it only when KernelSpMV is forced.
 //
 // The DFacTo reformulation (PAPERS.md) streams each mode's accumulation as a
 // chain of sparse matrix-vector products instead of recomputing Hadamard
 // prefixes per entry. Generalized to order N it is a flush-on-boundary walk
-// over the entries re-sorted by (i_n, remaining modes ascending): the walk
-// does ~2R flops per entry plus 2R per fiber boundary, versus the fused
-// kernel's ~(3N−firstDiff)·R per entry — so SpMV wins exactly when fibers
-// are long (few boundaries) and loses on scattered tensors where every
-// entry is its own fiber. Both costs are computable exactly from the static
-// layout, which is what the auto selector does; the margin below biases
-// toward fused so auto is never slower than fused beyond noise even when
-// the flop model flatters SpMV's cache-hostile permuted access pattern.
-func (l *Layout) planKernels(kernel KernelMode) {
-	l.kernelOf = make([]KernelMode, l.parts)
-	l.modePerm = make([][][]int32, l.parts)
-	if kernel == KernelFused {
-		for p := range l.kernelOf {
-			l.kernelOf[p] = KernelFused
-		}
-		return
-	}
-	for p := 0; p < l.parts; p++ {
-		l.kernelOf[p] = KernelFused
-		if len(l.blockParts[p]) != 1 {
-			// The SpMV walk streams one contiguous entry slab; multi-block
-			// partitions (not produced by either partitioner today) keep the
-			// fused kernel.
-			continue
-		}
-		blk := l.blockParts[p][0]
-		nnz := blk.NNZ()
-		if nnz == 0 {
-			continue
-		}
-		perms, spmvCost := l.buildModePerms(p, blk)
-		if kernel == KernelSpMV || spmvCost*10 < l.fusedCost(blk)*9 {
-			l.kernelOf[p] = KernelSpMV
-			l.modePerm[p] = perms
-		}
-	}
-}
-
-// fusedCost estimates the fused kernel's work on blk in units of R flops:
-// per entry, the forward prefix rebuild from the first differing mode, the
-// model-value sum, the N-mode scatter, and the suffix chain.
-func (l *Layout) fusedCost(blk *TensorBlock) int64 {
-	order := blk.Order
-	nnz := blk.NNZ()
-	var cost int64
-	for e := 0; e < nnz; e++ {
-		fd := 0
-		if e > 0 {
-			idx := blk.Idx[e*order : (e+1)*order]
-			prev := blk.Idx[(e-1)*order : e*order]
-			for fd < order && idx[fd] == prev[fd] {
-				fd++
-			}
-		}
-		cost += int64(3*order - fd)
-	}
-	return cost
-}
-
-// buildModePerms builds, for every mode of partition p's single block, the
-// stable counting-sort permutation ordering entries by that mode's local row
-// id (mode 0's canonical order is already correct, so its perm is nil), and
-// returns them together with the SpMV walk's modeled cost in R-flop units:
-// the residual pass plus, per mode, 2 flops per entry and 2 per fold.
-func (l *Layout) buildModePerms(p int, blk *TensorBlock) ([][]int32, int64) {
+// over the entries re-sorted by (i_n, remaining modes ascending): ~2R flops
+// per entry plus 2R per fiber boundary, versus the fused kernel's
+// ~(3N−firstDiff)·R per entry. The permuted access pattern costs more than
+// the flops save: fused is faster on every benchmark workload, long fibers
+// included, which is why KernelAuto no longer weighs the two.
+func (l *Layout) buildModePerms(p int, blk *TensorBlock) [][]int32 {
 	order := blk.Order
 	nnz := blk.NNZ()
 	loc := l.locIdx[p]
 	perms := make([][]int32, order)
-	var cost int64
-	// Residual pass: same prefix reuse as the fused kernel's forward sweep.
-	for e := 0; e < nnz; e++ {
-		fd := 0
-		if e > 0 {
-			idx := blk.Idx[e*order : (e+1)*order]
-			prev := blk.Idx[(e-1)*order : e*order]
-			for fd < order && idx[fd] == prev[fd] {
-				fd++
-			}
+	for n := 1; n < order; n++ {
+		// Stability preserves the relative lexicographic order of the
+		// remaining modes, which is exactly the walk's level sequence
+		// [n, others ascending].
+		cnt := make([]int32, len(l.neededRows[p][n])+1)
+		for e := 0; e < nnz; e++ {
+			cnt[loc[e*order+n]+1]++
 		}
-		cost += int64(order - fd + 1)
+		for i := 1; i < len(cnt); i++ {
+			cnt[i] += cnt[i-1]
+		}
+		perm := make([]int32, nnz)
+		for e := 0; e < nnz; e++ {
+			li := loc[e*order+n]
+			perm[cnt[li]] = int32(e)
+			cnt[li]++
+		}
+		perms[n] = perm
 	}
-	rest := make([]int, 0, order-1)
-	cnt := make([]int32, 0)
-	for n := 0; n < order; n++ {
-		var perm []int32
-		if n > 0 {
-			// Stable counting sort of the canonical (lexicographic) entry
-			// order by the mode-n local id: stability preserves the relative
-			// lex order of the remaining modes, which is exactly the walk's
-			// level sequence [n, others ascending].
-			rows := len(l.neededRows[p][n])
-			if cap(cnt) < rows+1 {
-				cnt = make([]int32, rows+1)
-			}
-			cnt = cnt[:rows+1]
-			clear(cnt)
-			for e := 0; e < nnz; e++ {
-				cnt[loc[e*order+n]+1]++
-			}
-			for i := 1; i <= rows; i++ {
-				cnt[i] += cnt[i-1]
-			}
-			perm = make([]int32, nnz)
-			for e := 0; e < nnz; e++ {
-				li := loc[e*order+n]
-				perm[cnt[li]] = int32(e)
-				cnt[li]++
-			}
-			perms[n] = perm
-		}
-		// Walk the permuted order once to count fiber-boundary folds.
-		rest = restModes(rest, order, n)
-		topLevel := order - 1
-		folds := int64(topLevel) // end-of-stream flush
-		prevE := -1
-		for k := 0; k < nnz; k++ {
-			e := k
-			if perm != nil {
-				e = int(perm[k])
-			}
-			if prevE >= 0 {
-				idx := blk.Idx[e*order : (e+1)*order]
-				pidx := blk.Idx[prevE*order : (prevE+1)*order]
-				d := 0
-				if idx[n] == pidx[n] {
-					d = 1
-					for d <= topLevel && idx[rest[d-1]] == pidx[rest[d-1]] {
-						d++
-					}
-				}
-				if d <= topLevel {
-					folds += int64(topLevel - d + 1)
-				}
-			}
-			prevE = e
-		}
-		cost += 2*int64(nnz) + 2*folds
-	}
-	return perms, cost
+	return perms
 }
 
 // spmvResiduals is pass 1 of the SpMV-chain kernel: it computes every

@@ -261,6 +261,7 @@ type Cluster struct {
 	taskLog     []TaskRecord
 	driverSpans []DriverSpan
 	recoveries  []RecoveryEvent
+	notes       []string
 }
 
 // StageRecord summarizes one executed stage for the StageLog: scheduling
@@ -1050,11 +1051,14 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 		tc.commit()
 	}
 	st.recordAttempt(tc, m, p, attempt, dur, taskStart, enqueued, err, won, willRetry, speculative)
-	if won {
-		st.resolve(ps)
-	}
+	// The transient charge goes before the partition resolves: once the last
+	// one has, the stage returns, and a machine still charged for a finished
+	// task would refuse the next stage's first charge under a tight budget.
 	if tc.charged > 0 {
 		c.release(m, tc.charged)
+	}
+	if won {
+		st.resolve(ps)
 	}
 	if tc.arena != nil {
 		// Returned only after the commit fired: hook-installed results may be
@@ -1205,6 +1209,15 @@ func (c *Cluster) StageLogSince(mark int) []StageRecord {
 func (c *Cluster) SetStageTag(tag string) {
 	c.simMu.Lock()
 	c.stageTag = tag
+	c.simMu.Unlock()
+}
+
+// Note adds a line to the head of Summary: how a driver says once what it set
+// up before its stages ran (the solver's blocking, say), which no stage row
+// shows.
+func (c *Cluster) Note(line string) {
+	c.simMu.Lock()
+	c.notes = append(c.notes, line)
 	c.simMu.Unlock()
 }
 

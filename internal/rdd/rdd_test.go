@@ -332,6 +332,37 @@ func TestTransientChargeAndRelease(t *testing.T) {
 	}
 }
 
+// TestTransientChargeReleasedBeforeStageReturns: a task's transient charge
+// must be gone by the time its stage returns — the driver may start the next
+// stage at once, and on a machine whose budget fits one task's charge a
+// finished task still holding its own makes that stage's first charge fail
+// with ErrOutOfMemory. Back-to-back stages under exactly that budget; no
+// sleeps and nothing timed: the release is ordered before the stage's return
+// or it is not. (Released after the partition resolved, as it used to be,
+// 20 000 stages caught the late release in seven runs of eight.)
+func TestTransientChargeReleasedBeforeStageReturns(t *testing.T) {
+	const machines, charge = 4, 1000
+	stages := 20_000
+	if testing.Short() {
+		stages = 2_000
+	}
+	c := testCluster(t, Config{Machines: machines, MemoryPerMachine: charge})
+	src := Parallelize(c, "src", ints(machines), machines)
+	for i := 0; i < stages; i++ {
+		stage := MapPartitions(src, "charged", func(tc *TaskCtx, p int, in []int) ([]int, error) {
+			return in, tc.ChargeTransient(charge)
+		})
+		if _, err := stage.Collect(); err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+		for m := 0; m < machines; m++ {
+			if used := c.UsedMemory(m); used != 0 {
+				t.Fatalf("stage %d returned with machine %d still charged %d bytes", i, m, used)
+			}
+		}
+	}
+}
+
 func TestMapReduceModeSpillsToDisk(t *testing.T) {
 	c := testCluster(t, Config{Mode: ModeMapReduce})
 	var data []KV[int, int]

@@ -8,14 +8,20 @@ import (
 	"time"
 )
 
-// Summary renders the stage log as a human-readable table: one row per
-// executed stage with its tag, task count, wall and critical-path time,
-// retries, byte traffic, and the max/median task-time skew, followed by a
-// totals row. It is the quick look at where an algorithm's time and shuffle
-// volume went; WriteChromeTrace is the full timeline.
+// Summary renders the stage log as a human-readable table: after the lines
+// drivers left with Note, one row per executed stage with its tag, task
+// count, wall and critical-path time, retries, byte traffic, and the
+// max/median task-time skew, followed by a totals row. It is the quick look
+// at where an algorithm's time and shuffle volume went; WriteChromeTrace is
+// the full timeline.
 func (c *Cluster) Summary() string {
 	stages := c.StageLog()
 	var b strings.Builder
+	c.simMu.Lock()
+	for _, line := range c.notes {
+		b.WriteString(line + "\n")
+	}
+	c.simMu.Unlock()
 	fmt.Fprintf(&b, "%-34s %-10s %5s %10s %10s %5s %4s %12s %12s %10s %10s %6s\n",
 		"stage", "tag", "tasks", "wall", "critical", "retry", "spec", "shuffledB", "spilledB", "wastedB", "recompB", "skew")
 	var totalWall, totalCritical time.Duration

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench_compare.sh — mechanical perf-regression gate.
 #
-# Runs the MTTKRP benchmarks and diffs them against the recorded baseline in
-# BENCH_mttkrp.json. Fails when
+# Runs the MTTKRP and layout-build benchmarks and diffs them against the
+# recorded baseline in BENCH_mttkrp.json. Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25), or
 #   - allocs/op exceeds the baseline at all (allocation counts are exact and
@@ -51,7 +51,7 @@ if go version -m "$BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
 fi
 
 OUT=$("$BIN" -test.run '^$' \
-  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyState' \
+  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyState|BenchmarkNewLayout$' \
   -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
@@ -64,7 +64,8 @@ base = json.load(open("BENCH_mttkrp.json"))["benchmarks"]
 
 runs = {}
 for line in sys.stdin:
-    m = re.match(r"^(Benchmark\w+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+([\d.]+) B/op\s+(\d+) allocs/op", line)
+    # b.ReportMetric columns (ns/nnz, rows/nnz) sit between ns/op and B/op.
+    m = re.match(r"^(Benchmark\w+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(?:[\d.]+ \S+\s+)*?([\d.]+) B/op\s+(\d+) allocs/op", line)
     if m:
         name, ns, _, allocs = m.group(1), float(m.group(2)), m.group(3), int(m.group(4))
         runs.setdefault(name, []).append((ns, allocs))
