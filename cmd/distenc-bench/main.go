@@ -45,7 +45,6 @@ var experiments = []struct {
 	{"ablations", "§III design-choice ablations", func(w io.Writer, p bench.Profile) { bench.Ablations(w, p) }},
 	{"kernels", "MTTKRP kernel & wire-format matrix", func(w io.Writer, p bench.Profile) { bench.Kernels(w, p) }},
 	{"phases", "per-iteration phase breakdown", func(w io.Writer, p bench.Profile) { bench.Phases(w, p) }},
-	{"serve", "serving-plane QPS/latency (writes BENCH_serve.json)", func(w io.Writer, p bench.Profile) { bench.Serve(w, p) }},
 }
 
 func main() {

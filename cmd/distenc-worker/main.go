@@ -1,12 +1,11 @@
 // Command distenc-worker is a standalone block-store worker for the TCP
 // execution backend. A driver started with -backend tcp connects to one
 // worker per simulated machine; shuffle buckets and broadcast replicas live
-// in the worker's memory (and die with it), checkpoint blocks are fsynced to
-// its data directory.
+// in the worker's memory and die with it.
 //
 // Usage:
 //
-//	distenc-worker [-listen 127.0.0.1:0] [-data DIR]
+//	distenc-worker [-listen 127.0.0.1:0]
 //
 // The worker prints "DISTENC-WORKER LISTEN host:port" on stdout once it is
 // accepting, so callers that asked for port 0 learn the bound address. It
@@ -27,20 +26,9 @@ func main() {
 	transport.WorkerHook()
 
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on (port 0 picks an ephemeral port)")
-	data := flag.String("data", "", "directory for durable checkpoint blocks (default: a fresh temp dir)")
 	flag.Parse()
 
-	dataDir := *data
-	if dataDir == "" {
-		d, err := os.MkdirTemp("", "distenc-worker-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "distenc-worker:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(d)
-		dataDir = d
-	}
-	if err := transport.RunWorker(*listen, dataDir, os.Stdout); err != nil {
+	if err := transport.RunWorker(*listen, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "distenc-worker:", err)
 		os.Exit(1)
 	}

@@ -10,8 +10,6 @@
 //	             (Lemma 3 transfer accounting)
 //	floatcmp   — no exact float equality outside audited sites
 //	             (Eq. 17 tolerance-based convergence)
-//	accadd     — plain Accumulator.Add in a fallible task closure must be
-//	             the final success path (the exactly-once retry contract)
 //	lockorder  — no blocking operation while a mutex is held, no
 //	             lock-acquisition cycles (the PR 5 blockFor convoy class)
 //	goroutineowner — every go statement ties to a registered lifetime:
@@ -26,7 +24,6 @@
 package analysis
 
 import (
-	"distenc/internal/analysis/accadd"
 	"distenc/internal/analysis/atomicfield"
 	"distenc/internal/analysis/bytecount"
 	"distenc/internal/analysis/floatcmp"
@@ -44,7 +41,6 @@ func All() []*framework.Analyzer {
 		hotalloc.Analyzer,
 		bytecount.Analyzer,
 		floatcmp.Analyzer,
-		accadd.Analyzer,
 		lockorder.Analyzer,
 		goroutineowner.Analyzer,
 		atomicfield.Analyzer,

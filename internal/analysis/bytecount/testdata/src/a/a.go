@@ -7,12 +7,12 @@ package a
 
 import "distenc/internal/rdd"
 
-func sgdStage(tc *rdd.TaskCtx, shipped int64) {
-	tc.Cluster().Metrics().BytesShuffled.Add(2 * shipped) // want `direct Add on rdd.Metrics.BytesShuffled`
-	tc.Cluster().Metrics().DiskBytesWrite.Store(0)        // want `direct Store on rdd.Metrics.DiskBytesWrite`
-	tc.CountShuffled(2 * shipped)                         // attribution through TaskCtx is the fix
-	_ = tc.Cluster().Metrics().BytesShuffled.Load()       // reads are fine
+func sgdStage(c *rdd.Cluster, tc *rdd.TaskCtx, shipped int64) {
+	c.Metrics().BytesShuffled.Add(2 * shipped) // want `direct Add on rdd.Metrics.BytesShuffled`
+	c.Metrics().DiskBytesWrite.Store(0)        // want `direct Store on rdd.Metrics.DiskBytesWrite`
+	tc.CountShuffled(2 * shipped)              // attribution through TaskCtx is the fix
+	_ = c.Metrics().BytesShuffled.Load()       // reads are fine
 
 	//distenc:accounted -- fixture: engine-internal test hook
-	tc.Cluster().Metrics().BytesBroadcast.Add(1)
+	c.Metrics().BytesBroadcast.Add(1)
 }

@@ -7,11 +7,10 @@
 //
 //  1. A task closure must never WRITE to a captured driver-side variable
 //     (any type — a captured counter silently no-ops on real executors).
-//     Results flow through return values or an rdd.Accumulator.
+//     Results flow through return values.
 //  2. A task closure must not capture driver-side mutable values (slices,
 //     maps, pointers, chans, interfaces, or structs containing them) even
-//     read-only, except *rdd.Broadcast / *rdd.Accumulator handles and plain
-//     function values. Read-only shipment that the algorithm accounts for
+//     read-only, except *rdd.Broadcast handles and plain function values. Read-only shipment that the algorithm accounts for
 //     explicitly (e.g. the MTTKRP factor-row shipping charged via
 //     TaskCtx.CountShuffled) is waived per variable with
 //     `//distenc:capture-ok var... -- reason`, keeping every crossing of the
@@ -113,8 +112,8 @@ func checkFile(pass *framework.Pass, dirs *directives.Map, file *ast.File) {
 	}
 }
 
-// rddCallee returns a display name when call invokes a function, method, or
-// func-type conversion from the rdd package, and "" otherwise.
+// rddCallee returns a display name when call invokes a function or method of
+// the rdd package, and "" otherwise.
 func rddCallee(pass *framework.Pass, call *ast.CallExpr) string {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -122,7 +121,7 @@ func rddCallee(pass *framework.Pass, call *ast.CallExpr) string {
 		id = fun
 	case *ast.SelectorExpr:
 		id = fun.Sel
-	case *ast.IndexExpr: // explicit instantiation rdd.Map[T, U](...)
+	case *ast.IndexExpr: // explicit instantiation rdd.Reduce[T](...)
 		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			id = sel.Sel
 		} else if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
@@ -138,15 +137,8 @@ func rddCallee(pass *framework.Pass, call *ast.CallExpr) string {
 	if id == nil {
 		return ""
 	}
-	switch obj := pass.TypesInfo.Uses[id].(type) {
-	case *types.Func:
-		if obj.Pkg() != nil && obj.Pkg().Name() == "rdd" {
-			return "rdd." + obj.Name()
-		}
-	case *types.TypeName: // conversion like rdd.FuncPartitioner(f)
-		if obj.Pkg() != nil && obj.Pkg().Name() == "rdd" {
-			return "rdd." + obj.Name()
-		}
+	if obj, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Name() == "rdd" {
+		return "rdd." + obj.Name()
 	}
 	return ""
 }
@@ -250,11 +242,11 @@ func checkClosure(pass *framework.Pass, t taskClosure, isTask map[*ast.FuncLit]b
 		}
 		if f.write {
 			pass.Reportf(f.pos,
-				"task closure passed to %s writes to captured driver-side variable %q; on a real cluster the closure is shipped by value and the write is lost — return results or use an rdd.Accumulator",
+				"task closure passed to %s writes to captured driver-side variable %q; on a real cluster the closure is shipped by value and the write is lost — return results instead",
 				t.callee, f.v.Name())
 		} else {
 			pass.Reportf(f.pos,
-				"task closure passed to %s captures driver-side mutable state %q (%s); ship it with rdd.NewBroadcast, aggregate with an rdd.Accumulator, or waive an accounted read-only shipment with //distenc:capture-ok %s -- reason",
+				"task closure passed to %s captures driver-side mutable state %q (%s); ship it with rdd.NewBroadcast, or waive an accounted read-only shipment with //distenc:capture-ok %s -- reason",
 				t.callee, f.v.Name(), f.v.Type(), f.v.Name())
 		}
 	}
@@ -285,8 +277,7 @@ func baseIdent(e ast.Expr) (*ast.Ident, bool) {
 }
 
 // allowedCaptureType reports whether a value of type t may be captured
-// read-only: immutable shapes, Broadcast/Accumulator handles, and plain
-// funcs. Everything reference-like needs a Broadcast or an explicit waiver.
+// read-only: immutable shapes, Broadcast handles, and plain funcs. Everything reference-like needs a Broadcast or an explicit waiver.
 func allowedCaptureType(t types.Type, seen map[types.Type]bool) bool {
 	if seen[t] {
 		return true // cycle through a pointer was already judged
@@ -319,8 +310,8 @@ func allowedCaptureType(t types.Type, seen map[types.Type]bool) bool {
 	}
 }
 
-// isEngineHandle reports whether t is rdd.Broadcast[...] or
-// rdd.Accumulator[...], the two values designed to cross the task boundary.
+// isEngineHandle reports whether t is rdd.Broadcast[...], the one value
+// designed to cross the task boundary.
 func isEngineHandle(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -330,5 +321,5 @@ func isEngineHandle(t types.Type) bool {
 	if obj.Pkg() == nil || obj.Pkg().Name() != "rdd" {
 		return false
 	}
-	return obj.Name() == "Broadcast" || obj.Name() == "Accumulator"
+	return obj.Name() == "Broadcast"
 }

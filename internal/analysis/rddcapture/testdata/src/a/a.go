@@ -16,14 +16,14 @@ func driver(c *rdd.Cluster, nums *rdd.RDD[int]) error {
 
 	// Writing captured driver state is always flagged: on a real cluster the
 	// closure ships by value and the write silently vanishes.
-	doubled := rdd.Map(nums, "double", func(v int) int {
-		total += v // want `writes to captured driver-side variable "total"`
-		return v * 2
+	doubled := rdd.MapPartitions(nums, "double", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+		total += len(in) // want `writes to captured driver-side variable "total"`
+		return in, nil
 	})
 
 	// Reading captured mutable state is flagged too...
-	_ = rdd.Map(doubled, "scale", func(v int) int {
-		return v * int(scale[0]) // want `captures driver-side mutable state "scale"`
+	_ = rdd.MapPartitions(doubled, "scale", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+		return in[:int(scale[0])], nil // want `captures driver-side mutable state "scale"`
 	})
 
 	// ...unless it ships through a Broadcast,
@@ -31,25 +31,20 @@ func driver(c *rdd.Cluster, nums *rdd.RDD[int]) error {
 	if err != nil {
 		return err
 	}
-	ok1 := rdd.Map(nums, "bscale", func(v int) int {
-		return v * int(bscale.Value()[0])
+	ok1 := rdd.MapPartitions(nums, "bscale", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+		return in[:int(bscale.Value()[0])], nil
 	})
 
 	// or is immutable (scalars and plain structs of scalars ride along),
-	ok2 := rdd.Map(ok1, "rank", func(v int) int { return v * cfg.Rank })
-
-	// or aggregates through an Accumulator,
-	acc := rdd.NewIntAccumulator()
-	ok3 := rdd.Map(ok2, "count", func(v int) int {
-		acc.Add(1)
-		return v
+	ok2 := rdd.MapPartitions(ok1, "rank", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+		return in[:cfg.Rank], nil
 	})
 
 	// or is an audited read-only shipment waived by name.
 	rows := []float64{3, 4}
 	//distenc:capture-ok rows -- fixture: shipment accounted by the caller
-	_ = rdd.Map(ok3, "waived", func(v int) int {
-		return v + int(rows[0])
+	_ = rdd.MapPartitions(ok2, "waived", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+		return in[:int(rows[0])], nil
 	})
-	return ok3.Materialize()
+	return ok2.Materialize()
 }

@@ -134,8 +134,12 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 				strata[b] = grid[b*p+(b+s)%p]
 			}
 			blocksRDD := rdd.FromPartitions(c, fmt.Sprintf("flexifact-s%d", s), strata)
+			type rowUpdate struct {
+				K core.RowKey
+				V []float64
+			}
 			type sgdOut struct {
-				Rows   []rdd.KV[core.RowKey, []float64] // absolute rows (owned modes) and deltas (shared modes)
+				Rows   []rowUpdate // absolute rows (owned modes) and deltas (shared modes)
 				SqErr  float64
 				NumObs int64
 			}
@@ -219,7 +223,7 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 				// to the cluster totals (was a direct Metrics poke, which left
 				// the per-stage transfer profile short by exactly this much).
 				tc.CountShuffled(2 * shipped)
-				out := sgdOut{SqErr: sq, NumObs: cnt, Rows: make([]rdd.KV[core.RowKey, []float64], 0, len(local))}
+				out := sgdOut{SqErr: sq, NumObs: cnt, Rows: make([]rowUpdate, 0, len(local))}
 				for k, v := range local {
 					if int(k.Mode) >= 2 {
 						// Shared mode: emit the delta, not the value.
@@ -228,7 +232,7 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 							v[r] -= base[r]
 						}
 					}
-					out.Rows = append(out.Rows, rdd.KV[core.RowKey, []float64]{K: k, V: v})
+					out.Rows = append(out.Rows, rowUpdate{K: k, V: v})
 				}
 				return []sgdOut{out}, nil
 			})

@@ -105,19 +105,14 @@ func TestScheduleInvarianceProperty(t *testing.T) {
 	}
 }
 
-// Checkpointing the block RDD mid-algorithm is not part of DisTenC, but the
-// engine pieces must compose: cache + checkpoint + shuffle in one lineage.
+// The layout's block RDD must compose with a narrow stage outside the solver:
+// per-partition entry counts over it cover the tensor exactly once.
 func TestEngineCompositionWithTensorBlocks(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{12, 12, 12}, 2, 600, 56)
 	c := rdd.MustNewCluster(rdd.Config{Machines: 2})
 	defer c.Close()
 	layout := NewLayout(d.Tensor, DistOptions{Options: Options{Rank: 2}.withDefaults(), Partitions: 2})
-	blocks := layout.BlocksRDD(c)
-	ck, err := rdd.Checkpoint(blocks, "blocks-ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := rdd.MapPartitions(ck, "count", func(tc *rdd.TaskCtx, p int, in []*TensorBlock) ([]int, error) {
+	counts := rdd.MapPartitions(layout.BlocksRDD(c), "count", func(tc *rdd.TaskCtx, p int, in []*TensorBlock) ([]int, error) {
 		total := 0
 		for _, b := range in {
 			total += b.NNZ()

@@ -12,13 +12,13 @@ import (
 
 // PackedRows is the MTTKRP shuffle record: every partial H_n row one map task
 // sends to one reduce partition, packed as a row-id list plus a values slab
-// (len(Rows)×R, row-major). Packing drops the shuffle record count from
-// O(rows) gob-encoded KVs to O(P·N) slabs per map task; Mode -1 carries the
-// ‖E‖²_F side-channel in Vals[0]. The type implements rdd.ArenaBinaryRecord,
-// so shuffle blocks use the compact v2 binary framing below instead of gob —
-// still flowing through the engine's BytesShuffled accounting, which thereby
-// counts compressed wire bytes — and the shuffle fetch path decodes payloads
-// into task-arena slabs instead of fresh heap allocations.
+// (len(Rows)×R, row-major). Packing makes the shuffle O(P·N) slab records per
+// map task instead of one record per row; Mode -1 carries the ‖E‖²_F
+// side-channel in Vals[0]. The type implements rdd.ArenaBinaryRecord: shuffle
+// blocks use the compact v2 binary framing below — flowing through the
+// engine's BytesShuffled accounting, which thereby counts compressed wire
+// bytes — and the shuffle fetch path decodes payloads into task-arena slabs
+// instead of fresh heap allocations.
 //
 // v2 wire frame (see DESIGN.md §III-C.2 for the byte-level diagram):
 //

@@ -16,9 +16,9 @@ import "sync"
 // typically one solver iteration later. That makes arena memory safe for
 // (a) scratch consumed within the attempt and (b) task outputs the driver
 // consumes before the next iteration (collect/reduce results), but NOT for
-// anything with a longer life: cached RDD partitions and checkpoint data must
-// stay on the ordinary heap (encoded shuffle blocks belong to their exchange,
-// which recycles them through the cluster's block pool when it retires).
+// anything with a longer life: cached RDD partitions must stay on the
+// ordinary heap (encoded shuffle blocks belong to their exchange, which
+// recycles them through the cluster's block pool when it retires).
 // Mark/Rewind give a region a shorter life than the attempt: the shuffle
 // reader rewinds each decoded block once the reduce side has folded it.
 //

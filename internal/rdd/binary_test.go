@@ -8,12 +8,11 @@ import (
 	"iter"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// slabRec is a test record exercising the BinaryRecord fast path: a tag plus
+// slabRec is the tests' BinaryRecord: a tag plus
 // a variable-length payload, framed like the packed MTTKRP records in
 // internal/core.
 type slabRec struct {
@@ -65,7 +64,7 @@ func TestBinaryRecordBlockRoundTrip(t *testing.T) {
 			recs[i].Vals[j] = float64(rng.IntN(2_000_000)-1_000_000) / 1e6
 		}
 	}
-	data, err := encodeBlock(nil, recs)
+	data, err := encodeBlock(testCluster(t, Config{}), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestBinaryRecordBlockRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRecordEmptyBlock(t *testing.T) {
-	data, err := encodeBlock(nil, []slabRec(nil))
+	data, err := encodeBlock(testCluster(t, Config{}), []slabRec(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestBinaryRecordEmptyBlock(t *testing.T) {
 
 func TestBinaryRecordCorruptBlock(t *testing.T) {
 	recs := []slabRec{{Tag: 7, Vals: []float64{1, 2, 3}}}
-	data, err := encodeBlock(nil, recs)
+	data, err := encodeBlock(testCluster(t, Config{}), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestBinaryRecordCorruptBlock(t *testing.T) {
 }
 
 // ShuffleMap must deliver each map task's bucket p to reduce partition p, in
-// map-partition order, through the same serialized path as the pair shuffles.
+// map-partition order.
 func TestShuffleMapRoutesBuckets(t *testing.T) {
 	c := MustNewCluster(Config{Machines: 3})
 	src := Parallelize(c, "ints", []int{1, 2, 3, 4, 5, 6, 7, 8}, 4)
@@ -195,23 +194,6 @@ func collectPartition[T any](r *RDD[T], p int) ([]T, error) {
 	return out, err
 }
 
-// The gob fallback must still work for types without a BinaryRecord framing.
-func TestGobBlockStillRoundTrips(t *testing.T) {
-	type plain struct{ A, B int }
-	recs := []plain{{1, 2}, {3, 4}}
-	data, err := encodeBlock(nil, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeBlock[plain](nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatalf("round trip = %v, want %v", got, recs)
-	}
-}
-
 // A binary block is sized from its records and written into one allocation
 // with no slack: the published image carries no doubling garbage.
 func TestEncodeBlockIsOneExactAllocation(t *testing.T) {
@@ -219,14 +201,15 @@ func TestEncodeBlockIsOneExactAllocation(t *testing.T) {
 	for i := range recs {
 		recs[i] = slabRec{Tag: int32(i), Vals: make([]float64, 100*(i+1))}
 	}
-	data, err := encodeBlock(nil, recs)
+	fresh := testCluster(t, Config{Machines: 1}) // its pool stays empty: every image is allocated
+	data, err := encodeBlock(fresh, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cap(data) != len(data) {
 		t.Fatalf("block has len %d, cap %d: want an exact-size allocation", len(data), cap(data))
 	}
-	if allocs := testing.AllocsPerRun(20, func() { data, _ = encodeBlock(nil, recs) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(20, func() { data, _ = encodeBlock(fresh, recs) }); allocs != 1 {
 		t.Fatalf("encodeBlock allocates %.0f objects, want 1", allocs)
 	}
 

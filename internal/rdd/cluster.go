@@ -3,10 +3,11 @@
 // real Spark cluster.
 //
 // The engine provides lazy, lineage-backed resilient distributed datasets
-// with narrow transformations (Map, Filter, FlatMap, MapPartitions), wide
-// shuffle transformations on key-value RDDs (ReduceByKey, AggregateByKey,
-// GroupByKey, Join, CoGroup, PartitionBy), broadcast variables, explicit
-// caching, and actions (Collect, Count, Reduce).
+// with exactly the operators its callers reach: FromPartitions, one narrow
+// transformation (MapPartitions), one wide one (ShuffleMap), broadcast
+// variables, explicit caching (Cache, Materialize, Unpersist), and the actions
+// Collect and Reduce. TestEngineSurfaceIsReached fails when an operator loses
+// its last caller.
 //
 // What makes it a useful experimental substrate rather than a toy:
 //
@@ -17,8 +18,9 @@
 //     transient allocations are charged against it; exceeding the budget
 //     fails the job with ErrOutOfMemory — reproducing the O.O.M. frontier of
 //     the paper's Figure 3.
-//   - Shuffled and broadcast data is really serialized (encoding/gob), so the
-//     engine reports honest byte counts for the paper's Lemma 3 accounting.
+//   - Shuffled data is really serialized — shuffle records frame themselves
+//     (BinaryRecord) — so the engine reports honest byte counts for the
+//     paper's Lemma 3 accounting.
 //   - ModeMapReduce spills every shuffle through the filesystem and disables
 //     in-memory caching (forcing lineage recomputation each stage), which is
 //     exactly the Hadoop penalty the paper attributes SCouT's and
@@ -109,11 +111,10 @@ type Config struct {
 	// SerializeTasks, whose point is uncontended single-core task costs.
 	Speculation SpeculationConfig
 	// Transport, when set, moves committed block images (shuffle buckets,
-	// broadcast replicas, checkpoint partitions) to real worker processes
-	// instead of keeping them in the driver's memory — see the Transport
-	// interface. Nil selects the built-in in-process backend. The transport
-	// must front exactly Machines workers and is owned by the caller, who
-	// closes it after the cluster.
+	// broadcast replicas) to real worker processes instead of keeping them in
+	// the driver's memory — see the Transport interface. Nil selects the
+	// built-in in-process backend. The transport must front exactly Machines
+	// workers and is owned by the caller, who closes it after the cluster.
 	Transport Transport
 }
 
@@ -242,15 +243,14 @@ type Cluster struct {
 	arenas    arenaPool
 	blockPool blockPool // retired shuffle block images awaiting the next encode
 
-	mu         sync.Mutex
-	nextID     int64
-	tmpDir     string
-	ownsTmp    bool
-	closed     bool
-	failOnce   map[string]int           // stage-name prefix -> remaining injected failures
-	evictors   map[int64]machineEvictor // storage holders notified by KillMachine
-	ckptFiles  map[int64][]string       // Checkpoint files to delete on Unpersist/Close
-	ckptRemote map[int64]struct{}       // worker-held Checkpoints to Drop on Unpersist/Close
+	tmpDir  string // ModeMapReduce spill directory, fixed at construction
+	ownsTmp bool
+
+	mu       sync.Mutex
+	nextID   int64
+	closed   bool
+	failOnce map[string]int           // stage-name prefix -> remaining injected failures
+	evictors map[int64]machineEvictor // storage holders notified by KillMachine
 
 	serialMu    sync.Mutex // held per task when SerializeTasks is set
 	simMu       sync.Mutex
@@ -308,10 +308,9 @@ func MustNewCluster(cfg Config) *Cluster {
 // metric totals; Close quiesces automatically.
 func (c *Cluster) Quiesce() { c.attempts.Wait() }
 
-// Close releases the cluster's on-disk shuffle space, including any
-// Checkpoint files still alive in a caller-owned DiskDir, and retires every
-// shuffle exchange still alive (spill files removed, worker-held blocks
-// dropped). It first waits for any straggling speculative attempts so nothing
+// Close retires every shuffle exchange still alive (spill files removed,
+// worker-held blocks dropped) and releases the cluster's on-disk shuffle
+// space. It first waits for any straggling speculative attempts so nothing
 // races the teardown.
 func (c *Cluster) Close() error {
 	c.Quiesce()
@@ -323,34 +322,17 @@ func (c *Cluster) Close() error {
 	c.closed = true
 	evictors := c.evictors
 	c.evictors = nil
-	remote := make([]int64, 0, len(c.ckptRemote))
-	for id := range c.ckptRemote {
-		remote = append(remote, id)
-	}
-	c.ckptRemote = nil
-	ownsTmp, tmpDir := c.ownsTmp, c.tmpDir
-	files := c.ckptFiles
-	c.ckptFiles = nil
 	c.mu.Unlock()
 	for _, e := range evictors {
 		if ex, ok := e.(interface{ retire() }); ok {
 			ex.retire()
 		}
 	}
-	for _, id := range remote {
-		c.dropRemoteBlocks(id)
-	}
-	if ownsTmp && tmpDir != "" {
-		return os.RemoveAll(tmpDir)
-	}
-	for _, paths := range files {
-		removeFiles(paths)
+	if c.ownsTmp {
+		return os.RemoveAll(c.tmpDir)
 	}
 	return nil
 }
-
-// Config returns the (defaulted) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Machines returns the simulated machine count.
 func (c *Cluster) Machines() int { return c.cfg.Machines }
@@ -429,9 +411,9 @@ func (c *Cluster) writeFileAtomic(path string, data []byte) error {
 }
 
 // writeFrameFileAtomic writes data to path as a single length-prefixed frame
-// (see ReadFrame), atomically. Spill blocks and checkpoint images go through
-// here so a torn file — truncated by a crash between write and flush — is
-// detected by the frame reader instead of being parsed as a shorter block.
+// (see ReadFrame), atomically. Spill blocks go through here so a torn file —
+// truncated by a crash between write and flush — is detected by the frame
+// reader instead of being parsed as a shorter block.
 //
 //distenc:accounted -- callers attribute the spill via countSpillWrite at the call site
 func (c *Cluster) writeFrameFileAtomic(path string, data []byte) error {

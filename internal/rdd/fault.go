@@ -224,9 +224,9 @@ func (c *Cluster) unregisterEvictor(id int64) {
 // replica and in-memory shuffle output it held is evicted (ModeMapReduce spill
 // files model replicated HDFS storage and survive), its memory charge is
 // zeroed, and the scheduler stops placing tasks on it. Lost data is
-// recomputed from lineage — or reread from Checkpoint files — the next time a
-// stage needs it, mirroring Spark's executor-loss recovery. Tasks already
-// running on m are discarded when they finish and retried on a survivor.
+// recomputed from lineage the next time a stage needs it, mirroring Spark's
+// executor-loss recovery. Tasks already running on m are discarded when they
+// finish and retried on a survivor.
 //
 // KillMachine is a driver-side API: calling it from inside a task closure of a
 // cached RDD that is concurrently caching may block until that task finishes.

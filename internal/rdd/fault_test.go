@@ -47,18 +47,16 @@ func TestShouldFailLongestPrefixDeterministic(t *testing.T) {
 func TestExactlyOnceMetricsUnderRetry(t *testing.T) {
 	run := func(inject bool) (*Cluster, MetricsSnapshot) {
 		c := testCluster(t, Config{Machines: 3, Mode: ModeMapReduce})
-		pairs := make([]KV[int, int], 60)
+		pairs := make([]slabRec, 60)
 		for i := range pairs {
-			pairs[i] = KV[int, int]{i % 6, i}
+			pairs[i] = kv(i%6, i)
 		}
-		// An explicit modulo partitioner, not the default HashPartitioner: its
-		// per-process maphash seed occasionally leaves partition 0 without any
-		// key, and the injected failure below must hit an attempt that already
+		// keyedSum routes key k to partition k mod 3, so partition 0 is never
+		// empty: the injected failure below must hit an attempt that already
 		// charged shuffle-read traffic.
-		mod := FuncPartitioner[int](func(k, parts int) int { return k % parts })
-		red := ReduceByKeyPartitioned(Parallelize(c, "pairs", pairs, 6), "sums", 3, mod, func(a, b int) int { return a + b })
+		red := keyedSum(Parallelize(c, "pairs", pairs, 6), "sums", 3)
 		var failed atomic.Bool
-		out := MapPartitions(red, "post", func(tc *TaskCtx, p int, in []KV[int, int]) ([]KV[int, int], error) {
+		out := MapPartitions(red, "post", func(tc *TaskCtx, p int, in []slabRec) ([]slabRec, error) {
 			// Fail one attempt after the shuffle fetch already charged disk
 			// reads to this task.
 			if inject && p == 0 && failed.CompareAndSwap(false, true) {
@@ -100,20 +98,20 @@ func TestExactlyOnceMetricsUnderRetry(t *testing.T) {
 	}
 }
 
-// TestAccumulatorExactlyOnceUnderRetry shows the two contract modes side by
-// side: AddOnSuccess counts each partition exactly once under retry, while a
-// plain Add before the failure point double-counts (documenting why the
-// contract exists).
+// TestAccumulatorExactlyOnceUnderRetry shows the two ways a task can feed a
+// driver-side counter side by side: an add deferred through tc.OnSuccess (how
+// Collect, Reduce and the shuffle publish step install their results) counts
+// each partition exactly once under retry, while a plain add before the
+// failure point double-counts (documenting why the hook exists).
 func TestAccumulatorExactlyOnceUnderRetry(t *testing.T) {
 	c := testCluster(t, Config{Machines: 3})
-	exact := NewIntAccumulator()
-	leaky := NewIntAccumulator()
-	var injected atomic.Int64
+	var exact, leaky, injected atomic.Int64
 	r := Parallelize(c, "nums", ints(40), 4)
 	err := r.ForeachPartition(func(tc *TaskCtx, p int, items []int) error {
-		leaky.Add(int64(len(items)))              // plain add before the failure point: double-counts
-		exact.AddOnSuccess(tc, int64(len(items))) // deferred: committed only on success
-		if injected.Add(1) <= 2 {                 // fail the first two attempts after their adds ran
+		n := int64(len(items))
+		leaky.Add(n)                          // plain add before the failure point: double-counts
+		tc.OnSuccess(func() { exact.Add(n) }) // deferred: committed only on success
+		if injected.Add(1) <= 2 {             // fail the first two attempts after their adds ran
 			return errInjectedForTest(tc.Machine, p)
 		}
 		return nil
@@ -121,13 +119,13 @@ func TestAccumulatorExactlyOnceUnderRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := exact.Value(); got != 40 {
-		t.Errorf("AddOnSuccess total = %d, want exactly 40", got)
+	if got := exact.Load(); got != 40 {
+		t.Errorf("OnSuccess total = %d, want exactly 40", got)
 	}
 	// Each of the 4 partitions holds 10 items; the 2 failed attempts each
-	// leaked their add, so the plain accumulator over-counts to exactly 60.
-	if got := leaky.Value(); got != 60 {
-		t.Errorf("plain Add total = %d; expected the documented over-count of 60", got)
+	// leaked their add, so the plain counter over-counts to exactly 60.
+	if got := leaky.Load(); got != 60 {
+		t.Errorf("plain add total = %d; expected the documented over-count of 60", got)
 	}
 }
 
@@ -236,27 +234,21 @@ func TestKillMachineEvictsCache(t *testing.T) {
 // machine are lost and must be recomputed from lineage by the fetching task.
 func TestKillMachineRecomputesShuffleOutput(t *testing.T) {
 	c := testCluster(t, Config{Machines: 3})
-	pairs := make([]KV[int, int], 90)
-	want := map[int]int{}
+	pairs := make([]slabRec, 90)
 	for i := range pairs {
-		pairs[i] = KV[int, int]{i % 9, i}
-		want[i%9] += i
+		pairs[i] = kv(i%9, i)
 	}
-	r := ReduceByKey(Parallelize(c, "pairs", pairs, 6), "sums", 3, func(a, b int) int { return a + b })
+	r := keyedSum(Parallelize(c, "pairs", pairs, 6), "sums", 3)
 	// Run the map stage, then kill a machine before the reduce fetches.
 	if err := r.ensureDeps(); err != nil {
 		t.Fatal(err)
 	}
 	c.KillMachine(0)
-	got, err := CollectAsMap(r)
+	got, err := collectKeyed(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d = %d, want %d", k, got[k], v)
-		}
-	}
+	assertKeyed(t, got, keyedWant(pairs))
 	var recomputes, evicts int
 	for _, ev := range c.Recoveries() {
 		switch ev.Kind {
@@ -275,22 +267,20 @@ func TestKillMachineRecomputesShuffleOutput(t *testing.T) {
 // HDFS storage — a machine kill must not invalidate them.
 func TestKillMachineSparesDiskShuffle(t *testing.T) {
 	c := testCluster(t, Config{Machines: 3, Mode: ModeMapReduce})
-	pairs := make([]KV[int, int], 60)
+	pairs := make([]slabRec, 60)
 	for i := range pairs {
-		pairs[i] = KV[int, int]{i % 6, 1}
+		pairs[i] = kv(i%6, 1)
 	}
-	r := ReduceByKey(Parallelize(c, "pairs", pairs, 6), "counts", 3, func(a, b int) int { return a + b })
+	r := keyedSum(Parallelize(c, "pairs", pairs, 6), "counts", 3)
 	if err := r.ensureDeps(); err != nil {
 		t.Fatal(err)
 	}
 	c.KillMachine(2)
-	got, err := CollectAsMap(r)
+	got, err := collectKeyed(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 6 {
-		t.Fatalf("got %d keys", len(got))
-	}
+	assertKeyed(t, got, keyedWant(pairs))
 	for _, ev := range c.Recoveries() {
 		if ev.Kind == RecoveryShuffleEvict || ev.Kind == RecoveryShuffleRecompute {
 			t.Fatalf("disk-backed shuffle reported %s after kill", ev.Kind)
@@ -498,52 +488,6 @@ func TestMaxTaskRetriesConfigurable(t *testing.T) {
 	}
 }
 
-// TestCheckpointDiskByteSymmetry asserts the Checkpoint IO contract: written
-// once, counted once; read back k times, counted k times.
-func TestCheckpointDiskByteSymmetry(t *testing.T) {
-	c := testCluster(t, Config{Machines: 2})
-	r := Parallelize(c, "src", ints(200), 4)
-	ck, err := Checkpoint(r, "ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	written := c.Metrics().DiskBytesWrite.Load()
-	if written == 0 {
-		t.Fatal("checkpoint wrote no bytes")
-	}
-	const rereads = 3
-	for i := 0; i < rereads; i++ {
-		if _, err := ck.Collect(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Metrics().DiskBytesRead.Load(); got != rereads*written {
-		t.Fatalf("disk reads %d after %d re-reads of %d written bytes; want %d",
-			got, rereads, written, rereads*written)
-	}
-	if got := c.Metrics().DiskBytesWrite.Load(); got != written {
-		t.Fatalf("disk writes grew to %d on re-read", got)
-	}
-}
-
-// TestCheckpointFilesDeletedOnUnpersist: Unpersist of the checkpoint RDD must
-// delete its files.
-func TestCheckpointFilesDeletedOnUnpersist(t *testing.T) {
-	dir := t.TempDir()
-	c := testCluster(t, Config{Mode: ModeMapReduce, DiskDir: dir, Machines: 2})
-	ck, err := Checkpoint(Parallelize(c, "src", ints(100), 3), "ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := countFiles(t, dir, "ckpt"); n != 3 {
-		t.Fatalf("checkpoint left %d files, want 3", n)
-	}
-	ck.Unpersist()
-	if n := countFiles(t, dir, "ckpt"); n != 0 {
-		t.Fatalf("%d checkpoint files survive Unpersist", n)
-	}
-}
-
 // TestShuffleSpillFilesDeletedOnRetire: in ModeMapReduce a retired exchange
 // removes its spill files, so a caller-owned DiskDir never holds more than
 // the one exchange being consumed — and Close retires what is still alive.
@@ -574,28 +518,6 @@ func TestShuffleSpillFilesDeletedOnRetire(t *testing.T) {
 	}
 	if n := countFiles(t, dir, "ex"); n != 0 {
 		t.Fatalf("%d spill files of an unretired exchange survive Close of a non-owned DiskDir", n)
-	}
-}
-
-// TestCheckpointFilesDeletedOnClose: Close must delete live checkpoint files
-// even from a caller-owned DiskDir it won't RemoveAll.
-func TestCheckpointFilesDeletedOnClose(t *testing.T) {
-	dir := t.TempDir()
-	c := MustNewCluster(Config{Mode: ModeMapReduce, DiskDir: dir, Machines: 2})
-	if _, err := Checkpoint(Parallelize(c, "src", ints(100), 3), "ck"); err != nil {
-		t.Fatal(err)
-	}
-	if n := countFiles(t, dir, "ckpt"); n == 0 {
-		t.Fatal("no checkpoint files written")
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := countFiles(t, dir, "ckpt"); n != 0 {
-		t.Fatalf("%d checkpoint files survive Close of a non-owned DiskDir", n)
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("Close removed the caller-owned dir: %v", err)
 	}
 }
 
@@ -662,38 +584,5 @@ func TestKillMachineIdempotentAndBounded(t *testing.T) {
 func TestRetryableErrorStillRetryable(t *testing.T) {
 	if !errors.Is(errInjectedForTest(0, 0), errRetryable) {
 		t.Fatal("test error does not unwrap to errRetryable")
-	}
-}
-
-// TestCheckpointCutsLineageSurvivesKill: after checkpointing, a machine kill
-// recovers by re-reading checkpoint files instead of replaying the cut
-// lineage.
-func TestCheckpointCutsLineageSurvivesKill(t *testing.T) {
-	c := testCluster(t, Config{Machines: 3})
-	var recomputed atomic.Int64
-	src := MapPartitions(Parallelize(c, "raw", ints(120), 4), "tracked",
-		func(tc *TaskCtx, p int, in []int) ([]int, error) {
-			recomputed.Add(1)
-			return in, nil
-		})
-	ck, err := Checkpoint(src, "ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := recomputed.Load()
-	r := ck.Cache()
-	if err := r.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	c.KillMachine(1)
-	got, err := r.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 120 {
-		t.Fatalf("collected %d", len(got))
-	}
-	if extra := recomputed.Load() - base; extra != 0 {
-		t.Fatalf("kill recovery replayed the cut lineage (%d extra recomputes); want re-read from checkpoint", extra)
 	}
 }

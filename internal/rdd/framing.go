@@ -77,10 +77,10 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	return payload, nil
 }
 
-// readFrameFile reads a file written as a single frame (spill blocks,
-// checkpoint images), so a torn write — a crash mid-flush left fewer bytes
-// than the prefix records — surfaces as io.ErrUnexpectedEOF rather than a
-// decoder error deep in the block parser.
+// readFrameFile reads a file written as a single frame (spill blocks), so a
+// torn write — a crash mid-flush left fewer bytes than the prefix records —
+// surfaces as io.ErrUnexpectedEOF rather than a decoder error deep in the
+// block parser.
 func readFrameFile(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -63,6 +63,84 @@ func foldWant(parts, round int) []float64 {
 	return want
 }
 
+// kv is one keyed record for keyedSum: key k, value v.
+func kv(k, v int) slabRec { return slabRec{Tag: int32(k), Vals: []float64{float64(v)}} }
+
+// keyedSum is the shuffle job of the fault, speculation and trace tests, which
+// need a wide dependency but not a particular one: a per-key sum over
+// ShuffleMap, key k going to reduce partition k mod parts. Its addition is the
+// order-sensitive acc = 3·acc + v over a key's values in arrival order, so a
+// block that is lost, delivered twice or out of map order changes the result
+// (integers this small survive slabRec's fixed-point codec exactly). Both
+// stages carry name: "shuffle-write:"+name, then whatever action reads it.
+func keyedSum(r *RDD[slabRec], name string, parts int) *RDD[slabRec] {
+	return ShuffleMap(r, name, name, parts,
+		func(tc *TaskCtx, mp int, in []slabRec) ([][]slabRec, error) {
+			out := make([][]slabRec, parts)
+			for _, rec := range in {
+				rp := int(rec.Tag) % parts
+				out[rp] = append(out[rp], rec)
+			}
+			return out, nil
+		},
+		func(tc *TaskCtx, rp int, blocks iter.Seq2[[]slabRec, error]) ([]slabRec, error) {
+			var out []slabRec
+			at := map[int32]int{}
+			for block, err := range blocks {
+				if err != nil {
+					return nil, err
+				}
+				for _, rec := range block {
+					i, seen := at[rec.Tag]
+					if !seen {
+						i = len(out)
+						at[rec.Tag] = i
+						out = append(out, slabRec{Tag: rec.Tag, Vals: []float64{0}})
+					}
+					out[i].Vals[0] = 3*out[i].Vals[0] + rec.Vals[0]
+				}
+			}
+			return out, nil
+		})
+}
+
+// keyedWant is keyedSum computed directly. Parallelize splits data into
+// contiguous ranges and blocks arrive in map-partition order, so a key's
+// values arrive in data order.
+func keyedWant(data []slabRec) map[int]int {
+	want := map[int]int{}
+	for _, rec := range data {
+		want[int(rec.Tag)] = 3*want[int(rec.Tag)] + int(rec.Vals[0])
+	}
+	return want
+}
+
+// collectKeyed collects a keyedSum result into key → value.
+func collectKeyed(r *RDD[slabRec]) (map[int]int, error) {
+	recs, err := r.Collect()
+	if err != nil {
+		return nil, err
+	}
+	got := make(map[int]int, len(recs))
+	for _, rec := range recs {
+		got[int(rec.Tag)] = int(rec.Vals[0])
+	}
+	return got, nil
+}
+
+// assertKeyed fails unless got holds exactly want's keys and values.
+func assertKeyed(t *testing.T, got, want map[int]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d keys, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("key %d = %d, want %d", k, got[k], v)
+		}
+	}
+}
+
 func assertBits(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

@@ -27,7 +27,7 @@ type RDD[T any] struct {
 	cached  bool
 	cparts  []cachedPart[T]
 	evictID int64  // KillMachine eviction registration while cached
-	cleanup func() // extra teardown on Unpersist (checkpoint file removal)
+	cleanup func() // extra teardown on Unpersist (ShuffleMap: retire the exchange)
 }
 
 type cachedPart[T any] struct {
@@ -65,15 +65,6 @@ func FromPartitions[T any](c *Cluster, name string, blocks [][]T) *RDD[T] {
 		},
 	}
 }
-
-// Name returns the RDD's debug name.
-func (r *RDD[T]) Name() string { return r.name }
-
-// NumPartitions returns the partition count.
-func (r *RDD[T]) NumPartitions() int { return r.parts }
-
-// Cluster returns the owning cluster.
-func (r *RDD[T]) Cluster() *Cluster { return r.c }
 
 // ensureDeps materializes every shuffle exchange in r's lineage, bottom-up.
 // It must be called on the driver (never inside a task) — running a stage
@@ -140,8 +131,8 @@ func (r *RDD[T]) Cache() *RDD[T] {
 	return r
 }
 
-// Unpersist drops cached partitions, releases their memory, and deletes any
-// checkpoint files backing the RDD.
+// Unpersist drops cached partitions and releases their memory; on a ShuffleMap
+// result it also retires the exchange the RDD reads.
 func (r *RDD[T]) Unpersist() {
 	r.cacheMu.Lock()
 	if r.cached {
@@ -217,71 +208,6 @@ func (r *RDD[T]) Materialize() error {
 	})
 }
 
-// Map applies f to every element.
-func Map[T, U any](r *RDD[T], name string, f func(T) U) *RDD[U] {
-	return &RDD[U]{
-		c:     r.c,
-		name:  name,
-		parts: r.parts,
-		deps:  r.deps,
-		compute: func(tc *TaskCtx, p int) ([]U, error) {
-			in, err := r.computePartition(tc, p)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]U, len(in))
-			for i, v := range in {
-				out[i] = f(v)
-			}
-			return out, nil
-		},
-	}
-}
-
-// Filter keeps the elements satisfying pred.
-func (r *RDD[T]) Filter(name string, pred func(T) bool) *RDD[T] {
-	return &RDD[T]{
-		c:     r.c,
-		name:  name,
-		parts: r.parts,
-		deps:  r.deps,
-		compute: func(tc *TaskCtx, p int) ([]T, error) {
-			in, err := r.computePartition(tc, p)
-			if err != nil {
-				return nil, err
-			}
-			var out []T
-			for _, v := range in {
-				if pred(v) {
-					out = append(out, v)
-				}
-			}
-			return out, nil
-		},
-	}
-}
-
-// FlatMap applies f and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], name string, f func(T) []U) *RDD[U] {
-	return &RDD[U]{
-		c:     r.c,
-		name:  name,
-		parts: r.parts,
-		deps:  r.deps,
-		compute: func(tc *TaskCtx, p int) ([]U, error) {
-			in, err := r.computePartition(tc, p)
-			if err != nil {
-				return nil, err
-			}
-			var out []U
-			for _, v := range in {
-				out = append(out, f(v)...)
-			}
-			return out, nil
-		},
-	}
-}
-
 // MapPartitions transforms a whole partition at once; f receives the
 // partition index, runs inside a task, and may charge transient memory via
 // the TaskCtx.
@@ -327,31 +253,6 @@ func (r *RDD[T]) Collect() ([]T, error) {
 		out = append(out, part...)
 	}
 	return out, nil
-}
-
-// Count returns the number of elements.
-func (r *RDD[T]) Count() (int64, error) {
-	if err := r.ensureDeps(); err != nil {
-		return 0, err
-	}
-	counts := make([]int64, r.parts)
-	err := r.c.runStage("count:"+r.name, r.parts, func(tc *TaskCtx, p int) error {
-		items, err := r.computePartition(tc, p)
-		if err != nil {
-			return err
-		}
-		n := int64(len(items))
-		tc.OnSuccess(func() { counts[p] = n }) // winner-only install (speculation)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
 }
 
 // Reduce folds all elements with f. ok is false for an empty RDD.

@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -29,8 +28,8 @@ func ints(n int) []int {
 func TestParallelizeCollectRoundTrip(t *testing.T) {
 	c := testCluster(t, Config{Machines: 3, CoresPerMachine: 2})
 	r := Parallelize(c, "nums", ints(100), 7)
-	if r.NumPartitions() != 7 {
-		t.Fatalf("parts = %d", r.NumPartitions())
+	if r.parts != 7 {
+		t.Fatalf("parts = %d", r.parts)
 	}
 	got, err := r.Collect()
 	if err != nil {
@@ -43,25 +42,6 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 		if v != i {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
-	}
-}
-
-func TestMapFilterFlatMapChain(t *testing.T) {
-	c := testCluster(t, Config{})
-	r := Parallelize(c, "nums", ints(20), 4)
-	doubled := Map(r, "double", func(x int) int { return 2 * x })
-	evens := doubled.Filter("keep<20", func(x int) bool { return x < 20 })
-	pairs := FlatMap(evens, "dup", func(x int) []int { return []int{x, x + 1} })
-	got, err := pairs.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 20 {
-		t.Fatalf("len = %d, want 20", len(got))
-	}
-	n, err := pairs.Count()
-	if err != nil || n != 20 {
-		t.Fatalf("Count = %d, %v", n, err)
 	}
 }
 
@@ -99,153 +79,6 @@ func TestMapPartitionsSeesAllPartitions(t *testing.T) {
 	}
 	if total != 45 || len(got) != 3 {
 		t.Fatalf("partition sums = %v", got)
-	}
-}
-
-func TestReduceByKeyMatchesReference(t *testing.T) {
-	c := testCluster(t, Config{Machines: 2, CoresPerMachine: 2})
-	var data []KV[string, int]
-	want := map[string]int{}
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("k%d", i%17)
-		data = append(data, KV[string, int]{k, i})
-		want[k] += i
-	}
-	r := Parallelize(c, "pairs", data, 5)
-	red := ReduceByKey(r, "sum", 4, func(a, b int) int { return a + b })
-	got, err := CollectAsMap(red)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %s: got %d want %d", k, got[k], v)
-		}
-	}
-	if c.Metrics().BytesShuffled.Load() == 0 {
-		t.Fatal("shuffle bytes not counted")
-	}
-}
-
-func TestAggregateByKeyCountsAndSums(t *testing.T) {
-	c := testCluster(t, Config{})
-	var data []KV[int, float64]
-	for i := 0; i < 100; i++ {
-		data = append(data, KV[int, float64]{i % 5, float64(i)})
-	}
-	r := Parallelize(c, "pairs", data, 6)
-	type acc struct {
-		N   int
-		Sum float64
-	}
-	agg := AggregateByKey(r, "stats", 3,
-		func() acc { return acc{} },
-		func(a acc, v float64) acc { return acc{a.N + 1, a.Sum + v} },
-		func(a, b acc) acc { return acc{a.N + b.N, a.Sum + b.Sum} },
-	)
-	got, err := CollectAsMap(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 5; k++ {
-		if got[k].N != 20 {
-			t.Fatalf("key %d count = %d", k, got[k].N)
-		}
-	}
-}
-
-func TestGroupByKey(t *testing.T) {
-	c := testCluster(t, Config{})
-	data := []KV[int, string]{{1, "a"}, {2, "b"}, {1, "c"}, {2, "d"}, {3, "e"}}
-	r := Parallelize(c, "pairs", data, 2)
-	g := GroupByKey(r, "group", 2)
-	got, err := CollectAsMap(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || len(got[1]) != 2 || len(got[2]) != 2 || len(got[3]) != 1 {
-		t.Fatalf("groups = %v", got)
-	}
-}
-
-func TestPartitionByPlacesKeysDeterministically(t *testing.T) {
-	c := testCluster(t, Config{})
-	var data []KV[int, int]
-	for i := 0; i < 40; i++ {
-		data = append(data, KV[int, int]{i, i * i})
-	}
-	r := Parallelize(c, "pairs", data, 4)
-	byRange := PartitionBy(r, "byrange", 4, FuncPartitioner[int](func(k, parts int) int {
-		return k * parts / 40
-	}))
-	err := byRange.ForeachPartition(func(tc *TaskCtx, p int, items []KV[int, int]) error {
-		for _, kv := range items {
-			if want := kv.K * 4 / 40; want != p {
-				return fmt.Errorf("key %d in partition %d, want %d", kv.K, p, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := byRange.Count()
-	if err != nil || n != 40 {
-		t.Fatalf("Count = %d, %v", n, err)
-	}
-}
-
-func TestJoinInner(t *testing.T) {
-	c := testCluster(t, Config{})
-	left := Parallelize(c, "l", []KV[int, string]{{1, "a"}, {2, "b"}, {2, "B"}, {3, "c"}}, 2)
-	right := Parallelize(c, "r", []KV[int, int]{{2, 20}, {3, 30}, {4, 40}}, 3)
-	j := Join(left, right, "join", 2)
-	got, err := j.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expect (2,b,20), (2,B,20), (3,c,30).
-	if len(got) != 3 {
-		t.Fatalf("join produced %d records: %v", len(got), got)
-	}
-	seen := map[string]bool{}
-	for _, kv := range got {
-		seen[fmt.Sprintf("%d-%s-%d", kv.K, kv.V.Left, kv.V.Right)] = true
-	}
-	for _, want := range []string{"2-b-20", "2-B-20", "3-c-30"} {
-		if !seen[want] {
-			t.Fatalf("missing %s in %v", want, seen)
-		}
-	}
-}
-
-func TestCoGroupEmptySides(t *testing.T) {
-	c := testCluster(t, Config{})
-	left := Parallelize(c, "l", []KV[int, string]{{1, "a"}}, 1)
-	right := Parallelize(c, "r", []KV[int, int]{{2, 20}}, 1)
-	cg := CoGroup(left, right, "cg", 2)
-	got, err := CollectAsMap(cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got[1].Left) != 1 || len(got[1].Right) != 0 {
-		t.Fatalf("key 1 groups = %+v", got[1])
-	}
-	if len(got[2].Left) != 0 || len(got[2].Right) != 1 {
-		t.Fatalf("key 2 groups = %+v", got[2])
-	}
-}
-
-func TestMapValues(t *testing.T) {
-	c := testCluster(t, Config{})
-	r := Parallelize(c, "p", []KV[string, int]{{"a", 1}, {"b", 2}}, 1)
-	mv := MapValues(r, "sq", func(v int) int { return v * v })
-	got, err := CollectAsMap(mv)
-	if err != nil || got["a"] != 1 || got["b"] != 4 {
-		t.Fatalf("MapValues = %v, %v", got, err)
 	}
 }
 
@@ -365,21 +198,16 @@ func TestTransientChargeReleasedBeforeStageReturns(t *testing.T) {
 
 func TestMapReduceModeSpillsToDisk(t *testing.T) {
 	c := testCluster(t, Config{Mode: ModeMapReduce})
-	var data []KV[int, int]
+	var data []slabRec
 	for i := 0; i < 100; i++ {
-		data = append(data, KV[int, int]{i % 10, 1})
+		data = append(data, kv(i%10, 1))
 	}
 	r := Parallelize(c, "pairs", data, 4)
-	red := ReduceByKey(r, "count", 3, func(a, b int) int { return a + b })
-	got, err := CollectAsMap(red)
+	got, err := collectKeyed(keyedSum(r, "count", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 10; k++ {
-		if got[k] != 10 {
-			t.Fatalf("key %d = %d, want 10", k, got[k])
-		}
-	}
+	assertKeyed(t, got, keyedWant(data))
 	if c.Metrics().DiskBytesWrite.Load() == 0 || c.Metrics().DiskBytesRead.Load() == 0 {
 		t.Fatalf("MapReduce mode did not touch disk: %+v", c.Metrics().Snapshot())
 	}
@@ -465,39 +293,6 @@ type sizedThing struct{ n int64 }
 
 func (s sizedThing) SizeBytes() int64 { return s.n }
 
-// Property: ReduceByKey agrees with a single-machine fold for arbitrary data,
-// partition counts, and machine counts.
-func TestReduceByKeyProperty(t *testing.T) {
-	f := func(keys []uint8, seed uint64) bool {
-		if len(keys) == 0 {
-			return true
-		}
-		c := MustNewCluster(Config{Machines: 1 + int(seed%4), CoresPerMachine: 1 + int(seed%3)})
-		defer c.Close()
-		var data []KV[uint8, int]
-		want := map[uint8]int{}
-		for i, k := range keys {
-			data = append(data, KV[uint8, int]{k, i})
-			want[k] += i
-		}
-		r := Parallelize(c, "prop", data, 1+int(seed%7))
-		red := ReduceByKey(r, "propsum", 1+int((seed>>8)%5), func(a, b int) int { return a + b })
-		got, err := CollectAsMap(red)
-		if err != nil || len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Collect preserves multiset and partition order for narrow chains.
 func TestCollectOrderProperty(t *testing.T) {
 	f := func(n uint8, parts uint8) bool {
@@ -544,27 +339,30 @@ func TestShuffleAfterShuffle(t *testing.T) {
 	// Two chained wide dependencies must both materialize without deadlock,
 	// even with a single core per machine.
 	c := testCluster(t, Config{Machines: 2, CoresPerMachine: 1})
-	var data []KV[int, int]
+	var data []slabRec
 	for i := 0; i < 60; i++ {
-		data = append(data, KV[int, int]{i % 12, 1})
+		data = append(data, kv(i%12, 1))
 	}
 	r := Parallelize(c, "pairs", data, 4)
-	first := ReduceByKey(r, "s1", 3, func(a, b int) int { return a + b })
-	rekeyed := Map(first, "rekey", func(kv KV[int, int]) KV[int, int] {
-		return KV[int, int]{kv.K % 3, kv.V}
+	first := keyedSum(r, "s1", 3)
+	rekeyed := MapPartitions(first, "rekey", func(_ *TaskCtx, _ int, in []slabRec) ([]slabRec, error) {
+		out := make([]slabRec, len(in))
+		for i, rec := range in {
+			out[i] = slabRec{Tag: rec.Tag % 3, Vals: rec.Vals}
+		}
+		return out, nil
 	})
-	second := ReduceByKey(rekeyed, "s2", 2, func(a, b int) int { return a + b })
-	got, err := CollectAsMap(second)
+	got, err := collectKeyed(keyedSum(rekeyed, "s2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, v := range got {
-		total += v
+	// Every first-stage key folds five 1s to the same value, so the order in
+	// which the second stage sees them does not matter to the reference.
+	var mid []slabRec
+	for k, v := range keyedWant(data) {
+		mid = append(mid, kv(k%3, v))
 	}
-	if total != 60 {
-		t.Fatalf("total = %d, want 60", total)
-	}
+	assertKeyed(t, got, keyedWant(mid))
 	if s := c.Metrics().Snapshot(); s.Stages < 3 {
 		t.Fatalf("expected >=3 stages, got %+v", s)
 	}

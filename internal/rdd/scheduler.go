@@ -76,8 +76,9 @@ func (tc *TaskCtx) spilled() int64 { return tc.spillRead + tc.spillWrite }
 
 // OnSuccess registers f to run exactly once if (and only if) this task
 // attempt completes successfully — the hook for side effects that must not
-// double-apply when an attempt fails and is retried from lineage. Accumulator
-// adds route through it via AddOnSuccess.
+// double-apply when an attempt fails and is retried from lineage, or when a
+// speculative duplicate runs the same closure: Collect, Reduce and the shuffle
+// publish step install their results through it.
 func (tc *TaskCtx) OnSuccess(f func()) {
 	tc.onSuccess = append(tc.onSuccess, f)
 }
@@ -103,9 +104,6 @@ func (tc *TaskCtx) commit() {
 	}
 	tc.onSuccess = nil
 }
-
-// Cluster returns the cluster the task runs on.
-func (tc *TaskCtx) Cluster() *Cluster { return tc.c }
 
 // Arena returns the attempt's slab arena, checking one out of the cluster
 // pool (keyed by machine, stage, and partition) and resetting it on first

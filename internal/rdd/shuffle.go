@@ -3,6 +3,7 @@ package rdd
 import (
 	"fmt"
 	"iter"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -19,14 +20,15 @@ import (
 // Cluster.Close). Until then a machine kill evicts its outputs and the next
 // fetch recomputes them from lineage; afterwards there is nothing to evict,
 // recompute or fetch, and an attempt that still tries gets errRetired.
-type exchange[R any] struct {
+type exchange[R any, PR recordPtr[R]] struct {
 	c           *Cluster
 	id          int64
 	evictID     int64
 	name        string
 	mapParts    int
 	reduceParts int
-	// buckets computes one map task's output: reduceParts slices of records.
+	// buckets computes one map task's output: exactly reduceParts slices of
+	// records (ShuffleMap's wrapper checks the count).
 	buckets func(tc *TaskCtx, mapPart int) ([][]R, error)
 	// parentDeps are materialized before the map stage runs.
 	parentDeps []dep
@@ -56,9 +58,9 @@ type exchange[R any] struct {
 	readers atomic.Int32
 }
 
-func newExchange[R any](c *Cluster, name string, parentDeps []dep, mapParts, reduceParts int,
-	buckets func(tc *TaskCtx, mapPart int) ([][]R, error)) *exchange[R] {
-	e := &exchange[R]{
+func newExchange[R any, PR recordPtr[R]](c *Cluster, name string, parentDeps []dep, mapParts, reduceParts int,
+	buckets func(tc *TaskCtx, mapPart int) ([][]R, error)) *exchange[R, PR] {
+	e := &exchange[R, PR]{
 		c:           c,
 		id:          c.newID(),
 		name:        name,
@@ -80,7 +82,7 @@ var errRetired = fmt.Errorf("rdd: shuffle exchange retired: %w", errObsolete)
 // in-memory images go to the cluster's block pool for the next exchange to
 // encode into — unless a reduce attempt is still reading them, in which case
 // they are left to the GC: an image a reader holds is never overwritten.
-func (e *exchange[R]) retire() {
+func (e *exchange[R, PR]) retire() {
 	e.c.unregisterEvictor(e.evictID)
 	e.mu.Lock()
 	if e.retired.Swap(true) {
@@ -107,7 +109,7 @@ func (e *exchange[R]) retire() {
 // if the exchange retired meanwhile nothing would ever clean up after the
 // attempt, so it removes what it stored and fails. A retire that lands after
 // this check finds the output already stored, and drops it itself.
-func (e *exchange[R]) discardIfRetired(m int, paths []string, put bool) error {
+func (e *exchange[R, PR]) discardIfRetired(m int, paths []string, put bool) error {
 	if !e.retired.Load() {
 		return nil
 	}
@@ -121,7 +123,7 @@ func (e *exchange[R]) discardIfRetired(m int, paths []string, put bool) error {
 // evictMachine marks the in-memory map outputs the dead machine held as lost;
 // fetch recomputes them from lineage on demand. ModeMapReduce spill files
 // model replicated HDFS storage and survive machine loss.
-func (e *exchange[R]) evictMachine(m int) {
+func (e *exchange[R, PR]) evictMachine(m int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.blocks == nil || e.c.cfg.Mode == ModeMapReduce {
@@ -149,14 +151,14 @@ func (e *exchange[R]) evictMachine(m int) {
 
 // encodeShuffleBuckets serializes map task mp's buckets into pooled images,
 // counting every byte as the producing task's shuffle traffic (and in total).
-func (e *exchange[R]) encodeShuffleBuckets(tc *TaskCtx, mp int, bs [][]R) ([][]byte, int64, error) {
+func (e *exchange[R, PR]) encodeShuffleBuckets(tc *TaskCtx, mp int, bs [][]R) ([][]byte, int64, error) {
 	enc := make([][]byte, len(bs))
 	var total int64
 	for rp, records := range bs {
 		if len(records) == 0 {
 			continue
 		}
-		data, err := encodeBlock(e.c, records)
+		data, err := encodeBlock[R, PR](e.c, records)
 		if err != nil {
 			return nil, 0, fmt.Errorf("rdd: encoding shuffle %s block %d/%d: %w", e.name, mp, rp, err)
 		}
@@ -168,7 +170,7 @@ func (e *exchange[R]) encodeShuffleBuckets(tc *TaskCtx, mp int, bs [][]R) ([][]b
 }
 
 // ensure runs the map (shuffle-write) stage exactly once.
-func (e *exchange[R]) ensure() error {
+func (e *exchange[R, PR]) ensure() error {
 	e.once.Do(func() {
 		for _, d := range e.parentDeps {
 			if e.err = d.ensure(); e.err != nil {
@@ -189,9 +191,6 @@ func (e *exchange[R]) ensure() error {
 			bs, err := e.buckets(tc, p)
 			if err != nil {
 				return err
-			}
-			if len(bs) != e.reduceParts {
-				return fmt.Errorf("rdd: shuffle %s map task %d produced %d buckets, want %d", e.name, p, len(bs), e.reduceParts)
 			}
 			enc, total, err := e.encodeShuffleBuckets(tc, p, bs)
 			if err != nil {
@@ -254,7 +253,7 @@ func (e *exchange[R]) ensure() error {
 // as it goes (the worker holds the only copy, exactly as a real executor
 // would). An unreachable worker means the task's own machine died under it;
 // the resulting retryable error re-places the task elsewhere.
-func (e *exchange[R]) putBlocks(tc *TaskCtx, mp int, enc [][]byte) ([]int32, error) {
+func (e *exchange[R, PR]) putBlocks(tc *TaskCtx, mp int, enc [][]byte) ([]int32, error) {
 	rt := e.c.remote()
 	lens := make([]int32, e.reduceParts)
 	for rp, data := range enc {
@@ -279,7 +278,7 @@ func (e *exchange[R]) putBlocks(tc *TaskCtx, mp int, enc [][]byte) ([]int32, err
 // records the recompute). Exactly one fetcher recomputes a given lost output;
 // concurrent fetchers wait for it and re-check, and e.mu is never held across
 // the recompute or any file or network read.
-func (e *exchange[R]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
+func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 	rt := e.c.remote()
 	for {
 		e.mu.Lock()
@@ -389,16 +388,13 @@ func (e *exchange[R]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 // BytesShuffled: the original bytes were already counted when the first map
 // attempt committed, and double-counting them would make a killed run's
 // Lemma 3 totals overstate a clean run's.
-func (e *exchange[R]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
+func (e *exchange[R, PR]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
 	start := time.Now()
 	tc.beginRecompute()
 	defer tc.endRecompute()
 	bs, err := e.buckets(tc, mp)
 	if err != nil {
 		return nil, fmt.Errorf("rdd: recomputing lost map output %d of shuffle %s: %w", mp, e.name, err)
-	}
-	if len(bs) != e.reduceParts {
-		return nil, fmt.Errorf("rdd: shuffle %s map task %d produced %d buckets, want %d", e.name, mp, len(bs), e.reduceParts)
 	}
 	enc, _, err := e.encodeShuffleBuckets(tc, mp, bs)
 	if err != nil {
@@ -420,7 +416,7 @@ func (e *exchange[R]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
 // reads (and lost-block recomputes) to the fetching task. Each block is
 // decoded into an arena region that is rewound for the next (see ShuffleMap),
 // and the loop counts as a reader of the exchange until it ends (see retire).
-func (e *exchange[R]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
+func (e *exchange[R, PR]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 	return func(yield func([]R, error) bool) {
 		e.readers.Add(1)
 		defer e.readers.Add(-1)
@@ -437,7 +433,7 @@ func (e *exchange[R]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 					tc.countSpillRead(int64(len(data)))
 					e.c.diskDelay(len(data))
 				}
-				if block, err = decodeBlock[R](arena, data); err != nil {
+				if block, err = decodeBlock[R, PR](arena, data); err != nil {
 					err = fmt.Errorf("rdd: decoding shuffle block: %w", err)
 				}
 			}
@@ -449,41 +445,26 @@ func (e *exchange[R]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 	}
 }
 
-// fetch returns every record destined for reduce partition rp, for the pair
-// operators, whose gob-decoded records own their memory and outlive a block.
-func (e *exchange[R]) fetch(tc *TaskCtx, rp int) ([]R, error) {
-	var out []R
-	for block, err := range e.records(tc, rp) {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, block...)
-	}
-	return out, nil
-}
-
-// ShuffleMap is the engine's lowest-level wide transformation: bucket runs
-// once per map partition (stage "shuffle-write:"+name) and returns the
-// records destined for each of the reduceParts reduce partitions; reduce
-// computes partition p of the result RDD, named reduceName, by ranging over
-// blocks — every map task's bucket p, one decoded block at a time in
-// map-partition order, so the fold is deterministic and a reducer holds its
-// own state plus one block, not all of them. A block is valid until the next
-// loop iteration only, and arena memory reduce draws while it holds one is
-// freed with it (see Arena.Rewind). The pair-RDD shuffles are equivalent to
-// this plus per-key hashing; callers whose records are already grouped by
-// destination — such as the packed MTTKRP slab records, whose sorted row
-// ranges map to contiguous reduce partitions — use it directly to shuffle
-// O(parts) records instead of O(keys). Unpersist of the result retires the
-// exchange: block images, spill files and worker-held blocks are freed, and
-// lineage recovery for it ends.
-func ShuffleMap[T, R, U any](r *RDD[T], name, reduceName string, reduceParts int,
+// ShuffleMap is the engine's one wide transformation: bucket runs once per map
+// partition (stage "shuffle-write:"+name) and returns the records destined
+// for each of the reduceParts reduce partitions; reduce computes partition p
+// of the result RDD, named reduceName, by ranging over blocks — every map
+// task's bucket p, one decoded block at a time in map-partition order, so the
+// fold is deterministic and a reducer holds its own state plus one block, not
+// all of them. A block is valid until the next loop iteration only, and arena
+// memory reduce draws while it holds one is freed with it (see Arena.Rewind).
+// Records are grouped by destination by the caller and frame themselves (R is
+// a BinaryRecord): the packed MTTKRP slab records, whose sorted row ranges map
+// to contiguous reduce partitions, shuffle O(parts) records instead of
+// O(keys). Unpersist of the result retires the exchange: block images, spill
+// files and worker-held blocks are freed, and lineage recovery for it ends.
+func ShuffleMap[T, R, U any, PR recordPtr[R]](r *RDD[T], name, reduceName string, reduceParts int,
 	bucket func(tc *TaskCtx, mapPart int, in []T) ([][]R, error),
 	reduce func(tc *TaskCtx, p int, blocks iter.Seq2[[]R, error]) ([]U, error)) *RDD[U] {
 	if reduceParts <= 0 {
 		reduceParts = r.parts
 	}
-	ex := newExchange(r.c, name, r.deps, r.parts, reduceParts, func(tc *TaskCtx, mapPart int) ([][]R, error) {
+	ex := newExchange[R, PR](r.c, name, r.deps, r.parts, reduceParts, func(tc *TaskCtx, mapPart int) ([][]R, error) {
 		in, err := r.computePartition(tc, mapPart)
 		if err != nil {
 			return nil, err
@@ -506,6 +487,15 @@ func ShuffleMap[T, R, U any](r *RDD[T], name, reduceName string, reduceParts int
 		compute: func(tc *TaskCtx, p int) ([]U, error) {
 			return reduce(tc, p, ex.records(tc, p))
 		},
+	}
+}
+
+// removeFiles best-effort deletes shuffle-spill block files.
+func removeFiles(paths []string) {
+	for _, p := range paths {
+		if p != "" {
+			os.Remove(p)
+		}
 	}
 }
 

@@ -44,12 +44,12 @@ func EstimateSize(v any) int64 {
 }
 
 // BinaryRecord is implemented (on the pointer receiver) by shuffle record
-// types that provide their own compact binary framing. Blocks of such records
-// skip encoding/gob entirely: encodeBlock writes a record count followed by
-// each record's self-delimiting frame, and decodeBlock reverses it. The
-// resulting byte counts still flow through the same BytesShuffled /
-// DiskBytes accounting, so the engine's Lemma 3 bookkeeping stays honest —
-// the packed MTTKRP slab records in internal/core are the motivating user.
+// types: they provide their own compact binary framing. encodeBlock writes a
+// record count followed by each record's self-delimiting frame, and
+// decodeBlock reverses it. The resulting byte counts flow through the
+// BytesShuffled / DiskBytes accounting, so the engine's Lemma 3 bookkeeping
+// stays honest — the packed MTTKRP slab records in internal/core are the one
+// production user.
 type BinaryRecord interface {
 	// RecordSize returns the exact length of the frame AppendRecord writes,
 	// so a block is allocated once at its final size — the published image
@@ -63,20 +63,19 @@ type BinaryRecord interface {
 	DecodeRecord(data []byte) (rest []byte, err error)
 }
 
-// isBinaryRecord reports whether *R implements BinaryRecord. The choice is a
-// property of the type, so the encode and decode sides always agree on the
-// wire format without any header byte.
-func isBinaryRecord[R any]() bool {
-	_, ok := any(new(R)).(BinaryRecord)
-	return ok
+// recordPtr is the constraint ShuffleMap puts on its record type R: *R must
+// implement BinaryRecord. The wire format is a property of the type, so the
+// encode and decode sides agree on it without any header byte.
+type recordPtr[R any] interface {
+	*R
+	BinaryRecord
 }
 
 // ArenaBinaryRecord is implemented by BinaryRecord types that can decode
 // their variable-length payloads into task-arena slabs instead of fresh heap
-// allocations. The shuffle fetch path uses it: a fetched block's records live
-// until the reduce side has folded them, a region of the consuming attempt's
-// arena (see exchange.records). Paths that outlive the attempt (Checkpoint
-// reads, cached partitions) must keep using DecodeRecord.
+// allocations: a fetched block's records live until the reduce side has
+// folded them, a region of the consuming attempt's arena (see
+// exchange.records).
 type ArenaBinaryRecord interface {
 	BinaryRecord
 	// DecodeRecordArena parses one frame like DecodeRecord, drawing the
@@ -121,12 +120,8 @@ func (bp *blockPool) refill(blocks [][][]byte) {
 }
 
 // blockImage returns an empty image of exactly size bytes for encodeBlock to
-// fill: one from the block pool when it holds that size, else a fresh one
-// (always, for the checkpoint writers' nil cluster: their images never retire).
+// fill: one from the block pool when it holds that size, else a fresh one.
 func (c *Cluster) blockImage(size int) []byte {
-	if c == nil {
-		return make([]byte, 0, size)
-	}
 	bp := &c.blockPool
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -140,69 +135,50 @@ func (c *Cluster) blockImage(size int) []byte {
 	return list[len(list)-1]
 }
 
-// encodeBlock serializes a shuffle block: the BinaryRecord fast path when the
-// record type provides one, encoding/gob otherwise. Binary blocks are sized
-// from their records first and written into one exact-size c.blockImage.
-func encodeBlock[R any](c *Cluster, records []R) ([]byte, error) {
-	if isBinaryRecord[R]() {
-		size := UvarintLen(uint64(len(records)))
-		for i := range records {
-			size += any(&records[i]).(BinaryRecord).RecordSize()
-			if size < 0 || size > maxBlockBytes {
-				return nil, errBlockTooLarge
-			}
+// encodeBlock serializes a shuffle block: it is sized from its records first
+// and written into one exact-size c.blockImage.
+func encodeBlock[R any, PR recordPtr[R]](c *Cluster, records []R) ([]byte, error) {
+	size := UvarintLen(uint64(len(records)))
+	for i := range records {
+		size += PR(&records[i]).RecordSize()
+		if size < 0 || size > maxBlockBytes {
+			return nil, errBlockTooLarge
 		}
-		buf := binary.AppendUvarint(c.blockImage(size), uint64(len(records)))
-		for i := range records {
-			buf = any(&records[i]).(BinaryRecord).AppendRecord(buf)
-		}
-		return buf, nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(records); err != nil {
-		return nil, err
+	buf := binary.AppendUvarint(c.blockImage(size), uint64(len(records)))
+	for i := range records {
+		buf = PR(&records[i]).AppendRecord(buf)
 	}
-	if buf.Len() > maxBlockBytes {
-		return nil, errBlockTooLarge
-	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // decodeBlock reverses encodeBlock, drawing record payload slices from the
-// arena when one is provided and the record type supports it (the shuffle
-// fetch hot path), from the heap otherwise.
-func decodeBlock[R any](a *Arena, data []byte) ([]R, error) {
-	if isBinaryRecord[R]() {
-		n, used := binary.Uvarint(data)
-		if used <= 0 {
-			return nil, fmt.Errorf("rdd: corrupt binary shuffle block header")
-		}
-		data = data[used:]
-		if n > uint64(len(data)) {
-			// Each record frame is at least one byte; a bigger count is a
-			// corrupt or hostile header, so reject it before allocating.
-			return nil, fmt.Errorf("rdd: binary shuffle block claims %d records in %d bytes", n, len(data))
-		}
-		records := make([]R, n)
-		for i := range records {
-			var err error
-			if ar, ok := any(&records[i]).(ArenaBinaryRecord); ok && a != nil {
-				data, err = ar.DecodeRecordArena(a, data)
-			} else {
-				data, err = any(&records[i]).(BinaryRecord).DecodeRecord(data)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("rdd: decoding binary shuffle record %d/%d: %w", i, n, err)
-			}
-		}
-		if len(data) != 0 {
-			return nil, fmt.Errorf("rdd: %d trailing bytes after binary shuffle block", len(data))
-		}
-		return records, nil
+// arena when the record type supports it, from the heap otherwise.
+func decodeBlock[R any, PR recordPtr[R]](a *Arena, data []byte) ([]R, error) {
+	n, used := binary.Uvarint(data)
+	if used <= 0 {
+		return nil, fmt.Errorf("rdd: corrupt binary shuffle block header")
 	}
-	var records []R
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&records); err != nil {
-		return nil, err
+	data = data[used:]
+	if n > uint64(len(data)) {
+		// Each record frame is at least one byte; a bigger count is a
+		// corrupt or hostile header, so reject it before allocating.
+		return nil, fmt.Errorf("rdd: binary shuffle block claims %d records in %d bytes", n, len(data))
+	}
+	records := make([]R, n)
+	for i := range records {
+		var err error
+		if ar, ok := any(PR(&records[i])).(ArenaBinaryRecord); ok {
+			data, err = ar.DecodeRecordArena(a, data)
+		} else {
+			data, err = PR(&records[i]).DecodeRecord(data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rdd: decoding binary shuffle record %d/%d: %w", i, n, err)
+		}
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("rdd: %d trailing bytes after binary shuffle block", len(data))
 	}
 	return records, nil
 }

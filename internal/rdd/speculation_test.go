@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -33,14 +34,14 @@ func TestSpeculationBackupWinsStraggler(t *testing.T) {
 			Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond,
 		},
 	})
-	exact := NewIntAccumulator()
+	var exact atomic.Int64
 	r := MapPartitions(Parallelize(c, "nums", ints(80), 8), "slow",
 		func(tc *TaskCtx, p int, in []int) ([]int, error) {
 			out, err := slowOnPrimary(sleep)(tc, p, in)
 			if err != nil {
 				return nil, err
 			}
-			exact.AddOnSuccess(tc, int64(len(in)))
+			tc.OnSuccess(func() { exact.Add(int64(len(in))) })
 			return out, nil
 		})
 	stageStart := time.Now()
@@ -60,8 +61,8 @@ func TestSpeculationBackupWinsStraggler(t *testing.T) {
 	if n := c.Metrics().SpeculativeTasks.Load(); n < 1 {
 		t.Fatalf("SpeculativeTasks = %d, want >= 1", n)
 	}
-	if v := exact.Value(); v != 80 {
-		t.Errorf("AddOnSuccess total = %d, want exactly 80 (one commit per partition)", v)
+	if v := exact.Load(); v != 80 {
+		t.Errorf("OnSuccess total = %d, want exactly 80 (one commit per partition)", v)
 	}
 	m := c.Metrics().Snapshot()
 	if m.BytesShuffled != 8*1000 {
@@ -143,21 +144,15 @@ func TestSpeculationLoserDrainsAsLoss(t *testing.T) {
 // stragglers, no backups launch (MinDuration floors the cutoff above the
 // noise) and the exactly-once totals are identical to a speculation-off run.
 func TestSpeculationQuietWithoutStragglers(t *testing.T) {
-	run := func(spec SpeculationConfig) ([]int, MetricsSnapshot) {
+	run := func(spec SpeculationConfig) (map[int]int, MetricsSnapshot) {
 		c := testCluster(t, Config{Machines: 3, Speculation: spec})
-		pairs := make([]KV[int, int], 90)
+		pairs := make([]slabRec, 90)
 		for i := range pairs {
-			pairs[i] = KV[int, int]{i % 9, i}
+			pairs[i] = kv(i%9, i)
 		}
-		red := ReduceByKey(Parallelize(c, "pairs", pairs, 6), "sums", 3,
-			func(a, b int) int { return a + b })
-		got, err := red.Collect()
+		vals, err := collectKeyed(keyedSum(Parallelize(c, "pairs", pairs, 6), "sums", 3))
 		if err != nil {
 			t.Fatal(err)
-		}
-		vals := make([]int, 0, len(got))
-		for _, kv := range got {
-			vals = append(vals, kv.V)
 		}
 		c.Quiesce()
 		return vals, c.Metrics().Snapshot()
@@ -252,13 +247,12 @@ func TestFaultPlanKillAtStageZero(t *testing.T) {
 // waiter, and the recomputed traffic lands in BytesRecomputed so
 // BytesShuffled stays bit-equal to a clean run.
 func TestShuffleRecomputeSingleFlight(t *testing.T) {
-	build := func(c *Cluster) *RDD[KV[int, int]] {
-		pairs := make([]KV[int, int], 240)
-		for i := range pairs {
-			pairs[i] = KV[int, int]{i % 16, i}
-		}
-		return ReduceByKey(Parallelize(c, "pairs", pairs, 6), "sums", 8,
-			func(a, b int) int { return a + b })
+	pairs := make([]slabRec, 240)
+	for i := range pairs {
+		pairs[i] = kv(i%16, i)
+	}
+	build := func(c *Cluster) *RDD[slabRec] {
+		return keyedSum(Parallelize(c, "pairs", pairs, 6), "sums", 8)
 	}
 
 	clean := testCluster(t, Config{Machines: 3})
@@ -276,19 +270,11 @@ func TestShuffleRecomputeSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.KillMachine(0)
-	got, err := CollectAsMap(r)
+	got, err := collectKeyed(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]int{}
-	for i := 0; i < 240; i++ {
-		want[i%16] += i
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d = %d, want %d", k, got[k], v)
-		}
-	}
+	assertKeyed(t, got, keyedWant(pairs))
 
 	recomputedParts := map[int]int{}
 	for _, ev := range c.Recoveries() {

@@ -12,14 +12,51 @@ import (
 // every observability counter has something to record.
 func runTracedJob(t *testing.T, c *Cluster) {
 	t.Helper()
-	var data []KV[int, int]
+	var data []slabRec
 	for i := 0; i < 40; i++ {
-		data = append(data, KV[int, int]{i % 4, i})
+		data = append(data, kv(i%4, i))
 	}
 	pairs := Parallelize(c, "pairs", data, 4)
-	red := ReduceByKey(pairs, "sum", 2, func(a, b int) int { return a + b })
+	red := keyedSum(pairs, "sum", 2)
 	if _, err := red.Collect(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestStageLog(t *testing.T) {
+	c := testCluster(t, Config{})
+	r := Parallelize(c, "log", ints(10), 3)
+	if _, err := r.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	log := c.StageLog()
+	if len(log) != 1 {
+		t.Fatalf("stage log = %v", log)
+	}
+	if log[0].Name != "collect:log" || log[0].Tasks != 3 {
+		t.Fatalf("record = %+v", log[0])
+	}
+	if log[0].Wall <= 0 {
+		t.Fatal("wall time not recorded")
+	}
+}
+
+func TestSimulatedTimeAccumulates(t *testing.T) {
+	c := testCluster(t, Config{Machines: 2, SerializeTasks: true})
+	r := Parallelize(c, "sim", ints(100), 4)
+	heavy := MapPartitions(r, "work", func(tc *TaskCtx, p int, in []int) ([]int, error) {
+		s := 0
+		for i := 0; i < 2_000_000; i++ {
+			s += i
+		}
+		_ = s
+		return in, nil
+	})
+	if _, err := heavy.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if c.SimulatedTime() <= 0 {
+		t.Fatal("simulated time not accumulated")
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // Transport abstracts where a machine's block images physically live: the
-// serialized shuffle buckets a map task produced, the broadcast replicas a
-// machine holds, and the checkpoint images that model stable storage. The
-// default backend — Config.Transport nil — is the in-process engine itself:
+// serialized shuffle buckets a map task produced and the broadcast replicas a
+// machine holds. Both are volatile — a worker is an in-memory block store, and
+// what dies with it is recomputed from lineage or released. The default
+// backend — Config.Transport nil — is the in-process engine itself:
 // blocks stay in the driver's memory exactly as before, which keeps CI
 // hermetic and the benchmarked hot path untouched. A non-nil Transport (the
 // TCP backend in internal/transport) moves every committed block image to a
@@ -59,17 +60,11 @@ const (
 	// BlockBroadcast is one machine's replica of a broadcast value.
 	// Volatile: a dead machine's replica is simply released.
 	BlockBroadcast BlockKind = 2
-	// BlockCheckpoint is a checkpointed RDD partition. Stable: workers
-	// persist it to local disk and the engine replicates it to every live
-	// worker, so it survives worker kills like the in-process backend's
-	// driver-local checkpoint files do.
-	BlockCheckpoint BlockKind = 3
 )
 
 // BlockID names one block in a worker's store: the kind, the owning object's
-// cluster-unique ID (exchange, broadcast or checkpoint), and the block
-// coordinates within it (map/reduce partition for shuffles, partition/0 for
-// checkpoints, 0/0 for broadcasts).
+// cluster-unique ID (exchange or broadcast), and the block coordinates within
+// it (map/reduce partition for shuffles, 0/0 for broadcasts).
 type BlockID struct {
 	Kind   BlockKind
 	Owner  int64
@@ -93,6 +88,20 @@ var ErrBlockNotFound = errors.New("rdd: block not found on worker")
 // remote returns the configured remote Transport, or nil for the built-in
 // in-process backend.
 func (c *Cluster) remote() Transport { return c.cfg.Transport }
+
+// dropRemoteBlocks asks every live worker to forget owner's blocks,
+// best-effort.
+func (c *Cluster) dropRemoteBlocks(owner int64) {
+	rt := c.remote()
+	if rt == nil {
+		return
+	}
+	for m := 0; m < c.cfg.Machines; m++ {
+		if !c.machineDead(m) {
+			rt.Drop(m, owner)
+		}
+	}
+}
 
 // transportTaskErr classifies a transport failure observed by a running task.
 // An unreachable worker means machine m is gone: it is marked dead (the

@@ -62,10 +62,9 @@ func unreachableErr(addr string, err error) error {
 // worker is the client's view of one worker process: its address, the pooled
 // connections, and — for spawned workers — the child process to reap.
 type worker struct {
-	opts    Options
-	addr    string
-	cmd     *exec.Cmd // non-nil when this client spawned the process
-	dataDir string    // temp dir created for a spawned worker
+	opts Options
+	addr string
+	cmd  *exec.Cmd // non-nil when this client spawned the process
 	// lifeline is the write end of a pipe wired to a spawned worker's stdin.
 	// It is held open for the driver's whole life and never written: when
 	// this process dies — even through os.Exit paths that skip deferred
@@ -425,10 +424,9 @@ func (t *Client) Kill(m int) error {
 }
 
 // Close shuts the transport down: connections close, spawned workers get
-// SIGTERM (graceful drain), then SIGKILL after a grace period, and their
-// scratch directories are removed. External workers are left running.
+// SIGTERM (graceful drain), then SIGKILL after a grace period. External
+// workers are left running.
 func (t *Client) Close() error {
-	var firstErr error
 	for _, w := range t.workers {
 		w.closeConns(nil)
 		if w.cmd != nil && !w.killed.Swap(true) {
@@ -449,13 +447,8 @@ func (t *Client) Close() error {
 		if w.lifeline != nil {
 			w.lifeline.Close()
 		}
-		if w.dataDir != "" {
-			if err := os.RemoveAll(w.dataDir); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
 	}
-	return firstErr
+	return nil
 }
 
 // Addrs returns each worker's address, index-aligned with machine IDs.
@@ -492,8 +485,7 @@ func DialWorkers(addrs []string, opts Options) (*Client, error) {
 // StartWorkers spawns n worker processes by re-execing the current binary
 // (which must call WorkerHook early in main or TestMain) and returns a
 // client connected to them. Each worker listens on an ephemeral localhost
-// port and gets its own scratch directory for checkpoint blocks; Close tears
-// everything down.
+// port; Close tears everything down.
 func StartWorkers(n int, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	exe, err := os.Executable()
@@ -514,24 +506,18 @@ func StartWorkers(n int, opts Options) (*Client, error) {
 
 // spawnWorker launches one worker process and waits for its LISTEN line.
 func spawnWorker(exe string, opts Options) (*worker, error) {
-	dataDir, err := os.MkdirTemp("", "distenc-worker-")
-	if err != nil {
-		return nil, err
-	}
 	pr, pw, err := os.Pipe()
 	if err != nil {
-		os.RemoveAll(dataDir)
 		return nil, err
 	}
 	lr, lw, err := os.Pipe()
 	if err != nil {
 		pr.Close()
 		pw.Close()
-		os.RemoveAll(dataDir)
 		return nil, err
 	}
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), envListen+"=127.0.0.1:0", envData+"="+dataDir, envLifeline+"=1")
+	cmd.Env = append(os.Environ(), envListen+"=127.0.0.1:0", envLifeline+"=1")
 	cmd.Stdin = lr // lifeline: EOF here tells the worker its driver is gone
 	cmd.Stdout = pw
 	cmd.Stderr = os.Stderr
@@ -540,7 +526,6 @@ func spawnWorker(exe string, opts Options) (*worker, error) {
 		pw.Close()
 		lr.Close()
 		lw.Close()
-		os.RemoveAll(dataDir)
 		return nil, err
 	}
 	pw.Close() // child holds the write end now
@@ -572,7 +557,6 @@ func spawnWorker(exe string, opts Options) (*worker, error) {
 			cmd.Process.Kill()
 			cmd.Wait()
 			lw.Close()
-			os.RemoveAll(dataDir)
 			return nil, errors.New("worker exited before reporting its address")
 		}
 		addr = a
@@ -580,14 +564,12 @@ func spawnWorker(exe string, opts Options) (*worker, error) {
 		cmd.Process.Kill()
 		cmd.Wait()
 		lw.Close()
-		os.RemoveAll(dataDir)
 		return nil, errors.New("timed out waiting for worker to report its address")
 	}
 	return &worker{
 		opts:     opts,
 		addr:     addr,
 		cmd:      cmd,
-		dataDir:  dataDir,
 		lifeline: lw,
 		conns:    make([]*pipeConn, opts.PoolSize),
 	}, nil

@@ -38,12 +38,11 @@ var helloFrame = []byte{'D', 'T', 'W', 1}
 
 // Request opcodes.
 const (
-	opPut   = 1 // store payload under (kind, owner, map, reduce)
-	opGet   = 2 // fetch the block; response payload is the image
-	opDrop  = 3 // forget every block of owner
-	opPing  = 4 // liveness probe
-	opDie   = 5 // terminate the worker process immediately (no response)
-	opDrain = 6 // acknowledge, then close this connection gracefully
+	opPut  = 1 // store payload under (kind, owner, map, reduce)
+	opGet  = 2 // fetch the block; response payload is the image
+	opDrop = 3 // forget every block of owner
+	opPing = 4 // liveness probe
+	opDie  = 5 // terminate the worker process immediately (no response)
 )
 
 // Response status codes.

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
 	"iter"
 	"sync/atomic"
 	"testing"
@@ -9,12 +11,11 @@ import (
 	"distenc/internal/rdd"
 )
 
-// blockCount is the tests' view of a worker's store: how many blocks it
-// holds, in memory or on disk.
+// blockCount is the tests' view of a worker's store: how many blocks it holds.
 func (s *Server) blockCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem) + len(s.files)
+	return len(s.mem)
 }
 
 // countingTransport counts the shuffle blocks Put through it.
@@ -28,6 +29,21 @@ func (ct *countingTransport) Put(m int, id rdd.BlockID, data []byte) error {
 		ct.puts.Add(1)
 	}
 	return ct.Client.Put(m, id, data)
+}
+
+// intRec is the test's shuffle record: one int32, framed as four bytes.
+type intRec int32
+
+func (r *intRec) RecordSize() int { return 4 }
+func (r *intRec) AppendRecord(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint32(buf, uint32(*r))
+}
+func (r *intRec) DecodeRecord(data []byte) ([]byte, error) {
+	if len(data) < 4 {
+		return nil, errors.New("short intRec frame")
+	}
+	*r = intRec(binary.LittleEndian.Uint32(data))
+	return data[4:], nil
 }
 
 // mapGate parks one map attempt: the first attempt of map task 0 to arrive
@@ -48,7 +64,7 @@ func TestRetiredShuffleLeavesNoBlockOnAnyWorker(t *testing.T) {
 	servers := make([]*Server, machines)
 	addrs := make([]string, machines)
 	for m := range servers {
-		s, err := NewServer("127.0.0.1:0", "")
+		s, err := NewServer("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,25 +97,25 @@ func TestRetiredShuffleLeavesNoBlockOnAnyWorker(t *testing.T) {
 		src := rdd.FromPartitions(c, "src", make([][]int, parts))
 		//distenc:capture-ok mapGate -- the test's gate, not data: it exists to park one attempt of the closure
 		return rdd.ShuffleMap(src, "sum-map", "sum-reduce", parts,
-			func(tc *rdd.TaskCtx, mp int, _ []int) ([][]int, error) {
+			func(tc *rdd.TaskCtx, mp int, _ []int) ([][]intRec, error) {
 				if mp == 0 && mapGate.armed.CompareAndSwap(true, false) {
 					close(mapGate.entered)
 					<-mapGate.release
 				}
-				out := make([][]int, parts)
+				out := make([][]intRec, parts)
 				for rp := range out {
-					out[rp] = []int{mp, rp}
+					out[rp] = []intRec{intRec(mp), intRec(rp)}
 				}
 				return out, nil
 			},
-			func(tc *rdd.TaskCtx, rp int, blocks iter.Seq2[[]int, error]) ([]int, error) {
+			func(tc *rdd.TaskCtx, rp int, blocks iter.Seq2[[]intRec, error]) ([]int, error) {
 				sum := 0
 				for block, err := range blocks {
 					if err != nil {
 						return nil, err
 					}
 					for _, v := range block {
-						sum += v
+						sum += int(v)
 					}
 				}
 				return []int{sum}, nil

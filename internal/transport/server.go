@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -20,10 +19,8 @@ type blockKey struct {
 	reduce int32
 }
 
-// Server is one worker's block store behind a TCP listener: volatile blocks
-// (shuffle buckets, broadcast replicas) live in memory and die with the
-// process; checkpoint blocks are fsynced to the data directory — the worker's
-// local slice of the modeled stable storage — when one is configured.
+// Server is one worker's block store behind a TCP listener: blocks (shuffle
+// buckets, broadcast replicas) live in memory and die with the process.
 //
 // Connection handling follows the Codis backend-connection shape: one
 // goroutine per accepted connection reads framed requests in a loop, handles
@@ -32,37 +29,31 @@ type blockKey struct {
 // that pipelines N requests pays one flush, not N.
 type Server struct {
 	ln       net.Listener
-	dataDir  string
 	maxFrame int
 	// allowDie permits the opDie request to terminate the process; only
 	// RunWorker (a dedicated worker process) enables it, so an in-process
 	// Server in a test can never exit the test binary.
 	allowDie bool
 
-	mu      sync.Mutex
-	mem     map[blockKey][]byte
-	files   map[blockKey]string
-	conns   map[net.Conn]struct{}
-	closed  bool
-	nextFID int
+	mu     sync.Mutex
+	mem    map[blockKey][]byte
+	conns  map[net.Conn]struct{}
+	closed bool
 
 	wg sync.WaitGroup
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") and serves a block store.
-// dataDir, when non-empty, is where checkpoint blocks are persisted; empty
-// keeps every kind in memory. Call Serve to start accepting.
-func NewServer(addr, dataDir string) (*Server, error) {
+// Call Serve to start accepting.
+func NewServer(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	return &Server{
 		ln:       ln,
-		dataDir:  dataDir,
 		maxFrame: rdd.DefaultMaxFrame,
 		mem:      map[blockKey][]byte{},
-		files:    map[blockKey]string{},
 		conns:    map[net.Conn]struct{}{},
 	}, nil
 }
@@ -167,9 +158,6 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		}
-		if req.op == opDrain {
-			return
-		}
 	}
 }
 
@@ -178,18 +166,13 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) handle(req request, payload, buf []byte) []byte {
 	key := blockKey{kind: req.kind, owner: req.owner, mapP: req.mapP, reduce: req.reduce}
 	switch req.op {
-	case opPing, opDrain:
+	case opPing:
 		return appendResponse(buf, req.reqID, stOK, nil)
 	case opPut:
-		if err := s.put(key, payload); err != nil {
-			return appendResponse(buf, req.reqID, stError, []byte(err.Error()))
-		}
+		s.put(key, payload)
 		return appendResponse(buf, req.reqID, stOK, nil)
 	case opGet:
-		data, ok, err := s.get(key)
-		if err != nil {
-			return appendResponse(buf, req.reqID, stError, []byte(err.Error()))
-		}
+		data, ok := s.get(key)
 		if !ok {
 			return appendResponse(buf, req.reqID, stNotFound, nil)
 		}
@@ -202,89 +185,26 @@ func (s *Server) handle(req request, payload, buf []byte) []byte {
 	}
 }
 
-func (s *Server) put(key blockKey, data []byte) error {
-	if key.kind == uint8(rdd.BlockCheckpoint) && s.dataDir != "" {
-		return s.putStable(key, data)
-	}
+func (s *Server) put(key blockKey, data []byte) {
 	cp := append([]byte(nil), data...) // payload aliases the read buffer
 	s.mu.Lock()
 	s.mem[key] = cp
 	s.mu.Unlock()
-	return nil
 }
 
-// putStable persists a checkpoint block to the worker's data directory,
-// framed (torn-write detection on read) and fsynced (a crash right after the
-// put must not lose a block the driver already counts as checkpointed).
-func (s *Server) putStable(key blockKey, data []byte) error {
+func (s *Server) get(key blockKey) ([]byte, bool) {
 	s.mu.Lock()
-	s.nextFID++
-	tmp := filepath.Join(s.dataDir, fmt.Sprintf("put%d.tmp", s.nextFID))
-	path := filepath.Join(s.dataDir, fmt.Sprintf("ck%d-p%d.blk", key.owner, key.mapP))
-	s.mu.Unlock()
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return err
-	}
-	err = rdd.WriteFrame(f, data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	s.mu.Lock()
-	s.files[key] = path
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Server) get(key blockKey) ([]byte, bool, error) {
-	s.mu.Lock()
-	if data, ok := s.mem[key]; ok {
-		s.mu.Unlock()
-		return data, true, nil
-	}
-	path, ok := s.files[key]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	data, err := rdd.ReadFrame(bufio.NewReader(f), s.maxFrame)
-	if err != nil {
-		return nil, false, fmt.Errorf("torn checkpoint block %s: %w", path, err)
-	}
-	return data, true, nil
+	defer s.mu.Unlock()
+	data, ok := s.mem[key]
+	return data, ok
 }
 
 func (s *Server) drop(owner int64) {
 	s.mu.Lock()
-	var paths []string
+	defer s.mu.Unlock()
 	for key := range s.mem {
 		if key.owner == owner {
 			delete(s.mem, key)
 		}
-	}
-	for key, path := range s.files {
-		if key.owner == owner {
-			delete(s.files, key)
-			paths = append(paths, path)
-		}
-	}
-	s.mu.Unlock()
-	for _, p := range paths {
-		os.Remove(p)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +28,7 @@ func TestMain(m *testing.M) {
 // startServer runs one in-process Server and returns a client fronting it.
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	s, err := NewServer("127.0.0.1:0", t.TempDir())
+	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func startServer(t *testing.T) (*Server, *Client) {
 
 func TestPutFetchRoundTrip(t *testing.T) {
 	_, cl := startServer(t)
-	for _, kind := range []rdd.BlockKind{rdd.BlockShuffle, rdd.BlockBroadcast, rdd.BlockCheckpoint} {
+	for _, kind := range []rdd.BlockKind{rdd.BlockShuffle, rdd.BlockBroadcast} {
 		id := rdd.BlockID{Kind: kind, Owner: 42, Map: 3, Reduce: 1}
 		want := bytes.Repeat([]byte{byte(kind)}, 10_000)
 		if err := cl.Put(0, id, want); err != nil {
@@ -69,7 +68,7 @@ func TestFetchMissingBlock(t *testing.T) {
 func TestDropForgetsOwner(t *testing.T) {
 	_, cl := startServer(t)
 	keep := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1}
-	gone := rdd.BlockID{Kind: rdd.BlockCheckpoint, Owner: 2}
+	gone := rdd.BlockID{Kind: rdd.BlockBroadcast, Owner: 2}
 	if err := cl.Put(0, keep, []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
@@ -85,44 +84,10 @@ func TestDropForgetsOwner(t *testing.T) {
 	}
 }
 
-func TestCheckpointBlockPersistedToDisk(t *testing.T) {
-	dataDir := t.TempDir()
-	s, err := NewServer("127.0.0.1:0", dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve()
-	defer s.Shutdown()
-	cl, err := DialWorkers([]string{s.Addr()}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	id := rdd.BlockID{Kind: rdd.BlockCheckpoint, Owner: 9, Map: 4}
-	want := bytes.Repeat([]byte{0xEE}, 2048)
-	if err := cl.Put(0, id, want); err != nil {
-		t.Fatal(err)
-	}
-	// The image must be on disk as a framed file, fsynced under the
-	// deterministic name the data directory uses.
-	raw, err := os.ReadFile(filepath.Join(dataDir, "ck9-p4.blk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, rdd.AppendFrame(nil, want)) {
-		t.Fatal("on-disk checkpoint block is not the framed image")
-	}
-	got, err := cl.Fetch(0, id)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("fetch after durable put: %v", err)
-	}
-}
-
 func TestPipelinedConcurrentCalls(t *testing.T) {
 	// One connection (PoolSize 1) carrying many interleaved requests from
 	// many goroutines: responses must match requests through the FIFO.
-	s, err := NewServer("127.0.0.1:0", "")
+	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +234,7 @@ func TestDialWorkersRejectsDeadAddress(t *testing.T) {
 }
 
 func TestGracefulShutdownFinishesInFlight(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", "")
+	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +278,6 @@ func TestWorkerExitsWhenLifelineCloses(t *testing.T) {
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(),
 		"DISTENC_WORKER_LISTEN=127.0.0.1:0",
-		"DISTENC_WORKER_DATA="+t.TempDir(),
 		"DISTENC_WORKER_LIFELINE=1")
 	cmd.Stdin = lr
 	cmd.Stdout = pw

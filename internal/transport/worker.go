@@ -15,7 +15,6 @@ import (
 // prebuilt binary on PATH.
 const (
 	envListen = "DISTENC_WORKER_LISTEN"
-	envData   = "DISTENC_WORKER_DATA"
 	// envLifeline marks stdin as a pipe whose far end the spawning driver
 	// holds for its whole life. EOF on it means the driver is gone — however
 	// it went, including exit paths that skip deferred Close calls — and the
@@ -47,7 +46,7 @@ func WorkerHook() {
 			syscall.Kill(os.Getpid(), syscall.SIGTERM)
 		}()
 	}
-	if err := RunWorker(addr, os.Getenv(envData), os.Stdout); err != nil {
+	if err := RunWorker(addr, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "distenc-worker:", err)
 		os.Exit(1)
 	}
@@ -58,13 +57,10 @@ func WorkerHook() {
 // gracefully: in-flight requests finish, connections close, and the process
 // exits clean. The bound address is reported on report (stdout for spawned
 // workers) as "DISTENC-WORKER LISTEN host:port" so a parent that asked for
-// port 0 learns the real one. dataDir, when non-empty, persists checkpoint
-// blocks; SIGKILL (the crash the chaos suite injects) loses the in-memory
-// blocks but not the fsynced checkpoint files — except that a killed worker
-// never comes back, which is why the engine replicates checkpoints across
-// workers.
-func RunWorker(addr, dataDir string, report io.Writer) error {
-	s, err := NewServer(addr, dataDir)
+// port 0 learns the real one. SIGKILL (the crash the chaos suite injects) loses
+// every block the worker held; the engine recomputes them from lineage.
+func RunWorker(addr string, report io.Writer) error {
+	s, err := NewServer(addr)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ cd "$(dirname "$0")/.."
 # binary would turn into a TCP worker via WorkerHook instead of running the
 # benchmarks, and the gate must measure the inproc hot path regardless of
 # how it was invoked.
-unset DISTENC_WORKER_LISTEN DISTENC_WORKER_DATA
+unset DISTENC_WORKER_LISTEN
 
 COUNT=5
 if [[ "${1:-}" == "-short" ]]; then
