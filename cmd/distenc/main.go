@@ -273,6 +273,11 @@ func main() {
 	final, _ := res.Trace.Final()
 	log.Printf("finished: %d iterations, converged=%v, train RMSE %.6f, %.2fs",
 		res.Iters, res.Converged, final.TrainRMSE, res.Elapsed.Seconds())
+	if *backend == "tcp" && c != nil {
+		m := c.Metrics()
+		log.Printf("transport: %d calls, %d B out, %d B in",
+			m.TransportCalls.Load(), m.TransportBytesOut.Load(), m.TransportBytesIn.Load())
+	}
 	if *verbose {
 		fmt.Print(res.Trace)
 	}

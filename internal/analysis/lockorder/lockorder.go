@@ -629,7 +629,8 @@ func (c *checker) blockingCallee(call *ast.CallExpr) (string, bool) {
 		return "(*exec.Cmd).Wait", true
 	case path == "net" && strings.HasPrefix(name, "Dial"):
 		return "net." + name, true
-	case path == "net" && (name == "Read" || name == "Write" || name == "Accept"):
+	case path == "net" && (name == "Read" || name == "Write" || name == "Accept" || name == "WriteTo"):
+		// WriteTo is (*net.Buffers).WriteTo, the writev, and the datagram sends.
 		return "net " + recv + "." + name + " I/O", true
 	case path == "io" && (name == "Read" || name == "Write" || name == "Copy" || name == "ReadAll" || name == "ReadFull"):
 		return "io." + name, true

@@ -4,6 +4,7 @@
 package a
 
 import (
+	"net"
 	"sync"
 	"time"
 )
@@ -59,6 +60,13 @@ func (e *engine) waitUnderLock() {
 	e.mu.Lock()
 	e.wg.Wait() // want `sync\.WaitGroup\.Wait while holding engine\.mu`
 	e.mu.Unlock()
+}
+
+// writevUnderLock: a vectored socket write parks like any other.
+func (e *engine) writevUnderLock(conn net.Conn, bufs net.Buffers) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	bufs.WriteTo(conn) // want `net Buffers\.WriteTo I/O while holding engine\.mu`
 }
 
 // afterUnlock is clean: the blocking operations run with no lock held.

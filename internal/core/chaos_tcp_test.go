@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"distenc/internal/leakcheck"
@@ -199,20 +202,22 @@ func TestWorkerProcessKillMidRun(t *testing.T) {
 	}
 }
 
-// putRecorder remembers every shuffle block Put through it, and where.
+// putRecorder remembers every shuffle block put through it, and where.
 type putRecorder struct {
 	*transport.Client
 	mu   sync.Mutex
 	puts map[rdd.BlockID]int
 }
 
-func (p *putRecorder) Put(m int, id rdd.BlockID, data []byte) error {
-	if id.Kind == rdd.BlockShuffle {
-		p.mu.Lock()
-		p.puts[id] = m
-		p.mu.Unlock()
+func (p *putRecorder) PutBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	p.mu.Lock()
+	for _, id := range ids {
+		if id.Kind == rdd.BlockShuffle {
+			p.puts[id] = m
+		}
 	}
-	return p.Client.Put(m, id, data)
+	p.mu.Unlock()
+	return p.Client.PutBlocks(m, ids, images)
 }
 
 // TestTCPRetiredShuffleBlocksAreDropped is the worker-side half of the
@@ -246,5 +251,167 @@ func TestTCPRetiredShuffleBlocksAreDropped(t *testing.T) {
 	}
 	if len(owners) != dopt.MaxIter {
 		t.Fatalf("recorded shuffle blocks of %d exchanges, want one per iteration (%d)", len(owners), dopt.MaxIter)
+	}
+}
+
+// TestTCPRoundTripsPerIterationAndFlatAllocation prices the network with
+// counts: a P = 8 solve over W = 2 workers (in-process transport.Servers, real
+// sockets) may spend at most P PutBlocks (one per map task), P·W FetchBlocks
+// (one per reduce task per worker holding any of its blocks) and W Drops per
+// iteration — not a round trip per block — and from the second iteration on
+// every block image, the map side's and the reduce side's fetch buffers alike,
+// comes out of the pool the first iteration filled. (Tasks run one at a time
+// here, which makes that exact: each finds the images it returned an
+// iteration ago. Concurrent tasks share images, so a run allocates fewer —
+// never more than one iteration's blocks — but may still be topping the pool
+// up to its peak concurrent demand after iteration 2.)
+func TestTCPRoundTripsPerIterationAndFlatAllocation(t *testing.T) {
+	const workers, parts = 2, 8
+	addrs := make([]string, workers)
+	for m := range addrs {
+		s, err := transport.NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve()
+		t.Cleanup(s.Shutdown)
+		addrs[m] = s.Addr()
+	}
+	tcl, err := transport.DialWorkers(addrs, transport.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcl.Close()
+	c, err := rdd.NewCluster(rdd.Config{Machines: workers, Transport: tcl, SerializeTasks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	d := synth.LinearFactorDataset([]int{40, 40, 40}, 2, 4000, 61)
+	m := c.Metrics()
+	var calls, allocated []int64
+	dopt := DistOptions{Options: Options{Rank: 3, MaxIter: 6, Tol: -1, Seed: 62}, Partitions: parts, GridPartition: true}
+	dopt.OnIteration = func(metrics.ConvergencePoint) {
+		calls = append(calls, m.TransportCalls.Load())
+		allocated = append(allocated, m.BlocksAllocated.Load())
+	}
+	if _, err := CompleteDistributed(c, d.Tensor, d.Sims, dopt); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != dopt.MaxIter {
+		t.Fatalf("%d iterations reported, want %d", len(calls), dopt.MaxIter)
+	}
+	const bound = parts + parts*workers + workers
+	prev := int64(0)
+	for i, n := range calls {
+		if per := n - prev; per > bound || per < parts+workers {
+			t.Errorf("iteration %d made %d transport calls, want between %d and %d (P + P·W + W)", i+1, per, parts+workers, bound)
+		}
+		prev = n
+	}
+	if allocated[0] == 0 || allocated[0] > parts*parts {
+		t.Errorf("first iteration allocated %d block images, want 1..%d", allocated[0], parts*parts)
+	}
+	for i, n := range allocated {
+		if n != allocated[0] {
+			t.Errorf("iteration %d: %d block images allocated so far, %d after the first: the pool is not recycling them", i+1, n, allocated[0])
+		}
+	}
+	if out, in := m.TransportBytesOut.Load(), m.TransportBytesIn.Load(); out == 0 || in != out {
+		t.Errorf("TransportBytesOut = %d, TransportBytesIn = %d: a clean run fetches every byte it stored exactly once", out, in)
+	}
+	if sum := c.Summary(); !strings.Contains(sum, fmt.Sprintf("transport: %d calls, ", m.TransportCalls.Load())) {
+		t.Errorf("Summary does not price the network:\n%s", sum)
+	}
+}
+
+// killingTransport SIGKILLs a worker process from inside the k-th vectored
+// shuffle call of one kind — put or fetch — addressed to it: the request is
+// already on its way down the stack when its worker dies.
+type killingTransport struct {
+	*transport.Client
+	fetch bool
+	k     int64
+	n     atomic.Int64
+}
+
+func (kt *killingTransport) PutBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	if !kt.fetch && ids[0].Kind == rdd.BlockShuffle && kt.n.Add(1) == kt.k {
+		kt.Client.Kill(m)
+	}
+	return kt.Client.PutBlocks(m, ids, images)
+}
+
+func (kt *killingTransport) FetchBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	if kt.fetch && kt.n.Add(1) == kt.k {
+		kt.Client.Kill(m)
+	}
+	return kt.Client.FetchBlocks(m, ids, images)
+}
+
+// TestTCPKillInsideVectoredCall is chaos at the vectored seam: a real worker
+// process dies inside a PutBlocks (a map task loses its own machine with its
+// whole output in flight) and, in a second run, inside a FetchBlocks (a reduce
+// task loses a source worker with part of its input in flight). Either way
+// the call must come back as the retryable unreachable error, the engine must
+// declare that one machine lost — once — and recompute from lineage, and the
+// factors and the exactly-once shuffle volume must equal the clean run's.
+func TestTCPKillInsideVectoredCall(t *testing.T) {
+	d := synth.LinearFactorDataset([]int{20, 20, 20}, 2, 1500, 61)
+	dopt := DistOptions{Options: Options{Rank: 3, MaxIter: 6, Tol: 0, Seed: 62}, Partitions: 6, GridPartition: true}
+
+	clean := rdd.MustNewCluster(rdd.Config{Machines: 3})
+	defer clean.Close()
+	want, err := CompleteDistributed(clean, d.Tensor, d.Sims, dopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, kt := range []*killingTransport{
+		{k: 9},               // the third map task of the second iteration
+		{fetch: true, k: 25}, // a reduce task of the second iteration (≤ 18 fetches an iteration)
+	} {
+		name := "PutBlocks"
+		if kt.fetch {
+			name = "FetchBlocks"
+		}
+		t.Run(name, func(t *testing.T) {
+			tcl, err := transport.StartWorkers(3, transport.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tcl.Close()
+			kt.Client = tcl
+			c, err := rdd.NewCluster(rdd.Config{Machines: 3, Transport: kt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			got, err := CompleteDistributed(c, d.Tensor, d.Sims, dopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kt.n.Load() < kt.k {
+				t.Fatalf("only %d calls were made: the kill at call %d never fired", kt.n.Load(), kt.k)
+			}
+			c.Quiesce() // the machine-lost eviction runs on its own goroutine
+			var kills int
+			for _, ev := range c.Recoveries() {
+				if ev.Kind == rdd.RecoveryMachineKill {
+					kills++
+				}
+			}
+			if kills != 1 || c.HealthyMachines() != 2 {
+				t.Errorf("%d machine-kill recovery events and %d healthy machines, want 1 and 2", kills, c.HealthyMachines())
+			}
+			if c.Metrics().TaskRetries.Load() == 0 {
+				t.Error("no task retries: the dead worker did not surface as a retryable failure")
+			}
+			assertBitIdentical(t, "kill inside "+name+" vs clean", want.Model.Factors, got.Model.Factors)
+			if cleanB, gotB := clean.Metrics().BytesShuffled.Load(), c.Metrics().BytesShuffled.Load(); gotB != cleanB {
+				t.Errorf("BytesShuffled = %d after recovery, clean = %d", gotB, cleanB)
+			}
+		})
 	}
 }

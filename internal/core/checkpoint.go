@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
 	"distenc/internal/mat"
+	"distenc/internal/rdd"
 	"distenc/internal/sptensor"
 )
 
@@ -193,20 +195,41 @@ const maxCkptOrder = 16
 // whatever file an operator names), so every rejection is descriptive — the
 // file, what was found, what was expected — and the declared matrix sizes
 // are validated against the actual byte count before anything is allocated.
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+func ReadCheckpoint(path string) (*Checkpoint, error) { return readCheckpointGroups(path, 3) }
+
+// ReadCheckpointFactors is ReadCheckpoint for a reader that only predicts:
+// the whole image is validated, but only the factor matrices are read (Aux
+// and Duals stay nil), a third of the bytes.
+func ReadCheckpointFactors(path string) (*Checkpoint, error) { return readCheckpointGroups(path, 1) }
+
+// ckptChunk is the read buffer a matrix is decoded through.
+const ckptChunk = 256 << 10
+
+// readCheckpointGroups reads the header and the first groups of the three
+// matrix groups (factors, aux, duals). The file is streamed: its size comes
+// from Stat, and each matrix is decoded straight into its []float64 through
+// one fixed chunk, so loading allocates the matrices and little else.
+func readCheckpointGroups(path string, groups int) (*Checkpoint, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(data)
-	var magic, version, order, rank uint32
-	var iter uint64
-	var eta float64
-	for _, v := range []any{&magic, &version, &iter, &eta, &order, &rank} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("core: %s: truncated checkpoint header (%d bytes): %w", path, len(data), io.ErrUnexpectedEOF)
-		}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
+	size := fi.Size()
+	var head [32]byte // magic u32 | version u32 | iter u64 | eta f64 | order u32 | rank u32
+	if _, err := io.ReadFull(f, head[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("core: %s: truncated checkpoint header (%d bytes): %w", path, size, io.ErrUnexpectedEOF)
+	} else if err != nil {
+		return nil, err // a *PathError: it names the file
+	}
+	le := binary.LittleEndian
+	magic, version := le.Uint32(head[0:]), le.Uint32(head[4:])
+	iter, eta := le.Uint64(head[8:]), math.Float64frombits(le.Uint64(head[16:]))
+	order, rank := le.Uint32(head[24:]), le.Uint32(head[28:])
 	if magic != ckptMagic {
 		return nil, fmt.Errorf("core: %s: bad checkpoint magic 0x%08x, want 0x%08x (%q)", path, magic, ckptMagic, "DTCK")
 	}
@@ -216,9 +239,13 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if order == 0 || order > maxCkptOrder || rank == 0 {
 		return nil, fmt.Errorf("core: %s: corrupt checkpoint header: order=%d rank=%d", path, order, rank)
 	}
-	dims := make([]uint32, order)
-	if err := binary.Read(r, binary.LittleEndian, dims); err != nil {
+	var dimBytes [4 * maxCkptOrder]byte
+	if _, err := io.ReadFull(f, dimBytes[:4*order]); err != nil {
 		return nil, fmt.Errorf("core: %s: truncated checkpoint: %d mode sizes declared, file ends inside them: %w", path, order, io.ErrUnexpectedEOF)
+	}
+	dims := make([]uint32, order)
+	for n := range dims {
+		dims[n] = le.Uint32(dimBytes[4*n:])
 	}
 	// Validate the declared geometry against the bytes actually present
 	// before allocating: a corrupt rank or mode size must fail with an exact
@@ -228,17 +255,25 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		want += uint64(d) * uint64(rank)
 	}
 	want *= 3 * 8 // factors+aux+duals groups, 8 bytes per float64
-	if got := uint64(r.Len()); got != want {
+	if got := uint64(size) - uint64(len(head)) - 4*uint64(order); got != want {
 		return nil, fmt.Errorf("core: %s: checkpoint holds %d bytes of matrix data, want %d for dims=%v rank=%d (truncated or corrupt)",
 			path, got, want, dims, rank)
 	}
 	ck := &Checkpoint{Path: path, Iter: int(iter), Eta: eta}
-	for _, group := range []*[]*mat.Dense{&ck.Factors, &ck.Aux, &ck.Duals} {
+	chunk := make([]byte, min(uint64(ckptChunk), want))
+	for _, group := range []*[]*mat.Dense{&ck.Factors, &ck.Aux, &ck.Duals}[:groups] {
 		ms := make([]*mat.Dense, order)
 		for n := range ms {
 			vals := make([]float64, int(dims[n])*int(rank))
-			if err := binary.Read(r, binary.LittleEndian, vals); err != nil {
-				return nil, fmt.Errorf("core: %s: truncated checkpoint matrices: %w", path, err)
+			for rest := vals; len(rest) > 0; {
+				b := chunk[:min(len(chunk), 8*len(rest))]
+				if _, err := io.ReadFull(f, b); err != nil {
+					return nil, fmt.Errorf("core: %s: truncated checkpoint matrices: %w", path, err)
+				}
+				if _, err := rdd.DecodeF64Vals(rest[:len(b)/8], b); err != nil {
+					return nil, fmt.Errorf("core: %s: decoding checkpoint matrices: %w", path, err)
+				}
+				rest = rest[len(b)/8:]
 			}
 			ms[n] = mat.NewDenseData(int(dims[n]), int(rank), vals)
 		}

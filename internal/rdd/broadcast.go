@@ -55,15 +55,15 @@ func NewBroadcast[T any](c *Cluster, name string, value T) (*Broadcast[T], error
 	// what the wire must carry honestly is the byte volume Lemma 2 counts).
 	// A worker that dies mid-ship loses its replica exactly as if it were
 	// killed after receiving it.
-	if rt := c.remote(); rt != nil {
+	if c.remote() != nil {
 		b.owner = c.newID()
-		img := broadcastImage(value, size)
-		bid := BlockID{Kind: BlockBroadcast, Owner: b.owner}
+		ids := []BlockID{{Kind: BlockBroadcast, Owner: b.owner}}
+		images := [][]byte{broadcastImage(value, size)}
 		for m := range charged {
 			if !charged[m] {
 				continue
 			}
-			if err := rt.Put(m, bid, img); err != nil {
+			if err := c.putBlocks(m, ids, images); err != nil {
 				if errors.Is(err, ErrMachineUnreachable) {
 					c.machineLost(m, fmt.Sprintf("shipping broadcast %s replica: %v", name, err))
 					c.release(m, size)

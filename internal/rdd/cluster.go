@@ -171,6 +171,15 @@ type Metrics struct {
 	// the retired-image pool versus freshly allocated.
 	BlocksRecycled  atomic.Int64
 	BlocksAllocated atomic.Int64
+	// TransportCalls counts the PutBlocks, FetchBlocks and Drop calls the
+	// engine made on a remote Transport — the round trips a run paid for —
+	// and TransportBytesOut / TransportBytesIn the block-image bytes handed
+	// to it and handed back. All three stay zero in-process. Unlike the byte
+	// counters above they include failed attempts, recomputes and speculative
+	// duplicates: they price the network, not the algorithm.
+	TransportCalls    atomic.Int64
+	TransportBytesOut atomic.Int64
+	TransportBytesIn  atomic.Int64
 }
 
 // Snapshot returns a plain-struct copy for reporting.

@@ -43,7 +43,7 @@ type exchange[R any, PR recordPtr[R]] struct {
 	// lost output wait on its channel instead of convoying on mu or
 	// recomputing the partition once per waiter.
 	mu       sync.Mutex
-	blocks   [][][]byte            // [mapPart][reducePart] (nil entries in disk and remote modes)
+	blocks   [][][]byte            // [mapPart][reducePart] (nil rows in disk and remote modes)
 	files    [][]string            // paths in disk mode
 	lens     [][]int32             // [mapPart][reducePart] block sizes under a remote Transport (0: no block)
 	machines []int                 // machine whose memory holds map part p's output (-1: none)
@@ -82,6 +82,8 @@ var errRetired = fmt.Errorf("rdd: shuffle exchange retired: %w", errObsolete)
 // in-memory images go to the cluster's block pool for the next exchange to
 // encode into — unless a reduce attempt is still reading them, in which case
 // they are left to the GC: an image a reader holds is never overwritten.
+// Under a remote Transport the driver holds no image of it by now (its tasks
+// recycled theirs as they went, see blockPool), so the pool is only trimmed.
 func (e *exchange[R, PR]) retire() {
 	e.c.unregisterEvictor(e.evictID)
 	e.mu.Lock()
@@ -89,23 +91,32 @@ func (e *exchange[R, PR]) retire() {
 		e.mu.Unlock()
 		return
 	}
-	blocks, files, live, idle := e.blocks, e.files, e.live, e.readers.Load() == 0
+	blocks, files, lens, live, idle := e.blocks, e.files, e.lens, e.live, e.readers.Load() == 0
 	e.blocks, e.files, e.lens = nil, nil, nil
 	e.mu.Unlock()
 	e.c.metrics.ShuffleLiveBytes.Add(-live)
-	if idle {
-		e.c.blockPool.refill(blocks)
-	}
 	for _, paths := range files {
 		removeFiles(paths)
 	}
-	if blocks != nil && e.c.cfg.Mode != ModeMapReduce {
-		e.c.dropRemoteBlocks(e.id)
+	if e.remote() {
+		e.c.blockPool.retain(lens)
+		if blocks != nil {
+			e.c.dropRemoteBlocks(e.id)
+		}
+	} else if idle {
+		e.c.blockPool.refill(blocks)
 	}
 }
 
+// remote reports whether the exchange's blocks live on the workers of a
+// remote Transport rather than in the driver (ModeMapReduce spills them to
+// files on either backend).
+func (e *exchange[R, PR]) remote() bool {
+	return e.c.remote() != nil && e.c.cfg.Mode != ModeMapReduce
+}
+
 // discardIfRetired is the check a map-side attempt makes after storing its
-// output outside the driver (spill files, blocks Put on machine m's worker):
+// output outside the driver (spill files, blocks put on machine m's worker):
 // if the exchange retired meanwhile nothing would ever clean up after the
 // attempt, so it removes what it stored and fails. A retire that lands after
 // this check finds the output already stored, and drops it itself.
@@ -115,7 +126,7 @@ func (e *exchange[R, PR]) discardIfRetired(m int, paths []string, put bool) erro
 	}
 	removeFiles(paths)
 	if put {
-		e.c.remote().Drop(m, e.id)
+		e.c.dropBlocks(m, e.id)
 	}
 	return errRetired
 }
@@ -214,15 +225,18 @@ func (e *exchange[R, PR]) ensure() error {
 				}
 			}
 			// Under a remote Transport the bucket bytes move to the producing
-			// machine's worker process; the driver keeps only their lengths
-			// (presence metadata for the reduce side). Speculative duplicate
-			// attempts store identical bytes under the same IDs on their own
-			// machines; machines[p] below decides which copy is ever fetched.
+			// machine's worker process in one request; the driver keeps only
+			// their lengths (presence metadata for the reduce side) and the
+			// images go back to the pool. Speculative duplicate attempts store
+			// identical bytes under the same IDs on their own machines;
+			// machines[p] below decides which copy is ever fetched.
 			var lens []int32
-			if e.c.remote() != nil && e.c.cfg.Mode != ModeMapReduce {
+			if e.remote() {
 				if lens, err = e.putBlocks(tc, p, enc); err != nil {
 					return err
 				}
+				e.c.blockPool.recycle(enc)
+				enc = nil
 			}
 			if err := e.discardIfRetired(tc.Machine, paths, lens != nil); err != nil {
 				return err
@@ -249,25 +263,34 @@ func (e *exchange[R, PR]) ensure() error {
 }
 
 // putBlocks stores one map partition's encoded buckets on the producing
-// machine's worker and returns their lengths, nilling the driver-side copies
-// as it goes (the worker holds the only copy, exactly as a real executor
-// would). An unreachable worker means the task's own machine died under it;
-// the resulting retryable error re-places the task elsewhere.
+// machine's worker, all in one request, and returns their lengths; once it has
+// the worker holds the only copy, exactly as a real executor would, and the
+// images are the caller's to recycle. An unreachable worker means the task's
+// own machine died under it; the resulting retryable error re-places the task
+// elsewhere.
 func (e *exchange[R, PR]) putBlocks(tc *TaskCtx, mp int, enc [][]byte) ([]int32, error) {
-	rt := e.c.remote()
 	lens := make([]int32, e.reduceParts)
+	ids := make([]BlockID, 0, len(enc))
+	images := make([][]byte, 0, len(enc))
 	for rp, data := range enc {
 		if data == nil {
 			continue
 		}
-		id := BlockID{Kind: BlockShuffle, Owner: e.id, Map: int32(mp), Reduce: int32(rp)}
-		if err := rt.Put(tc.Machine, id, data); err != nil {
-			return nil, e.c.transportTaskErr(tc.Machine, fmt.Sprintf("storing shuffle %s block %d/%d", e.name, mp, rp), err)
-		}
+		ids = append(ids, e.blockID(mp, rp))
+		images = append(images, data)
 		lens[rp] = int32(len(data))
-		enc[rp] = nil
+	}
+	if len(ids) == 0 {
+		return lens, nil
+	}
+	if err := e.c.putBlocks(tc.Machine, ids, images); err != nil {
+		return nil, e.c.transportTaskErr(tc.Machine, fmt.Sprintf("storing shuffle %s map output %d", e.name, mp), err)
 	}
 	return lens, nil
+}
+
+func (e *exchange[R, PR]) blockID(mp, rp int) BlockID {
+	return BlockID{Kind: BlockShuffle, Owner: e.id, Map: int32(mp), Reduce: int32(rp)}
 }
 
 // blockFor returns map part mp's encoded bucket for reduce partition rp (nil:
@@ -277,7 +300,10 @@ func (e *exchange[R, PR]) putBlocks(tc *TaskCtx, mp int, enc [][]byte) ([]int32,
 // parent-stage re-execution, collapsed into the fetching task (which pays and
 // records the recompute). Exactly one fetcher recomputes a given lost output;
 // concurrent fetchers wait for it and re-check, and e.mu is never held across
-// the recompute or any file or network read.
+// the recompute or any file or network read. Under a remote Transport this is
+// the path of the blocks fetchPartition could not prefetch — a lost output, or
+// one another fetcher recomputed meanwhile, read with a one-element
+// FetchBlocks — and the image returned is a pool image the caller owns.
 func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 	rt := e.c.remote()
 	for {
@@ -324,15 +350,11 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 			if n == 0 {
 				return nil, nil
 			}
-			id := BlockID{Kind: BlockShuffle, Owner: e.id, Map: int32(mp), Reduce: int32(rp)}
-			data, err := rt.Fetch(m, id)
+			images, err := e.fetchFrom(m, rp, []int{mp}, []int{int(n)})
 			if err != nil {
-				return nil, e.c.transportTaskErr(m, fmt.Sprintf("fetching shuffle %s block %d/%d", e.name, mp, rp), err)
+				return nil, err
 			}
-			if int32(len(data)) != n {
-				return nil, fmt.Errorf("rdd: shuffle %s block %d/%d: fetched %d bytes, want %d", e.name, mp, rp, len(data), n)
-			}
-			return data, nil
+			return images[0], nil
 		}
 		if ch, ok := e.inflight[mp]; ok {
 			e.mu.Unlock()
@@ -351,14 +373,19 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 		enc, err := e.recompute(tc, mp)
 		// Under a remote Transport the recomputed buckets move to the
 		// recomputing task's worker before publication; the bucket we return
-		// below is the in-hand copy, so the common case costs no re-fetch.
+		// below is the in-hand copy, so the common case costs no re-fetch, and
+		// the other images go back to the pool as a map task's would.
 		var lens []int32
 		var out []byte
 		if err == nil && rt != nil {
-			out = enc[rp]
 			if lens, err = e.putBlocks(tc, mp, enc); err == nil {
 				err = e.discardIfRetired(tc.Machine, nil, true)
 			}
+			if err == nil {
+				out, enc[rp] = enc[rp], nil
+			}
+			e.c.blockPool.recycle(enc)
+			enc = nil
 		}
 
 		e.mu.Lock()
@@ -411,19 +438,108 @@ func (e *exchange[R, PR]) recompute(tc *TaskCtx, mp int) ([][]byte, error) {
 	return enc, nil
 }
 
+// fetchFrom reads from machine m's worker, in one FetchBlocks, the blocks map
+// outputs mps sent to reduce partition rp, into pool images of the recorded
+// lengths lens — the caller's to recycle. On any failure, a length that
+// disagrees included, the images go back to the pool and the error is the
+// task's (see transportTaskErr).
+func (e *exchange[R, PR]) fetchFrom(m, rp int, mps, lens []int) ([][]byte, error) {
+	ids := make([]BlockID, len(mps))
+	images := make([][]byte, len(mps))
+	for i, mp := range mps {
+		ids[i], images[i] = e.blockID(mp, rp), e.c.blockImage(lens[i])
+	}
+	err := e.c.fetchBlocks(m, ids, images)
+	for i, img := range images {
+		if err == nil && len(img) != lens[i] {
+			err = fmt.Errorf("block %v: fetched %d bytes, want %d", ids[i], len(img), lens[i])
+		}
+	}
+	if err != nil {
+		e.c.blockPool.recycle(images)
+		return nil, e.c.transportTaskErr(m, fmt.Sprintf("fetching %d block(s) of shuffle %s reduce partition %d", len(ids), e.name, rp), err)
+	}
+	return images, nil
+}
+
+// fetchPartition reads reduce partition rp's encoded blocks from the workers
+// that hold them into images[mapPart]: one fetchFrom per worker holding any.
+// A map output that is lost, or whose worker is known dead, is left nil for
+// blockFor to recompute, as is a bucket nothing was sent in. Images fetched
+// before an error stay in images.
+func (e *exchange[R, PR]) fetchPartition(rp int, images [][]byte) error {
+	src := make([]int, e.mapParts) // worker to read map output mp's block from (-1: none)
+	lens := make([]int, e.mapParts)
+	e.mu.Lock()
+	if e.retired.Load() {
+		e.mu.Unlock()
+		return errRetired
+	}
+	for mp := range src {
+		src[mp] = -1
+		if m := e.machines[mp]; m >= 0 && !e.lost[mp] && !e.c.machineDead(m) && e.lens[mp] != nil && e.lens[mp][rp] > 0 {
+			src[mp], lens[mp] = m, int(e.lens[mp][rp])
+		}
+	}
+	e.mu.Unlock()
+	var mps, ns []int
+	for m := 0; m < e.c.cfg.Machines; m++ {
+		mps, ns = mps[:0], ns[:0]
+		for mp, from := range src {
+			if from == m {
+				mps, ns = append(mps, mp), append(ns, lens[mp])
+			}
+		}
+		if len(mps) == 0 {
+			continue
+		}
+		got, err := e.fetchFrom(m, rp, mps, ns)
+		if err != nil {
+			return err
+		}
+		for i, mp := range mps {
+			images[mp] = got[i]
+		}
+	}
+	return nil
+}
+
 // records hands the loop body the blocks destined for reduce partition rp,
 // one decoded block at a time in map-partition order, attributing any disk
 // reads (and lost-block recomputes) to the fetching task. Each block is
 // decoded into an arena region that is rewound for the next (see ShuffleMap),
 // and the loop counts as a reader of the exchange until it ends (see retire).
+// Under a remote Transport the partition's encoded input is fetched up front
+// (fetchPartition) into pool images that go back to the pool when the loop
+// ends, however it ends; the fold order does not depend on which worker
+// answered first.
 func (e *exchange[R, PR]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 	return func(yield func([]R, error) bool) {
 		e.readers.Add(1)
 		defer e.readers.Add(-1)
 		arena := tc.Arena()
 		mark := arena.Mark()
+		var fetched [][]byte
+		if e.remote() {
+			fetched = make([][]byte, e.mapParts)
+			defer e.c.blockPool.recycle(fetched)
+			if err := e.fetchPartition(rp, fetched); err != nil {
+				yield(nil, err)
+				return
+			}
+		}
 		for mp := 0; mp < e.mapParts; mp++ {
-			data, err := e.blockFor(tc, mp, rp)
+			var data []byte
+			var err error
+			if fetched != nil {
+				data = fetched[mp]
+			}
+			if data == nil {
+				data, err = e.blockFor(tc, mp, rp)
+				if fetched != nil {
+					fetched[mp] = data // a pool image too: recycled with the rest
+				}
+			}
 			if err == nil && data == nil {
 				continue
 			}
@@ -450,9 +566,11 @@ func (e *exchange[R, PR]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 // for each of the reduceParts reduce partitions; reduce computes partition p
 // of the result RDD, named reduceName, by ranging over blocks — every map
 // task's bucket p, one decoded block at a time in map-partition order, so the
-// fold is deterministic and a reducer holds its own state plus one block, not
-// all of them. A block is valid until the next loop iteration only, and arena
-// memory reduce draws while it holds one is freed with it (see Arena.Rewind).
+// fold is deterministic and a reducer holds its own state plus one decoded
+// block, not all of them (and, under a remote Transport, its partition's
+// encoded input in pool images until the fold ends). A block is valid until
+// the next loop iteration only, and arena memory reduce draws while it holds
+// one is freed with it (see Arena.Rewind).
 // Records are grouped by destination by the caller and frame themselves (R is
 // a BinaryRecord): the packed MTTKRP slab records, whose sorted row ranges map
 // to contiguous reduce partitions, shuffle O(parts) records instead of

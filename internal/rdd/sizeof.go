@@ -93,10 +93,15 @@ const maxBlockBytes = math.MaxInt32
 var errBlockTooLarge = fmt.Errorf("block exceeds the %d-byte shuffle block limit", maxBlockBytes)
 
 // blockPool is the cluster's free list of shuffle block images, keyed by
-// exact size. A retiring exchange refills it and the next exchange's encodes
-// drain it: an iterative job's layout fixes every block's size, so from the
-// second iteration on no shuffle bytes are allocated. It never holds more
-// than one exchange's images.
+// exact size. An iterative job's layout fixes every block's size, so from the
+// second iteration on no shuffle bytes are allocated. In-process a retiring
+// exchange refills the pool with its images and the next exchange's encodes
+// drain it. Under a remote Transport images come back one task at a time —
+// a map task's once its PutBlocks has stored them, a reduce task's fetch
+// buffers when its fold ends — and the reduce side draws the sizes the map
+// side returned, so tasks share images and the pool settles at their peak
+// concurrent demand. Either way a retire leaves it holding no more than that
+// one exchange's images.
 type blockPool struct {
 	mu   sync.Mutex
 	free map[int][][]byte
@@ -111,16 +116,48 @@ func (bp *blockPool) refill(blocks [][][]byte) {
 		bp.free[size] = list[:0]
 	}
 	for _, bs := range blocks {
-		for _, b := range bs {
-			if b != nil {
-				bp.free[cap(b)] = append(bp.free[cap(b)], b[:0])
-			}
+		bp.add(bs)
+	}
+}
+
+// recycle adds images the caller is done with (nil entries skipped).
+func (bp *blockPool) recycle(images [][]byte) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.add(images)
+}
+
+func (bp *blockPool) add(images [][]byte) {
+	for _, b := range images {
+		if b != nil {
+			bp.free[cap(b)] = append(bp.free[cap(b)], b[:0])
 		}
 	}
 }
 
-// blockImage returns an empty image of exactly size bytes for encodeBlock to
-// fill: one from the block pool when it holds that size, else a fresh one.
+// retain trims the pool to what an exchange whose block lengths were lens can
+// have recycled into it: per size, as many images as it had blocks of that
+// size. Sizes a job no longer produces do not pile up.
+func (bp *blockPool) retain(lens [][]int32) {
+	had := map[int]int{}
+	for _, ls := range lens {
+		for _, n := range ls {
+			had[int(n)]++
+		}
+	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for size, list := range bp.free {
+		if keep := had[size]; len(list) > keep {
+			clear(list[keep:])
+			bp.free[size] = list[:keep]
+		}
+	}
+}
+
+// blockImage returns an empty image of exactly size bytes for encodeBlock or
+// a fetch to fill: one from the block pool when it holds that size, else a
+// fresh one.
 func (c *Cluster) blockImage(size int) []byte {
 	bp := &c.blockPool
 	bp.mu.Lock()

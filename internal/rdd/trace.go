@@ -55,6 +55,10 @@ func (c *Cluster) Summary() string {
 	}
 	fmt.Fprintf(&b, "shuffle images: %d B live in unretired exchanges, %d recycled, %d allocated\n",
 		c.metrics.ShuffleLiveBytes.Load(), c.metrics.BlocksRecycled.Load(), c.metrics.BlocksAllocated.Load())
+	if c.remote() != nil {
+		fmt.Fprintf(&b, "transport: %d calls, %d B out, %d B in\n",
+			c.metrics.TransportCalls.Load(), c.metrics.TransportBytesOut.Load(), c.metrics.TransportBytesIn.Load())
+	}
 	if recs := c.Recoveries(); len(recs) > 0 {
 		counts := map[string]int{}
 		for _, r := range recs {

@@ -54,7 +54,8 @@ type Model struct {
 // model with a hot-row LRU of cacheRows rows (0 disables the cache). data
 // may be empty; a model without observations is served but never refreshed.
 func LoadModel(name, ckptPath, data string, cacheRows int) (*Model, error) {
-	ck, err := core.ReadCheckpoint(ckptPath)
+	// Predicting needs the factors only; the aux and dual groups are skipped.
+	ck, err := core.ReadCheckpointFactors(ckptPath)
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading model %q: %w", name, err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -610,5 +612,60 @@ func TestRefreshFoldsAppendedObservations(t *testing.T) {
 	}
 	if math.Float64bits(got[0]) != math.Float64bits(next.Kruskal().At(idx)) {
 		t.Fatalf("served %v, want %v", got[0], next.Kruskal().At(idx))
+	}
+}
+
+// TestLoadModelAllocatesTheFactorsOnly pins the model-load path's memory: a
+// checkpoint is streamed from the open file straight into the factor
+// matrices, and the aux and dual groups a predictor never reads are not
+// decoded at all. Loading used to hold the whole image, a decode buffer per
+// matrix and all three groups at once — some nine times the factor bytes.
+func TestLoadModelAllocatesTheFactorsOnly(t *testing.T) {
+	dims, rank := []uint32{8192, 4096, 2048}, uint32(16)
+	le := binary.LittleEndian
+	img := le.AppendUint32(nil, 0x4454434b) // "DTCK"
+	img = le.AppendUint32(img, 1)
+	img = le.AppendUint64(img, 5)                     // iter
+	img = le.AppendUint64(img, math.Float64bits(1.5)) // eta
+	img = le.AppendUint32(img, uint32(len(dims)))
+	img = le.AppendUint32(img, rank)
+	var cells int
+	for _, d := range dims {
+		img = le.AppendUint32(img, d)
+		cells += int(d * rank)
+	}
+	for g := 0; g < 3; g++ { // factors, aux, duals: cell i of group g holds g + i/2^20
+		for i := 0; i < cells; i++ {
+			img = le.AppendUint64(img, math.Float64bits(float64(g)+float64(i)/(1<<20)))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "solver.ckpt")
+	if err := os.WriteFile(path, img, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	img = nil
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := LoadModel("big", path, "", 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factorBytes := uint64(8 * cells)
+	if got := after.TotalAlloc - before.TotalAlloc; got > factorBytes*3/2 {
+		t.Errorf("LoadModel allocated %d bytes for %d bytes of factors (%.2f×), want at most 1.5×", got, factorBytes, float64(got)/float64(factorBytes))
+	}
+	if m.Iter != 5 || m.Eta != 1.5 || m.Rank() != int(rank) {
+		t.Fatalf("iter=%d eta=%v rank=%d, want 5, 1.5, %d", m.Iter, m.Eta, m.Rank(), rank)
+	}
+	i := 0
+	for n, f := range m.Kruskal().Factors {
+		for _, v := range f.Data() {
+			if want := float64(i) / (1 << 20); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("mode %d: factor cell %d = %v, want %v", n, i, v, want)
+			}
+			i++
+		}
 	}
 }

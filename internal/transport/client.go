@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -156,15 +158,19 @@ func (w *worker) closeConns(err error) {
 	}
 }
 
-// call is one result of a pipelined request, delivered by the read loop.
+// callResult is the outcome of a pipelined request, delivered by the read
+// loop. A get's images have been read into the call's own slots by then.
 type callResult struct {
-	status  uint8
-	payload []byte
-	err     error
+	status uint8
+	body   []byte // error text (stError); empty otherwise
+	err    error
 }
 
+// call is one request in flight. A get's req.images is where the read loop
+// puts what comes back.
 type call struct {
 	reqID uint64
+	req   request
 	ch    chan callResult
 }
 
@@ -174,17 +180,20 @@ type call struct {
 // loop matches responses to calls in order.
 type pipeConn struct {
 	nc       net.Conn
-	bw       *bufio.Writer
 	br       *bufio.Reader
 	maxFrame int
 
-	wmu sync.Mutex // serializes enqueue+write so FIFO order matches the wire
+	wmu    sync.Mutex // serializes enqueue+write so FIFO order matches the wire
+	nextID uint64     // under wmu
+	head   []byte     // under wmu: the frame being written, up to a put's images
+	bufs   [][]byte   // under wmu: head and those images, as one writev
 
 	qmu     sync.Mutex
 	pending []*call
 	dead    bool
 	err     error
-	nextID  uint64
+
+	table []byte // read loop only: the block table of the get response being read
 }
 
 func dialWorker(addr string, opts Options) (*pipeConn, error) {
@@ -194,12 +203,11 @@ func dialWorker(addr string, opts Options) (*pipeConn, error) {
 	}
 	c := &pipeConn{
 		nc:       nc,
-		bw:       bufio.NewWriterSize(nc, 64<<10),
 		br:       bufio.NewReaderSize(nc, 64<<10),
 		maxFrame: opts.MaxFrame,
 	}
 	nc.SetDeadline(time.Now().Add(opts.DialTimeout))
-	if err := SendHello(c.bw, helloFrame); err != nil {
+	if _, err := nc.Write(rdd.AppendFrame(nil, helloFrame)); err != nil {
 		nc.Close()
 		return nil, unreachableErr(addr, err)
 	}
@@ -208,7 +216,7 @@ func dialWorker(addr string, opts Options) (*pipeConn, error) {
 		return nil, unreachableErr(addr, err)
 	}
 	nc.SetDeadline(time.Time{})
-	//distenc:goroutine-owned-by conn-close -- readLoop exits when the connection dies or closes (ReadFrame errors), and fail/closeConns always close the conn
+	//distenc:goroutine-owned-by conn-close -- readLoop exits when the connection dies or closes (its reads error), and fail/closeConns always close the conn
 	go c.readLoop()
 	return c, nil
 }
@@ -240,97 +248,185 @@ func (c *pipeConn) fail(err error) {
 
 func (c *pipeConn) readLoop() {
 	for {
-		frame, err := rdd.ReadFrame(c.br, c.maxFrame)
-		if err != nil {
-			c.fail(fmt.Errorf("transport: connection lost: %w", err))
-			return
-		}
-		reqID, status, payload, err := parseResponse(frame)
-		if err != nil {
+		if err := c.readResponse(); err != nil {
 			c.fail(err)
 			return
 		}
-		c.qmu.Lock()
-		if len(c.pending) == 0 {
-			c.qmu.Unlock()
-			c.fail(fmt.Errorf("transport: unsolicited response %d", reqID))
-			return
-		}
-		cl := c.pending[0]
-		c.pending = c.pending[1:]
-		c.qmu.Unlock()
-		if cl.reqID != reqID {
-			mismatch := fmt.Errorf("transport: response %d for request %d (pipeline desync)", reqID, cl.reqID)
-			cl.ch <- callResult{err: mismatch}
-			c.fail(mismatch)
-			return
-		}
-		cl.ch <- callResult{status: status, payload: payload}
 	}
+}
+
+// readResponse reads one response frame and delivers it to the call at the
+// head of the FIFO. The frame is consumed piecewise rather than through
+// rdd.ReadFrame so that a get's images land directly in the buffers the caller
+// supplied. A call taken off the FIFO is always answered — from here on fail
+// no longer knows it — and only after its images are no longer written to.
+func (c *pipeConn) readResponse() error {
+	var hdr [4 + respHeaderLen]byte
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		return fmt.Errorf("transport: connection lost: %w", err)
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if int64(n) > int64(c.maxFrame) {
+		// Not wrapped as rdd.ErrFrameTooLarge: every call queued on the
+		// connection gets this error, and only one of them asked for too much.
+		return fmt.Errorf("transport: response frame of %d bytes exceeds the %d-byte limit", n, c.maxFrame)
+	}
+	if n < respHeaderLen {
+		return fmt.Errorf("transport: response frame of %d bytes, want >= %d", n, respHeaderLen)
+	}
+	reqID, status, _, _ := parseResponse(hdr[4:])
+	c.qmu.Lock()
+	if len(c.pending) == 0 {
+		c.qmu.Unlock()
+		return fmt.Errorf("transport: unsolicited response %d", reqID)
+	}
+	cl := c.pending[0]
+	c.pending = c.pending[1:]
+	c.qmu.Unlock()
+
+	res := callResult{status: status}
+	body := int(n) - respHeaderLen
+	switch {
+	case cl.reqID != reqID:
+		res.err = fmt.Errorf("transport: response %d for request %d (pipeline desync)", reqID, cl.reqID)
+	case status == stOK && cl.req.op == opGet:
+		c.table, res.err = readBlocks(c.br, body, cl.req.ids, cl.req.images, c.table)
+	case body > 0:
+		res.body = make([]byte, body)
+		_, res.err = io.ReadFull(c.br, res.body)
+	}
+	if res.err != nil {
+		res.err = fmt.Errorf("transport: reading response %d: %w", reqID, res.err)
+	}
+	cl.ch <- res
+	return res.err
+}
+
+// readBlocks reads a get response's body — block table, then images — from
+// r: the table into the table scratch (returned for reuse), each image into
+// its slot of images, whose capacity is used when the image fits and replaced
+// by a fresh slice when not; a block the worker does not hold leaves nil. The
+// table must answer exactly the ids asked for, in order, and is bounded and
+// checked against the body's length before any image is sized from it.
+func readBlocks(r io.Reader, body int, ids []rdd.BlockID, images [][]byte, table []byte) ([]byte, error) {
+	var cnt [4]byte
+	if body < len(cnt) {
+		return table, fmt.Errorf("get response body of %d bytes has no block table", body)
+	}
+	if _, err := io.ReadFull(r, cnt[:]); err != nil {
+		return table, err
+	}
+	count := binary.LittleEndian.Uint32(cnt[:])
+	n, err := blockEntriesLen(count, body-len(cnt))
+	if err != nil {
+		return table, err
+	}
+	if int(count) != len(ids) {
+		return table, fmt.Errorf("get response answers %d blocks, %d were asked for", count, len(ids))
+	}
+	if cap(table) < n {
+		table = make([]byte, n)
+	}
+	t := blockEntries(table[:n])
+	if _, err := io.ReadFull(r, t); err != nil {
+		return table, err
+	}
+	if err := checkBlockLens(t, body-len(cnt)-n); err != nil {
+		return table, err
+	}
+	for i, want := range ids {
+		id, n := t.at(i)
+		if id != want {
+			return table, fmt.Errorf("get response entry %d is block %v, asked for %v", i, id, want)
+		}
+		if n == lenNotHeld {
+			images[i] = nil
+			continue
+		}
+		if images[i] != nil && uint64(cap(images[i])) >= uint64(n) {
+			images[i] = images[i][:n]
+		} else {
+			images[i] = make([]byte, n) // non-nil even when empty: nil means not held
+		}
+		if _, err := io.ReadFull(r, images[i]); err != nil {
+			return table, err
+		}
+	}
+	return table, nil
 }
 
 // roundTrip sends one request and waits for its response (or timeout, which
 // condemns the whole connection — a one-request stall means the server-side
 // sequential handler is stuck, so everything queued behind it is too).
-//
-//distenc:lockheld-ok -- wmu is the wire-order lock: writing the frame under it is its entire purpose (FIFO request order must match the read loop's FIFO response matching)
-func (c *pipeConn) roundTrip(req request, payload []byte, timeout time.Duration) (uint8, []byte, error) {
-	c.wmu.Lock()
-	c.qmu.Lock()
-	if c.dead {
-		err := c.err
-		c.qmu.Unlock()
-		c.wmu.Unlock()
-		return 0, nil, err
-	}
-	c.nextID++
-	req.reqID = c.nextID
-	cl := &call{reqID: req.reqID, ch: make(chan callResult, 1)}
-	c.pending = append(c.pending, cl)
-	c.qmu.Unlock()
-	frame := appendRequest(make([]byte, 0, reqHeaderLen+len(payload)), req, payload)
-	err := rdd.WriteFrame(c.bw, frame)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(err)
-		// fail delivered to our call too; drain it so the channel is settled.
-		<-cl.ch
+func (c *pipeConn) roundTrip(req request, timeout time.Duration) (uint8, []byte, error) {
+	cl := &call{req: req, ch: make(chan callResult, 1)}
+	if err := c.send(req, cl); err != nil {
 		return 0, nil, err
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case res := <-cl.ch:
-		return res.status, res.payload, res.err
+		return res.status, res.body, res.err
 	case <-timer.C:
 		c.fail(fmt.Errorf("transport: request timed out after %v", timeout))
 		res := <-cl.ch
 		if res.err != nil {
 			return 0, nil, res.err
 		}
-		return res.status, res.payload, nil
+		return res.status, res.body, nil
 	}
 }
 
-// oneWay writes a request without reserving a response slot (opDie: the
-// server exits instead of answering).
+// send writes req's frame — header, body and a put's images in one writev,
+// straight from the caller's slices — after queueing cl (nil for a request
+// nothing answers) for the response. A request over the frame limit is
+// refused before anything is queued or written: the connection stays good.
 //
-//distenc:lockheld-ok -- wmu is the wire-order lock; see roundTrip
-func (c *pipeConn) oneWay(req request) {
+//distenc:lockheld-ok -- wmu is the wire-order lock: writing the frame under it is its entire purpose (FIFO request order must match the read loop's FIFO response matching)
+func (c *pipeConn) send(req request, cl *call) error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	frame := appendRequest(make([]byte, 0, reqHeaderLen), req, nil)
-	if rdd.WriteFrame(c.bw, frame) == nil {
-		c.bw.Flush()
+	reqID := c.nextID + 1
+	head, imageBytes := appendRequest(append(c.head[:0], 0, 0, 0, 0), reqID, req)
+	c.head = head
+	size := int64(len(head)-4) + imageBytes
+	if size > int64(c.maxFrame) {
+		c.wmu.Unlock()
+		return fmt.Errorf("transport: request: %w: %d bytes (limit %d)", rdd.ErrFrameTooLarge, size, c.maxFrame)
 	}
+	setFrameLen(head, imageBytes)
+	c.qmu.Lock()
+	if c.dead {
+		err := c.err
+		c.qmu.Unlock()
+		c.wmu.Unlock()
+		return err
+	}
+	c.nextID = reqID
+	if cl != nil {
+		cl.reqID = reqID
+		c.pending = append(c.pending, cl)
+	}
+	c.qmu.Unlock()
+	c.bufs = append(c.bufs[:0], head)
+	if req.op == opPut {
+		c.bufs = append(c.bufs, req.images...)
+	}
+	bufs := net.Buffers(c.bufs) // WriteTo nils each slot of c.bufs as it goes
+	_, err := bufs.WriteTo(c.nc)
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+		if cl != nil {
+			<-cl.ch // fail delivered to our call too; settle its channel
+		}
+	}
+	return err
 }
 
 // call performs one round trip against worker m, classifying every
 // connection-level failure as the machine being unreachable.
-func (t *Client) call(m int, op uint8, id rdd.BlockID, payload []byte) (uint8, []byte, error) {
+func (t *Client) call(m int, req request) (uint8, []byte, error) {
 	if m < 0 || m >= len(t.workers) {
 		return 0, nil, fmt.Errorf("transport: no worker %d (have %d)", m, len(t.workers))
 	}
@@ -339,10 +435,11 @@ func (t *Client) call(m int, op uint8, id rdd.BlockID, payload []byte) (uint8, [
 	if err != nil {
 		return 0, nil, err
 	}
-	req := request{op: op, kind: uint8(id.Kind), owner: id.Owner, mapP: id.Map, reduce: id.Reduce}
-	status, resp, err := c.roundTrip(req, payload, t.opts.CallTimeout)
+	status, resp, err := c.roundTrip(req, t.opts.CallTimeout)
 	if err != nil {
-		if errors.Is(err, rdd.ErrMachineUnreachable) {
+		// A frame over the limit would be over it on any worker: a hard
+		// error, not a dead machine.
+		if errors.Is(err, rdd.ErrMachineUnreachable) || errors.Is(err, rdd.ErrFrameTooLarge) {
 			return 0, nil, err
 		}
 		return 0, nil, unreachableErr(w.addr, err)
@@ -353,42 +450,59 @@ func (t *Client) call(m int, op uint8, id rdd.BlockID, payload []byte) (uint8, [
 // Workers reports how many workers the client fronts.
 func (t *Client) Workers() int { return len(t.workers) }
 
-// Put stores a block image on worker m.
-func (t *Client) Put(m int, id rdd.BlockID, data []byte) error {
-	status, resp, err := t.call(m, opPut, id, data)
+// PutBlocks stores images under ids on worker m in one round trip.
+func (t *Client) PutBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	status, resp, err := t.call(m, request{op: opPut, ids: ids, images: images})
 	if err != nil {
 		return err
 	}
 	if status != stOK {
-		return fmt.Errorf("transport: put %v on worker %d: %s", id, m, resp)
+		return fmt.Errorf("transport: put of %d blocks on worker %d: %s", len(ids), m, resp)
 	}
 	return nil
 }
 
-// Fetch returns a block image from worker m.
-func (t *Client) Fetch(m int, id rdd.BlockID) ([]byte, error) {
-	status, resp, err := t.call(m, opGet, id, nil)
+// FetchBlocks reads the images of ids from worker m in one round trip, each
+// straight into its slot of images (see rdd.Transport).
+func (t *Client) FetchBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	status, resp, err := t.call(m, request{op: opGet, ids: ids, images: images})
 	if err != nil {
+		return err
+	}
+	if status != stOK {
+		return fmt.Errorf("transport: fetch of %d blocks from worker %d: %s", len(ids), m, resp)
+	}
+	var missing []error
+	for i, img := range images {
+		if img == nil {
+			missing = append(missing, fmt.Errorf("%w: %v on worker %d", rdd.ErrBlockNotFound, ids[i], m))
+		}
+	}
+	return errors.Join(missing...)
+}
+
+// Put stores one block image on worker m: PutBlocks of one.
+func (t *Client) Put(m int, id rdd.BlockID, data []byte) error {
+	return t.PutBlocks(m, []rdd.BlockID{id}, [][]byte{data})
+}
+
+// Fetch returns one block image from worker m: FetchBlocks of one.
+func (t *Client) Fetch(m int, id rdd.BlockID) ([]byte, error) {
+	images := make([][]byte, 1)
+	if err := t.FetchBlocks(m, []rdd.BlockID{id}, images); err != nil {
 		return nil, err
 	}
-	switch status {
-	case stOK:
-		return resp, nil
-	case stNotFound:
-		return nil, fmt.Errorf("%w: %v on worker %d", rdd.ErrBlockNotFound, id, m)
-	default:
-		return nil, fmt.Errorf("transport: fetch %v from worker %d: %s", id, m, resp)
-	}
+	return images[0], nil
 }
 
 // Drop asks worker m to forget owner's blocks, best-effort.
 func (t *Client) Drop(m int, owner int64) {
-	t.call(m, opDrop, rdd.BlockID{Owner: owner}, nil)
+	t.call(m, request{op: opDrop, owner: owner})
 }
 
 // Ping round-trips a liveness probe to worker m.
 func (t *Client) Ping(m int) error {
-	status, resp, err := t.call(m, opPing, rdd.BlockID{}, nil)
+	status, resp, err := t.call(m, request{op: opPing})
 	if err != nil {
 		return err
 	}
@@ -416,7 +530,7 @@ func (t *Client) Kill(m int) error {
 			w.lifeline.Close()
 		}
 	} else if c, err := dialWorker(w.addr, w.opts); err == nil {
-		c.oneWay(request{op: opDie})
+		c.send(request{op: opDie}, nil) // the server exits instead of answering
 		c.nc.Close()
 	}
 	w.closeConns(unreachableErr(w.addr, errors.New("worker killed")))

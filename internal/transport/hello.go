@@ -29,14 +29,19 @@ func SendHello(bw *bufio.Writer, magic []byte) error {
 	return bw.Flush()
 }
 
-// ExpectHello reads one frame and verifies it equals magic.
+// ExpectHello reads one frame and verifies it equals magic. A peer that
+// speaks the same protocol in another version (same magic, different last
+// byte) is refused with both versions named.
 func ExpectHello(r io.Reader, magic []byte) error {
 	hello, err := rdd.ReadFrame(r, helloLimit)
 	if err != nil {
 		return fmt.Errorf("transport: reading hello: %w", err)
 	}
-	if !bytes.Equal(hello, magic) {
-		return fmt.Errorf("transport: bad hello %q, want %q", hello, magic)
+	if bytes.Equal(hello, magic) {
+		return nil
 	}
-	return nil
+	if v := len(magic) - 1; len(hello) == len(magic) && bytes.Equal(hello[:v], magic[:v]) {
+		return fmt.Errorf("transport: peer speaks %s protocol version %d, this side version %d", magic[:v], hello[v], magic[v])
+	}
+	return fmt.Errorf("transport: bad hello %q, want %q", hello, magic)
 }

@@ -1,7 +1,10 @@
 // Package transport is the TCP execution backend for the rdd engine: a block
 // server that runs as a real worker process (cmd/distenc-worker, or any
 // binary re-execing itself through WorkerHook) and a pooling, pipelining
-// client that implements rdd.Transport for the driver.
+// client that implements rdd.Transport for the driver. Workers store bytes
+// and compute nothing — tasks still execute on the driver — so the backend is
+// a data plane and a fault-realism fixture (kills are process kills,
+// "unreachable" is a refused connection), not yet a scale-out.
 //
 // The wire protocol is deliberately thin. Every message is one
 // length-prefixed frame (rdd.WriteFrame / rdd.ReadFrame — u32 little-endian
@@ -14,10 +17,27 @@
 // Frame layouts (all integers little-endian):
 //
 //	hello    (both directions, once per connection)
-//	  "DTW" magic | version u8
+//	  "DTW" magic | version u8 (2)
 //
-//	request  reqID u64 | op u8 | kind u8 | owner i64 | map i32 | reduce i32 | payload…
-//	response reqID u64 | status u8 | payload…
+//	request  reqID u64 | op u8 | body…
+//	  put    block table (len = image length) | the images, in table order
+//	  get    block table (every len 0)
+//	  drop   owner i64
+//	  ping, die: empty
+//	response reqID u64 | status u8 | body…
+//	  get    block table (len = image length, 0xFFFFFFFF = not held) | the images held, in table order
+//	  error  the error text
+//
+//	block table  count u32 | count × (kind u8 | owner i64 | map i32 | reduce i32 | len u32)
+//
+// Put and get are vectored: a map task stores all of its buckets, and a reduce
+// task reads all of its blocks that one worker holds, in one round trip. A
+// block crosses each process boundary without a staging copy of the frame: the
+// client writes header, table and images with one writev (net.Buffers) and
+// reads each fetched image into the buffer its caller supplied; the server
+// keeps the request frame it read as the backing store of the blocks in it
+// and answers a get from the stored slices. (The 64 KB bufio readers still
+// copy images smaller than themselves once; larger reads bypass them.)
 //
 // A connection carries pipelined requests: the client may have many requests
 // in flight; the server handles each connection's requests sequentially and
@@ -25,21 +45,30 @@
 // verified as a cross-check). The model is Codis's proxy↔backend connection:
 // one goroutine per accepted connection, a writer that batches flushes while
 // more input is buffered, and graceful drain on shutdown.
+//
+// What a reduce task holds while it folds its partition is its own state, the
+// partition's encoded input in pool images (rdd's block pool; returned when
+// the fold ends) and one decoded block.
 package transport
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+
+	"distenc/internal/rdd"
 )
 
-// protoMagic and protoVersion open every connection (hello frame) so a
-// mis-dialed port fails loudly instead of hanging in the request loop.
-var helloFrame = []byte{'D', 'T', 'W', 1}
+// helloFrame opens every connection in both directions, so a mis-dialed port
+// or a peer built for another protocol version fails loudly instead of
+// hanging in the request loop. Version 2 is the vectored put/get protocol;
+// version 1 moved one block per request.
+var helloFrame = []byte{'D', 'T', 'W', 2}
 
 // Request opcodes.
 const (
-	opPut  = 1 // store payload under (kind, owner, map, reduce)
-	opGet  = 2 // fetch the block; response payload is the image
+	opPut  = 1 // store the images under the IDs of the block table
+	opGet  = 2 // fetch the blocks of the table; the response carries table and images
 	opDrop = 3 // forget every block of owner
 	opPing = 4 // liveness probe
 	opDie  = 5 // terminate the worker process immediately (no response)
@@ -47,65 +76,154 @@ const (
 
 // Response status codes.
 const (
-	stOK       = 0
-	stNotFound = 1
-	stError    = 2 // payload is the error text
+	stOK    = 0
+	stError = 1 // body is the error text
 )
 
-// reqHeaderLen is the fixed request header: reqID(8) op(1) kind(1) owner(8)
-// map(4) reduce(4).
-const reqHeaderLen = 26
+// reqHeaderLen is the fixed request header, reqID(8) op(1), and respHeaderLen
+// the fixed response header, reqID(8) status(1).
+const (
+	reqHeaderLen  = 9
+	respHeaderLen = 9
+)
 
-// respHeaderLen is the fixed response header: reqID(8) status(1).
-const respHeaderLen = 9
+// blockEntryLen is one block-table entry: kind(1) owner(8) map(4) reduce(4)
+// len(4). lenNotHeld in a get response's len marks a block the worker does
+// not hold (no image follows for it).
+const (
+	blockEntryLen = 21
+	lenNotHeld    = math.MaxUint32
+)
 
-// request is one decoded request header; the payload rides separately.
+// request is one client request. Only the fields its op uses are set.
 type request struct {
-	reqID  uint64
 	op     uint8
-	kind   uint8
-	owner  int64
-	mapP   int32
-	reduce int32
+	owner  int64         // opDrop
+	ids    []rdd.BlockID // opPut, opGet
+	images [][]byte      // opPut: the images to store; opGet: where to read them into
 }
 
-// appendRequest appends the framed-payload-less request header and payload.
-func appendRequest(buf []byte, r request, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, r.reqID)
-	buf = append(buf, r.op, r.kind)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.owner))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.mapP))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.reduce))
-	return append(buf, payload...)
+// appendRequest appends everything of the request frame but a put's images —
+// header, then the op's body — and returns it with the byte count of the
+// images that follow.
+func appendRequest(buf []byte, reqID uint64, r request) ([]byte, int64) {
+	buf = binary.LittleEndian.AppendUint64(buf, reqID)
+	buf = append(buf, r.op)
+	var imageBytes int64
+	switch r.op {
+	case opPut, opGet:
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.ids)))
+		for i, id := range r.ids {
+			n := 0
+			if r.op == opPut {
+				n = len(r.images[i])
+				imageBytes += int64(n)
+			}
+			buf = appendBlockEntry(buf, id, uint32(n))
+		}
+	case opDrop:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.owner))
+	}
+	return buf, imageBytes
 }
 
-// parseRequest splits a request frame into its header and payload.
-func parseRequest(frame []byte) (request, []byte, error) {
+// setFrameLen fills in the four-byte length prefix that opens head — a frame
+// being assembled — with the rest of head plus the imageBytes that follow it
+// on the wire.
+func setFrameLen(head []byte, imageBytes int64) []byte {
+	binary.LittleEndian.PutUint32(head, uint32(int64(len(head)-4)+imageBytes))
+	return head
+}
+
+// parseRequest splits a request frame into reqID, op and body.
+func parseRequest(frame []byte) (uint64, uint8, []byte, error) {
 	if len(frame) < reqHeaderLen {
-		return request{}, nil, fmt.Errorf("transport: request frame of %d bytes, want >= %d", len(frame), reqHeaderLen)
+		return 0, 0, nil, fmt.Errorf("transport: request frame of %d bytes, want >= %d", len(frame), reqHeaderLen)
 	}
-	r := request{
-		reqID:  binary.LittleEndian.Uint64(frame),
-		op:     frame[8],
-		kind:   frame[9],
-		owner:  int64(binary.LittleEndian.Uint64(frame[10:])),
-		mapP:   int32(binary.LittleEndian.Uint32(frame[18:])),
-		reduce: int32(binary.LittleEndian.Uint32(frame[22:])),
-	}
-	return r, frame[reqHeaderLen:], nil
+	return binary.LittleEndian.Uint64(frame), frame[8], frame[reqHeaderLen:], nil
 }
 
-// appendResponse appends a response header and payload.
-func appendResponse(buf []byte, reqID uint64, status uint8, payload []byte) []byte {
+// appendResponse appends a response header and body.
+func appendResponse(buf []byte, reqID uint64, status uint8, body []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, reqID)
 	buf = append(buf, status)
-	return append(buf, payload...)
+	return append(buf, body...)
 }
 
-// parseResponse splits a response frame into reqID, status and payload.
+// parseResponse splits a response frame into reqID, status and body.
 func parseResponse(frame []byte) (uint64, uint8, []byte, error) {
 	if len(frame) < respHeaderLen {
 		return 0, 0, nil, fmt.Errorf("transport: response frame of %d bytes, want >= %d", len(frame), respHeaderLen)
 	}
 	return binary.LittleEndian.Uint64(frame), frame[8], frame[respHeaderLen:], nil
+}
+
+func appendBlockEntry(buf []byte, id rdd.BlockID, n uint32) []byte {
+	buf = append(buf, byte(id.Kind))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(id.Owner))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(id.Map))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(id.Reduce))
+	return binary.LittleEndian.AppendUint32(buf, n)
+}
+
+// blockEntries is the entries of a block table (the count is their number),
+// checked by the function that produced it.
+type blockEntries []byte
+
+func (t blockEntries) count() int { return len(t) / blockEntryLen }
+
+// at returns entry i: the block's ID and its len field.
+func (t blockEntries) at(i int) (rdd.BlockID, uint32) {
+	e := t[i*blockEntryLen : (i+1)*blockEntryLen]
+	return rdd.BlockID{
+		Kind:   rdd.BlockKind(e[0]),
+		Owner:  int64(binary.LittleEndian.Uint64(e[1:])),
+		Map:    int32(binary.LittleEndian.Uint32(e[9:])),
+		Reduce: int32(binary.LittleEndian.Uint32(e[13:])),
+	}, binary.LittleEndian.Uint32(e[17:])
+}
+
+// blockEntriesLen returns the byte length of a table's count entries, refusing
+// a count that the avail bytes behind it cannot hold — the bound a reader
+// applies before it sizes anything from a count that came off a socket.
+func blockEntriesLen(count uint32, avail int) (int, error) {
+	if uint64(count)*blockEntryLen > uint64(max(avail, 0)) {
+		return 0, fmt.Errorf("transport: block table claims %d entries in %d bytes", count, avail)
+	}
+	return int(count) * blockEntryLen, nil
+}
+
+// checkBlockLens verifies that the entries' lengths account for exactly the
+// imageBytes that follow the table. The sum runs in 64 bits, so u32 lengths
+// cannot wrap it, and a not-held marker counts for nothing.
+func checkBlockLens(t blockEntries, imageBytes int) error {
+	var sum uint64
+	for i := 0; i < t.count(); i++ {
+		if _, n := t.at(i); n != lenNotHeld {
+			sum += uint64(n)
+		}
+	}
+	if sum != uint64(imageBytes) {
+		return fmt.Errorf("transport: block table accounts for %d image bytes, %d follow it", sum, imageBytes)
+	}
+	return nil
+}
+
+// parseBlockTable splits body — a put or get request's, or a get response's —
+// into the table's entries and the image bytes behind it, with the count
+// bounded and the lengths checked against what is really there before
+// anything is allocated or stored from them.
+func parseBlockTable(body []byte) (blockEntries, []byte, error) {
+	if len(body) < 4 {
+		return nil, nil, fmt.Errorf("transport: block table of %d bytes has no count", len(body))
+	}
+	n, err := blockEntriesLen(binary.LittleEndian.Uint32(body), len(body)-4)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, images := blockEntries(body[4:4+n]), body[4+n:]
+	if err := checkBlockLens(t, len(images)); err != nil {
+		return nil, nil, err
+	}
+	return t, images, nil
 }

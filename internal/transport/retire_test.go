@@ -15,20 +15,26 @@ import (
 func (s *Server) blockCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem)
+	n := 0
+	for _, blocks := range s.mem {
+		n += len(blocks)
+	}
+	return n
 }
 
-// countingTransport counts the shuffle blocks Put through it.
+// countingTransport counts the shuffle blocks put through it.
 type countingTransport struct {
 	*Client
 	puts atomic.Int64
 }
 
-func (ct *countingTransport) Put(m int, id rdd.BlockID, data []byte) error {
-	if id.Kind == rdd.BlockShuffle {
-		ct.puts.Add(1)
+func (ct *countingTransport) PutBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	for _, id := range ids {
+		if id.Kind == rdd.BlockShuffle {
+			ct.puts.Add(1)
+		}
 	}
-	return ct.Client.Put(m, id, data)
+	return ct.Client.PutBlocks(m, ids, images)
 }
 
 // intRec is the test's shuffle record: one int32, framed as four bytes.

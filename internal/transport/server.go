@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -11,16 +12,11 @@ import (
 	"distenc/internal/rdd"
 )
 
-// blockKey identifies one stored block, mirroring rdd.BlockID.
-type blockKey struct {
-	kind   uint8
-	owner  int64
-	mapP   int32
-	reduce int32
-}
-
 // Server is one worker's block store behind a TCP listener: blocks (shuffle
-// buckets, broadcast replicas) live in memory and die with the process.
+// buckets, broadcast replicas) live in memory and die with the process. A
+// stored block is a slice of the put request's frame as it was read off the
+// socket — never copied again — and blocks are indexed by owner, so a drop
+// unlinks one map entry instead of scanning the store.
 //
 // Connection handling follows the Codis backend-connection shape: one
 // goroutine per accepted connection reads framed requests in a loop, handles
@@ -36,7 +32,7 @@ type Server struct {
 	allowDie bool
 
 	mu     sync.Mutex
-	mem    map[blockKey][]byte
+	mem    map[int64]map[rdd.BlockID][]byte // owner -> its blocks
 	conns  map[net.Conn]struct{}
 	closed bool
 
@@ -53,7 +49,7 @@ func NewServer(addr string) (*Server, error) {
 	return &Server{
 		ln:       ln,
 		maxFrame: rdd.DefaultMaxFrame,
-		mem:      map[blockKey][]byte{},
+		mem:      map[int64]map[rdd.BlockID][]byte{},
 		conns:    map[net.Conn]struct{}{},
 	}, nil
 }
@@ -123,33 +119,45 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 
-	// Hello exchange: reject strangers before trusting length prefixes.
-	if ExpectHello(br, helloFrame) != nil {
-		return
-	}
-	if SendHello(bw, helloFrame) != nil {
+	// Hello exchange: reject strangers before trusting length prefixes. Ours
+	// goes out even to a peer we are about to refuse, so that one built for
+	// another protocol version learns which version it dialed.
+	refused := ExpectHello(br, helloFrame)
+	if SendHello(bw, helloFrame) != nil || refused != nil {
 		return
 	}
 
-	var respBuf []byte
+	var head []byte
+	var images [][]byte
 	for {
 		frame, err := rdd.ReadFrame(br, s.maxFrame)
 		if err != nil {
 			return // EOF, torn frame, or the shutdown read deadline
 		}
-		req, payload, err := parseRequest(frame)
+		reqID, op, body, err := parseRequest(frame)
 		if err != nil {
 			return
 		}
-		if req.op == opDie {
+		if op == opDie {
 			if s.allowDie {
 				os.Exit(3) // abrupt, crash-like: no response, no drain
 			}
 			return // in-process servers treat die as a connection close
 		}
-		respBuf = s.handle(req, payload, respBuf[:0])
-		if err := rdd.WriteFrame(bw, respBuf); err != nil {
+		head, images = s.handle(reqID, op, body, head[:0], images[:0])
+		if _, err := bw.Write(head); err != nil {
 			return
+		}
+		if len(images) > 0 {
+			// A get: the images go out from where they are stored, after
+			// whatever is still buffered ahead of them.
+			if err := bw.Flush(); err != nil {
+				return
+			}
+			bufs := net.Buffers(images) // WriteTo nils each slot of images as it goes
+			if _, err := bufs.WriteTo(conn); err != nil {
+				return
+			}
 		}
 		// Pipelining-friendly flush: only when no further request is already
 		// waiting in the read buffer.
@@ -161,50 +169,94 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// handle executes one request against the store and appends the response to
-// buf.
-func (s *Server) handle(req request, payload, buf []byte) []byte {
-	key := blockKey{kind: req.kind, owner: req.owner, mapP: req.mapP, reduce: req.reduce}
-	switch req.op {
+// handle executes one request against the store. It appends the response —
+// frame length prefix included — to head and, for a get, the stored images
+// that follow it on the wire to images.
+func (s *Server) handle(reqID uint64, op uint8, body, head []byte, images [][]byte) ([]byte, [][]byte) {
+	head = append(head, 0, 0, 0, 0) // the frame length: see setFrameLen
+	var err error
+	switch op {
 	case opPing:
-		return appendResponse(buf, req.reqID, stOK, nil)
 	case opPut:
-		s.put(key, payload)
-		return appendResponse(buf, req.reqID, stOK, nil)
+		err = s.put(body)
 	case opGet:
-		data, ok := s.get(key)
-		if !ok {
-			return appendResponse(buf, req.reqID, stNotFound, nil)
+		resp, held, gerr := s.get(reqID, body, head, images)
+		if gerr == nil {
+			return resp, held
 		}
-		return appendResponse(buf, req.reqID, stOK, data)
+		err = gerr
 	case opDrop:
-		s.drop(req.owner)
-		return appendResponse(buf, req.reqID, stOK, nil)
+		if len(body) != 8 {
+			err = fmt.Errorf("drop body of %d bytes, want 8", len(body))
+			break
+		}
+		s.mu.Lock()
+		delete(s.mem, int64(binary.LittleEndian.Uint64(body)))
+		s.mu.Unlock()
 	default:
-		return appendResponse(buf, req.reqID, stError, fmt.Appendf(nil, "unknown op %d", req.op))
+		err = fmt.Errorf("unknown op %d", op)
 	}
+	if err != nil {
+		return setFrameLen(appendResponse(head, reqID, stError, []byte(err.Error())), 0), images
+	}
+	return setFrameLen(appendResponse(head, reqID, stOK, nil), 0), images
 }
 
-func (s *Server) put(key blockKey, data []byte) {
-	cp := append([]byte(nil), data...) // payload aliases the read buffer
-	s.mu.Lock()
-	s.mem[key] = cp
-	s.mu.Unlock()
-}
-
-func (s *Server) get(key blockKey) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.mem[key]
-	return data, ok
-}
-
-func (s *Server) drop(owner int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.mem {
-		if key.owner == owner {
-			delete(s.mem, key)
+// put stores every block of a put request's body. The images stay where
+// ReadFrame put them: the frame is this request's own allocation, and it
+// lives for as long as a block in it does.
+func (s *Server) put(body []byte) error {
+	t, images, err := parseBlockTable(body)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < t.count(); i++ {
+		if id, n := t.at(i); n == lenNotHeld {
+			return fmt.Errorf("put of %v carries no image", id)
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < t.count(); i++ {
+		id, n := t.at(i)
+		blocks := s.mem[id.Owner]
+		if blocks == nil {
+			blocks = map[rdd.BlockID][]byte{}
+			s.mem[id.Owner] = blocks
+		}
+		blocks[id], images = images[:n:n], images[n:]
+	}
+	return nil
+}
+
+// get answers a get request: the response header and block table appended to
+// head (whose length prefix it fills in), the images of the blocks held
+// appended to images. A response the frame limit would refuse is an error.
+func (s *Server) get(reqID uint64, body, head []byte, images [][]byte) ([]byte, [][]byte, error) {
+	t, _, err := parseBlockTable(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	head = appendResponse(head, reqID, stOK, nil)
+	head = binary.LittleEndian.AppendUint32(head, uint32(t.count()))
+	var total int64
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < t.count(); i++ {
+		id, _ := t.at(i)
+		data, ok := s.mem[id.Owner][id]
+		if !ok {
+			head = appendBlockEntry(head, id, lenNotHeld)
+			continue
+		}
+		head = appendBlockEntry(head, id, uint32(len(data)))
+		if len(data) > 0 {
+			images = append(images, data)
+			total += int64(len(data))
+		}
+	}
+	if size := int64(len(head)) + total; size > int64(s.maxFrame) {
+		return nil, nil, fmt.Errorf("get response of %d bytes exceeds the %d-byte frame limit", size, s.maxFrame)
+	}
+	return setFrameLen(head, total), images, nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -54,6 +55,151 @@ func TestPutFetchRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("fetch kind %d: %v (got %d bytes, want %d)", kind, err, len(got), len(want))
 		}
+	}
+}
+
+// TestVectoredPutFetch is the data plane's shape: many blocks stored by one
+// PutBlocks and read back by one FetchBlocks, each image landing in the buffer
+// its caller supplied when it fits — the engine passes exact-size pool
+// buffers, so nothing is copied a second time — and in a fresh slice when
+// not. Client.Put and Client.Fetch are the same path with one element.
+func TestVectoredPutFetch(t *testing.T) {
+	s, cl := startServer(t)
+	var ids []rdd.BlockID
+	var images [][]byte
+	for rp := 0; rp < 8; rp++ {
+		ids = append(ids, rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 42, Map: 3, Reduce: int32(rp)})
+		images = append(images, bytes.Repeat([]byte{byte(rp + 1)}, rp*1000)) // block 0 is empty
+	}
+	if err := cl.PutBlocks(0, ids, images); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.blockCount(); n != len(ids) {
+		t.Fatalf("worker holds %d blocks after one PutBlocks of %d", n, len(ids))
+	}
+	got := make([][]byte, len(ids))
+	for i := range got {
+		if i%2 == 0 {
+			got[i] = make([]byte, 0, len(images[i])) // exact fit: must be used
+		} else {
+			got[i] = make([]byte, 0, 10) // too small: must be replaced
+		}
+	}
+	exact := got[2][:1]
+	if err := cl.FetchBlocks(0, ids, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		if got[i] == nil || !bytes.Equal(got[i], images[i]) {
+			t.Fatalf("block %d: fetched %d bytes (nil=%v), want %d", i, len(got[i]), got[i] == nil, len(images[i]))
+		}
+	}
+	if &got[2][0] != &exact[0] {
+		t.Error("a fetched image that fits its caller's buffer was read somewhere else")
+	}
+	one, err := cl.Fetch(0, ids[5])
+	if err != nil || !bytes.Equal(one, images[5]) {
+		t.Fatalf("single Fetch of a block stored by PutBlocks: %v (%d bytes)", err, len(one))
+	}
+}
+
+// TestFetchBlocksReportsMissingPerID: an ID the worker does not hold fails
+// that ID, by name, not the batch.
+func TestFetchBlocksReportsMissingPerID(t *testing.T) {
+	_, cl := startServer(t)
+	held := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1, Map: 0, Reduce: 1}
+	gone := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1, Map: 7, Reduce: 1}
+	if err := cl.Put(0, held, []byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 3)
+	err := cl.FetchBlocks(0, []rdd.BlockID{held, gone, held}, got)
+	if !errors.Is(err, rdd.ErrBlockNotFound) || !strings.Contains(err.Error(), gone.String()) || strings.Contains(err.Error(), held.String()) {
+		t.Fatalf("got %v, want rdd.ErrBlockNotFound naming %v only", err, gone)
+	}
+	if string(got[0]) != "held" || got[1] != nil || string(got[2]) != "held" {
+		t.Fatalf("images = %q, want the held block twice around a nil", got)
+	}
+}
+
+// TestOversizeRequestIsNotAMachineFailure: a request over the frame limit is
+// refused on the client before a byte is written — a hard error that would
+// recur on any worker, not ErrMachineUnreachable — and the connection, whose
+// stream it never touched, keeps working.
+func TestOversizeRequestIsNotAMachineFailure(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve()
+	defer s.Shutdown()
+	cl, err := DialWorkers([]string{s.Addr()}, Options{PoolSize: 1, MaxFrame: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ids := []rdd.BlockID{{Kind: rdd.BlockShuffle, Owner: 1, Reduce: 0}, {Kind: rdd.BlockShuffle, Owner: 1, Reduce: 1}}
+	half := make([]byte, 2048)
+	err = cl.PutBlocks(0, ids, [][]byte{half, half})
+	if !errors.Is(err, rdd.ErrFrameTooLarge) || errors.Is(err, rdd.ErrMachineUnreachable) {
+		t.Fatalf("got %v, want rdd.ErrFrameTooLarge and not rdd.ErrMachineUnreachable", err)
+	}
+	if err := cl.PutBlocks(0, ids[:1], [][]byte{half}); err != nil {
+		t.Fatalf("the connection did not survive the refused request: %v", err)
+	}
+	if s.blockCount() != 1 {
+		t.Fatalf("worker holds %d blocks, want 1", s.blockCount())
+	}
+}
+
+// TestHelloRefusesOtherVersion: protocol version 1 moved one block per
+// request and shares no request layout with version 2, so a v1 peer is
+// refused at the hello, by either side, with both versions named.
+func TestHelloRefusesOtherVersion(t *testing.T) {
+	v1 := []byte{'D', 'T', 'W', 1}
+
+	// A v1 client dialing this server is answered with the v2 hello — so its
+	// own check can say what it reached — and then hung up on.
+	s, _ := startServer(t)
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Write(rdd.AppendFrame(nil, v1)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	err = ExpectHello(br, v1)
+	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 client's hello check: %v, want both versions named", err)
+	}
+	if _, err := br.ReadByte(); err == nil {
+		t.Fatal("server kept talking to a v1 peer")
+	}
+
+	// A v1 server answering this client's dial.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn.Write(rdd.AppendFrame(nil, v1))
+		rdd.ReadFrame(conn, helloLimit)
+		conn.Close()
+	}()
+	_, err = DialWorkers([]string{ln.Addr().String()}, Options{})
+	ln.Close()
+	<-done
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("dialing a v1 worker: %v, want both versions named", err)
 	}
 }
 
