@@ -124,11 +124,12 @@ var ParseWireFormat = rdd.ParseWireFormat
 // real worker processes.
 type Transport = rdd.Transport
 
-// TransportOptions tunes the TCP execution backend (pool size, timeouts).
+// TransportOptions tunes the TCP execution backend (frame limit, timeouts).
 type TransportOptions = transport.Options
 
-// TCPTransport is the TCP implementation of Transport: a pooling,
-// pipelining client fronting one distenc-worker process per machine.
+// TCPTransport is the TCP implementation of Transport: a client fronting one
+// distenc-worker process per machine, with a connection to it per call in
+// flight — one per machine is open from the start.
 type TCPTransport = transport.Client
 
 // StartTCPWorkers spawns n worker processes by re-execing the current

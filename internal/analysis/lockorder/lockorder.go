@@ -33,9 +33,9 @@
 //     (released if either branch released), which models the engine's
 //     `if cond { mu.Lock() } … if cond { mu.Unlock() }` pairs.
 //
-// Deliberate blocking under a lock — e.g. the transport's write lock, whose
-// entire point is serializing socket writes — is waived per statement or per
-// function with `//distenc:lockheld-ok -- reason`.
+// Deliberate blocking under a lock — e.g. the scheduler's serialMu, whose
+// entire point is running one task body at a time — is waived per statement
+// or per function with `//distenc:lockheld-ok -- reason`.
 package lockorder
 
 import (
@@ -636,6 +636,8 @@ func (c *checker) blockingCallee(call *ast.CallExpr) (string, bool) {
 		return "io." + name, true
 	case path == "bufio" && (name == "Flush" || name == "Read" || name == "ReadByte" || name == "ReadBytes" || name == "ReadString" || name == "Peek"):
 		return "bufio." + recv + "." + name, true
+	case strings.HasSuffix(path, "internal/framerpc") && fn.Pkg() != c.pass.Pkg && (name == "Dial" || name == "Call"):
+		return "framerpc." + name, true
 	case strings.HasSuffix(path, "internal/rdd") && fn.Pkg() != c.pass.Pkg:
 		if name == "ReadFrame" || name == "WriteFrame" {
 			return "rdd." + name, true

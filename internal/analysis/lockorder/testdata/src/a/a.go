@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"distenc/internal/framerpc"
 )
 
 type engine struct {
@@ -67,6 +69,16 @@ func (e *engine) writevUnderLock(conn net.Conn, bufs net.Buffers) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	bufs.WriteTo(conn) // want `net Buffers\.WriteTo I/O while holding engine\.mu`
+}
+
+// rpcUnderLock: a framerpc dial or round trip is network I/O in another
+// package — the shape of a connection pool that dials, or calls, while
+// holding its lock.
+func (e *engine) rpcUnderLock(c *framerpc.Conn) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	framerpc.Dial("127.0.0.1:1", nil, 0, time.Second) // want `framerpc\.Dial while holding engine\.mu`
+	c.Call(1, nil, nil, 0, nil)                       // want `framerpc\.Call while holding engine\.mu`
 }
 
 // afterUnlock is clean: the blocking operations run with no lock held.

@@ -121,7 +121,7 @@ func rddCallee(pass *framework.Pass, call *ast.CallExpr) string {
 		id = fun
 	case *ast.SelectorExpr:
 		id = fun.Sel
-	case *ast.IndexExpr: // explicit instantiation rdd.Reduce[T](...)
+	case *ast.IndexExpr: // explicit instantiation rdd.MapPartitions[T, U](...)
 		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
 			id = sel.Sel
 		} else if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {

@@ -254,6 +254,29 @@ func TestTCPRetiredShuffleBlocksAreDropped(t *testing.T) {
 	}
 }
 
+// inprocWorkers runs n transport.Servers in this process — real sockets, no
+// processes to spawn — and returns them with a client fronting them.
+func inprocWorkers(t *testing.T, n int) ([]*transport.Server, *transport.Client) {
+	t.Helper()
+	servers := make([]*transport.Server, n)
+	addrs := make([]string, n)
+	for m := range servers {
+		s, err := transport.NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve()
+		t.Cleanup(s.Shutdown)
+		servers[m], addrs[m] = s, s.Addr()
+	}
+	tcl, err := transport.DialWorkers(addrs, transport.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tcl.Close() })
+	return servers, tcl
+}
+
 // TestTCPRoundTripsPerIterationAndFlatAllocation prices the network with
 // counts: a P = 8 solve over W = 2 workers (in-process transport.Servers, real
 // sockets) may spend at most P PutBlocks (one per map task), P·W FetchBlocks
@@ -267,21 +290,7 @@ func TestTCPRetiredShuffleBlocksAreDropped(t *testing.T) {
 // up to its peak concurrent demand after iteration 2.)
 func TestTCPRoundTripsPerIterationAndFlatAllocation(t *testing.T) {
 	const workers, parts = 2, 8
-	addrs := make([]string, workers)
-	for m := range addrs {
-		s, err := transport.NewServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go s.Serve()
-		t.Cleanup(s.Shutdown)
-		addrs[m] = s.Addr()
-	}
-	tcl, err := transport.DialWorkers(addrs, transport.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcl.Close()
+	_, tcl := inprocWorkers(t, workers)
 	c, err := rdd.NewCluster(rdd.Config{Machines: workers, Transport: tcl, SerializeTasks: true})
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +332,40 @@ func TestTCPRoundTripsPerIterationAndFlatAllocation(t *testing.T) {
 	}
 	if sum := c.Summary(); !strings.Contains(sum, fmt.Sprintf("transport: %d calls, ", m.TransportCalls.Load())) {
 		t.Errorf("Summary does not price the network:\n%s", sum)
+	}
+}
+
+// TestTCPConnectionsBoundedByTaskSlots: a call holds a connection for one round
+// trip and gives it back, so a worker never has more connections than calls
+// were in flight to it at once — and the scheduler bounds those at Machines ×
+// CoresPerMachine task slots. With one core per machine that is what the
+// client opened when it was built, so the solve itself dials nothing: no
+// iteration's time depends on which calls happened to overlap first.
+func TestTCPConnectionsBoundedByTaskSlots(t *testing.T) {
+	const workers, parts = 2, 8
+	servers, tcl := inprocWorkers(t, workers)
+	for m, s := range servers {
+		if n := s.Accepted(); n != workers {
+			t.Fatalf("worker %d accepted %d connections before the first call, want %d (one per machine)", m, n, workers)
+		}
+	}
+	c, err := rdd.NewCluster(rdd.Config{Machines: workers, CoresPerMachine: 1, Transport: tcl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	d := synth.LinearFactorDataset([]int{40, 40, 40}, 2, 4000, 61)
+	dopt := DistOptions{Options: Options{Rank: 3, MaxIter: 6, Tol: -1, Seed: 62}, Partitions: parts, GridPartition: true}
+	if _, err := CompleteDistributed(c, d.Tensor, d.Sims, dopt); err != nil {
+		t.Fatal(err)
+	}
+	if calls := c.Metrics().TransportCalls.Load(); calls < int64(dopt.MaxIter*parts) {
+		t.Fatalf("%d transport calls: the solve did not go through the workers", calls)
+	}
+	for m, s := range servers {
+		if n := s.Accepted(); n != workers*1 {
+			t.Errorf("worker %d accepted %d connections by the end of the solve, want the %d (Machines × CoresPerMachine) it started with", m, n, workers)
+		}
 	}
 }
 

@@ -127,7 +127,6 @@ func TestDistributedVariantsAgree(t *testing.T) {
 		opt  DistOptions
 	}{
 		{"uniform-partition", DistOptions{Options: opts, UniformPartition: true}},
-		{"distributed-gram", DistOptions{Options: opts, DistributeGram: true}},
 		{"more-partitions", DistOptions{Options: opts, Partitions: 7}},
 	} {
 		c2 := rdd.MustNewCluster(rdd.Config{Machines: 4})

@@ -26,11 +26,6 @@ type DistOptions struct {
 	// splits each mode into equal-width index ranges (the load-balancing
 	// ablation).
 	UniformPartition bool
-	// DistributeGram computes the per-mode self-products A(n)ᵀA(n) with a
-	// distributed stage per Eq. (13) instead of on the driver. The math is
-	// identical; the driver path avoids per-iteration stage overhead at the
-	// small scales of this reproduction.
-	DistributeGram bool
 	// GridPartition lets the blocking cut every mode instead of only mode 0
 	// (the paper's P×Q×K compartmentalization, §III-C). The P blocks are the
 	// leaves of a nested Algorithm 2 split of shape P₀×…×P_{N−1}, ΠPₙ = P:
@@ -166,20 +161,10 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 		gramStart := time.Now()
 		grams := make([]*mat.Dense, t.Order())
 		for n, f := range st.factors {
-			if opt.DistributeGram {
-				g, err := distributedGram(c, f, layout.modeBounds[n])
-				if err != nil {
-					return nil, err
-				}
-				grams[n] = g
-			} else {
-				grams[n] = mat.Gram(f)
-			}
+			grams[n] = mat.Gram(f)
 		}
 		gramDur := time.Since(gramStart)
-		if !opt.DistributeGram {
-			c.RecordDriverSpan("gram", gramStart, gramDur)
-		}
+		c.RecordDriverSpan("gram", gramStart, gramDur)
 		drvStart := time.Now()
 		next, bs := st.iterateWith(grams, func(mode int) *mat.Dense { return hs[mode] })
 		delta := st.advanceNoResid(next, bs)
@@ -584,58 +569,4 @@ func neededRows(blk *TensorBlock, n int, local []int32) []int32 {
 		}
 	}
 	return rows
-}
-
-// distributedGram computes A(n)ᵀA(n) = Σ_p A(n)ᵀ_(p)A(n)_(p) (Eq. 13): each
-// partition's local Gram is an R×R matrix, aggregated on the driver. The
-// product is symmetric, so each partition accumulates only the upper triangle
-// and mirrors it once before emitting — half the multiply-adds per row.
-func distributedGram(c *rdd.Cluster, f *mat.Dense, bounds part.Boundaries) (*mat.Dense, error) {
-	rank := f.Cols()
-	blocks := make([][][]float64, bounds.NumPartitions())
-	for p := range blocks {
-		lo, hi := bounds.Range(p)
-		rows := make([][]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			rows = append(rows, f.Row(i))
-		}
-		blocks[p] = rows
-	}
-	rowsRDD := rdd.FromPartitions(c, "gram-rows", blocks)
-	//distenc:hotpath
-	partial := rdd.MapPartitions(rowsRDD, "gram-partial", func(tc *rdd.TaskCtx, p int, in [][]float64) ([][]float64, error) {
-		//distenc:coldpath -- one R×R slab per task that escapes through Reduce into the solver's Eq. 16 algebra; arena memory must not outlive the iteration
-		g := make([]float64, rank*rank)
-		for _, row := range in {
-			for i := 0; i < rank; i++ {
-				vi := row[i]
-				if vi == 0 {
-					continue
-				}
-				gi := g[i*rank : (i+1)*rank]
-				for j := i; j < rank; j++ {
-					gi[j] += vi * row[j]
-				}
-			}
-		}
-		for i := 1; i < rank; i++ {
-			for j := 0; j < i; j++ {
-				g[i*rank+j] = g[j*rank+i]
-			}
-		}
-		return [][]float64{g}, nil
-	})
-	sum, ok, err := rdd.Reduce(partial, func(a, b []float64) []float64 {
-		for i := range a {
-			a[i] += b[i]
-		}
-		return a
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return mat.NewDense(rank, rank), nil
-	}
-	return mat.NewDenseData(rank, rank, sum), nil
 }

@@ -5,9 +5,9 @@
 // The engine provides lazy, lineage-backed resilient distributed datasets
 // with exactly the operators its callers reach: FromPartitions, one narrow
 // transformation (MapPartitions), one wide one (ShuffleMap), broadcast
-// variables, explicit caching (Cache, Materialize, Unpersist), and the actions
-// Collect and Reduce. TestEngineSurfaceIsReached fails when an operator loses
-// its last caller.
+// variables, explicit caching (Cache, Materialize, Unpersist), and the action
+// Collect. TestEngineSurfaceIsReached fails when an operator loses its last
+// caller.
 //
 // What makes it a useful experimental substrate rather than a toy:
 //

@@ -255,47 +255,6 @@ func (r *RDD[T]) Collect() ([]T, error) {
 	return out, nil
 }
 
-// Reduce folds all elements with f. ok is false for an empty RDD.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (result T, ok bool, err error) {
-	if err := r.ensureDeps(); err != nil {
-		return result, false, err
-	}
-	partials := make([]T, r.parts)
-	got := make([]bool, r.parts)
-	err = r.c.runStage("reduce:"+r.name, r.parts, func(tc *TaskCtx, p int) error {
-		items, err := r.computePartition(tc, p)
-		if err != nil {
-			return err
-		}
-		if len(items) == 0 {
-			return nil
-		}
-		acc := items[0]
-		for _, v := range items[1:] {
-			acc = f(acc, v)
-		}
-		tc.OnSuccess(func() { // winner-only install (speculation)
-			partials[p] = acc
-			got[p] = true
-		})
-		return nil
-	})
-	if err != nil {
-		return result, false, err
-	}
-	for p := range partials {
-		if !got[p] {
-			continue
-		}
-		if !ok {
-			result, ok = partials[p], true
-		} else {
-			result = f(result, partials[p])
-		}
-	}
-	return result, ok, nil
-}
-
 // ForeachPartition runs f over every partition inside tasks (an action with
 // side effects owned by the caller; f must be safe for concurrent calls on
 // distinct partitions — and, with Config.Speculation enabled, for concurrent

@@ -45,20 +45,6 @@ func TestParallelizeCollectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReduceAndEmpty(t *testing.T) {
-	c := testCluster(t, Config{})
-	r := Parallelize(c, "nums", ints(101), 8)
-	sum, ok, err := Reduce(r, func(a, b int) int { return a + b })
-	if err != nil || !ok || sum != 5050 {
-		t.Fatalf("Reduce = %d, %v, %v", sum, ok, err)
-	}
-	empty := Parallelize(c, "empty", []int{}, 3)
-	_, ok, err = Reduce(empty, func(a, b int) int { return a + b })
-	if err != nil || ok {
-		t.Fatalf("empty Reduce ok=%v err=%v", ok, err)
-	}
-}
-
 func TestMapPartitionsSeesAllPartitions(t *testing.T) {
 	c := testCluster(t, Config{})
 	r := Parallelize(c, "nums", ints(10), 3)

@@ -1,22 +1,19 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 
+	"distenc/internal/framerpc"
 	"distenc/internal/metrics"
 	"distenc/internal/rdd"
-	"distenc/internal/transport"
 )
 
-// The serve wire protocol mirrors the worker protocol's shape — one
-// length-prefixed frame per message (rdd.WriteFrame/ReadFrame), a framed
-// hello in each direction at connection setup, pipelined FIFO
-// request/response — with its own magic so a predict client that dials a
+// The serve wire protocol is internal/framerpc's — one length-prefixed frame
+// per message, a framed hello in each direction at connection setup, requests
+// answered in order — with its own magic so a predict client that dials a
 // worker port (or vice versa) fails at the hello instead of misparsing
 // frames.
 //
@@ -46,22 +43,14 @@ const (
 
 // Response status codes.
 const (
-	stOK         = 0
+	stOK         = framerpc.StatusOK
 	stNotFound   = 1 // unknown model; payload is the error text
 	stBadRequest = 2 // malformed body or bad geometry; payload is the error text
 	stError      = 3 // server-side failure; payload is the error text
 )
 
-// reqHeaderLen is reqID(8) + op(1).
-const reqHeaderLen = 9
-
-// respHeaderLen is reqID(8) + status(1).
-const respHeaderLen = 9
-
-// appendPredictRequest appends one framed-payload-less predict request.
-func appendPredictRequest(buf []byte, reqID uint64, name string, order int, flat []int32) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, reqID)
-	buf = append(buf, opPredict)
+// appendPredictBody appends the body of one predict request.
+func appendPredictBody(buf []byte, name string, order int, flat []int32) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(order))
@@ -86,16 +75,17 @@ func parsePredictBody(body []byte) (string, int, []int32, error) {
 	name := string(body[:nameLen])
 	body = body[nameLen:]
 	order := int(binary.LittleEndian.Uint16(body))
-	count := int(binary.LittleEndian.Uint32(body[2:]))
+	count := binary.LittleEndian.Uint32(body[2:])
 	body = body[6:]
 	if order <= 0 {
 		return "", 0, nil, fmt.Errorf("predict body declares order %d", order)
 	}
-	want := count * order * 4
-	if len(body) != want {
+	// In 64 bits, so no count can wrap the product into agreeing with a short
+	// body; the indices are then sized from the bytes that are really there.
+	if want := uint64(count) * uint64(order) * 4; uint64(len(body)) != want {
 		return "", 0, nil, fmt.Errorf("predict body carries %d index bytes, want %d for count=%d order=%d", len(body), want, count, order)
 	}
-	flat := make([]int32, count*order)
+	flat := make([]int32, len(body)/4)
 	for i := range flat {
 		flat[i] = int32(binary.LittleEndian.Uint32(body[i*4:]))
 	}
@@ -107,61 +97,35 @@ func parsePredictBody(body []byte) (string, int, []int32, error) {
 // dial their own Client (connections are cheap; the server handles each on
 // its own goroutine).
 type Client struct {
-	conn     net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	nextID   uint64
-	maxFrame int
-	buf      []byte
+	conn *framerpc.Conn
+	buf  []byte
 }
 
-// Dial connects to a serve endpoint and completes the hello exchange.
+// Dial connects to a serve endpoint and completes the hello exchange, both
+// within framerpc.DialTimeout.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := framerpc.Dial(addr, serveHello, rdd.DefaultMaxFrame, framerpc.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		conn:     conn,
-		br:       bufio.NewReaderSize(conn, 64<<10),
-		bw:       bufio.NewWriterSize(conn, 64<<10),
-		maxFrame: rdd.DefaultMaxFrame,
-	}
-	if err := transport.SendHello(c.bw, serveHello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("serve: hello to %s: %w", addr, err)
-	}
-	if err := transport.ExpectHello(c.br, serveHello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("serve: %s is not a serve endpoint: %w", addr, err)
-	}
-	return c, nil
+	return &Client{conn: conn}, nil
 }
 
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip writes one framed request and reads its response, verifying
-// FIFO reqID echo.
-func (c *Client) roundTrip(reqID uint64, frame []byte) (uint8, []byte, error) {
-	if err := rdd.WriteFrame(c.bw, frame); err != nil {
-		return 0, nil, fmt.Errorf("serve: writing request: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, nil, fmt.Errorf("serve: flushing request: %w", err)
-	}
-	resp, err := rdd.ReadFrame(c.br, c.maxFrame)
+// call performs one round trip and returns the payload of an OK response. No
+// deadline is armed: a predict is microseconds, and arming one per request
+// costs a measurable share of that.
+func (c *Client) call(op uint8, body []byte) ([]byte, error) {
+	status, payload, err := c.conn.Call(op, body, nil, 0, nil)
 	if err != nil {
-		return 0, nil, fmt.Errorf("serve: reading response: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if len(resp) < respHeaderLen {
-		return 0, nil, fmt.Errorf("serve: response frame of %d bytes, want >= %d", len(resp), respHeaderLen)
+	if status != stOK {
+		return nil, statusErr(status, payload)
 	}
-	gotID := binary.LittleEndian.Uint64(resp)
-	if gotID != reqID {
-		return 0, nil, fmt.Errorf("serve: response for request %d, want %d (FIFO violated)", gotID, reqID)
-	}
-	return resp[8], resp[respHeaderLen:], nil
+	return payload, nil
 }
 
 // statusErr converts a non-OK response into an error carrying the server's
@@ -183,14 +147,10 @@ func (c *Client) Predict(model string, order int, flat []int32) ([]float64, erro
 	if order <= 0 || len(flat)%order != 0 {
 		return nil, fmt.Errorf("serve: %d indices do not tile order %d", len(flat), order)
 	}
-	c.nextID++
-	c.buf = appendPredictRequest(c.buf[:0], c.nextID, model, order, flat)
-	status, payload, err := c.roundTrip(c.nextID, c.buf)
+	c.buf = appendPredictBody(c.buf[:0], model, order, flat)
+	payload, err := c.call(opPredict, c.buf)
 	if err != nil {
 		return nil, err
-	}
-	if status != stOK {
-		return nil, statusErr(status, payload)
 	}
 	count := len(flat) / order
 	if len(payload) != count*8 {
@@ -221,15 +181,9 @@ func (c *Client) PredictCells(model string, cells [][]int32) ([]float64, error) 
 
 // Stats fetches the server's registry-wide rollup.
 func (c *Client) Stats() (metrics.ServeSnapshot, error) {
-	c.nextID++
-	c.buf = binary.LittleEndian.AppendUint64(c.buf[:0], c.nextID)
-	c.buf = append(c.buf, opStats)
-	status, payload, err := c.roundTrip(c.nextID, c.buf)
+	payload, err := c.call(opStats, nil)
 	if err != nil {
 		return nil, err
-	}
-	if status != stOK {
-		return nil, statusErr(status, payload)
 	}
 	var snap metrics.ServeSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
@@ -240,15 +194,6 @@ func (c *Client) Stats() (metrics.ServeSnapshot, error) {
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	c.nextID++
-	c.buf = binary.LittleEndian.AppendUint64(c.buf[:0], c.nextID)
-	c.buf = append(c.buf, opPing)
-	status, payload, err := c.roundTrip(c.nextID, c.buf)
-	if err != nil {
-		return err
-	}
-	if status != stOK {
-		return statusErr(status, payload)
-	}
-	return nil
+	_, err := c.call(opPing, nil)
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -19,11 +20,11 @@ import (
 	"time"
 
 	"distenc/internal/core"
+	"distenc/internal/framerpc"
 	"distenc/internal/leakcheck"
 	"distenc/internal/rdd"
 	"distenc/internal/sptensor"
 	"distenc/internal/synth"
-	"distenc/internal/transport"
 )
 
 // trainCheckpoint runs a small distributed completion with per-iteration
@@ -294,10 +295,9 @@ func TestProtocolErrorsAndStats(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsStrangers proves the mis-dialed-port property both ways:
-// a worker-protocol hello on the serve port closes the connection, and the
-// serve client refuses a non-serve endpoint.
-func TestHelloRejectsStrangers(t *testing.T) {
+// loadedServer starts a server with one small model, "m", registered.
+func loadedServer(t *testing.T) *Server {
+	t.Helper()
 	ckpt, _, _ := trainCheckpoint(t, 96, 2)
 	reg := NewRegistry()
 	m, err := LoadModel("m", ckpt, "", 0)
@@ -310,20 +310,46 @@ func TestHelloRejectsStrangers(t *testing.T) {
 		t.Fatal(err)
 	}
 	startServer(t, srv)
+	return srv
+}
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	if err := transport.SendHello(bw, []byte{'D', 'T', 'W', 1}); err != nil {
-		t.Fatal(err)
-	}
-	// The server must hang up without answering.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("server answered a worker-protocol hello")
+// TestHelloRejectsStrangers proves the mis-dialed-port property both ways: a
+// stranger's hello on the serve port — a worker client's, or a serve client's
+// of another version — is answered with the server's own, so the peer can say
+// what it reached, and then hung up on; and the serve client refuses a
+// non-serve endpoint.
+func TestHelloRejectsStrangers(t *testing.T) {
+	srv := loadedServer(t)
+	for _, tc := range []struct {
+		hello []byte
+		want  []string // what the peer's own check makes of the answer
+	}{
+		{[]byte{'D', 'T', 'W', 2}, []string{"bad hello"}},
+		{[]byte{'D', 'T', 'S', 2}, []string{"version 1", "version 2"}},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(rdd.AppendFrame(nil, tc.hello)); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		hello, err := rdd.ReadFrame(br, 16)
+		if err != nil || !bytes.Equal(hello, serveHello) {
+			t.Fatalf("hello %q was answered with %q, %v; want the server's own %q", tc.hello, hello, err, serveHello)
+		}
+		err = framerpc.ExpectHello(bytes.NewReader(rdd.AppendFrame(nil, hello)), tc.hello)
+		for _, want := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("a peer greeting with %q makes of the answer: %v, want it to say %q", tc.hello, err, want)
+			}
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("after refusing hello %q the server did not hang up: %v", tc.hello, err)
+		}
 	}
 
 	// And Dial against a non-serve listener fails at the hello.
@@ -347,6 +373,98 @@ func TestHelloRejectsStrangers(t *testing.T) {
 		t.Fatal("Dial accepted a non-serve endpoint")
 	}
 	wg.Wait()
+}
+
+// TestDialGivesUpOnASilentListener: an endpoint that accepts and never speaks
+// must cost Dial its fixed bound, not forever.
+func TestDialGivesUpOnASilentListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(held)
+			return
+		}
+		held <- c // hold open, never speak: the dialer waits on the hello
+	}()
+	defer func() {
+		ln.Close()
+		if c := <-held; c != nil {
+			c.Close()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Dial(ln.Addr().String())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Dial succeeded against a listener that never sent a hello")
+		}
+	case <-time.After(framerpc.DialTimeout + 5*time.Second):
+		t.Fatalf("Dial still blocked %v after its %v bound", 5*time.Second, framerpc.DialTimeout)
+	}
+}
+
+// TestShutdownCutsOffStalledReader is the predict plane's half of the
+// stalled-reader drain (see its twin in internal/transport): a client
+// pipelines batches and never reads a reply, the handler ends up blocked in a
+// write, and Shutdown must cut it off instead of waiting for a reader that is
+// not coming — a SIGTERMed distenc-serve has nobody to SIGKILL it.
+func TestShutdownCutsOffStalledReader(t *testing.T) {
+	srv := loadedServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const cells = 1 << 15 // 256 KB of predictions a batch
+	batch := rdd.AppendFrame(nil, appendPredictBody(framerpc.AppendHeader(nil, 1, opPredict), "m", 3, make([]int32, 3*cells)))
+	var written atomic.Int64
+	writerDone := make(chan struct{})
+	go func() { // ends when the server, or the deferred Close, closes conn
+		defer close(writerDone)
+		if _, err := conn.Write(rdd.AppendFrame(nil, serveHello)); err != nil {
+			return
+		}
+		for {
+			n, err := conn.Write(batch)
+			written.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		conn.Close()
+		<-writerDone
+	}()
+	// Once the replies nobody reads fill the socket buffers the handler blocks
+	// writing, stops reading, and the writer here stops making progress.
+	for last, still := int64(-1), 0; still < 3; {
+		time.Sleep(100 * time.Millisecond)
+		if n := written.Load(); n > 0 && n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Shutdown()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown is still waiting for a connection whose peer stopped reading")
+	}
 }
 
 func TestAdminPlane(t *testing.T) {

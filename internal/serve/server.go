@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,10 +8,9 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
+	"distenc/internal/framerpc"
 	"distenc/internal/rdd"
-	"distenc/internal/transport"
 )
 
 // Config sizes one serve daemon.
@@ -31,24 +29,17 @@ type Config struct {
 }
 
 // Server answers entry-reconstruction queries from a model registry over
-// the binary predict plane and manages the registry over the HTTP admin
-// plane. Connection handling mirrors transport.Server: one goroutine per
-// accepted connection, FIFO pipelining, flush-when-idle, and a graceful
-// Shutdown that lets in-flight requests finish before unblocking idle
-// reads via a deadline.
+// the binary predict plane — a framerpc.Server: one goroutine per connection,
+// requests answered in order, flush-when-idle, graceful drain — and manages
+// the registry over the HTTP admin plane.
 type Server struct {
-	cfg      Config
-	reg      *Registry
-	ln       net.Listener
-	admin    *http.Server
-	adminLn  net.Listener
-	maxFrame int
+	cfg     Config
+	reg     *Registry
+	rpc     *framerpc.Server
+	admin   *http.Server
+	adminLn net.Listener
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-
-	wg        sync.WaitGroup
+	wg        sync.WaitGroup // the admin server and the refresh loop
 	refresher *refresher
 }
 
@@ -58,21 +49,16 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = rdd.DefaultMaxFrame
 	}
-	ln, err := net.Listen("tcp", cfg.Listen)
+	s := &Server{cfg: cfg, reg: reg}
+	rpc, err := framerpc.Listen(cfg.Listen, serveHello, cfg.MaxFrame, s.newHandler)
 	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", cfg.Listen, err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{
-		cfg:      cfg,
-		reg:      reg,
-		ln:       ln,
-		maxFrame: cfg.MaxFrame,
-		conns:    map[net.Conn]struct{}{},
-	}
+	s.rpc = rpc
 	if cfg.Admin != "" {
 		adminLn, err := net.Listen("tcp", cfg.Admin)
 		if err != nil {
-			ln.Close()
+			rpc.Shutdown()
 			return nil, fmt.Errorf("serve: admin listen %s: %w", cfg.Admin, err)
 		}
 		s.adminLn = adminLn
@@ -88,7 +74,7 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Addr returns the predict plane's bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.rpc.Addr() }
 
 // AdminAddr returns the admin plane's bound address ("" when disabled).
 func (s *Server) AdminAddr() string {
@@ -117,48 +103,14 @@ func (s *Server) Serve() error {
 			s.refresher.run()
 		}()
 	}
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("serve: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
+	return s.rpc.Serve()
 }
 
-// Shutdown drains the server: stop the refresh loop, stop accepting on
-// both planes, let every in-flight request finish, then return. Safe to
-// call more than once.
+// Shutdown drains the server: stop accepting on the predict plane and let
+// every in-flight request finish, stop the refresh loop and the admin plane,
+// then return. Safe to call more than once.
 func (s *Server) Shutdown() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	s.ln.Close()
-	for conn := range s.conns {
-		// Unblocks only a read waiting for the NEXT request; a request mid-
-		// handling completes and its response flushes first.
-		conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
+	s.rpc.Shutdown()
 	if s.refresher != nil {
 		s.refresher.stop()
 	}
@@ -175,92 +127,49 @@ func (s *Server) Shutdown() {
 	}
 }
 
-func (s *Server) dropConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-	s.wg.Done()
-}
-
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.dropConn(conn)
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-
-	if err := transport.ExpectHello(br, serveHello); err != nil {
-		return
-	}
-	if err := transport.SendHello(bw, serveHello); err != nil {
-		return
-	}
-
-	var respBuf []byte
-	var predBuf []float64
-	for {
-		frame, err := rdd.ReadFrame(br, s.maxFrame)
-		if err != nil {
-			return // EOF, torn frame, or the shutdown read deadline
-		}
-		if len(frame) < reqHeaderLen {
-			return
-		}
-		reqID := binary.LittleEndian.Uint64(frame)
-		op := frame[8]
-		respBuf, predBuf = s.handle(reqID, op, frame[reqHeaderLen:], respBuf[:0], predBuf[:0])
-		if err := rdd.WriteFrame(bw, respBuf); err != nil {
-			return
-		}
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
+// newHandler returns one connection's request handler, which keeps that
+// connection's prediction scratch.
+func (s *Server) newHandler() framerpc.Handler {
+	var preds []float64
+	return func(op uint8, req, body []byte, tail [][]byte) (uint8, []byte, [][]byte) {
+		status, body := s.handle(op, req, body, &preds)
+		return status, body, tail
 	}
 }
 
-// handle executes one request, appending the response to buf. predBuf is
-// the reusable prediction scratch.
-func (s *Server) handle(reqID uint64, op uint8, body, buf []byte, predBuf []float64) ([]byte, []float64) {
+// handle executes one request, appending the response body — on failure the
+// error text — to buf. preds is the reusable prediction scratch.
+func (s *Server) handle(op uint8, body, buf []byte, preds *[]float64) (uint8, []byte) {
 	switch op {
 	case opPing:
-		return appendResponse(buf, reqID, stOK, nil), predBuf
+		return stOK, buf
 	case opStats:
 		snap, err := json.Marshal(s.reg.Snapshot())
 		if err != nil {
-			return appendResponse(buf, reqID, stError, []byte(err.Error())), predBuf
+			return stError, append(buf, err.Error()...)
 		}
-		return appendResponse(buf, reqID, stOK, snap), predBuf
+		return stOK, append(buf, snap...)
 	case opPredict:
 		name, order, flat, err := parsePredictBody(body)
 		if err != nil {
-			return appendResponse(buf, reqID, stBadRequest, []byte(err.Error())), predBuf
+			return stBadRequest, append(buf, err.Error()...)
 		}
 		// Capture the model generation once; the whole batch — validation
 		// and every prediction — is answered by it, so a concurrent swap
 		// never mixes generations within a response.
 		m, ok := s.reg.Get(name)
 		if !ok {
-			return appendResponse(buf, reqID, stNotFound, fmt.Appendf(nil, "no model %q loaded", name)), predBuf
+			return stNotFound, fmt.Appendf(buf, "no model %q loaded", name)
 		}
-		predBuf, err = m.PredictBatch(order, flat, predBuf)
+		*preds, err = m.PredictBatch(order, flat, (*preds)[:0])
 		if err != nil {
-			return appendResponse(buf, reqID, stBadRequest, []byte(err.Error())), predBuf
+			return stBadRequest, append(buf, err.Error()...)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, reqID)
-		buf = append(buf, stOK)
-		for _, v := range predBuf {
+		for _, v := range *preds {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		return buf, predBuf
+		return stOK, buf
 	default:
-		return appendResponse(buf, reqID, stBadRequest, fmt.Appendf(nil, "unknown op %d", op)), predBuf
+		return stBadRequest, fmt.Appendf(buf, "unknown op %d", op)
 	}
-}
-
-// appendResponse appends a response header and payload.
-func appendResponse(buf []byte, reqID uint64, status uint8, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, reqID)
-	buf = append(buf, status)
-	return append(buf, payload...)
 }

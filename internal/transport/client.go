@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"sync"
@@ -14,18 +13,16 @@ import (
 	"syscall"
 	"time"
 
+	"distenc/internal/framerpc"
 	"distenc/internal/rdd"
 )
 
 // Options tunes the TCP transport client.
 type Options struct {
-	// PoolSize is the number of pooled connections per worker (default 2).
-	// Each connection pipelines: requests from many tasks are in flight at
-	// once and responses stream back in order.
-	PoolSize int
 	// MaxFrame caps accepted frame sizes (default rdd.DefaultMaxFrame).
 	MaxFrame int
-	// DialTimeout bounds connection establishment (default 5s).
+	// DialTimeout bounds connection establishment, hello included (default
+	// framerpc.DialTimeout).
 	DialTimeout time.Duration
 	// CallTimeout bounds one request/response round trip (default 60s). A
 	// worker that stalls past it is treated as unreachable.
@@ -33,14 +30,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.PoolSize <= 0 {
-		o.PoolSize = 2
-	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = rdd.DefaultMaxFrame
 	}
 	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
+		o.DialTimeout = framerpc.DialTimeout
 	}
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = 60 * time.Second
@@ -48,8 +42,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Client implements rdd.Transport over TCP: one pooled, pipelined connection
-// set per worker. It is safe for concurrent use by every task goroutine.
+// Client implements rdd.Transport over TCP. A call takes a connection to its
+// worker for one round trip and gives it back, so each worker has as many
+// connections as it has had calls in flight at once — which the scheduler
+// bounds at Machines × CoresPerMachine — and never fewer than connect opened
+// when the client was built. It is safe for concurrent use by every task
+// goroutine.
 type Client struct {
 	opts    Options
 	workers []*worker
@@ -61,8 +59,15 @@ func unreachableErr(addr string, err error) error {
 	return fmt.Errorf("%w: worker %s: %v", rdd.ErrMachineUnreachable, addr, err)
 }
 
-// worker is the client's view of one worker process: its address, the pooled
-// connections, and — for spawned workers — the child process to reap.
+// conn is one connection to a worker with the scratch of whoever holds it.
+type conn struct {
+	*framerpc.Conn
+	req   []byte // a request's body ahead of any images
+	table []byte // the block table of the get response being read
+}
+
+// worker is the client's view of one worker process: its address, the
+// connections to it, and — for spawned workers — the child process to reap.
 type worker struct {
 	opts Options
 	addr string
@@ -76,230 +81,79 @@ type worker struct {
 	killed   atomic.Bool
 	reap     sync.Once
 
-	mu    sync.Mutex
-	conns []*pipeConn
-	next  int
-	// gen counts pool sweeps (closeConns). A dial that started against an
-	// older generation must not install its connection: the sweeper has
-	// already passed and would never tear it down.
-	gen int
+	mu     sync.Mutex
+	idle   []*conn            // connections no call holds
+	live   map[*conn]struct{} // every open connection, idle or mid-call: what closeConns closes
+	closed bool               // closeConns has swept: no connection may be added
 }
 
-// conn returns a live pooled connection, dialing lazily. The dial happens
-// with w.mu released: holding the pool lock across a network connect (up to
-// DialTimeout against a dead host) would convoy every caller that only
-// wanted to pick an already-live connection — the same class of stall as
+// take hands the caller a connection of its own: an idle one, or a fresh
+// dial. The dial happens with w.mu released: holding the pool lock across a
+// network connect (up to DialTimeout against a dead host) would convoy every
+// caller that only wanted an idle connection — the same class of stall as
 // the PR 5 blockFor convoy, but on the client pool.
-func (w *worker) conn() (*pipeConn, error) {
-	if w.killed.Load() {
-		return nil, unreachableErr(w.addr, errors.New("worker killed"))
-	}
+func (w *worker) take() (*conn, error) {
 	w.mu.Lock()
-	for i := 0; i < len(w.conns); i++ {
-		w.next = (w.next + 1) % len(w.conns)
-		if c := w.conns[w.next]; c != nil && !c.isDead() {
-			w.mu.Unlock()
-			return c, nil
-		}
-	}
-	slot := w.next
-	gen := w.gen
-	w.mu.Unlock()
-
-	c, err := dialWorker(w.addr, w.opts)
-	if err != nil {
-		return nil, err
-	}
-
-	w.mu.Lock()
-	// Kill/Close may have swept the pool while we were dialing; a connection
-	// installed now would never be torn down.
-	if w.killed.Load() || w.gen != gen {
+	if w.closed {
 		w.mu.Unlock()
-		c.nc.Close()
-		return nil, unreachableErr(w.addr, errors.New("worker closed while dialing"))
+		return nil, unreachableErr(w.addr, errors.New("worker killed or client closed"))
 	}
-	if old := w.conns[slot]; old == nil || old.isDead() {
-		w.conns[slot] = c
+	if n := len(w.idle); n > 0 {
+		c := w.idle[n-1]
+		w.idle = w.idle[:n-1]
 		w.mu.Unlock()
 		return c, nil
 	}
-	// A concurrent dial already filled the slot; use the winner and fold our
-	// spare connection back into the first free slot rather than leaking it.
-	for i, old := range w.conns {
-		if old == nil || old.isDead() {
-			w.conns[i] = c
-			w.mu.Unlock()
-			return c, nil
-		}
-	}
-	winner := w.conns[slot]
 	w.mu.Unlock()
-	c.nc.Close()
-	return winner, nil
-}
 
-// closeConns tears down every pooled connection (failing their in-flight
-// calls with err when non-nil).
-func (w *worker) closeConns(err error) {
-	w.mu.Lock()
-	conns := w.conns
-	w.conns = make([]*pipeConn, len(conns))
-	w.gen++
-	w.mu.Unlock()
-	for _, c := range conns {
-		if c != nil {
-			if err != nil {
-				c.fail(err)
-			} else {
-				c.nc.Close()
-			}
-		}
-	}
-}
-
-// callResult is the outcome of a pipelined request, delivered by the read
-// loop. A get's images have been read into the call's own slots by then.
-type callResult struct {
-	status uint8
-	body   []byte // error text (stError); empty otherwise
-	err    error
-}
-
-// call is one request in flight. A get's req.images is where the read loop
-// puts what comes back.
-type call struct {
-	reqID uint64
-	req   request
-	ch    chan callResult
-}
-
-// pipeConn is one pipelined connection, modeled on Codis's backend
-// connection: writers append a call to the FIFO and write the request frame
-// under the write lock (so queue order equals wire order); a single read
-// loop matches responses to calls in order.
-type pipeConn struct {
-	nc       net.Conn
-	br       *bufio.Reader
-	maxFrame int
-
-	wmu    sync.Mutex // serializes enqueue+write so FIFO order matches the wire
-	nextID uint64     // under wmu
-	head   []byte     // under wmu: the frame being written, up to a put's images
-	bufs   [][]byte   // under wmu: head and those images, as one writev
-
-	qmu     sync.Mutex
-	pending []*call
-	dead    bool
-	err     error
-
-	table []byte // read loop only: the block table of the get response being read
-}
-
-func dialWorker(addr string, opts Options) (*pipeConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	fc, err := framerpc.Dial(w.addr, helloFrame, w.opts.MaxFrame, w.opts.DialTimeout)
 	if err != nil {
-		return nil, unreachableErr(addr, err)
+		return nil, unreachableErr(w.addr, err)
 	}
-	c := &pipeConn{
-		nc:       nc,
-		br:       bufio.NewReaderSize(nc, 64<<10),
-		maxFrame: opts.MaxFrame,
+	c := &conn{Conn: fc}
+
+	w.mu.Lock()
+	// Kill/Close may have swept the pool while we were dialing; a connection
+	// registered now would never be torn down.
+	if w.closed {
+		w.mu.Unlock()
+		c.Close()
+		return nil, unreachableErr(w.addr, errors.New("worker closed while dialing"))
 	}
-	nc.SetDeadline(time.Now().Add(opts.DialTimeout))
-	if _, err := nc.Write(rdd.AppendFrame(nil, helloFrame)); err != nil {
-		nc.Close()
-		return nil, unreachableErr(addr, err)
+	if w.live == nil {
+		w.live = map[*conn]struct{}{}
 	}
-	if err := ExpectHello(c.br, helloFrame); err != nil {
-		nc.Close()
-		return nil, unreachableErr(addr, err)
-	}
-	nc.SetDeadline(time.Time{})
-	//distenc:goroutine-owned-by conn-close -- readLoop exits when the connection dies or closes (its reads error), and fail/closeConns always close the conn
-	go c.readLoop()
+	w.live[c] = struct{}{}
+	w.mu.Unlock()
 	return c, nil
 }
 
-func (c *pipeConn) isDead() bool {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	return c.dead
-}
-
-// fail marks the connection dead, closes it, and delivers err to every
-// pending call. Idempotent.
-func (c *pipeConn) fail(err error) {
-	c.qmu.Lock()
-	if c.dead {
-		c.qmu.Unlock()
-		return
-	}
-	c.dead = true
-	c.err = err
-	pend := c.pending
-	c.pending = nil
-	c.qmu.Unlock()
-	c.nc.Close()
-	for _, cl := range pend {
-		cl.ch <- callResult{err: err}
-	}
-}
-
-func (c *pipeConn) readLoop() {
-	for {
-		if err := c.readResponse(); err != nil {
-			c.fail(err)
-			return
-		}
-	}
-}
-
-// readResponse reads one response frame and delivers it to the call at the
-// head of the FIFO. The frame is consumed piecewise rather than through
-// rdd.ReadFrame so that a get's images land directly in the buffers the caller
-// supplied. A call taken off the FIFO is always answered — from here on fail
-// no longer knows it — and only after its images are no longer written to.
-func (c *pipeConn) readResponse() error {
-	var hdr [4 + respHeaderLen]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return fmt.Errorf("transport: connection lost: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int64(n) > int64(c.maxFrame) {
-		// Not wrapped as rdd.ErrFrameTooLarge: every call queued on the
-		// connection gets this error, and only one of them asked for too much.
-		return fmt.Errorf("transport: response frame of %d bytes exceeds the %d-byte limit", n, c.maxFrame)
-	}
-	if n < respHeaderLen {
-		return fmt.Errorf("transport: response frame of %d bytes, want >= %d", n, respHeaderLen)
-	}
-	reqID, status, _, _ := parseResponse(hdr[4:])
-	c.qmu.Lock()
-	if len(c.pending) == 0 {
-		c.qmu.Unlock()
-		return fmt.Errorf("transport: unsolicited response %d", reqID)
-	}
-	cl := c.pending[0]
-	c.pending = c.pending[1:]
-	c.qmu.Unlock()
-
-	res := callResult{status: status}
-	body := int(n) - respHeaderLen
+// give ends the caller's hold on c: back to the idle list, or closed when the
+// call left it broken. After a sweep there is nothing to do — closeConns
+// closed c under the call that held it.
+func (w *worker) give(c *conn, broken bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	switch {
-	case cl.reqID != reqID:
-		res.err = fmt.Errorf("transport: response %d for request %d (pipeline desync)", reqID, cl.reqID)
-	case status == stOK && cl.req.op == opGet:
-		c.table, res.err = readBlocks(c.br, body, cl.req.ids, cl.req.images, c.table)
-	case body > 0:
-		res.body = make([]byte, body)
-		_, res.err = io.ReadFull(c.br, res.body)
+	case w.closed:
+	case broken:
+		delete(w.live, c)
+		c.Close()
+	default:
+		w.idle = append(w.idle, c)
 	}
-	if res.err != nil {
-		res.err = fmt.Errorf("transport: reading response %d: %w", reqID, res.err)
+}
+
+// closeConns closes every connection to the worker, idle or mid-call — a call
+// blocked on its socket fails at once — and refuses new ones.
+func (w *worker) closeConns() {
+	w.mu.Lock()
+	live := w.live
+	w.idle, w.live, w.closed = nil, nil, true
+	w.mu.Unlock()
+	for c := range live {
+		c.Close()
 	}
-	cl.ch <- res
-	return res.err
 }
 
 // readBlocks reads a get response's body — block table, then images — from
@@ -355,96 +209,45 @@ func readBlocks(r io.Reader, body int, ids []rdd.BlockID, images [][]byte, table
 	return table, nil
 }
 
-// roundTrip sends one request and waits for its response (or timeout, which
-// condemns the whole connection — a one-request stall means the server-side
-// sequential handler is stuck, so everything queued behind it is too).
-func (c *pipeConn) roundTrip(req request, timeout time.Duration) (uint8, []byte, error) {
-	cl := &call{req: req, ch: make(chan callResult, 1)}
-	if err := c.send(req, cl); err != nil {
-		return 0, nil, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-cl.ch:
-		return res.status, res.body, res.err
-	case <-timer.C:
-		c.fail(fmt.Errorf("transport: request timed out after %v", timeout))
-		res := <-cl.ch
-		if res.err != nil {
-			return 0, nil, res.err
-		}
-		return res.status, res.body, nil
-	}
-}
-
-// send writes req's frame — header, body and a put's images in one writev,
-// straight from the caller's slices — after queueing cl (nil for a request
-// nothing answers) for the response. A request over the frame limit is
-// refused before anything is queued or written: the connection stays good.
-//
-//distenc:lockheld-ok -- wmu is the wire-order lock: writing the frame under it is its entire purpose (FIFO request order must match the read loop's FIFO response matching)
-func (c *pipeConn) send(req request, cl *call) error {
-	c.wmu.Lock()
-	reqID := c.nextID + 1
-	head, imageBytes := appendRequest(append(c.head[:0], 0, 0, 0, 0), reqID, req)
-	c.head = head
-	size := int64(len(head)-4) + imageBytes
-	if size > int64(c.maxFrame) {
-		c.wmu.Unlock()
-		return fmt.Errorf("transport: request: %w: %d bytes (limit %d)", rdd.ErrFrameTooLarge, size, c.maxFrame)
-	}
-	setFrameLen(head, imageBytes)
-	c.qmu.Lock()
-	if c.dead {
-		err := c.err
-		c.qmu.Unlock()
-		c.wmu.Unlock()
-		return err
-	}
-	c.nextID = reqID
-	if cl != nil {
-		cl.reqID = reqID
-		c.pending = append(c.pending, cl)
-	}
-	c.qmu.Unlock()
-	c.bufs = append(c.bufs[:0], head)
-	if req.op == opPut {
-		c.bufs = append(c.bufs, req.images...)
-	}
-	bufs := net.Buffers(c.bufs) // WriteTo nils each slot of c.bufs as it goes
-	_, err := bufs.WriteTo(c.nc)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(err)
-		if cl != nil {
-			<-cl.ch // fail delivered to our call too; settle its channel
-		}
-	}
-	return err
-}
-
-// call performs one round trip against worker m, classifying every
-// connection-level failure as the machine being unreachable.
-func (t *Client) call(m int, req request) (uint8, []byte, error) {
+// call performs one round trip against worker m on a connection of its own
+// and returns the failure the worker answered with, if any. A connection-level
+// failure — timeout included — closes that connection only and is classified
+// as the machine being unreachable.
+func (t *Client) call(m int, req request) error {
 	if m < 0 || m >= len(t.workers) {
-		return 0, nil, fmt.Errorf("transport: no worker %d (have %d)", m, len(t.workers))
+		return fmt.Errorf("transport: no worker %d (have %d)", m, len(t.workers))
 	}
 	w := t.workers[m]
-	c, err := w.conn()
+	c, err := w.take()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	status, resp, err := c.roundTrip(req, t.opts.CallTimeout)
-	if err != nil {
-		// A frame over the limit would be over it on any worker: a hard
-		// error, not a dead machine.
-		if errors.Is(err, rdd.ErrMachineUnreachable) || errors.Is(err, rdd.ErrFrameTooLarge) {
-			return 0, nil, err
+	var tail [][]byte
+	var read func(io.Reader, int) error
+	switch req.op {
+	case opPut:
+		tail = req.images
+	case opGet:
+		read = func(r io.Reader, n int) (err error) {
+			c.table, err = readBlocks(r, n, req.ids, req.images, c.table)
+			return err
 		}
-		return 0, nil, unreachableErr(w.addr, err)
 	}
-	return status, resp, nil
+	c.req = appendRequest(c.req[:0], req)
+	status, text, err := c.Call(req.op, c.req, tail, t.opts.CallTimeout, read)
+	// A frame over the limit would be over it on any worker — a hard error,
+	// not a dead machine — and was refused before it touched the stream.
+	refused := errors.Is(err, rdd.ErrFrameTooLarge)
+	w.give(c, err != nil && !refused)
+	switch {
+	case refused:
+		return fmt.Errorf("transport: %w", err)
+	case err != nil:
+		return unreachableErr(w.addr, err)
+	case status != framerpc.StatusOK:
+		return fmt.Errorf("transport: %s on worker %d: %s", opNames[req.op], m, text)
+	}
+	return nil
 }
 
 // Workers reports how many workers the client fronts.
@@ -452,25 +255,14 @@ func (t *Client) Workers() int { return len(t.workers) }
 
 // PutBlocks stores images under ids on worker m in one round trip.
 func (t *Client) PutBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
-	status, resp, err := t.call(m, request{op: opPut, ids: ids, images: images})
-	if err != nil {
-		return err
-	}
-	if status != stOK {
-		return fmt.Errorf("transport: put of %d blocks on worker %d: %s", len(ids), m, resp)
-	}
-	return nil
+	return t.call(m, request{op: opPut, ids: ids, images: images})
 }
 
 // FetchBlocks reads the images of ids from worker m in one round trip, each
 // straight into its slot of images (see rdd.Transport).
 func (t *Client) FetchBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
-	status, resp, err := t.call(m, request{op: opGet, ids: ids, images: images})
-	if err != nil {
+	if err := t.call(m, request{op: opGet, ids: ids, images: images}); err != nil {
 		return err
-	}
-	if status != stOK {
-		return fmt.Errorf("transport: fetch of %d blocks from worker %d: %s", len(ids), m, resp)
 	}
 	var missing []error
 	for i, img := range images {
@@ -502,19 +294,12 @@ func (t *Client) Drop(m int, owner int64) {
 
 // Ping round-trips a liveness probe to worker m.
 func (t *Client) Ping(m int) error {
-	status, resp, err := t.call(m, request{op: opPing})
-	if err != nil {
-		return err
-	}
-	if status != stOK {
-		return fmt.Errorf("transport: ping worker %d: %s", m, resp)
-	}
-	return nil
+	return t.call(m, request{op: opPing})
 }
 
 // Kill terminates worker m's process: SIGKILL for spawned workers (the
-// crash KillMachine models), a fire-and-forget die request for external
-// ones. Idempotent; subsequent Puts/Fetches fail fast as unreachable.
+// crash KillMachine models), a die request for external ones. Idempotent;
+// calls in flight and subsequent Puts/Fetches fail fast as unreachable.
 func (t *Client) Kill(m int) error {
 	if m < 0 || m >= len(t.workers) {
 		return fmt.Errorf("transport: no worker %d (have %d)", m, len(t.workers))
@@ -529,11 +314,13 @@ func (t *Client) Kill(m int) error {
 		if w.lifeline != nil {
 			w.lifeline.Close()
 		}
-	} else if c, err := dialWorker(w.addr, w.opts); err == nil {
-		c.send(request{op: opDie}, nil) // the server exits instead of answering
-		c.nc.Close()
+	} else if c, err := framerpc.Dial(w.addr, helloFrame, w.opts.MaxFrame, w.opts.DialTimeout); err == nil {
+		// A worker process exits instead of answering, so the call ends in
+		// EOF; an in-process server refuses. Neither outcome matters here.
+		c.Call(opDie, nil, nil, w.opts.DialTimeout, nil)
+		c.Close()
 	}
-	w.closeConns(unreachableErr(w.addr, errors.New("worker killed")))
+	w.closeConns()
 	return nil
 }
 
@@ -542,7 +329,7 @@ func (t *Client) Kill(m int) error {
 // workers are left running.
 func (t *Client) Close() error {
 	for _, w := range t.workers {
-		w.closeConns(nil)
+		w.closeConns()
 		if w.cmd != nil && !w.killed.Swap(true) {
 			w.cmd.Process.Signal(syscall.SIGTERM)
 			done := make(chan struct{})
@@ -574,24 +361,45 @@ func (t *Client) Addrs() []string {
 	return addrs
 }
 
-// DialWorkers connects to n already-running distenc-worker daemons and
-// verifies each with a ping. The workers are index-aligned with the
-// cluster's machine IDs.
+// connect opens, to every worker, one connection per worker, and by each hello
+// exchange verifies that it reached a worker of this protocol version. The
+// engine runs a task slot per machine and a slot makes one call at a time, so
+// with one core per machine a worker's pool stops growing at W connections,
+// which it reaches in the first stage whose tasks fetch from it together.
+// Opened here, they cost the set-up 0.2 ms each once; left to the first calls
+// that happen to overlap, the dials land inside the first iteration — three or
+// four of them, by timing, at 0.4 ms each while another task competes for the
+// driver — and what that iteration takes (time_to_rmse_s on solve-tcp-small
+// is little else) varies from run to run with their number. Only
+// CoresPerMachine > 1 or a lost connection dials after this.
+func (t *Client) connect() error {
+	for m, w := range t.workers {
+		held := make([]*conn, 0, len(t.workers))
+		for range t.workers {
+			c, err := w.take()
+			if err != nil {
+				t.Close() // sweeps the ones held too
+				return fmt.Errorf("transport: worker %d (%s) not answering: %w", m, w.addr, err)
+			}
+			held = append(held, c)
+		}
+		for _, c := range held {
+			w.give(c, false)
+		}
+	}
+	return nil
+}
+
+// DialWorkers connects to n already-running distenc-worker daemons (see
+// connect). The workers are index-aligned with the cluster's machine IDs.
 func DialWorkers(addrs []string, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
 	t := &Client{opts: opts}
 	for _, addr := range addrs {
-		t.workers = append(t.workers, &worker{
-			opts:  opts,
-			addr:  addr,
-			conns: make([]*pipeConn, opts.PoolSize),
-		})
+		t.workers = append(t.workers, &worker{opts: opts, addr: addr})
 	}
-	for m := range t.workers {
-		if err := t.Ping(m); err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: worker %d (%s) not answering: %w", m, addrs[m], err)
-		}
+	if err := t.connect(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -614,6 +422,9 @@ func StartWorkers(n int, opts Options) (*Client, error) {
 			return nil, fmt.Errorf("transport: spawning worker %d: %w", i, err)
 		}
 		t.workers = append(t.workers, w)
+	}
+	if err := t.connect(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -680,11 +491,5 @@ func spawnWorker(exe string, opts Options) (*worker, error) {
 		lw.Close()
 		return nil, errors.New("timed out waiting for worker to report its address")
 	}
-	return &worker{
-		opts:     opts,
-		addr:     addr,
-		cmd:      cmd,
-		lifeline: lw,
-		conns:    make([]*pipeConn, opts.PoolSize),
-	}, nil
+	return &worker{opts: opts, addr: addr, cmd: cmd, lifeline: lw}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"distenc/internal/framerpc"
 	"distenc/internal/rdd"
 )
 
@@ -14,16 +15,17 @@ import (
 // streams: the length-prefixed frame reader must never panic, never allocate
 // from a prefix beyond its limit, never return a payload longer than the
 // prefix promised, and must classify every torn input as io.ErrUnexpectedEOF
-// rather than handing a short frame to the header parsers — which are run on
-// every successfully read frame, since that is exactly what readLoop and the
-// server's request loop do. CI runs this target for a 30-second smoke on
-// every push, alongside FuzzDecodeRecord.
+// rather than handing a short frame to the header parser — framerpc's, which
+// is run on every successfully read frame, since that is exactly what the
+// server loop does with a request and a client connection with a response.
+// CI runs this target for a 30-second smoke on every push, alongside
+// FuzzDecodeRecord.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed seeds: a framed request, a framed response, a hello, an
 	// empty frame, and back-to-back frames in one stream.
 	req := putFrame(7, []rdd.BlockID{{Kind: rdd.BlockShuffle, Owner: 42, Map: 3, Reduce: -1}}, [][]byte{[]byte("block payload")})
 	f.Add(rdd.AppendFrame(nil, req))
-	resp := appendResponse(nil, 7, stOK, []byte("fetched bytes"))
+	resp := append(framerpc.AppendHeader(nil, 7, framerpc.StatusOK), "fetched bytes"...)
 	f.Add(rdd.AppendFrame(nil, resp))
 	f.Add(rdd.AppendFrame(nil, helloFrame))
 	f.Add(rdd.AppendFrame(nil, nil))
@@ -64,20 +66,18 @@ func FuzzReadFrame(f *testing.F) {
 			if len(payload) > fuzzMaxFrame {
 				t.Fatalf("ReadFrame returned %d bytes, above its %d limit", len(payload), fuzzMaxFrame)
 			}
-			// Feed every complete frame to both header parsers, as the
-			// client read loop and server handler would; they must reject
-			// short frames with errors, never slice out of bounds.
-			if id, op, body, err := parseRequest(payload); err == nil {
-				reenc := append(append(binary.LittleEndian.AppendUint64(nil, id), op), body...)
-				if !bytes.Equal(reenc, payload) {
-					t.Fatalf("request did not round-trip: %x -> %x", payload, reenc)
+			// Feed every complete frame to the header parser, as the server
+			// loop and a client connection would; it must reject a short
+			// frame with an error, never slice out of bounds.
+			id, code, body, err := framerpc.ParseHeader(payload)
+			if err != nil {
+				if len(payload) >= framerpc.HeaderLen {
+					t.Fatalf("ParseHeader refused a %d-byte frame: %v", len(payload), err)
 				}
+				continue
 			}
-			if id, st, body, err := parseResponse(payload); err == nil {
-				reenc := appendResponse(nil, id, st, body)
-				if !bytes.Equal(reenc, payload) {
-					t.Fatalf("response did not round-trip: %x -> %x", payload, reenc)
-				}
+			if reenc := append(framerpc.AppendHeader(nil, id, code), body...); !bytes.Equal(reenc, payload) {
+				t.Fatalf("header did not round-trip: %x -> %x", payload, reenc)
 			}
 		}
 	})
@@ -87,10 +87,10 @@ func FuzzReadFrame(f *testing.F) {
 // limit check: oversize prefixes are cheap to craft below u32 max.
 const fuzzMaxFrame = 1 << 16
 
-// putFrame is a whole put request frame (sans length prefix): what send writes
-// as one writev, concatenated.
+// putFrame is a whole put request frame (sans length prefix): what a call
+// writes as one writev, concatenated.
 func putFrame(reqID uint64, ids []rdd.BlockID, images [][]byte) []byte {
-	frame, _ := appendRequest(nil, reqID, request{op: opPut, ids: ids, images: images})
+	frame := appendRequest(framerpc.AppendHeader(nil, reqID, opPut), request{op: opPut, ids: ids, images: images})
 	return append(frame, bytes.Join(images, nil)...)
 }
 

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// TestConnDialsOutsidePoolLock pins the lockorder fix in worker.conn: the
+// TestConnDialsOutsidePoolLock pins the lockorder fix in worker.take: the
 // dial must not run under w.mu. A silent listener (accepts, never answers
-// the hello) holds one caller in dialWorker for the full DialTimeout; a
-// second caller that only wants to look at the pool must not queue behind
-// it for anywhere near that long.
+// the hello) holds one caller in framerpc.Dial for the full DialTimeout; a
+// second caller that only wants an idle connection must not queue behind it
+// for anywhere near that long.
 func TestConnDialsOutsidePoolLock(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,25 +40,21 @@ func TestConnDialsOutsidePoolLock(t *testing.T) {
 	}()
 
 	const dialTimeout = 3 * time.Second
-	w := &worker{
-		opts:  Options{DialTimeout: dialTimeout}.withDefaults(),
-		addr:  ln.Addr().String(),
-		conns: make([]*pipeConn, 2),
-	}
+	w := &worker{opts: Options{DialTimeout: dialTimeout}.withDefaults(), addr: ln.Addr().String()}
 
 	dialDone := make(chan struct{})
 	go func() {
 		defer close(dialDone)
-		w.conn() // parks in dialWorker waiting for a hello that never comes
+		w.take() // parks in framerpc.Dial waiting for a hello that never comes
 	}()
 
-	time.Sleep(150 * time.Millisecond) // let the dialer take its slot and park
+	time.Sleep(150 * time.Millisecond) // let the dialer find no idle connection and park
 	start := time.Now()
 	w.mu.Lock()
 	held := time.Since(start)
 	w.mu.Unlock()
 	if held > dialTimeout/3 {
-		t.Fatalf("pool lock blocked %v behind an in-flight dial (DialTimeout %v): conn() is dialing under w.mu", held, dialTimeout)
+		t.Fatalf("pool lock blocked %v behind an in-flight dial (DialTimeout %v): take() is dialing under w.mu", held, dialTimeout)
 	}
 	<-dialDone
 }

@@ -1,7 +1,7 @@
 // Package transport is the TCP execution backend for the rdd engine: a block
 // server that runs as a real worker process (cmd/distenc-worker, or any
-// binary re-execing itself through WorkerHook) and a pooling, pipelining
-// client that implements rdd.Transport for the driver. Workers store bytes
+// binary re-execing itself through WorkerHook) and a pooling client that
+// implements rdd.Transport for the driver. Workers store bytes
 // and compute nothing — tasks still execute on the driver — so the backend is
 // a data plane and a fault-realism fixture (kills are process kills,
 // "unreachable" is a refused connection), not yet a scale-out.
@@ -39,12 +39,12 @@
 // and answers a get from the stored slices. (The 64 KB bufio readers still
 // copy images smaller than themselves once; larger reads bypass them.)
 //
-// A connection carries pipelined requests: the client may have many requests
-// in flight; the server handles each connection's requests sequentially and
-// answers in order, so responses match requests FIFO (reqID is echoed and
-// verified as a cross-check). The model is Codis's proxy↔backend connection:
-// one goroutine per accepted connection, a writer that batches flushes while
-// more input is buffered, and graceful drain on shutdown.
+// A connection carries one call at a time (internal/framerpc): the client
+// holds as many connections to a worker as it has calls in flight, and the
+// server answers each connection's requests in order, echoing the reqID. The
+// framing, the hello exchange, the server loop and its graceful drain are
+// framerpc's and shared with the serving plane; this package owns the ops,
+// the block table and the block store.
 //
 // What a reduce task holds while it folds its partition is its own state, the
 // partition's encoded input in pool images (rdd's block pool; returned when
@@ -74,18 +74,11 @@ const (
 	opDie  = 5 // terminate the worker process immediately (no response)
 )
 
-// Response status codes.
-const (
-	stOK    = 0
-	stError = 1 // body is the error text
-)
+var opNames = [...]string{opPut: "put", opGet: "get", opDrop: "drop", opPing: "ping", opDie: "die"}
 
-// reqHeaderLen is the fixed request header, reqID(8) op(1), and respHeaderLen
-// the fixed response header, reqID(8) status(1).
-const (
-	reqHeaderLen  = 9
-	respHeaderLen = 9
-)
+// stError is the one failure status (framerpc.StatusOK is success); the body
+// is the error text.
+const stError = 1
 
 // blockEntryLen is one block-table entry: kind(1) owner(8) map(4) reduce(4)
 // len(4). lenNotHeld in a get response's len marks a block the worker does
@@ -103,13 +96,9 @@ type request struct {
 	images [][]byte      // opPut: the images to store; opGet: where to read them into
 }
 
-// appendRequest appends everything of the request frame but a put's images —
-// header, then the op's body — and returns it with the byte count of the
-// images that follow.
-func appendRequest(buf []byte, reqID uint64, r request) ([]byte, int64) {
-	buf = binary.LittleEndian.AppendUint64(buf, reqID)
-	buf = append(buf, r.op)
-	var imageBytes int64
+// appendRequest appends the request's body up to a put's images, which follow
+// it on the wire from where they are.
+func appendRequest(buf []byte, r request) []byte {
 	switch r.op {
 	case opPut, opGet:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.ids)))
@@ -117,45 +106,13 @@ func appendRequest(buf []byte, reqID uint64, r request) ([]byte, int64) {
 			n := 0
 			if r.op == opPut {
 				n = len(r.images[i])
-				imageBytes += int64(n)
 			}
 			buf = appendBlockEntry(buf, id, uint32(n))
 		}
 	case opDrop:
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.owner))
 	}
-	return buf, imageBytes
-}
-
-// setFrameLen fills in the four-byte length prefix that opens head — a frame
-// being assembled — with the rest of head plus the imageBytes that follow it
-// on the wire.
-func setFrameLen(head []byte, imageBytes int64) []byte {
-	binary.LittleEndian.PutUint32(head, uint32(int64(len(head)-4)+imageBytes))
-	return head
-}
-
-// parseRequest splits a request frame into reqID, op and body.
-func parseRequest(frame []byte) (uint64, uint8, []byte, error) {
-	if len(frame) < reqHeaderLen {
-		return 0, 0, nil, fmt.Errorf("transport: request frame of %d bytes, want >= %d", len(frame), reqHeaderLen)
-	}
-	return binary.LittleEndian.Uint64(frame), frame[8], frame[reqHeaderLen:], nil
-}
-
-// appendResponse appends a response header and body.
-func appendResponse(buf []byte, reqID uint64, status uint8, body []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, reqID)
-	buf = append(buf, status)
-	return append(buf, body...)
-}
-
-// parseResponse splits a response frame into reqID, status and body.
-func parseResponse(frame []byte) (uint64, uint8, []byte, error) {
-	if len(frame) < respHeaderLen {
-		return 0, 0, nil, fmt.Errorf("transport: response frame of %d bytes, want >= %d", len(frame), respHeaderLen)
-	}
-	return binary.LittleEndian.Uint64(frame), frame[8], frame[respHeaderLen:], nil
+	return buf
 }
 
 func appendBlockEntry(buf []byte, id rdd.BlockID, n uint32) []byte {

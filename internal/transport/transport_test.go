@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"distenc/internal/framerpc"
 	"distenc/internal/leakcheck"
 	"distenc/internal/rdd"
 )
@@ -125,7 +127,8 @@ func TestFetchBlocksReportsMissingPerID(t *testing.T) {
 // TestOversizeRequestIsNotAMachineFailure: a request over the frame limit is
 // refused on the client before a byte is written — a hard error that would
 // recur on any worker, not ErrMachineUnreachable — and the connection, whose
-// stream it never touched, keeps working.
+// stream it never touched, goes back to the idle list and carries the next
+// call: the server never sees a second one.
 func TestOversizeRequestIsNotAMachineFailure(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0")
 	if err != nil {
@@ -133,7 +136,7 @@ func TestOversizeRequestIsNotAMachineFailure(t *testing.T) {
 	}
 	go s.Serve()
 	defer s.Shutdown()
-	cl, err := DialWorkers([]string{s.Addr()}, Options{PoolSize: 1, MaxFrame: 4096})
+	cl, err := DialWorkers([]string{s.Addr()}, Options{MaxFrame: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +152,9 @@ func TestOversizeRequestIsNotAMachineFailure(t *testing.T) {
 	}
 	if s.blockCount() != 1 {
 		t.Fatalf("worker holds %d blocks, want 1", s.blockCount())
+	}
+	if n := s.Accepted(); n != 1 {
+		t.Fatalf("server accepted %d connections, want 1: the refused request cost its connection", n)
 	}
 }
 
@@ -171,7 +177,7 @@ func TestHelloRefusesOtherVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
-	err = ExpectHello(br, v1)
+	err = framerpc.ExpectHello(br, v1)
 	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("v1 client's hello check: %v, want both versions named", err)
 	}
@@ -192,7 +198,7 @@ func TestHelloRefusesOtherVersion(t *testing.T) {
 			return
 		}
 		conn.Write(rdd.AppendFrame(nil, v1))
-		rdd.ReadFrame(conn, helloLimit)
+		rdd.ReadFrame(conn, 16)
 		conn.Close()
 	}()
 	_, err = DialWorkers([]string{ln.Addr().String()}, Options{})
@@ -230,48 +236,152 @@ func TestDropForgetsOwner(t *testing.T) {
 	}
 }
 
-func TestPipelinedConcurrentCalls(t *testing.T) {
-	// One connection (PoolSize 1) carrying many interleaved requests from
-	// many goroutines: responses must match requests through the FIFO.
-	s, err := NewServer("127.0.0.1:0")
+// TestSequentialCallsShareOneConnection: a call gives its connection back, so
+// a caller that makes one call at a time never opens a second one.
+func TestSequentialCallsShareOneConnection(t *testing.T) {
+	s, cl := startServer(t)
+	id := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1}
+	for i := 0; i < 50; i++ {
+		want := bytes.Repeat([]byte{byte(i)}, 100+i)
+		if err := cl.Put(0, id, want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cl.Fetch(0, id); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("call %d: %v (%d bytes, want %d)", i, err, len(got), len(want))
+		}
+	}
+	if n := s.Accepted(); n != 1 {
+		t.Fatalf("100 sequential calls used %d connections, want 1", n)
+	}
+}
+
+// TestConcurrentCallsEachHoldAConnection: N callers at once get the bytes each
+// asked for over at most N connections — one per call in flight, never shared
+// — and a second wave reuses the idle ones instead of dialing again. (Without
+// reuse the two waves' 4·N calls would have cost 4·N connections.)
+func TestConcurrentCallsEachHoldAConnection(t *testing.T) {
+	s, cl := startServer(t)
+	const N = 64
+	for wave := 0; wave < 2; wave++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, N)
+		for i := 0; i < N; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				id := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: int64(i), Map: int32(wave)}
+				want := bytes.Repeat([]byte{byte(i)}, 100+i*37)
+				if err := cl.Put(0, id, want); err != nil {
+					errs <- err
+					return
+				}
+				got, err := cl.Fetch(0, id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("call %d: response mismatch (%d bytes, want %d)", i, len(got), len(want))
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		w := cl.workers[0]
+		w.mu.Lock()
+		idle, live := len(w.idle), len(w.live)
+		w.mu.Unlock()
+		if n := s.Accepted(); n > N || idle != n || live != n {
+			t.Fatalf("wave %d: server accepted %d connections (want <= %d), client holds %d idle of %d open (want all of them idle)", wave, n, N, idle, live)
+		}
+	}
+}
+
+// stallingWorker is a worker that answers pings and parks every get — after
+// announcing it on entered — until the test ends.
+func stallingWorker(t *testing.T) (srv *framerpc.Server, entered chan struct{}) {
+	t.Helper()
+	entered = make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv, err := framerpc.Listen("127.0.0.1:0", helloFrame, rdd.DefaultMaxFrame, func() framerpc.Handler {
+		return func(op uint8, req, body []byte, tail [][]byte) (uint8, []byte, [][]byte) {
+			if op == opGet {
+				entered <- struct{}{}
+				<-release
+			}
+			return framerpc.StatusOK, body, tail
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go s.Serve()
-	defer s.Shutdown()
-	cl, err := DialWorkers([]string{s.Addr()}, Options{PoolSize: 1})
+	go srv.Serve()
+	t.Cleanup(func() {
+		close(release)
+		srv.Shutdown()
+	})
+	return srv, entered
+}
+
+// TestKillFailsBlockedCallAndClosesEveryConnection: Kill closes the connection
+// a call is blocked on, so the call fails at once — well inside CallTimeout —
+// as the machine being unreachable, and no connection to the worker, idle or
+// held, is left open.
+func TestKillFailsBlockedCallAndClosesEveryConnection(t *testing.T) {
+	srv, entered := stallingWorker(t)
+	cl, err := DialWorkers([]string{srv.Addr()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
-	const N = 64
-	var wg sync.WaitGroup
-	errs := make(chan error, N)
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: int64(i), Map: int32(i)}
-			want := bytes.Repeat([]byte{byte(i)}, 100+i*37)
-			if err := cl.Put(0, id, want); err != nil {
-				errs <- err
-				return
-			}
-			got, err := cl.Fetch(0, id)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !bytes.Equal(got, want) {
-				errs <- fmt.Errorf("call %d: response mismatch (%d bytes, want %d)", i, len(got), len(want))
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Fetch(0, rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1})
+		done <- err
+	}()
+	<-entered
+	if err := cl.Ping(0); err != nil { // a second connection, idle when Kill sweeps
 		t.Fatal(err)
+	}
+	if err := cl.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, rdd.ErrMachineUnreachable) {
+		t.Fatalf("fetch blocked across Kill: got %v, want rdd.ErrMachineUnreachable", err)
+	}
+	if err := cl.Ping(0); !errors.Is(err, rdd.ErrMachineUnreachable) {
+		t.Fatalf("ping after Kill: got %v, want rdd.ErrMachineUnreachable", err)
+	}
+	w := cl.workers[0]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.idle) != 0 || len(w.live) != 0 {
+		t.Fatalf("Kill left %d idle of %d open connections", len(w.idle), len(w.live))
+	}
+}
+
+// TestTimedOutCallClosesItsOwnConnection: a call past CallTimeout fails as
+// unreachable and takes its connection with it — the response may still
+// arrive, and must not be read as the next call's — while the worker's other
+// calls go on: the next one dials a fresh connection and succeeds.
+func TestTimedOutCallClosesItsOwnConnection(t *testing.T) {
+	srv, _ := stallingWorker(t)
+	cl, err := DialWorkers([]string{srv.Addr()}, Options{CallTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Fetch(0, rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1}); !errors.Is(err, rdd.ErrMachineUnreachable) {
+		t.Fatalf("stalled fetch: got %v, want rdd.ErrMachineUnreachable", err)
+	}
+	if err := cl.Ping(0); err != nil {
+		t.Fatalf("call after a timed-out one: %v", err)
+	}
+	if n := srv.Accepted(); n != 2 {
+		t.Fatalf("server accepted %d connections, want 2: DialWorkers' — which the fetch reused and lost — and the last ping's", n)
 	}
 }
 
@@ -293,6 +403,16 @@ func TestSpawnedWorkersRoundTrip(t *testing.T) {
 		got, err := cl.Fetch(m, id)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("fetch from worker %d: %v", m, err)
+		}
+	}
+	// Every connection these calls used was open before the first of them:
+	// one per worker to each worker, all idle again.
+	for m, w := range cl.workers {
+		w.mu.Lock()
+		idle, live := len(w.idle), len(w.live)
+		w.mu.Unlock()
+		if idle != 2 || live != 2 {
+			t.Errorf("worker %d: %d idle of %d open connections, want the 2 StartWorkers opened", m, idle, live)
 		}
 	}
 }
@@ -329,7 +449,7 @@ func TestKillMakesWorkerUnreachable(t *testing.T) {
 }
 
 func TestKillMidFlightFailsPendingCalls(t *testing.T) {
-	cl, err := StartWorkers(1, Options{PoolSize: 1})
+	cl, err := StartWorkers(1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +514,51 @@ func TestGracefulShutdownFinishesInFlight(t *testing.T) {
 	if err := cl.Put(0, id, []byte("before drain")); err != nil {
 		t.Fatal(err)
 	}
-	// Shutdown with an idle pipelined connection open must not hang on it.
+	// Shutdown with an idle connection open must not hang on it.
 	s.Shutdown()
 	if err := cl.Put(0, id, []byte("after drain")); !errors.Is(err, rdd.ErrMachineUnreachable) {
 		t.Fatalf("put after shutdown: got %v, want rdd.ErrMachineUnreachable", err)
+	}
+}
+
+// TestShutdownCutsOffStalledReader: a peer that asks for far more than the
+// socket buffers hold and then reads nothing leaves its handler blocked in a
+// write. Shutdown's read deadline cannot wake that; the write deadline it arms
+// must, well inside the five seconds Client.Close gives a SIGTERMed worker
+// before it SIGKILLs.
+func TestShutdownCutsOffStalledReader(t *testing.T) {
+	s, cl := startServer(t)
+	id := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1}
+	if err := cl.Put(0, id, make([]byte, 4<<20)); err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	stream := rdd.AppendFrame(nil, helloFrame)
+	for i := 1; i <= 64; i++ { // small enough to reach the server's read buffer in one piece
+		get := request{op: opGet, ids: []rdd.BlockID{id}}
+		stream = rdd.AppendFrame(stream, appendRequest(framerpc.AppendHeader(nil, uint64(i), opGet), get))
+	}
+	if _, err := nc.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	// The server's hello and the head of its first response: it has the
+	// requests and is answering them. Nothing is read from here on.
+	if _, err := io.ReadFull(nc, make([]byte, 4+len(helloFrame)+4+framerpc.HeaderLen)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Shutdown()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown is still waiting for a connection whose peer stopped reading")
 	}
 }
 
