@@ -19,7 +19,7 @@ import (
 // auxiliary variables B(n), multipliers Y(n), the penalty η, and the iteration
 // counter — so an interrupted run resumes exactly where it stopped. The
 // residual E is NOT stored: it is a pure function of the factors (Eq. 16) and
-// is recomputed on restore, which keeps the file at 3·Σ I_n·R floats. Because
+// is recomputed after a restore, which keeps the file at 3·Σ I_n·R floats. Because
 // every quantity the iteration reads is restored bit-for-bit and the solver's
 // arithmetic is deterministic, Resume produces factors bit-identical to the
 // uninterrupted run (the resume tests assert this via math.Float64bits).
@@ -76,20 +76,13 @@ func (st *solverState) maybeCheckpoint() error {
 }
 
 // restore loads a checkpoint into the solver state, replacing the fresh
-// initialization. The serial solver recomputes the residual from the restored
-// factors; the distributed solver keeps resid nil (its stage recomputes
-// residuals on the cluster).
-func (st *solverState) restore(ck *checkpointState, distributed bool) {
+// initialization.
+func (st *solverState) restore(ck *checkpointState) {
 	st.factors = ck.factors
 	st.aux = ck.aux
 	st.mult = ck.mult
 	st.eta = ck.eta
 	st.iter = ck.iter
-	if distributed {
-		st.resid = nil
-	} else {
-		st.resid = sptensor.Residual(st.t, sptensor.NewKruskal(st.factors...))
-	}
 }
 
 // writeCheckpoint atomically replaces dir's checkpoint file.

@@ -141,9 +141,8 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 	defer blocksRDD.Unpersist()
 
 	st := newSolverState(t, sp, opt.Options)
-	st.resid = nil // the stage computes residuals; never materialize driver-side
 	if ck != nil {
-		st.restore(ck, true)
+		st.restore(ck)
 	}
 	start := time.Now()
 	defer c.SetStageTag("")

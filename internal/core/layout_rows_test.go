@@ -347,31 +347,39 @@ func TestBlockingMorePartsThanRows(t *testing.T) {
 	}
 }
 
-// TestModeZeroBlockingFactorsPinned: GridPartition: false is the shape
-// (P,1,…,1) of the nested split and must keep computing, bit for bit, what
-// the mode-0 fork it replaced computed. The hashes were taken at the commit
-// before the nested split (FNV-64a over the factors' Float64bits).
+// TestModeZeroBlockingFactorsPinned holds the solve to its bits (FNV-64a over
+// the factors' Float64bits). GridPartition: false is the shape (P,1,…,1) of
+// the nested split and must keep computing what the mode-0 fork it replaced
+// computed: those four hashes were taken at the commit before the nested
+// split. The grid rows were taken at the commit before the fused kernel went
+// to one loop per mode, which performs the same operations in the same order
+// and so may not move them either.
 func TestModeZeroBlockingFactorsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64; other targets may fuse multiply-adds")
 	}
 	for _, tc := range []struct {
-		name    string
-		dims    []int
-		nnz     int
-		parts   int
-		uniform bool
-		want    uint64
+		name          string
+		dims          []int
+		nnz           int
+		rank, parts   int
+		grid, uniform bool
+		want          uint64
 	}{
-		{"order3/P=3", []int{30, 25, 20}, 3000, 3, false, 0x365f0b2d5b50f889},
-		{"order4/P=4", []int{12, 10, 9, 5}, 2500, 4, false, 0xc07ae616a6b543c7},
-		{"order3/P=8/uniform", []int{30, 25, 5}, 2000, 8, true, 0x3fdfd4cbd04da1d8},
-		{"order3/P=7>I0", []int{5, 30, 25}, 2000, 7, false, 0x894137cc1cb5bc7c},
+		{"order3/P=3", []int{30, 25, 20}, 3000, 3, 3, false, false, 0x365f0b2d5b50f889},
+		{"order4/P=4", []int{12, 10, 9, 5}, 2500, 3, 4, false, false, 0xc07ae616a6b543c7},
+		{"order3/P=8/uniform", []int{30, 25, 5}, 2000, 3, 8, false, true, 0x3fdfd4cbd04da1d8},
+		{"order3/P=7>I0", []int{5, 30, 25}, 2000, 3, 7, false, false, 0x894137cc1cb5bc7c},
+		{"grid/order3/P=4/R=3", []int{30, 25, 20}, 3000, 3, 4, true, false, 0xd4e996892b950452},
+		{"grid/order3/P=8/R=10", []int{30, 25, 20}, 3000, 10, 8, true, false, 0x34b596492e574182},
+		{"grid/order4/P=4/R=10", []int{12, 10, 9, 5}, 2500, 10, 4, true, false, 0xc79d66970ffa59a3},
+		{"grid/order4/P=8/R=3", []int{12, 10, 9, 5}, 2500, 3, 8, true, false, 0x26652d8b0a7e421b},
 	} {
 		d := synth.LinearFactorDataset(tc.dims, 2, tc.nnz, 91)
 		c := rdd.MustNewCluster(rdd.Config{Machines: 2})
 		res, err := CompleteDistributed(c, d.Tensor, d.Sims, DistOptions{
-			Options: Options{Rank: 3, MaxIter: 4, Tol: -1, Seed: 92}, Partitions: tc.parts, UniformPartition: tc.uniform,
+			Options:    Options{Rank: tc.rank, MaxIter: 4, Tol: -1, Seed: 92},
+			Partitions: tc.parts, GridPartition: tc.grid, UniformPartition: tc.uniform,
 		})
 		c.Close()
 		if err != nil {
@@ -386,7 +394,7 @@ func TestModeZeroBlockingFactorsPinned(t *testing.T) {
 			}
 		}
 		if got := h.Sum64(); got != tc.want {
-			t.Errorf("%s: factor hash %#016x, want %#016x", tc.name, got, tc.want)
+			t.Errorf("%s: shape %v, factor hash %#016x, want %#016x", tc.name, res.Blocking.Shape, got, tc.want)
 		}
 	}
 }

@@ -166,19 +166,20 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 // fusedScratch is the per-task workspace of the fused kernel, allocated once
 // per arena lifetime (stashed) rather than per entry or per mode.
 type fusedScratch struct {
-	// left holds the N+1 prefix products with stride R:
-	// left[n·R : (n+1)·R] = ∗_{k<n} A(k)[i_k, :], so left[N·R:] is the full
-	// Hadamard product whose sum is the model value.
+	// left holds the prefix products below the last level with stride R:
+	// left[n·R : (n+1)·R] = ∗_{k<n} A(k)[i_k, :] for n < N (left[:R] is all
+	// ones). The last level is never stored: its sum is the model value.
 	left []float64
 	// suf is the running suffix product with the residual folded in.
 	suf []float64
-	// rows caches the hoisted factor-row views of the current entry.
+	// rows holds the hoisted factor-row views of the current entry; the kernel
+	// clears it on return, so no view of an iterate outlives the task.
 	rows [][]float64
 }
 
 func newFusedScratch(order, rank int) *fusedScratch {
 	return &fusedScratch{
-		left: make([]float64, (order+1)*rank),
+		left: make([]float64, order*rank),
 		suf:  make([]float64, rank),
 		rows: make([][]float64, order),
 	}
@@ -196,19 +197,25 @@ func newFusedScratch(order, rank int) *fusedScratch {
 // products across runs of entries that share their leading fibers (the
 // paper's row-wise fiber MTTKRP, §III-C).
 //
+// An entry whose first differing mode is f costs 2N−f rank-length loops — at
+// order 3 and f = 0 five loops and 11R flops — each ranging over one slice
+// with its companions re-sliced to that length, so none keeps a bounds check
+// (scripts/check_bce.sh). The operations and their order are those of the
+// plain formulation that stores the full product, sums it, fills suf with the
+// residual and runs mode 0 like every other mode (the test-only
+// refBlockMTTKRP): the results agree bit for bit (DESIGN.md §5).
+//
 //distenc:hotpath
 func fusedBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank int, acc [][]float64, s *fusedScratch) float64 {
 	order := blk.Order
-	nnz := blk.NNZ()
-	var norm2 float64
-	left := s.left
-	suf := s.suf
-	rows := s.rows
-	for r := 0; r < rank; r++ {
+	last := order - 1
+	left, suf, rows := s.left, s.suf[:rank], s.rows
+	for r := range left[:rank] {
 		left[r] = 1
 	}
-	full := left[order*rank : (order+1)*rank : (order+1)*rank]
-	for e := 0; e < nnz; e++ {
+	lastLeft := left[last*rank:][:len(suf)]
+	var norm2, model float64
+	for e, val := range blk.Val {
 		idx := blk.Idx[e*order : (e+1)*order : (e+1)*order]
 		lidx := loc[e*order : (e+1)*order : (e+1)*order]
 		// Entries are sorted mode-major: prefixes up to the first differing
@@ -220,41 +227,70 @@ func fusedBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank 
 				firstDiff++
 			}
 		}
-		for n := firstDiff; n < order; n++ {
-			row := factors[n].Row(int(idx[n]))[:rank:rank]
+		for n := firstDiff; n < last; n++ {
+			src := left[n*rank:][:len(suf)]
+			dst := left[(n+1)*rank:][:len(suf)]
+			row := factors[n].Row(int(idx[n]))[:len(suf)]
 			rows[n] = row
-			src := left[n*rank : (n+1)*rank : (n+1)*rank]
-			dst := left[(n+1)*rank : (n+2)*rank : (n+2)*rank]
-			for r := 0; r < rank; r++ {
-				dst[r] = src[r] * row[r]
+			//bce:begin
+			for r, v := range src {
+				dst[r] = v * row[r]
 			}
+			//bce:end
 		}
-		var model float64
-		for r := 0; r < rank; r++ {
-			model += full[r]
+		// The model value is the sum of the last level's products. float64(·)
+		// rounds each product where the plain formulation stored it, so a
+		// target that fuses multiply-adds computes the same sum; a duplicate
+		// entry (firstDiff == N) keeps the model it was carried in with.
+		if firstDiff < order {
+			row := factors[last].Row(int(idx[last]))[:len(suf)]
+			rows[last] = row
+			model = 0
+			//bce:begin
+			for r, v := range lastLeft {
+				model += float64(v * row[r])
+			}
+			//bce:end
 		}
-		resid := blk.Val[e] - model
+		resid := val - model
 		norm2 += resid * resid
 		// Backward sweep: suf = resid · ∗_{k>n} A(k)[i_k, :], so the mode-n
-		// partial is left[n] ⊙ suf — every mode in one pass, 3R flops each.
-		for r := 0; r < rank; r++ {
-			suf[r] = resid
-		}
-		for n := order - 1; n >= 0; n-- {
-			lf := left[n*rank : (n+1)*rank : (n+1)*rank]
-			li := int(lidx[n])
-			dst := acc[n][li*rank : (li+1)*rank : (li+1)*rank]
-			for r := 0; r < rank; r++ {
-				dst[r] += lf[r] * suf[r]
+		// partial is left[n] ⊙ suf, and one loop per mode both accumulates it
+		// and extends suf.
+		if last > 0 {
+			row := rows[last][:len(suf)]
+			dst := acc[last][int(lidx[last])*rank:][:len(suf)]
+			//bce:begin
+			for r, v := range lastLeft {
+				dst[r] += v * resid
+				suf[r] = resid * row[r]
 			}
-			if n > 0 {
-				row := rows[n]
-				for r := 0; r < rank; r++ {
-					suf[r] *= row[r]
-				}
+			//bce:end
+		} else { // order 1: the last mode is mode 0, which accumulates below
+			for r := range suf {
+				suf[r] = resid
 			}
 		}
+		for n := last - 1; n > 0; n-- {
+			lf := left[n*rank:][:len(suf)]
+			row := rows[n][:len(suf)]
+			dst := acc[n][int(lidx[n])*rank:][:len(suf)]
+			//bce:begin
+			for r, t := range suf {
+				dst[r] += lf[r] * t
+				suf[r] = t * row[r]
+			}
+			//bce:end
+		}
+		// Mode 0's prefix is all ones, and 1·x is x.
+		dst := acc[0][int(lidx[0])*rank:][:len(suf)]
+		//bce:begin
+		for r, t := range suf {
+			dst[r] += t
+		}
+		//bce:end
 	}
+	clear(rows)
 	return norm2
 }
 
@@ -269,9 +305,11 @@ func (p *PackedRows) addInto(slab []float64, touched []bool, lo, rank int) {
 		touched[li] = true
 		dst := slab[li*rank : (li+1)*rank]
 		src := p.Vals[i*rank:][:len(dst)]
+		//bce:begin
 		for r := range dst {
 			dst[r] += src[r]
 		}
+		//bce:end
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,6 +184,47 @@ func benchSteadyState(b *testing.B, kernel KernelMode) {
 func BenchmarkMTTKRPSteadyStateFused(b *testing.B) { benchSteadyState(b, KernelFused) }
 func BenchmarkMTTKRPSteadyStateSpMV(b *testing.B)  { benchSteadyState(b, KernelSpMV) }
 
+// BenchmarkFusedKernel times the map-side kernel alone at the scale the gate
+// runs at: the tensors, ranks and 4-block grid layouts of BENCHMARK.json's
+// three in-process solve workloads (seed 1; tenth-size under -short). One op
+// is the kernel over all P blocks into slabs drawn once. Each /ref sibling
+// runs the plain formulation the kernel is held to bit for bit
+// (refBlockMTTKRP) over the same blocks: the in-repo before/after. It is the
+// last benchmark of the file so that its tensors, hundreds of times the
+// steady-state benchmarks' working set, enter the heap after those have run.
+func BenchmarkFusedKernel(b *testing.B) {
+	for _, w := range benchmarkTensors()[:3] {
+		l := testLayout(w.tensor, w.rank, w.parts, true, false)
+		factors := initFactors(w.tensor.Dims, w.rank, 2)
+		acc := make([][][]float64, l.parts)
+		for p := range acc {
+			acc[p] = make([][]float64, l.order)
+			for n, rows := range l.neededRows[p] {
+				acc[p][n] = make([]float64, len(rows)*w.rank)
+			}
+		}
+		name := strings.TrimPrefix(w.name, "solve-")
+		for _, k := range []struct {
+			name    string
+			kernel  blockKernel
+			scratch *fusedScratch
+		}{
+			{name, fusedBlockMTTKRP, newFusedScratch(l.order, w.rank)},
+			{name + "/ref", refBlockMTTKRP, newFusedScratch(l.order+1, w.rank)},
+		} {
+			b.Run(k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for p := 0; p < l.parts; p++ {
+						k.kernel(l.blockParts[p][0], l.locIdx[p], factors, w.rank, acc[p], k.scratch)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.tensor.NNZ()), "ns/nnz")
+			})
+		}
+	}
+}
+
 // TestMTTKRPSteadyStateZeroAlloc proves the zero-alloc steady state: after
 // warm-up iterations size the arena, further worker-side iterations perform
 // zero heap allocations under either kernel and any wire format.
@@ -204,6 +247,12 @@ func TestMTTKRPSteadyStateZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("kernel=%v wire=%v: steady-state iteration allocates %.1f objects/op, want 0", kernel, wire, allocs)
+			}
+			// The scratch outlives the task in the arena stash: it must not keep
+			// the iterate it just read reachable.
+			rows := a.Stash(mttkrpMapStash).(*mttkrpMapScratch).fused.rows
+			if i := slices.IndexFunc(rows, func(row []float64) bool { return row != nil }); i >= 0 {
+				t.Errorf("kernel=%v wire=%v: the stashed kernel scratch still holds a mode-%d factor row after the task", kernel, wire, i)
 			}
 		}
 	}

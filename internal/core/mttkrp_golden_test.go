@@ -54,6 +54,15 @@ func relClose(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
+// goldenShapes are the tensors of the golden tests: orders 2 and 5 bracket the
+// fused kernel's middle-mode loop (none, three) around the usual 3 and 4.
+var goldenShapes = [][]int{
+	{13, 11},
+	{17, 23, 9},
+	{7, 9, 11, 5},
+	{5, 4, 6, 3, 4},
+}
+
 // TestMTTKRPStageMatchesNaive is the golden equivalence test for the stage
 // kernels + packed shuffle: across tensor orders, block layouts, partition
 // counts, and kernels (fused, SpMV-chain, and the auto selector), the
@@ -62,10 +71,6 @@ func relClose(a, b, tol float64) bool {
 func TestMTTKRPStageMatchesNaive(t *testing.T) {
 	const tol = 1e-9
 	const rank = 5
-	shapes := [][]int{
-		{17, 23, 9},
-		{7, 9, 11, 5},
-	}
 	layouts := []struct {
 		name string
 		opt  DistOptions
@@ -76,7 +81,7 @@ func TestMTTKRPStageMatchesNaive(t *testing.T) {
 	}
 	kernels := []KernelMode{KernelAuto, KernelFused, KernelSpMV}
 	rng := rand.New(rand.NewPCG(71, 72))
-	for _, dims := range shapes {
+	for _, dims := range goldenShapes {
 		ts := randomTensor(dims, 40*len(dims)*len(dims), rng)
 		factors := randomFactors(dims, rank, rng)
 		wantHs, wantNorm2 := naiveStageMTTKRP(ts, factors)
@@ -123,10 +128,6 @@ func TestMTTKRPStageMatchesNaive(t *testing.T) {
 func TestMTTKRPCrossKernel(t *testing.T) {
 	const tol = 1e-9
 	const rank = 5
-	shapes := [][]int{
-		{17, 23, 9},
-		{7, 9, 11, 5},
-	}
 	layouts := []struct {
 		name string
 		opt  DistOptions
@@ -136,7 +137,7 @@ func TestMTTKRPCrossKernel(t *testing.T) {
 		{"uniform", DistOptions{UniformPartition: true}},
 	}
 	rng := rand.New(rand.NewPCG(91, 92))
-	for _, dims := range shapes {
+	for _, dims := range goldenShapes {
 		ts := randomTensor(dims, 40*len(dims)*len(dims), rng)
 		factors := randomFactors(dims, rank, rng)
 		for _, lo := range layouts {

@@ -52,8 +52,9 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	}
 	st := newSolverState(t, sp, opt)
 	if ck != nil {
-		st.restore(ck, false)
+		st.restore(ck)
 	}
+	st.refreshResidual()
 	start := time.Now()
 	for ; st.iter < opt.MaxIter; st.iter++ {
 		iterStart := time.Now()
@@ -111,10 +112,10 @@ type solverState struct {
 	t       *sptensor.Tensor
 	opt     Options
 	sp      []*graph.Spectral
-	factors []*mat.Dense // A(n)
-	aux     []*mat.Dense // B(n)
-	mult    []*mat.Dense // Y(n)
-	resid   *sptensor.Tensor
+	factors []*mat.Dense     // A(n)
+	aux     []*mat.Dense     // B(n)
+	mult    []*mat.Dense     // Y(n)
+	resid   *sptensor.Tensor // E; serial solver only, DisTenC's stage computes it on the cluster
 	eta     float64
 	iter    int
 
@@ -147,8 +148,12 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 		st.mult[n] = mat.NewDense(d, opt.Rank)
 		st.work[n] = mat.NewDense(d, opt.Rank)
 	}
-	st.resid = sptensor.Residual(t, sptensor.NewKruskal(st.factors...))
 	return st
+}
+
+// refreshResidual recomputes E = Ω∗(T − [[A]]) from the current factors.
+func (st *solverState) refreshResidual() {
+	st.resid = sptensor.Residual(st.t, sptensor.NewKruskal(st.factors...))
 }
 
 // iterateWith performs one Jacobi-style outer iteration: every mode's B and
@@ -226,7 +231,7 @@ func (st *solverState) updateAux(n int, x *mat.Dense) *mat.Dense {
 func (st *solverState) advance(next, bs []*mat.Dense) float64 {
 	d := st.advanceNoResid(next, bs)
 	t0 := time.Now()
-	st.resid = sptensor.Residual(st.t, sptensor.NewKruskal(st.factors...))
+	st.refreshResidual()
 	st.residDur = time.Since(t0)
 	return d
 }

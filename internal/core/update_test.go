@@ -125,6 +125,7 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 						t.Fatal(err)
 					}
 					st := newSolverState(ts, sp, opt)
+					st.refreshResidual()
 					for iter := 0; iter < 4; iter++ {
 						grams := make([]*mat.Dense, ts.Order())
 						hs := make([]*mat.Dense, ts.Order())
@@ -168,6 +169,7 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := newSolverState(ts, sp, opt)
+		st.refreshResidual()
 		grams := make([]*mat.Dense, len(dims))
 		hs := make([]*mat.Dense, len(dims))
 		for n, f := range st.factors {
@@ -195,4 +197,44 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 	if slack := uint64(64 << 10); largeBytes > published+slack {
 		t.Errorf("driver update allocated %d bytes; published next/bs are %d (+%d allowed)", largeBytes, published, slack)
 	}
+}
+
+// TestNewSolverStateBuildsNoResidual: set-up builds the dense ADMM state and
+// nothing proportional to nnz — the residual tensor is the serial solver's,
+// built where it is first read — and the serial solver's first iteration
+// still runs on Residual(t, initial model).
+func TestNewSolverStateBuildsNoResidual(t *testing.T) {
+	dims := []int{400, 300, 200}
+	rng := rand.New(rand.NewPCG(17, 18))
+	ts := randomTensor(dims, 60_000, rng).Dedupe()
+	opt := Options{Rank: 4, Seed: 3, MaxIter: 1, Tol: -1}.withDefaults()
+	dense := uint64(0)
+	for _, d := range dims {
+		dense += 4 * uint64(d*opt.Rank) * 8 // A, B, Y and the update workspace
+	}
+	if tensor := uint64(ts.NNZ()) * 20; tensor < 8*dense {
+		t.Fatalf("tensor is %d B against %d B of dense state: too small to tell a copy of it", tensor, dense)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := newSolverState(ts, nil, opt)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > dense+dense/4 {
+		t.Errorf("newSolverState allocated %d B, the dense state it builds is %d B: something the size of the tensor (%d B) was built with it", got, dense, ts.NNZ()*20)
+	}
+	if st.resid != nil {
+		t.Error("newSolverState built a residual tensor")
+	}
+
+	st.resid = sptensor.Residual(ts, sptensor.NewKruskal(st.factors...))
+	grams := make([]*mat.Dense, len(dims))
+	for n, f := range st.factors {
+		grams[n] = mat.Gram(f)
+	}
+	next, _ := st.iterateWith(grams, func(n int) *mat.Dense { return sptensor.MTTKRP(st.resid, st.factors, n, nil) })
+	res, err := Complete(ts, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "Complete's first iteration vs one update from Residual(t, initial model)", next, res.Model.Factors)
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # bench_compare.sh — mechanical perf-regression gate.
 #
-# Runs the MTTKRP and layout-build benchmarks and diffs them against the
-# recorded baseline in BENCH_mttkrp.json. Fails when
+# Runs the MTTKRP stage, fused-kernel and layout-build benchmarks and diffs
+# them against the recorded baseline in BENCH_mttkrp.json (the kernel's /ref
+# siblings are run and printed, not gated). Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
-#     BENCH_TOL_PCT percent (default 25), or
+#     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
+#     "max_over_ref", that share of its /ref sibling's min in the same run — or
 #   - allocs/op exceeds the baseline at all (allocation counts are exact and
 #     deterministic; any growth is a real regression — the SteadyState
 #     benchmarks must stay at exactly 0).
@@ -15,10 +17,11 @@
 # with machine load.
 #
 # Usage: scripts/bench_compare.sh [-short]
-#   -short  CI smoke mode: 3 runs instead of 5, so the gate stays under a
-#           minute. The default benchtime is kept even here: these benchmarks
-#           are a few ms/op, and a capped -benchtime=Nx would under-amortize
-#           the one-time arena warm-up and inflate allocs/op vs the baseline.
+#   -short  CI smoke mode: 3 runs instead of 5, so the gate stays near a
+#           minute. The default benchtime is kept even here: the stage and
+#           steady-state benchmarks are a few ms/op, and a capped
+#           -benchtime=Nx would under-amortize the one-time arena warm-up and
+#           inflate allocs/op vs the baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,7 +54,7 @@ if go version -m "$BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
 fi
 
 OUT=$("$BIN" -test.run '^$' \
-  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyState|BenchmarkNewLayout$' \
+  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyState|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
   -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
@@ -65,7 +68,7 @@ base = json.load(open("BENCH_mttkrp.json"))["benchmarks"]
 runs = {}
 for line in sys.stdin:
     # b.ReportMetric columns (ns/nnz, rows/nnz) sit between ns/op and B/op.
-    m = re.match(r"^(Benchmark\w+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(?:[\d.]+ \S+\s+)*?([\d.]+) B/op\s+(\d+) allocs/op", line)
+    m = re.match(r"^(Benchmark[\w/]+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(?:[\d.]+ \S+\s+)*?([\d.]+) B/op\s+(\d+) allocs/op", line)
     if m:
         name, ns, _, allocs = m.group(1), float(m.group(2)), m.group(3), int(m.group(4))
         runs.setdefault(name, []).append((ns, allocs))
@@ -76,14 +79,24 @@ if not runs:
 failed = False
 for name, samples in sorted(runs.items()):
     if name not in base or "after" not in base[name]:
-        print(f"  {name}: no baseline recorded, skipping")
+        print(f"  {name}: min {min(ns for ns, _ in samples):.0f} ns/op, not gated (no \"after\" baseline recorded)")
         continue
     want = base[name]["after"]
     base_ns = want["ns_per_op_median"]
     base_allocs = want["allocs_per_op"]
     min_ns = min(ns for ns, _ in samples)
     max_allocs = max(a for _, a in samples)
-    limit = base_ns * (1 + tol)
+    limit, why = base_ns * (1 + tol), f"+{tol*100:.0f}% over baseline median"
+    ref = runs.get(name + "/ref")
+    if ref and "max_over_ref" in want:
+        # The kernel benchmarks run on tensors the size of the end-to-end
+        # gate, where a slow phase of the host moves ns/op by more than the
+        # tolerance and by more than the kernel whole margin over the plain
+        # formulation. The /ref sibling runs that formulation in the same
+        # process a moment later, so the ratio of the two mins holds where
+        # neither ns/op does: the limit is a share of the sibling min.
+        share = want["max_over_ref"]
+        limit, why = share * min(ns for ns, _ in ref), f"{share} x the /ref sibling min"
     ns_ok = min_ns <= limit
     # Zero-alloc baselines are an exact contract (the arena steady state);
     # nonzero baselines get +2 of slack because the stage benchmarks amortize
@@ -94,7 +107,7 @@ for name, samples in sorted(runs.items()):
     print(f"  {name}: min {min_ns:.0f} ns/op (baseline median {base_ns}, limit {limit:.0f}), "
           f"allocs {max_allocs} (baseline {base_allocs}) ... {status}")
     if not ns_ok:
-        print(f"    ns/op regression: min-of-{len(samples)} {min_ns:.0f} > {limit:.0f} (+{tol*100:.0f}% over baseline median)")
+        print(f"    ns/op regression: min-of-{len(samples)} {min_ns:.0f} > {limit:.0f} ({why})")
         failed = True
     if not alloc_ok:
         print(f"    allocs/op regression: {max_allocs} > baseline {base_allocs} (+slack)")
