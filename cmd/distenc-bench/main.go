@@ -64,7 +64,7 @@ func main() {
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the phases experiment's cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\"")
 		specSpec  = flag.String("speculation", "", "speculative execution for the phases experiment's cluster: \"on\" or \"quantile=0.75,multiplier=1.5,min=10ms\"")
 		kernelStr = flag.String("kernel", "auto", "MTTKRP kernel for DisTenC runs: auto, fused, or spmv")
-		wireStr   = flag.String("wire", "varint", "shuffle wire format for DisTenC runs: raw, varint, or f32")
+		wireStr   = flag.String("wire", "varint", "shuffle wire format for DisTenC runs: varint or f32")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)

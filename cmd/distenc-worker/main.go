@@ -1,7 +1,7 @@
 // Command distenc-worker is a standalone block-store worker for the TCP
 // execution backend. A driver started with -backend tcp connects to one
-// worker per simulated machine; shuffle buckets and broadcast replicas live
-// in the worker's memory and die with it.
+// worker per simulated machine; shuffle buckets live in the worker's memory
+// and die with it.
 //
 // Usage:
 //

@@ -90,7 +90,7 @@ func main() {
 
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the simulated cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\" (needs -machines > 0; see distenc.ParseFaultPlan)")
 		kernelStr = flag.String("kernel", "auto", "MTTKRP kernel: auto (= fused), fused, or spmv (needs -machines > 0)")
-		wireStr   = flag.String("wire", "varint", "shuffle wire format: raw (u32+f64), varint (delta rows, lossless, default), or f32 (lossy values, f64 accumulation)")
+		wireStr   = flag.String("wire", "varint", "shuffle wire format: varint (delta rows, lossless, default) or f32 (lossy values, f64 accumulation)")
 		specSpec  = flag.String("speculation", "", "speculative execution for straggler mitigation: \"on\" for defaults or \"quantile=0.75,multiplier=1.5,min=10ms\" (needs -machines > 0; see distenc.ParseSpeculation)")
 
 		traceOut = flag.String("trace", "", "write a Chrome-trace JSON (chrome://tracing, Perfetto) of every stage, task and driver span to this file (needs -machines > 0)")

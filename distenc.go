@@ -101,27 +101,24 @@ const (
 // "spmv".
 var ParseKernelMode = core.ParseKernelMode
 
-// WireFormat selects the shuffle record encoding: WireRaw ships u32 rows +
-// f64 values, WireVarint delta-varint rows + f64 values (lossless, the
-// default), WireF32 delta rows + f32 values with f64 accumulation (set
-// DistOptions.Wire).
+// WireFormat selects the shuffle record encoding: WireVarint ships
+// delta-varint rows + f64 values (lossless, the default), WireF32 the same
+// rows + f32 values with f64 accumulation (set DistOptions.Wire).
 type WireFormat = rdd.WireFormat
 
 // Wire formats for DistOptions.Wire.
 const (
-	WireRaw    = rdd.WireRaw
 	WireVarint = rdd.WireVarint
 	WireF32    = rdd.WireF32
 )
 
-// ParseWireFormat parses a -wire CLI flag value: "raw", "varint" (or
-// "lossless"), or "f32" (or "float32").
+// ParseWireFormat parses a -wire CLI flag value: "varint" (or "lossless") or
+// "f32" (or "float32").
 var ParseWireFormat = rdd.ParseWireFormat
 
-// Transport abstracts how tasks move shuffle blocks, broadcast replicas and
-// checkpoint images between machines. Nil (the default) keeps everything
-// in-process; set ClusterConfig.Transport to a TCP client to run against
-// real worker processes.
+// Transport abstracts how tasks move shuffle blocks between machines. Nil
+// (the default) keeps everything in-process; set ClusterConfig.Transport to a
+// TCP client to run against real worker processes.
 type Transport = rdd.Transport
 
 // TransportOptions tunes the TCP execution backend (frame limit, timeouts).

@@ -36,7 +36,6 @@ var Analyzer = &framework.Analyzer{
 // byteCounters are the Metrics fields that may only be mutated by the engine.
 var byteCounters = map[string]bool{
 	"BytesShuffled":  true,
-	"BytesBroadcast": true,
 	"DiskBytesRead":  true,
 	"DiskBytesWrite": true,
 }

@@ -14,5 +14,5 @@ func sgdStage(c *rdd.Cluster, tc *rdd.TaskCtx, shipped int64) {
 	_ = c.Metrics().BytesShuffled.Load()       // reads are fine
 
 	//distenc:accounted -- fixture: engine-internal test hook
-	c.Metrics().BytesBroadcast.Add(1)
+	c.Metrics().DiskBytesRead.Add(1)
 }

@@ -10,8 +10,9 @@
 //     Results flow through return values.
 //  2. A task closure must not capture driver-side mutable values (slices,
 //     maps, pointers, chans, interfaces, or structs containing them) even
-//     read-only, except *rdd.Broadcast handles and plain function values. Read-only shipment that the algorithm accounts for
-//     explicitly (e.g. the MTTKRP factor-row shipping charged via
+//     read-only; plain function values are the one exception. The engine has
+//     no broadcast variables: read-only shipment that the algorithm accounts
+//     for explicitly (e.g. the MTTKRP factor-row shipping charged via
 //     TaskCtx.CountShuffled) is waived per variable with
 //     `//distenc:capture-ok var... -- reason`, keeping every crossing of the
 //     boundary auditable.
@@ -246,7 +247,7 @@ func checkClosure(pass *framework.Pass, t taskClosure, isTask map[*ast.FuncLit]b
 				t.callee, f.v.Name())
 		} else {
 			pass.Reportf(f.pos,
-				"task closure passed to %s captures driver-side mutable state %q (%s); ship it with rdd.NewBroadcast, or waive an accounted read-only shipment with //distenc:capture-ok %s -- reason",
+				"task closure passed to %s captures driver-side mutable state %q (%s); pass it through the RDD, or waive an accounted read-only shipment with //distenc:capture-ok %s -- reason",
 				t.callee, f.v.Name(), f.v.Type(), f.v.Name())
 		}
 	}
@@ -277,7 +278,8 @@ func baseIdent(e ast.Expr) (*ast.Ident, bool) {
 }
 
 // allowedCaptureType reports whether a value of type t may be captured
-// read-only: immutable shapes, Broadcast handles, and plain funcs. Everything reference-like needs a Broadcast or an explicit waiver.
+// read-only: immutable shapes and plain funcs. Everything reference-like
+// needs an explicit waiver.
 func allowedCaptureType(t types.Type, seen map[types.Type]bool) bool {
 	if seen[t] {
 		return true // cycle through a pointer was already judged
@@ -302,24 +304,8 @@ func allowedCaptureType(t types.Type, seen map[types.Type]bool) bool {
 		return true
 	case *types.Array:
 		return allowedCaptureType(u.Elem(), seen)
-	case *types.Pointer:
-		return isEngineHandle(u.Elem())
 	default:
-		// Slices, maps, chans, interfaces: shared mutable reach.
+		// Slices, maps, pointers, chans, interfaces: shared mutable reach.
 		return false
 	}
-}
-
-// isEngineHandle reports whether t is rdd.Broadcast[...], the one value
-// designed to cross the task boundary.
-func isEngineHandle(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Name() != "rdd" {
-		return false
-	}
-	return obj.Name() == "Broadcast"
 }

@@ -26,17 +26,13 @@ func driver(c *rdd.Cluster, nums *rdd.RDD[int]) error {
 		return in[:int(scale[0])], nil // want `captures driver-side mutable state "scale"`
 	})
 
-	// ...unless it ships through a Broadcast,
-	bscale, err := rdd.NewBroadcast(c, "scale", scale)
-	if err != nil {
-		return err
-	}
-	ok1 := rdd.MapPartitions(nums, "bscale", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
-		return in[:int(bscale.Value()[0])], nil
+	// ...a pointer included: no engine type is designed to cross the boundary...
+	_ = rdd.MapPartitions(doubled, "cluster", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+		return in[:c.Machines()], nil // want `captures driver-side mutable state "c"`
 	})
 
-	// or is immutable (scalars and plain structs of scalars ride along),
-	ok2 := rdd.MapPartitions(ok1, "rank", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
+	// ...unless it is immutable (scalars and plain structs of scalars ride along),
+	ok2 := rdd.MapPartitions(nums, "rank", func(tc *rdd.TaskCtx, p int, in []int) ([]int, error) {
 		return in[:cfg.Rank], nil
 	})
 

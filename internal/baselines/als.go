@@ -30,19 +30,34 @@ import (
 	"distenc/internal/sptensor"
 )
 
-// factorSet is a Sizer payload so broadcasts of factor matrices charge their
-// true footprint without gob-encoding dense data.
-type factorSet struct {
-	fs []*mat.Dense
-}
-
-func (p factorSet) SizeBytes() int64 {
+// replicaBytes is the footprint of one full copy of the factor matrices.
+func replicaBytes(factors []*mat.Dense) int64 {
 	var total int64
-	for _, f := range p.fs {
+	for _, f := range factors {
 		r, c := f.Dims()
 		total += int64(r) * int64(c) * 8
 	}
 	return total
+}
+
+// holdReplica charges bytes — one full factor replica, the coarse-grained
+// profile ALS and FlexiFact share — to every live machine, and returns the
+// function that gives it all back. A machine over its budget fails the call
+// with ErrOutOfMemory (wrapped) and nothing stays charged.
+func holdReplica(c *rdd.Cluster, bytes int64) (release func(), err error) {
+	held := 0
+	release = func() {
+		for m := 0; m < held; m++ {
+			c.Release(m, bytes)
+		}
+	}
+	for ; held < c.Machines(); held++ {
+		if err := c.Charge(held, bytes); err != nil {
+			release()
+			return nil, err
+		}
+	}
+	return release, nil
 }
 
 // ALS runs distributed alternating least squares tensor completion (EM
@@ -64,6 +79,14 @@ func ALS(c *rdd.Cluster, t *sptensor.Tensor, opt core.Options) (*core.Result, er
 
 	factors := core.InitFactors(t.Dims, opt.Rank, opt.Seed)
 	core.ApplyInitScale(factors, t, opt)
+	// Coarse-grained: every machine holds every factor matrix for the whole
+	// run, O(N·I·R) memory per machine.
+	replica := replicaBytes(factors)
+	release, err := holdReplica(c, replica)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: ALS factor replication: %w", err)
+	}
+	defer release()
 	start := time.Now()
 	var trace metrics.Trace
 	converged := false
@@ -71,16 +94,18 @@ func ALS(c *rdd.Cluster, t *sptensor.Tensor, opt core.Options) (*core.Result, er
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		iters = iter + 1
-		// Coarse-grained epoch: broadcast every factor matrix to every
-		// machine. This is where ALS pays O(N·I·R) memory per machine and
-		// O(M·N·I·R) network per epoch.
-		bc, err := rdd.NewBroadcast(c, "als-factors", factorSet{fs: factors})
-		if err != nil {
-			return nil, fmt.Errorf("baselines: ALS factor replication: %w", err)
+		// Each epoch re-ships the updated factors to every machine, O(M·N·I·R)
+		// network: one replica per partition (P = M), attributed through the
+		// task so it lands in a stage record.
+		shipped := rdd.MapPartitions(blocks, "als-replicate", func(tc *rdd.TaskCtx, _ int, _ []*core.TensorBlock) ([]struct{}, error) {
+			tc.CountShuffled(replica)
+			return nil, nil
+		})
+		if _, err := shipped.Collect(); err != nil {
+			return nil, err
 		}
-		hs, residNorm2, err := core.MTTKRPStage(c, blocks, layout, bc.Value().fs, core.DistOptions{Options: opt})
+		hs, residNorm2, err := core.MTTKRPStage(c, blocks, layout, factors, core.DistOptions{Options: opt})
 		if err != nil {
-			bc.Release()
 			return nil, err
 		}
 		grams := make([]*mat.Dense, t.Order())
@@ -99,7 +124,6 @@ func ALS(c *rdd.Cluster, t *sptensor.Tensor, opt core.Options) (*core.Result, er
 			}
 			inv, err := mat.InverseSPD(lhs)
 			if err != nil {
-				bc.Release()
 				return nil, fmt.Errorf("baselines: ALS normal equations: %w", err)
 			}
 			next[n] = mat.Mul(h, inv)
@@ -107,7 +131,6 @@ func ALS(c *rdd.Cluster, t *sptensor.Tensor, opt core.Options) (*core.Result, er
 			maxDelta = math.Max(maxDelta, d*d)
 		}
 		factors = next
-		bc.Release()
 
 		point := metrics.ConvergencePoint{
 			Iter:      iter,

@@ -3,6 +3,7 @@ package baselines
 import (
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"distenc/internal/core"
@@ -35,13 +36,10 @@ func TestALSConvergesOnPlantedData(t *testing.T) {
 	if last >= first {
 		t.Fatalf("ALS train RMSE did not decrease: %v -> %v", first, last)
 	}
-	if c.Metrics().BytesBroadcast.Load() == 0 {
-		t.Fatal("ALS must broadcast full factor replicas")
-	}
 }
 
 func TestALSOOMsOnFactorReplication(t *testing.T) {
-	// Large dimensionality, tiny budget: the full-factor broadcast must
+	// Large dimensionality, tiny budget: the full-factor replica must
 	// fail, reproducing ALS's Figure 3a behaviour.
 	ts := synth.ScalabilityTensor([]int{20000, 20000, 20000}, 500, 4)
 	c := testCluster(t, rdd.Config{Machines: 2, MemoryPerMachine: 1 << 20})
@@ -173,9 +171,107 @@ func TestFlexiFactRejectsOneModeTensor(t *testing.T) {
 }
 
 func TestFactorSetSize(t *testing.T) {
-	fs := factorSet{fs: []*mat.Dense{mat.NewDense(10, 3), mat.NewDense(5, 3)}}
-	if got := fs.SizeBytes(); got != (10*3+5*3)*8 {
-		t.Fatalf("SizeBytes = %d", got)
+	fs := []*mat.Dense{mat.NewDense(10, 3), mat.NewDense(5, 3)}
+	if got := replicaBytes(fs); got != (10*3+5*3)*8 {
+		t.Fatalf("replicaBytes = %d", got)
+	}
+}
+
+// TestReplicaReleasedOnEveryExit: ALS and FlexiFact hold one factor replica
+// per machine for the run and leave no machine charged however the run ends —
+// on success, when the replica does not fit on a machine after the first, and
+// when a stage fails mid-iteration.
+func TestReplicaReleasedOnEveryExit(t *testing.T) {
+	const budget = 64 << 10
+	d := synth.LinearFactorDataset([]int{200, 200, 200}, 2, 600, 22)
+	opts := core.Options{Rank: 5, MaxIter: 2, Tol: 0, Seed: 23}
+	replica := int64(600 * 5 * 8)
+	methods := []struct {
+		name      string
+		failStage string // the per-iteration stage a fault plan can sink
+		run       func(c *rdd.Cluster) error
+	}{
+		{"ALS", "shuffle-write:mttkrp-map", func(c *rdd.Cluster) error {
+			_, err := ALS(c, d.Tensor, opts)
+			return err
+		}},
+		{"FlexiFact", "collect:flexifact-sgd", func(c *rdd.Cluster) error {
+			_, err := FlexiFact(c, d.Tensor, nil, FlexiFactOptions{Options: opts})
+			return err
+		}},
+	}
+	assertReleased := func(t *testing.T, c *rdd.Cluster) {
+		t.Helper()
+		for m := 0; m < c.Machines(); m++ {
+			if got := c.UsedMemory(m); got != 0 {
+				t.Errorf("machine %d still charged %d bytes", m, got)
+			}
+		}
+	}
+	for _, method := range methods {
+		t.Run(method.name+"/success", func(t *testing.T) {
+			c := testCluster(t, rdd.Config{Machines: 3, MemoryPerMachine: budget})
+			if err := method.run(c); err != nil {
+				t.Fatal(err)
+			}
+			if c.MaxPeakMemory() < replica {
+				t.Fatalf("peak %d bytes: no machine ever held the %d-byte replica", c.MaxPeakMemory(), replica)
+			}
+			assertReleased(t, c)
+		})
+		t.Run(method.name+"/oom-on-last-machine", func(t *testing.T) {
+			c := testCluster(t, rdd.Config{Machines: 3, MemoryPerMachine: budget})
+			// Machines 0 and 1 take the replica; machine 2 has room for its
+			// tensor block but not for the replica on top.
+			other := int64(budget - replica + 1)
+			if err := c.Charge(2, other); err != nil {
+				t.Fatal(err)
+			}
+			err := method.run(c)
+			if !errors.Is(err, rdd.ErrOutOfMemory) || !strings.Contains(err.Error(), "factor replication") {
+				t.Fatalf("err = %v, want ErrOutOfMemory from factor replication", err)
+			}
+			c.Release(2, other)
+			assertReleased(t, c)
+		})
+		t.Run(method.name+"/stage-error", func(t *testing.T) {
+			c := testCluster(t, rdd.Config{Machines: 3, MemoryPerMachine: budget})
+			c.InjectTaskFailures(method.failStage, 100)
+			if err := method.run(c); err == nil {
+				t.Fatal("run survived a stage that fails every attempt")
+			}
+			assertReleased(t, c)
+		})
+	}
+}
+
+// TestALSReplicaTrafficIsStageAttributed: each epoch's M full replicas are
+// shuffle bytes of a stage of their own, so the per-stage transfer profile sums
+// to the cluster total.
+func TestALSReplicaTrafficIsStageAttributed(t *testing.T) {
+	const machines, iters = 3, 4
+	d := synth.LinearFactorDataset([]int{30, 20, 10}, 2, 900, 24)
+	c := testCluster(t, rdd.Config{Machines: machines})
+	if _, err := ALS(c, d.Tensor, core.Options{Rank: 4, MaxIter: iters, Tol: 0, Seed: 25}); err != nil {
+		t.Fatal(err)
+	}
+	replica := int64((30 + 20 + 10) * 4 * 8)
+	var stages int
+	var logged int64
+	for _, rec := range c.StageLog() {
+		logged += rec.BytesShuffled
+		if strings.HasSuffix(rec.Name, "als-replicate") {
+			stages++
+			if rec.BytesShuffled != machines*replica {
+				t.Fatalf("stage %s shuffled %d bytes, want %d replicas of %d", rec.Name, rec.BytesShuffled, machines, replica)
+			}
+		}
+	}
+	if stages != iters {
+		t.Fatalf("%d als-replicate stages, want one per iteration (%d)", stages, iters)
+	}
+	if total := c.Metrics().BytesShuffled.Load(); total != logged || total < iters*machines*replica {
+		t.Fatalf("BytesShuffled = %d, stage records sum to %d, replicas alone are %d", total, logged, iters*machines*replica)
 	}
 }
 

@@ -88,7 +88,13 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 	rank := opt.Rank
 	factors := core.InitFactors(t.Dims, rank, opt.Seed)
 	core.ApplyInitScale(factors, t, opt.Options)
-	replicaBytes := factorSet{fs: factors}.SizeBytes()
+	// Full-replica memory profile: every machine holds all factors for the
+	// whole run.
+	release, err := holdReplica(c, replicaBytes(factors))
+	if err != nil {
+		return nil, fmt.Errorf("baselines: FlexiFact factor replication: %w", err)
+	}
+	defer release()
 	start := time.Now()
 	var trace metrics.Trace
 	converged := false
@@ -108,17 +114,6 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 	for epoch := 0; epoch < opt.MaxIter; epoch++ {
 		iters = epoch + 1
 		lr := lrScale * opt.LearningRate / (1 + float64(epoch))
-		// Full-replica memory profile: every machine holds all factors for
-		// the duration of the epoch.
-		for m := 0; m < c.Machines(); m++ {
-			if err := c.Charge(m, replicaBytes); err != nil {
-				for freed := 0; freed < m; freed++ {
-					c.Release(freed, replicaBytes)
-				}
-				return nil, fmt.Errorf("baselines: FlexiFact factor replication: %w", err)
-			}
-		}
-
 		prev := make([]*mat.Dense, order)
 		for n, f := range factors {
 			prev[n] = f.Clone()
@@ -145,8 +140,8 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 			}
 			// Factor rows are read-only here: every touched row is copied into
 			// `local` before the SGD update, and the two-way shipment (pull +
-			// push-back) is charged below via tc.CountShuffled. Broadcasting
-			// the factors instead would bill O(machines·ΣI_n·R) per stratum,
+			// push-back) is charged below via tc.CountShuffled. Re-shipping
+			// every factor instead would bill O(machines·ΣI_n·R) per stratum,
 			// which is exactly the overhead FlexiFact's block scheduling
 			// avoids. opt is a by-value hyperparameter struct.
 			//distenc:capture-ok factors opt -- accounted row shipping (2*shipped via CountShuffled); SGD mutates copies only
@@ -238,9 +233,6 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 			})
 			collected, err := results.Collect()
 			if err != nil {
-				for m := 0; m < c.Machines(); m++ {
-					c.Release(m, replicaBytes)
-				}
 				return nil, err
 			}
 			for _, res := range collected {
@@ -263,9 +255,6 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 		// gradient), once per epoch on the driver.
 		if sims != nil {
 			applyGraphGradient(factors, sims, lr*opt.Alpha, rng)
-		}
-		for m := 0; m < c.Machines(); m++ {
-			c.Release(m, replicaBytes)
 		}
 
 		epochRMSE := math.Sqrt(epochSq / float64(maxInt64(1, epochCount)))

@@ -84,6 +84,11 @@ func TestFig4SpeedupGrows(t *testing.T) {
 		if len(d) < 3 {
 			t.Fatalf("speedups = %v", d)
 		}
+		// A method that failed prints its status; a zero ratio in the table
+		// is a failure passed off as a measurement.
+		if strings.Contains(sb.String(), " 0.00x") {
+			t.Fatalf("Fig. 4 prints a zero speedup:\n%s", sb.String())
+		}
 		if d[len(d)-1] > d[0] && d[len(d)-1] >= 1.5 {
 			return
 		}
@@ -241,15 +246,11 @@ func TestKernelsExperiment(t *testing.T) {
 			t.Fatalf("%v: bad summary %+v", k.Kernel, k.Seconds)
 		}
 	}
-	if len(wires) != 3 {
-		t.Fatalf("wire rows = %d, want 3", len(wires))
+	if len(wires) != 2 {
+		t.Fatalf("wire rows = %d, want 2", len(wires))
 	}
-	raw, varint, f32 := wires[0], wires[1], wires[2]
-	if varint.BytesShuffled >= raw.BytesShuffled {
-		t.Fatalf("varint wire shuffled %d bytes, raw %d: no compression", varint.BytesShuffled, raw.BytesShuffled)
-	}
-	if f32.ReductionVsRaw < 1.9 {
-		t.Fatalf("f32 wire reduction %.2fx vs raw, want ≥ 1.9x", f32.ReductionVsRaw)
+	if f32 := wires[1]; f32.ReductionVsVarint < 1.9 {
+		t.Fatalf("f32 wire reduction %.2fx vs varint, want ≥ 1.9x", f32.ReductionVsVarint)
 	}
 }
 

@@ -38,7 +38,6 @@ func Fig3a(w io.Writer, p Profile) []Outcome {
 		fmt.Fprintf(w, "%-10d", d)
 		for _, m := range AllMethods {
 			o := runMethod(p, m, p.Machines, t, nil, opt, false)
-			o.Status = statusOrError(o)
 			all = append(all, o)
 			fmt.Fprintf(w, "%14s", cell(o))
 		}
@@ -162,9 +161,11 @@ func Fig4(w io.Writer, p Profile) map[Method][]float64 {
 		for _, m := range methods {
 			best := 0.0
 			var bestOut Outcome
+			status := StatusOK // of the last repetition that failed, if one did
 			for rep := 0; rep < reps; rep++ {
 				o := runMethod(p, m, mach, t, nil, opt, true)
 				if o.Status != StatusOK {
+					status = o.Status
 					continue
 				}
 				if secs := o.Sim.Seconds(); secs > 0 && (best == 0 || secs < best) {
@@ -172,15 +173,21 @@ func Fig4(w io.Writer, p Profile) map[Method][]float64 {
 					bestOut = o
 				}
 			}
+			if best > 0 && mach == machines[0] {
+				base[m] = best
+			}
+			// A cell without a ratio says why; 0.00x would read as a measurement.
 			var s float64
-			if best > 0 {
-				if mach == machines[0] {
-					base[m] = best
-				}
+			switch {
+			case best == 0:
+				fmt.Fprintf(w, "%14s", status)
+			case base[m] == 0:
+				fmt.Fprintf(w, "%14s", "T1 failed")
+			default:
 				s = base[m] / best
+				fmt.Fprintf(w, "%13.2fx", s)
 			}
 			speedups[m] = append(speedups[m], s)
-			fmt.Fprintf(w, "%13.2fx", s)
 			if m == MethodDisTenC && bestOut.Result != nil {
 				tot := bestOut.Result.Phases.Totals()
 				phaseRows = append(phaseRows, fmt.Sprintf(
@@ -203,5 +210,3 @@ func Fig4(w io.Writer, p Profile) map[Method][]float64 {
 	}
 	return speedups
 }
-
-func statusOrError(o Outcome) string { return o.Status }

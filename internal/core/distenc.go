@@ -50,8 +50,7 @@ type DistOptions struct {
 	// Wire selects the PackedRows shuffle wire format: unset resolves to
 	// rdd.WireVarint (lossless delta-varint row compression); rdd.WireF32
 	// additionally narrows values to float32 on the wire (decoded back to
-	// float64, so accumulation stays in double precision); rdd.WireRaw is
-	// the uncompressed v1 layout.
+	// float64, so accumulation stays in double precision).
 	Wire rdd.WireFormat
 }
 
@@ -523,9 +522,6 @@ func (l *Layout) BlocksRDD(c *rdd.Cluster) *rdd.RDD[*TensorBlock] {
 	return rdd.FromPartitions(c, "tensor-blocks", l.blockParts)
 }
 
-// Parts returns the block count P.
-func (l *Layout) Parts() int { return l.parts }
-
 // Shape returns P₀×…×P_{N−1}, the ranges per mode of the nested split.
 func (l *Layout) Shape() []int { return l.blocking.Shape }
 
@@ -534,9 +530,6 @@ func (l *Layout) PartialRows() int64 { return l.blocking.PartialRows }
 
 // Blocking returns the chosen shape with its cost and balance.
 func (l *Layout) Blocking() Blocking { return l.blocking }
-
-// ModeBounds returns mode n's row partitioning.
-func (l *Layout) ModeBounds(n int) part.Boundaries { return l.modeBounds[n] }
 
 // Dims returns the tensor's mode sizes.
 func (l *Layout) Dims() []int { return l.dims }

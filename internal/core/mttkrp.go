@@ -15,24 +15,23 @@ import (
 // (len(Rows)×R, row-major). Packing makes the shuffle O(P·N) slab records per
 // map task instead of one record per row; Mode -1 carries the ‖E‖²_F
 // side-channel in Vals[0]. The type implements rdd.ArenaBinaryRecord: shuffle
-// blocks use the compact v2 binary framing below — flowing through the
+// blocks use the compact binary framing below — flowing through the
 // engine's BytesShuffled accounting, which thereby counts compressed wire
 // bytes — and the shuffle fetch path decodes payloads into task-arena slabs
 // instead of fresh heap allocations.
 //
-// v2 wire frame (see DESIGN.md §III-C.2 for the byte-level diagram):
+// Wire frame (see DESIGN.md §III-C.2 for the byte-level diagram):
 //
 //	tag(u8) mode(u16 LE) nrows(uvarint) nvals(uvarint) rows… vals…
 //
-// where tag is the rdd.WireFormat: WireRaw ships u32 rows + f64 values (the
-// v1 layout), WireVarint ships zigzag-varint delta-coded rows + f64 values,
-// and WireF32 delta rows + f32 values (widened to f64 on decode). The tag
-// rides in every frame, so a decoded record re-encodes bit-identically and
-// mixed-format blocks are well-defined.
+// where tag is the rdd.WireFormat: WireVarint ships zigzag-varint delta-coded
+// rows + f64 values, WireF32 the same rows + f32 values (widened to f64 on
+// decode). The tag rides in every frame, so a decoded record re-encodes
+// bit-identically and mixed-format blocks are well-defined.
 type PackedRows struct {
 	Mode int16
-	// Wire is the frame format used on encode (zero encodes as WireRaw) and
-	// observed on decode.
+	// Wire is the frame format used on encode (zero encodes as WireVarint)
+	// and observed on decode.
 	Wire rdd.WireFormat
 	Rows []int32
 	Vals []float64
@@ -41,7 +40,7 @@ type PackedRows struct {
 // wire resolves the frame format AppendRecord writes.
 func (p *PackedRows) wire() rdd.WireFormat {
 	if !p.Wire.Valid() {
-		return rdd.WireRaw
+		return rdd.WireVarint
 	}
 	return p.Wire
 }
@@ -49,12 +48,8 @@ func (p *PackedRows) wire() rdd.WireFormat {
 // RecordSize implements rdd.BinaryRecord: the exact frame length, so the
 // engine allocates a shuffle block once at its final size.
 func (p *PackedRows) RecordSize() int {
-	w := p.wire()
-	n := 3 + rdd.UvarintLen(uint64(len(p.Rows))) + rdd.UvarintLen(uint64(len(p.Vals))) + int(w.BytesPerVal())*len(p.Vals)
-	if w == rdd.WireRaw {
-		return n + 4*len(p.Rows)
-	}
-	return n + rdd.DeltaRowsSize(p.Rows)
+	return 3 + rdd.UvarintLen(uint64(len(p.Rows))) + rdd.UvarintLen(uint64(len(p.Vals))) +
+		rdd.DeltaRowsSize(p.Rows) + int(p.wire().BytesPerVal())*len(p.Vals)
 }
 
 // AppendRecord implements rdd.BinaryRecord. It runs once per shuffle record
@@ -69,18 +64,11 @@ func (p *PackedRows) AppendRecord(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Mode))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Rows)))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
-	switch w {
-	case rdd.WireRaw:
-		buf = rdd.AppendRawRows(buf, p.Rows)
-		buf = rdd.AppendF64Vals(buf, p.Vals)
-	case rdd.WireVarint:
-		buf = rdd.AppendDeltaRows(buf, p.Rows)
-		buf = rdd.AppendF64Vals(buf, p.Vals)
-	case rdd.WireF32:
-		buf = rdd.AppendDeltaRows(buf, p.Rows)
-		buf = rdd.AppendF32Vals(buf, p.Vals)
+	buf = rdd.AppendDeltaRows(buf, p.Rows)
+	if w == rdd.WireF32 {
+		return rdd.AppendF32Vals(buf, p.Vals)
 	}
-	return buf
+	return rdd.AppendF64Vals(buf, p.Vals)
 }
 
 // DecodeRecord implements rdd.BinaryRecord, allocating the payload slices on
@@ -122,16 +110,9 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 	// Bound the counts by the payload before doing arithmetic on them: nr
 	// and nv come off the wire, so a naive nr*rowSize+nv*valSize length
 	// check can wrap uint64 and slip a huge (or panicking) allocation past
-	// it. Every wire format costs at least one byte per row (varint delta)
-	// and four per value (f32), so counts above those bounds are corrupt.
-	rowMin, valMin := uint64(1), uint64(8)
-	if w == rdd.WireRaw {
-		rowMin = 4
-	}
-	if w == rdd.WireF32 {
-		valMin = 4
-	}
-	if nr > uint64(len(data))/rowMin || nv > uint64(len(data))/valMin {
+	// it. A row costs at least one byte (varint delta) and a value its wire
+	// width, so counts above those bounds are corrupt.
+	if nr > uint64(len(data)) || nv > uint64(len(data))/uint64(w.BytesPerVal()) {
 		return nil, fmt.Errorf("core: packed record claims %d rows, %d values in a %d-byte payload", nr, nv, len(data))
 	}
 	if a != nil {
@@ -143,12 +124,7 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 		p.Rows = make([]int32, nr)
 		p.Vals = make([]float64, nv)
 	}
-	var err error
-	if w == rdd.WireRaw {
-		data, err = rdd.DecodeRawRows(p.Rows, data)
-	} else {
-		data, err = rdd.DecodeDeltaRows(p.Rows, data)
-	}
+	data, err := rdd.DecodeDeltaRows(p.Rows, data)
 	if err != nil {
 		return nil, err
 	}

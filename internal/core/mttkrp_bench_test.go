@@ -231,7 +231,7 @@ func BenchmarkFusedKernel(b *testing.B) {
 func TestMTTKRPSteadyStateZeroAlloc(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{60, 50, 40}, 3, 8_000, 5)
 	for _, kernel := range []KernelMode{KernelFused, KernelSpMV} {
-		for _, wire := range []rdd.WireFormat{rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
+		for _, wire := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
 			opt := DistOptions{Options: Options{Rank: 6}, GridPartition: true, Kernel: kernel}
 			opt.Options = opt.Options.withDefaults()
 			opt.Partitions = 4

@@ -14,20 +14,30 @@ import (
 // must either error or return a record that re-encodes to the same canonical
 // form — and must never panic or allocate from attacker-controlled counts
 // (the uint64-wrap bug where nr*4+nv*8 overflowed past the length check).
-// The v2 frame carries its wire format in the leading tag byte, so the
-// fuzzer exercises all three layouts: raw, delta-varint rows (including
-// truncated varints and delta chains that overflow int32), and float32
-// values (including the float32↔float64 widening corners). CI runs this
-// target for a 30-second smoke on every push.
+// The frame carries its wire format in the leading tag byte, so the fuzzer
+// exercises both layouts: delta-varint rows (including truncated varints and
+// delta chains that overflow int32) with float64 values, and with float32
+// values (including the float32↔float64 widening corners) — plus frames
+// tagged 1, the retired full-width layout, which must be refused. CI runs
+// this target for a 30-second smoke on every push.
 func FuzzDecodeRecord(f *testing.F) {
+	// addBothAndRetired seeds rec in both wire formats, and once more under
+	// the retired tag.
+	addBothAndRetired := func(rec PackedRows, cut int) {
+		for _, w := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
+			rec.Wire = w
+			enc := rec.AppendRecord(nil)
+			f.Add(enc[:len(enc)-cut])
+			if w == rdd.WireVarint {
+				enc[0] = retiredRawTag
+				f.Add(enc[:len(enc)-cut])
+			}
+		}
+	}
 	// Well-formed seeds: a typical record in every wire format, the Mode -1
 	// norm² side-channel, and an empty record.
-	for _, w := range []rdd.WireFormat{rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
-		full := PackedRows{Mode: 2, Wire: w, Rows: []int32{1, 5, 9}, Vals: []float64{1.5, -2, 0, 3.25, 8, 13}}
-		f.Add(full.AppendRecord(nil))
-		norm := PackedRows{Mode: -1, Wire: w, Vals: []float64{42}}
-		f.Add(norm.AppendRecord(nil))
-	}
+	addBothAndRetired(PackedRows{Mode: 2, Rows: []int32{1, 5, 9}, Vals: []float64{1.5, -2, 0, 3.25, 8, 13}}, 0)
+	addBothAndRetired(PackedRows{Mode: -1, Vals: []float64{42}}, 0)
 	f.Add((&PackedRows{}).AppendRecord(nil))
 	// Float corners through the lossy format: NaN, infinities, subnormals,
 	// and values that round on the f64→f32 narrowing.
@@ -45,15 +55,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{byte(rdd.WireVarint), 7, 0, 3})
 	// Unknown wire tag.
 	f.Add([]byte{0xEE, 7, 0, 0, 0})
-	// Crafted wrap: nr = 2^62 makes nr*4 ≡ 0 (mod 2^64), so a naive
-	// "len(data) < nr*4+nv*8" check passes and the alloc of nr rows OOMs.
-	wrap := []byte{byte(rdd.WireRaw), 3, 0}
-	wrap = binary.AppendUvarint(wrap, 1<<62)
+	// Crafted wrap: nv = 2^62 makes nv*4 ≡ 0 (mod 2^64), so a naive
+	// "len(data) < nr+nv*4" check passes and the alloc of nv values OOMs.
+	wrap := []byte{byte(rdd.WireF32), 3, 0}
 	wrap = binary.AppendUvarint(wrap, 0)
+	wrap = binary.AppendUvarint(wrap, 1<<62)
 	f.Add(wrap)
-	wrapPair := []byte{byte(rdd.WireRaw), 3, 0}
-	wrapPair = binary.AppendUvarint(wrapPair, 1<<62) // nr·4 wraps to 0
-	wrapPair = binary.AppendUvarint(wrapPair, 1)     // nv·8 = 8 survives the naive check
+	wrapPair := []byte{byte(rdd.WireF32), 3, 0}
+	wrapPair = binary.AppendUvarint(wrapPair, 1)     // one row byte survives the naive check
+	wrapPair = binary.AppendUvarint(wrapPair, 1<<62) // nv·4 wraps to 0
 	wrapPair = append(wrapPair, make([]byte, 8)...)
 	f.Add(wrapPair)
 	// Varint-specific corruption: a truncated mid-delta varint, and a delta
@@ -73,16 +83,13 @@ func FuzzDecodeRecord(f *testing.F) {
 	// The bulk codecs move four values per step: records whose row and value
 	// counts sit on either side of a step (3, 4, 5, 8, 9), in every format,
 	// whole and cut one byte short.
-	for _, w := range []rdd.WireFormat{rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
-		for _, n := range []int{3, 4, 5, 8, 9} {
-			edge := PackedRows{Mode: 1, Wire: w, Rows: make([]int32, n), Vals: make([]float64, n)}
-			for i := range edge.Rows {
-				edge.Rows[i], edge.Vals[i] = int32(100*i), float64(i)+0.5
-			}
-			enc := edge.AppendRecord(nil)
-			f.Add(enc)
-			f.Add(enc[:len(enc)-1])
+	for _, n := range []int{3, 4, 5, 8, 9} {
+		edge := PackedRows{Mode: 1, Rows: make([]int32, n), Vals: make([]float64, n)}
+		for i := range edge.Rows {
+			edge.Rows[i], edge.Vals[i] = int32(100*i), float64(i)+0.5
 		}
+		addBothAndRetired(edge, 0)
+		addBothAndRetired(edge, 1)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -116,7 +123,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// refAppendRecord is the v2 frame written one value at a time — the encoder
+// retiredRawTag once tagged a full-width u32-row layout. The value is never
+// reused: a frame carrying it is refused as an unknown tag.
+const retiredRawTag = 1
+
+// refAppendRecord is the frame written one value at a time — the encoder
 // as it was before the bulk codecs. The golden test below holds AppendRecord
 // to its bytes.
 func refAppendRecord(p *PackedRows) []byte {
@@ -127,12 +138,8 @@ func refAppendRecord(p *PackedRows) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
 	prev := int64(0)
 	for _, r := range p.Rows {
-		if w == rdd.WireRaw {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-		} else {
-			buf = binary.AppendVarint(buf, int64(r)-prev)
-			prev = int64(r)
-		}
+		buf = binary.AppendVarint(buf, int64(r)-prev)
+		prev = int64(r)
 	}
 	for _, v := range p.Vals {
 		if w == rdd.WireF32 {
@@ -144,14 +151,14 @@ func refAppendRecord(p *PackedRows) []byte {
 	return buf
 }
 
-// TestAppendRecordGoldenBytes pins the wire: for raw, varint and f32 frames
+// TestAppendRecordGoldenBytes pins the wire: for varint and f32 frames
 // of every size around the codecs' four-value step, the bulk encoder emits
 // exactly the per-value encoder's bytes, RecordSize is their exact count,
 // and encoding into a buffer of that capacity never reallocates — which is
 // what lets the engine publish each shuffle block as one exact allocation.
 func TestAppendRecordGoldenBytes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	for _, w := range []rdd.WireFormat{0, rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
+	for _, w := range []rdd.WireFormat{0, rdd.WireVarint, rdd.WireF32} {
 		for nrows := 0; nrows <= 9; nrows++ {
 			for _, rank := range []int{0, 1, 3, 4, 16} {
 				p := PackedRows{Mode: int16(nrows - 1), Wire: w, Rows: make([]int32, nrows), Vals: make([]float64, nrows*rank)}
@@ -191,7 +198,7 @@ func TestCodecRoundTripAllWires(t *testing.T) {
 		{Mode: 1, Rows: []int32{500, 3, 499}, Vals: nil}, // unsorted: negative deltas
 	}
 	var arena rdd.Arena
-	for _, w := range []rdd.WireFormat{rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
+	for _, w := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
 		for _, rec := range recs {
 			rec.Wire = w
 			enc := rec.AppendRecord(nil)
@@ -236,10 +243,20 @@ func TestCodecRoundTripAllWires(t *testing.T) {
 
 // The wrap seeds above must be rejected (not just not-crash): a success would
 // mean the decoder believed a multi-exabyte claim from a tiny payload. Every
-// wire format gets the treatment — raw rows cost 4 bytes, varint rows at
-// least 1, f32 values 4 — mirroring the original uint64-wrap fix.
+// wire format gets the treatment — varint rows cost at least 1 byte, f64
+// values 8, f32 values 4 — mirroring the original uint64-wrap fix.
 func TestDecodeRecordRejectsWrappedCounts(t *testing.T) {
-	for _, w := range []rdd.WireFormat{rdd.WireRaw, rdd.WireVarint, rdd.WireF32} {
+	// A tag outside the two formats is refused whatever follows it — the
+	// retired raw tag included, on an otherwise well-formed frame.
+	for _, tag := range []byte{0, retiredRawTag, byte(rdd.WireF32) + 1, 0xEE} {
+		frame := (&PackedRows{Mode: 1, Rows: []int32{3}, Vals: []float64{2}}).AppendRecord(nil)
+		frame[0] = tag
+		var p PackedRows
+		if _, err := p.DecodeRecord(frame); err == nil {
+			t.Errorf("tag=%d: decode accepted a frame with an unknown wire tag", tag)
+		}
+	}
+	for _, w := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
 		for _, nr := range []uint64{1 << 62, 1<<64 - 1, 1 << 40} {
 			data := []byte{byte(w), 0, 0}
 			data = binary.AppendUvarint(data, nr)

@@ -181,9 +181,8 @@ func TestMTTKRPCrossKernel(t *testing.T) {
 }
 
 // TestMTTKRPWireFormats pins the wire formats against each other on one
-// golden config: raw and varint are lossless and must produce bit-identical
-// factors; f32 narrows values on the wire and must stay within float32
-// relative error. Compressed formats must never shuffle more bytes than raw.
+// golden config: f32 narrows values on the wire, must stay within float32
+// relative error of the lossless varint result, and must shuffle fewer bytes.
 func TestMTTKRPWireFormats(t *testing.T) {
 	const rank = 5
 	dims := []int{17, 23, 9}
@@ -204,22 +203,15 @@ func TestMTTKRPWireFormats(t *testing.T) {
 		}
 		return hs, c.Metrics().BytesShuffled.Load()
 	}
-	rawHs, rawBytes := run(rdd.WireRaw)
 	varHs, varBytes := run(rdd.WireVarint)
 	f32Hs, f32Bytes := run(rdd.WireF32)
-	for n := range rawHs {
-		rd, vd, fd := rawHs[n].Data(), varHs[n].Data(), f32Hs[n].Data()
-		for i := range rd {
-			if math.Float64bits(rd[i]) != math.Float64bits(vd[i]) {
-				t.Fatalf("H_%d[%d]: raw %v != varint %v (lossless formats must agree bit-for-bit)", n, i, rd[i], vd[i])
-			}
-			if !relClose(fd[i], rd[i], 1e-5) {
-				t.Fatalf("H_%d[%d]: f32 %v vs raw %v beyond float32 error", n, i, fd[i], rd[i])
+	for n := range varHs {
+		vd, fd := varHs[n].Data(), f32Hs[n].Data()
+		for i := range vd {
+			if !relClose(fd[i], vd[i], 1e-5) {
+				t.Fatalf("H_%d[%d]: f32 %v vs varint %v beyond float32 error", n, i, fd[i], vd[i])
 			}
 		}
-	}
-	if varBytes >= rawBytes {
-		t.Fatalf("varint wire shuffled %d bytes, raw %d: compression must not grow traffic", varBytes, rawBytes)
 	}
 	if f32Bytes >= varBytes {
 		t.Fatalf("f32 wire shuffled %d bytes, varint %d: narrowing must shrink traffic", f32Bytes, varBytes)

@@ -32,13 +32,13 @@ func referenceIterate(st *solverState, grams, hs []*mat.Dense) (next, bs, mult [
 			w := mat.MulATB(sp.Vectors, x)
 			for i, lam := range sp.Values {
 				scale := 1 / (st.eta + alpha*lam)
-				if !sp.Full() {
+				if sp.Rank() < sp.Dim() {
 					scale -= 1 / st.eta
 				}
 				mat.ScaleVec(scale, w.Row(i))
 			}
 			b = mat.Mul(sp.Vectors, w)
-			if !sp.Full() {
+			if sp.Rank() < sp.Dim() {
 				b.AddScaled(1/st.eta, x)
 			}
 		}

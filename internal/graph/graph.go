@@ -7,7 +7,6 @@ package graph
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"distenc/internal/mat"
 )
@@ -75,92 +74,15 @@ func TriDiagonal(n int) *Similarity {
 	return s
 }
 
-// KNN links every object to its k nearest neighbors (by Euclidean distance
-// between the given feature rows), with weight 1 — the generic way to derive
-// a similarity matrix from side features (e.g. the paper's title-based movie
-// similarity). O(n²·d); intended for mode sizes up to a few thousand.
-func KNN(features [][]float64, k int) *Similarity {
-	n := len(features)
-	s := NewSimilarity(n)
-	if n == 0 || k <= 0 {
-		return s
-	}
-	type cand struct {
-		j    int
-		dist float64
-	}
-	added := map[[2]int]bool{}
-	for i := 0; i < n; i++ {
-		cands := make([]cand, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			var d2 float64
-			for f := range features[i] {
-				d := features[i][f] - features[j][f]
-				d2 += d * d
-			}
-			cands = append(cands, cand{j, d2})
-		}
-		// Partial selection of the k smallest.
-		kk := k
-		if kk > len(cands) {
-			kk = len(cands)
-		}
-		for sel := 0; sel < kk; sel++ {
-			best := sel
-			for c := sel + 1; c < len(cands); c++ {
-				if cands[c].dist < cands[best].dist {
-					best = c
-				}
-			}
-			cands[sel], cands[best] = cands[best], cands[sel]
-			j := cands[sel].j
-			key := [2]int{min(i, j), max(i, j)}
-			if !added[key] {
-				added[key] = true
-				s.AddEdge(i, j, 1)
-			}
-		}
-	}
-	return s
-}
-
-// BlockCommunity plants nBlocks equal communities: objects in the same block
-// are connected with probability inP, across blocks with probability outP.
-// It is the generator behind the affiliation/location similarities of the
-// paper's real datasets (same affiliation ⇒ similar).
-func BlockCommunity(n, nBlocks int, inP, outP float64, rng *rand.Rand) *Similarity {
-	s := NewSimilarity(n)
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			same := blockOf(i, n, nBlocks) == blockOf(j, n, nBlocks)
-			p := outP
-			if same {
-				p = inP
-			}
-			if rng.Float64() < p {
-				s.AddEdge(i, j, 1)
-			}
-		}
-	}
-	return s
-}
-
-func blockOf(i, n, nBlocks int) int {
+// BlockOf returns the community of object i when n objects are cut into
+// nBlocks equal consecutive communities.
+func BlockOf(i, n, nBlocks int) int {
 	b := i * nBlocks / n
 	if b >= nBlocks {
 		b = nBlocks - 1
 	}
 	return b
 }
-
-// BlockOf exposes the planted community id used by BlockCommunity.
-func BlockOf(i, n, nBlocks int) int { return blockOf(i, n, nBlocks) }
 
 // Laplacian is L = D − S as a sparse symmetric operator. It implements
 // mat.MatVec, so applying it costs O(nnz(S)).

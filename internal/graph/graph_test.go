@@ -9,6 +9,24 @@ import (
 	"distenc/internal/mat"
 )
 
+// blockCommunity plants nBlocks equal communities: objects in the same block
+// are connected with probability inP, across blocks with probability outP.
+func blockCommunity(n, nBlocks int, inP, outP float64, rng *rand.Rand) *Similarity {
+	s := NewSimilarity(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := outP
+			if BlockOf(i, n, nBlocks) == BlockOf(j, n, nBlocks) {
+				p = inP
+			}
+			if rng.Float64() < p {
+				s.AddEdge(i, j, 1)
+			}
+		}
+	}
+	return s
+}
+
 func TestTriDiagonalShape(t *testing.T) {
 	s := TriDiagonal(5)
 	if s.NumEdges() != 4 {
@@ -36,7 +54,7 @@ func TestAddEdgePanics(t *testing.T) {
 
 func TestLaplacianRowSumsZero(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	s := BlockCommunity(20, 4, 0.8, 0.05, rng)
+	s := blockCommunity(20, 4, 0.8, 0.05, rng)
 	l := NewLaplacian(s)
 	d := l.Dense()
 	ones := make([]float64, 20)
@@ -53,7 +71,7 @@ func TestLaplacianRowSumsZero(t *testing.T) {
 
 func TestLaplacianApplyMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
-	s := BlockCommunity(15, 3, 0.7, 0.1, rng)
+	s := blockCommunity(15, 3, 0.7, 0.1, rng)
 	l := NewLaplacian(s)
 	d := l.Dense()
 	x := make([]float64, 15)
@@ -75,7 +93,7 @@ func TestLaplacianPSDProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, seed+3))
 		n := 3 + int(seed%20)
-		s := BlockCommunity(n, 1+int(seed%4), 0.5, 0.1, rng)
+		s := blockCommunity(n, 1+int(seed%4), 0.5, 0.1, rng)
 		l := NewLaplacian(s)
 		x := make([]float64, n)
 		for i := range x {
@@ -115,13 +133,13 @@ func TestTraceQuadraticMatchesDense(t *testing.T) {
 
 func TestExactSpectralInverseApply(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
-	s := BlockCommunity(12, 3, 0.7, 0.1, rng)
+	s := blockCommunity(12, 3, 0.7, 0.1, rng)
 	l := NewLaplacian(s)
 	sp, err := ExactSpectral(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sp.Full() || sp.Rank() != 12 || sp.Dim() != 12 {
+	if !sp.full || sp.Rank() != 12 || sp.Dim() != 12 {
 		t.Fatalf("spectral meta wrong: %+v", sp)
 	}
 	x := mat.NewDense(12, 2)
@@ -149,7 +167,7 @@ func TestTruncatedSpectralApproximates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	// Strong 3-community structure: spectrum has 3 small eigenvalues, so a
 	// K=6 truncation captures the smooth part well.
-	s := BlockCommunity(30, 3, 0.9, 0.02, rng)
+	s := blockCommunity(30, 3, 0.9, 0.02, rng)
 	l := NewLaplacian(s)
 	exact, err := ExactSpectral(l)
 	if err != nil {
@@ -159,8 +177,8 @@ func TestTruncatedSpectralApproximates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Full() || tr.Rank() != 6 {
-		t.Fatalf("truncated meta wrong: rank=%d full=%v", tr.Rank(), tr.Full())
+	if tr.full || tr.Rank() != 6 {
+		t.Fatalf("truncated meta wrong: rank=%d full=%v", tr.Rank(), tr.full)
 	}
 	for j := 0; j < 3; j++ {
 		if math.Abs(tr.Values[j]-exact.Values[j]) > 1e-5 {
@@ -198,7 +216,7 @@ func TestTruncatedSpectralErrors(t *testing.T) {
 	}
 	// k >= n falls back to exact.
 	sp, err := TruncatedSpectral(l, 10, rng)
-	if err != nil || !sp.Full() {
+	if err != nil || !sp.full {
 		t.Fatalf("k>=n should be exact: %v %v", sp, err)
 	}
 }
@@ -229,34 +247,5 @@ func TestIdentitySimilarityLaplacianIsZero(t *testing.T) {
 		if v != 0 {
 			t.Fatal("empty similarity must give zero Laplacian")
 		}
-	}
-}
-
-func TestKNNLinksNearestNeighbors(t *testing.T) {
-	// Two well-separated clusters on a line: kNN must stay within clusters.
-	features := [][]float64{{0}, {0.1}, {0.2}, {10}, {10.1}, {10.2}}
-	s := KNN(features, 2)
-	for i, edges := range s.Adj {
-		for _, e := range edges {
-			sameCluster := (i < 3) == (int(e.To) < 3)
-			if !sameCluster {
-				t.Fatalf("kNN linked across clusters: %d-%d", i, e.To)
-			}
-		}
-	}
-	if s.NumEdges() == 0 {
-		t.Fatal("no edges")
-	}
-	// Degenerate inputs.
-	if KNN(nil, 3).NumEdges() != 0 {
-		t.Fatal("empty features")
-	}
-	if KNN(features, 0).NumEdges() != 0 {
-		t.Fatal("k=0")
-	}
-	// k larger than n-1 links everything without panicking.
-	full := KNN(features[:3], 10)
-	if full.NumEdges() != 3 {
-		t.Fatalf("k>n edges = %d, want 3", full.NumEdges())
 	}
 }

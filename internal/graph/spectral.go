@@ -60,9 +60,6 @@ func (s *Spectral) Rank() int { return len(s.Values) }
 // Dim returns the mode size I_n.
 func (s *Spectral) Dim() int { return s.n }
 
-// Full reports whether the decomposition is exact (K = I_n).
-func (s *Spectral) Full() bool { return s.full }
-
 // InverseApply returns (ηI + αL)⁻¹·X computed right-to-left per Eq. (7).
 //
 // With the exact decomposition this is V·diag(1/(η+αλ))·(VᵀX). With a

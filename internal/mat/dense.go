@@ -70,14 +70,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// CopyFrom copies src into m; panics on dimension mismatch.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(dimErr("CopyFrom", m, src))
-	}
-	copy(m.data, src.data)
-}
-
 // Fill sets every element of m to v.
 func (m *Dense) Fill(v float64) {
 	for i := range m.data {
@@ -92,25 +84,6 @@ func Identity(n int) *Dense {
 		m.data[i*n+i] = 1
 	}
 	return m
-}
-
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Dense {
-	m := NewDense(len(d), len(d))
-	for i, v := range d {
-		m.data[i*len(d)+i] = v
-	}
-	return m
-}
-
-// Diagonal returns a copy of the main diagonal of m.
-func (m *Dense) Diagonal() []float64 {
-	n := min(m.rows, m.cols)
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
 }
 
 // T returns the transpose of m as a new matrix.
@@ -160,19 +133,6 @@ func SubMat(a, b *Dense) *Dense {
 	}
 	out := a.Clone()
 	return out.AddScaled(-1, b)
-}
-
-// Hadamard returns the element-wise product a∗b as a new matrix
-// (Definition 2.1.4 in the paper).
-func Hadamard(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(dimErr("Hadamard", a, b))
-	}
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v * b.data[i]
-	}
-	return out
 }
 
 // HadamardInPlace sets m = m∗b and returns m.
@@ -322,24 +282,6 @@ func MulVec(a *Dense, x []float64) []float64 {
 	return out
 }
 
-// MulTVec returns aᵀ·x as a new vector.
-func MulTVec(a *Dense, x []float64) []float64 {
-	if a.rows != len(x) {
-		panic(fmt.Sprintf("mat: MulTVec %d×%d by vec %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
-}
-
 // NormF returns the Frobenius norm of m.
 func (m *Dense) NormF() float64 {
 	var s float64
@@ -361,27 +303,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return mx
-}
-
-// Kronecker returns the Kronecker product a⊗b (Definition 2.1.2).
-func Kronecker(a, b *Dense) *Dense {
-	out := NewDense(a.rows*b.rows, a.cols*b.cols)
-	for ia := 0; ia < a.rows; ia++ {
-		for ja := 0; ja < a.cols; ja++ {
-			av := a.At(ia, ja)
-			if av == 0 {
-				continue
-			}
-			for ib := 0; ib < b.rows; ib++ {
-				dst := out.Row(ia*b.rows + ib)[ja*b.cols:]
-				src := b.Row(ib)
-				for jb, bv := range src {
-					dst[jb] = av * bv
-				}
-			}
-		}
-	}
-	return out
 }
 
 // KhatriRao returns the column-wise Kronecker product a⊙b (Definition 2.1.3).

@@ -95,34 +95,3 @@ func SymEigen(a *Dense) (*Eigen, error) {
 	}
 	return &Eigen{Values: sortedVals, Vectors: vec}, nil
 }
-
-// Reconstruct returns V·diag(Values)·Vᵀ.
-func (e *Eigen) Reconstruct() *Dense {
-	n, k := e.Vectors.Dims()
-	scaled := NewDense(n, k)
-	for i := 0; i < n; i++ {
-		src := e.Vectors.Row(i)
-		dst := scaled.Row(i)
-		for j := 0; j < k; j++ {
-			dst[j] = src[j] * e.Values[j]
-		}
-	}
-	return MulABT(scaled, e.Vectors)
-}
-
-// Truncate keeps only the k eigenpairs with smallest eigenvalues. For graph
-// Laplacians the smallest eigenvalues carry the smooth (cluster) structure
-// that the trace regularizer rewards, so that end is the one worth keeping.
-func (e *Eigen) Truncate(k int) *Eigen {
-	n := e.Vectors.Rows()
-	if k >= len(e.Values) {
-		return e
-	}
-	vec := NewDense(n, k)
-	for i := 0; i < n; i++ {
-		copy(vec.Row(i), e.Vectors.Row(i)[:k])
-	}
-	vals := make([]float64, k)
-	copy(vals, e.Values[:k])
-	return &Eigen{Values: vals, Vectors: vec}
-}

@@ -14,19 +14,6 @@ type MatVec interface {
 	Apply(dst, x []float64)
 }
 
-// DenseOp adapts a symmetric *Dense to the MatVec interface.
-type DenseOp struct{ M *Dense }
-
-// Dim returns the operator dimension.
-func (d DenseOp) Dim() int { return d.M.Rows() }
-
-// Apply sets dst = M·x.
-func (d DenseOp) Apply(dst, x []float64) {
-	for i := 0; i < d.M.Rows(); i++ {
-		dst[i] = Dot(d.M.Row(i), x)
-	}
-}
-
 // Lanczos computes the k eigenpairs of the symmetric operator op with the
 // smallest eigenvalues, using the Lanczos iteration with full
 // reorthogonalization followed by a dense solve of the tridiagonal problem.

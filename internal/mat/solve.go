@@ -87,17 +87,11 @@ func (c *Cholesky) Solve(b *Dense) *Dense {
 	return out.T()
 }
 
-// Inverse returns A⁻¹.
-func (c *Cholesky) Inverse() *Dense {
-	return c.Solve(Identity(c.n))
-}
-
 // LU holds a row-pivoted LU factorization P·A = L·U stored compactly.
 type LU struct {
-	n    int
-	lu   *Dense
-	piv  []int
-	sign int
+	n   int
+	lu  *Dense
+	piv []int
 }
 
 // NewLU factors a with partial pivoting.
@@ -111,7 +105,6 @@ func NewLU(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot.
 		p, pmax := k, math.Abs(lu.At(k, k))
@@ -129,7 +122,6 @@ func NewLU(a *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		// Eliminate below.
 		pivRow := lu.Row(k)
@@ -146,7 +138,7 @@ func NewLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{n: n, lu: lu, piv: piv, sign: sign}, nil
+	return &LU{n: n, lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A·x = b, returning x as a new slice.
@@ -190,18 +182,6 @@ func (f *LU) Solve(b *Dense) *Dense {
 		copy(out.Row(j), f.SolveVec(bt.Row(j)))
 	}
 	return out.T()
-}
-
-// Inverse returns A⁻¹.
-func (f *LU) Inverse() *Dense { return f.Solve(Identity(f.n)) }
-
-// Det returns the determinant of A.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveSPD solves the symmetric positive definite system A·X = B, falling

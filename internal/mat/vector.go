@@ -50,13 +50,3 @@ func Normalize(x []float64) float64 {
 	ScaleVec(1/n, x)
 	return n
 }
-
-// HadamardVec sets z[i] = x[i]*y[i].
-func HadamardVec(z, x, y []float64) {
-	if len(x) != len(y) || len(z) != len(x) {
-		panic("mat: HadamardVec length mismatch")
-	}
-	for i, v := range x {
-		z[i] = v * y[i]
-	}
-}

@@ -4,10 +4,13 @@
 //
 // The engine provides lazy, lineage-backed resilient distributed datasets
 // with exactly the operators its callers reach: FromPartitions, one narrow
-// transformation (MapPartitions), one wide one (ShuffleMap), broadcast
-// variables, explicit caching (Cache, Materialize, Unpersist), and the action
-// Collect. TestEngineSurfaceIsReached fails when an operator loses its last
-// caller.
+// transformation (MapPartitions), one wide one (ShuffleMap), explicit caching
+// (Cache, Materialize, Unpersist), and the action Collect. There are no
+// broadcast variables: read-only driver state crosses into a task closure by
+// an accounted //distenc:capture-ok waiver, and an algorithm that replicates
+// state on every machine charges it (Cluster.Charge) and counts its traffic
+// (TaskCtx.CountShuffled) itself. TestModuleSurfaceIsReached, at the module
+// root, fails when an exported name loses its last caller.
 //
 // What makes it a useful experimental substrate rather than a toy:
 //
@@ -69,7 +72,7 @@ type Config struct {
 	// CoresPerMachine is the worker-pool width per machine (default 2).
 	CoresPerMachine int
 	// MemoryPerMachine is the per-machine memory budget in bytes charged by
-	// cached partitions, broadcasts and declared transient allocations.
+	// cached partitions and declared allocations (Charge, ChargeTransient).
 	// Zero means unlimited.
 	MemoryPerMachine int64
 	// Mode selects Spark-like or MapReduce-like execution.
@@ -95,11 +98,6 @@ type Config struct {
 	// (injected faults, machine loss). 0 means the default of 2; negative
 	// disables retries.
 	MaxTaskRetries int
-	// RetryBackoff is the base delay before re-placing a failed attempt;
-	// it doubles per attempt up to RetryBackoffMax (default 8x the base).
-	// Zero disables backoff.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// Fault, when set, injects the seeded chaos schedule (task failures,
 	// a machine kill, stragglers) described by the plan. Nil runs clean.
 	Fault *FaultPlan
@@ -110,11 +108,11 @@ type Config struct {
 	// commit and the loser's traffic lands in BytesWasted. Ignored under
 	// SerializeTasks, whose point is uncontended single-core task costs.
 	Speculation SpeculationConfig
-	// Transport, when set, moves committed block images (shuffle buckets,
-	// broadcast replicas) to real worker processes instead of keeping them in
-	// the driver's memory — see the Transport interface. Nil selects the
-	// built-in in-process backend. The transport must front exactly Machines
-	// workers and is owned by the caller, who closes it after the cluster.
+	// Transport, when set, moves committed block images (shuffle buckets) to
+	// real worker processes instead of keeping them in the driver's memory —
+	// see the Transport interface. Nil selects the built-in in-process
+	// backend. The transport must front exactly Machines workers and is owned
+	// by the caller, who closes it after the cluster.
 	Transport Transport
 }
 
@@ -143,7 +141,6 @@ var errRetryable = errors.New("rdd: retryable task failure")
 // accounting is not overstated under retry.
 type Metrics struct {
 	BytesShuffled  atomic.Int64
-	BytesBroadcast atomic.Int64
 	DiskBytesRead  atomic.Int64
 	DiskBytesWrite atomic.Int64
 	// BytesWasted counts shuffle+disk traffic produced by failed task
@@ -186,7 +183,6 @@ type Metrics struct {
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		BytesShuffled:    m.BytesShuffled.Load(),
-		BytesBroadcast:   m.BytesBroadcast.Load(),
 		DiskBytesRead:    m.DiskBytesRead.Load(),
 		DiskBytesWrite:   m.DiskBytesWrite.Load(),
 		BytesWasted:      m.BytesWasted.Load(),
@@ -201,7 +197,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // MetricsSnapshot is a point-in-time copy of Metrics.
 type MetricsSnapshot struct {
 	BytesShuffled    int64
-	BytesBroadcast   int64
 	DiskBytesRead    int64
 	DiskBytesWrite   int64
 	BytesWasted      int64
@@ -216,7 +211,6 @@ type MetricsSnapshot struct {
 func (m MetricsSnapshot) Sub(o MetricsSnapshot) MetricsSnapshot {
 	return MetricsSnapshot{
 		BytesShuffled:    m.BytesShuffled - o.BytesShuffled,
-		BytesBroadcast:   m.BytesBroadcast - o.BytesBroadcast,
 		DiskBytesRead:    m.DiskBytesRead - o.DiskBytesRead,
 		DiskBytesWrite:   m.DiskBytesWrite - o.DiskBytesWrite,
 		BytesWasted:      m.BytesWasted - o.BytesWasted,
@@ -460,11 +454,20 @@ func (c *Cluster) release(m int, bytes int64) {
 }
 
 // Charge reserves bytes on machine m for an algorithm-declared allocation
-// (e.g. a baseline's dense intermediate that a real run would materialize).
-// The caller must Release it. Returns ErrOutOfMemory (wrapped) over budget.
-func (c *Cluster) Charge(m int, bytes int64) error { return c.charge(m, bytes) }
+// (e.g. a baseline's dense intermediate or factor replica that a real run
+// would materialize). The caller must Release it. Returns ErrOutOfMemory
+// (wrapped) over budget. A dead machine holds nothing, so charging one is a
+// no-op.
+func (c *Cluster) Charge(m int, bytes int64) error {
+	if c.machineDead(m) {
+		return nil
+	}
+	return c.charge(m, bytes)
+}
 
-// Release returns bytes previously reserved with Charge on machine m.
+// Release returns bytes previously reserved with Charge on machine m. A
+// machine killed in between lost the charge with everything else it held:
+// releasing it again leaves the machine at zero.
 func (c *Cluster) Release(m int, bytes int64) { c.release(m, bytes) }
 
 // InjectTaskFailures makes the next n tasks of stages whose name starts with

@@ -170,7 +170,6 @@ const (
 	RecoveryTaskRetry        = "task-retry"
 	RecoveryCacheEvict       = "cache-evict"
 	RecoveryShuffleEvict     = "shuffle-evict"
-	RecoveryBroadcastEvict   = "broadcast-evict"
 	RecoveryShuffleRecompute = "shuffle-recompute"
 	// Speculative-execution outcomes: a backup attempt launched against a
 	// suspected straggler, and each side's result of the commit race.
@@ -196,7 +195,7 @@ type RecoveryEvent struct {
 }
 
 // machineEvictor is implemented by storage holders (cached RDDs, shuffle
-// exchanges, broadcasts) that must react to a machine dying.
+// exchanges) that must react to a machine dying.
 type machineEvictor interface {
 	evictMachine(m int)
 }
@@ -220,8 +219,8 @@ func (c *Cluster) unregisterEvictor(id int64) {
 	c.mu.Unlock()
 }
 
-// KillMachine simulates losing machine m: every cached partition, broadcast
-// replica and in-memory shuffle output it held is evicted (ModeMapReduce spill
+// KillMachine simulates losing machine m: every cached partition and
+// in-memory shuffle output it held is evicted (ModeMapReduce spill
 // files model replicated HDFS storage and survive), its memory charge is
 // zeroed, and the scheduler stops placing tasks on it. Lost data is
 // recomputed from lineage the next time a stage needs it, mirroring Spark's
@@ -321,28 +320,6 @@ func (c *Cluster) placeTask(p, attempt, lastFailed int) (int, error) {
 		return fallback, nil
 	}
 	return -1, fmt.Errorf("rdd: no healthy machine remains to place task %d (all %d machines dead)", p, mc)
-}
-
-// backoff sleeps before re-placing a retried attempt: capped exponential in
-// the attempt number, Config.RetryBackoff doubling up to Config.RetryBackoffMax
-// (default 8x the base). A zero base disables backoff.
-func (c *Cluster) backoff(attempt int) {
-	base := c.cfg.RetryBackoff
-	if base <= 0 || attempt <= 0 {
-		return
-	}
-	ceil := c.cfg.RetryBackoffMax
-	if ceil <= 0 {
-		ceil = 8 * base
-	}
-	d := base
-	for i := 1; i < attempt && d < ceil; i++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	time.Sleep(d)
 }
 
 // recordRecovery appends ev to the recovery log, stamping At if unset.

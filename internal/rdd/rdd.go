@@ -102,8 +102,11 @@ func (r *RDD[T]) computePartition(tc *TaskCtx, p int) ([]T, error) {
 		// and retried, so don't pin its output to a dead machine's cache.
 		return items, nil
 	}
-	size := EstimateSize(items)
-	if err := r.c.charge(tc.Machine, size); err != nil {
+	size, err := partitionBytes(items)
+	if err == nil {
+		err = r.c.charge(tc.Machine, size)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("rdd: caching partition %d of %s: %w", p, r.name, err)
 	}
 	cp.done = true
@@ -114,9 +117,10 @@ func (r *RDD[T]) computePartition(tc *TaskCtx, p int) ([]T, error) {
 }
 
 // Cache marks the RDD for in-memory persistence: the first computation of
-// each partition stores it (charging machine memory), later computations
-// reuse it. In ModeMapReduce this is a no-op — Hadoop's lack of cross-stage
-// in-memory reuse is the behaviour the paper contrasts Spark against.
+// each partition stores it (charging machine memory with what its elements,
+// which must be Sizers, declare), later computations reuse it. In
+// ModeMapReduce this is a no-op — Hadoop's lack of cross-stage in-memory reuse
+// is the behaviour the paper contrasts Spark against.
 func (r *RDD[T]) Cache() *RDD[T] {
 	if r.c.cfg.Mode == ModeMapReduce {
 		return r

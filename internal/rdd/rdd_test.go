@@ -3,6 +3,7 @@ package rdd
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,15 @@ func ints(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
+	}
+	return out
+}
+
+// sized returns n cacheable elements of 8 bytes each.
+func sized(n int) []sizedThing {
+	out := make([]sizedThing, n)
+	for i := range out {
+		out[i].n = 8
 	}
 	return out
 }
@@ -71,8 +81,8 @@ func TestMapPartitionsSeesAllPartitions(t *testing.T) {
 func TestCacheReusesComputation(t *testing.T) {
 	c := testCluster(t, Config{})
 	computes := make(chan struct{}, 100)
-	r := Parallelize(c, "src", ints(10), 2)
-	counted := MapPartitions(r, "counted", func(tc *TaskCtx, p int, in []int) ([]int, error) {
+	r := Parallelize(c, "src", sized(10), 2)
+	counted := MapPartitions(r, "counted", func(tc *TaskCtx, p int, in []sizedThing) ([]sizedThing, error) {
 		computes <- struct{}{}
 		return in, nil
 	}).Cache()
@@ -117,8 +127,7 @@ func TestCacheIsNoOpInMapReduceMode(t *testing.T) {
 
 func TestOutOfMemoryOnCache(t *testing.T) {
 	c := testCluster(t, Config{Machines: 1, MemoryPerMachine: 128})
-	big := make([]int, 10000)
-	r := Parallelize(c, "big", big, 1).Cache()
+	r := Parallelize(c, "big", sized(10000), 1).Cache()
 	_, err := r.Collect()
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
@@ -224,54 +233,24 @@ func TestFaultInjectionExhaustsRetries(t *testing.T) {
 	}
 }
 
-func TestBroadcastChargesEveryMachine(t *testing.T) {
-	c := testCluster(t, Config{Machines: 4, MemoryPerMachine: 1 << 20})
-	payload := make([]float64, 1000)
-	b, err := NewBroadcast(c, "gram", payload)
-	if err != nil {
+// TestCacheChargesWhatSizersDeclare: a cached partition costs the sum of its
+// elements' declared sizes, and an element that declares none cannot be cached.
+func TestCacheChargesWhatSizersDeclare(t *testing.T) {
+	c := testCluster(t, Config{Machines: 1})
+	r := Parallelize(c, "declared", []sizedThing{{10}, {20}}, 1).Cache()
+	if err := r.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	if b.SizeBytes() == 0 {
-		t.Fatal("broadcast size zero")
+	if got := c.UsedMemory(0); got != 30 {
+		t.Fatalf("cached partition charged %d bytes, want 30", got)
 	}
-	for m := 0; m < 4; m++ {
-		if c.UsedMemory(m) != b.SizeBytes() {
-			t.Fatalf("machine %d charged %d, want %d", m, c.UsedMemory(m), b.SizeBytes())
-		}
+	r.Unpersist()
+	err := Parallelize(c, "undeclared", ints(4), 1).Cache().Materialize()
+	if err == nil || !strings.Contains(err.Error(), "Sizer") {
+		t.Fatalf("caching ints: err = %v, want one naming Sizer", err)
 	}
-	if got := c.Metrics().BytesBroadcast.Load(); got != 4*b.SizeBytes() {
-		t.Fatalf("broadcast bytes = %d", got)
-	}
-	b.Release()
-	b.Release() // idempotent
-	for m := 0; m < 4; m++ {
-		if c.UsedMemory(m) != 0 {
-			t.Fatalf("machine %d not released", m)
-		}
-	}
-}
-
-func TestBroadcastOOM(t *testing.T) {
-	c := testCluster(t, Config{Machines: 2, MemoryPerMachine: 64})
-	if _, err := NewBroadcast(c, "big", make([]float64, 10000)); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
-	// Failed broadcast must not leak charges.
-	if c.UsedMemory(0) != 0 || c.UsedMemory(1) != 0 {
-		t.Fatal("failed broadcast leaked memory")
-	}
-}
-
-func TestEstimateSizeWithSizer(t *testing.T) {
-	vals := []sizedThing{{10}, {20}}
-	if got := EstimateSize(vals); got != 30 {
-		t.Fatalf("EstimateSize = %d, want 30", got)
-	}
-	if got := EstimateSize(sizedThing{5}); got != 5 {
-		t.Fatalf("EstimateSize = %d, want 5", got)
-	}
-	if got := EstimateSize(func() {}); got != 64 {
-		t.Fatalf("unencodable fallback = %d, want 64", got)
+	if got := c.UsedMemory(0); got != 0 {
+		t.Fatalf("refused cache left %d bytes charged", got)
 	}
 }
 
@@ -308,7 +287,7 @@ func TestModeString(t *testing.T) {
 
 func TestMaterializePins(t *testing.T) {
 	c := testCluster(t, Config{})
-	r := Parallelize(c, "m", ints(10), 3)
+	r := Parallelize(c, "m", sized(10), 3)
 	if err := r.Materialize(); err != nil {
 		t.Fatal(err)
 	}

@@ -240,11 +240,11 @@ func (ps *partState) bodyEnded() {
 // machine p mod M, like Spark preferred locations) and waits for all of them.
 // Tasks failing with errRetryable — injected faults, or attempts whose
 // machine was killed while they ran — are re-placed on another healthy
-// machine (capped exponential backoff, never the machine that just failed
-// when an alternative exists) and recomputed from lineage, up to the
-// configured retry budget; other errors abort the stage. With speculation
-// enabled a monitor goroutine additionally launches one backup attempt per
-// suspected straggler; the first finisher wins the partition.
+// machine (never the machine that just failed when an alternative exists)
+// and recomputed from lineage, up to the configured retry budget; other
+// errors abort the stage. With speculation enabled a monitor goroutine
+// additionally launches one backup attempt per suspected straggler; the first
+// finisher wins the partition.
 //
 // Exactly-once contract: each partition has a single commit flag, so exactly
 // one attempt's byte counters and deferred OnSuccess hooks are committed;
@@ -395,9 +395,6 @@ var errObsolete = errors.New("rdd: attempt obsolete; partition already committed
 func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCtx, p int) error, p, attempt, m int, speculative bool) (error, bool) {
 	mm := c.machines[m]
 	enqueued := time.Now()
-	if !speculative {
-		c.backoff(attempt)
-	}
 	mm.sem <- struct{}{}
 	if ps.isCommitted() {
 		// The race was decided while this attempt waited for a core: don't

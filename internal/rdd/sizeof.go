@@ -1,46 +1,30 @@
 package rdd
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 )
 
-// Sizer lets a type report its in-memory footprint directly, skipping the
-// gob-based estimate. Hot types (tensor blocks, factor rows) implement it.
+// Sizer is how a cached element declares its in-memory footprint: the bytes
+// a cached partition charges to its machine's budget.
 type Sizer interface {
 	SizeBytes() int64
 }
 
-// EstimateSize returns the approximate serialized size of v in bytes: the
-// quantity the engine charges for cached partitions and broadcasts. Values
-// implementing Sizer are asked directly; a slice whose elements implement
-// Sizer is summed; everything else is gob-encoded once.
-func EstimateSize(v any) int64 {
-	if s, ok := v.(Sizer); ok {
-		return s.SizeBytes()
-	}
-	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Slice && rv.Len() > 0 {
-		if _, ok := rv.Index(0).Interface().(Sizer); ok {
-			var total int64
-			for i := 0; i < rv.Len(); i++ {
-				total += rv.Index(i).Interface().(Sizer).SizeBytes()
-			}
-			return total
+// partitionBytes sums the footprints of a partition's elements. Only Sizers
+// can be cached: the engine does not guess what a value weighs.
+func partitionBytes[T any](items []T) (int64, error) {
+	var total int64
+	for i := range items {
+		s, ok := any(items[i]).(Sizer)
+		if !ok {
+			return 0, fmt.Errorf("element type %T does not implement Sizer", items[i])
 		}
+		total += s.SizeBytes()
 	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(v); err != nil {
-		// Unencodable values (functions, channels) should never be cached;
-		// fall back to a token charge rather than failing the job.
-		return 64
-	}
-	return int64(buf.Len())
+	return total, nil
 }
 
 // BinaryRecord is implemented (on the pointer receiver) by shuffle record

@@ -67,7 +67,7 @@ func (c *Cluster) Summary() string {
 		fmt.Fprintf(&b, "recovery events: %d", len(recs))
 		for _, kind := range []string{
 			RecoveryMachineKill, RecoveryTaskRetry, RecoveryCacheEvict,
-			RecoveryShuffleEvict, RecoveryBroadcastEvict, RecoveryShuffleRecompute,
+			RecoveryShuffleEvict, RecoveryShuffleRecompute,
 			RecoverySpeculativeLaunch, RecoverySpeculativeWin, RecoverySpeculativeLoss,
 		} {
 			if n := counts[kind]; n > 0 {

@@ -6,12 +6,11 @@ import (
 )
 
 // Transport abstracts where a machine's block images physically live: the
-// serialized shuffle buckets a map task produced and the broadcast replicas a
-// machine holds. Both are volatile — a worker is an in-memory block store, and
-// what dies with it is recomputed from lineage or released. The default
-// backend — Config.Transport nil — is the in-process engine itself:
-// blocks stay in the driver's memory exactly as before, which keeps CI
-// hermetic and the benchmarked hot path untouched. A non-nil Transport (the
+// serialized shuffle buckets a map task produced. They are volatile — a worker
+// is an in-memory block store, and what dies with it is recomputed from
+// lineage. The default backend — Config.Transport nil — is the in-process
+// engine itself: blocks stay in the driver's memory, which keeps CI hermetic
+// and the benchmarked hot path untouched. A non-nil Transport (the
 // TCP backend in internal/transport) moves every committed block image to a
 // real worker process and fetches it back on demand, so machine kills become
 // process kills and "unreachable" becomes a real refused connection. Tasks
@@ -74,14 +73,11 @@ const (
 	// BlockShuffle is a map task's serialized bucket for one reduce
 	// partition. Volatile: lost with the worker, recomputed from lineage.
 	BlockShuffle BlockKind = 1
-	// BlockBroadcast is one machine's replica of a broadcast value.
-	// Volatile: a dead machine's replica is simply released.
-	BlockBroadcast BlockKind = 2
 )
 
-// BlockID names one block in a worker's store: the kind, the owning object's
-// cluster-unique ID (exchange or broadcast), and the block coordinates within
-// it (map/reduce partition for shuffles, 0/0 for broadcasts).
+// BlockID names one block in a worker's store: the kind, the owning
+// exchange's cluster-unique ID, and the block's map and reduce partition
+// within it.
 type BlockID struct {
 	Kind   BlockKind
 	Owner  int64

@@ -18,14 +18,13 @@ import (
 // on.
 type WireFormat uint8
 
+// Tag 1, once a full-width u32-row layout, is retired rather than reused: a
+// frame carrying it is refused as an unknown tag.
 const (
-	// WireRaw is the v1 layout: full-width little-endian uint32 row indices
-	// and float64 values. Kept as the compatibility/debug format.
-	WireRaw WireFormat = 1
-	// WireVarint is the lossless v2 layout: zigzag-varint delta-coded row
+	// WireVarint is the lossless layout: zigzag-varint delta-coded row
 	// indices (sorted row runs make the deltas small) and float64 values.
 	WireVarint WireFormat = 2
-	// WireF32 is the lossy v2 layout: delta-varint rows plus float32 values,
+	// WireF32 is the lossy layout: delta-varint rows plus float32 values,
 	// widened back to float64 on decode so driver-side accumulation stays in
 	// double precision. Halves the dominant value payload.
 	WireF32 WireFormat = 3
@@ -34,8 +33,6 @@ const (
 // String names the format the way the -wire CLI flag spells it.
 func (w WireFormat) String() string {
 	switch w {
-	case WireRaw:
-		return "raw"
 	case WireVarint:
 		return "varint"
 	case WireF32:
@@ -53,18 +50,16 @@ func ParseWireFormat(s string) (WireFormat, error) {
 	switch s {
 	case "", "auto":
 		return 0, nil
-	case "raw", "v1":
-		return WireRaw, nil
 	case "varint", "lossless":
 		return WireVarint, nil
 	case "f32", "float32":
 		return WireF32, nil
 	}
-	return 0, fmt.Errorf("rdd: unknown wire format %q (want raw, varint, or f32)", s)
+	return 0, fmt.Errorf("rdd: unknown wire format %q (want varint or f32)", s)
 }
 
 // Valid reports whether w is a concrete wire format (not the unset zero).
-func (w WireFormat) Valid() bool { return w >= WireRaw && w <= WireF32 }
+func (w WireFormat) Valid() bool { return w == WireVarint || w == WireF32 }
 
 // BytesPerVal returns the wire width of one value under format w. Shuffle
 // cost models that estimate value traffic (e.g. the factor-row shipment
@@ -90,7 +85,7 @@ var (
 
 // AppendDeltaRows appends rows to buf as zigzag-varint deltas from the
 // previous row (first delta is from zero). Sorted slab rows yield mostly
-// 1-byte deltas versus 4 bytes each in WireRaw.
+// 1-byte deltas, against 4 bytes for a full-width index.
 func AppendDeltaRows(buf []byte, rows []int32) []byte {
 	prev := int64(0)
 	for _, r := range rows {
@@ -137,26 +132,6 @@ func DeltaRowsSize(rows []int32) int {
 
 // UvarintLen returns the number of bytes binary.AppendUvarint writes for x.
 func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// AppendRawRows appends rows as full-width little-endian uint32s (WireRaw).
-func AppendRawRows(buf []byte, rows []int32) []byte {
-	buf = slices.Grow(buf, 4*len(rows))
-	for _, r := range rows {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-	}
-	return buf
-}
-
-// DecodeRawRows decodes len(dst) full-width rows from data into dst.
-func DecodeRawRows(dst []int32, data []byte) ([]byte, error) {
-	if len(data) < 4*len(dst) {
-		return nil, errValShort
-	}
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
-	}
-	return data[4*len(dst):], nil
-}
 
 // AppendF64Vals appends vals as little-endian float64s — the bulk of every
 // default-wire shuffle block. buf grows once to its final length and is then

@@ -23,13 +23,6 @@ func refF32(buf []byte, vals []float64) []byte {
 	return buf
 }
 
-func refRawRows(buf []byte, rows []int32) []byte {
-	for _, r := range rows {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-	}
-	return buf
-}
-
 // TestBulkCodecsMatchPerValueBytes drives every fixed-width codec across the
 // lengths around its four-value step (0…9 values) and across destination
 // buffers that are nil, one byte short, exactly large enough, and roomy, and
@@ -38,7 +31,6 @@ func refRawRows(buf []byte, rows []int32) []byte {
 // for f32) and the untouched remainder.
 func TestBulkCodecsMatchPerValueBytes(t *testing.T) {
 	vals := []float64{1.5, -2, 0, math.Pi, math.Inf(-1), 1e-310, -0.0, 8, 13.25}
-	rows := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, 7, 7000, 42, 3}
 	prefix := []byte{0xAA, 0xBB, 0xCC}
 	for n := 0; n <= len(vals); n++ {
 		type codec struct {
@@ -69,18 +61,6 @@ func TestBulkCodecsMatchPerValueBytes(t *testing.T) {
 					ok := err == nil
 					for i := range got {
 						ok = ok && math.Float64bits(got[i]) == math.Float64bits(float64(float32(vals[i])))
-					}
-					return rest, ok
-				}},
-			{"rawrows", 4,
-				func(b []byte) []byte { return AppendRawRows(b, rows[:n]) },
-				func(b []byte) []byte { return refRawRows(b, rows[:n]) },
-				func(data []byte) ([]byte, bool) {
-					got := make([]int32, n)
-					rest, err := DecodeRawRows(got, data)
-					ok := err == nil
-					for i := range got {
-						ok = ok && got[i] == rows[i]
 					}
 					return rest, ok
 				}},

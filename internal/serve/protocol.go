@@ -163,22 +163,6 @@ func (c *Client) Predict(model string, order int, flat []int32) ([]float64, erro
 	return out, nil
 }
 
-// PredictCells is Predict over a slice of per-cell indices.
-func (c *Client) PredictCells(model string, cells [][]int32) ([]float64, error) {
-	if len(cells) == 0 {
-		return nil, nil
-	}
-	order := len(cells[0])
-	flat := make([]int32, 0, len(cells)*order)
-	for i, cell := range cells {
-		if len(cell) != order {
-			return nil, fmt.Errorf("serve: cell %d has %d indices, want %d", i, len(cell), order)
-		}
-		flat = append(flat, cell...)
-	}
-	return c.Predict(model, order, flat)
-}
-
 // Stats fetches the server's registry-wide rollup.
 func (c *Client) Stats() (metrics.ServeSnapshot, error) {
 	payload, err := c.call(opStats, nil)

@@ -235,18 +235,6 @@ func (r *Registry) Remove(name string) (*Model, bool) {
 	return old, existed
 }
 
-// Names returns the registered model names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.models))
-	for name := range r.models {
-		names = append(names, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
 // Models returns the current generations, sorted by name.
 func (r *Registry) Models() []*Model {
 	r.mu.RLock()

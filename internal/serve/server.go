@@ -70,9 +70,6 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry returns the registry the server answers from.
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Addr returns the predict plane's bound address.
 func (s *Server) Addr() string { return s.rpc.Addr() }
 

@@ -50,15 +50,6 @@ func (d *DenseTensor) Set(idx []int32, v float64) { d.Data[d.offset(idx)] = v }
 // Add accumulates v at idx.
 func (d *DenseTensor) Add(idx []int32, v float64) { d.Data[d.offset(idx)] += v }
 
-// FromSparse materializes t densely.
-func FromSparse(t *Tensor) *DenseTensor {
-	d := NewDenseTensor(t.Dims...)
-	for e := 0; e < t.NNZ(); e++ {
-		d.Add(t.Index(e), t.Val[e])
-	}
-	return d
-}
-
 // FromKruskal materializes the Kruskal tensor densely (exponential in N —
 // oracle/test use only).
 func FromKruskal(k *Kruskal) *DenseTensor {

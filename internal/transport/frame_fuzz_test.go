@@ -102,7 +102,7 @@ func putFrame(reqID uint64, ids []rdd.BlockID, images [][]byte) []byte {
 // table whose lengths do not account for the body's image bytes exactly; and
 // they must agree: what one accepts the other reads to the same images.
 func FuzzParseBlockTable(f *testing.F) {
-	ids := []rdd.BlockID{{Kind: rdd.BlockShuffle, Owner: 9, Map: 1, Reduce: 2}, {Kind: rdd.BlockBroadcast, Owner: 10}}
+	ids := []rdd.BlockID{{Kind: rdd.BlockShuffle, Owner: 9, Map: 1, Reduce: 2}, {Kind: 2, Owner: 10}}
 	body := func(lens []uint32, images string) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(len(lens)))
 		for i, n := range lens {

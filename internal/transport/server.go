@@ -11,8 +11,7 @@ import (
 )
 
 // Server is one worker's block store behind a framerpc.Server: blocks (shuffle
-// buckets, broadcast replicas) live in memory and die with the process. A
-// stored block is a slice of the put request's frame as it was read off the
+// buckets) live in memory and die with the process. A stored block is a slice of the put request's frame as it was read off the
 // socket — never copied again — and blocks are indexed by owner, so a drop
 // unlinks one map entry instead of scanning the store.
 type Server struct {

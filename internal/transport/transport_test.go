@@ -47,7 +47,9 @@ func startServer(t *testing.T) (*Server, *Client) {
 
 func TestPutFetchRoundTrip(t *testing.T) {
 	_, cl := startServer(t)
-	for _, kind := range []rdd.BlockKind{rdd.BlockShuffle, rdd.BlockBroadcast} {
+	// The store keys on the kind without interpreting it: one the engine
+	// does not define round-trips like the one it does.
+	for _, kind := range []rdd.BlockKind{rdd.BlockShuffle, 2} {
 		id := rdd.BlockID{Kind: kind, Owner: 42, Map: 3, Reduce: 1}
 		want := bytes.Repeat([]byte{byte(kind)}, 10_000)
 		if err := cl.Put(0, id, want); err != nil {
@@ -220,7 +222,7 @@ func TestFetchMissingBlock(t *testing.T) {
 func TestDropForgetsOwner(t *testing.T) {
 	_, cl := startServer(t)
 	keep := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 1}
-	gone := rdd.BlockID{Kind: rdd.BlockBroadcast, Owner: 2}
+	gone := rdd.BlockID{Kind: rdd.BlockShuffle, Owner: 2}
 	if err := cl.Put(0, keep, []byte("keep")); err != nil {
 		t.Fatal(err)
 	}
