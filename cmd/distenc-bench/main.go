@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"distenc/internal/bench"
-	"distenc/internal/core"
 	"distenc/internal/rdd"
 	"distenc/internal/transport"
 )
@@ -43,7 +42,7 @@ var experiments = []struct {
 	{"table3", "Table III concept discovery", func(w io.Writer, p bench.Profile) { bench.TableIII(w, p) }},
 	{"lemmas", "Lemmas 1–3 accounting", func(w io.Writer, p bench.Profile) { bench.Lemmas(w, p) }},
 	{"ablations", "§III design-choice ablations", func(w io.Writer, p bench.Profile) { bench.Ablations(w, p) }},
-	{"kernels", "MTTKRP kernel & wire-format matrix", func(w io.Writer, p bench.Profile) { bench.Kernels(w, p) }},
+	{"wires", "shuffle wire-format table", func(w io.Writer, p bench.Profile) { bench.Wires(w, p) }},
 	{"phases", "per-iteration phase breakdown", func(w io.Writer, p bench.Profile) { bench.Phases(w, p) }},
 }
 
@@ -63,7 +62,6 @@ func main() {
 		stageSum  = flag.Bool("stage-summary", false, "print the per-stage engine table in the phases experiment")
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the phases experiment's cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\"")
 		specSpec  = flag.String("speculation", "", "speculative execution for the phases experiment's cluster: \"on\" or \"quantile=0.75,multiplier=1.5,min=10ms\"")
-		kernelStr = flag.String("kernel", "auto", "MTTKRP kernel for DisTenC runs: auto, fused, or spmv")
 		wireStr   = flag.String("wire", "varint", "shuffle wire format for DisTenC runs: varint or f32")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -97,10 +95,6 @@ func main() {
 		}
 	}()
 
-	kernel, err := core.ParseKernelMode(*kernelStr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	wire, err := rdd.ParseWireFormat(*wireStr)
 	if err != nil {
 		log.Fatal(err)
@@ -108,7 +102,7 @@ func main() {
 	p := bench.Profile{
 		Small: *small, Seed: *seed, Machines: *machines,
 		TraceFile: *traceOut, StageSummary: *stageSum,
-		Kernel: kernel, Wire: wire, Backend: *backendF,
+		Wire: wire, Backend: *backendF,
 	}
 	if *faultSpec != "" {
 		fault, err := rdd.ParseFaultPlan(*faultSpec)

@@ -57,7 +57,9 @@ type Similarity = graph.Similarity
 // Options configures the solvers (see core.Options for field docs).
 type Options = core.Options
 
-// DistOptions configures the distributed solver.
+// DistOptions configures the distributed solver: the block count, how the
+// blocks are cut and the shuffle wire format (its Kernel field is inert — one
+// kernel runs; see core.KernelMode).
 type DistOptions = core.DistOptions
 
 // Result reports a completed run: the learned model, convergence trace and
@@ -84,22 +86,6 @@ type RecoveryEvent = rdd.RecoveryEvent
 // ParseFaultPlan builds a FaultPlan from the compact spec the -fault-plan
 // CLI flag takes, e.g. "seed=7,failprob=0.02,kill=1@5".
 var ParseFaultPlan = rdd.ParseFaultPlan
-
-// KernelMode selects the map-side MTTKRP kernel: KernelAuto and KernelFused
-// run the fused kernel, KernelSpMV forces the SpMV chain (set
-// DistOptions.Kernel).
-type KernelMode = core.KernelMode
-
-// Kernel modes for DistOptions.Kernel.
-const (
-	KernelAuto  = core.KernelAuto
-	KernelFused = core.KernelFused
-	KernelSpMV  = core.KernelSpMV
-)
-
-// ParseKernelMode parses a -kernel CLI flag value: "auto", "fused" or
-// "spmv".
-var ParseKernelMode = core.ParseKernelMode
 
 // WireFormat selects the shuffle record encoding: WireVarint ships
 // delta-varint rows + f64 values (lossless, the default), WireF32 the same
@@ -190,8 +176,11 @@ func NewSimilarity(n int) *Similarity { return graph.NewSimilarity(n) }
 // appropriate when neighboring rows are expected to behave similarly.
 func TriDiagonalSimilarity(n int) *Similarity { return graph.TriDiagonal(n) }
 
-// Complete runs the single-process ADMM solver (Algorithm 1 with the
-// paper's §III optimizations). sims may be nil.
+// Complete runs the single-process ADMM solver: DisTenC at one partition
+// without the engine — the whole tensor is one block of the fused residual +
+// MTTKRP kernel CompleteDistributed runs, and the factors equal
+// CompleteDistributed's at DistOptions.Partitions = 1 bit for bit. sims may be
+// nil.
 func Complete(t *Tensor, sims []*Similarity, opt Options) (*Result, error) {
 	return core.Complete(t, sims, opt)
 }

@@ -52,9 +52,6 @@ type Profile struct {
 	// speculative execution so straggler mitigation shows up in its stage
 	// table (spec/wastedB columns) and recovery log.
 	Speculation rdd.SpeculationConfig
-	// Kernel selects DisTenC's MTTKRP kernel for every experiment (auto by
-	// default — the per-partition cost model).
-	Kernel core.KernelMode
 	// Wire selects DisTenC's shuffle wire format for every experiment
 	// (lossless delta-varint by default).
 	Wire rdd.WireFormat
@@ -189,7 +186,7 @@ func runMethod(p Profile, m Method, machines int, t *sptensor.Tensor, sims []*gr
 	case MethodDisTenC:
 		// Grid blocking is the paper's §III-C compartmentalization; the
 		// harness always runs DisTenC with it.
-		res, err = core.CompleteDistributed(c, t, auxiliary, core.DistOptions{Options: opt, GridPartition: true, Kernel: p.Kernel, Wire: p.Wire})
+		res, err = core.CompleteDistributed(c, t, auxiliary, core.DistOptions{Options: opt, GridPartition: true, Wire: p.Wire})
 	default:
 		err = fmt.Errorf("bench: unknown method %q", m)
 	}

@@ -232,38 +232,13 @@ func TestPurityHelper(t *testing.T) {
 	}
 }
 
-func TestKernelsExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kernel matrix repeats full solves; slow under -race")
-	}
+func TestWiresExperiment(t *testing.T) {
 	var sb strings.Builder
-	kernels, wires := Kernels(&sb, smallProfile())
-	if len(kernels) != 3 {
-		t.Fatalf("kernel rows = %d, want 3", len(kernels))
-	}
-	for _, k := range kernels {
-		if k.Seconds.Min <= 0 || k.Seconds.Median < k.Seconds.Min {
-			t.Fatalf("%v: bad summary %+v", k.Kernel, k.Seconds)
-		}
-	}
+	wires := Wires(&sb, smallProfile())
 	if len(wires) != 2 {
 		t.Fatalf("wire rows = %d, want 2", len(wires))
 	}
 	if f32 := wires[1]; f32.ReductionVsVarint < 1.9 {
 		t.Fatalf("f32 wire reduction %.2fx vs varint, want ≥ 1.9x", f32.ReductionVsVarint)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := summarize([]float64{3, 1, 2})
-	if s.Min != 1 || s.Median != 2 {
-		t.Fatalf("odd summary = %+v", s)
-	}
-	s = summarize([]float64{4, 1, 3, 2})
-	if s.Min != 1 || s.Median != 2.5 {
-		t.Fatalf("even summary = %+v", s)
-	}
-	if z := summarize(nil); z.Min != 0 || z.Median != 0 {
-		t.Fatalf("empty summary = %+v", z)
 	}
 }

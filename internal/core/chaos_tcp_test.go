@@ -55,28 +55,25 @@ func newTCPCluster(t *testing.T, cfg rdd.Config) (*rdd.Cluster, *transport.Clien
 func TestTCPBackendMatchesInproc(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{20, 20, 20}, 2, 1500, 61)
 	opts := Options{Rank: 3, MaxIter: 4, Tol: 0, Seed: 62}
-	for _, kernel := range []KernelMode{KernelFused, KernelSpMV} {
-		dopt := DistOptions{Options: opts, GridPartition: true, Kernel: kernel}
+	dopt := DistOptions{Options: opts, GridPartition: true}
 
-		inproc := rdd.MustNewCluster(rdd.Config{Machines: 3})
-		want, err := CompleteDistributed(inproc, d.Tensor, d.Sims, dopt)
-		if err != nil {
-			t.Fatalf("kernel=%v inproc: %v", kernel, err)
-		}
+	inproc := rdd.MustNewCluster(rdd.Config{Machines: 3})
+	defer inproc.Close()
+	want, err := CompleteDistributed(inproc, d.Tensor, d.Sims, dopt)
+	if err != nil {
+		t.Fatalf("inproc: %v", err)
+	}
 
-		tcp, _ := newTCPCluster(t, rdd.Config{Machines: 3})
-		got, err := CompleteDistributed(tcp, d.Tensor, d.Sims, dopt)
-		if err != nil {
-			t.Fatalf("kernel=%v tcp: %v", kernel, err)
-		}
+	tcp, _ := newTCPCluster(t, rdd.Config{Machines: 3})
+	got, err := CompleteDistributed(tcp, d.Tensor, d.Sims, dopt)
+	if err != nil {
+		t.Fatalf("tcp: %v", err)
+	}
 
-		assertBitIdentical(t, "tcp vs inproc kernel="+kernel.String(), want.Model.Factors, got.Model.Factors)
-		inB, tcpB := inproc.Metrics().BytesShuffled.Load(), tcp.Metrics().BytesShuffled.Load()
-		if inB != tcpB {
-			t.Errorf("kernel=%v: BytesShuffled inproc=%d tcp=%d — the backend seam leaked into the accounting",
-				kernel, inB, tcpB)
-		}
-		inproc.Close()
+	assertBitIdentical(t, "tcp vs inproc", want.Model.Factors, got.Model.Factors)
+	inB, tcpB := inproc.Metrics().BytesShuffled.Load(), tcp.Metrics().BytesShuffled.Load()
+	if inB != tcpB {
+		t.Errorf("BytesShuffled inproc=%d tcp=%d — the backend seam leaked into the accounting", inB, tcpB)
 	}
 }
 
@@ -84,63 +81,60 @@ func TestTCPBackendMatchesInproc(t *testing.T) {
 // solve against real worker processes under a seeded fault plan — random
 // task failures plus a machine kill that SIGKILLs an actual worker process
 // mid-run — must complete with factors bit-identical to the failure-free TCP
-// run and to the in-process run, with BytesShuffled bit-equal to both, for
-// both MTTKRP kernels.
+// run and to the in-process run, with BytesShuffled bit-equal to both.
 func TestChaosTCPSolveBitIdentical(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{20, 20, 20}, 2, 1500, 61)
 	opts := Options{Rank: 3, MaxIter: 6, Tol: 0, Seed: 62}
-	for _, kernel := range []KernelMode{KernelFused, KernelSpMV} {
-		dopt := DistOptions{Options: opts, GridPartition: true, Kernel: kernel}
+	dopt := DistOptions{Options: opts, GridPartition: true}
 
-		inproc := rdd.MustNewCluster(rdd.Config{Machines: 3})
-		inprocRes, err := CompleteDistributed(inproc, d.Tensor, d.Sims, dopt)
-		if err != nil {
-			t.Fatalf("kernel=%v inproc: %v", kernel, err)
-		}
+	inproc := rdd.MustNewCluster(rdd.Config{Machines: 3})
+	defer inproc.Close()
+	inprocRes, err := CompleteDistributed(inproc, d.Tensor, d.Sims, dopt)
+	if err != nil {
+		t.Fatalf("inproc: %v", err)
+	}
 
-		clean, _ := newTCPCluster(t, rdd.Config{Machines: 3})
-		want, err := CompleteDistributed(clean, d.Tensor, d.Sims, dopt)
-		if err != nil {
-			t.Fatalf("kernel=%v tcp clean: %v", kernel, err)
-		}
+	clean, _ := newTCPCluster(t, rdd.Config{Machines: 3})
+	want, err := CompleteDistributed(clean, d.Tensor, d.Sims, dopt)
+	if err != nil {
+		t.Fatalf("tcp clean: %v", err)
+	}
 
-		chaos, _ := newTCPCluster(t, rdd.Config{Machines: 3, Fault: &rdd.FaultPlan{
-			Seed:            7,
-			TaskFailureProb: 0.25,
-			KillMachine:     1,
-			KillAtStage:     5,
-		}})
-		got, err := CompleteDistributed(chaos, d.Tensor, d.Sims, dopt)
-		if err != nil {
-			t.Fatalf("kernel=%v tcp chaos: %v", kernel, err)
-		}
+	chaos, _ := newTCPCluster(t, rdd.Config{Machines: 3, Fault: &rdd.FaultPlan{
+		Seed:            7,
+		TaskFailureProb: 0.25,
+		KillMachine:     1,
+		KillAtStage:     5,
+	}})
+	got, err := CompleteDistributed(chaos, d.Tensor, d.Sims, dopt)
+	if err != nil {
+		t.Fatalf("tcp chaos: %v", err)
+	}
 
-		if retries := chaos.Metrics().TaskRetries.Load(); retries == 0 {
-			t.Errorf("kernel=%v: chaos run retried no tasks", kernel)
+	if retries := chaos.Metrics().TaskRetries.Load(); retries == 0 {
+		t.Error("chaos run retried no tasks")
+	}
+	if alive := chaos.HealthyMachines(); alive != 2 {
+		t.Errorf("HealthyMachines = %d after the planned kill, want 2", alive)
+	}
+	var kills int
+	for _, ev := range chaos.Recoveries() {
+		if ev.Kind == rdd.RecoveryMachineKill {
+			kills++
 		}
-		if alive := chaos.HealthyMachines(); alive != 2 {
-			t.Errorf("kernel=%v: HealthyMachines = %d after the planned kill, want 2", kernel, alive)
-		}
-		var kills int
-		for _, ev := range chaos.Recoveries() {
-			if ev.Kind == rdd.RecoveryMachineKill {
-				kills++
-			}
-		}
-		if kills != 1 {
-			t.Errorf("kernel=%v: recovery log has %d machine kills, want 1", kernel, kills)
-		}
+	}
+	if kills != 1 {
+		t.Errorf("recovery log has %d machine kills, want 1", kills)
+	}
 
-		assertBitIdentical(t, "tcp chaos vs tcp clean kernel="+kernel.String(), want.Model.Factors, got.Model.Factors)
-		assertBitIdentical(t, "tcp chaos vs inproc kernel="+kernel.String(), inprocRes.Model.Factors, got.Model.Factors)
-		inB := inproc.Metrics().BytesShuffled.Load()
-		cleanB := clean.Metrics().BytesShuffled.Load()
-		chaosB := chaos.Metrics().BytesShuffled.Load()
-		if chaosB != cleanB || cleanB != inB {
-			t.Errorf("kernel=%v: BytesShuffled inproc=%d tcp-clean=%d tcp-chaos=%d — recovery traffic or the backend leaked into the exactly-once counter",
-				kernel, inB, cleanB, chaosB)
-		}
-		inproc.Close()
+	assertBitIdentical(t, "tcp chaos vs tcp clean", want.Model.Factors, got.Model.Factors)
+	assertBitIdentical(t, "tcp chaos vs inproc", inprocRes.Model.Factors, got.Model.Factors)
+	inB := inproc.Metrics().BytesShuffled.Load()
+	cleanB := clean.Metrics().BytesShuffled.Load()
+	chaosB := chaos.Metrics().BytesShuffled.Load()
+	if chaosB != cleanB || cleanB != inB {
+		t.Errorf("BytesShuffled inproc=%d tcp-clean=%d tcp-chaos=%d — recovery traffic or the backend leaked into the exactly-once counter",
+			inB, cleanB, chaosB)
 	}
 }
 

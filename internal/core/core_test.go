@@ -85,8 +85,64 @@ func TestObjectiveDecreases(t *testing.T) {
 	}
 }
 
-// The headline correctness test: DisTenC on the engine must produce the same
-// iterates as the serial Algorithm 1 reference (identical math, same seed).
+// TestSerialIsSinglePartitionDistributed: Complete is DisTenC at P = 1 minus
+// the engine — the same kernel over the same one block, the same driver
+// update — so on either backend the factors, the auxiliary variables and the
+// training-error trace (the distributed one measures ‖E‖ before the update,
+// the serial one after: shifted by one) are equal bit for bit.
+func TestSerialIsSinglePartitionDistributed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		dims   []int
+		sims   bool
+		truncK int
+	}{
+		{"order3", []int{25, 20, 15}, false, 0},
+		{"order3/sims", []int{25, 20, 15}, true, 0},
+		{"order3/sims/trunck", []int{25, 20, 15}, true, 6},
+		{"order4", []int{8, 9, 10, 11}, false, 0},
+		{"order4/sims/trunck", []int{8, 9, 10, 11}, true, 4},
+	} {
+		d := synth.LinearFactorDataset(tc.dims, 3, 2500, 9)
+		var sims []*graph.Similarity
+		if tc.sims {
+			sims = d.Sims
+		}
+		opts := Options{Rank: 4, MaxIter: 6, Tol: 0, Seed: 10, Alpha: 0.5, TruncK: tc.truncK}
+		serial, err := Complete(d.Tensor, sims, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, backend := range []string{"inproc", "tcp"} {
+			var c *rdd.Cluster
+			if backend == "tcp" {
+				c, _ = newTCPCluster(t, rdd.Config{Machines: 2})
+			} else {
+				c = rdd.MustNewCluster(rdd.Config{Machines: 2})
+				t.Cleanup(func() { c.Close() })
+			}
+			dist, err := CompleteDistributed(c, d.Tensor, sims, DistOptions{Options: opts, Partitions: 1})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, backend, err)
+			}
+			assertBitIdentical(t, tc.name+"/"+backend+": factors", serial.Model.Factors, dist.Model.Factors)
+			assertBitIdentical(t, tc.name+"/"+backend+": aux", serial.Aux, dist.Aux)
+			if len(dist.Trace) != len(serial.Trace) {
+				t.Fatalf("%s/%s: trace lengths differ: %d vs %d", tc.name, backend, len(dist.Trace), len(serial.Trace))
+			}
+			for i := 1; i < len(dist.Trace); i++ {
+				got, want := dist.Trace[i].TrainRMSE, serial.Trace[i-1].TrainRMSE
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s: iter %d: distributed RMSE %v, serial (shifted) %v", tc.name, backend, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The P > 1 differential: blocking the tensor and shuffling the partial rows
+// reassociates the kernel's sums and nothing else, so DisTenC on the engine
+// tracks the serial solver (its own P = 1 case) to rounding.
 func TestDistributedMatchesSerial(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{25, 20, 15}, 3, 2500, 9)
 	opts := Options{Rank: 4, MaxIter: 8, Tol: 0, Seed: 10, Alpha: 0.5}

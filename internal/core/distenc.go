@@ -42,10 +42,7 @@ type DistOptions struct {
 	// unbalanced when the cell count is not a multiple of P. The solver's
 	// mathematics is independent of the blocking.
 	GridPartition bool
-	// Kernel selects the map-side MTTKRP kernel: KernelAuto (default) and
-	// KernelFused run the fused prefix/suffix kernel, KernelSpMV forces the
-	// SpMV chain everywhere. The kernels agree to float rounding (identical
-	// residual norms, factor entries within summation-reorder error).
+	// Kernel is inert: every value runs the fused kernel (see KernelMode).
 	Kernel KernelMode
 	// Wire selects the PackedRows shuffle wire format: unset resolves to
 	// rdd.WireVarint (lossless delta-varint row compression); rdd.WireF32
@@ -53,6 +50,23 @@ type DistOptions struct {
 	// float64, so accumulation stays in double precision).
 	Wire rdd.WireFormat
 }
+
+// KernelMode is inert: every value runs the fused kernel, the only one there
+// is. The type, its constants, String and DistOptions.Kernel stay because
+// benchmark/probes.go compiles against them; they leave with ROADMAP item 2's
+// phase 2.
+type KernelMode uint8
+
+const (
+	KernelAuto KernelMode = iota
+	KernelFused
+	KernelSpMV // named the deleted SpMV-chain kernel
+)
+
+var kernelNames = [...]string{KernelAuto: "auto", KernelFused: "fused", KernelSpMV: "spmv"}
+
+// String labels the benchmark's probe spans.
+func (k KernelMode) String() string { return kernelNames[k] }
 
 // RowKey addresses one factor-matrix row; Mode -1 carries side-channel
 // scalars. DisTenC's own MTTKRP shuffle now moves packed slab records
@@ -164,8 +178,8 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 		gramDur := time.Since(gramStart)
 		c.RecordDriverSpan("gram", gramStart, gramDur)
 		drvStart := time.Now()
-		next, bs := st.iterateWith(grams, func(mode int) *mat.Dense { return hs[mode] })
-		delta := st.advanceNoResid(next, bs)
+		next, bs := st.iterateWith(grams, hs)
+		delta := st.advance(next, bs)
 		drvDur := time.Since(drvStart)
 		if opt.CheckpointEvery > 0 {
 			ckStart := time.Now()
@@ -199,7 +213,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 			// The stage measured ‖E_t‖ before this iteration's update, so
 			// the trace lags the serial solver's post-update RMSE by one
 			// iteration — irrelevant for the convergence-rate plots.
-			TrainRMSE: math.Sqrt(residNorm2 / float64(max(1, t.NNZ()))),
+			TrainRMSE: trainRMSE(residNorm2, t.NNZ()),
 			MaxDelta:  delta,
 		}
 		st.trace = append(st.trace, point)
@@ -240,12 +254,6 @@ type Layout struct {
 	parts   int
 	// blocking is what the nested split chose and what it costs per iteration.
 	blocking Blocking
-	// spmv routes every map task through the SpMV-chain kernel instead of the
-	// fused one (KernelSpMV forced), and modePerm[p][n] is then the per-mode
-	// entry permutation its walk streams through (nil for mode 0, whose
-	// canonical order is already correct). See buildModePerms.
-	spmv     bool
-	modePerm [][][]int32
 	// hs are the H_n matrices MTTKRPStage assembles into, reused by every
 	// stage run over this layout (the only mutable state in it).
 	hs []*mat.Dense
@@ -301,7 +309,6 @@ func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 		neededRows: make([][][]int32, p),
 		locIdx:     make([][]int32, p),
 		rowRuns:    make([][][]int, p),
-		spmv:       opt.Kernel == KernelSpMV,
 	}
 	counts := make([][]int64, order)
 	for n := 0; n < order; n++ {
@@ -340,9 +347,6 @@ func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 			l.blocking.PartialRows += int64(len(rows))
 		}
 		l.locIdx[b] = loc
-		if l.spmv {
-			l.modePerm = append(l.modePerm, l.buildModePerms(b, blk))
-		}
 	}
 	l.blocking.Imbalance = 1
 	if t.NNZ() > 0 {

@@ -335,7 +335,6 @@ func (l *Layout) mapSlabs(a *rdd.Arena, p, rank int, acc [][]float64) (norm []fl
 type mttkrpMapScratch struct {
 	acc   [][]float64
 	out   [][]PackedRows
-	rest  []int
 	fused *fusedScratch
 }
 
@@ -361,26 +360,26 @@ const (
 //
 // The map side ships each block the factor rows its non-zeros touch (counted
 // as shuffle traffic — the O(T·N·M·I·R) term of Lemma 3, scaled by the wire
-// format's bytes-per-value), runs the layout's kernel (fused, or the SpMV
-// chain when forced) into one flat accumulator slab per mode, and
-// emits one PackedRows record per (destination partition, mode): the layout's
-// sorted needed-row lists make each destination a contiguous slice of the
-// slab. The reduce side folds each incoming block into its dense row ranges
-// as it arrives, in map-partition order (it holds its slabs plus one decoded
-// block, never all P), and returns one compacted record per mode for the
-// driver to scatter into H_n. The two sides run as distinct named stages —
-// "mttkrp-map" (shuffle write) and "mttkrp-reduce" (collect) — so stage logs,
-// phase attribution and fault-injection prefixes can tell the two apart.
+// format's bytes-per-value), runs the fused kernel into one flat accumulator
+// slab per mode, and emits one PackedRows record per (destination partition,
+// mode): the layout's sorted needed-row lists make each destination a
+// contiguous slice of the slab. The reduce side folds each incoming block
+// into its dense row ranges as it arrives, in map-partition order (it holds
+// its slabs plus one decoded block, never all P), and returns one compacted
+// record per mode for the driver to scatter into H_n. The two sides run as
+// distinct named stages — "mttkrp-map" (shuffle write) and "mttkrp-reduce"
+// (collect) — so stage logs, phase attribution and fault-injection prefixes
+// can tell the two apart.
 //
 // The shuffle lives exactly as long as the call: on return the exchange is
 // retired — block images back to the cluster's pool for the next call to
 // encode into, spill files and worker-held blocks dropped. A machine killed
 // during the call is recovered from lineage; one killed later held nothing.
 //
-// All per-iteration scratch — accumulator slabs, SpMV residuals, emitted and
-// compacted record payloads — comes from the task arena, which the cluster
-// pools by (machine, stage, partition): after the first iteration sizes the
-// slabs, steady-state iterations allocate nothing.
+// All per-iteration scratch — accumulator slabs, emitted and compacted record
+// payloads — comes from the task arena, which the cluster pools by (machine,
+// stage, partition): after the first iteration sizes the slabs, steady-state
+// iterations allocate nothing.
 func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, factors []*mat.Dense, opt DistOptions) ([]*mat.Dense, float64, error) {
 	rank := opt.Rank
 	wire := opt.Wire
@@ -389,15 +388,14 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 	}
 	// Snapshot the factor slice: under speculative execution a losing
 	// duplicate attempt can outlive this stage, and the solver overwrites
-	// its factors slice entries (advance/advanceNoResid) as soon as the
-	// stage returns. The matrices themselves are immutable once published —
-	// only the slice slots are rewritten — so a shallow clone pins what the
-	// zombie reads.
+	// its factors slice entries (advance) as soon as the stage returns. The
+	// matrices themselves are immutable once published — only the slice slots
+	// are rewritten — so a shallow clone pins what the zombie reads.
 	factors = slices.Clone(factors)
 	// Bytes of factor rows shipped to each block (at the wire format's value
 	// width — the rows travel over the same compressed shuffle), plus the
-	// flat accumulator slabs the kernel fills and the SpMV kernel's residual
-	// slab — all live simultaneously on a real executor.
+	// flat accumulator slabs the kernel fills — all live simultaneously on a
+	// real executor.
 	shipSizes := make([]int64, l.parts)
 	slabSizes := make([]int64, l.parts)
 	for p := 0; p < l.parts; p++ {
@@ -407,11 +405,6 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		}
 		shipSizes[p] = rows * int64(rank) * wire.BytesPerVal()
 		slabSizes[p] = rows * int64(rank) * 8
-		if l.spmv {
-			for _, blk := range l.blockParts[p] {
-				slabSizes[p] += int64(blk.NNZ()) * 8
-			}
-		}
 	}
 	bounds := l.modeBounds
 
@@ -437,7 +430,6 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 			ms = &mttkrpMapScratch{
 				acc:   make([][]float64, l.order),
 				out:   make([][]PackedRows, l.parts),
-				rest:  make([]int, 0, l.order),
 				fused: newFusedScratch(l.order, rank),
 			}
 			a.SetStash(mttkrpMapStash, ms)
@@ -445,22 +437,10 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		acc := ms.acc
 		nv := l.mapSlabs(a, p, rank, acc)
 		var norm2 float64
-		if l.spmv {
-			blk := l.blockParts[p][0]
-			left := a.Float64s((l.order + 1) * rank)
-			resid := a.Float64s(blk.NNZ())
-			tmp := a.Float64s(l.order * rank)
-			norm2 = spmvResiduals(blk, factors, rank, left, resid)
-			for n := 0; n < l.order; n++ {
-				rest := restModes(ms.rest, l.order, n)
-				spmvModeMTTKRP(blk, l.locIdx[p], l.modePerm[p][n], n, rest, factors, rank, resid, tmp, acc[n])
-			}
-		} else {
-			off := 0
-			for _, blk := range in {
-				norm2 += fusedBlockMTTKRP(blk, l.locIdx[p][off:off+len(blk.Idx)], factors, rank, acc, ms.fused)
-				off += len(blk.Idx)
-			}
+		off := 0
+		for _, blk := range in {
+			norm2 += fusedBlockMTTKRP(blk, l.locIdx[p][off:off+len(blk.Idx)], factors, rank, acc, ms.fused)
+			off += len(blk.Idx)
 		}
 		out := ms.out
 		for i := range out {

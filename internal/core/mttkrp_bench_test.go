@@ -84,7 +84,6 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 		ms = &mttkrpMapScratch{
 			acc:   make([][]float64, l.order),
 			out:   make([][]PackedRows, l.parts),
-			rest:  make([]int, 0, l.order),
 			fused: newFusedScratch(l.order, rank),
 		}
 		a.SetStash(mttkrpMapStash, ms)
@@ -94,22 +93,10 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 	for p := 0; p < l.parts; p++ {
 		acc := ms.acc
 		l.mapSlabs(a, p, rank, acc)
-		if l.spmv {
-			blk := l.blockParts[p][0]
-			left := a.Float64s((l.order + 1) * rank)
-			resid := a.Float64s(blk.NNZ())
-			tmp := a.Float64s(l.order * rank)
-			norm2 += spmvResiduals(blk, factors, rank, left, resid)
-			for n := 0; n < l.order; n++ {
-				rest := restModes(ms.rest, l.order, n)
-				spmvModeMTTKRP(blk, l.locIdx[p], l.modePerm[p][n], n, rest, factors, rank, resid, tmp, acc[n])
-			}
-		} else {
-			off := 0
-			for _, blk := range l.blockParts[p] {
-				norm2 += fusedBlockMTTKRP(blk, l.locIdx[p][off:off+len(blk.Idx)], factors, rank, acc, ms.fused)
-				off += len(blk.Idx)
-			}
+		off := 0
+		for _, blk := range l.blockParts[p] {
+			norm2 += fusedBlockMTTKRP(blk, l.locIdx[p][off:off+len(blk.Idx)], factors, rank, acc, ms.fused)
+			off += len(blk.Idx)
 		}
 		for n := 0; n < l.order; n++ {
 			rows := l.neededRows[p][n]
@@ -157,9 +144,12 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 	return buf, norm2
 }
 
-func benchSteadyState(b *testing.B, kernel KernelMode) {
+// BenchmarkMTTKRPSteadyStateFused measures the arena-backed worker path in
+// its steady state (iteration ≥ 2): allocs/op must report 0 — the contract
+// TestMTTKRPSteadyStateZeroAlloc pins.
+func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 	d := synth.LinearFactorDataset([]int{200, 200, 200}, 4, 50_000, 1)
-	opt := DistOptions{Options: Options{Rank: 8}, GridPartition: true, Kernel: kernel}
+	opt := DistOptions{Options: Options{Rank: 8}, GridPartition: true}
 	opt.Options = opt.Options.withDefaults()
 	opt.Partitions = 4
 	l := NewLayout(d.Tensor, opt)
@@ -178,11 +168,24 @@ func benchSteadyState(b *testing.B, kernel KernelMode) {
 	}
 }
 
-// BenchmarkMTTKRPSteadyState* measure the arena-backed worker path in its
-// steady state (iteration ≥ 2): allocs/op must report 0 — the contract
-// TestMTTKRPSteadyStateZeroAlloc pins.
-func BenchmarkMTTKRPSteadyStateFused(b *testing.B) { benchSteadyState(b, KernelFused) }
-func BenchmarkMTTKRPSteadyStateSpMV(b *testing.B)  { benchSteadyState(b, KernelSpMV) }
+// BenchmarkSerialIteration times one Complete iteration — the whole-tensor
+// kernel call, the Grams and the driver update — on the solve-fiber tensor at
+// R = 8, amortised over the six iterations of one solve. It is the ledger's
+// serial row: core.dist_over_serial divides by what this times (ROADMAP
+// finding F3 was that nothing recorded it).
+func BenchmarkSerialIteration(b *testing.B) {
+	const iters = 6
+	ts := benchmarkTensors()[1].tensor
+	opt := Options{Rank: 8, MaxIter: iters, Tol: -1, Seed: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Complete(ts, nil, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters/1e6, "ms/iter")
+}
 
 // BenchmarkFusedKernel times the map-side kernel alone at the scale the gate
 // runs at: the tensors, ranks and 4-block grid layouts of BENCHMARK.json's
@@ -227,33 +230,31 @@ func BenchmarkFusedKernel(b *testing.B) {
 
 // TestMTTKRPSteadyStateZeroAlloc proves the zero-alloc steady state: after
 // warm-up iterations size the arena, further worker-side iterations perform
-// zero heap allocations under either kernel and any wire format.
+// zero heap allocations under any wire format.
 func TestMTTKRPSteadyStateZeroAlloc(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{60, 50, 40}, 3, 8_000, 5)
-	for _, kernel := range []KernelMode{KernelFused, KernelSpMV} {
-		for _, wire := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
-			opt := DistOptions{Options: Options{Rank: 6}, GridPartition: true, Kernel: kernel}
-			opt.Options = opt.Options.withDefaults()
-			opt.Partitions = 4
-			l := NewLayout(d.Tensor, opt)
-			factors := initFactors(d.Tensor.Dims, opt.Rank, 2)
-			var a rdd.Arena
-			var buf []byte
-			for i := 0; i < 5; i++ {
-				buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, wire, buf)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, wire, buf)
-			})
-			if allocs != 0 {
-				t.Errorf("kernel=%v wire=%v: steady-state iteration allocates %.1f objects/op, want 0", kernel, wire, allocs)
-			}
-			// The scratch outlives the task in the arena stash: it must not keep
-			// the iterate it just read reachable.
-			rows := a.Stash(mttkrpMapStash).(*mttkrpMapScratch).fused.rows
-			if i := slices.IndexFunc(rows, func(row []float64) bool { return row != nil }); i >= 0 {
-				t.Errorf("kernel=%v wire=%v: the stashed kernel scratch still holds a mode-%d factor row after the task", kernel, wire, i)
-			}
+	for _, wire := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
+		opt := DistOptions{Options: Options{Rank: 6}, GridPartition: true}
+		opt.Options = opt.Options.withDefaults()
+		opt.Partitions = 4
+		l := NewLayout(d.Tensor, opt)
+		factors := initFactors(d.Tensor.Dims, opt.Rank, 2)
+		var a rdd.Arena
+		var buf []byte
+		for i := 0; i < 5; i++ {
+			buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, wire, buf)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, wire, buf)
+		})
+		if allocs != 0 {
+			t.Errorf("wire=%v: steady-state iteration allocates %.1f objects/op, want 0", wire, allocs)
+		}
+		// The scratch outlives the task in the arena stash: it must not keep
+		// the iterate it just read reachable.
+		rows := a.Stash(mttkrpMapStash).(*mttkrpMapScratch).fused.rows
+		if i := slices.IndexFunc(rows, func(row []float64) bool { return row != nil }); i >= 0 {
+			t.Errorf("wire=%v: the stashed kernel scratch still holds a mode-%d factor row after the task", wire, i)
 		}
 	}
 }

@@ -64,10 +64,9 @@ var goldenShapes = [][]int{
 }
 
 // TestMTTKRPStageMatchesNaive is the golden equivalence test for the stage
-// kernels + packed shuffle: across tensor orders, block layouts, partition
-// counts, and kernels (fused, SpMV-chain, and the auto selector), the
-// distributed stage must agree per row with the naive serial reference within
-// 1e-9 relative tolerance.
+// kernel + packed shuffle: across tensor orders, block layouts and partition
+// counts, the distributed stage must agree per row with the naive serial
+// reference within 1e-9 relative tolerance.
 func TestMTTKRPStageMatchesNaive(t *testing.T) {
 	const tol = 1e-9
 	const rank = 5
@@ -79,7 +78,6 @@ func TestMTTKRPStageMatchesNaive(t *testing.T) {
 		{"grid", DistOptions{GridPartition: true}},
 		{"uniform", DistOptions{UniformPartition: true}},
 	}
-	kernels := []KernelMode{KernelAuto, KernelFused, KernelSpMV}
 	rng := rand.New(rand.NewPCG(71, 72))
 	for _, dims := range goldenShapes {
 		ts := randomTensor(dims, 40*len(dims)*len(dims), rng)
@@ -87,94 +85,30 @@ func TestMTTKRPStageMatchesNaive(t *testing.T) {
 		wantHs, wantNorm2 := naiveStageMTTKRP(ts, factors)
 		for _, lo := range layouts {
 			for _, parts := range []int{1, 3, 8} {
-				for _, kernel := range kernels {
-					opt := lo.opt
-					opt.Options = Options{Rank: rank}.withDefaults()
-					opt.Partitions = parts
-					opt.Kernel = kernel
-					c := rdd.MustNewCluster(rdd.Config{Machines: 3})
-					layout := NewLayout(ts, opt)
-					gotHs, gotNorm2, err := MTTKRPStage(c, layout.BlocksRDD(c), layout, factors, opt)
-					if err != nil {
-						t.Fatalf("order-%d %s P=%d kernel=%v: %v", len(dims), lo.name, parts, kernel, err)
-					}
-					if !relClose(gotNorm2, wantNorm2, tol) {
-						t.Fatalf("order-%d %s P=%d kernel=%v: ‖E‖² = %v, want %v", len(dims), lo.name, parts, kernel, gotNorm2, wantNorm2)
-					}
-					for n := range wantHs {
-						for i := 0; i < wantHs[n].Rows(); i++ {
-							wantRow, gotRow := wantHs[n].Row(i), gotHs[n].Row(i)
-							for r := 0; r < rank; r++ {
-								if !relClose(gotRow[r], wantRow[r], tol) {
-									t.Fatalf("order-%d %s P=%d kernel=%v: H_%d[%d,%d] = %v, want %v",
-										len(dims), lo.name, parts, kernel, n, i, r, gotRow[r], wantRow[r])
-								}
+				opt := lo.opt
+				opt.Options = Options{Rank: rank}.withDefaults()
+				opt.Partitions = parts
+				c := rdd.MustNewCluster(rdd.Config{Machines: 3})
+				layout := NewLayout(ts, opt)
+				gotHs, gotNorm2, err := MTTKRPStage(c, layout.BlocksRDD(c), layout, factors, opt)
+				if err != nil {
+					t.Fatalf("order-%d %s P=%d: %v", len(dims), lo.name, parts, err)
+				}
+				if !relClose(gotNorm2, wantNorm2, tol) {
+					t.Fatalf("order-%d %s P=%d: ‖E‖² = %v, want %v", len(dims), lo.name, parts, gotNorm2, wantNorm2)
+				}
+				for n := range wantHs {
+					for i := 0; i < wantHs[n].Rows(); i++ {
+						wantRow, gotRow := wantHs[n].Row(i), gotHs[n].Row(i)
+						for r := 0; r < rank; r++ {
+							if !relClose(gotRow[r], wantRow[r], tol) {
+								t.Fatalf("order-%d %s P=%d: H_%d[%d,%d] = %v, want %v",
+									len(dims), lo.name, parts, n, i, r, gotRow[r], wantRow[r])
 							}
 						}
 					}
-					c.Close()
 				}
-			}
-		}
-	}
-}
-
-// TestMTTKRPCrossKernel pins the fused and SpMV-chain kernels against each
-// other across every golden config: the residual norm must be bit-identical
-// (both kernels sum it in canonical entry order), the factors must agree
-// within 1e-9, and — because a record's byte length is independent of its
-// values — both kernels must shuffle exactly the same number of bytes, so
-// kernel choice never perturbs the Lemma 3 accounting.
-func TestMTTKRPCrossKernel(t *testing.T) {
-	const tol = 1e-9
-	const rank = 5
-	layouts := []struct {
-		name string
-		opt  DistOptions
-	}{
-		{"mode0-greedy", DistOptions{}},
-		{"grid", DistOptions{GridPartition: true}},
-		{"uniform", DistOptions{UniformPartition: true}},
-	}
-	rng := rand.New(rand.NewPCG(91, 92))
-	for _, dims := range goldenShapes {
-		ts := randomTensor(dims, 40*len(dims)*len(dims), rng)
-		factors := randomFactors(dims, rank, rng)
-		for _, lo := range layouts {
-			for _, parts := range []int{1, 3, 8} {
-				run := func(kernel KernelMode) ([]*mat.Dense, float64, int64) {
-					opt := lo.opt
-					opt.Options = Options{Rank: rank}.withDefaults()
-					opt.Partitions = parts
-					opt.Kernel = kernel
-					c := rdd.MustNewCluster(rdd.Config{Machines: 3})
-					defer c.Close()
-					layout := NewLayout(ts, opt)
-					hs, norm2, err := MTTKRPStage(c, layout.BlocksRDD(c), layout, factors, opt)
-					if err != nil {
-						t.Fatalf("order-%d %s P=%d kernel=%v: %v", len(dims), lo.name, parts, kernel, err)
-					}
-					return hs, norm2, c.Metrics().BytesShuffled.Load()
-				}
-				fusedHs, fusedNorm2, fusedBytes := run(KernelFused)
-				spmvHs, spmvNorm2, spmvBytes := run(KernelSpMV)
-				if math.Float64bits(fusedNorm2) != math.Float64bits(spmvNorm2) {
-					t.Fatalf("order-%d %s P=%d: residual norms differ: fused %v, spmv %v",
-						len(dims), lo.name, parts, fusedNorm2, spmvNorm2)
-				}
-				if fusedBytes != spmvBytes {
-					t.Fatalf("order-%d %s P=%d: BytesShuffled differ: fused %d, spmv %d",
-						len(dims), lo.name, parts, fusedBytes, spmvBytes)
-				}
-				for n := range fusedHs {
-					fd, sd := fusedHs[n].Data(), spmvHs[n].Data()
-					for i := range fd {
-						if !relClose(fd[i], sd[i], tol) {
-							t.Fatalf("order-%d %s P=%d: H_%d[%d]: fused %v, spmv %v",
-								len(dims), lo.name, parts, n, i, fd[i], sd[i])
-						}
-					}
-				}
+				c.Close()
 			}
 		}
 	}

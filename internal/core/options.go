@@ -1,12 +1,12 @@
-// Package core implements the paper's algorithms: the CP-based tensor
-// completion ADMM of Algorithm 1 (serial reference, with the §III
-// optimizations applied) and DisTenC itself, Algorithm 3, running on the
-// rdd engine.
+// Package core implements the paper's algorithms: DisTenC itself,
+// Algorithm 3, running on the rdd engine, and the CP-based tensor completion
+// ADMM of Algorithm 1 as its single-block case without the engine.
 //
-// Both implementations perform identical mathematics — Jacobi-style mode
-// updates within an iteration, the residual-tensor identity of Eq. (16), the
-// spectral trace-regularization update of Eq. (7) — so the distributed solver
-// is validated iterate-by-iterate against the serial one in tests.
+// Both run one kernel and one driver update — Jacobi-style mode updates
+// within an iteration, the residual-tensor identity of Eq. (16) with E never
+// stored, the spectral trace-regularization update of Eq. (7) — so the serial
+// solver equals the distributed one at one partition bit for bit, and the
+// tests hold both to the Residual + MTTKRP reference of internal/sptensor.
 package core
 
 import (

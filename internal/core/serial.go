@@ -11,10 +11,13 @@ import (
 )
 
 // Complete runs the CP-based tensor completion ADMM (Algorithm 1) on a
-// single machine, with the paper's §III optimizations applied: the spectral
-// form of the B update (Eq. 7), Gram-matrix products instead of explicit
-// Khatri-Rao (Eq. 12), and the residual-tensor identity (Eq. 16) instead of
-// materializing the completed dense tensor.
+// single machine. It is DisTenC at P = 1 without the engine: the whole tensor
+// is one mode-major block of the fused residual + MTTKRP kernel (§III-C/D —
+// E is never stored), and the driver update is the one CompleteDistributed
+// runs (spectral B update, Eq. 7; Gram products, Eq. 12; the Eq. 16 factor
+// update). Factors and Aux equal CompleteDistributed's at Partitions: 1 bit
+// for bit; Trace[i].TrainRMSE is the post-update value, one iteration ahead
+// of the distributed trace.
 //
 // sims may be nil (no auxiliary information) or hold one similarity per mode
 // with nil entries for modes without auxiliary data.
@@ -54,7 +57,26 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	if ck != nil {
 		st.restore(ck)
 	}
-	st.refreshResidual()
+	// The whole tensor as one block: global row ids are the local ids of a
+	// full-height slab, so the kernel accumulates straight into the H_n.
+	blk := &TensorBlock{Order: t.Order(), Idx: t.Idx, Val: t.Val}
+	sortEntriesModeMajor(blk) // copies when it has to reorder; the kernel only reads
+	hs := make([]*mat.Dense, t.Order())
+	acc := make([][]float64, t.Order())
+	for n, d := range t.Dims {
+		hs[n] = mat.NewDense(d, opt.Rank)
+		acc[n] = hs[n].Data()
+	}
+	scratch := newFusedScratch(t.Order(), opt.Rank)
+	// mttkrp fills every H_n = E_(n)·U(n) at the current factors and returns
+	// ‖E‖²_F — the serial counterpart of DisTenC's map + reduce stages.
+	mttkrp := func() float64 {
+		for _, h := range acc {
+			clear(h)
+		}
+		return fusedBlockMTTKRP(blk, blk.Idx, st.factors, opt.Rank, acc, scratch)
+	}
+	mttkrp()
 	start := time.Now()
 	for ; st.iter < opt.MaxIter; st.iter++ {
 		iterStart := time.Now()
@@ -63,22 +85,17 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 			grams[n] = mat.Gram(f)
 		}
 		gramDur := time.Since(iterStart)
-		// The MTTKRP kernel and the residual refresh are the serial
-		// counterparts of DisTenC's map stage, so both count toward the
-		// MTTKRPMap phase and the timing breakdown stays comparable across
-		// solvers.
-		var kernel time.Duration
-		next, bs := st.iterateWith(grams, func(mode int) *mat.Dense {
-			t0 := time.Now()
-			h := sptensor.MTTKRP(st.resid, st.factors, mode, st.scratch)
-			kernel += time.Since(t0)
-			return h
-		})
+		next, bs := st.iterateWith(grams, hs)
 		delta := st.advance(next, bs)
 		if err := st.maybeCheckpoint(); err != nil {
 			return nil, err
 		}
-		kernel += st.residDur
+		// One kernel call at A_{t+1} yields this iteration's training error
+		// and the next iteration's H_n; it counts toward the MTTKRPMap phase
+		// so the timing breakdown stays comparable across solvers.
+		t0 := time.Now()
+		residNorm2 := mttkrp()
+		kernel := time.Since(t0)
 		iterDur := time.Since(iterStart)
 		st.phases = append(st.phases, metrics.PhaseTimes{
 			Iter:      st.iter,
@@ -90,7 +107,7 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 		point := metrics.ConvergencePoint{
 			Iter:      st.iter,
 			Elapsed:   time.Since(start),
-			TrainRMSE: st.trainRMSE(),
+			TrainRMSE: trainRMSE(residNorm2, t.NNZ()),
 			MaxDelta:  delta,
 		}
 		st.trace = append(st.trace, point)
@@ -112,10 +129,9 @@ type solverState struct {
 	t       *sptensor.Tensor
 	opt     Options
 	sp      []*graph.Spectral
-	factors []*mat.Dense     // A(n)
-	aux     []*mat.Dense     // B(n)
-	mult    []*mat.Dense     // Y(n)
-	resid   *sptensor.Tensor // E; serial solver only, DisTenC's stage computes it on the cluster
+	factors []*mat.Dense // A(n)
+	aux     []*mat.Dense // B(n)
+	mult    []*mat.Dense // Y(n)
 	eta     float64
 	iter    int
 
@@ -123,8 +139,6 @@ type solverState struct {
 	converged bool
 	trace     metrics.Trace
 	phases    metrics.PhaseBreakdown
-	residDur  time.Duration // time of the last residual refresh in advance
-	scratch   []float64
 	// work[n] is mode n's I_n×R update workspace (ηA−Y, then the Eq. 16
 	// right-hand side): an iteration allocates only what it publishes.
 	work []*mat.Dense
@@ -137,7 +151,6 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 		sp:      sp,
 		factors: initFactors(t.Dims, opt.Rank, opt.Seed),
 		eta:     opt.Eta0,
-		scratch: make([]float64, opt.Rank),
 	}
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
@@ -151,22 +164,17 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 	return st
 }
 
-// refreshResidual recomputes E = Ω∗(T − [[A]]) from the current factors.
-func (st *solverState) refreshResidual() {
-	st.resid = sptensor.Residual(st.t, sptensor.NewKruskal(st.factors...))
-}
-
 // iterateWith performs one Jacobi-style outer iteration: every mode's B and
 // A updates are computed from the iteration-t variables (as Algorithm 3
 // lines 7–12 do, with F and H cached per mode), returning the new factors
 // and aux variables without committing them. grams are the per-mode
-// self-products A(n)ᵀA(n); mttkrp supplies E_(n)·U(n) (in-process for the
-// serial solver, via the engine for DisTenC) and is only read.
+// self-products A(n)ᵀA(n); hs are the kernel's H_n = E_(n)·U(n) and are only
+// read.
 //
 // The factor update is Algorithm 3 line 11, A ← (A·F + E_(n)·U(n) + ηB + Y)
 // (F + cI)⁻¹ with c = λ+η, in its one-multiply form: F(F+cI)⁻¹ = I − c(F+cI)⁻¹
 // turns it into A ← A + (E_(n)·U(n) + ηB + Y − cA)(F + cI)⁻¹ (DESIGN.md §5).
-func (st *solverState) iterateWith(grams []*mat.Dense, mttkrp func(mode int) *mat.Dense) (next, bs []*mat.Dense) {
+func (st *solverState) iterateWith(grams, hs []*mat.Dense) (next, bs []*mat.Dense) {
 	order := st.t.Order()
 	next = make([]*mat.Dense, order)
 	bs = make([]*mat.Dense, order)
@@ -189,7 +197,7 @@ func (st *solverState) iterateWith(grams []*mat.Dense, mttkrp func(mode int) *ma
 			// factors carry non-finite values and iteration must stop.
 			panic("core: normal-equation matrix not SPD: " + err.Error())
 		}
-		h, b := mttkrp(n).Data()[:len(a)], bs[n].Data()[:len(a)]
+		h, b := hs[n].Data()[:len(a)], bs[n].Data()[:len(a)]
 		for i, av := range a {
 			w[i] = h[i] + eta*b[i] + y[i] - c*av
 		}
@@ -224,24 +232,13 @@ func (st *solverState) updateAux(n int, x *mat.Dense) *mat.Dense {
 	return b
 }
 
-// advance commits the iteration: Y and η updates (Algorithm 3 lines 12/14),
-// the residual refresh E = Ω∗(T − [[A_{t+1}]]) (§III-D; see DESIGN.md on the
-// Algorithm 3 line-13 typo), and returns the convergence value
-// max_n ‖A_{t+1}−A_t‖²_F.
+// advance commits the iteration — the Y and η updates of Algorithm 3 lines
+// 12/14 — and returns the convergence value max_n ‖A_{t+1}−A_t‖²_F. The
+// residual E = Ω∗(T − [[A_{t+1}]]) is the next kernel call's, never stored
+// (§III-D; see DESIGN.md on the Algorithm 3 line-13 typo). It also records
+// the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1 stopping
+// criterion. One pass per mode reads next/A/B and updates Y in place.
 func (st *solverState) advance(next, bs []*mat.Dense) float64 {
-	d := st.advanceNoResid(next, bs)
-	t0 := time.Now()
-	st.refreshResidual()
-	st.residDur = time.Since(t0)
-	return d
-}
-
-// advanceNoResid is advance without the driver-side residual refresh —
-// DisTenC's stage recomputes residuals on the cluster instead (§III-D).
-// It also records the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1
-// stopping criterion. One pass per mode reads next/A/B and updates Y in
-// place.
-func (st *solverState) advanceNoResid(next, bs []*mat.Dense) float64 {
 	var maxDelta, consensus float64
 	for n := range st.factors {
 		nx := next[n].Data()
@@ -303,11 +300,10 @@ func ApplyInitScale(factors []*mat.Dense, t *sptensor.Tensor, opt Options) {
 	}
 }
 
-func (st *solverState) trainRMSE() float64 {
-	if st.t.NNZ() == 0 {
-		return 0
-	}
-	return st.resid.NormF() / math.Sqrt(float64(st.t.NNZ()))
+// trainRMSE turns the kernel's ‖E‖²_F into the root-mean-square training
+// error over nnz observed cells.
+func trainRMSE(residNorm2 float64, nnz int) float64 {
+	return math.Sqrt(residNorm2 / float64(max(1, nnz)))
 }
 
 func (st *solverState) result(start time.Time) *Result {

@@ -16,7 +16,7 @@ import (
 // one-multiply form: explicit ηA−Y, the spectral B update written out with
 // MulATB/Mul/AddScaled, H = A·F + E_(n)U, (H + ηB + Y)(F + cI)⁻¹ with two
 // I×R×R products, and SubMat/NormF for the convergence values. It reads st
-// and the supplied hs and returns what iterateWith + advanceNoResid must
+// and the supplied hs and returns what iterateWith + advance must
 // reproduce, without touching st.
 func referenceIterate(st *solverState, grams, hs []*mat.Dense) (next, bs, mult []*mat.Dense, maxDelta, consensus float64) {
 	order := st.t.Order()
@@ -125,16 +125,14 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 						t.Fatal(err)
 					}
 					st := newSolverState(ts, sp, opt)
-					st.refreshResidual()
 					for iter := 0; iter < 4; iter++ {
 						grams := make([]*mat.Dense, ts.Order())
-						hs := make([]*mat.Dense, ts.Order())
 						for n, f := range st.factors {
 							grams[n] = mat.Gram(f)
-							hs[n] = sptensor.MTTKRP(st.resid, st.factors, n, nil)
 						}
+						hs, _ := naiveStageMTTKRP(ts, st.factors)
 						wantNext, wantBs, wantMult, wantDelta, wantCons := referenceIterate(st, grams, hs)
-						next, bs := st.iterateWith(grams, func(n int) *mat.Dense { return hs[n] })
+						next, bs := st.iterateWith(grams, hs)
 						delta := st.advance(next, bs)
 						matsClose(t, "next", next, wantNext, tol)
 						matsClose(t, "bs", bs, wantBs, tol)
@@ -150,7 +148,7 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 }
 
 // TestDriverUpdateAllocatesOnlyPublishedMatrices is the allocation budget of
-// one driver update (iterateWith + advanceNoResid): the only I-sized
+// one driver update (iterateWith + advance): the only I-sized
 // allocations are the next and bs matrices it publishes. The byte budget is
 // those matrices plus a fixed allowance for the R×R and K×R pieces (Gram
 // products, Cholesky factor and inverse, the eigenbasis coefficients); the
@@ -169,17 +167,15 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := newSolverState(ts, sp, opt)
-		st.refreshResidual()
 		grams := make([]*mat.Dense, len(dims))
-		hs := make([]*mat.Dense, len(dims))
 		for n, f := range st.factors {
 			grams[n] = mat.Gram(f)
-			hs[n] = sptensor.MTTKRP(st.resid, st.factors, n, nil)
 			published += 2 * uint64(dims[n]) * rank * 8
 		}
+		hs, _ := naiveStageMTTKRP(ts, st.factors)
 		step := func() {
-			next, bs := st.iterateWith(grams, func(n int) *mat.Dense { return hs[n] })
-			st.advanceNoResid(next, bs)
+			next, bs := st.iterateWith(grams, hs)
+			st.advance(next, bs)
 		}
 		objects = int(testing.AllocsPerRun(5, step))
 		var before, after runtime.MemStats
@@ -199,10 +195,86 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 	}
 }
 
+// residualReferenceSolve is the serial solver as it was composed before it
+// became the whole-tensor block of the fused kernel, kept as the independent
+// reference (DESIGN.md §3): every iteration rebuilds the residual tensor with
+// sptensor.Residual and walks it once per mode with sptensor.MTTKRP
+// (naiveStageMTTKRP), feeds those H_n to the shared driver update, and reads
+// the training error off a second residual tensor at the updated factors.
+func residualReferenceSolve(t *testing.T, ts *sptensor.Tensor, sims []*graph.Similarity, opt Options) (st *solverState, rmse []float64) {
+	t.Helper()
+	opt = opt.withDefaults()
+	sp, err := spectra(sims, opt.TruncK, opt.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = newSolverState(ts, sp, opt)
+	for ; st.iter < opt.MaxIter; st.iter++ {
+		grams := make([]*mat.Dense, ts.Order())
+		for n, f := range st.factors {
+			grams[n] = mat.Gram(f)
+		}
+		hs, _ := naiveStageMTTKRP(ts, st.factors)
+		st.advance(st.iterateWith(grams, hs))
+		resid := sptensor.Residual(ts, sptensor.NewKruskal(st.factors...))
+		rmse = append(rmse, resid.NormF()/math.Sqrt(float64(ts.NNZ())))
+	}
+	return st, rmse
+}
+
+// TestSerialMatchesResidualReference holds Complete — one fused-kernel call
+// per iteration, E never stored — to the Residual + N×MTTKRP composition it
+// replaced: over six iterations of order-3 and order-4 problems, with and
+// without similarities, NonNegative on and off, A, B, Y and the training
+// error agree to 1e-10 relative (the two sum the same terms in different
+// orders: the block's mode-major order against the COO's).
+func TestSerialMatchesResidualReference(t *testing.T) {
+	const tol = 1e-10
+	for _, dims := range [][]int{{23, 17, 9}, {12, 10, 9, 7}} {
+		for _, withSims := range []bool{false, true} {
+			for _, nonNeg := range []bool{false, true} {
+				t.Run(fmt.Sprintf("order%d/sims=%v/nonneg=%v", len(dims), withSims, nonNeg), func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(41, uint64(len(dims))))
+					ts := randomTensor(dims, 60*len(dims)*len(dims), rng)
+					ts.Dedupe()
+					var sims []*graph.Similarity
+					if withSims {
+						sims = make([]*graph.Similarity, len(dims))
+						sims[0], sims[1] = ringSimilarity(dims[0]), ringSimilarity(dims[1])
+					}
+					dir := t.TempDir()
+					opt := Options{Rank: 5, Seed: 4, MaxIter: 6, Tol: -1, NonNegative: nonNeg,
+						CheckpointEvery: 6, CheckpointDir: dir}
+					got, err := Complete(ts, sims, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ck, err := ReadCheckpoint(CheckpointPath(dir)) // Y is not in the Result
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.CheckpointEvery = 0
+					want, wantRMSE := residualReferenceSolve(t, ts, sims, opt)
+					matsClose(t, "A", got.Model.Factors, want.factors, tol)
+					matsClose(t, "B", got.Aux, want.aux, tol)
+					matsClose(t, "Y", ck.Duals, want.mult, tol)
+					if len(got.Trace) != len(wantRMSE) {
+						t.Fatalf("trace has %d points, reference %d", len(got.Trace), len(wantRMSE))
+					}
+					for i, p := range got.Trace {
+						if !relClose(p.TrainRMSE, wantRMSE[i], tol) {
+							t.Fatalf("iter %d: TrainRMSE %v, reference %v", i, p.TrainRMSE, wantRMSE[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestNewSolverStateBuildsNoResidual: set-up builds the dense ADMM state and
-// nothing proportional to nnz — the residual tensor is the serial solver's,
-// built where it is first read — and the serial solver's first iteration
-// still runs on Residual(t, initial model).
+// nothing proportional to nnz, and the serial solver's first iteration is one
+// driver update from the H_n of Residual(t, initial model).
 func TestNewSolverStateBuildsNoResidual(t *testing.T) {
 	dims := []int{400, 300, 200}
 	rng := rand.New(rand.NewPCG(17, 18))
@@ -217,24 +289,17 @@ func TestNewSolverStateBuildsNoResidual(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st := newSolverState(ts, nil, opt)
+	newSolverState(ts, nil, opt)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > dense+dense/4 {
 		t.Errorf("newSolverState allocated %d B, the dense state it builds is %d B: something the size of the tensor (%d B) was built with it", got, dense, ts.NNZ()*20)
 	}
-	if st.resid != nil {
-		t.Error("newSolverState built a residual tensor")
-	}
 
-	st.resid = sptensor.Residual(ts, sptensor.NewKruskal(st.factors...))
-	grams := make([]*mat.Dense, len(dims))
-	for n, f := range st.factors {
-		grams[n] = mat.Gram(f)
-	}
-	next, _ := st.iterateWith(grams, func(n int) *mat.Dense { return sptensor.MTTKRP(st.resid, st.factors, n, nil) })
+	want, _ := residualReferenceSolve(t, ts, nil, opt)
 	res, err := Complete(ts, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "Complete's first iteration vs one update from Residual(t, initial model)", next, res.Model.Factors)
+	// Summation order is the block's, not the COO's: a tolerance, not bits.
+	matsClose(t, "Complete's first iteration vs one update from Residual(t, initial model)", res.Model.Factors, want.factors, 1e-10)
 }

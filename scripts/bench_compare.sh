@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # bench_compare.sh — mechanical perf-regression gate.
 #
-# Runs the MTTKRP stage, fused-kernel and layout-build benchmarks and diffs
-# them against the recorded baseline in BENCH_mttkrp.json (the kernel's /ref
-# siblings are run and printed, not gated). Fails when
+# Runs the MTTKRP stage, fused-kernel, serial-iteration and layout-build
+# benchmarks and diffs them against the recorded baseline in BENCH_mttkrp.json
+# (the kernel's /ref siblings are run and printed, not gated; a row's "before"
+# entry is history, only "after" gates). Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
 #     "max_over_ref", that share of its /ref sibling's min in the same run — or
 #   - allocs/op exceeds the baseline at all (allocation counts are exact and
 #     deterministic; any growth is a real regression — the SteadyState
-#     benchmarks must stay at exactly 0).
+#     benchmark must stay at exactly 0).
 #
 # The min-of-N statistic is deliberate: wall-clock noise on a shared host is
 # one-sided (interference slows runs, never speeds them), so the fastest of N
@@ -54,7 +55,7 @@ if go version -m "$BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
 fi
 
 OUT=$("$BIN" -test.run '^$' \
-  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyState|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
+  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
   -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
@@ -67,7 +68,7 @@ base = json.load(open("BENCH_mttkrp.json"))["benchmarks"]
 
 runs = {}
 for line in sys.stdin:
-    # b.ReportMetric columns (ns/nnz, rows/nnz) sit between ns/op and B/op.
+    # b.ReportMetric columns (ns/nnz, rows/nnz, ms/iter) sit between ns/op and B/op.
     m = re.match(r"^(Benchmark[\w/]+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(?:[\d.]+ \S+\s+)*?([\d.]+) B/op\s+(\d+) allocs/op", line)
     if m:
         name, ns, _, allocs = m.group(1), float(m.group(2)), m.group(3), int(m.group(4))
