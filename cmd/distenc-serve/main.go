@@ -8,7 +8,7 @@
 //
 //	distenc-serve -listen :7415 -admin :7416 \
 //	    -model ratings=ckpt/solver.ckpt -data ratings=ratings.coo \
-//	    -cache-rows 4096 -refresh-every 10m
+//	    -refresh-every 10m
 //
 // Each -model NAME=CKPT registers one model at startup; more can be loaded
 // (or hot-swapped) later via POST /models/{name} on the admin plane. A
@@ -71,7 +71,6 @@ func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:7415", "predict-plane TCP address")
 		admin        = flag.String("admin", "127.0.0.1:7416", "HTTP admin-plane address (empty disables)")
-		cacheRows    = flag.Int("cache-rows", 4096, "per-model LRU capacity of hot factor rows (0 disables)")
 		refreshEvery = flag.Duration("refresh-every", 0, "period of the online-refresh loop (0 disables); models need a -data file to refresh")
 		refreshIters = flag.Int("refresh-iters", 1, "extra ADMM iterations per refresh")
 		refreshMach  = flag.Int("refresh-machines", 2, "in-process cluster width for refresh warm-starts")
@@ -90,7 +89,7 @@ func main() {
 
 	reg := serve.NewRegistry()
 	for name, ckpt := range models {
-		m, err := serve.LoadModel(name, ckpt, data[name], *cacheRows)
+		m, err := serve.LoadModel(name, ckpt, data[name], 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,9 +98,8 @@ func main() {
 	}
 
 	srv, err := serve.NewServer(reg, serve.Config{
-		Listen:    *listen,
-		Admin:     *admin,
-		CacheRows: *cacheRows,
+		Listen: *listen,
+		Admin:  *admin,
 		Refresh: serve.RefreshConfig{
 			Every:      *refreshEvery,
 			Iters:      *refreshIters,

@@ -11,9 +11,9 @@ import (
 )
 
 // ServeModelStats is one registered model's rollup: identity (dims, rank,
-// training iterations), query volume, the hot-row LRU's hit accounting, and
-// the lifecycle counters (hot swaps, background refreshes) that explain why
-// the model a client saw a second ago may answer slightly differently now.
+// training iterations), query volume and the lifecycle counters (hot swaps,
+// background refreshes) that explain why the model a client saw a second ago
+// may answer slightly differently now.
 type ServeModelStats struct {
 	Model string `json:"model"`
 	Dims  []int  `json:"dims"`
@@ -25,13 +25,6 @@ type ServeModelStats struct {
 	// reconstructions (a batch of 64 cells is 1 query, 64 cells).
 	Queries int64 `json:"queries"`
 	Cells   int64 `json:"cells"`
-	// CacheHits/CacheMisses account the per-model LRU of hot factor rows;
-	// CacheRows is its current occupancy, CacheCap its capacity (0 = cache
-	// disabled, every access a miss that is not counted).
-	CacheHits   int64 `json:"cacheHits"`
-	CacheMisses int64 `json:"cacheMisses"`
-	CacheRows   int   `json:"cacheRows"`
-	CacheCap    int   `json:"cacheCap"`
 	// Swaps counts registry replacements under this name (admin reloads and
 	// refresh promotions); Refreshes counts background warm-start refreshes.
 	Swaps     int64     `json:"swaps"`
@@ -39,15 +32,10 @@ type ServeModelStats struct {
 	LoadedAt  time.Time `json:"loadedAt"`
 }
 
-// HitRate returns the LRU hit fraction in [0,1] (0 when nothing was looked
-// up).
-func (s ServeModelStats) HitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
+// HitRate returns 0: the row LRU it reported on was deleted in PR 28. The
+// method stays because benchmark/ calls it, and leaves with ROADMAP item 2's
+// phase 2.
+func (s ServeModelStats) HitRate() float64 { return 0 }
 
 // ServeSnapshot is the registry-wide rollup, one row per model.
 type ServeSnapshot []ServeModelStats
@@ -57,12 +45,11 @@ func (s ServeSnapshot) String() string {
 	if len(s) == 0 {
 		return "no models loaded\n"
 	}
-	out := fmt.Sprintf("%-16s %-14s %4s %5s %10s %10s %9s %6s %5s %5s\n",
-		"model", "dims", "rank", "iter", "queries", "cells", "cacheHit%", "rows", "swaps", "refr")
+	out := fmt.Sprintf("%-16s %-14s %4s %5s %10s %10s %5s %5s\n",
+		"model", "dims", "rank", "iter", "queries", "cells", "swaps", "refr")
 	for _, m := range s {
-		out += fmt.Sprintf("%-16s %-14s %4d %5d %10d %10d %8.1f%% %6d %5d %5d\n",
-			m.Model, fmt.Sprint(m.Dims), m.Rank, m.Iter, m.Queries, m.Cells,
-			100*m.HitRate(), m.CacheRows, m.Swaps, m.Refreshes)
+		out += fmt.Sprintf("%-16s %-14s %4d %5d %10d %10d %5d %5d\n",
+			m.Model, fmt.Sprint(m.Dims), m.Rank, m.Iter, m.Queries, m.Cells, m.Swaps, m.Refreshes)
 	}
 	return out
 }

@@ -83,7 +83,7 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("request needs a %q field", "checkpoint"))
 		return
 	}
-	m, err := LoadModel(name, req.Checkpoint, req.Data, s.cfg.CacheRows)
+	m, err := LoadModel(name, req.Checkpoint, req.Data, 0)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"distenc/internal/framerpc"
 	"distenc/internal/metrics"
@@ -62,30 +63,31 @@ func appendPredictBody(buf []byte, name string, order int, flat []int32) []byte 
 }
 
 // parsePredictBody decodes an opPredict body into (model, order, flat
-// indices).
-func parsePredictBody(body []byte) (string, int, []int32, error) {
+// indices). The name aliases body; the indices are decoded into flat's backing
+// array, grown only when the body outsizes it.
+func parsePredictBody(body []byte, flat []int32) ([]byte, int, []int32, error) {
 	if len(body) < 2 {
-		return "", 0, nil, fmt.Errorf("predict body of %d bytes, want >= 2", len(body))
+		return nil, 0, nil, fmt.Errorf("predict body of %d bytes, want >= 2", len(body))
 	}
 	nameLen := int(binary.LittleEndian.Uint16(body))
 	body = body[2:]
 	if len(body) < nameLen+6 {
-		return "", 0, nil, fmt.Errorf("predict body truncated inside name/geometry (have %d bytes, name is %d)", len(body), nameLen)
+		return nil, 0, nil, fmt.Errorf("predict body truncated inside name/geometry (have %d bytes, name is %d)", len(body), nameLen)
 	}
-	name := string(body[:nameLen])
+	name := body[:nameLen]
 	body = body[nameLen:]
 	order := int(binary.LittleEndian.Uint16(body))
 	count := binary.LittleEndian.Uint32(body[2:])
 	body = body[6:]
 	if order <= 0 {
-		return "", 0, nil, fmt.Errorf("predict body declares order %d", order)
+		return nil, 0, nil, fmt.Errorf("predict body declares order %d", order)
 	}
 	// In 64 bits, so no count can wrap the product into agreeing with a short
 	// body; the indices are then sized from the bytes that are really there.
 	if want := uint64(count) * uint64(order) * 4; uint64(len(body)) != want {
-		return "", 0, nil, fmt.Errorf("predict body carries %d index bytes, want %d for count=%d order=%d", len(body), want, count, order)
+		return nil, 0, nil, fmt.Errorf("predict body carries %d index bytes, want %d for count=%d order=%d", len(body), want, count, order)
 	}
-	flat := make([]int32, len(body)/4)
+	flat = slices.Grow(flat[:0], len(body)/4)[:len(body)/4]
 	for i := range flat {
 		flat[i] = int32(binary.LittleEndian.Uint32(body[i*4:]))
 	}

@@ -44,9 +44,8 @@ type TensorReader func(path string) (*sptensor.Tensor, error)
 // concurrent triggers (ticker vs admin POST /refresh) are rejected, not
 // queued — and a failed refresh leaves the old generation serving.
 type refresher struct {
-	reg       *Registry
-	cfg       RefreshConfig
-	cacheRows int
+	reg *Registry
+	cfg RefreshConfig
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -56,7 +55,7 @@ type refresher struct {
 	dirs  map[string]string // model name -> scratch dir of the served generation
 }
 
-func newRefresher(reg *Registry, cfg RefreshConfig, cacheRows int) *refresher {
+func newRefresher(reg *Registry, cfg RefreshConfig) *refresher {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 1
 	}
@@ -64,12 +63,11 @@ func newRefresher(reg *Registry, cfg RefreshConfig, cacheRows int) *refresher {
 		cfg.Machines = 2
 	}
 	return &refresher{
-		reg:       reg,
-		cfg:       cfg,
-		cacheRows: cacheRows,
-		done:      make(chan struct{}),
-		sem:       make(chan struct{}, 1),
-		dirs:      map[string]string{},
+		reg:  reg,
+		cfg:  cfg,
+		done: make(chan struct{}),
+		sem:  make(chan struct{}, 1),
+		dirs: map[string]string{},
 	}
 }
 
@@ -185,7 +183,7 @@ func (r *refresher) refreshModel(m *Model) error {
 		return err
 	}
 
-	next, err := LoadModel(m.Name, core.CheckpointPath(scratch), m.Data, r.cacheRows)
+	next, err := LoadModel(m.Name, core.CheckpointPath(scratch), m.Data, 0)
 	if err != nil {
 		os.RemoveAll(scratch)
 		return fmt.Errorf("re-reading refreshed checkpoint: %w", err)

@@ -9,7 +9,8 @@
 // factor matrices. Updates never mutate a served model — the admin API and
 // the online-refresh loop build a replacement and swap the registry pointer
 // atomically, so every in-flight batch is answered wholly by one model
-// generation, never a torn mix. Per-model LRU caches of hot factor rows
-// keep popular objects' rows close; cached rows are exact copies, so cached
-// and uncached predictions are bit-identical to sptensor.Kruskal.At.
+// generation, never a torn mix. Factor rows are read where the generation
+// holds them — there is no cache between a request and the factors — by one
+// kernel, Model.PredictBatch, whose values are bit-identical to
+// sptensor.Kruskal.At.
 package serve

@@ -20,7 +20,9 @@ type Config struct {
 	// Admin is the HTTP admin-plane address; empty disables the admin
 	// server.
 	Admin string
-	// CacheRows is each model's hot-row LRU capacity (0 disables caching).
+	// CacheRows sized the row LRU that PR 28 deleted; it is accepted and
+	// ignored because benchmark/ sets it, and leaves with ROADMAP item 2's
+	// phase 2.
 	CacheRows int
 	// MaxFrame bounds request frames (default rdd.DefaultMaxFrame).
 	MaxFrame int
@@ -65,7 +67,7 @@ func NewServer(reg *Registry, cfg Config) (*Server, error) {
 		s.admin = &http.Server{Handler: s.adminMux()}
 	}
 	if cfg.Refresh.Every > 0 {
-		s.refresher = newRefresher(reg, cfg.Refresh, cfg.CacheRows)
+		s.refresher = newRefresher(reg, cfg.Refresh)
 	}
 	return s, nil
 }
@@ -124,19 +126,41 @@ func (s *Server) Shutdown() {
 	}
 }
 
+// predictScratch is one connection's reusable predict state: the request's
+// decoded indices and its predictions, so a warm handler allocates nothing
+// per request.
+type predictScratch struct {
+	flat  []int32
+	preds []float64
+}
+
+// maxScratchBytes bounds what a connection keeps between requests: a larger
+// slice is dropped once its reply is encoded, so one MaxFrame-sized batch does
+// not pin its buffers for the life of the connection.
+const maxScratchBytes = 1 << 20
+
+func (sc *predictScratch) trim() {
+	if 4*cap(sc.flat) > maxScratchBytes {
+		sc.flat = nil
+	}
+	if 8*cap(sc.preds) > maxScratchBytes {
+		sc.preds = nil
+	}
+}
+
 // newHandler returns one connection's request handler, which keeps that
-// connection's prediction scratch.
+// connection's predict scratch.
 func (s *Server) newHandler() framerpc.Handler {
-	var preds []float64
+	var sc predictScratch
 	return func(op uint8, req, body []byte, tail [][]byte) (uint8, []byte, [][]byte) {
-		status, body := s.handle(op, req, body, &preds)
+		status, body := s.handle(op, req, body, &sc)
 		return status, body, tail
 	}
 }
 
 // handle executes one request, appending the response body — on failure the
-// error text — to buf. preds is the reusable prediction scratch.
-func (s *Server) handle(op uint8, body, buf []byte, preds *[]float64) (uint8, []byte) {
+// error text — to buf.
+func (s *Server) handle(op uint8, body, buf []byte, sc *predictScratch) (uint8, []byte) {
 	switch op {
 	case opPing:
 		return stOK, buf
@@ -147,26 +171,34 @@ func (s *Server) handle(op uint8, body, buf []byte, preds *[]float64) (uint8, []
 		}
 		return stOK, append(buf, snap...)
 	case opPredict:
-		name, order, flat, err := parsePredictBody(body)
-		if err != nil {
-			return stBadRequest, append(buf, err.Error()...)
-		}
-		// Capture the model generation once; the whole batch — validation
-		// and every prediction — is answered by it, so a concurrent swap
-		// never mixes generations within a response.
-		m, ok := s.reg.Get(name)
-		if !ok {
-			return stNotFound, fmt.Appendf(buf, "no model %q loaded", name)
-		}
-		*preds, err = m.PredictBatch(order, flat, (*preds)[:0])
-		if err != nil {
-			return stBadRequest, append(buf, err.Error()...)
-		}
-		for _, v := range *preds {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		return stOK, buf
+		status, buf := s.predict(body, buf, sc)
+		sc.trim()
+		return status, buf
 	default:
 		return stBadRequest, fmt.Appendf(buf, "unknown op %d", op)
 	}
+}
+
+// predict answers one opPredict body out of sc.
+func (s *Server) predict(body, buf []byte, sc *predictScratch) (uint8, []byte) {
+	name, order, flat, err := parsePredictBody(body, sc.flat)
+	if err != nil {
+		return stBadRequest, append(buf, err.Error()...)
+	}
+	sc.flat = flat
+	// Capture the model generation once; the whole batch — validation and
+	// every prediction — is answered by it, so a concurrent swap never mixes
+	// generations within a response.
+	m, ok := s.reg.lookup(name)
+	if !ok {
+		return stNotFound, fmt.Appendf(buf, "no model %q loaded", name)
+	}
+	sc.preds, err = m.PredictBatch(order, flat, sc.preds[:0])
+	if err != nil {
+		return stBadRequest, append(buf, err.Error()...)
+	}
+	for _, v := range sc.preds {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return stOK, buf
 }

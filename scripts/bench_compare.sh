@@ -2,9 +2,11 @@
 # bench_compare.sh — mechanical perf-regression gate.
 #
 # Runs the MTTKRP stage, fused-kernel, serial-iteration and layout-build
-# benchmarks and diffs them against the recorded baseline in BENCH_mttkrp.json
-# (the kernel's /ref siblings are run and printed, not gated; a row's "before"
-# entry is history, only "after" gates). Fails when
+# benchmarks of internal/core and the predict-kernel benchmark of
+# internal/serve, and diffs them against the recorded baselines in
+# BENCH_mttkrp.json and BENCH_predict.json (the kernels' /ref siblings are run
+# and printed, not gated; a row's "before" entry is history, only "after"
+# gates). Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
 #     "max_over_ref", that share of its /ref sibling's min in the same run — or
@@ -46,9 +48,11 @@ TOL_PCT="${BENCH_TOL_PCT:-25}"
 # that exports it for the test steps) would silently compare garbage against
 # the baseline. Refuse rather than measure.
 BIN=$(mktemp -t bench_core.XXXXXX)
-trap 'rm -f "$BIN"' EXIT
+SERVE_BIN=$(mktemp -t bench_serve.XXXXXX)
+trap 'rm -f "$BIN" "$SERVE_BIN"' EXIT
 go test -c -o "$BIN" ./internal/core/
-if go version -m "$BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
+go test -c -o "$SERVE_BIN" ./internal/serve/
+if go version -m "$BIN" "$SERVE_BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
   echo "bench_compare: refusing to benchmark a race-instrumented binary" >&2
   echo "  (go version -m reports -race=true; unset GOFLAGS/-race and retry)" >&2
   exit 1
@@ -56,7 +60,8 @@ fi
 
 OUT=$("$BIN" -test.run '^$' \
   -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
-  -test.benchmem -test.count "$COUNT")
+  -test.benchmem -test.count "$COUNT"
+  "$SERVE_BIN" -test.run '^$' -test.bench 'BenchmarkPredictBatch$' -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
 
@@ -64,11 +69,13 @@ echo "$OUT" | python3 -c '
 import json, re, sys
 
 tol = float(sys.argv[1]) / 100.0
-base = json.load(open("BENCH_mttkrp.json"))["benchmarks"]
+base = {}
+for ledger in ("BENCH_mttkrp.json", "BENCH_predict.json"):
+    base.update(json.load(open(ledger))["benchmarks"])
 
 runs = {}
 for line in sys.stdin:
-    # b.ReportMetric columns (ns/nnz, rows/nnz, ms/iter) sit between ns/op and B/op.
+    # b.ReportMetric columns (ns/nnz, rows/nnz, ms/iter, ns/cell) sit between ns/op and B/op.
     m = re.match(r"^(Benchmark[\w/]+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(?:[\d.]+ \S+\s+)*?([\d.]+) B/op\s+(\d+) allocs/op", line)
     if m:
         name, ns, _, allocs = m.group(1), float(m.group(2)), m.group(3), int(m.group(4))
@@ -78,6 +85,11 @@ if not runs:
     sys.exit("bench_compare: no benchmark lines parsed")
 
 failed = False
+for name in sorted(n for n, row in base.items() if "after" in row and n not in runs):
+    # A gated row that did not run (renamed, or a name the line pattern above
+    # does not match) would otherwise pass by being absent.
+    print(f"  {name}: gated in the ledger, but no run of it was parsed ... FAIL")
+    failed = True
 for name, samples in sorted(runs.items()):
     if name not in base or "after" not in base[name]:
         print(f"  {name}: min {min(ns for ns, _ in samples):.0f} ns/op, not gated (no \"after\" baseline recorded)")

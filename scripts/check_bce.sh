@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # check_bce.sh — keeps the annotated inner loops free of bounds checks.
 #
-# The dense-algebra, shuffle-codec and sparse-kernel hot loops (mat.MulInto/
-# MulAddInto via axpyRows, mat.MulATB, rdd.AppendF64Vals, rdd.DecodeF64Vals,
-# core.fusedBlockMTTKRP, core.PackedRows.addInto) are written so the compiler
-# can prove every index in range. Each such loop is bracketed by
+# The dense-algebra, shuffle-codec, sparse-kernel and predict-kernel hot loops
+# (mat.MulInto/MulAddInto via axpyRows, mat.MulATB, rdd.AppendF64Vals,
+# rdd.DecodeF64Vals, core.fusedBlockMTTKRP, core.PackedRows.addInto,
+# serve.Model.PredictBatch) are written so the compiler can prove every index
+# in range. Each such loop is bracketed by
 # `//bce:begin` … `//bce:end` comments; this script compiles the packages with
 # -d=ssa/check_bce, which reports every bounds check the compiler kept, and
 # fails if one falls between a pair of markers (or if the markers are gone).
@@ -13,9 +14,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS=(./internal/mat ./internal/rdd ./internal/core)
+PKGS=(./internal/mat ./internal/rdd ./internal/core ./internal/serve)
 # file:minimum number of annotated loops it must still contain
-EXPECT=(internal/mat/dense.go:3 internal/rdd/wire.go:2 internal/core/mttkrp.go:6)
+EXPECT=(internal/mat/dense.go:3 internal/rdd/wire.go:2 internal/core/mttkrp.go:6 internal/serve/registry.go:2)
 
 # The compiler prints its findings on stderr and still exits 0; a non-zero
 # exit is a real build failure and must not read as "no bounds checks".
