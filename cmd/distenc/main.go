@@ -262,6 +262,9 @@ func main() {
 	if res.Blocking.Shape != nil {
 		log.Print(res.Blocking)
 	}
+	for _, line := range res.SpectrumNotes {
+		log.Print(line)
+	}
 	final, _ := res.Trace.Final()
 	log.Printf("finished: %d iterations, converged=%v, train RMSE %.6f, %.2fs",
 		res.Iters, res.Converged, final.TrainRMSE, res.Elapsed.Seconds())

@@ -146,6 +146,9 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 
 	layout := NewLayout(t, opt)
 	c.Note(layout.Blocking().String())
+	for _, line := range spectrumNotes(sp) {
+		c.Note(line)
+	}
 	blocksRDD := layout.BlocksRDD(c)
 	blocksRDD.Cache()
 	if err := blocksRDD.Materialize(); err != nil {

@@ -139,6 +139,10 @@ type Result struct {
 	// Blocking is how the distributed solver cut the tensor into blocks and
 	// what that ships per iteration (Shape is nil for the serial solver).
 	Blocking Blocking
+	// SpectrumNotes says, one line per mode with a similarity, how many
+	// eigenpairs set-up kept and how far the worst of them is from an
+	// eigenpair (graph.Spectral.Residual).
+	SpectrumNotes []string
 }
 
 // ErrDimensionMismatch is returned when sims do not match the tensor modes.
@@ -227,6 +231,18 @@ func spectra(sims []*graph.Similarity, truncK int, seed uint64) ([]*graph.Spectr
 		out[n] = sp
 	}
 	return out, nil
+}
+
+// spectrumNotes renders the SpectrumNotes lines of sp.
+func spectrumNotes(sp []*graph.Spectral) []string {
+	var out []string
+	for n, s := range sp {
+		if s != nil {
+			out = append(out, fmt.Sprintf("spectrum mode %d: %d of %d eigenpairs, largest residual %.2g of ‖L‖₁",
+				n, s.Rank(), s.Dim(), s.Residual()))
+		}
+	}
+	return out
 }
 
 // Objective evaluates Eq. (4)'s augmented objective at the current variables

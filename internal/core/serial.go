@@ -308,12 +308,13 @@ func trainRMSE(residNorm2 float64, nnz int) float64 {
 
 func (st *solverState) result(start time.Time) *Result {
 	return &Result{
-		Model:     sptensor.NewKruskal(st.factors...),
-		Aux:       st.aux,
-		Iters:     st.iter,
-		Converged: st.converged,
-		Trace:     st.trace,
-		Phases:    st.phases,
-		Elapsed:   time.Since(start),
+		Model:         sptensor.NewKruskal(st.factors...),
+		Aux:           st.aux,
+		Iters:         st.iter,
+		Converged:     st.converged,
+		Trace:         st.trace,
+		Phases:        st.phases,
+		Elapsed:       time.Since(start),
+		SpectrumNotes: spectrumNotes(st.sp),
 	}
 }

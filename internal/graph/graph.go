@@ -110,6 +110,16 @@ func (l *Laplacian) Apply(dst, x []float64) {
 	}
 }
 
+// norm1 returns ‖L‖₁ = 2·max_i d_i, the largest absolute column sum of
+// D − S for non-negative weights.
+func (l *Laplacian) norm1() float64 {
+	var d float64
+	for _, v := range l.deg {
+		d = max(d, v)
+	}
+	return 2 * d
+}
+
 // Dense materializes L (small modes / tests only).
 func (l *Laplacian) Dense() *mat.Dense {
 	n := l.sim.N

@@ -24,6 +24,8 @@ type Spectral struct {
 	Vectors *mat.Dense
 	n       int
 	full    bool // K == n: the decomposition is exact
+	// residual is max_j ‖L·v_j − λ_j·v_j‖ / ‖L‖₁ over the kept pairs.
+	residual float64
 }
 
 // ExactSpectral eigendecomposes the Laplacian densely (Jacobi); use for small
@@ -38,7 +40,8 @@ func ExactSpectral(l *Laplacian) (*Spectral, error) {
 
 // TruncatedSpectral computes the K smallest eigenpairs with Lanczos — the
 // substitute for the paper's MRRR-based truncated eigensolver. If k ≥ n the
-// result is exact.
+// result is exact. Lanczos returns Ritz pairs, not eigenpairs; Residual says
+// how far the worst of them is from one.
 func TruncatedSpectral(l *Laplacian, k int, rng *rand.Rand) (*Spectral, error) {
 	n := l.Dim()
 	if k >= n {
@@ -51,7 +54,14 @@ func TruncatedSpectral(l *Laplacian, k int, rng *rand.Rand) (*Spectral, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: n, full: false}, nil
+	var worst float64
+	for _, r := range e.Residuals {
+		worst = max(worst, r)
+	}
+	if norm := l.norm1(); norm > 0 {
+		worst /= norm
+	}
+	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: n, full: false, residual: worst}, nil
 }
 
 // Rank returns the number of retained eigenpairs K.
@@ -59,6 +69,11 @@ func (s *Spectral) Rank() int { return len(s.Values) }
 
 // Dim returns the mode size I_n.
 func (s *Spectral) Dim() int { return s.n }
+
+// Residual returns the largest ‖L·v_j − λ_j·v_j‖ over the kept pairs relative
+// to ‖L‖₁: 0 for an exact decomposition, and for a truncated one how far the
+// Ritz pairs the B-update treats as eigenpairs are from being eigenpairs.
+func (s *Spectral) Residual() float64 { return s.residual }
 
 // InverseApply returns (ηI + αL)⁻¹·X computed right-to-left per Eq. (7).
 //

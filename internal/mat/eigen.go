@@ -12,6 +12,9 @@ import (
 type Eigen struct {
 	Values  []float64
 	Vectors *Dense // n×k, columns are eigenvectors
+	// Residuals[j] is ‖A·v_j − λ_j·v_j‖ as Lanczos estimates it for a Ritz
+	// pair; nil from SymEigen, whose pairs are exact.
+	Residuals []float64
 }
 
 // SymEigen computes the full eigendecomposition of the symmetric matrix a

@@ -2,11 +2,11 @@
 # bench_compare.sh — mechanical perf-regression gate.
 #
 # Runs the MTTKRP stage, fused-kernel, serial-iteration and layout-build
-# benchmarks of internal/core and the predict-kernel benchmark of
-# internal/serve, and diffs them against the recorded baselines in
-# BENCH_mttkrp.json and BENCH_predict.json (the kernels' /ref siblings are run
-# and printed, not gated; a row's "before" entry is history, only "after"
-# gates). Fails when
+# benchmarks of internal/core, the predict-kernel benchmark of internal/serve
+# and the truncated-eigensolver benchmark of internal/graph, and diffs them
+# against the recorded baselines in BENCH_mttkrp.json, BENCH_predict.json and
+# BENCH_spectral.json (the kernels' /ref siblings are run and printed, not
+# gated; a row's "before" entry is history, only "after" gates). Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
 #     "max_over_ref", that share of its /ref sibling's min in the same run — or
@@ -49,10 +49,12 @@ TOL_PCT="${BENCH_TOL_PCT:-25}"
 # the baseline. Refuse rather than measure.
 BIN=$(mktemp -t bench_core.XXXXXX)
 SERVE_BIN=$(mktemp -t bench_serve.XXXXXX)
-trap 'rm -f "$BIN" "$SERVE_BIN"' EXIT
+GRAPH_BIN=$(mktemp -t bench_graph.XXXXXX)
+trap 'rm -f "$BIN" "$SERVE_BIN" "$GRAPH_BIN"' EXIT
 go test -c -o "$BIN" ./internal/core/
 go test -c -o "$SERVE_BIN" ./internal/serve/
-if go version -m "$BIN" "$SERVE_BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
+go test -c -o "$GRAPH_BIN" ./internal/graph/
+if go version -m "$BIN" "$SERVE_BIN" "$GRAPH_BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
   echo "bench_compare: refusing to benchmark a race-instrumented binary" >&2
   echo "  (go version -m reports -race=true; unset GOFLAGS/-race and retry)" >&2
   exit 1
@@ -61,7 +63,8 @@ fi
 OUT=$("$BIN" -test.run '^$' \
   -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
   -test.benchmem -test.count "$COUNT"
-  "$SERVE_BIN" -test.run '^$' -test.bench 'BenchmarkPredictBatch$' -test.benchmem -test.count "$COUNT")
+  "$SERVE_BIN" -test.run '^$' -test.bench 'BenchmarkPredictBatch$' -test.benchmem -test.count "$COUNT"
+  "$GRAPH_BIN" -test.run '^$' -test.bench 'BenchmarkTruncatedSpectral$' -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
 
@@ -70,7 +73,7 @@ import json, re, sys
 
 tol = float(sys.argv[1]) / 100.0
 base = {}
-for ledger in ("BENCH_mttkrp.json", "BENCH_predict.json"):
+for ledger in ("BENCH_mttkrp.json", "BENCH_predict.json", "BENCH_spectral.json"):
     base.update(json.load(open(ledger))["benchmarks"])
 
 runs = {}
