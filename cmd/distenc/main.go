@@ -75,7 +75,6 @@ func main() {
 		tol      = flag.Float64("tol", 1e-4, "convergence tolerance")
 		lambda   = flag.Float64("lambda", 1e-2, "ℓ2 regularization λ")
 		alpha    = flag.Float64("alpha", 1e-1, "auxiliary-information weight α")
-		truncK   = flag.Int("trunck", 0, "Laplacian eigen truncation K (0 = exact)")
 		seed     = flag.Uint64("seed", 1, "factor initialization seed")
 		machines = flag.Int("machines", 4, "simulated machines (0 = serial solver)")
 		verbose  = flag.Bool("v", false, "print per-iteration progress")
@@ -152,7 +151,7 @@ func main() {
 
 	opt := distenc.Options{
 		Rank: *rank, MaxIter: *maxIter, Tol: *tol,
-		Lambda: *lambda, Alpha: *alpha, TruncK: *truncK, Seed: *seed,
+		Lambda: *lambda, Alpha: *alpha, Seed: *seed,
 		NonNegative:     *nonneg,
 		CheckpointEvery: *ckptEvery,
 		CheckpointDir:   *ckptDir,
@@ -262,7 +261,7 @@ func main() {
 	if res.Blocking.Shape != nil {
 		log.Print(res.Blocking)
 	}
-	for _, line := range res.SpectrumNotes {
+	for _, line := range res.GraphNotes {
 		log.Print(line)
 	}
 	final, _ := res.Trace.Final()

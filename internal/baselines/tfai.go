@@ -68,10 +68,12 @@ func satAdd(a, b int64) int64 {
 // straightforward port would be: it materializes the completed dense tensor
 // X = T + Ωᶜ∗[[A]] every iteration, forms the explicit Khatri-Rao product
 // U(n), multiplies the dense unfolding X_(n)·U(n), and solves the
-// trace-regularized B update with a fresh dense factorization (no
-// pre-eigendecomposition). Identical mathematics to core.Complete — and the
-// tests verify the iterates coincide — but with the memory and FLOP profile
-// the paper's §III is designed to eliminate.
+// trace-regularized B update exactly with a fresh dense factorization (no
+// pre-eigendecomposition, no linearized step). The same ADMM as
+// core.Complete — the tests verify the iterates coincide without
+// similarities, and the fixed points with them, where core takes one
+// damped-Jacobi B-step instead of the exact solve — but with the memory and
+// FLOP profile the paper's §III is designed to eliminate.
 //
 // The footprint is charged to machine 0 of c before anything is allocated,
 // so at scale TFAI fails fast with rdd.ErrOutOfMemory instead of taking the

@@ -84,7 +84,7 @@ func Fig3b(w io.Writer, p Profile) []Outcome {
 
 // Fig3c reproduces Figure 3c: running time versus rank. ALS's cost climbs
 // fastest with rank (normal equations), DisTenC stays flattest thanks to the
-// diagonal spectral inverse.
+// row-local B-step on the sparse Laplacian.
 func Fig3c(w io.Writer, p Profile) []Outcome {
 	p = p.withDefaults()
 	dim, nnz, iters := 1_000, 100_000, 3
@@ -109,7 +109,7 @@ func Fig3c(w io.Writer, p Profile) []Outcome {
 	}
 	var all []Outcome
 	for _, r := range ranks {
-		opt := core.Options{Rank: r, MaxIter: iters, Tol: 0, Seed: p.Seed, TruncK: 16}
+		opt := core.Options{Rank: r, MaxIter: iters, Tol: 0, Seed: p.Seed}
 		fmt.Fprintf(w, "%-10d", r)
 		for _, m := range AllMethods {
 			o := runMethod(p, m, p.Machines, t, sims, opt, false)

@@ -105,9 +105,10 @@ func (b *TensorBlock) EntryIndex(e int) []int32 { return b.Idx[e*b.Order : (e+1)
 //     O(T·N·M·I·R) term of Lemma 3), computes the block's residual entries
 //     E = Ω∗(T−[[A]]) and its partial row-wise MTTKRP contributions
 //     (Eq. 11), and reduces them by row key across machines.
-//  3. The driver finishes the small dense algebra: spectral B updates
-//     (Eq. 7), Hadamard-of-Grams F_n (Eq. 12), the Eq. (16) factor update,
-//     and the Y/η bookkeeping — identical math to the serial reference.
+//  3. The driver finishes the small dense algebra: the damped-Jacobi B-step
+//     on each sparse Laplacian, Hadamard-of-Grams F_n (Eq. 12), the Eq. (16)
+//     factor update, and the Y/η bookkeeping — identical math to the serial
+//     reference.
 func CompleteDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions) (*Result, error) {
 	return completeDistributed(c, t, sims, opt, nil)
 }
@@ -139,14 +140,11 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 	if err := validateOptions(t, opt.Options); err != nil {
 		return nil, err
 	}
-	sp, err := spectra(sims, opt.TruncK, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
+	lap := laplacians(sims)
 
 	layout := NewLayout(t, opt)
 	c.Note(layout.Blocking().String())
-	for _, line := range spectrumNotes(sp) {
+	for _, line := range graphNotes(lap) {
 		c.Note(line)
 	}
 	blocksRDD := layout.BlocksRDD(c)
@@ -156,7 +154,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 	}
 	defer blocksRDD.Unpersist()
 
-	st := newSolverState(t, sp, opt.Options)
+	st := newSolverState(t, lap, opt.Options)
 	if ck != nil {
 		st.restore(ck)
 	}
@@ -191,7 +189,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 			}
 			c.RecordDriverSpan("checkpoint", ckStart, time.Since(ckStart))
 		}
-		// Driver algebra (spectral B updates, Eq. 16 solves, Y/η updates)
+		// Driver algebra (B-steps, Eq. 16 solves, Y/η updates)
 		// runs between stages and is invisible to stage accounting.
 		c.RecordDriverSpan("driver-algebra", drvStart, drvDur)
 		ph := metrics.PhaseTimes{

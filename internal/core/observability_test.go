@@ -80,11 +80,11 @@ func TestObservabilityCoversFullSolve(t *testing.T) {
 			if line := res.Blocking.String(); !strings.HasPrefix(c.Summary(), line+"\n") || !strings.HasPrefix(line, "blocking 3×1×1: ") {
 				t.Errorf("Summary does not open with the result's blocking line %q:\n%s", line, c.Summary())
 			}
-			// Then set-up's spectra, one line per mode with a similarity.
-			notes := strings.Join(res.SpectrumNotes, "\n")
-			if len(res.SpectrumNotes) != 3 || !strings.HasPrefix(c.Summary(), res.Blocking.String()+"\n"+notes+"\n") ||
-				!strings.HasPrefix(notes, "spectrum mode 0: 20 of 20 eigenpairs, largest residual 0 of ‖L‖₁") {
-				t.Errorf("Summary does not follow the blocking line with the spectrum lines %q:\n%s", notes, c.Summary())
+			// Then set-up's Laplacians, one line per mode with a similarity.
+			notes := strings.Join(res.GraphNotes, "\n")
+			if len(res.GraphNotes) != 3 || !strings.HasPrefix(c.Summary(), res.Blocking.String()+"\n"+notes+"\n") ||
+				!strings.HasPrefix(notes, "graph mode 0: 20 nodes, 19 edges, max degree 2\n") {
+				t.Errorf("Summary does not follow the blocking line with the graph lines %q:\n%s", notes, c.Summary())
 			}
 
 			// Driver algebra is timed once per iteration.

@@ -4,7 +4,8 @@
 //
 // Both run one kernel and one driver update — Jacobi-style mode updates
 // within an iteration, the residual-tensor identity of Eq. (16) with E never
-// stored, the spectral trace-regularization update of Eq. (7) — so the serial
+// stored, one damped-Jacobi step of the trace-regularized B-update on the
+// sparse Laplacian (graph.Laplacian.BStep) — so the serial
 // solver equals the distributed one at one partition bit for bit, and the
 // tests hold both to the Residual + MTTKRP reference of internal/sptensor.
 package core
@@ -46,8 +47,11 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the outer iterations (default 50).
 	MaxIter int
-	// TruncK truncates each mode's Laplacian eigendecomposition to K
-	// components; 0 decomposes exactly (the paper's K, §III-B).
+	// TruncK is ignored. It was the paper's truncation K of each mode's
+	// Laplacian eigendecomposition (§III-B); the B-update now takes one
+	// damped-Jacobi step on the sparse Laplacian and decomposes nothing
+	// (DESIGN.md §2). It stays because benchmark/ sets it, and leaves with
+	// ROADMAP item 2.
 	TruncK int
 	// NonNegative projects the auxiliary variables B(n) onto the
 	// non-negative orthant each iteration, honoring the A(n)=B(n) ≥ 0
@@ -139,10 +143,10 @@ type Result struct {
 	// Blocking is how the distributed solver cut the tensor into blocks and
 	// what that ships per iteration (Shape is nil for the serial solver).
 	Blocking Blocking
-	// SpectrumNotes says, one line per mode with a similarity, how many
-	// eigenpairs set-up kept and how far the worst of them is from an
-	// eigenpair (graph.Spectral.Residual).
-	SpectrumNotes []string
+	// GraphNotes says, one line per mode with a similarity, the size of its
+	// Laplacian and its largest degree, which sets how strongly the B-step
+	// damps that mode (graph.Laplacian.BStep).
+	GraphNotes []string
 }
 
 // ErrDimensionMismatch is returned when sims do not match the tensor modes.
@@ -205,41 +209,28 @@ func initFactors(dims []int, rank int, seed uint64) []*mat.Dense {
 	return out
 }
 
-// spectra precomputes the per-mode spectral machinery (nil when a mode has
-// no similarity). With TruncK = 0 each Laplacian is decomposed exactly.
-func spectra(sims []*graph.Similarity, truncK int, seed uint64) ([]*graph.Spectral, error) {
+// laplacians builds each mode's sparse Laplacian once, before the loop (nil
+// when a mode has no similarity or an empty one).
+func laplacians(sims []*graph.Similarity) []*graph.Laplacian {
 	if sims == nil {
-		return nil, nil
+		return nil
 	}
-	rng := rand.New(rand.NewPCG(seed, 0x5bec7))
-	out := make([]*graph.Spectral, len(sims))
+	out := make([]*graph.Laplacian, len(sims))
 	for n, s := range sims {
-		if s == nil || s.NumEdges() == 0 {
-			continue
+		if s != nil && s.NumEdges() > 0 {
+			out[n] = graph.NewLaplacian(s)
 		}
-		l := graph.NewLaplacian(s)
-		var sp *graph.Spectral
-		var err error
-		if truncK > 0 && truncK < s.N {
-			sp, err = graph.TruncatedSpectral(l, truncK, rng)
-		} else {
-			sp, err = graph.ExactSpectral(l)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: eigendecomposing mode %d Laplacian: %w", n, err)
-		}
-		out[n] = sp
 	}
-	return out, nil
+	return out
 }
 
-// spectrumNotes renders the SpectrumNotes lines of sp.
-func spectrumNotes(sp []*graph.Spectral) []string {
+// graphNotes renders the GraphNotes lines of lap.
+func graphNotes(lap []*graph.Laplacian) []string {
 	var out []string
-	for n, s := range sp {
-		if s != nil {
-			out = append(out, fmt.Sprintf("spectrum mode %d: %d of %d eigenpairs, largest residual %.2g of ‖L‖₁",
-				n, s.Rank(), s.Dim(), s.Residual()))
+	for n, l := range lap {
+		if l != nil {
+			out = append(out, fmt.Sprintf("graph mode %d: %d nodes, %d edges, max degree %.4g",
+				n, l.Dim(), l.NumEdges(), l.MaxDegree()))
 		}
 	}
 	return out

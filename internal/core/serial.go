@@ -14,7 +14,7 @@ import (
 // single machine. It is DisTenC at P = 1 without the engine: the whole tensor
 // is one mode-major block of the fused residual + MTTKRP kernel (§III-C/D —
 // E is never stored), and the driver update is the one CompleteDistributed
-// runs (spectral B update, Eq. 7; Gram products, Eq. 12; the Eq. 16 factor
+// runs (the damped-Jacobi B-step; Gram products, Eq. 12; the Eq. 16 factor
 // update). Factors and Aux equal CompleteDistributed's at Partitions: 1 bit
 // for bit; Trace[i].TrainRMSE is the post-update value, one iteration ahead
 // of the distributed trace.
@@ -49,11 +49,7 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	if err := validateOptions(t, opt); err != nil {
 		return nil, err
 	}
-	sp, err := spectra(sims, opt.TruncK, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	st := newSolverState(t, sp, opt)
+	st := newSolverState(t, laplacians(sims), opt)
 	if ck != nil {
 		st.restore(ck)
 	}
@@ -128,10 +124,10 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 type solverState struct {
 	t       *sptensor.Tensor
 	opt     Options
-	sp      []*graph.Spectral
-	factors []*mat.Dense // A(n)
-	aux     []*mat.Dense // B(n)
-	mult    []*mat.Dense // Y(n)
+	lap     []*graph.Laplacian // nil entries: modes without a similarity
+	factors []*mat.Dense       // A(n)
+	aux     []*mat.Dense       // B(n)
+	mult    []*mat.Dense       // Y(n)
 	eta     float64
 	iter    int
 
@@ -139,16 +135,16 @@ type solverState struct {
 	converged bool
 	trace     metrics.Trace
 	phases    metrics.PhaseBreakdown
-	// work[n] is mode n's I_n×R update workspace (ηA−Y, then the Eq. 16
-	// right-hand side): an iteration allocates only what it publishes.
+	// work[n] is mode n's I_n×R workspace for the Eq. 16 right-hand side: an
+	// iteration allocates only what it publishes.
 	work []*mat.Dense
 }
 
-func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solverState {
+func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *solverState {
 	st := &solverState{
 		t:       t,
 		opt:     opt,
-		sp:      sp,
+		lap:     lap,
 		factors: initFactors(t.Dims, opt.Rank, opt.Seed),
 		eta:     opt.Eta0,
 	}
@@ -157,7 +153,9 @@ func newSolverState(t *sptensor.Tensor, sp []*graph.Spectral, opt Options) *solv
 	st.mult = make([]*mat.Dense, t.Order())
 	st.work = make([]*mat.Dense, t.Order())
 	for n, d := range t.Dims {
-		st.aux[n] = mat.NewDense(d, opt.Rank)
+		// B₀ = A₀: the B-step starts from the consensus point. From B₀ = 0 it
+		// would drag A toward zero when α·d_i outweighs η.
+		st.aux[n] = st.factors[n].Clone()
 		st.mult[n] = mat.NewDense(d, opt.Rank)
 		st.work[n] = mat.NewDense(d, opt.Rank)
 	}
@@ -180,12 +178,9 @@ func (st *solverState) iterateWith(grams, hs []*mat.Dense) (next, bs []*mat.Dens
 	bs = make([]*mat.Dense, order)
 	for n := 0; n < order; n++ {
 		eta, c := st.eta, st.opt.Lambda+st.eta
+		bs[n] = st.updateAux(n)
 		a := st.factors[n].Data()
 		y, w := st.mult[n].Data()[:len(a)], st.work[n].Data()[:len(a)]
-		for i, av := range a {
-			w[i] = eta*av - y[i]
-		}
-		bs[n] = st.updateAux(n, st.work[n])
 		// F_n + (λ+η)I via the Hadamard-of-Grams identity (Eq. 12).
 		lhs := sptensor.GramProduct(grams, n)
 		for i := 0; i < lhs.Rows(); i++ {
@@ -207,26 +202,25 @@ func (st *solverState) iterateWith(grams, hs []*mat.Dense) (next, bs []*mat.Dens
 	return next, bs
 }
 
-// updateAux computes B(n) ← (ηI + αL_n)⁻¹·x for x = ηA(n) − Y(n) via the
-// spectral machinery; without auxiliary information L = 0 and the update
-// reduces to x/η.
-func (st *solverState) updateAux(n int, x *mat.Dense) *mat.Dense {
-	var b *mat.Dense
-	if st.sp == nil || st.sp[n] == nil {
-		b = mat.NewDense(x.Dims())
-		bd, inv := b.Data(), 1/st.eta
-		for i, v := range x.Data() {
-			bd[i] = v * inv
-		}
-	} else {
-		b = st.sp[n].InverseApply(st.opt.AlphaFor(n), st.eta, x)
+// updateAux computes B(n) from x = ηA(n) − Y(n) in one pass over the rows of
+// A, Y and the previous B: one damped-Jacobi step towards (ηI + αL_n)⁻¹·x
+// (graph.Laplacian.BStep) on a mode with a similarity, x/η exactly on a mode
+// without one, projected onto B ≥ 0 under NonNegative.
+func (st *solverState) updateAux(n int) *mat.Dense {
+	b := mat.NewDense(st.factors[n].Dims())
+	bd, a, y := b.Data(), st.factors[n].Data(), st.mult[n].Data()
+	if st.lap != nil && st.lap[n] != nil {
+		st.lap[n].BStep(bd, st.aux[n].Data(), a, y, st.opt.Rank, st.eta, st.opt.AlphaFor(n), st.opt.NonNegative)
+		return b
 	}
-	if st.opt.NonNegative {
-		data := b.Data()
-		for i, v := range data {
-			if v < 0 {
-				data[i] = 0
-			}
+	eta, inv := st.eta, 1/st.eta
+	y = y[:len(a)]
+	bd = bd[:len(a)]
+	for i, av := range a {
+		v := eta*av - y[i]
+		bd[i] = v * inv
+		if st.opt.NonNegative && bd[i] < 0 {
+			bd[i] = 0
 		}
 	}
 	return b
@@ -308,13 +302,13 @@ func trainRMSE(residNorm2 float64, nnz int) float64 {
 
 func (st *solverState) result(start time.Time) *Result {
 	return &Result{
-		Model:         sptensor.NewKruskal(st.factors...),
-		Aux:           st.aux,
-		Iters:         st.iter,
-		Converged:     st.converged,
-		Trace:         st.trace,
-		Phases:        st.phases,
-		Elapsed:       time.Since(start),
-		SpectrumNotes: spectrumNotes(st.sp),
+		Model:      sptensor.NewKruskal(st.factors...),
+		Aux:        st.aux,
+		Iters:      st.iter,
+		Converged:  st.converged,
+		Trace:      st.trace,
+		Phases:     st.phases,
+		Elapsed:    time.Since(start),
+		GraphNotes: graphNotes(st.lap),
 	}
 }

@@ -1,8 +1,9 @@
 // Package graph models the auxiliary similarity information of the paper:
-// per-mode similarity matrices S_n, their graph Laplacians L_n = D_n − S_n,
-// and the pre-computed spectral machinery (§III-B) that turns the expensive
-// per-iteration inverse (ηI + αL)⁻¹ into a diagonal rescale in the
-// eigenbasis.
+// per-mode similarity matrices S_n, their graph Laplacians L_n = D_n − S_n
+// in compressed sparse row form, and the B-update the solver takes on them
+// every iteration (Laplacian.BStep). The spectral machinery of §III-B, which
+// turns (ηI + αL)⁻¹ into a rescale in the eigenbasis, stays for the ablations
+// and the benchmark probes; the solver no longer runs it.
 package graph
 
 import (
@@ -84,50 +85,127 @@ func BlockOf(i, n, nBlocks int) int {
 	return b
 }
 
-// Laplacian is L = D − S as a sparse symmetric operator. It implements
-// mat.MatVec, so applying it costs O(nnz(S)).
+// Laplacian is L = D − S as a sparse symmetric operator in compressed sparse
+// row form, built once by NewLaplacian: row i's neighbours are
+// col[off[i]:off[i+1]] with weights w[off[i]:off[i+1]], in the order AddEdge
+// inserted them. It implements mat.MatVec, so applying it costs O(nnz(S)).
 type Laplacian struct {
-	sim *Similarity
+	off []int
+	col []int32
+	w   []float64
 	deg []float64
 }
 
-// NewLaplacian builds the graph Laplacian of s.
+// NewLaplacian builds the graph Laplacian of s. Later edges added to s are
+// not seen by it.
 func NewLaplacian(s *Similarity) *Laplacian {
-	return &Laplacian{sim: s, deg: s.Degrees()}
+	nnz := 0
+	for _, es := range s.Adj {
+		nnz += len(es)
+	}
+	l := &Laplacian{
+		off: make([]int, s.N+1),
+		col: make([]int32, 0, nnz),
+		w:   make([]float64, 0, nnz),
+		deg: s.Degrees(),
+	}
+	for i, es := range s.Adj {
+		for _, e := range es {
+			l.col = append(l.col, e.To)
+			l.w = append(l.w, e.Weight)
+		}
+		l.off[i+1] = len(l.col)
+	}
+	return l
 }
 
 // Dim implements mat.MatVec.
-func (l *Laplacian) Dim() int { return l.sim.N }
+func (l *Laplacian) Dim() int { return len(l.deg) }
+
+// NumEdges returns the number of undirected edges.
+func (l *Laplacian) NumEdges() int { return len(l.col) / 2 }
+
+// MaxDegree returns max_i d_i; ‖L‖₁ is twice it for non-negative weights.
+func (l *Laplacian) MaxDegree() float64 {
+	var d float64
+	for _, v := range l.deg {
+		d = max(d, v)
+	}
+	return d
+}
 
 // Apply sets dst = L·x.
 func (l *Laplacian) Apply(dst, x []float64) {
-	for i := 0; i < l.sim.N; i++ {
-		v := l.deg[i] * x[i]
-		for _, e := range l.sim.Adj[i] {
-			v -= e.Weight * x[int(e.To)]
+	for i, d := range l.deg {
+		v := d * x[i]
+		for k := l.off[i]; k < l.off[i+1]; k++ {
+			v -= l.w[k] * x[l.col[k]]
 		}
 		dst[i] = v
 	}
 }
 
-// norm1 returns ‖L‖₁ = 2·max_i d_i, the largest absolute column sum of
-// D − S for non-negative weights.
-func (l *Laplacian) norm1() float64 {
-	var d float64
-	for _, v := range l.deg {
-		d = max(d, v)
+// BStep takes one damped-Jacobi step towards the solution of
+// (ηI + αL)·B = ηA − Y, Algorithm 1 line 4, on I×R row-major matrices:
+//
+//	B_i ← Π((ηA_i − Y_i + α·(d_i·P_i + Σ_j S_ij·P_j)) / (η + 2α·d_i))
+//
+// with P the previous iterate and Π the clamp of negatives to zero when
+// nonNeg is set. This is linearized ADMM (Yang & Yuan 2013) with the proximal
+// metric α(D + S) ⪰ 0, the signless Laplacian: it turns the coupled solve into
+// a row-local one, and its fixed point B = P is exactly (ηI + αL)B = ηA − Y.
+// Under a diagonal metric the clamp is the exact projection. A row without
+// neighbours gets (ηA_i − Y_i)/η. dst must not overlap prev, a or y.
+//
+//distenc:hotpath
+func (l *Laplacian) BStep(dst, prev, a, y []float64, rank int, eta, alpha float64, nonNeg bool) {
+	if size := len(l.deg) * rank; len(dst) != size || len(prev) != size || len(a) != size || len(y) != size {
+		panic("graph: BStep on matrices of the wrong shape")
 	}
-	return 2 * d
+	for i, d := range l.deg {
+		out := dst[i*rank:][:rank]
+		p := prev[i*rank:][:len(out)]
+		//bce:begin
+		for r, v := range p {
+			out[r] = d * v
+		}
+		//bce:end
+		cols := l.col[l.off[i]:l.off[i+1]]
+		ws := l.w[l.off[i]:][:len(cols)]
+		for k, j := range cols {
+			pj := prev[int(j)*rank:][:len(out)]
+			s := ws[k]
+			//bce:begin
+			for r, v := range pj {
+				out[r] += s * v
+			}
+			//bce:end
+		}
+		ai, yi := a[i*rank:][:len(out)], y[i*rank:][:len(out)]
+		inv := 1 / (eta + 2*alpha*d)
+		//bce:begin
+		for r, v := range out {
+			out[r] = (eta*ai[r] - yi[r] + alpha*v) * inv
+		}
+		//bce:end
+		if nonNeg {
+			for r, v := range out {
+				if v < 0 {
+					out[r] = 0
+				}
+			}
+		}
+	}
 }
 
 // Dense materializes L (small modes / tests only).
 func (l *Laplacian) Dense() *mat.Dense {
-	n := l.sim.N
+	n := l.Dim()
 	out := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		out.Set(i, i, l.deg[i])
-		for _, e := range l.sim.Adj[i] {
-			out.Add(i, int(e.To), -e.Weight)
+	for i, d := range l.deg {
+		out.Set(i, i, d)
+		for k := l.off[i]; k < l.off[i+1]; k++ {
+			out.Add(i, int(l.col[k]), -l.w[k])
 		}
 	}
 	return out
@@ -137,16 +215,16 @@ func (l *Laplacian) Dense() *mat.Dense {
 // penalty of Eq. (4), computed in O(nnz(S)·R) without materializing L.
 func (l *Laplacian) TraceQuadratic(b *mat.Dense) float64 {
 	var s float64
-	for i := 0; i < l.sim.N; i++ {
+	for i := range l.deg {
 		bi := b.Row(i)
-		for _, e := range l.sim.Adj[i] {
-			bj := b.Row(int(e.To))
+		for k := l.off[i]; k < l.off[i+1]; k++ {
+			bj := b.Row(int(l.col[k]))
 			var d2 float64
 			for r := range bi {
 				d := bi[r] - bj[r]
 				d2 += d * d
 			}
-			s += e.Weight * d2
+			s += l.w[k] * d2
 		}
 	}
 	return s / 2 // each undirected edge visited twice

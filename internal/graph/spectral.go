@@ -7,9 +7,8 @@ import (
 	"distenc/internal/mat"
 )
 
-// Spectral is the pre-computed (once, before the ADMM loop) truncated
-// eigendecomposition L ≈ V Λ Vᵀ of a mode's Laplacian (§III-B). With it the
-// per-iteration update
+// Spectral is a truncated or exact eigendecomposition L ≈ V Λ Vᵀ of a mode's
+// Laplacian, the set-up of paper §III-B. With it the B-update
 //
 //	B ← (ηI + αL)⁻¹ (ηA − Y)                          (Algorithm 1 line 4)
 //
@@ -18,14 +17,16 @@ import (
 //	B ← V (η + αΛ)⁻¹ (Vᵀ (ηA − Y)),
 //
 // a diagonal rescale in the eigenbasis costing O(I·K·R) instead of an O(I³)
-// factorization every time η changes.
+// factorization every time η changes. The solver no longer takes this path: it
+// takes one Laplacian.BStep per iteration instead (DESIGN.md §2). ExactSpectral,
+// InverseApply, InverseApplyLeftToRight and DirectInverseApply serve the
+// ablations A1/A5 in internal/bench; TruncatedSpectral is named only by the
+// benchmark/ probes and leaves with ROADMAP item 2.
 type Spectral struct {
 	Values  []float64 // ascending eigenvalues λ_1..λ_K
 	Vectors *mat.Dense
 	n       int
 	full    bool // K == n: the decomposition is exact
-	// residual is max_j ‖L·v_j − λ_j·v_j‖ / ‖L‖₁ over the kept pairs.
-	residual float64
 }
 
 // ExactSpectral eigendecomposes the Laplacian densely (Jacobi); use for small
@@ -38,10 +39,9 @@ func ExactSpectral(l *Laplacian) (*Spectral, error) {
 	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: l.Dim(), full: true}, nil
 }
 
-// TruncatedSpectral computes the K smallest eigenpairs with Lanczos — the
+// TruncatedSpectral computes the K smallest Ritz pairs with Lanczos — the
 // substitute for the paper's MRRR-based truncated eigensolver. If k ≥ n the
-// result is exact. Lanczos returns Ritz pairs, not eigenpairs; Residual says
-// how far the worst of them is from one.
+// result is exact. Only the benchmark/ probes call it (see Spectral).
 func TruncatedSpectral(l *Laplacian, k int, rng *rand.Rand) (*Spectral, error) {
 	n := l.Dim()
 	if k >= n {
@@ -54,26 +54,8 @@ func TruncatedSpectral(l *Laplacian, k int, rng *rand.Rand) (*Spectral, error) {
 	if err != nil {
 		return nil, err
 	}
-	var worst float64
-	for _, r := range e.Residuals {
-		worst = max(worst, r)
-	}
-	if norm := l.norm1(); norm > 0 {
-		worst /= norm
-	}
-	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: n, full: false, residual: worst}, nil
+	return &Spectral{Values: e.Values, Vectors: e.Vectors, n: n, full: false}, nil
 }
-
-// Rank returns the number of retained eigenpairs K.
-func (s *Spectral) Rank() int { return len(s.Values) }
-
-// Dim returns the mode size I_n.
-func (s *Spectral) Dim() int { return s.n }
-
-// Residual returns the largest ‖L·v_j − λ_j·v_j‖ over the kept pairs relative
-// to ‖L‖₁: 0 for an exact decomposition, and for a truncated one how far the
-// Ritz pairs the B-update treats as eigenpairs are from being eigenpairs.
-func (s *Spectral) Residual() float64 { return s.residual }
 
 // InverseApply returns (ηI + αL)⁻¹·X computed right-to-left per Eq. (7).
 //

@@ -143,14 +143,14 @@ func TestLanczosScaleInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm := l.norm1()
+	norm := 2 * l.MaxDegree() // ‖L‖₁
 	for _, c := range []float64{1e-15, 1e-9, 1e12} {
 		got, err := TruncatedSpectral(NewLaplacian(scaledGraph(s, c)), 10, rand.New(rand.NewPCG(12, 12)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Rank() != want.Rank() {
-			t.Fatalf("c=%g: %d pairs, want %d", c, got.Rank(), want.Rank())
+		if len(got.Values) != len(want.Values) {
+			t.Fatalf("c=%g: %d pairs, want %d", c, len(got.Values), len(want.Values))
 		}
 		for j, lam := range got.Values {
 			if d := math.Abs(lam/c - want.Values[j]); d > 1e-6*norm {
@@ -204,38 +204,27 @@ func TestLanczosConvergedPairsMatchJacobi(t *testing.T) {
 }
 
 // The free residual estimate β_m·|s_{m,j}| agrees with ‖L·y_j − θ_j·y_j‖
-// computed the long way, pair by pair, and Spectral.Residual reports the
-// largest of them relative to ‖L‖₁.
+// computed the long way, pair by pair.
 func TestRitzResidualEstimate(t *testing.T) {
 	l := NewLaplacian(communityGraph(2000, 12, 3, rand.New(rand.NewPCG(15, 15))))
-	norm := l.norm1()
+	norm := 2 * l.MaxDegree() // ‖L‖₁
 	e, err := mat.Lanczos(l, 20, 0, rand.New(rand.NewPCG(16, 16)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var worst float64
 	for j, theta := range e.Values {
 		r := explicitResidual(l, column(e.Vectors, j), theta)
-		worst = math.Max(worst, r)
 		if d := math.Abs(e.Residuals[j] - r); d > 1e-10*norm {
 			t.Errorf("pair %d: estimate %.6g, explicit %.6g", j, e.Residuals[j], r)
 		}
 	}
-	sp, err := TruncatedSpectral(l, 20, rand.New(rand.NewPCG(16, 16)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(sp.Residual() - worst/norm); d > 1e-10 {
-		t.Errorf("Spectral.Residual() = %.6g, explicit largest %.6g", sp.Residual(), worst/norm)
-	}
-	if exact, _ := ExactSpectral(NewLaplacian(TriDiagonal(8))); exact.Residual() != 0 {
-		t.Errorf("exact decomposition reports residual %v", exact.Residual())
-	}
 }
 
-// BenchmarkTruncatedSpectral times the set-up the solver runs once per mode
-// with a similarity at K = 20 (70 Lanczos steps), on community graphs of the
-// shape of the solve-highdim and canary workloads.
+// BenchmarkTruncatedSpectral times the K = 20 decomposition (70 Lanczos
+// steps) the solver's set-up ran once per mode with a similarity until the
+// B-update became Laplacian.BStep, on community graphs of the shape of the
+// solve-highdim and canary workloads. Not gated: the benchmark/ probe
+// graph.truncated_spectral_ms still times this code.
 func BenchmarkTruncatedSpectral(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -3,7 +3,7 @@
 #
 # Runs the MTTKRP stage, fused-kernel, serial-iteration and layout-build
 # benchmarks of internal/core, the predict-kernel benchmark of internal/serve
-# and the truncated-eigensolver benchmark of internal/graph, and diffs them
+# and the B-step benchmark of internal/graph, and diffs them
 # against the recorded baselines in BENCH_mttkrp.json, BENCH_predict.json and
 # BENCH_spectral.json (the kernels' /ref siblings are run and printed, not
 # gated; a row's "before" entry is history, only "after" gates). Fails when
@@ -64,7 +64,7 @@ OUT=$("$BIN" -test.run '^$' \
   -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
   -test.benchmem -test.count "$COUNT"
   "$SERVE_BIN" -test.run '^$' -test.bench 'BenchmarkPredictBatch$' -test.benchmem -test.count "$COUNT"
-  "$GRAPH_BIN" -test.run '^$' -test.bench 'BenchmarkTruncatedSpectral$' -test.benchmem -test.count "$COUNT")
+  "$GRAPH_BIN" -test.run '^$' -test.bench 'BenchmarkLaplacianBStep$' -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # check_bce.sh — keeps the annotated inner loops free of bounds checks.
 #
-# The dense-algebra, Lanczos, shuffle-codec, sparse-kernel and predict-kernel
-# hot loops (mat.MulInto/MulAddInto via axpyRows, mat.MulATB, the
-# Gram–Schmidt dot sweep mat.dotRows, rdd.AppendF64Vals,
+# The dense-algebra, Lanczos, shuffle-codec, sparse-kernel, B-step and
+# predict-kernel hot loops (mat.MulInto/MulAddInto via axpyRows, mat.MulATB,
+# the Gram–Schmidt dot sweep mat.dotRows, rdd.AppendF64Vals,
 # rdd.DecodeF64Vals, core.fusedBlockMTTKRP, core.PackedRows.addInto,
-# serve.Model.PredictBatch) are written so the compiler can prove every index
+# graph.Laplacian.BStep, serve.Model.PredictBatch) are written so the
+# compiler can prove every index
 # in range. Each such loop is bracketed by
 # `//bce:begin` … `//bce:end` comments; this script compiles the packages with
 # -d=ssa/check_bce, which reports every bounds check the compiler kept, and
@@ -15,9 +16,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS=(./internal/mat ./internal/rdd ./internal/core ./internal/serve)
+PKGS=(./internal/mat ./internal/rdd ./internal/core ./internal/graph ./internal/serve)
 # file:minimum number of annotated loops it must still contain
-EXPECT=(internal/mat/dense.go:3 internal/mat/lanczos.go:1 internal/rdd/wire.go:2 internal/core/mttkrp.go:6 internal/serve/registry.go:2)
+EXPECT=(internal/mat/dense.go:3 internal/mat/lanczos.go:1 internal/rdd/wire.go:2 internal/core/mttkrp.go:6 internal/graph/graph.go:3 internal/serve/registry.go:2)
 
 # The compiler prints its findings on stderr and still exits 0; a non-zero
 # exit is a real build failure and must not read as "no bounds checks".
