@@ -11,7 +11,7 @@ import (
 )
 
 // Phases runs DisTenC once and prints the per-iteration phase breakdown
-// (mttkrp-map, mttkrp-reduce, gram, driver algebra) plus the engine's
+// (mttkrp-map, mttkrp-reduce, driver algebra) plus the engine's
 // per-stage rollups. It is the observability companion to Figures 3–4: the
 // paper's scalability story rests on the MTTKRP stages dominating each
 // iteration, and this is the experiment that shows whether they do.

@@ -191,10 +191,9 @@ func Fig4(w io.Writer, p Profile) map[Method][]float64 {
 			if m == MethodDisTenC && bestOut.Result != nil {
 				tot := bestOut.Result.Phases.Totals()
 				phaseRows = append(phaseRows, fmt.Sprintf(
-					"  M=%d: mttkrp-map %v, mttkrp-reduce %v, gram %v, driver %v (of %v wall)",
+					"  M=%d: mttkrp-map %v, mttkrp-reduce %v, driver %v (of %v wall)",
 					mach, tot.MTTKRPMap.Round(time.Millisecond),
 					tot.MTTKRPReduce.Round(time.Millisecond),
-					tot.Gram.Round(time.Millisecond),
 					tot.Driver.Round(time.Millisecond),
 					tot.Total.Round(time.Millisecond)))
 			}

@@ -55,7 +55,7 @@ type checkpointState struct {
 
 // maybeCheckpoint persists the state entering iteration st.iter+1 when the
 // options ask for a checkpoint at this cadence. Call right after the
-// iteration's advance, when factors/aux/mult/η already hold the next
+// iteration's update, when factors/aux/mult/η already hold the next
 // iteration's inputs.
 func (st *solverState) maybeCheckpoint() error {
 	every := st.opt.CheckpointEvery
@@ -76,13 +76,14 @@ func (st *solverState) maybeCheckpoint() error {
 }
 
 // restore loads a checkpoint into the solver state, replacing the fresh
-// initialization.
+// initialization. The next update computes the restored factors' Grams.
 func (st *solverState) restore(ck *checkpointState) {
 	st.factors = ck.factors
 	st.aux = ck.aux
 	st.mult = ck.mult
 	st.eta = ck.eta
 	st.iter = ck.iter
+	st.gram = nil
 }
 
 // writeCheckpoint atomically replaces dir's checkpoint file.

@@ -105,10 +105,11 @@ func (b *TensorBlock) EntryIndex(e int) []int32 { return b.Idx[e*b.Order : (e+1)
 //     O(T·N·M·I·R) term of Lemma 3), computes the block's residual entries
 //     E = Ω∗(T−[[A]]) and its partial row-wise MTTKRP contributions
 //     (Eq. 11), and reduces them by row key across machines.
-//  3. The driver finishes the small dense algebra: the damped-Jacobi B-step
-//     on each sparse Laplacian, Hadamard-of-Grams F_n (Eq. 12), the Eq. (16)
-//     factor update, and the Y/η bookkeeping — identical math to the serial
-//     reference.
+//  3. The driver finishes the dense algebra in one row-tiled pass per mode
+//     (solverState.update): the damped-Jacobi B-step on each sparse
+//     Laplacian, Hadamard-of-Grams F_n (Eq. 12), the Eq. (16) factor update,
+//     the Y/η bookkeeping and the next iteration's Grams — the serial
+//     solver's code.
 func CompleteDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions) (*Result, error) {
 	return completeDistributed(c, t, sims, opt, nil)
 }
@@ -171,16 +172,8 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 		if err != nil {
 			return nil, err
 		}
-		gramStart := time.Now()
-		grams := make([]*mat.Dense, t.Order())
-		for n, f := range st.factors {
-			grams[n] = mat.Gram(f)
-		}
-		gramDur := time.Since(gramStart)
-		c.RecordDriverSpan("gram", gramStart, gramDur)
 		drvStart := time.Now()
-		next, bs := st.iterateWith(grams, hs)
-		delta := st.advance(next, bs)
+		delta := st.update(hs)
 		drvDur := time.Since(drvStart)
 		if opt.CheckpointEvery > 0 {
 			ckStart := time.Now()
@@ -189,12 +182,11 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 			}
 			c.RecordDriverSpan("checkpoint", ckStart, time.Since(ckStart))
 		}
-		// Driver algebra (B-steps, Eq. 16 solves, Y/η updates)
-		// runs between stages and is invisible to stage accounting.
+		// Driver algebra (B-steps, Eq. 16 solves, Y/η updates and the next
+		// Grams) runs between stages and is invisible to stage accounting.
 		c.RecordDriverSpan("driver-algebra", drvStart, drvDur)
 		ph := metrics.PhaseTimes{
 			Iter:   st.iter,
-			Gram:   gramDur,
 			Driver: drvDur,
 			Total:  time.Since(iterStart),
 		}

@@ -76,13 +76,10 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	start := time.Now()
 	for ; st.iter < opt.MaxIter; st.iter++ {
 		iterStart := time.Now()
-		grams := make([]*mat.Dense, t.Order())
-		for n, f := range st.factors {
-			grams[n] = mat.Gram(f)
-		}
-		gramDur := time.Since(iterStart)
-		next, bs := st.iterateWith(grams, hs)
-		delta := st.advance(next, bs)
+		delta := st.update(hs)
+		driver := time.Since(iterStart)
+		// The checkpoint write is neither kernel nor driver algebra: like the
+		// distributed loop's "checkpoint" span it stays out of both phases.
 		if err := st.maybeCheckpoint(); err != nil {
 			return nil, err
 		}
@@ -92,13 +89,11 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 		t0 := time.Now()
 		residNorm2 := mttkrp()
 		kernel := time.Since(t0)
-		iterDur := time.Since(iterStart)
 		st.phases = append(st.phases, metrics.PhaseTimes{
 			Iter:      st.iter,
 			MTTKRPMap: kernel,
-			Gram:      gramDur,
-			Driver:    iterDur - kernel - gramDur,
-			Total:     iterDur,
+			Driver:    driver,
+			Total:     time.Since(iterStart),
 		})
 		point := metrics.ConvergencePoint{
 			Iter:      st.iter,
@@ -122,22 +117,30 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 // solverState carries the ADMM variables shared by the serial solver and the
 // driver side of DisTenC.
 type solverState struct {
-	t       *sptensor.Tensor
-	opt     Options
-	lap     []*graph.Laplacian // nil entries: modes without a similarity
-	factors []*mat.Dense       // A(n)
-	aux     []*mat.Dense       // B(n)
-	mult    []*mat.Dense       // Y(n)
-	eta     float64
-	iter    int
+	t   *sptensor.Tensor
+	opt Options
+	lap []*graph.Laplacian // nil entries: modes without a similarity
+	// factors are the A(n). A published factor matrix is never written: each
+	// iteration's A is a new matrix, because a speculative map attempt that
+	// lost its race may still be reading the previous one (MTTKRPStage).
+	factors []*mat.Dense
+	aux     []*mat.Dense // B(n)
+	mult    []*mat.Dense // Y(n), updated in place
+	// spare[n] is what mode n's next B-step writes; it swaps with aux[n] once
+	// the mode's pass is done, so the step reads the previous B unchanged.
+	spare []*mat.Dense
+	// gram[n] = A(n)ᵀA(n) at the current factors, nil until the first update
+	// computes it. The pass accumulates the next iteration's into nextGram,
+	// and the two sets swap when it commits: every mode's F_n reads the
+	// iteration-t Grams of all the others.
+	gram, nextGram []*mat.Dense
+	eta            float64
+	iter           int
 
 	consensus float64
 	converged bool
 	trace     metrics.Trace
 	phases    metrics.PhaseBreakdown
-	// work[n] is mode n's I_n×R workspace for the Eq. 16 right-hand side: an
-	// iteration allocates only what it publishes.
-	work []*mat.Dense
 }
 
 func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *solverState {
@@ -151,39 +154,68 @@ func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *so
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
 	st.mult = make([]*mat.Dense, t.Order())
-	st.work = make([]*mat.Dense, t.Order())
+	st.spare = make([]*mat.Dense, t.Order())
+	st.nextGram = make([]*mat.Dense, t.Order())
 	for n, d := range t.Dims {
 		// B₀ = A₀: the B-step starts from the consensus point. From B₀ = 0 it
 		// would drag A toward zero when α·d_i outweighs η.
 		st.aux[n] = st.factors[n].Clone()
 		st.mult[n] = mat.NewDense(d, opt.Rank)
-		st.work[n] = mat.NewDense(d, opt.Rank)
+		st.spare[n] = mat.NewDense(d, opt.Rank)
+		st.nextGram[n] = mat.NewDense(opt.Rank, opt.Rank)
 	}
 	return st
 }
 
-// iterateWith performs one Jacobi-style outer iteration: every mode's B and
-// A updates are computed from the iteration-t variables (as Algorithm 3
-// lines 7–12 do, with F and H cached per mode), returning the new factors
-// and aux variables without committing them. grams are the per-mode
-// self-products A(n)ᵀA(n); hs are the kernel's H_n = E_(n)·U(n) and are only
-// read.
+// driverTileFloats bounds one I×R operand's share of a driver-pass tile at
+// 4 KB: a tile's rows of A, Y, H, both Bs and the new A then fit a 32 KB L1d
+// together from the B-step through the Gram.
+const driverTileFloats = 512
+
+// driverTileRows is the pass's tile height at rank r. It is a multiple of
+// four, so only the last tile leaves single rows to the Gram's four-row
+// folds.
+func driverTileRows(r int) int { return max(4, driverTileFloats/r&^3) }
+
+// update performs one Jacobi-style outer iteration, Algorithm 3 lines 7–14,
+// and returns the convergence value max_n ‖A_{t+1}−A_t‖²_F. hs are the
+// kernel's H_n = E_(n)·U(n) at the current factors and are only read. The
+// residual E = Ω∗(T − [[A_{t+1}]]) is the next kernel call's, never stored
+// (§III-D; see DESIGN.md on the Algorithm 3 line-13 typo).
 //
-// The factor update is Algorithm 3 line 11, A ← (A·F + E_(n)·U(n) + ηB + Y)
-// (F + cI)⁻¹ with c = λ+η, in its one-multiply form: F(F+cI)⁻¹ = I − c(F+cI)⁻¹
-// turns it into A ← A + (E_(n)·U(n) + ηB + Y − cA)(F + cI)⁻¹ (DESIGN.md §5).
-func (st *solverState) iterateWith(grams, hs []*mat.Dense) (next, bs []*mat.Dense) {
-	order := st.t.Order()
-	next = make([]*mat.Dense, order)
-	bs = make([]*mat.Dense, order)
-	for n := 0; n < order; n++ {
-		eta, c := st.eta, st.opt.Lambda+st.eta
-		bs[n] = st.updateAux(n)
-		a := st.factors[n].Data()
-		y, w := st.mult[n].Data()[:len(a)], st.work[n].Data()[:len(a)]
+// Every mode's F_n comes from the iteration-t Grams (Eq. 12). Given the R×R
+// (F_n + cI)⁻¹, c = λ+η, every other step is row-local, so a mode is one pass
+// over its rows in tiles of driverTileRows. Per tile:
+//   - the B-step on the tile's rows, from the previous B (auxRows);
+//   - per row, w = H + ηB + Y − cA and the new row A + w(F + cI)⁻¹, the
+//     one-multiply form of Algorithm 3 line 11, A ← (A·F + H + ηB + Y)
+//     (F + cI)⁻¹ (DESIGN.md §5);
+//   - per row, ‖ΔA‖² and ‖B − A‖² accumulated, and Y ← Y + η(B − A) in place
+//     (line 12);
+//   - the tile's new rows added into the next iteration's Gram.
+//
+// Row products do not change under tiling, and both sums and the Gram's
+// row folds (mat.GramAddUpper) run through the tiles in ascending order. So
+// the pass computes what separate whole-matrix sweeps compute, bit for bit. It also records the consensus gap max_n ‖A(n)−B(n)‖_F
+// for the Algorithm 1 stopping criterion, and grows η (line 14).
+func (st *solverState) update(hs []*mat.Dense) float64 {
+	rank := st.opt.Rank
+	eta, c := st.eta, st.opt.Lambda+st.eta
+	tile := driverTileRows(rank)
+	w := make([]float64, rank) // one row of H + ηB + Y − cA
+	if st.gram == nil {
+		// The first update: every later one carries the Grams over from the
+		// pass before it.
+		st.gram = make([]*mat.Dense, len(st.factors))
+		for n, f := range st.factors {
+			st.gram[n] = mat.Gram(f)
+		}
+	}
+	var maxDelta, consensus float64
+	for n, cur := range st.factors {
 		// F_n + (λ+η)I via the Hadamard-of-Grams identity (Eq. 12).
-		lhs := sptensor.GramProduct(grams, n)
-		for i := 0; i < lhs.Rows(); i++ {
+		lhs := sptensor.GramProduct(st.gram, n)
+		for i := 0; i < rank; i++ {
 			lhs.Add(i, i, c)
 		}
 		inv, err := mat.InverseSPD(lhs)
@@ -192,68 +224,74 @@ func (st *solverState) iterateWith(grams, hs []*mat.Dense) (next, bs []*mat.Dens
 			// factors carry non-finite values and iteration must stop.
 			panic("core: normal-equation matrix not SPD: " + err.Error())
 		}
-		h, b := hs[n].Data()[:len(a)], bs[n].Data()[:len(a)]
-		for i, av := range a {
-			w[i] = h[i] + eta*b[i] + y[i] - c*av
-		}
-		next[n] = mat.NewDense(st.factors[n].Dims())
-		mat.MulAddInto(next[n], 1, st.factors[n], st.work[n], inv)
-	}
-	return next, bs
-}
-
-// updateAux computes B(n) from x = ηA(n) − Y(n) in one pass over the rows of
-// A, Y and the previous B: one damped-Jacobi step towards (ηI + αL_n)⁻¹·x
-// (graph.Laplacian.BStep) on a mode with a similarity, x/η exactly on a mode
-// without one, projected onto B ≥ 0 under NonNegative.
-func (st *solverState) updateAux(n int) *mat.Dense {
-	b := mat.NewDense(st.factors[n].Dims())
-	bd, a, y := b.Data(), st.factors[n].Data(), st.mult[n].Data()
-	if st.lap != nil && st.lap[n] != nil {
-		st.lap[n].BStep(bd, st.aux[n].Data(), a, y, st.opt.Rank, st.eta, st.opt.AlphaFor(n), st.opt.NonNegative)
-		return b
-	}
-	eta, inv := st.eta, 1/st.eta
-	y = y[:len(a)]
-	bd = bd[:len(a)]
-	for i, av := range a {
-		v := eta*av - y[i]
-		bd[i] = v * inv
-		if st.opt.NonNegative && bd[i] < 0 {
-			bd[i] = 0
-		}
-	}
-	return b
-}
-
-// advance commits the iteration — the Y and η updates of Algorithm 3 lines
-// 12/14 — and returns the convergence value max_n ‖A_{t+1}−A_t‖²_F. The
-// residual E = Ω∗(T − [[A_{t+1}]]) is the next kernel call's, never stored
-// (§III-D; see DESIGN.md on the Algorithm 3 line-13 typo). It also records
-// the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1 stopping
-// criterion. One pass per mode reads next/A/B and updates Y in place.
-func (st *solverState) advance(next, bs []*mat.Dense) float64 {
-	var maxDelta, consensus float64
-	for n := range st.factors {
-		nx := next[n].Data()
-		a, b, y := st.factors[n].Data()[:len(nx)], bs[n].Data()[:len(nx)], st.mult[n].Data()[:len(nx)]
+		next := mat.NewDense(cur.Dims())
+		a := cur.Data()
+		nx, b := next.Data()[:len(a)], st.spare[n].Data()[:len(a)]
+		y, h := st.mult[n].Data()[:len(a)], hs[n].Data()[:len(a)]
+		g := st.nextGram[n].Data()
+		clear(g)
 		var delta2, gap2 float64
-		for i, nv := range nx {
-			d := nv - a[i]
-			delta2 += d * d
-			gap := b[i] - nv
-			gap2 += gap * gap
-			// Y(n) ← Y(n) + η(B(n) − A(n)).
-			y[i] += st.eta * gap
+		for lo := 0; lo < cur.Rows(); lo += tile {
+			hi := min(lo+tile, cur.Rows())
+			st.auxRows(n, lo, hi)
+			for i := lo * rank; i < hi*rank; i += rank {
+				ai := a[i : i+rank]
+				hr, br, yr := h[i:][:len(ai)], b[i:][:len(ai)], y[i:][:len(ai)]
+				nr, wr := nx[i:][:len(ai)], w[:len(ai)]
+				//bce:begin
+				for r, av := range ai {
+					wr[r] = hr[r] + eta*br[r] + yr[r] - c*av
+				}
+				//bce:end
+				copy(nr, ai)
+				mat.AxpyRows(nr, wr, inv.Data())
+				//bce:begin
+				for r, nv := range nr {
+					d := nv - ai[r]
+					delta2 += d * d
+					gap := br[r] - nv
+					gap2 += gap * gap
+					yr[r] += eta * gap
+				}
+				//bce:end
+			}
+			mat.GramAddUpper(g, nx[lo*rank:hi*rank], rank)
 		}
+		mat.MirrorUpper(g, rank)
 		maxDelta = math.Max(maxDelta, delta2)
 		consensus = math.Max(consensus, math.Sqrt(gap2))
-		st.factors[n] = next[n]
-		st.aux[n] = bs[n]
+		st.factors[n] = next
+		st.aux[n], st.spare[n] = st.spare[n], st.aux[n]
 	}
+	st.gram, st.nextGram = st.nextGram, st.gram
 	st.eta = math.Min(st.opt.Rho*st.eta, st.opt.EtaMax)
 	st.consensus = consensus
 	return maxDelta
+}
+
+// auxRows writes rows [lo, hi) of mode n's next B into spare[n] from
+// x = ηA(n) − Y(n) and the previous B: one damped-Jacobi step towards
+// (ηI + αL_n)⁻¹·x (graph.Laplacian.BStep) on a mode with a similarity, x/η
+// exactly on a mode without one, projected onto B ≥ 0 under NonNegative.
+func (st *solverState) auxRows(n, lo, hi int) {
+	rank, eta := st.opt.Rank, st.eta
+	b, a, y := st.spare[n].Data(), st.factors[n].Data(), st.mult[n].Data()
+	if st.lap != nil && st.lap[n] != nil {
+		st.lap[n].BStep(b, st.aux[n].Data(), a, y, lo, hi, rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
+		return
+	}
+	inv, nonNeg := 1/eta, st.opt.NonNegative
+	bt := b[lo*rank : hi*rank]
+	at, yt := a[lo*rank:][:len(bt)], y[lo*rank:][:len(bt)]
+	//bce:begin
+	for i, av := range at {
+		v := (eta*av - yt[i]) * inv
+		if nonNeg && v < 0 {
+			v = 0
+		}
+		bt[i] = v
+	}
+	//bce:end
 }
 
 // stop reports whether either stopping criterion fired for delta.

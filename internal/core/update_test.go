@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"distenc/internal/graph"
@@ -19,7 +20,7 @@ import (
 // multiplied into the previous B by mat.Mul instead of walking the CSR rows;
 // H = A·F + E_(n)U, (H + ηB + Y)(F + cI)⁻¹ with two I×R×R products, and
 // SubMat/NormF for the convergence values. It reads st and the supplied hs
-// and returns what iterateWith + advance must reproduce, without touching st.
+// and returns what update must reproduce, without touching st.
 func referenceIterate(st *solverState, grams, hs []*mat.Dense) (next, bs, mult []*mat.Dense, maxDelta, consensus float64) {
 	order := st.t.Order()
 	next, bs, mult = make([]*mat.Dense, order), make([]*mat.Dense, order), make([]*mat.Dense, order)
@@ -70,6 +71,76 @@ func referenceIterate(st *solverState, grams, hs []*mat.Dense) (next, bs, mult [
 	return next, bs, mult, maxDelta, consensus
 }
 
+// sweepUpdate is the driver update as separate whole-matrix sweeps, the
+// composition the one-pass update replaced and is held to bit for bit: the
+// Grams by mat.MulATB; per mode the whole B-step into a new matrix; the
+// right-hand side H + ηB + Y − cA into an I×R workspace; A + W(F + cI)⁻¹ by
+// mat.MulAddInto into a new matrix; then, once every mode is done, one pass
+// per mode for ‖ΔA‖², ‖B − A‖² and Y. It commits into st exactly as update
+// does, apart from B living in new matrices instead of the ping-pong pair,
+// and leaves st.gram alone.
+func sweepUpdate(st *solverState, hs []*mat.Dense) float64 {
+	order := st.t.Order()
+	grams := make([]*mat.Dense, order)
+	for n, f := range st.factors {
+		grams[n] = mat.MulATB(f, f)
+	}
+	next, bs := make([]*mat.Dense, order), make([]*mat.Dense, order)
+	for n := 0; n < order; n++ {
+		eta, c := st.eta, st.opt.Lambda+st.eta
+		a := st.factors[n].Data()
+		b := mat.NewDense(st.factors[n].Dims())
+		bd, y := b.Data(), st.mult[n].Data()
+		if st.lap != nil && st.lap[n] != nil {
+			st.lap[n].BStep(bd, st.aux[n].Data(), a, y, 0, st.factors[n].Rows(), st.opt.Rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
+		} else {
+			for i, av := range a {
+				v := eta*av - y[i]
+				bd[i] = v * (1 / eta)
+				if st.opt.NonNegative && bd[i] < 0 {
+					bd[i] = 0
+				}
+			}
+		}
+		bs[n] = b
+		lhs := sptensor.GramProduct(grams, n)
+		for i := 0; i < lhs.Rows(); i++ {
+			lhs.Add(i, i, c)
+		}
+		inv, err := mat.InverseSPD(lhs)
+		if err != nil {
+			panic(err)
+		}
+		work := mat.NewDense(st.factors[n].Dims())
+		w, h := work.Data(), hs[n].Data()
+		for i, av := range a {
+			w[i] = h[i] + eta*bd[i] + y[i] - c*av
+		}
+		next[n] = mat.NewDense(st.factors[n].Dims())
+		mat.MulAddInto(next[n], 1, st.factors[n], work, inv)
+	}
+	var maxDelta, consensus float64
+	for n := range st.factors {
+		nx := next[n].Data()
+		a, b, y := st.factors[n].Data(), bs[n].Data(), st.mult[n].Data()
+		var delta2, gap2 float64
+		for i, nv := range nx {
+			d := nv - a[i]
+			delta2 += d * d
+			gap := b[i] - nv
+			gap2 += gap * gap
+			y[i] += st.eta * gap
+		}
+		maxDelta = math.Max(maxDelta, delta2)
+		consensus = math.Max(consensus, math.Sqrt(gap2))
+		st.factors[n] = next[n]
+		st.aux[n] = bs[n]
+	}
+	st.eta = math.Min(st.opt.Rho*st.eta, st.opt.EtaMax)
+	st.consensus = consensus
+	return maxDelta
+}
+
 // matsClose requires ‖got−want‖_max ≤ tol·max(1, ‖want‖_max) per matrix.
 func matsClose(t *testing.T, what string, got, want []*mat.Dense, tol float64) {
 	t.Helper()
@@ -94,8 +165,8 @@ func ringSimilarity(n int) *graph.Similarity {
 }
 
 // TestFusedUpdateMatchesReferenceComposition is the differential test for
-// the one-multiply, workspace-based driver update: over several iterations
-// of order-3 and order-4 problems — without similarities, with them, and with
+// the one-multiply, one-pass driver update: over several iterations of
+// order-3 and order-4 problems — without similarities, with them, and with
 // them under a TruncK the solver must ignore, NonNegative on and off — every
 // quantity the update publishes (next A, B, the updated Y, both convergence
 // values) must agree with the reference composition to 1e-12 relative.
@@ -122,14 +193,13 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 					for iter := 0; iter < 4; iter++ {
 						grams := make([]*mat.Dense, ts.Order())
 						for n, f := range st.factors {
-							grams[n] = mat.Gram(f)
+							grams[n] = mat.MulATB(f, f)
 						}
 						hs, _ := naiveStageMTTKRP(ts, st.factors)
 						wantNext, wantBs, wantMult, wantDelta, wantCons := referenceIterate(st, grams, hs)
-						next, bs := st.iterateWith(grams, hs)
-						delta := st.advance(next, bs)
-						matsClose(t, "next", next, wantNext, tol)
-						matsClose(t, "bs", bs, wantBs, tol)
+						delta := st.update(hs)
+						matsClose(t, "next", st.factors, wantNext, tol)
+						matsClose(t, "bs", st.aux, wantBs, tol)
 						matsClose(t, "mult", st.mult, wantMult, tol)
 						if !relClose(delta, wantDelta, 1e-10) || !relClose(st.consensus, wantCons, 1e-10) {
 							t.Fatalf("iter %d: delta %g (want %g), consensus %g (want %g)", iter, delta, wantDelta, st.consensus, wantCons)
@@ -141,12 +211,61 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 	}
 }
 
+// TestFusedUpdateMatchesSweepsBits holds the one-pass update to the separate
+// sweeps it replaced (sweepUpdate), Float64bits-equal in A, B, Y, both
+// convergence values and the Grams it carries into the next iteration, over
+// four iterations: order 3 and 4, with and without similarities, NonNegative
+// on and off, and on mode lengths that straddle the tile — below one tile,
+// one tile + 1, every I mod 4 in {1, 2, 3}, and a length-1 mode.
+func TestFusedUpdateMatchesSweepsBits(t *testing.T) {
+	const rank = 5
+	tile := driverTileRows(rank)
+	for _, dims := range [][]int{{23, 17, 9}, {12, 10, 9, 7}, {tile + 1, tile - 2, 1}, {2*tile + 3, tile + 2, 5, 1}} {
+		for _, withSims := range []bool{false, true} {
+			for _, nonNeg := range []bool{false, true} {
+				t.Run(fmt.Sprintf("dims=%v/sims=%v/nonneg=%v", dims, withSims, nonNeg), func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(37, uint64(len(dims))))
+					ts := randomTensor(dims, 40*(dims[0]+dims[1]), rng).Dedupe()
+					var sims []*graph.Similarity
+					if withSims {
+						sims = make([]*graph.Similarity, len(dims))
+						sims[0], sims[1] = ringSimilarity(dims[0]), ringSimilarity(dims[1])
+					}
+					opt := Options{Rank: rank, Seed: 4, NonNegative: nonNeg}.withDefaults()
+					st := newSolverState(ts, laplacians(sims), opt)
+					ref := newSolverState(ts, laplacians(sims), opt)
+					for iter := 0; iter < 4; iter++ {
+						hs, _ := naiveStageMTTKRP(ts, st.factors)
+						delta, wantDelta := st.update(hs), sweepUpdate(ref, hs)
+						what := fmt.Sprintf("iter %d", iter)
+						assertBitIdentical(t, what+" A", ref.factors, st.factors)
+						assertBitIdentical(t, what+" B", ref.aux, st.aux)
+						assertBitIdentical(t, what+" Y", ref.mult, st.mult)
+						wantGrams := make([]*mat.Dense, len(ref.factors))
+						for n, f := range ref.factors {
+							wantGrams[n] = mat.MulATB(f, f)
+						}
+						assertBitIdentical(t, what+" Gram", wantGrams, st.gram)
+						if math.Float64bits(delta) != math.Float64bits(wantDelta) || math.Float64bits(st.consensus) != math.Float64bits(ref.consensus) {
+							t.Fatalf("%s: delta %v (sweeps %v), consensus %v (sweeps %v)", what, delta, wantDelta, st.consensus, ref.consensus)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestDriverUpdateAllocatesOnlyPublishedMatrices is the allocation budget of
-// one driver update (iterateWith + advance): the only I-sized
-// allocations are the next and bs matrices it publishes — the B-step on the
-// sparse Laplacian allocates nothing. The byte budget is those matrices plus
-// a fixed allowance for the R×R pieces (Gram products, Cholesky factor and
-// inverse); the object count must not depend on I at all.
+// one warm driver update: the only I-sized allocations are the next factor
+// matrices it publishes. Those cannot be reused buffers: a speculative map
+// attempt that lost its race may still be reading the previous factors
+// (MTTKRPStage), so a published A is never written again. B ping-pongs
+// between two solver-owned buffers, Y is updated in place, the Grams
+// alternate between two R×R sets, and the B-step allocates nothing. The byte
+// budget is those matrices plus a fixed allowance for the R×R pieces (Gram
+// products, Cholesky factor and inverse); the object count must not depend on
+// I at all.
 func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 	const rank = 8
 	measure := func(dims []int) (objects int, bytes, published uint64) {
@@ -157,16 +276,11 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 		sims[0] = ringSimilarity(dims[0])
 		opt := Options{Rank: rank, Seed: 2}.withDefaults()
 		st := newSolverState(ts, laplacians(sims), opt)
-		grams := make([]*mat.Dense, len(dims))
-		for n, f := range st.factors {
-			grams[n] = mat.Gram(f)
-			published += 2 * uint64(dims[n]) * rank * 8
+		for _, d := range dims {
+			published += uint64(d) * rank * 8
 		}
 		hs, _ := naiveStageMTTKRP(ts, st.factors)
-		step := func() {
-			next, bs := st.iterateWith(grams, hs)
-			st.advance(next, bs)
-		}
+		step := func() { st.update(hs) }
 		objects = int(testing.AllocsPerRun(5, step))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -181,7 +295,7 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 	}
 	// Large allocations round up to whole pages; the remainder is R×R work.
 	if slack := uint64(64 << 10); largeBytes > published+slack {
-		t.Errorf("driver update allocated %d bytes; published next/bs are %d (+%d allowed)", largeBytes, published, slack)
+		t.Errorf("driver update allocated %d bytes; the published next factors are %d (+%d allowed)", largeBytes, published, slack)
 	}
 }
 
@@ -271,7 +385,7 @@ func TestNewSolverStateBuildsNoResidual(t *testing.T) {
 	opt := Options{Rank: 4, Seed: 3, MaxIter: 1, Tol: -1}.withDefaults()
 	dense := uint64(0)
 	for _, d := range dims {
-		dense += 4 * uint64(d*opt.Rank) * 8 // A, B, Y and the update workspace
+		dense += 4 * uint64(d*opt.Rank) * 8 // A, the two B buffers and Y
 	}
 	if tensor := uint64(ts.NNZ()) * 20; tensor < 8*dense {
 		t.Fatalf("tensor is %d B against %d B of dense state: too small to tell a copy of it", tensor, dense)
@@ -332,5 +446,93 @@ func TestSerialFixedPointSolvesBUpdate(t *testing.T) {
 			t.Errorf("mode %d: ‖(ηI + αL)B − (ηA − Y)‖ / ‖ηA − Y‖ = %.3g after %d iterations, want ≤ 1e-6", n, rel, res.Iters)
 		}
 		t.Logf("mode %d: relative B-update residual %.3g after %d iterations", n, rel, res.Iters)
+	}
+}
+
+// communitySimilarity links each of n objects to about deg others of its
+// community, the communities drawn uniformly from blocks: the facebook-sim
+// similarity's shape, built as BenchmarkLaplacianBStep builds its graphs.
+func communitySimilarity(n, blocks, deg int, rng *rand.Rand) *graph.Similarity {
+	members := make([][]int, blocks)
+	for i := 0; i < n; i++ {
+		b := rng.IntN(blocks)
+		members[b] = append(members[b], i)
+	}
+	s := graph.NewSimilarity(n)
+	seen := map[[2]int]bool{}
+	for _, ms := range members {
+		for _, i := range ms {
+			for range deg {
+				j := ms[rng.IntN(len(ms))]
+				key := [2]int{min(i, j), max(i, j)}
+				if i == j || seen[key] {
+					continue
+				}
+				seen[key] = true
+				s.AddEdge(i, j, 1)
+			}
+		}
+	}
+	return s
+}
+
+// BenchmarkDriverUpdate times one driver update at solve-highdim's shape:
+// 25 000 × 25 000 × 5 at R = 16, with 12-community similarities on the two
+// long modes. The state is one update past initialization and is restored
+// before every op, outside the timer, so every op does the same work. The
+// /ref sibling runs the separate sweeps the one-pass update replaced
+// (sweepUpdate, the parent's Gram loop + iterateWith + advance) on the same
+// state: the in-repo before/after.
+func BenchmarkDriverUpdate(b *testing.B) {
+	const rank = 16
+	dims := []int{25_000, 25_000, 5}
+	rng := rand.New(rand.NewPCG(17, 17))
+	sims := []*graph.Similarity{communitySimilarity(dims[0], 12, 3, rng), communitySimilarity(dims[1], 12, 3, rng), nil}
+	opt := Options{Rank: rank, Seed: 2}.withDefaults()
+	// The update reads only the tensor's shape.
+	st := newSolverState(sptensor.New(dims...), laplacians(sims), opt)
+	hs := make([]*mat.Dense, len(dims))
+	for n, d := range dims {
+		hs[n] = mat.NewDense(d, rank)
+		for i := range hs[n].Data() {
+			hs[n].Data()[i] = rng.NormFloat64()
+		}
+	}
+	st.update(hs)
+	factors, aux, spare := slices.Clone(st.factors), slices.Clone(st.aux), slices.Clone(st.spare)
+	gram, nextGram, eta := st.gram, st.nextGram, st.eta
+	mult := make([]*mat.Dense, len(dims))
+	for n, y := range st.mult {
+		mult[n] = y.Clone()
+	}
+	// restore undoes an op: the update writes only spare, nextGram, Y and
+	// the slots of these slices, and never a published factor or the B it
+	// read.
+	restore := func() {
+		copy(st.factors, factors)
+		copy(st.aux, aux)
+		copy(st.spare, spare)
+		st.gram, st.nextGram, st.eta = gram, nextGram, eta
+		for n, y := range st.mult {
+			copy(y.Data(), mult[n].Data())
+		}
+	}
+	for _, k := range []struct {
+		name string
+		op   func()
+	}{
+		{"highdim", func() { st.update(hs) }},
+		{"highdim/ref", func() { sweepUpdate(st, hs) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				restore()
+				b.StartTimer()
+				k.op()
+			}
+		})
 	}
 }

@@ -43,7 +43,7 @@ func TestBStepFixedPoint(t *testing.T) {
 	b, next := a.Clone(), mat.NewDense(n, rank)
 	steps := 0
 	for ; steps < 5000; steps++ {
-		l.BStep(next.Data(), b.Data(), a.Data(), y.Data(), rank, eta, alpha, false)
+		l.BStep(next.Data(), b.Data(), a.Data(), y.Data(), 0, n, rank, eta, alpha, false)
 		b, next = next, b
 		if mat.MaxAbsDiff(b, next) <= 1e-13 {
 			break
@@ -71,7 +71,7 @@ func TestBStepRows(t *testing.T) {
 		return (eta*a[r] - y[r] + alpha*(2*prev[r]+2*prev[2+r])) / (eta + 2*alpha*2)
 	}
 	for _, nonNeg := range []bool{false, true} {
-		l.BStep(dst, prev, a, y, 2, eta, alpha, nonNeg)
+		l.BStep(dst, prev, a, y, 0, 3, 2, eta, alpha, nonNeg)
 		for r := 0; r < 2; r++ {
 			want0, want2 := row0(r), (eta*a[4+r]-y[4+r])*(1/eta)
 			if nonNeg {
@@ -82,6 +82,74 @@ func TestBStepRows(t *testing.T) {
 			}
 			if math.Float64bits(dst[4+r]) != math.Float64bits(want2) {
 				t.Errorf("nonNeg=%v: isolated row col %d = %v, want %v", nonNeg, r, dst[4+r], want2)
+			}
+		}
+	}
+}
+
+// plainBStep is the B-step with one neighbour row per sweep, the loop BStep
+// folds four at a time; the test reference for its bits.
+func plainBStep(l *Laplacian, dst, prev, a, y []float64, rank int, eta, alpha float64, nonNeg bool) {
+	for i, d := range l.deg {
+		out := dst[i*rank : (i+1)*rank]
+		for r := range out {
+			out[r] = d * prev[i*rank+r]
+		}
+		for k := l.off[i]; k < l.off[i+1]; k++ {
+			j, s := int(l.col[k]), l.w[k]
+			for r := range out {
+				out[r] += s * prev[j*rank+r]
+			}
+		}
+		inv := 1 / (eta + 2*alpha*d)
+		for r, v := range out {
+			out[r] = (eta*a[i*rank+r] - y[i*rank+r] + alpha*v) * inv
+			if nonNeg && out[r] < 0 {
+				out[r] = 0
+			}
+		}
+	}
+}
+
+// TestBStepMatchesPlainLoopBits: folding four neighbours per sweep, and
+// taking the step in row tiles, changes no bit of the result — on a
+// community graph whose degrees cover every remainder mod 4, with weighted
+// edges, at ranks below, at and above a sweep's width, clamp on and off. A
+// tiled call writes only its own rows.
+func TestBStepMatchesPlainLoopBits(t *testing.T) {
+	const n, eta, alpha = 300, 1.3, 0.2
+	rng := rand.New(rand.NewPCG(23, 24))
+	s := scaledGraph(communityGraph(n, 5, 6, rng), 0.7)
+	s.AddEdge(0, n-1, 2.5)
+	l := NewLaplacian(s)
+	mods := map[int]bool{}
+	for i := 0; i < n; i++ {
+		mods[(l.off[i+1]-l.off[i])%4] = true
+	}
+	if len(mods) != 4 {
+		t.Fatalf("degrees cover remainders %v mod 4, want all four", mods)
+	}
+	for _, rank := range []int{1, 3, 16} {
+		a, y, prev := randRows(n, rank, rng), randRows(n, rank, rng), randRows(n, rank, rng)
+		for _, nonNeg := range []bool{false, true} {
+			want := make([]float64, n*rank)
+			plainBStep(l, want, prev.Data(), a.Data(), y.Data(), rank, eta, alpha, nonNeg)
+			whole := make([]float64, n*rank)
+			l.BStep(whole, prev.Data(), a.Data(), y.Data(), 0, n, rank, eta, alpha, nonNeg)
+			tiled := make([]float64, n*rank)
+			for lo := 0; lo < n; lo += 28 {
+				hi := min(lo+28, n)
+				l.BStep(tiled, prev.Data(), a.Data(), y.Data(), lo, hi, rank, eta, alpha, nonNeg)
+				for i, v := range tiled[hi*rank:] {
+					if v != 0 {
+						t.Fatalf("rank %d: the call on rows [%d, %d) wrote element %d", rank, lo, hi, hi*rank+i)
+					}
+				}
+			}
+			for i, v := range want {
+				if math.Float64bits(whole[i]) != math.Float64bits(v) || math.Float64bits(tiled[i]) != math.Float64bits(v) {
+					t.Fatalf("rank %d nonNeg=%v: element %d = %v whole, %v tiled; the plain loop gives %v", rank, nonNeg, i, whole[i], tiled[i], v)
+				}
 			}
 		}
 	}
@@ -107,7 +175,7 @@ func BenchmarkLaplacianBStep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				l.BStep(dst.Data(), prev.Data(), a.Data(), y.Data(), rank, 1, 0.1, false)
+				l.BStep(dst.Data(), prev.Data(), a.Data(), y.Data(), 0, bc.n, rank, 1, 0.1, false)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.n), "ns/row")
 		})

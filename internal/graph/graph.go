@@ -155,14 +155,25 @@ func (l *Laplacian) Apply(dst, x []float64) {
 // metric α(D + S) ⪰ 0, the signless Laplacian: it turns the coupled solve into
 // a row-local one, and its fixed point B = P is exactly (ηI + αL)B = ηA − Y.
 // Under a diagonal metric the clamp is the exact projection. A row without
-// neighbours gets (ηA_i − Y_i)/η. dst must not overlap prev, a or y.
+// neighbours gets (ηA_i − Y_i)/η.
+//
+// All four matrices are the whole I×R; only rows [lo, hi) of dst are
+// written, and only those rows of a and y (and any row of prev) are read, so
+// a caller can take the step a tile of rows at a time. Neighbour rows are
+// folded four per sweep, added left to right in adjacency order, so the sums
+// are those of the one-neighbour-at-a-time loop bit for bit. dst must not
+// overlap prev, a or y.
 //
 //distenc:hotpath
-func (l *Laplacian) BStep(dst, prev, a, y []float64, rank int, eta, alpha float64, nonNeg bool) {
+func (l *Laplacian) BStep(dst, prev, a, y []float64, lo, hi, rank int, eta, alpha float64, nonNeg bool) {
 	if size := len(l.deg) * rank; len(dst) != size || len(prev) != size || len(a) != size || len(y) != size {
 		panic("graph: BStep on matrices of the wrong shape")
 	}
-	for i, d := range l.deg {
+	if lo < 0 || hi > len(l.deg) || lo > hi {
+		panic("graph: BStep on a row range outside the matrix")
+	}
+	for i := lo; i < hi; i++ {
+		d := l.deg[i]
 		out := dst[i*rank:][:rank]
 		p := prev[i*rank:][:len(out)]
 		//bce:begin
@@ -172,8 +183,21 @@ func (l *Laplacian) BStep(dst, prev, a, y []float64, rank int, eta, alpha float6
 		//bce:end
 		cols := l.col[l.off[i]:l.off[i+1]]
 		ws := l.w[l.off[i]:][:len(cols)]
-		for k, j := range cols {
-			pj := prev[int(j)*rank:][:len(out)]
+		k := 0
+		for ; k+4 <= len(cols); k += 4 {
+			s0, s1, s2, s3 := ws[k], ws[k+1], ws[k+2], ws[k+3]
+			p0 := prev[int(cols[k])*rank:][:len(out)]
+			p1 := prev[int(cols[k+1])*rank:][:len(out)]
+			p2 := prev[int(cols[k+2])*rank:][:len(out)]
+			p3 := prev[int(cols[k+3])*rank:][:len(out)]
+			//bce:begin
+			for r := range out {
+				out[r] = out[r] + s0*p0[r] + s1*p1[r] + s2*p2[r] + s3*p3[r]
+			}
+			//bce:end
+		}
+		for ; k < len(cols); k++ {
+			pj := prev[int(cols[k])*rank:][:len(out)]
 			s := ws[k]
 			//bce:begin
 			for r, v := range pj {

@@ -179,18 +179,18 @@ func MulAddInto(dst *Dense, s float64, c, a, b *Dense) {
 				drow[j] = s * cv
 			}
 		}
-		axpyRows(drow, a.Row(i), b.data)
+		AxpyRows(drow, a.Row(i), b.data)
 	}
 }
 
-// axpyRows accumulates dst += Σ_k x[k]·b[k·n : (k+1)·n] with n = len(dst):
+// AxpyRows accumulates dst += Σ_k x[k]·b[k·n : (k+1)·n] with n = len(dst):
 // one row of a matrix product in ikj order. Four b rows are consumed per
 // sweep with their multipliers held in registers, so dst is loaded and
 // stored once per four multiply-adds instead of once per one; the additions
 // still happen in ascending k, so the result is bit-identical to the plain
 // one-row-at-a-time loop. The inner loops carry no bounds checks
 // (scripts/check_bce.sh keeps it so).
-func axpyRows(dst, x, b []float64) {
+func AxpyRows(dst, x, b []float64) {
 	n := len(dst)
 	k := 0
 	for ; k+4 <= len(x); k += 4 {
@@ -216,7 +216,7 @@ func axpyRows(dst, x, b []float64) {
 	}
 }
 
-// MulATB returns aᵀ·b as a new matrix without forming aᵀ. Like axpyRows it
+// MulATB returns aᵀ·b as a new matrix without forming aᵀ. Like AxpyRows it
 // folds four rows of a and b into the (small, cache-resident) result per
 // sweep, in ascending row order, so the sums match the one-row-at-a-time
 // loop bit for bit.
@@ -245,7 +245,7 @@ func MulATB(a, b *Dense) *Dense {
 	for ; k < a.rows; k++ {
 		brow := b.Row(k)
 		for i, av := range a.Row(k) {
-			axpyRows(out.data[i*n:(i+1)*n], []float64{av}, brow)
+			AxpyRows(out.data[i*n:(i+1)*n], []float64{av}, brow)
 		}
 	}
 	return out
@@ -267,8 +267,68 @@ func MulABT(a, b *Dense) *Dense {
 	return out
 }
 
-// Gram returns aᵀ·a (the R×R self-product the paper distributes in Eq. 13).
-func Gram(a *Dense) *Dense { return MulATB(a, a) }
+// Gram returns aᵀ·a (the R×R self-product the paper distributes in Eq. 13):
+// the upper triangle by GramAddUpper, then mirrored. It equals MulATB(a, a)
+// bit for bit.
+func Gram(a *Dense) *Dense {
+	out := NewDense(a.cols, a.cols)
+	if a.cols > 0 {
+		GramAddUpper(out.data, a.data, a.cols)
+		MirrorUpper(out.data, a.cols)
+	}
+	return out
+}
+
+// GramAddUpper adds the upper triangle (j ≥ i) of rowsᵀ·rows to g, the
+// row-major r×r accumulator, where rows holds len(rows)/r rows of length r.
+// Like MulATB it folds four rows per sweep but adds them left to right, in
+// ascending row order, as the one-row-at-a-time loop would; and a product
+// x_i·x_j rounds the same as x_j·x_i. So accumulating a matrix in pieces of
+// any height, in order, and then mirroring reproduces MulATB(a, a) bit for
+// bit. The lower triangle of g is not touched.
+func GramAddUpper(g, rows []float64, r int) {
+	if len(g) != r*r || len(rows)%r != 0 {
+		panic(fmt.Sprintf("mat: GramAddUpper of %d values into %d at width %d", len(rows), len(g), r))
+	}
+	n := len(rows) / r
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		a0 := rows[k*r : (k+1)*r]
+		a1, a2, a3 := rows[(k+1)*r:][:len(a0)], rows[(k+2)*r:][:len(a0)], rows[(k+3)*r:][:len(a0)]
+		for i := range a0 {
+			x0, x1, x2, x3 := a0[i], a1[i], a2[i], a3[i]
+			drow := g[i*r+i : (i+1)*r]
+			b0, b1, b2, b3 := a0[i:][:len(drow)], a1[i:][:len(drow)], a2[i:][:len(drow)], a3[i:][:len(drow)]
+			//bce:begin
+			for j := range drow {
+				drow[j] = drow[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+			}
+			//bce:end
+		}
+	}
+	for ; k < n; k++ {
+		a0 := rows[k*r : (k+1)*r]
+		for i, x := range a0 {
+			drow := g[i*r+i : (i+1)*r]
+			b0 := a0[i:][:len(drow)]
+			//bce:begin
+			for j := range drow {
+				drow[j] += x * b0[j]
+			}
+			//bce:end
+		}
+	}
+}
+
+// MirrorUpper copies the upper triangle of the row-major r×r matrix g onto
+// its lower triangle.
+func MirrorUpper(g []float64, r int) {
+	for i := 0; i < r; i++ {
+		for j := i + 1; j < r; j++ {
+			g[j*r+i] = g[i*r+j]
+		}
+	}
+}
 
 // MulVec returns a·x as a new vector.
 func MulVec(a *Dense, x []float64) []float64 {

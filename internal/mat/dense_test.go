@@ -287,3 +287,30 @@ func TestBlockedProductsMatchNaiveBits(t *testing.T) {
 		}
 	}
 }
+
+// TestGramMatchesMulATBBits: Gram's upper-triangle kernel plus mirror is
+// MulATB(a, a) bit for bit, whole and accumulated tile by tile in row order
+// (how the solver's driver pass builds the next Grams; a 7-row tile leaves a
+// different remainder in every tile), on row counts with every remainder
+// mod 4 and on widths below, at and above one four-wide sweep.
+func TestGramMatchesMulATBBits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 14))
+	for _, cols := range []int{1, 3, 10, 16} {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
+			a := randDense(rng, rows, cols)
+			want := MulATB(a, a)
+			tiled := NewDense(cols, cols)
+			for lo := 0; lo < rows; lo += 7 {
+				GramAddUpper(tiled.data, a.data[lo*cols:min(lo+7, rows)*cols], cols)
+			}
+			MirrorUpper(tiled.data, cols)
+			for name, got := range map[string]*Dense{"Gram": Gram(a), "tiled": tiled} {
+				for i, v := range want.data {
+					if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+						t.Fatalf("%s of %d×%d: element %d = %v, MulATB gives %v", name, rows, cols, i, got.data[i], v)
+					}
+				}
+			}
+		}
+	}
+}

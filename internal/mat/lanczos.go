@@ -137,7 +137,7 @@ func reorthogonalize(w, basis, h []float64) float64 {
 		for i := range h {
 			h[i] = -h[i]
 		}
-		axpyRows(w, h, basis)
+		AxpyRows(w, h, basis)
 		norm = Norm2(w)
 		if norm >= dgks*in {
 			break

@@ -85,16 +85,19 @@ func (t Trace) String() string {
 
 // PhaseTimes decomposes one solver iteration into its phases: the
 // distributed MTTKRP map (fused residual+partials kernel) and reduce stages,
-// the Gram-matrix section, and the driver-side dense algebra (spectral B
-// updates, Eq. 16 solves, Y/η bookkeeping) that stage logs cannot see. The
+// and the driver-side dense algebra (B-steps, Eq. 16 solves, Y/η bookkeeping
+// and the Gram products, one pass per mode) that stage logs cannot see. The
 // serial solver fills the same struct (MTTKRPReduce = 0, the kernel time in
 // MTTKRPMap) so serial and distributed runs are phase-comparable. Total is
-// the full iteration wall clock; Total minus the named phases is scheduling
-// and assembly overhead.
+// the full iteration wall clock; Total minus the named phases is scheduling,
+// assembly and checkpoint overhead.
 type PhaseTimes struct {
-	Iter          int
-	MTTKRPMap     time.Duration
-	MTTKRPReduce  time.Duration
+	Iter         int
+	MTTKRPMap    time.Duration
+	MTTKRPReduce time.Duration
+	// Gram is always zero: the Grams are accumulated inside the driver pass
+	// and counted in Driver. The field stays only because benchmark/ reads
+	// it (ROADMAP item 2).
 	Gram          time.Duration
 	Driver        time.Duration
 	Total         time.Duration
@@ -111,7 +114,6 @@ func (p PhaseBreakdown) Totals() PhaseTimes {
 	for _, x := range p {
 		t.MTTKRPMap += x.MTTKRPMap
 		t.MTTKRPReduce += x.MTTKRPReduce
-		t.Gram += x.Gram
 		t.Driver += x.Driver
 		t.Total += x.Total
 		t.BytesShuffled += x.BytesShuffled
@@ -124,11 +126,11 @@ func (p PhaseBreakdown) String() string {
 	if len(p) == 0 {
 		return ""
 	}
-	out := fmt.Sprintf("%-6s %12s %12s %12s %12s %12s %12s\n",
-		"iter", "mttkrp-map", "mttkrp-red", "gram", "driver", "total", "shuffledB")
+	out := fmt.Sprintf("%-6s %12s %12s %12s %12s %12s\n",
+		"iter", "mttkrp-map", "mttkrp-red", "driver", "total", "shuffledB")
 	row := func(label string, x PhaseTimes) string {
-		return fmt.Sprintf("%-6s %12s %12s %12s %12s %12s %12d\n",
-			label, round(x.MTTKRPMap), round(x.MTTKRPReduce), round(x.Gram),
+		return fmt.Sprintf("%-6s %12s %12s %12s %12s %12d\n",
+			label, round(x.MTTKRPMap), round(x.MTTKRPReduce),
 			round(x.Driver), round(x.Total), x.BytesShuffled)
 	}
 	for _, x := range p {

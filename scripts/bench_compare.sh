@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # bench_compare.sh — mechanical perf-regression gate.
 #
-# Runs the MTTKRP stage, fused-kernel, serial-iteration and layout-build
-# benchmarks of internal/core, the predict-kernel benchmark of internal/serve
-# and the B-step benchmark of internal/graph, and diffs them
-# against the recorded baselines in BENCH_mttkrp.json, BENCH_predict.json and
-# BENCH_spectral.json (the kernels' /ref siblings are run and printed, not
-# gated; a row's "before" entry is history, only "after" gates). Fails when
+# Runs the MTTKRP stage, fused-kernel, serial-iteration, layout-build and
+# driver-update benchmarks of internal/core, the predict-kernel benchmark of
+# internal/serve and the B-step benchmark of internal/graph, and diffs them
+# against the recorded baselines in BENCH_mttkrp.json, BENCH_driver.json,
+# BENCH_predict.json and BENCH_spectral.json (the /ref siblings are run and
+# printed, not gated; a row's "before" entry is history, only "after" gates).
+# Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
 #     "max_over_ref", that share of its /ref sibling's min in the same run — or
@@ -61,7 +62,7 @@ if go version -m "$BIN" "$SERVE_BIN" "$GRAPH_BIN" | grep -Eq 'build[[:space:]]+-
 fi
 
 OUT=$("$BIN" -test.run '^$' \
-  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$' \
+  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$|BenchmarkDriverUpdate$' \
   -test.benchmem -test.count "$COUNT"
   "$SERVE_BIN" -test.run '^$' -test.bench 'BenchmarkPredictBatch$' -test.benchmem -test.count "$COUNT"
   "$GRAPH_BIN" -test.run '^$' -test.bench 'BenchmarkLaplacianBStep$' -test.benchmem -test.count "$COUNT")
@@ -73,7 +74,7 @@ import json, re, sys
 
 tol = float(sys.argv[1]) / 100.0
 base = {}
-for ledger in ("BENCH_mttkrp.json", "BENCH_predict.json", "BENCH_spectral.json"):
+for ledger in ("BENCH_mttkrp.json", "BENCH_driver.json", "BENCH_predict.json", "BENCH_spectral.json"):
     base.update(json.load(open(ledger))["benchmarks"])
 
 runs = {}

@@ -29,6 +29,16 @@ var surfaceVehicles = map[string]string{
 	"mat.MaxAbsDiff":                 "the distance every package's numerical tests report",
 }
 
+// fieldVehicles are struct fields, as "pkg.Type.Field", that no code of the
+// root module sets or reads any more but benchmark/ still reads; they go when
+// benchmark/ may change (ROADMAP item 2). A listed field must be declared,
+// named by a non-test file of benchmark/, and named by no other non-test
+// file. Matching is by field name on the syntax tree, which can only err
+// towards "named".
+var fieldVehicles = map[string]string{
+	"metrics.PhaseTimes.Gram": "always zero since the Grams are accumulated inside the driver pass; benchmark/child.go and probes.go read it",
+}
+
 // TestModuleSurfaceIsReached keeps every package the size of its callers:
 // each exported function, method and type declared in a non-test file under
 // internal/ (the analyzers and leakcheck, which exist for the tests, aside)
@@ -199,6 +209,62 @@ func TestModuleSurfaceIsReached(t *testing.T) {
 	for key := range surfaceVehicles {
 		if !declared[key] {
 			t.Errorf("surfaceVehicles lists %s, which is not declared", key)
+		}
+	}
+
+	for key := range fieldVehicles {
+		parts := strings.Split(key, ".")
+		pkg, typ, field := parts[0], parts[1], parts[2]
+		found, benchUse := false, false
+		for _, f := range files {
+			if f.Name.Name == pkg && gated(dirOf[f]) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == typ {
+						if st, ok := ts.Type.(*ast.StructType); ok {
+							for _, fl := range st.Fields.List {
+								for _, name := range fl.Names {
+									found = found || name.Name == field
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+			imported := map[string]bool{}
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				local := p[strings.LastIndex(p, "/")+1:]
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imported[local] = true
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				named := false
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					x, ok := n.X.(*ast.Ident)
+					named = n.Sel.Name == field && !(ok && imported[x.Name])
+				case *ast.KeyValueExpr:
+					k, ok := n.Key.(*ast.Ident)
+					named = ok && k.Name == field
+				}
+				switch {
+				case !named:
+				case strings.HasPrefix(dirOf[f], "benchmark"):
+					benchUse = true
+				default:
+					t.Errorf("%s is a field vehicle but %s names it: drop it from fieldVehicles", key, fset.Position(n.Pos()))
+				}
+				return true
+			})
+		}
+		if !found {
+			t.Errorf("fieldVehicles lists %s, which is not declared", key)
+		}
+		if !benchUse {
+			t.Errorf("fieldVehicles lists %s, which benchmark/ no longer reads: delete the field", key)
 		}
 	}
 }
