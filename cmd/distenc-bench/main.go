@@ -42,7 +42,6 @@ var experiments = []struct {
 	{"table3", "Table III concept discovery", func(w io.Writer, p bench.Profile) { bench.TableIII(w, p) }},
 	{"lemmas", "Lemmas 1–3 accounting", func(w io.Writer, p bench.Profile) { bench.Lemmas(w, p) }},
 	{"ablations", "§III design-choice ablations", func(w io.Writer, p bench.Profile) { bench.Ablations(w, p) }},
-	{"wires", "shuffle wire-format table", func(w io.Writer, p bench.Profile) { bench.Wires(w, p) }},
 	{"phases", "per-iteration phase breakdown", func(w io.Writer, p bench.Profile) { bench.Phases(w, p) }},
 }
 
@@ -62,7 +61,6 @@ func main() {
 		stageSum  = flag.Bool("stage-summary", false, "print the per-stage engine table in the phases experiment")
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the phases experiment's cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\"")
 		specSpec  = flag.String("speculation", "", "speculative execution for the phases experiment's cluster: \"on\" or \"quantile=0.75,multiplier=1.5,min=10ms\"")
-		wireStr   = flag.String("wire", "varint", "shuffle wire format for DisTenC runs: varint or f32")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
@@ -95,14 +93,10 @@ func main() {
 		}
 	}()
 
-	wire, err := rdd.ParseWireFormat(*wireStr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	p := bench.Profile{
 		Small: *small, Seed: *seed, Machines: *machines,
 		TraceFile: *traceOut, StageSummary: *stageSum,
-		Wire: wire, Backend: *backendF,
+		Backend: *backendF,
 	}
 	if *faultSpec != "" {
 		fault, err := rdd.ParseFaultPlan(*faultSpec)

@@ -88,7 +88,6 @@ func main() {
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated addresses of running distenc-worker daemons, one per machine (default with -backend tcp: spawn workers by re-execing this binary)")
 
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the simulated cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\" (needs -machines > 0; see distenc.ParseFaultPlan)")
-		wireStr   = flag.String("wire", "varint", "shuffle wire format: varint (delta rows, lossless, default) or f32 (lossy values, f64 accumulation)")
 		specSpec  = flag.String("speculation", "", "speculative execution for straggler mitigation: \"on\" for defaults or \"quantile=0.75,multiplier=1.5,min=10ms\" (needs -machines > 0; see distenc.ParseSpeculation)")
 
 		traceOut = flag.String("trace", "", "write a Chrome-trace JSON (chrome://tracing, Perfetto) of every stage, task and driver span to this file (needs -machines > 0)")
@@ -181,9 +180,6 @@ func main() {
 		if *specSpec != "" {
 			log.Fatal("-speculation needs the distributed solver (-machines > 0)")
 		}
-		if *wireStr != "varint" {
-			log.Fatal("-wire needs the distributed solver (-machines > 0)")
-		}
 		if *resume {
 			res, err = distenc.Resume(t, similarities, opt)
 		} else {
@@ -203,10 +199,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-		}
-		wire, err := distenc.ParseWireFormat(*wireStr)
-		if err != nil {
-			log.Fatal(err)
 		}
 		var tp distenc.Transport
 		switch *backend {
@@ -248,7 +240,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer c.Close()
-		dopt := distenc.DistOptions{Options: opt, GridPartition: true, Wire: wire}
+		dopt := distenc.DistOptions{Options: opt, GridPartition: true}
 		if *resume {
 			res, err = distenc.ResumeDistributed(c, t, similarities, dopt)
 		} else {

@@ -57,9 +57,9 @@ type Similarity = graph.Similarity
 // Options configures the solvers (see core.Options for field docs).
 type Options = core.Options
 
-// DistOptions configures the distributed solver: the block count, how the
-// blocks are cut and the shuffle wire format (its Kernel field is inert — one
-// kernel runs; see core.KernelMode).
+// DistOptions configures the distributed solver: the block count and how the
+// blocks are cut (its Kernel field is inert — one kernel runs; see
+// core.KernelMode).
 type DistOptions = core.DistOptions
 
 // Result reports a completed run: the learned model, convergence trace and
@@ -86,21 +86,6 @@ type RecoveryEvent = rdd.RecoveryEvent
 // ParseFaultPlan builds a FaultPlan from the compact spec the -fault-plan
 // CLI flag takes, e.g. "seed=7,failprob=0.02,kill=1@5".
 var ParseFaultPlan = rdd.ParseFaultPlan
-
-// WireFormat selects the shuffle record encoding: WireVarint ships
-// delta-varint rows + f64 values (lossless, the default), WireF32 the same
-// rows + f32 values with f64 accumulation (set DistOptions.Wire).
-type WireFormat = rdd.WireFormat
-
-// Wire formats for DistOptions.Wire.
-const (
-	WireVarint = rdd.WireVarint
-	WireF32    = rdd.WireF32
-)
-
-// ParseWireFormat parses a -wire CLI flag value: "varint" (or "lossless") or
-// "f32" (or "float32").
-var ParseWireFormat = rdd.ParseWireFormat
 
 // Transport abstracts how tasks move shuffle blocks between machines. Nil
 // (the default) keeps everything in-process; set ClusterConfig.Transport to a

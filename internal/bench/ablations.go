@@ -205,7 +205,7 @@ func runGridVariant(p Profile, t *sptensor.Tensor, opt core.Options, grid bool) 
 	})
 	defer c.Close()
 	start := time.Now()
-	res, err := core.CompleteDistributed(c, t, nil, core.DistOptions{Options: opt, GridPartition: grid, Wire: p.Wire})
+	res, err := core.CompleteDistributed(c, t, nil, core.DistOptions{Options: opt, GridPartition: grid})
 	o := Outcome{
 		Method: MethodDisTenC, Elapsed: time.Since(start), Sim: c.SimulatedTime(),
 		Result: res, Metrics: c.Metrics().Snapshot(),
@@ -226,7 +226,7 @@ func runMethodUniform(p Profile, t *sptensor.Tensor, opt core.Options) Outcome {
 	})
 	defer c.Close()
 	start := time.Now()
-	res, err := core.CompleteDistributed(c, t, nil, core.DistOptions{Options: opt, UniformPartition: true, Wire: p.Wire})
+	res, err := core.CompleteDistributed(c, t, nil, core.DistOptions{Options: opt, UniformPartition: true})
 	o := Outcome{Method: MethodDisTenC, Elapsed: time.Since(start), Sim: c.SimulatedTime(), Result: res}
 	if err != nil {
 		o.Status = "error: " + err.Error()

@@ -33,9 +33,6 @@ type Profile struct {
 	// MemoryPerMachine is the per-machine budget for the Figure 3 sweeps.
 	// Zero picks the profile default (64 MB full, 24 MB small).
 	MemoryPerMachine int64
-	// DiskLatencyPerMB models HDFS latency for MapReduce-mode baselines
-	// (default 10ms/MB).
-	DiskLatencyPerMB time.Duration
 	// Seed drives every generator.
 	Seed uint64
 	// TraceFile, when non-empty, makes the Phases experiment record
@@ -52,9 +49,6 @@ type Profile struct {
 	// speculative execution so straggler mitigation shows up in its stage
 	// table (spec/wastedB columns) and recovery log.
 	Speculation rdd.SpeculationConfig
-	// Wire selects DisTenC's shuffle wire format for every experiment
-	// (lossless delta-varint by default).
-	Wire rdd.WireFormat
 	// Backend selects the execution backend: "" or "inproc" keeps every
 	// cluster in-process; "tcp" spawns one worker process per machine for
 	// each cluster (the binary must call transport.WorkerHook first thing
@@ -92,9 +86,6 @@ func (p Profile) withDefaults() Profile {
 			p.MemoryPerMachine = 64 << 20
 		}
 	}
-	if p.DiskLatencyPerMB == 0 {
-		p.DiskLatencyPerMB = 10 * time.Millisecond
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
@@ -126,6 +117,10 @@ func (m Method) engineMode() rdd.Mode {
 	}
 	return rdd.ModeInMemory
 }
+
+// diskLatencyPerMB is the HDFS latency the MapReduce-mode baselines pay per
+// spilled megabyte, written and read.
+const diskLatencyPerMB = 10 * time.Millisecond
 
 // Outcome is one method×workload cell of a figure.
 type Outcome struct {
@@ -160,7 +155,7 @@ func runMethod(p Profile, m Method, machines int, t *sptensor.Tensor, sims []*gr
 		Transport:        tp,
 	}
 	if cfg.Mode == rdd.ModeMapReduce {
-		cfg.DiskLatencyPerMB = p.DiskLatencyPerMB
+		cfg.DiskLatencyPerMB = diskLatencyPerMB
 	}
 	c, err := rdd.NewCluster(cfg)
 	if err != nil {
@@ -186,7 +181,7 @@ func runMethod(p Profile, m Method, machines int, t *sptensor.Tensor, sims []*gr
 	case MethodDisTenC:
 		// Grid blocking is the paper's §III-C compartmentalization; the
 		// harness always runs DisTenC with it.
-		res, err = core.CompleteDistributed(c, t, auxiliary, core.DistOptions{Options: opt, GridPartition: true, Wire: p.Wire})
+		res, err = core.CompleteDistributed(c, t, auxiliary, core.DistOptions{Options: opt, GridPartition: true})
 	default:
 		err = fmt.Errorf("bench: unknown method %q", m)
 	}

@@ -231,14 +231,3 @@ func TestPurityHelper(t *testing.T) {
 		t.Fatal("empty purity")
 	}
 }
-
-func TestWiresExperiment(t *testing.T) {
-	var sb strings.Builder
-	wires := Wires(&sb, smallProfile())
-	if len(wires) != 2 {
-		t.Fatalf("wire rows = %d, want 2", len(wires))
-	}
-	if f32 := wires[1]; f32.ReductionVsVarint < 1.9 {
-		t.Fatalf("f32 wire reduction %.2fx vs varint, want ≥ 1.9x", f32.ReductionVsVarint)
-	}
-}

@@ -50,7 +50,7 @@ func Phases(w io.Writer, p Profile) *core.Result {
 	// Tol < 0 disables convergence stopping (0 means "use the default"),
 	// so every requested iteration appears in the breakdown.
 	opt := core.Options{Rank: rank, MaxIter: iters, Tol: -1, Seed: p.Seed}
-	res, err := core.CompleteDistributed(c, t, nil, core.DistOptions{Options: opt, GridPartition: true, Wire: p.Wire})
+	res, err := core.CompleteDistributed(c, t, nil, core.DistOptions{Options: opt, GridPartition: true})
 	if err != nil {
 		fmt.Fprintf(w, "DisTenC: %v\n", err)
 		return nil

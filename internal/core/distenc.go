@@ -44,11 +44,6 @@ type DistOptions struct {
 	GridPartition bool
 	// Kernel is inert: every value runs the fused kernel (see KernelMode).
 	Kernel KernelMode
-	// Wire selects the PackedRows shuffle wire format: unset resolves to
-	// rdd.WireVarint (lossless delta-varint row compression); rdd.WireF32
-	// additionally narrows values to float32 on the wire (decoded back to
-	// float64, so accumulation stays in double precision).
-	Wire rdd.WireFormat
 }
 
 // KernelMode is inert: every value runs the fused kernel, the only one there

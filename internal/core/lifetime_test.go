@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -74,42 +73,6 @@ func TestSolveLifetimeHeapIsFlatOver200Iterations(t *testing.T) {
 	}
 	if sum := c.Summary(); !strings.Contains(sum, "shuffle images: 0 B live") {
 		t.Errorf("Summary does not report the shuffle image gauges:\n%s", sum)
-	}
-}
-
-// TestSolveSpillDirHoldsNoRetiredExchange: over a 5-iteration ModeMapReduce
-// solve in a caller-owned directory, the spill files of an iteration's
-// exchange are gone by the time the iteration reports — so, exchanges being
-// created one after the other, the directory never holds more than one
-// exchange's files.
-func TestSolveSpillDirHoldsNoRetiredExchange(t *testing.T) {
-	dir := t.TempDir()
-	d := synth.LinearFactorDataset([]int{20, 20, 20}, 2, 1500, 61)
-	c := rdd.MustNewCluster(rdd.Config{Machines: 3, Mode: rdd.ModeMapReduce, DiskDir: dir})
-	defer c.Close()
-	spills := func() (n int) {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "ex") {
-				n++
-			}
-		}
-		return n
-	}
-	opt := DistOptions{Options: Options{Rank: 3, MaxIter: 5, Tol: -1, Seed: 62}}
-	opt.OnIteration = func(p metrics.ConvergencePoint) {
-		if n := spills(); n != 0 {
-			t.Errorf("iteration %d: %d spill file(s) of its retired exchange remain in the shuffle directory", p.Iter, n)
-		}
-	}
-	if _, err := CompleteDistributed(c, d.Tensor, d.Sims, opt); err != nil {
-		t.Fatal(err)
-	}
-	if c.Metrics().DiskBytesWrite.Load() == 0 {
-		t.Fatal("the solve spilled nothing: the case under test did not occur")
 	}
 }
 

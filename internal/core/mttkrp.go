@@ -24,32 +24,22 @@ import (
 //
 //	tag(u8) mode(u16 LE) nrows(uvarint) nvals(uvarint) rows… vals…
 //
-// where tag is the rdd.WireFormat: WireVarint ships zigzag-varint delta-coded
-// rows + f64 values, WireF32 the same rows + f32 values (widened to f64 on
-// decode). The tag rides in every frame, so a decoded record re-encodes
-// bit-identically and mixed-format blocks are well-defined.
+// where tag is rdd.WireVarint, rows are zigzag-varint deltas and vals are
+// little-endian float64s. A frame with any other tag is refused.
 type PackedRows struct {
 	Mode int16
-	// Wire is the frame format used on encode (zero encodes as WireVarint)
-	// and observed on decode.
+	// Wire is inert: every frame is written and read as rdd.WireVarint. It
+	// stays because benchmark/ sets it (ROADMAP item 2).
 	Wire rdd.WireFormat
 	Rows []int32
 	Vals []float64
-}
-
-// wire resolves the frame format AppendRecord writes.
-func (p *PackedRows) wire() rdd.WireFormat {
-	if !p.Wire.Valid() {
-		return rdd.WireVarint
-	}
-	return p.Wire
 }
 
 // RecordSize implements rdd.BinaryRecord: the exact frame length, so the
 // engine allocates a shuffle block once at its final size.
 func (p *PackedRows) RecordSize() int {
 	return 3 + rdd.UvarintLen(uint64(len(p.Rows))) + rdd.UvarintLen(uint64(len(p.Vals))) +
-		rdd.DeltaRowsSize(p.Rows) + int(p.wire().BytesPerVal())*len(p.Vals)
+		rdd.DeltaRowsSize(p.Rows) + 8*len(p.Vals)
 }
 
 // AppendRecord implements rdd.BinaryRecord. It runs once per shuffle record
@@ -59,15 +49,11 @@ func (p *PackedRows) RecordSize() int {
 //
 //distenc:hotpath
 func (p *PackedRows) AppendRecord(buf []byte) []byte {
-	w := p.wire()
-	buf = append(buf, byte(w))
+	buf = append(buf, byte(rdd.WireVarint))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Mode))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Rows)))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
 	buf = rdd.AppendDeltaRows(buf, p.Rows)
-	if w == rdd.WireF32 {
-		return rdd.AppendF32Vals(buf, p.Vals)
-	}
 	return rdd.AppendF64Vals(buf, p.Vals)
 }
 
@@ -90,11 +76,9 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("core: packed record truncated at header")
 	}
-	w := rdd.WireFormat(data[0])
-	if !w.Valid() {
+	if rdd.WireFormat(data[0]) != rdd.WireVarint {
 		return nil, fmt.Errorf("core: packed record has unknown wire tag %d", data[0])
 	}
-	p.Wire = w
 	p.Mode = int16(binary.LittleEndian.Uint16(data[1:]))
 	data = data[3:]
 	nr, used := binary.Uvarint(data)
@@ -110,9 +94,9 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 	// Bound the counts by the payload before doing arithmetic on them: nr
 	// and nv come off the wire, so a naive nr*rowSize+nv*valSize length
 	// check can wrap uint64 and slip a huge (or panicking) allocation past
-	// it. A row costs at least one byte (varint delta) and a value its wire
-	// width, so counts above those bounds are corrupt.
-	if nr > uint64(len(data)) || nv > uint64(len(data))/uint64(w.BytesPerVal()) {
+	// it. A row costs at least one byte (varint delta) and a value eight, so
+	// counts above those bounds are corrupt.
+	if nr > uint64(len(data)) || nv > uint64(len(data))/8 {
 		return nil, fmt.Errorf("core: packed record claims %d rows, %d values in a %d-byte payload", nr, nv, len(data))
 	}
 	if a != nil {
@@ -128,15 +112,7 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w == rdd.WireF32 {
-		data, err = rdd.DecodeF32Vals(p.Vals, data)
-	} else {
-		data, err = rdd.DecodeF64Vals(p.Vals, data)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
+	return rdd.DecodeF64Vals(p.Vals, data)
 }
 
 // fusedScratch is the per-task workspace of the fused kernel, allocated once
@@ -359,8 +335,8 @@ const (
 // before then, and do not write to them.
 //
 // The map side ships each block the factor rows its non-zeros touch (counted
-// as shuffle traffic — the O(T·N·M·I·R) term of Lemma 3, scaled by the wire
-// format's bytes-per-value), runs the fused kernel into one flat accumulator
+// as shuffle traffic — the O(T·N·M·I·R) term of Lemma 3, eight bytes a
+// value), runs the fused kernel into one flat accumulator
 // slab per mode, and emits one PackedRows record per (destination partition,
 // mode): the layout's sorted needed-row lists make each destination a
 // contiguous slice of the slab. The reduce side folds each incoming block
@@ -373,7 +349,7 @@ const (
 //
 // The shuffle lives exactly as long as the call: on return the exchange is
 // retired — block images back to the cluster's pool for the next call to
-// encode into, spill files and worker-held blocks dropped. A machine killed
+// encode into, worker-held blocks dropped. A machine killed
 // during the call is recovered from lineage; one killed later held nothing.
 //
 // All per-iteration scratch — accumulator slabs, emitted and compacted record
@@ -382,29 +358,22 @@ const (
 // iterations allocate nothing.
 func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, factors []*mat.Dense, opt DistOptions) ([]*mat.Dense, float64, error) {
 	rank := opt.Rank
-	wire := opt.Wire
-	if !wire.Valid() {
-		wire = rdd.WireVarint
-	}
 	// Snapshot the factor slice: under speculative execution a losing
 	// duplicate attempt can outlive this stage, and the solver overwrites
 	// its factors slice entries (advance) as soon as the stage returns. The
 	// matrices themselves are immutable once published — only the slice slots
 	// are rewritten — so a shallow clone pins what the zombie reads.
 	factors = slices.Clone(factors)
-	// Bytes of factor rows shipped to each block (at the wire format's value
-	// width — the rows travel over the same compressed shuffle), plus the
-	// flat accumulator slabs the kernel fills — all live simultaneously on a
-	// real executor.
+	// Bytes of factor rows shipped to each block, eight a value. The flat
+	// accumulator slabs the kernel fills have the same shape, and both are
+	// live simultaneously on a real executor.
 	shipSizes := make([]int64, l.parts)
-	slabSizes := make([]int64, l.parts)
 	for p := 0; p < l.parts; p++ {
 		var rows int64
 		for n := 0; n < l.order; n++ {
 			rows += int64(len(l.neededRows[p][n]))
 		}
-		shipSizes[p] = rows * int64(rank) * wire.BytesPerVal()
-		slabSizes[p] = rows * int64(rank) * 8
+		shipSizes[p] = rows * int64(rank) * 8
 	}
 	bounds := l.modeBounds
 
@@ -416,10 +385,10 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 	// the experiments measure, so the read-only capture is waived, not
 	// converted. bounds is read-only layout metadata, a few dozen ints per
 	// partition that ride along with the reduce task.
-	//distenc:capture-ok factors l shipSizes slabSizes wire bounds -- read-only; row shipment charged via CountShuffled per Lemma 3, layout metadata negligible against the slab shuffle
+	//distenc:capture-ok factors l shipSizes bounds -- read-only; row shipment charged via CountShuffled per Lemma 3, layout metadata negligible against the slab shuffle
 	//distenc:hotpath
 	reduced := rdd.ShuffleMap(blocks, "mttkrp-map", "mttkrp-reduce", l.parts, func(tc *rdd.TaskCtx, p int, in []*TensorBlock) ([][]PackedRows, error) {
-		if err := tc.ChargeTransient(shipSizes[p] + slabSizes[p]); err != nil {
+		if err := tc.ChargeTransient(2 * shipSizes[p]); err != nil {
 			return nil, err
 		}
 		tc.CountShuffled(shipSizes[p])
@@ -457,7 +426,6 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 				}
 				out[rp] = append(out[rp], PackedRows{
 					Mode: int16(n),
-					Wire: wire,
 					Rows: rows[lo:hi],
 					Vals: acc[n][lo*rank : hi*rank],
 				})
@@ -466,7 +434,7 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		// The residual-norm side-channel rides to reduce partition 0.
 		nv[0] = norm2
 		//distenc:coldpath -- one record per task into stash-pooled capacity
-		out[0] = append(out[0], PackedRows{Mode: -1, Wire: wire, Vals: nv})
+		out[0] = append(out[0], PackedRows{Mode: -1, Vals: nv})
 		return out, nil
 	}, func(tc *rdd.TaskCtx, rp int, blocks iter.Seq2[[]PackedRows, error]) ([]PackedRows, error) {
 		a := tc.Arena()

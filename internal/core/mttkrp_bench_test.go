@@ -77,7 +77,7 @@ func BenchmarkNewLayout(b *testing.B) {
 // steady-state iteration; everything outside it — engine task dispatch,
 // driver-side H_n assembly — allocates a handful of O(P+N) small objects per
 // iteration by design and is excluded from the zero-alloc contract.
-func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank int, wire rdd.WireFormat, buf []byte) ([]byte, float64) {
+func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank int, buf []byte) ([]byte, float64) {
 	a.Reset()
 	ms, _ := a.Stash(mttkrpMapStash).(*mttkrpMapScratch)
 	if ms == nil {
@@ -106,7 +106,7 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 				if lo == hi {
 					continue
 				}
-				rec := PackedRows{Mode: int16(n), Wire: wire, Rows: rows[lo:hi], Vals: acc[n][lo*rank : hi*rank]}
+				rec := PackedRows{Mode: int16(n), Rows: rows[lo:hi], Vals: acc[n][lo*rank : hi*rank]}
 				buf = rec.AppendRecord(buf)
 			}
 		}
@@ -159,12 +159,12 @@ func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 	// Warm up until the arena slabs and encode buffer reach the cycle's
 	// high-water capacity; geometric growth converges within a few cycles.
 	for i := 0; i < 5; i++ {
-		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, rdd.WireVarint, buf)
+		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, rdd.WireVarint, buf)
+		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
 	}
 }
 
@@ -230,31 +230,29 @@ func BenchmarkFusedKernel(b *testing.B) {
 
 // TestMTTKRPSteadyStateZeroAlloc proves the zero-alloc steady state: after
 // warm-up iterations size the arena, further worker-side iterations perform
-// zero heap allocations under any wire format.
+// zero heap allocations.
 func TestMTTKRPSteadyStateZeroAlloc(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{60, 50, 40}, 3, 8_000, 5)
-	for _, wire := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
-		opt := DistOptions{Options: Options{Rank: 6}, GridPartition: true}
-		opt.Options = opt.Options.withDefaults()
-		opt.Partitions = 4
-		l := NewLayout(d.Tensor, opt)
-		factors := initFactors(d.Tensor.Dims, opt.Rank, 2)
-		var a rdd.Arena
-		var buf []byte
-		for i := 0; i < 5; i++ {
-			buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, wire, buf)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, wire, buf)
-		})
-		if allocs != 0 {
-			t.Errorf("wire=%v: steady-state iteration allocates %.1f objects/op, want 0", wire, allocs)
-		}
-		// The scratch outlives the task in the arena stash: it must not keep
-		// the iterate it just read reachable.
-		rows := a.Stash(mttkrpMapStash).(*mttkrpMapScratch).fused.rows
-		if i := slices.IndexFunc(rows, func(row []float64) bool { return row != nil }); i >= 0 {
-			t.Errorf("wire=%v: the stashed kernel scratch still holds a mode-%d factor row after the task", wire, i)
-		}
+	opt := DistOptions{Options: Options{Rank: 6}, GridPartition: true}
+	opt.Options = opt.Options.withDefaults()
+	opt.Partitions = 4
+	l := NewLayout(d.Tensor, opt)
+	factors := initFactors(d.Tensor.Dims, opt.Rank, 2)
+	var a rdd.Arena
+	var buf []byte
+	for i := 0; i < 5; i++ {
+		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state iteration allocates %.1f objects/op, want 0", allocs)
+	}
+	// The scratch outlives the task in the arena stash: it must not keep
+	// the iterate it just read reachable.
+	rows := a.Stash(mttkrpMapStash).(*mttkrpMapScratch).fused.rows
+	if i := slices.IndexFunc(rows, func(row []float64) bool { return row != nil }); i >= 0 {
+		t.Errorf("the stashed kernel scratch still holds a mode-%d factor row after the task", i)
 	}
 }

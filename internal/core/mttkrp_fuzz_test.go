@@ -14,38 +14,34 @@ import (
 // must either error or return a record that re-encodes to the same canonical
 // form — and must never panic or allocate from attacker-controlled counts
 // (the uint64-wrap bug where nr*4+nv*8 overflowed past the length check).
-// The frame carries its wire format in the leading tag byte, so the fuzzer
-// exercises both layouts: delta-varint rows (including truncated varints and
-// delta chains that overflow int32) with float64 values, and with float32
-// values (including the float32↔float64 widening corners) — plus frames
-// tagged 1, the retired full-width layout, which must be refused. CI runs
-// this target for a 30-second smoke on every push.
+// The frame's leading tag byte must be rdd.WireVarint: the fuzzer exercises
+// delta-varint rows (including truncated varints and delta chains that
+// overflow int32) with float64 values, frames tagged 1 and 3 — the retired
+// full-width and float32 layouts — which must be refused, and, under tag 2,
+// the short value payloads the float32 layout left behind. CI runs this
+// target for a 30-second smoke on every push.
 func FuzzDecodeRecord(f *testing.F) {
-	// addBothAndRetired seeds rec in both wire formats, and once more under
-	// the retired tag.
-	addBothAndRetired := func(rec PackedRows, cut int) {
-		for _, w := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
-			rec.Wire = w
-			enc := rec.AppendRecord(nil)
-			f.Add(enc[:len(enc)-cut])
-			if w == rdd.WireVarint {
-				enc[0] = retiredRawTag
-				f.Add(enc[:len(enc)-cut])
-			}
-		}
+	// addWithRetired seeds rec, rec under the retired raw tag, and rec in the
+	// retired float32 shape under tag 2.
+	addWithRetired := func(rec PackedRows, cut int) {
+		enc := rec.AppendRecord(nil)
+		f.Add(enc[:len(enc)-cut])
+		enc[0] = retiredRawTag
+		f.Add(enc[:len(enc)-cut])
+		short := f32Shaped(rec)
+		f.Add(short[:len(short)-cut])
 	}
-	// Well-formed seeds: a typical record in every wire format, the Mode -1
-	// norm² side-channel, and an empty record.
-	addBothAndRetired(PackedRows{Mode: 2, Rows: []int32{1, 5, 9}, Vals: []float64{1.5, -2, 0, 3.25, 8, 13}}, 0)
-	addBothAndRetired(PackedRows{Mode: -1, Vals: []float64{42}}, 0)
+	// Well-formed seeds: a typical record, the Mode -1 norm² side-channel,
+	// and an empty record.
+	addWithRetired(PackedRows{Mode: 2, Rows: []int32{1, 5, 9}, Vals: []float64{1.5, -2, 0, 3.25, 8, 13}}, 0)
+	addWithRetired(PackedRows{Mode: -1, Vals: []float64{42}}, 0)
 	f.Add((&PackedRows{}).AppendRecord(nil))
-	// Float corners through the lossy format: NaN, infinities, subnormals,
-	// and values that round on the f64→f32 narrowing.
-	corners := PackedRows{Mode: 1, Wire: rdd.WireF32, Rows: []int32{0},
-		Vals: []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-310, math.Pi, -0.0}}
-	f.Add(corners.AppendRecord(nil))
+	// Float corners in the float32 shape: NaN, infinities, subnormals, and
+	// values that round on the f64→f32 narrowing.
+	f.Add(f32Shaped(PackedRows{Mode: 1, Rows: []int32{0},
+		Vals: []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e-310, math.Pi, -0.0}}))
 	// Non-monotone rows: deltas go negative (zigzag path).
-	backward := PackedRows{Mode: 0, Wire: rdd.WireVarint, Rows: []int32{100, 3, 50}, Vals: nil}
+	backward := PackedRows{Mode: 0, Rows: []int32{100, 3, 50}, Vals: nil}
 	f.Add(backward.AppendRecord(nil))
 	// Truncations at every header boundary (tag, mode, counts).
 	f.Add([]byte{})
@@ -55,15 +51,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{byte(rdd.WireVarint), 7, 0, 3})
 	// Unknown wire tag.
 	f.Add([]byte{0xEE, 7, 0, 0, 0})
-	// Crafted wrap: nv = 2^62 makes nv*4 ≡ 0 (mod 2^64), so a naive
-	// "len(data) < nr+nv*4" check passes and the alloc of nv values OOMs.
-	wrap := []byte{byte(rdd.WireF32), 3, 0}
+	// Crafted wrap: nv = 2^62 makes nv*8 ≡ 0 (mod 2^64), so a naive
+	// "len(data) < nr+nv*8" check passes and the alloc of nv values OOMs.
+	wrap := []byte{byte(rdd.WireVarint), 3, 0}
 	wrap = binary.AppendUvarint(wrap, 0)
 	wrap = binary.AppendUvarint(wrap, 1<<62)
 	f.Add(wrap)
-	wrapPair := []byte{byte(rdd.WireF32), 3, 0}
+	wrapPair := []byte{byte(rdd.WireVarint), 3, 0}
 	wrapPair = binary.AppendUvarint(wrapPair, 1)     // one row byte survives the naive check
-	wrapPair = binary.AppendUvarint(wrapPair, 1<<62) // nv·4 wraps to 0
+	wrapPair = binary.AppendUvarint(wrapPair, 1<<62) // nv·8 wraps to 0
 	wrapPair = append(wrapPair, make([]byte, 8)...)
 	f.Add(wrapPair)
 	// Varint-specific corruption: a truncated mid-delta varint, and a delta
@@ -81,15 +77,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	over = binary.AppendVarint(over, 10) // running sum exceeds int32
 	f.Add(over)
 	// The bulk codecs move four values per step: records whose row and value
-	// counts sit on either side of a step (3, 4, 5, 8, 9), in every format,
+	// counts sit on either side of a step (3, 4, 5, 8, 9), in every shape,
 	// whole and cut one byte short.
 	for _, n := range []int{3, 4, 5, 8, 9} {
 		edge := PackedRows{Mode: 1, Rows: make([]int32, n), Vals: make([]float64, n)}
 		for i := range edge.Rows {
 			edge.Rows[i], edge.Vals[i] = int32(100*i), float64(i)+0.5
 		}
-		addBothAndRetired(edge, 0)
-		addBothAndRetired(edge, 1)
+		addWithRetired(edge, 0)
+		addWithRetired(edge, 1)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -117,22 +113,37 @@ func FuzzDecodeRecord(f *testing.F) {
 		if !bytes.Equal(re, q.AppendRecord(nil)) {
 			t.Fatalf("round-trip not stable: %+v vs %+v", p, q)
 		}
-		if q.Mode != p.Mode || q.Wire != p.Wire || len(q.Rows) != len(p.Rows) || len(q.Vals) != len(p.Vals) {
+		if q.Mode != p.Mode || len(q.Rows) != len(p.Rows) || len(q.Vals) != len(p.Vals) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", p, q)
 		}
 	})
 }
 
-// retiredRawTag once tagged a full-width u32-row layout. The value is never
-// reused: a frame carrying it is refused as an unknown tag.
-const retiredRawTag = 1
+// retiredRawTag and retiredF32Tag once tagged a full-width u32-row layout and
+// a float32-value layout. The values are never reused: a frame carrying
+// either is refused as an unknown tag.
+const (
+	retiredRawTag = 1
+	retiredF32Tag = 3
+)
+
+// f32Shaped is rec framed as the retired float32 layout framed it — each
+// value narrowed to four bytes — but under tag 2, where it is a frame whose
+// value payload is half what its count promises.
+func f32Shaped(rec PackedRows) []byte {
+	enc := rec.AppendRecord(nil)
+	enc = enc[:len(enc)-8*len(rec.Vals)]
+	for _, v := range rec.Vals {
+		enc = binary.LittleEndian.AppendUint32(enc, math.Float32bits(float32(v)))
+	}
+	return enc
+}
 
 // refAppendRecord is the frame written one value at a time — the encoder
 // as it was before the bulk codecs. The golden test below holds AppendRecord
 // to its bytes.
 func refAppendRecord(p *PackedRows) []byte {
-	w := p.wire()
-	buf := []byte{byte(w)}
+	buf := []byte{byte(rdd.WireVarint)}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Mode))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Rows)))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
@@ -142,23 +153,20 @@ func refAppendRecord(p *PackedRows) []byte {
 		prev = int64(r)
 	}
 	for _, v := range p.Vals {
-		if w == rdd.WireF32 {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	return buf
 }
 
-// TestAppendRecordGoldenBytes pins the wire: for varint and f32 frames
-// of every size around the codecs' four-value step, the bulk encoder emits
-// exactly the per-value encoder's bytes, RecordSize is their exact count,
-// and encoding into a buffer of that capacity never reallocates — which is
-// what lets the engine publish each shuffle block as one exact allocation.
+// TestAppendRecordGoldenBytes pins the wire: for frames of every size around
+// the codecs' four-value step, the bulk encoder emits exactly the per-value
+// encoder's bytes, RecordSize is their exact count, and encoding into a
+// buffer of that capacity never reallocates — which is what lets the engine
+// publish each shuffle block as one exact allocation. The inert Wire field
+// changes nothing, whatever it holds.
 func TestAppendRecordGoldenBytes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	for _, w := range []rdd.WireFormat{0, rdd.WireVarint, rdd.WireF32} {
+	for _, w := range []rdd.WireFormat{0, rdd.WireVarint, retiredF32Tag} {
 		for nrows := 0; nrows <= 9; nrows++ {
 			for _, rank := range []int{0, 1, 3, 4, 16} {
 				p := PackedRows{Mode: int16(nrows - 1), Wire: w, Rows: make([]int32, nrows), Vals: make([]float64, nrows*rank)}
@@ -187,9 +195,9 @@ func TestAppendRecordGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripAllWires pins the lossless (and exactly-representable
-// lossy) round-trip per wire format, including arena-backed decode, which
-// must agree byte-for-byte with the heap decode.
+// TestCodecRoundTripAllWires pins the lossless round-trip of the one wire,
+// including arena-backed decode, which must agree byte-for-byte with the heap
+// decode.
 func TestCodecRoundTripAllWires(t *testing.T) {
 	recs := []PackedRows{
 		{Mode: 0, Rows: []int32{0, 1, 2, 3}, Vals: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
@@ -198,57 +206,51 @@ func TestCodecRoundTripAllWires(t *testing.T) {
 		{Mode: 1, Rows: []int32{500, 3, 499}, Vals: nil}, // unsorted: negative deltas
 	}
 	var arena rdd.Arena
-	for _, w := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
-		for _, rec := range recs {
-			rec.Wire = w
-			enc := rec.AppendRecord(nil)
-			var heap, ar PackedRows
-			rest, err := heap.DecodeRecord(enc)
-			if err != nil {
-				t.Fatalf("wire=%v: decode: %v", w, err)
+	for _, rec := range recs {
+		enc := rec.AppendRecord(nil)
+		var heap, ar PackedRows
+		rest, err := heap.DecodeRecord(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d trailing bytes", len(rest))
+		}
+		restA, err := ar.DecodeRecordArena(&arena, enc)
+		if err != nil {
+			t.Fatalf("arena decode: %v", err)
+		}
+		if len(restA) != 0 {
+			t.Fatalf("arena decode left %d trailing bytes", len(restA))
+		}
+		if !bytes.Equal(heap.AppendRecord(nil), ar.AppendRecord(nil)) {
+			t.Fatalf("arena and heap decodes disagree: %+v vs %+v", heap, ar)
+		}
+		if heap.Mode != rec.Mode || len(heap.Rows) != len(rec.Rows) || len(heap.Vals) != len(rec.Vals) {
+			t.Fatalf("decoded %+v, want %+v", heap, rec)
+		}
+		for i, r := range rec.Rows {
+			if heap.Rows[i] != r {
+				t.Fatalf("row %d = %d, want %d", i, heap.Rows[i], r)
 			}
-			if len(rest) != 0 {
-				t.Fatalf("wire=%v: %d trailing bytes", w, len(rest))
-			}
-			restA, err := ar.DecodeRecordArena(&arena, enc)
-			if err != nil {
-				t.Fatalf("wire=%v: arena decode: %v", w, err)
-			}
-			if len(restA) != 0 {
-				t.Fatalf("wire=%v: arena decode left %d trailing bytes", w, len(restA))
-			}
-			if !bytes.Equal(heap.AppendRecord(nil), ar.AppendRecord(nil)) {
-				t.Fatalf("wire=%v: arena and heap decodes disagree: %+v vs %+v", w, heap, ar)
-			}
-			if heap.Mode != rec.Mode || len(heap.Rows) != len(rec.Rows) || len(heap.Vals) != len(rec.Vals) {
-				t.Fatalf("wire=%v: decoded %+v, want %+v", w, heap, rec)
-			}
-			for i, r := range rec.Rows {
-				if heap.Rows[i] != r {
-					t.Fatalf("wire=%v: row %d = %d, want %d", w, i, heap.Rows[i], r)
-				}
-			}
-			for i, v := range rec.Vals {
-				want := v
-				if w == rdd.WireF32 {
-					want = float64(float32(v))
-				}
-				if math.Float64bits(heap.Vals[i]) != math.Float64bits(want) {
-					t.Fatalf("wire=%v: val %d = %v, want %v", w, i, heap.Vals[i], want)
-				}
+		}
+		for i, v := range rec.Vals {
+			if math.Float64bits(heap.Vals[i]) != math.Float64bits(v) {
+				t.Fatalf("val %d = %v, want %v", i, heap.Vals[i], v)
 			}
 		}
 	}
 }
 
 // The wrap seeds above must be rejected (not just not-crash): a success would
-// mean the decoder believed a multi-exabyte claim from a tiny payload. Every
-// wire format gets the treatment — varint rows cost at least 1 byte, f64
-// values 8, f32 values 4 — mirroring the original uint64-wrap fix.
+// mean the decoder believed a multi-exabyte claim from a tiny payload — varint
+// rows cost at least 1 byte and values 8, mirroring the original uint64-wrap
+// fix.
 func TestDecodeRecordRejectsWrappedCounts(t *testing.T) {
-	// A tag outside the two formats is refused whatever follows it — the
-	// retired raw tag included, on an otherwise well-formed frame.
-	for _, tag := range []byte{0, retiredRawTag, byte(rdd.WireF32) + 1, 0xEE} {
+	// A tag other than rdd.WireVarint is refused whatever follows it — the
+	// retired raw and float32 tags included, on an otherwise well-formed
+	// frame.
+	for _, tag := range []byte{0, retiredRawTag, retiredF32Tag, retiredF32Tag + 1, 0xEE} {
 		frame := (&PackedRows{Mode: 1, Rows: []int32{3}, Vals: []float64{2}}).AppendRecord(nil)
 		frame[0] = tag
 		var p PackedRows
@@ -256,27 +258,25 @@ func TestDecodeRecordRejectsWrappedCounts(t *testing.T) {
 			t.Errorf("tag=%d: decode accepted a frame with an unknown wire tag", tag)
 		}
 	}
-	for _, w := range []rdd.WireFormat{rdd.WireVarint, rdd.WireF32} {
-		for _, nr := range []uint64{1 << 62, 1<<64 - 1, 1 << 40} {
-			data := []byte{byte(w), 0, 0}
-			data = binary.AppendUvarint(data, nr)
-			data = binary.AppendUvarint(data, 1)
-			data = append(data, make([]byte, 8)...)
-			var p PackedRows
-			if _, err := p.DecodeRecord(data); err == nil {
-				t.Errorf("wire=%v nr=%d: decode accepted a wrapped row count", w, nr)
-			}
+	for _, nr := range []uint64{1 << 62, 1<<64 - 1, 1 << 40} {
+		data := []byte{byte(rdd.WireVarint), 0, 0}
+		data = binary.AppendUvarint(data, nr)
+		data = binary.AppendUvarint(data, 1)
+		data = append(data, make([]byte, 8)...)
+		var p PackedRows
+		if _, err := p.DecodeRecord(data); err == nil {
+			t.Errorf("nr=%d: decode accepted a wrapped row count", nr)
 		}
-		// Same class of attack through the value count.
-		for _, nv := range []uint64{1 << 61, 1<<64 - 1, 1 << 40} {
-			data := []byte{byte(w), 0, 0}
-			data = binary.AppendUvarint(data, 0)
-			data = binary.AppendUvarint(data, nv)
-			data = append(data, make([]byte, 16)...)
-			var p PackedRows
-			if _, err := p.DecodeRecord(data); err == nil {
-				t.Errorf("wire=%v nv=%d: decode accepted a wrapped value count", w, nv)
-			}
+	}
+	// Same class of attack through the value count.
+	for _, nv := range []uint64{1 << 61, 1<<64 - 1, 1 << 40} {
+		data := []byte{byte(rdd.WireVarint), 0, 0}
+		data = binary.AppendUvarint(data, 0)
+		data = binary.AppendUvarint(data, nv)
+		data = append(data, make([]byte, 16)...)
+		var p PackedRows
+		if _, err := p.DecodeRecord(data); err == nil {
+			t.Errorf("nv=%d: decode accepted a wrapped value count", nv)
 		}
 	}
 }

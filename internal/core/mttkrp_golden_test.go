@@ -114,44 +114,6 @@ func TestMTTKRPStageMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMTTKRPWireFormats pins the wire formats against each other on one
-// golden config: f32 narrows values on the wire, must stay within float32
-// relative error of the lossless varint result, and must shuffle fewer bytes.
-func TestMTTKRPWireFormats(t *testing.T) {
-	const rank = 5
-	dims := []int{17, 23, 9}
-	rng := rand.New(rand.NewPCG(101, 102))
-	ts := randomTensor(dims, 40*len(dims)*len(dims), rng)
-	factors := randomFactors(dims, rank, rng)
-	run := func(wire rdd.WireFormat) ([]*mat.Dense, int64) {
-		opt := DistOptions{GridPartition: true}
-		opt.Options = Options{Rank: rank}.withDefaults()
-		opt.Partitions = 4
-		opt.Wire = wire
-		c := rdd.MustNewCluster(rdd.Config{Machines: 3})
-		defer c.Close()
-		layout := NewLayout(ts, opt)
-		hs, _, err := MTTKRPStage(c, layout.BlocksRDD(c), layout, factors, opt)
-		if err != nil {
-			t.Fatalf("wire=%v: %v", wire, err)
-		}
-		return hs, c.Metrics().BytesShuffled.Load()
-	}
-	varHs, varBytes := run(rdd.WireVarint)
-	f32Hs, f32Bytes := run(rdd.WireF32)
-	for n := range varHs {
-		vd, fd := varHs[n].Data(), f32Hs[n].Data()
-		for i := range vd {
-			if !relClose(fd[i], vd[i], 1e-5) {
-				t.Fatalf("H_%d[%d]: f32 %v vs varint %v beyond float32 error", n, i, fd[i], vd[i])
-			}
-		}
-	}
-	if f32Bytes >= varBytes {
-		t.Fatalf("f32 wire shuffled %d bytes, varint %d: narrowing must shrink traffic", f32Bytes, varBytes)
-	}
-}
-
 // TestDistributedTraceMatchesSerial pins the full-solver equivalence at trace
 // granularity. The distributed stage measures ‖E‖ before the iteration's
 // update, so its trace lags the serial post-update RMSE by exactly one

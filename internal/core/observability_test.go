@@ -28,7 +28,7 @@ func runObservedSolve(t *testing.T, mode rdd.Mode) (*rdd.Cluster, *Result) {
 
 // The stage log, task trace, driver spans and phase breakdown must cover
 // every iteration of a full solve — in both engine modes, since MapReduce
-// mode additionally routes shuffles through disk spills.
+// mode additionally charges every shuffle as disk traffic.
 func TestObservabilityCoversFullSolve(t *testing.T) {
 	for _, mode := range []rdd.Mode{rdd.ModeInMemory, rdd.ModeMapReduce} {
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {

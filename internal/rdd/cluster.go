@@ -24,10 +24,12 @@
 //   - Shuffled data is really serialized — shuffle records frame themselves
 //     (BinaryRecord) — so the engine reports honest byte counts for the
 //     paper's Lemma 3 accounting.
-//   - ModeMapReduce spills every shuffle through the filesystem and disables
-//     in-memory caching (forcing lineage recomputation each stage), which is
-//     exactly the Hadoop penalty the paper attributes SCouT's and
-//     FlexiFact's slowness to.
+//   - ModeMapReduce charges every shuffle byte as a disk write and a disk
+//     read, with DiskLatencyPerMB of modelled latency, and disables in-memory
+//     caching (forcing lineage recomputation each stage), which is exactly
+//     the Hadoop penalty the paper attributes SCouT's and FlexiFact's
+//     slowness to. The exchange itself stays in memory, durable across
+//     machine loss like replicated HDFS storage.
 //   - Tasks that fail with a retryable error (fault injection, used in
 //     tests) are re-run on another machine from lineage, like Spark's task
 //     retry.
@@ -36,7 +38,6 @@ package rdd
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,8 +50,8 @@ type Mode int
 const (
 	// ModeInMemory is Spark-like: shuffles stay in memory, caching works.
 	ModeInMemory Mode = iota
-	// ModeMapReduce is Hadoop-like: shuffles spill to disk and Cache is a
-	// no-op, so every stage recomputes its lineage.
+	// ModeMapReduce is Hadoop-like: shuffles are charged as disk traffic and
+	// Cache is a no-op, so every stage recomputes its lineage.
 	ModeMapReduce
 )
 
@@ -77,12 +78,8 @@ type Config struct {
 	MemoryPerMachine int64
 	// Mode selects Spark-like or MapReduce-like execution.
 	Mode Mode
-	// DiskDir is where ModeMapReduce spills shuffle data. Empty uses a
-	// temporary directory owned by the cluster.
-	DiskDir string
 	// DiskLatencyPerMB adds modeled disk/HDFS latency per spilled megabyte
-	// (both write and read) in ModeMapReduce. Zero adds none beyond the real
-	// file I/O.
+	// (both write and read) in ModeMapReduce. Zero adds none.
 	DiskLatencyPerMB time.Duration
 	// SerializeTasks runs at most one task at a time across the whole
 	// cluster so per-task durations are true single-core costs. Combined
@@ -246,9 +243,6 @@ type Cluster struct {
 	arenas    arenaPool
 	blockPool blockPool // retired shuffle block images awaiting the next encode
 
-	tmpDir  string // ModeMapReduce spill directory, fixed at construction
-	ownsTmp bool
-
 	mu       sync.Mutex
 	nextID   int64
 	closed   bool
@@ -280,18 +274,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			sem: make(chan struct{}, cfg.CoresPerMachine),
 		})
 	}
-	if cfg.Mode == ModeMapReduce {
-		dir := cfg.DiskDir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "distenc-shuffle-")
-			if err != nil {
-				return nil, fmt.Errorf("rdd: creating shuffle dir: %w", err)
-			}
-			c.ownsTmp = true
-		}
-		c.tmpDir = dir
-	}
 	return c, nil
 }
 
@@ -311,9 +293,8 @@ func MustNewCluster(cfg Config) *Cluster {
 // metric totals; Close quiesces automatically.
 func (c *Cluster) Quiesce() { c.attempts.Wait() }
 
-// Close retires every shuffle exchange still alive (spill files removed,
-// worker-held blocks dropped) and releases the cluster's on-disk shuffle
-// space. It first waits for any straggling speculative attempts so nothing
+// Close retires every shuffle exchange still alive (worker-held blocks
+// dropped). It first waits for any straggling speculative attempts so nothing
 // races the teardown.
 func (c *Cluster) Close() error {
 	c.Quiesce()
@@ -330,9 +311,6 @@ func (c *Cluster) Close() error {
 		if ex, ok := e.(interface{ retire() }); ok {
 			ex.retire()
 		}
-	}
-	if c.ownsTmp {
-		return os.RemoveAll(c.tmpDir)
 	}
 	return nil
 }
@@ -375,52 +353,6 @@ func (c *Cluster) newID() int64 {
 	defer c.mu.Unlock()
 	c.nextID++
 	return c.nextID
-}
-
-// writeFileAtomic writes data to path via a unique temp file and rename, so
-// two speculative attempts racing on the same deterministic block path never
-// interleave partial writes — the loser's rename just reinstalls identical
-// bytes. The temp file is fsynced before the rename: without it a crash
-// after the rename could leave the new name pointing at data the kernel never
-// flushed — a torn block that a later read (or a Resume) would trust. A
-// failed rename removes the temp file rather than leaking *.tmpN residue.
-//
-//distenc:accounted -- callers attribute the spill via countSpillWrite at the call site
-func (c *Cluster) writeFileAtomic(path string, data []byte) error {
-	tmp := fmt.Sprintf("%s.tmp%d", path, c.newID())
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// writeFrameFileAtomic writes data to path as a single length-prefixed frame
-// (see ReadFrame), atomically. Spill blocks go through here so a torn file —
-// truncated by a crash between write and flush — is detected by the frame
-// reader instead of being parsed as a shorter block.
-//
-//distenc:accounted -- callers attribute the spill via countSpillWrite at the call site
-func (c *Cluster) writeFrameFileAtomic(path string, data []byte) error {
-	return c.writeFileAtomic(path, AppendFrame(make([]byte, 0, 4+len(data)), data))
 }
 
 // charge reserves bytes on machine m, failing with ErrOutOfMemory if the

@@ -220,8 +220,8 @@ func (c *Cluster) unregisterEvictor(id int64) {
 }
 
 // KillMachine simulates losing machine m: every cached partition and
-// in-memory shuffle output it held is evicted (ModeMapReduce spill
-// files model replicated HDFS storage and survive), its memory charge is
+// in-memory shuffle output it held is evicted (a ModeMapReduce exchange
+// models replicated HDFS storage and survives), its memory charge is
 // zeroed, and the scheduler stops placing tasks on it. Lost data is
 // recomputed from lineage the next time a stage needs it, mirroring Spark's
 // executor-loss recovery. Tasks already running on m are discarded when they

@@ -3,7 +3,6 @@ package rdd
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -42,7 +41,7 @@ func TestShouldFailLongestPrefixDeterministic(t *testing.T) {
 // TestExactlyOnceMetricsUnderRetry is the exactly-once regression test: disk
 // and shuffle bytes produced by attempts that fail partway through must land
 // in BytesWasted, not the committed counters, so a retried run's totals match
-// a failure-free run. ModeMapReduce makes the reduce-side fetch produce real
+// a failure-free run. ModeMapReduce makes the reduce-side fetch charge
 // disk-read traffic before the injected mid-task failure.
 func TestExactlyOnceMetricsUnderRetry(t *testing.T) {
 	run := func(inject bool) (*Cluster, MetricsSnapshot) {
@@ -268,8 +267,8 @@ func TestKillMachineRecomputesShuffleOutput(t *testing.T) {
 	}
 }
 
-// TestKillMachineSparesDiskShuffle: ModeMapReduce spills model replicated
-// HDFS storage — a machine kill must not invalidate them.
+// TestKillMachineSparesDiskShuffle: a ModeMapReduce exchange models
+// replicated HDFS storage — a machine kill must not invalidate it.
 func TestKillMachineSparesDiskShuffle(t *testing.T) {
 	c := testCluster(t, Config{Machines: 3, Mode: ModeMapReduce})
 	pairs := make([]slabRec, 60)
@@ -439,54 +438,6 @@ func TestMaxTaskRetriesConfigurable(t *testing.T) {
 	if _, err := Parallelize(c2, "fragile", ints(10), 2).Collect(); err == nil {
 		t.Fatal("MaxTaskRetries=-1 still retried")
 	}
-}
-
-// TestShuffleSpillFilesDeletedOnRetire: in ModeMapReduce a retired exchange
-// removes its spill files, so a caller-owned DiskDir never holds more than
-// the one exchange being consumed — and Close retires what is still alive.
-func TestShuffleSpillFilesDeletedOnRetire(t *testing.T) {
-	dir := t.TempDir()
-	c := MustNewCluster(Config{Mode: ModeMapReduce, DiskDir: dir, Machines: 2})
-	const parts = 3
-	for round := 0; round < 5; round++ {
-		r := foldRound(c, parts, round)
-		got, err := r.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBits(t, fmt.Sprintf("round %d", round), got, foldWant(parts, round))
-		if n := countFiles(t, dir, "ex"); n != parts*parts {
-			t.Fatalf("round %d: %d spill files while its exchange lives, want %d (earlier rounds' files still there?)", round, n, parts*parts)
-		}
-		r.Unpersist()
-		if n := countFiles(t, dir, "ex"); n != 0 {
-			t.Fatalf("round %d: %d spill files survive retirement", round, n)
-		}
-	}
-	if _, err := foldRound(c, parts, 5).Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := countFiles(t, dir, "ex"); n != 0 {
-		t.Fatalf("%d spill files of an unretired exchange survive Close of a non-owned DiskDir", n)
-	}
-}
-
-func countFiles(t *testing.T, dir, prefix string) int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), prefix) {
-			n++
-		}
-	}
-	return n
 }
 
 // TestSummaryReportsRecovery: the Summary table must carry the recovery story.

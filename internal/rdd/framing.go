@@ -5,17 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Length-prefixed frames are the streamed counterpart of the engine's block
 // codecs: a BinaryRecord/PackedRows block is a self-contained []byte, and a
 // frame is that block preceded by a u32 little-endian byte count. The TCP
-// transport carries every request and response as one frame, and the
-// ModeMapReduce spill path writes each shuffle block as one framed file, so
-// both share the torn-input detection below: a reader that got fewer bytes
-// than the prefix promised reports io.ErrUnexpectedEOF instead of handing a
-// truncated block to the decoders (which assume a complete slice).
+// transport carries every request and response as one frame, with the
+// torn-input detection below: a reader that got fewer bytes than the prefix
+// promised reports io.ErrUnexpectedEOF instead of handing a truncated block
+// to the decoders (which assume a complete slice).
 
 // DefaultMaxFrame caps how large a frame a reader will accept (1 GiB). The
 // cap is checked before allocating, so a corrupt or adversarial length prefix
@@ -75,21 +73,4 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
-}
-
-// readFrameFile reads a file written as a single frame (spill blocks), so a
-// torn write — a crash mid-flush left fewer bytes than the prefix records —
-// surfaces as io.ErrUnexpectedEOF rather than a decoder error deep in the
-// block parser.
-func readFrameFile(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, err := ReadFrame(f, DefaultMaxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("rdd: reading framed file %s: %w", path, err)
-	}
-	return data, nil
 }

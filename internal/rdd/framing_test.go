@@ -5,8 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -138,26 +136,5 @@ func TestReadFrameOversizedPrefixRejectedBeforeAllocating(t *testing.T) {
 	// timeouts. Keep a loose object-count bound as the tripwire.
 	if allocs > 10 {
 		t.Fatalf("ReadFrame allocated %v objects rejecting an oversized prefix", allocs)
-	}
-}
-
-func TestReadFrameFileTornWrite(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.blk")
-	torn := filepath.Join(dir, "torn.blk")
-	payload := bytes.Repeat([]byte{0xCD}, 4096)
-	frame := AppendFrame(nil, payload)
-	if err := os.WriteFile(good, frame, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(torn, frame[:len(frame)-100], 0o600); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrameFile(good)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("good file: %v", err)
-	}
-	if _, err := readFrameFile(torn); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("torn file: got %v, want io.ErrUnexpectedEOF", err)
 	}
 }

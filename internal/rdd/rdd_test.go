@@ -204,7 +204,7 @@ func TestMapReduceModeSpillsToDisk(t *testing.T) {
 	}
 	assertKeyed(t, got, keyedWant(data))
 	if c.Metrics().DiskBytesWrite.Load() == 0 || c.Metrics().DiskBytesRead.Load() == 0 {
-		t.Fatalf("MapReduce mode did not touch disk: %+v", c.Metrics().Snapshot())
+		t.Fatalf("MapReduce mode charged no disk traffic: %+v", c.Metrics().Snapshot())
 	}
 }
 

@@ -3,8 +3,6 @@ package rdd
 import (
 	"fmt"
 	"iter"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,9 +10,11 @@ import (
 
 // exchange is one shuffle: the map side buckets and serializes its records by
 // target partition; the reduce side fetches and deserializes them. Blocks are
-// held in memory (ModeInMemory) or spilled through the filesystem
-// (ModeMapReduce), with every byte counted in the cluster metrics — the
-// quantity Lemma 3 of the paper bounds.
+// held in the driver, or on the workers of a remote Transport, with every byte
+// counted in the cluster metrics — the quantity Lemma 3 of the paper bounds.
+// In ModeMapReduce every block is also counted as a disk write and, per
+// fetch, a disk read, with DiskLatencyPerMB of modelled latency each way, and
+// stays in the driver: the exchange is durable (replicated HDFS storage).
 //
 // An exchange lives until retire (Unpersist of the RDD that reads it, or
 // Cluster.Close). Until then a machine kill evicts its outputs and the next
@@ -43,8 +43,7 @@ type exchange[R any, PR recordPtr[R]] struct {
 	// lost output wait on its channel instead of convoying on mu or
 	// recomputing the partition once per waiter.
 	mu       sync.Mutex
-	blocks   [][][]byte            // [mapPart][reducePart] (nil rows in disk and remote modes)
-	files    [][]string            // paths in disk mode
+	blocks   [][][]byte            // [mapPart][reducePart] (nil rows under a remote Transport)
 	lens     [][]int32             // [mapPart][reducePart] block sizes under a remote Transport (0: no block)
 	machines []int                 // machine whose memory holds map part p's output (-1: none)
 	lost     []bool                // map outputs evicted by a machine kill, pending recompute
@@ -77,11 +76,11 @@ func newExchange[R any, PR recordPtr[R]](c *Cluster, name string, parentDeps []d
 // loser still running after the consuming stage committed.
 var errRetired = fmt.Errorf("rdd: shuffle exchange retired: %w", errObsolete)
 
-// retire ends the exchange's life: it leaves the kill-notification set, its
-// spill files are removed, every live worker drops its blocks, and its
-// in-memory images go to the cluster's block pool for the next exchange to
-// encode into — unless a reduce attempt is still reading them, in which case
-// they are left to the GC: an image a reader holds is never overwritten.
+// retire ends the exchange's life: it leaves the kill-notification set,
+// every live worker drops its blocks, and its in-memory images go to the
+// cluster's block pool for the next exchange to encode into — unless a reduce
+// attempt is still reading them, in which case they are left to the GC: an
+// image a reader holds is never overwritten.
 // Under a remote Transport the driver holds no image of it by now (its tasks
 // recycled theirs as they went, see blockPool), so the pool is only trimmed.
 func (e *exchange[R, PR]) retire() {
@@ -91,13 +90,10 @@ func (e *exchange[R, PR]) retire() {
 		e.mu.Unlock()
 		return
 	}
-	blocks, files, lens, live, idle := e.blocks, e.files, e.lens, e.live, e.readers.Load() == 0
-	e.blocks, e.files, e.lens = nil, nil, nil
+	blocks, lens, live, idle := e.blocks, e.lens, e.live, e.readers.Load() == 0
+	e.blocks, e.lens = nil, nil
 	e.mu.Unlock()
 	e.c.metrics.ShuffleLiveBytes.Add(-live)
-	for _, paths := range files {
-		removeFiles(paths)
-	}
 	if e.remote() {
 		e.c.blockPool.retain(lens)
 		if blocks != nil {
@@ -109,22 +105,21 @@ func (e *exchange[R, PR]) retire() {
 }
 
 // remote reports whether the exchange's blocks live on the workers of a
-// remote Transport rather than in the driver (ModeMapReduce spills them to
-// files on either backend).
+// remote Transport rather than in the driver (a ModeMapReduce exchange keeps
+// them in the driver on either backend).
 func (e *exchange[R, PR]) remote() bool {
 	return e.c.remote() != nil && e.c.cfg.Mode != ModeMapReduce
 }
 
 // discardIfRetired is the check a map-side attempt makes after storing its
-// output outside the driver (spill files, blocks put on machine m's worker):
-// if the exchange retired meanwhile nothing would ever clean up after the
-// attempt, so it removes what it stored and fails. A retire that lands after
-// this check finds the output already stored, and drops it itself.
-func (e *exchange[R, PR]) discardIfRetired(m int, paths []string, put bool) error {
+// output outside the driver (blocks put on machine m's worker): if the
+// exchange retired meanwhile nothing would ever clean up after the attempt,
+// so it drops what it stored and fails. A retire that lands after this check
+// finds the output already stored, and drops it itself.
+func (e *exchange[R, PR]) discardIfRetired(m int, put bool) error {
 	if !e.retired.Load() {
 		return nil
 	}
-	removeFiles(paths)
 	if put {
 		e.c.dropBlocks(m, e.id)
 	}
@@ -132,8 +127,8 @@ func (e *exchange[R, PR]) discardIfRetired(m int, paths []string, put bool) erro
 }
 
 // evictMachine marks the in-memory map outputs the dead machine held as lost;
-// fetch recomputes them from lineage on demand. ModeMapReduce spill files
-// model replicated HDFS storage and survive machine loss.
+// fetch recomputes them from lineage on demand. A ModeMapReduce exchange
+// models replicated HDFS storage and survives machine loss.
 func (e *exchange[R, PR]) evictMachine(m int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -190,7 +185,6 @@ func (e *exchange[R, PR]) ensure() error {
 		}
 		e.mu.Lock()
 		e.blocks = make([][][]byte, e.mapParts)
-		e.files = make([][]string, e.mapParts)
 		e.lens = make([][]int32, e.mapParts)
 		e.machines = make([]int, e.mapParts)
 		for p := range e.machines {
@@ -207,21 +201,12 @@ func (e *exchange[R, PR]) ensure() error {
 			if err != nil {
 				return err
 			}
-			var paths []string
 			if e.c.cfg.Mode == ModeMapReduce {
-				paths = make([]string, e.reduceParts)
-				for rp, data := range enc {
-					if data == nil {
-						continue
+				for _, data := range enc {
+					if data != nil {
+						tc.countSpillWrite(int64(len(data)))
+						e.c.diskDelay(len(data))
 					}
-					path := filepath.Join(e.c.tmpDir, fmt.Sprintf("ex%d-m%d-r%d.blk", e.id, p, rp))
-					if err := e.c.writeFrameFileAtomic(path, data); err != nil {
-						return fmt.Errorf("rdd: spilling shuffle block: %w", err)
-					}
-					tc.countSpillWrite(int64(len(data)))
-					e.c.diskDelay(len(data))
-					paths[rp] = path
-					enc[rp] = nil // spilled: no in-memory copy to lose
 				}
 			}
 			// Under a remote Transport the bucket bytes move to the producing
@@ -238,7 +223,7 @@ func (e *exchange[R, PR]) ensure() error {
 				e.c.blockPool.recycle(enc)
 				enc = nil
 			}
-			if err := e.discardIfRetired(tc.Machine, paths, lens != nil); err != nil {
+			if err := e.discardIfRetired(tc.Machine, lens != nil); err != nil {
 				return err
 			}
 			// Publish on commit only: under speculative execution two
@@ -248,7 +233,6 @@ func (e *exchange[R, PR]) ensure() error {
 			tc.OnSuccess(func() {
 				e.mu.Lock()
 				e.blocks[p] = enc
-				e.files[p] = paths
 				e.lens[p] = lens
 				e.machines[p] = tc.Machine
 				e.lost[p] = false
@@ -294,38 +278,26 @@ func (e *exchange[R, PR]) blockID(mp, rp int) BlockID {
 }
 
 // blockFor returns map part mp's encoded bucket for reduce partition rp (nil:
-// none was sent): read back from its spill file in ModeMapReduce, otherwise
-// held in memory or on a worker, with the whole map partition recomputed from
-// lineage first if a machine kill evicted it — Spark's FetchFailed →
-// parent-stage re-execution, collapsed into the fetching task (which pays and
-// records the recompute). Exactly one fetcher recomputes a given lost output;
-// concurrent fetchers wait for it and re-check, and e.mu is never held across
-// the recompute or any file or network read. Under a remote Transport this is
-// the path of the blocks fetchPartition could not prefetch — a lost output, or
-// one another fetcher recomputed meanwhile, read with a one-element
-// FetchBlocks — and the image returned is a pool image the caller owns.
+// none was sent), held in memory or on a worker, with the whole map partition
+// recomputed from lineage first if a machine kill evicted it — Spark's
+// FetchFailed → parent-stage re-execution, collapsed into the fetching task
+// (which pays and records the recompute). Exactly one fetcher recomputes a
+// given lost output; concurrent fetchers wait for it and re-check, and e.mu is
+// never held across the recompute or any network read. Under a remote
+// Transport this is the path of the blocks fetchPartition could not prefetch —
+// a lost output, or one another fetcher recomputed meanwhile, read with a
+// one-element FetchBlocks — and the image returned is a pool image the caller
+// owns.
 func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
-	rt := e.c.remote()
+	remote := e.remote()
 	for {
 		e.mu.Lock()
 		if e.retired.Load() {
 			e.mu.Unlock()
 			return nil, errRetired
 		}
-		if e.c.cfg.Mode == ModeMapReduce {
-			paths := e.files[mp]
-			e.mu.Unlock()
-			if paths == nil || paths[rp] == "" {
-				return nil, nil
-			}
-			data, err := readFrameFile(paths[rp])
-			if err != nil {
-				return nil, fmt.Errorf("rdd: reading spilled shuffle block: %w", err)
-			}
-			return data, nil
-		}
 		if !e.lost[mp] {
-			if rt == nil {
+			if !remote {
 				data := e.blocks[mp][rp]
 				e.mu.Unlock()
 				return data, nil
@@ -377,9 +349,9 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 		// the other images go back to the pool as a map task's would.
 		var lens []int32
 		var out []byte
-		if err == nil && rt != nil {
+		if err == nil && remote {
 			if lens, err = e.putBlocks(tc, mp, enc); err == nil {
-				err = e.discardIfRetired(tc.Machine, nil, true)
+				err = e.discardIfRetired(tc.Machine, true)
 			}
 			if err == nil {
 				out, enc[rp] = enc[rp], nil
@@ -401,7 +373,7 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rt != nil {
+		if remote {
 			return out, nil
 		}
 		return enc[rp], nil
@@ -505,10 +477,11 @@ func (e *exchange[R, PR]) fetchPartition(rp int, images [][]byte) error {
 }
 
 // records hands the loop body the blocks destined for reduce partition rp,
-// one decoded block at a time in map-partition order, attributing any disk
-// reads (and lost-block recomputes) to the fetching task. Each block is
-// decoded into an arena region that is rewound for the next (see ShuffleMap),
-// and the loop counts as a reader of the exchange until it ends (see retire).
+// one decoded block at a time in map-partition order, attributing any
+// modelled disk reads (and lost-block recomputes) to the fetching task. Each
+// block is decoded into an arena region that is rewound for the next (see
+// ShuffleMap), and the loop counts as a reader of the exchange until it ends
+// (see retire).
 // Under a remote Transport the partition's encoded input is fetched up front
 // (fetchPartition) into pool images that go back to the pool when the loop
 // ends, however it ends; the fold order does not depend on which worker
@@ -574,8 +547,8 @@ func (e *exchange[R, PR]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 // Records are grouped by destination by the caller and frame themselves (R is
 // a BinaryRecord): the packed MTTKRP slab records, whose sorted row ranges map
 // to contiguous reduce partitions, shuffle O(parts) records instead of
-// O(keys). Unpersist of the result retires the exchange: block images, spill
-// files and worker-held blocks are freed, and lineage recovery for it ends.
+// O(keys). Unpersist of the result retires the exchange: block images and
+// worker-held blocks are freed, and lineage recovery for it ends.
 func ShuffleMap[T, R, U any, PR recordPtr[R]](r *RDD[T], name, reduceName string, reduceParts int,
 	bucket func(tc *TaskCtx, mapPart int, in []T) ([][]R, error),
 	reduce func(tc *TaskCtx, p int, blocks iter.Seq2[[]R, error]) ([]U, error)) *RDD[U] {
@@ -605,15 +578,6 @@ func ShuffleMap[T, R, U any, PR recordPtr[R]](r *RDD[T], name, reduceName string
 		compute: func(tc *TaskCtx, p int) ([]U, error) {
 			return reduce(tc, p, ex.records(tc, p))
 		},
-	}
-}
-
-// removeFiles best-effort deletes shuffle-spill block files.
-func removeFiles(paths []string) {
-	for _, p := range paths {
-		if p != "" {
-			os.Remove(p)
-		}
 	}
 }
 

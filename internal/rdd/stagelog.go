@@ -17,8 +17,8 @@ type StageRecord struct {
 	// BytesShuffled counts shuffle traffic generated by this stage's tasks
 	// (map-side serialized blocks plus declared row shipments).
 	BytesShuffled int64
-	// BytesSpilled counts disk bytes read+written by this stage's tasks
-	// (ModeMapReduce shuffle spills).
+	// BytesSpilled counts the modelled disk bytes read+written by this
+	// stage's tasks (ModeMapReduce shuffle traffic).
 	BytesSpilled int64
 	// BytesWasted counts shuffle+disk bytes produced by this stage's failed
 	// task attempts — and, under speculation, by attempts that lost the

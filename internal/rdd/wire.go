@@ -3,73 +3,22 @@ package rdd
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 )
 
-// WireFormat selects how shuffle record payloads are laid out on the wire.
-// The zero value means "unset"; callers resolve it to a concrete format
-// (WireVarint unless they opt into lossy float32). Each encoded record frame
-// carries its format in a leading tag byte, so mixed blocks decode correctly
-// and a decoded record re-encodes to identical bytes — the property the
-// chaos e2e's bit-equal BytesShuffled assertions and the codec fuzzer rely
-// on.
+// WireFormat is a shuffle record frame's leading tag byte. There is one
+// layout, WireVarint; every encoder writes its tag and every decoder refuses
+// any other, so a decoded record re-encodes to identical bytes — the property
+// the chaos e2e's bit-equal BytesShuffled assertions and the codec fuzzer rely
+// on. Tags 1 (a full-width u32-row layout) and 3 (float32 values) are retired
+// rather than reused.
 type WireFormat uint8
 
-// Tag 1, once a full-width u32-row layout, is retired rather than reused: a
-// frame carrying it is refused as an unknown tag.
-const (
-	// WireVarint is the lossless layout: zigzag-varint delta-coded row
-	// indices (sorted row runs make the deltas small) and float64 values.
-	WireVarint WireFormat = 2
-	// WireF32 is the lossy layout: delta-varint rows plus float32 values,
-	// widened back to float64 on decode so driver-side accumulation stays in
-	// double precision. Halves the dominant value payload.
-	WireF32 WireFormat = 3
-)
-
-// String names the format the way the -wire CLI flag spells it.
-func (w WireFormat) String() string {
-	switch w {
-	case WireVarint:
-		return "varint"
-	case WireF32:
-		return "f32"
-	case 0:
-		return "auto"
-	}
-	return fmt.Sprintf("WireFormat(%d)", uint8(w))
-}
-
-// ParseWireFormat parses a -wire flag value. The empty string and "auto"
-// resolve to the unset zero value (the solver then picks WireVarint, the
-// lossless default).
-func ParseWireFormat(s string) (WireFormat, error) {
-	switch s {
-	case "", "auto":
-		return 0, nil
-	case "varint", "lossless":
-		return WireVarint, nil
-	case "f32", "float32":
-		return WireF32, nil
-	}
-	return 0, fmt.Errorf("rdd: unknown wire format %q (want varint or f32)", s)
-}
-
-// Valid reports whether w is a concrete wire format (not the unset zero).
-func (w WireFormat) Valid() bool { return w == WireVarint || w == WireF32 }
-
-// BytesPerVal returns the wire width of one value under format w. Shuffle
-// cost models that estimate value traffic (e.g. the factor-row shipment
-// charge in the MTTKRP map stage) scale by it.
-func (w WireFormat) BytesPerVal() int64 {
-	if w == WireF32 {
-		return 4
-	}
-	return 8
-}
+// WireVarint is the one layout: zigzag-varint delta-coded row indices (sorted
+// row runs make the deltas small) and float64 values.
+const WireVarint WireFormat = 2
 
 // maxRowDelta bounds a single decoded row delta. Legitimate deltas between
 // int32 row indices fit in 33 bits; rejecting anything larger both catches
@@ -134,7 +83,7 @@ func DeltaRowsSize(rows []int32) int {
 func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // AppendF64Vals appends vals as little-endian float64s — the bulk of every
-// default-wire shuffle block. buf grows once to its final length and is then
+// shuffle block. buf grows once to its final length and is then
 // filled through a sliding window, four values per step, whose loop condition
 // carries the length proof: no bounds checks and no per-value append
 // bookkeeping (scripts/check_bce.sh keeps it so), same bytes as a per-value
@@ -176,26 +125,4 @@ func DecodeF64Vals(dst []float64, data []byte) ([]byte, error) {
 	}
 	//bce:end
 	return data, nil
-}
-
-// AppendF32Vals appends vals narrowed to little-endian float32s (WireF32).
-func AppendF32Vals(buf []byte, vals []float64) []byte {
-	buf = slices.Grow(buf, 4*len(vals))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
-	}
-	return buf
-}
-
-// DecodeF32Vals decodes len(dst) float32s from data, widening each to
-// float64 so downstream accumulation runs in double precision. Widening is
-// exact, so decode→re-encode round-trips bit-identically.
-func DecodeF32Vals(dst []float64, data []byte) ([]byte, error) {
-	if len(data) < 4*len(dst) {
-		return nil, errValShort
-	}
-	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))
-	}
-	return data[4*len(dst):], nil
 }

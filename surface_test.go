@@ -37,6 +37,7 @@ var surfaceVehicles = map[string]string{
 // towards "named".
 var fieldVehicles = map[string]string{
 	"metrics.PhaseTimes.Gram": "always zero since the Grams are accumulated inside the driver pass; benchmark/child.go and probes.go read it",
+	"core.PackedRows.Wire":    "inert since every frame is rdd.WireVarint; benchmark/probes.go sets it",
 }
 
 // TestModuleSurfaceIsReached keeps every package the size of its callers:
