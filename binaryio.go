@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+
+	"distenc/internal/rdd"
 )
 
 // Binary tensor format ("DTZ1"): a compact fixed-layout encoding for large
@@ -46,53 +49,97 @@ func WriteBinary(w io.Writer, t *Tensor) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the DTZ1 binary format and validates the result.
+// ReadBinary parses the DTZ1 binary format and validates the result: every
+// index in range for its mode and every value finite, as Tensor.Validate
+// requires.
+//
+// The payload is decoded in place — straight from one 64 KB buffer into
+// t.Idx and t.Val — and checked as it is decoded, so there is neither a
+// full-size temporary nor a validation pass over the tensor afterwards. The
+// storage is sized for min(nnz, 1<<20) entries up front and grows as payload
+// arrives: a header that promises more entries than the input holds fails at
+// end of input instead of allocating what it promises.
 func ReadBinary(r io.Reader) (*Tensor, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("distenc: reading magic: %w", err)
+	buf := make([]byte, 64<<10)
+	head := buf[:8]
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("distenc: reading header: %w", err)
 	}
-	if magic != dtzMagic {
-		return nil, fmt.Errorf("distenc: bad magic %q, want %q", magic, dtzMagic)
+	if [4]byte(head) != dtzMagic {
+		return nil, fmt.Errorf("distenc: bad magic %q, want %q", head[:4], dtzMagic)
 	}
-	var order uint32
-	if err := binary.Read(br, binary.LittleEndian, &order); err != nil {
-		return nil, err
-	}
+	order := int(binary.LittleEndian.Uint32(head[4:]))
 	if order == 0 || order > 16 {
 		return nil, fmt.Errorf("distenc: implausible tensor order %d", order)
 	}
+	head = buf[:8*order+8]
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("distenc: reading header: %w", err)
+	}
 	dims := make([]int, order)
 	for i := range dims {
-		var d uint64
-		if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
-			return nil, err
-		}
+		d := binary.LittleEndian.Uint64(head[8*i:])
 		if d == 0 || d > math.MaxInt32 {
 			return nil, fmt.Errorf("distenc: implausible dimension %d", d)
 		}
 		dims[i] = int(d)
 	}
-	var nnz uint64
-	if err := binary.Read(br, binary.LittleEndian, &nnz); err != nil {
-		return nil, err
-	}
+	nnz := binary.LittleEndian.Uint64(head[8*order:])
 	const maxNNZ = 1 << 33
 	if nnz > maxNNZ {
 		return nil, fmt.Errorf("distenc: implausible nnz %d", nnz)
 	}
 	t := NewTensor(dims...)
-	t.Idx = make([]int32, int(nnz)*int(order))
-	t.Val = make([]float64, nnz)
-	if err := binary.Read(br, binary.LittleEndian, t.Idx); err != nil {
-		return nil, fmt.Errorf("distenc: reading indices: %w", err)
+	first := min(int(nnz), 1<<20)
+	t.Idx = make([]int32, 0, first*order)
+	t.Val = make([]float64, 0, first)
+
+	// Indices, a buffer of whole cells at a time, each checked against its
+	// mode with one unsigned compare (a negative index is a huge unsigned one).
+	perBuf := len(buf) / (4 * order) * order
+	for left := int(nnz) * order; left > 0; {
+		k := min(perBuf, left)
+		src := buf[:4*k]
+		if _, err := io.ReadFull(r, src); err != nil {
+			return nil, fmt.Errorf("distenc: reading indices: %w", err)
+		}
+		base := len(t.Idx)
+		t.Idx = slices.Grow(t.Idx, k)[:base+k]
+		dst := t.Idx[base:]
+		//bce:begin
+		for d, s := dst, src; len(d) > 0 && len(s) >= 4; d, s = d[1:], s[4:] {
+			d[0] = int32(binary.LittleEndian.Uint32(s))
+		}
+		//bce:end
+		m := 0
+		for i, v := range dst {
+			if uint(v) >= uint(dims[m]) {
+				return nil, fmt.Errorf("distenc: binary tensor invalid: entry %d mode %d index %d out of range [0,%d)", (base+i)/order, m, v, dims[m])
+			}
+			if m++; m == order {
+				m = 0
+			}
+		}
+		left -= k
 	}
-	if err := binary.Read(br, binary.LittleEndian, t.Val); err != nil {
-		return nil, fmt.Errorf("distenc: reading values: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("distenc: binary tensor invalid: %w", err)
+	for left := int(nnz); left > 0; {
+		k := min(len(buf)/8, left)
+		src := buf[:8*k]
+		if _, err := io.ReadFull(r, src); err != nil {
+			return nil, fmt.Errorf("distenc: reading values: %w", err)
+		}
+		base := len(t.Val)
+		t.Val = slices.Grow(t.Val, k)[:base+k]
+		dst := t.Val[base:]
+		if _, err := rdd.DecodeF64Vals(dst, src); err != nil {
+			return nil, fmt.Errorf("distenc: reading values: %w", err)
+		}
+		for i, v := range dst {
+			if !(math.Abs(v) <= math.MaxFloat64) { // false for ±Inf and NaN
+				return nil, fmt.Errorf("distenc: binary tensor invalid: entry %d has non-finite value %v", base+i, v)
+			}
+		}
+		left -= k
 	}
 	return t, nil
 }

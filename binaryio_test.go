@@ -62,6 +62,7 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 		append([]byte("DTZ1"), 0, 0, 0, 0),       // order 0
 		append([]byte("DTZ1"), 0xFF, 0xFF, 0, 0), // huge order
 		append([]byte("DTZ1"), 2, 0, 0, 0, 0, 0, 0), // truncated dims
+		oomHeader, // 2³³ entries promised, none present: must fail at EOF, not allocate
 	}
 	for i, c := range cases {
 		if _, err := ReadBinary(bytes.NewReader(c)); err == nil {

@@ -28,12 +28,6 @@
 package distenc
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-
 	"distenc/internal/core"
 	"distenc/internal/graph"
 	"distenc/internal/metrics"
@@ -233,139 +227,3 @@ type DBLPConfig = synth.DBLPConfig
 
 // DBLP4Config sizes GenerateDBLP4.
 type DBLP4Config = synth.DBLP4Config
-
-// ReadCOO parses a sparse tensor from the text format written by WriteCOO:
-// a header line "dims I1 I2 … IN" followed by one "i1 i2 … iN value" line
-// per entry (0-based indices). Blank lines and lines starting with '#' are
-// ignored.
-func ReadCOO(r io.Reader) (*Tensor, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var t *Tensor
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if t == nil {
-			if fields[0] != "dims" || len(fields) < 2 {
-				return nil, fmt.Errorf("distenc: line %d: expected \"dims I1 I2 …\" header, got %q", line, text)
-			}
-			dims := make([]int, len(fields)-1)
-			for i, f := range fields[1:] {
-				d, err := strconv.Atoi(f)
-				if err != nil || d <= 0 {
-					return nil, fmt.Errorf("distenc: line %d: bad dimension %q", line, f)
-				}
-				dims[i] = d
-			}
-			t = NewTensor(dims...)
-			continue
-		}
-		if len(fields) != t.Order()+1 {
-			return nil, fmt.Errorf("distenc: line %d: want %d indices + value, got %d fields", line, t.Order(), len(fields))
-		}
-		idx := make([]int32, t.Order())
-		for i := 0; i < t.Order(); i++ {
-			v, err := strconv.Atoi(fields[i])
-			if err != nil || v < 0 || v >= t.Dims[i] {
-				return nil, fmt.Errorf("distenc: line %d: bad index %q for mode %d", line, fields[i], i)
-			}
-			idx[i] = int32(v)
-		}
-		val, err := strconv.ParseFloat(fields[t.Order()], 64)
-		if err != nil {
-			return nil, fmt.Errorf("distenc: line %d: bad value %q", line, fields[t.Order()])
-		}
-		t.Append(idx, val)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if t == nil {
-		return nil, fmt.Errorf("distenc: empty COO input")
-	}
-	return t, nil
-}
-
-// WriteCOO writes the ReadCOO text format.
-func WriteCOO(w io.Writer, t *Tensor) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "dims")
-	for _, d := range t.Dims {
-		fmt.Fprintf(bw, " %d", d)
-	}
-	fmt.Fprintln(bw)
-	for e := 0; e < t.NNZ(); e++ {
-		for _, i := range t.Index(e) {
-			fmt.Fprintf(bw, "%d ", i)
-		}
-		fmt.Fprintf(bw, "%g\n", t.Val[e])
-	}
-	return bw.Flush()
-}
-
-// ReadSimilarity parses a similarity graph: a header "nodes N" then one
-// "i j weight" line per undirected edge.
-func ReadSimilarity(r io.Reader) (*Similarity, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var s *Similarity
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if s == nil {
-			if fields[0] != "nodes" || len(fields) != 2 {
-				return nil, fmt.Errorf("distenc: line %d: expected \"nodes N\" header", line)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("distenc: line %d: bad node count %q", line, fields[1])
-			}
-			s = NewSimilarity(n)
-			continue
-		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("distenc: line %d: want \"i j weight\"", line)
-		}
-		i, err1 := strconv.Atoi(fields[0])
-		j, err2 := strconv.Atoi(fields[1])
-		w, err3 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("distenc: line %d: bad edge %q", line, text)
-		}
-		if i < 0 || j < 0 || i >= s.N || j >= s.N || i == j {
-			return nil, fmt.Errorf("distenc: line %d: edge (%d,%d) out of range", line, i, j)
-		}
-		s.AddEdge(i, j, w)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if s == nil {
-		return nil, fmt.Errorf("distenc: empty similarity input")
-	}
-	return s, nil
-}
-
-// WriteSimilarity writes the ReadSimilarity text format.
-func WriteSimilarity(w io.Writer, s *Similarity) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "nodes %d\n", s.N)
-	for i, edges := range s.Adj {
-		for _, e := range edges {
-			if int(e.To) > i { // write each undirected edge once
-				fmt.Fprintf(bw, "%d %d %g\n", i, e.To, e.Weight)
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -306,19 +306,23 @@ func (st *solverState) stop(delta float64) bool {
 // mean prediction over the observed cells matches the observed mean (unless
 // opt.InitScale pins an explicit scale). With nearly all cells missing, the
 // EM-style fill-in otherwise spends many iterations just finding the data's
-// scale. Exported so every baseline starts from the identical point.
+// scale. Exported so every baseline starts from the identical point. Both
+// sums run in storage order (DESIGN.md §5), the predictions a chunk at a time
+// from the batched evaluator, bit for bit a loop over Kruskal.At.
 func ApplyInitScale(factors []*mat.Dense, t *sptensor.Tensor, opt Options) {
 	scale := opt.InitScale
 	if scale == 0 {
 		if t.NNZ() == 0 {
 			return
 		}
-		model := sptensor.NewKruskal(factors...)
 		var predSum, obsSum float64
-		for e := 0; e < t.NNZ(); e++ {
-			predSum += model.At(t.Index(e))
-			obsSum += t.Val[e]
-		}
+		sptensor.NewKruskal(factors...).AtEntries(t, func(e0 int, preds []float64) {
+			obs := t.Val[e0 : e0+len(preds)]
+			for i, p := range preds {
+				predSum += p
+				obsSum += obs[i]
+			}
+		})
 		if predSum == 0 || obsSum/predSum <= 0 {
 			return
 		}

@@ -12,29 +12,36 @@ import (
 )
 
 // RMSE is √(‖Ω∗(T−X)‖²_F / nnz(T)) evaluated over the entries of test
-// against the Kruskal model (the paper's recommender-system metric).
+// against the Kruskal model (the paper's recommender-system metric). The sum
+// runs in storage order over Kruskal.AtEntries' predictions.
 func RMSE(test *sptensor.Tensor, model *sptensor.Kruskal) float64 {
 	if test.NNZ() == 0 {
 		return 0
 	}
 	var s float64
-	for e := 0; e < test.NNZ(); e++ {
-		d := test.Val[e] - model.At(test.Index(e))
-		s += d * d
-	}
+	model.AtEntries(test, func(e0 int, preds []float64) {
+		obs := test.Val[e0 : e0+len(preds)]
+		for i, p := range preds {
+			d := obs[i] - p
+			s += d * d
+		}
+	})
 	return math.Sqrt(s / float64(test.NNZ()))
 }
 
 // RelativeError is ‖X−Y‖_F/‖Y‖_F over the entries of truth (the paper's
-// reconstruction-error metric, §IV-D).
+// reconstruction-error metric, §IV-D), summed as RMSE is.
 func RelativeError(truth *sptensor.Tensor, model *sptensor.Kruskal) float64 {
 	var num, den float64
-	for e := 0; e < truth.NNZ(); e++ {
-		y := truth.Val[e]
-		d := y - model.At(truth.Index(e))
-		num += d * d
-		den += y * y
-	}
+	model.AtEntries(truth, func(e0 int, preds []float64) {
+		obs := truth.Val[e0 : e0+len(preds)]
+		for i, p := range preds {
+			y := obs[i]
+			d := y - p
+			num += d * d
+			den += y * y
+		}
+	})
 	if den == 0 {
 		return 0
 	}

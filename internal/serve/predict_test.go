@@ -38,6 +38,10 @@ func uniformCells(m *Model, count int, seed uint64) []int32 {
 	return flat
 }
 
+// cellTile is the product slab of sptensor.Kruskal.AtCells in floats, which
+// sets where a batch crosses a tile boundary.
+const cellTile = 1024
+
 // TestPredictBatchMatchesKruskalAtBits holds the one predict kernel to the
 // reference it replaced three functions with: at every order, at ranks on
 // both sides of a loop unroll (32, 33) and of the stack slab (1 024, 1 025),
@@ -49,7 +53,7 @@ func TestPredictBatchMatchesKruskalAtBits(t *testing.T) {
 	for order := 1; order <= 5; order++ {
 		for _, rank := range []int{1, 7, 32, 33, 1024, 1025} {
 			m := randomModel(allDims[:order], rank, uint64(100*order+rank))
-			tile := max(1, predictTile/rank)
+			tile := max(1, cellTile/rank)
 			for _, count := range []int{0, 1, tile - 1, tile, tile + 1, 1000} {
 				flat := uniformCells(m, count, uint64(count))
 				if count > 3 { // the same cell twice in one tile, and across the batch

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,23 +81,11 @@ func (m *Model) Dims() []int { return m.kruskal.Dims() }
 // Kruskal exposes the underlying factors (read-only by convention).
 func (m *Model) Kruskal() *sptensor.Kruskal { return m.kruskal }
 
-// predictTile is the product slab of PredictBatch in floats: 8 KB, a quarter
-// of a 32 KB L1d, so a tile's partial products stay resident while the factor
-// rows of its cells stream past them once per mode.
-const predictTile = 1024
-
 // PredictBatch evaluates count = len(flat)/order cells given as a flat
 // row-major index block, appending predictions to out. Every index is
 // validated before any cell is evaluated, so a bad batch is rejected whole.
-//
-// Cells are evaluated a tile of predictTile/R at a time and, within a tile, a
-// mode at a time: the mode-0 rows are copied into the slab, the rows of modes
-// 1…N−2 multiplied into it, and the last mode finishes each cell as
-// s += p·v for j ascending. Those are the operations of
-// sptensor.Kruskal.At in its order — per j the product runs over the modes
-// ascending, the sum over j ascending — so every value is bit-equal to it;
-// what changes is that a tile's row loads are independent of one another and
-// overlap, where a cell at a time each gather waits for the sum before it.
+// The values come from sptensor.Kruskal.AtCells, the tiled evaluator that is
+// bit-equal to Kruskal.At.
 func (m *Model) PredictBatch(order int, flat []int32, out []float64) ([]float64, error) {
 	fs := m.kruskal.Factors
 	if order != len(fs) {
@@ -117,57 +104,9 @@ func (m *Model) PredictBatch(order int, flat []int32, out []float64) ([]float64,
 			}
 		}
 	}
-	count := len(flat) / order
-	out = slices.Grow(out, count)
-
-	r := m.Rank()
-	var stack [predictTile]float64
-	slab := stack[:]
-	if r > len(slab) {
-		slab = make([]float64, r) // a tile of one cell
-	}
-	tile := len(slab) / r
-	last := order - 1
-	for c0 := 0; c0 < count; c0 += tile {
-		nc := min(tile, count-c0)
-		cells := flat[c0*order : (c0+nc)*order]
-		prod := slab[:nc*r]
-		if last == 0 {
-			// Order 1 has no second mode to finish with: mode 0 finishes a
-			// slab of ones, and 1·v is v.
-			for j := range prod {
-				prod[j] = 1
-			}
-		} else {
-			for c := 0; c < nc; c++ {
-				copy(prod[c*r:(c+1)*r], fs[0].Row(int(cells[c*order])))
-			}
-		}
-		for n := 1; n < last; n++ {
-			for c := 0; c < nc; c++ {
-				row := fs[n].Row(int(cells[c*order+n]))
-				p := prod[c*r:][:len(row)]
-				//bce:begin
-				for j, v := range row {
-					p[j] *= v
-				}
-				//bce:end
-			}
-		}
-		for c := 0; c < nc; c++ {
-			row := fs[last].Row(int(cells[c*order+last]))
-			p := prod[c*r:][:len(row)]
-			var s float64
-			//bce:begin
-			for j, v := range row {
-				s += p[j] * v
-			}
-			//bce:end
-			out = append(out, s)
-		}
-	}
+	out = m.kruskal.AtCells(flat, out)
 	m.stats.queries.Add(1)
-	m.stats.cells.Add(int64(count))
+	m.stats.cells.Add(int64(len(flat) / order))
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package sptensor
 
 import (
 	"fmt"
+	"slices"
 
 	"distenc/internal/mat"
 )
@@ -38,7 +39,8 @@ func (k *Kruskal) Dims() []int {
 	return d
 }
 
-// At evaluates the Kruskal tensor at the given multi-index in O(N·R).
+// At evaluates the Kruskal tensor at the given multi-index in O(N·R). It is
+// the one-cell reference AtCells is held to bit for bit.
 func (k *Kruskal) At(idx []int32) float64 {
 	r := k.Rank()
 	var s float64
@@ -51,6 +53,95 @@ func (k *Kruskal) At(idx []int32) float64 {
 		s += p
 	}
 	return s
+}
+
+// cellTile is the product slab of AtCells in floats: 8 KB, a quarter of a
+// 32 KB L1d, so a tile's partial products stay resident while the factor rows
+// of its cells stream past them once per mode.
+const cellTile = 1024
+
+// AtCells evaluates k at the len(flat)/N cells of a flat row-major index
+// block, N the order, appending one value per cell to out. The indices must
+// be in range; AtCells panics otherwise.
+//
+// Cells are evaluated a tile of cellTile/R at a time and, within a tile, a
+// mode at a time: the mode-0 rows are copied into the slab, the rows of modes
+// 1…N−2 multiplied into it, and the last mode finishes each cell as
+// s += p·v for j ascending. Those are the operations of At in its order — per
+// j the product runs over the modes ascending, the sum over j ascending — so
+// every value is bit-equal to it; what changes is that a tile's row loads are
+// independent of one another and overlap, where a cell at a time each gather
+// waits for the sum before it.
+func (k *Kruskal) AtCells(flat []int32, out []float64) []float64 {
+	fs := k.Factors
+	order := len(fs)
+	if len(flat)%order != 0 {
+		panic(fmt.Sprintf("sptensor: %d indices do not tile order %d", len(flat), order))
+	}
+	count := len(flat) / order
+	out = slices.Grow(out, count)
+
+	r := k.Rank()
+	var stack [cellTile]float64
+	slab := stack[:]
+	if r > len(slab) {
+		slab = make([]float64, r) // a tile of one cell
+	}
+	tile := len(slab) / r
+	last := order - 1
+	for c0 := 0; c0 < count; c0 += tile {
+		nc := min(tile, count-c0)
+		cells := flat[c0*order : (c0+nc)*order]
+		prod := slab[:nc*r]
+		if last == 0 {
+			// Order 1 has no second mode to finish with: mode 0 finishes a
+			// slab of ones, and 1·v is v.
+			for j := range prod {
+				prod[j] = 1
+			}
+		} else {
+			for c := 0; c < nc; c++ {
+				copy(prod[c*r:(c+1)*r], fs[0].Row(int(cells[c*order])))
+			}
+		}
+		for n := 1; n < last; n++ {
+			for c := 0; c < nc; c++ {
+				row := fs[n].Row(int(cells[c*order+n]))
+				p := prod[c*r:][:len(row)]
+				//bce:begin
+				for j, v := range row {
+					p[j] *= v
+				}
+				//bce:end
+			}
+		}
+		for c := 0; c < nc; c++ {
+			row := fs[last].Row(int(cells[c*order+last]))
+			p := prod[c*r:][:len(row)]
+			var s float64
+			//bce:begin
+			for j, v := range row {
+				s += p[j] * v
+			}
+			//bce:end
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// AtEntries evaluates k at every stored cell of t through AtCells, a chunk of
+// cellTile entries at a time in storage order, and hands each chunk's values
+// to fn with the index of the chunk's first entry. A caller that folds the
+// values in the order it receives them sums in storage order, bit for bit
+// what a loop over At in storage order sums.
+func (k *Kruskal) AtEntries(t *Tensor, fn func(e0 int, vals []float64)) {
+	n := len(t.Dims)
+	buf := make([]float64, 0, cellTile)
+	for e0 := 0; e0 < t.NNZ(); e0 += cellTile {
+		e1 := min(e0+cellTile, t.NNZ())
+		fn(e0, k.AtCells(t.Idx[e0*n:e1*n], buf[:0]))
+	}
 }
 
 // Clone deep-copies the factors.

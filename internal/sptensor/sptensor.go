@@ -201,7 +201,11 @@ func (t *Tensor) Split(testFrac float64, rng *rand.Rand) (train, test *Tensor) {
 }
 
 // Validate checks structural invariants and returns an error describing the
-// first violation found.
+// first violation found: every index in range for its mode and every value
+// finite. The check runs mode by mode, one unsigned compare per index (a
+// negative index is a huge unsigned one), then over the values in one loop;
+// only a failure pays for the re-scan in entry order that names the first bad
+// entry.
 func (t *Tensor) Validate() error {
 	n := len(t.Dims)
 	if n == 0 {
@@ -215,6 +219,25 @@ func (t *Tensor) Validate() error {
 			return fmt.Errorf("sptensor: mode %d has non-positive size %d", m, d)
 		}
 	}
+	for m, d := range t.Dims {
+		size := uint(d)
+		for i := m; i < len(t.Idx); i += n {
+			if uint(t.Idx[i]) >= size {
+				return t.firstInvalid()
+			}
+		}
+	}
+	for _, v := range t.Val {
+		if !(math.Abs(v) <= math.MaxFloat64) { // false for ±Inf and NaN
+			return t.firstInvalid()
+		}
+	}
+	return nil
+}
+
+// firstInvalid names the first entry, in entry order, with an index out of
+// range or a non-finite value.
+func (t *Tensor) firstInvalid() error {
 	for e := 0; e < len(t.Val); e++ {
 		for m, i := range t.Index(e) {
 			if int(i) < 0 || int(i) >= t.Dims[m] {

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # bench_compare.sh — mechanical perf-regression gate.
 #
-# Runs the MTTKRP stage, fused-kernel, serial-iteration, layout-build and
-# driver-update benchmarks of internal/core, the predict-kernel benchmark of
-# internal/serve and the B-step benchmark of internal/graph, and diffs them
-# against the recorded baselines in BENCH_mttkrp.json, BENCH_driver.json,
-# BENCH_predict.json and BENCH_spectral.json (the /ref siblings are run and
-# printed, not gated; a row's "before" entry is history, only "after" gates).
+# Runs the MTTKRP stage, fused-kernel, serial-iteration, layout-build,
+# driver-update and initial-scale benchmarks of internal/core, the
+# predict-kernel benchmark of internal/serve, the B-step benchmark of
+# internal/graph and the three reader benchmarks of the root package, and
+# diffs them against the recorded baselines in BENCH_mttkrp.json,
+# BENCH_driver.json, BENCH_predict.json, BENCH_spectral.json and BENCH_io.json
+# (the /ref siblings are run and printed, not gated; a row's "before" entry is
+# history, only "after" gates).
 # Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
@@ -51,21 +53,24 @@ TOL_PCT="${BENCH_TOL_PCT:-25}"
 BIN=$(mktemp -t bench_core.XXXXXX)
 SERVE_BIN=$(mktemp -t bench_serve.XXXXXX)
 GRAPH_BIN=$(mktemp -t bench_graph.XXXXXX)
-trap 'rm -f "$BIN" "$SERVE_BIN" "$GRAPH_BIN"' EXIT
+IO_BIN=$(mktemp -t bench_io.XXXXXX)
+trap 'rm -f "$BIN" "$SERVE_BIN" "$GRAPH_BIN" "$IO_BIN"' EXIT
 go test -c -o "$BIN" ./internal/core/
 go test -c -o "$SERVE_BIN" ./internal/serve/
 go test -c -o "$GRAPH_BIN" ./internal/graph/
-if go version -m "$BIN" "$SERVE_BIN" "$GRAPH_BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
+go test -c -o "$IO_BIN" .
+if go version -m "$BIN" "$SERVE_BIN" "$GRAPH_BIN" "$IO_BIN" | grep -Eq 'build[[:space:]]+-race=true'; then
   echo "bench_compare: refusing to benchmark a race-instrumented binary" >&2
   echo "  (go version -m reports -race=true; unset GOFLAGS/-race and retry)" >&2
   exit 1
 fi
 
 OUT=$("$BIN" -test.run '^$' \
-  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$|BenchmarkDriverUpdate$' \
+  -test.bench 'BenchmarkMTTKRPStage$|BenchmarkMTTKRPStageGrid$|BenchmarkMTTKRPSteadyStateFused$|BenchmarkSerialIteration$|BenchmarkFusedKernel$|BenchmarkNewLayout$|BenchmarkDriverUpdate$|BenchmarkApplyInitScale$' \
   -test.benchmem -test.count "$COUNT"
   "$SERVE_BIN" -test.run '^$' -test.bench 'BenchmarkPredictBatch$' -test.benchmem -test.count "$COUNT"
-  "$GRAPH_BIN" -test.run '^$' -test.bench 'BenchmarkLaplacianBStep$' -test.benchmem -test.count "$COUNT")
+  "$GRAPH_BIN" -test.run '^$' -test.bench 'BenchmarkLaplacianBStep$' -test.benchmem -test.count "$COUNT"
+  "$IO_BIN" -test.run '^$' -test.bench 'BenchmarkReadSimilarity$|BenchmarkReadBinary$|BenchmarkReadCOO$' -test.benchmem -test.count "$COUNT")
 echo "$OUT"
 echo
 
@@ -74,12 +79,13 @@ import json, re, sys
 
 tol = float(sys.argv[1]) / 100.0
 base = {}
-for ledger in ("BENCH_mttkrp.json", "BENCH_driver.json", "BENCH_predict.json", "BENCH_spectral.json"):
+for ledger in ("BENCH_mttkrp.json", "BENCH_driver.json", "BENCH_predict.json", "BENCH_spectral.json", "BENCH_io.json"):
     base.update(json.load(open(ledger))["benchmarks"])
 
 runs = {}
 for line in sys.stdin:
-    # b.ReportMetric columns (ns/nnz, rows/nnz, ms/iter, ns/cell) sit between ns/op and B/op.
+    # b.ReportMetric columns (ns/nnz, rows/nnz, ms/iter, ns/cell) and the MB/s
+    # of b.SetBytes sit between ns/op and B/op.
     m = re.match(r"^(Benchmark[\w/]+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op\s+(?:[\d.]+ \S+\s+)*?([\d.]+) B/op\s+(\d+) allocs/op", line)
     if m:
         name, ns, _, allocs = m.group(1), float(m.group(2)), m.group(3), int(m.group(4))

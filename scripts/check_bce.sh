@@ -2,12 +2,13 @@
 # check_bce.sh — keeps the annotated inner loops free of bounds checks.
 #
 # The dense-algebra, Lanczos, shuffle-codec, sparse-kernel, driver-update,
-# B-step and predict-kernel hot loops (mat.AxpyRows, mat.MulATB,
-# mat.GramAddUpper, the Gram–Schmidt dot sweep mat.dotRows,
+# B-step, batched-evaluator and binary-decode hot loops (mat.AxpyRows,
+# mat.MulATB, mat.GramAddUpper, the Gram–Schmidt dot sweep mat.dotRows,
 # rdd.AppendF64Vals, rdd.DecodeF64Vals, core.fusedBlockMTTKRP,
 # core.PackedRows.addInto, core.solverState.update, graph.Laplacian.BStep,
-# serve.Model.PredictBatch) are written so the compiler can prove every index
-# in range. Each such loop is bracketed by
+# sptensor.Kruskal.AtCells — the predict kernel — and the index decode of
+# distenc.ReadBinary, whose values go through rdd.DecodeF64Vals) are
+# written so the compiler can prove every index in range. Each such loop is bracketed by
 # `//bce:begin` … `//bce:end` comments; this script compiles the packages with
 # -d=ssa/check_bce, which reports every bounds check the compiler kept, and
 # fails if one falls between a pair of markers (or if the markers are gone).
@@ -16,9 +17,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PKGS=(./internal/mat ./internal/rdd ./internal/core ./internal/graph ./internal/serve)
+PKGS=(. ./internal/mat ./internal/rdd ./internal/core ./internal/graph ./internal/sptensor)
 # file:minimum number of annotated loops it must still contain
-EXPECT=(internal/mat/dense.go:5 internal/mat/lanczos.go:1 internal/rdd/wire.go:2 internal/core/mttkrp.go:6 internal/core/serial.go:3 internal/graph/graph.go:4 internal/serve/registry.go:2)
+EXPECT=(internal/mat/dense.go:5 internal/mat/lanczos.go:1 internal/rdd/wire.go:2 internal/core/mttkrp.go:6 internal/core/serial.go:3 internal/graph/graph.go:4 internal/sptensor/kruskal.go:2 binaryio.go:1)
 
 # The compiler prints its findings on stderr and still exits 0; a non-zero
 # exit is a real build failure and must not read as "no bounds checks".
