@@ -1,30 +1,29 @@
 // Package analysis registers the repo's engine-invariant lint suite: static
-// passes that pin down properties of the DisTenC port that the type system
-// and the in-process rdd engine cannot enforce at runtime.
+// passes that pin down properties of the DisTenC port that the type system,
+// go vet and the Tier-1 tests do not.
 //
 //	rddcapture — task closures must not share mutable driver state
 //	             (the Spark serialization boundary)
-//	hotalloc   — //distenc:hotpath functions stay allocation-free in loops
-//	             (the fused MTTKRP flat-accumulator layout, Algorithm 3)
-//	bytecount  — shuffle/spill bytes flow through TaskCtx attribution
-//	             (Lemma 3 transfer accounting)
-//	floatcmp   — no exact float equality outside audited sites
+//	hotalloc   — //distenc:hotpath functions draw scratch from the task
+//	             arena (the fused MTTKRP kernel and its stage, Algorithm 3)
+//	bytecount  — code outside the engine never mutates the Metrics byte
+//	             counters (Lemma 3 transfer accounting)
+//	floatcmp   — no exact float equality outside audited functions
 //	             (Eq. 17 tolerance-based convergence)
 //	lockorder  — no blocking operation while a mutex is held, no
 //	             lock-acquisition cycles (the PR 5 blockFor convoy class)
 //	goroutineowner — every go statement ties to a registered lifetime:
-//	             WaitGroup, drain, or //distenc:goroutine-owned-by
+//	             WaitGroup or //distenc:goroutine-owned-by
 //	             (the PR 7 orphaned-worker class; the Quiesce drain contract)
-//	atomicfield — a field accessed via sync/atomic anywhere is never read or
-//	             written plainly elsewhere (exactly-once metrics counters)
 //
-// Run it as `go run ./cmd/distenc-lint ./...` or via
+// Each rule is pinned by seeded defects in the real tree that only it
+// catches (TestAnalyzersCatchSeededDefects). Run the suite as
+// `go run ./cmd/distenc-lint ./...` or via
 // `go vet -vettool=$(which distenc-lint) ./...`; see DESIGN.md's "Engine
 // invariants & static enforcement" section for the full policy.
 package analysis
 
 import (
-	"distenc/internal/analysis/atomicfield"
 	"distenc/internal/analysis/bytecount"
 	"distenc/internal/analysis/floatcmp"
 	"distenc/internal/analysis/framework"
@@ -43,6 +42,5 @@ func All() []*framework.Analyzer {
 		floatcmp.Analyzer,
 		lockorder.Analyzer,
 		goroutineowner.Analyzer,
-		atomicfield.Analyzer,
 	}
 }

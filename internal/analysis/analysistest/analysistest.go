@@ -1,12 +1,13 @@
-// Package analysistest runs the suite's analyzers over fixture packages and
-// checks their diagnostics against `// want "regexp"` comments, mirroring
-// x/tools' analysistest contract with the stdlib only.
+// Package analysistest type-checks packages against real export data and
+// runs the suite's analyzers over them, for two kinds of test: fixture
+// packages whose `// want "regexp"` comments name the expected diagnostics
+// (x/tools' analysistest contract, with the stdlib only), and production
+// packages with one file's source swapped in memory (the seeded-defect test).
 //
-// Fixtures live in testdata/src/<pkg>/ next to each analyzer's test. They are
-// type-checked against real export data — including the repo's own packages,
-// so a fixture can import distenc/internal/rdd and exercise an analyzer
-// exactly the way production code does — obtained by shelling out to
-// `go list -deps -export -json`.
+// Fixtures live in testdata/src/<pkg>/ next to each analyzer's test. They
+// may import the repo's own packages, so a fixture exercises an analyzer
+// exactly the way production code does. Export data comes from one
+// `go list -deps -export -json` per test.
 //
 // An expectation comment names one or more patterns on the line the
 // diagnostic is reported on:
@@ -33,13 +34,72 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"distenc/internal/analysis/framework"
 )
+
+// Package is one package as `go list -json` describes it.
+type Package struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+}
+
+// List resolves paths and everything they import, in one go command, to
+// their directories, non-test files and compiled export data.
+func List(t testing.TB, paths ...string) map[string]*Package {
+	t.Helper()
+	out := make(map[string]*Package)
+	if len(paths) == 0 {
+		return out
+	}
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export"}, paths...)...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("go list -export failed: %v\n%s", err, stderr.String())
+	}
+	for dec := json.NewDecoder(&stdout); ; {
+		p := new(Package)
+		if err := dec.Decode(p); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("decoding go list output: %v", err)
+		}
+		out[p.ImportPath] = p
+	}
+}
+
+// Check type-checks files as package path against the export data in pkgs
+// and returns the analyzers' diagnostics, sorted by position. A type error
+// fails the test.
+func Check(t testing.TB, fset *token.FileSet, path string, files []*ast.File, pkgs map[string]*Package, analyzers ...*framework.Analyzer) []framework.Diagnostic {
+	t.Helper()
+	conf := &types.Config{
+		Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if p := pkgs[path]; p != nil && p.Export != "" {
+				return os.Open(p.Export)
+			}
+			return nil, fmt.Errorf("no export data for %q", path)
+		}),
+		Sizes: types.SizesFor("gc", build.Default.GOARCH),
+	}
+	info := framework.NewTypesInfo()
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		t.Fatalf("type-checking %s: %v", path, err)
+	}
+	diags, err := framework.RunAnalyzers(analyzers, &framework.Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info})
+	if err != nil {
+		t.Fatalf("running analyzers on %s: %v", path, err)
+	}
+	return diags
+}
 
 // Run analyzes each fixture package under testdata/src with a and verifies
 // the diagnostics against the fixtures' want comments.
@@ -52,25 +112,13 @@ func Run(t *testing.T, a *framework.Analyzer, pkgs ...string) {
 
 func runOne(t *testing.T, a *framework.Analyzer, pkg string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", pkg)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
+	names, err := filepath.Glob(filepath.Join("testdata", "src", pkg, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no fixture files for %s (%v)", pkg, err)
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatalf("no fixture files in %s", dir)
-	}
-	imports := make(map[string]bool)
+	var imports []string
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
@@ -78,35 +126,11 @@ func runOne(t *testing.T, a *framework.Analyzer, pkg string) {
 		}
 		files = append(files, f)
 		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
-				imports[p] = true
-			}
+			p, _ := strconv.Unquote(imp.Path.Value)
+			imports = append(imports, p)
 		}
 	}
-
-	exports := listExports(t, imports)
-	comp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	conf := &types.Config{
-		Importer: comp,
-		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
-	}
-	info := framework.NewTypesInfo()
-	tpkg, err := conf.Check(pkg, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture: %v", err)
-	}
-
-	diags, err := framework.RunAnalyzers([]*framework.Analyzer{a},
-		&framework.Pass{Fset: fset, Files: files, Pkg: tpkg, TypesInfo: info})
-	if err != nil {
-		t.Fatalf("running analyzer: %v", err)
-	}
+	diags := Check(t, fset, pkg, files, List(t, imports...), a)
 
 	wants := expectations(t, fset, files)
 	for _, d := range diags {
@@ -174,46 +198,6 @@ func expectations(t *testing.T, fset *token.FileSet, files []*ast.File) map[posK
 					out[key] = append(out[key], &want{re: re})
 				}
 			}
-		}
-	}
-	return out
-}
-
-// listExports resolves import paths (transitively) to compiled export data
-// via the go command, so fixtures type-check against the real packages they
-// import.
-func listExports(t *testing.T, imports map[string]bool) map[string]string {
-	t.Helper()
-	out := make(map[string]string)
-	if len(imports) == 0 {
-		return out
-	}
-	args := []string{"list", "-deps", "-export", "-json=ImportPath,Export"}
-	var paths []string
-	for p := range imports {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	cmd := exec.Command("go", append(args, paths...)...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("go list -export failed: %v\n%s", err, stderr.String())
-	}
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p struct {
-			ImportPath string
-			Export     string
-		}
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("decoding go list output: %v", err)
-		}
-		if p.Export != "" {
-			out[p.ImportPath] = p.Export
 		}
 	}
 	return out

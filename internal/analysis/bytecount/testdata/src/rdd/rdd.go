@@ -1,58 +1,15 @@
-// Fixture for bytecount rule 2, stubbing the engine package (the analyzer
-// keys on the package name "rdd"): functions that serialize or spill shuffle
-// data must attribute the bytes in the same innermost function.
+// Fixture: the engine package (the analyzer keys on the package name "rdd")
+// folds each committed task's counts into the totals itself, and is exempt.
 package rdd
 
-import "os"
+import "sync/atomic"
 
-type TaskCtx struct{}
-
-func (tc *TaskCtx) CountShuffled(n int64)   {}
-func (tc *TaskCtx) countSpillWrite(n int64) {}
-func (tc *TaskCtx) countSpillRead(n int64)  {}
-
-func encodeBlock(records []int) ([]byte, error) { return nil, nil }
-func decodeBlock(data []byte) ([]int, error)    { return nil, nil }
-
-// A spill path that counts what it writes is fine.
-func spill(tc *TaskCtx, path string, records []int) error {
-	data, err := encodeBlock(records)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		return err
-	}
-	tc.countSpillWrite(int64(len(data)))
-	return nil
+type Metrics struct {
+	BytesShuffled atomic.Int64
 }
 
-// One that forgets attribution is not.
-func spillLeaky(path string, records []int) error {
-	data, err := encodeBlock(records) // want `encodeBlock moves shuffle/spill bytes`
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o600)
-}
+type TaskCtx struct{ shuffled int64 }
 
-// The directive defers accounting to the caller.
-//
-//distenc:accounted -- fixture: caller counts the fetched bytes
-func fetchRaw(path string) ([]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBlock(data)
-}
-
-// Nested literals are scanned independently: the outer function's counter
-// does not excuse the inner closure.
-func nested(tc *TaskCtx, path string) func() error {
-	tc.CountShuffled(1)
-	return func() error {
-		_, err := os.ReadFile(path) // want `ReadFile moves shuffle/spill bytes`
-		return err
-	}
+func (tc *TaskCtx) commit(m *Metrics) {
+	m.BytesShuffled.Add(tc.shuffled)
 }

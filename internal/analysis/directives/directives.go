@@ -4,19 +4,14 @@
 //	//distenc:hotpath                 — marks a function (or the func literals
 //	                                    in the next statement) as an
 //	                                    allocation-free hot path for hotalloc
-//	//distenc:coldpath                — excludes one loop or statement inside a
+//	//distenc:coldpath -- why         — excludes one loop or statement inside a
 //	                                    hot path from hotalloc (setup/emit code
 //	                                    that does not run per non-zero)
-//	//distenc:capture-ok v1 v2 -- why — waives named read-only captures in a
-//	                                    task closure for rddcapture
+//	//distenc:capture-ok v1 v2 -- why — waives named read-only captures in the
+//	                                    task closures of a statement for
+//	                                    rddcapture
 //	//distenc:floatcmp-ok -- why      — approves exact float comparison in a
-//	                                    function or statement for floatcmp
-//	//distenc:accounted -- why        — marks an engine function whose byte
-//	                                    accounting happens in its caller for
-//	                                    bytecount
-//	//distenc:blocks -- why           — marks a function as a blocking
-//	                                    operation for lockorder (it parks the
-//	                                    goroutine: network, channels, sleeps)
+//	                                    function for floatcmp
 //	//distenc:lockheld-ok -- why      — waives one statement (or a whole
 //	                                    function) that deliberately blocks
 //	                                    while holding a mutex, for lockorder
@@ -25,9 +20,6 @@
 //	                                    joins or bounds a spawned goroutine
 //	                                    for goroutineowner (e.g. channel-drain,
 //	                                    conn-close, process-lifetime)
-//	//distenc:atomic-ok -- why        — waives a deliberate plain access to an
-//	                                    atomically-accessed field for
-//	                                    atomicfield
 //
 // A directive binds to the node that starts on its own line, or to the node
 // starting on the first non-comment line below it (so it can sit on the
@@ -41,15 +33,11 @@ import (
 	"strings"
 )
 
-// Prefix is the comment marker shared by every directive.
-const Prefix = "//distenc:"
-
 // Directive is one parsed `//distenc:name args... [-- reason]` comment.
 type Directive struct {
 	Name   string
 	Args   []string // whitespace-separated args before any "--" separator
 	Reason string   // free text after "--", if present
-	Pos    token.Pos
 }
 
 // Map indexes a file set's directives by file and line.
@@ -70,50 +58,28 @@ func Scan(fset *token.FileSet, files []*ast.File) *Map {
 		commentLines: make(map[string]map[int]bool),
 	}
 	for _, f := range files {
+		name := fset.Position(f.Pos()).Filename
+		lines, comments := make(map[int][]Directive), make(map[int]bool)
+		m.byLine[name], m.commentLines[name] = lines, comments
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := fset.Position(c.Pos())
-				cl := m.commentLines[pos.Filename]
-				if cl == nil {
-					cl = make(map[int]bool)
-					m.commentLines[pos.Filename] = cl
+				start, end := fset.Position(c.Pos()).Line, fset.Position(c.End()).Line
+				for l := start; l <= end; l++ {
+					comments[l] = true
 				}
-				end := fset.Position(c.End())
-				for l := pos.Line; l <= end.Line; l++ {
-					cl[l] = true
+				if body, ok := strings.CutPrefix(c.Text, "//distenc:"); ok {
+					var d Directive
+					body, d.Reason, _ = strings.Cut(body, "--")
+					d.Reason = strings.TrimSpace(d.Reason)
+					if fields := strings.Fields(body); len(fields) > 0 {
+						d.Name, d.Args = fields[0], fields[1:]
+						lines[start] = append(lines[start], d)
+					}
 				}
-				d, ok := parse(c.Text)
-				if !ok {
-					continue
-				}
-				d.Pos = c.Pos()
-				lines := m.byLine[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]Directive)
-					m.byLine[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], d)
 			}
 		}
 	}
 	return m
-}
-
-func parse(text string) (Directive, bool) {
-	if !strings.HasPrefix(text, Prefix) {
-		return Directive{}, false
-	}
-	body := strings.TrimPrefix(text, Prefix)
-	var reason string
-	if i := strings.Index(body, "--"); i >= 0 {
-		reason = strings.TrimSpace(body[i+2:])
-		body = body[:i]
-	}
-	fields := strings.Fields(body)
-	if len(fields) == 0 {
-		return Directive{}, false
-	}
-	return Directive{Name: fields[0], Args: fields[1:], Reason: reason}, true
 }
 
 // ForNode returns the directives attached to node: those on the line node
@@ -121,13 +87,8 @@ func parse(text string) (Directive, bool) {
 func (m *Map) ForNode(node ast.Node) []Directive {
 	start := m.fset.Position(node.Pos())
 	lines := m.byLine[start.Filename]
-	if lines == nil {
-		return nil
-	}
-	var out []Directive
-	out = append(out, lines[start.Line]...)
-	comments := m.commentLines[start.Filename]
-	for l := start.Line - 1; comments[l]; l-- {
+	out := append([]Directive(nil), lines[start.Line]...)
+	for l := start.Line - 1; m.commentLines[start.Filename][l]; l-- {
 		out = append(out, lines[l]...)
 	}
 	return out
@@ -146,16 +107,12 @@ func (m *Map) Has(node ast.Node, name string) bool {
 // CaptureWaivers returns the variable names waived by capture-ok directives
 // attached to node.
 func (m *Map) CaptureWaivers(node ast.Node) map[string]bool {
-	var out map[string]bool
+	out := map[string]bool{}
 	for _, d := range m.ForNode(node) {
-		if d.Name != "capture-ok" {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]bool)
-		}
-		for _, a := range d.Args {
-			out[strings.TrimSuffix(a, ",")] = true
+		if d.Name == "capture-ok" {
+			for _, a := range d.Args {
+				out[strings.TrimSuffix(a, ",")] = true
+			}
 		}
 	}
 	return out

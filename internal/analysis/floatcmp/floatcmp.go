@@ -12,7 +12,7 @@
 //     math.Float64bits(b), which compare integers and never reach this pass.
 //
 // Anything else needs a `//distenc:floatcmp-ok -- reason` directive on the
-// statement, keeping every exact comparison a reviewed decision.
+// enclosing function, keeping every exact comparison a reviewed decision.
 package floatcmp
 
 import (
@@ -34,39 +34,30 @@ var Analyzer = &framework.Analyzer{
 func run(pass *framework.Pass) (any, error) {
 	dirs := directives.Scan(pass.Fset, pass.Files)
 	for _, file := range pass.Files {
-		var stack []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && dirs.Has(fd, "floatcmp-ok") {
+				continue
 			}
-			stack = append(stack, n)
-			cmp, ok := n.(*ast.BinaryExpr)
-			if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
-				return true
-			}
-			if !isFloat(pass, cmp.X) && !isFloat(pass, cmp.Y) {
-				return true
-			}
-			if isConstant(pass, cmp.X) || isConstant(pass, cmp.Y) {
-				return true
-			}
-			if cmp.Op == token.NEQ && sameExpr(cmp.X, cmp.Y) {
-				return true // the portable NaN test
-			}
-			for _, anc := range stack {
-				if stmt, ok := anc.(ast.Stmt); ok && dirs.Has(stmt, "floatcmp-ok") {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				cmp, ok := n.(*ast.BinaryExpr)
+				if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
 					return true
 				}
-				if fd, ok := anc.(*ast.FuncDecl); ok && dirs.Has(fd, "floatcmp-ok") {
+				if !isFloat(pass, cmp.X) && !isFloat(pass, cmp.Y) {
 					return true
 				}
-			}
-			pass.Reportf(cmp.OpPos,
-				"exact %s between floats; compare |a-b| against a tolerance, use math.Float64bits for intentional bit equality, or waive with //distenc:floatcmp-ok -- reason",
-				cmp.Op)
-			return true
-		})
+				if isConstant(pass, cmp.X) || isConstant(pass, cmp.Y) {
+					return true
+				}
+				if cmp.Op == token.NEQ && sameExpr(cmp.X, cmp.Y) {
+					return true // the portable NaN test
+				}
+				pass.Reportf(cmp.OpPos,
+					"exact %s between floats; compare |a-b| against a tolerance, use math.Float64bits for intentional bit equality, or waive the function with //distenc:floatcmp-ok -- reason",
+					cmp.Op)
+				return true
+			})
+		}
 	}
 	return nil, nil
 }

@@ -8,7 +8,7 @@ import "math"
 
 const eps = 1e-9
 
-func compare(a, b float64, xs []float64) int {
+func compare(a, b float64) int {
 	if a == b { // want `exact == between floats`
 		return 0
 	}
@@ -27,11 +27,14 @@ func compare(a, b float64, xs []float64) int {
 	if math.Abs(a-b) <= eps { // the tolerance form the solver uses
 		return 5
 	}
-	//distenc:floatcmp-ok -- fixture: reviewed exact comparison
-	if xs[0] == xs[1] {
-		return 6
-	}
-	return 7
+	return 6
+}
+
+// reviewed carries the function-level waiver.
+//
+//distenc:floatcmp-ok -- fixture: reviewed exact comparison
+func reviewed(xs []float64) bool {
+	return xs[0] == xs[1]
 }
 
 func roundTripEqual(before, after []float64) bool {

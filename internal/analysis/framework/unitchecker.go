@@ -3,6 +3,7 @@ package framework
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -20,29 +21,24 @@ import (
 	"strings"
 )
 
-// unitConfig is the JSON compilation-unit description 'go vet' hands the
-// tool via a *.cfg file. Field names and semantics follow the protocol
-// implemented by x/tools' unitchecker (and consumed by cmd/go).
+// unitConfig is the part of the JSON compilation-unit description 'go vet'
+// hands the tool via a *.cfg file that this driver reads. Field names and
+// semantics follow the protocol implemented by x/tools' unitchecker (and
+// consumed by cmd/go).
 type unitConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string // import path -> canonical package path
 	PackageFile               map[string]string // package path -> export data file
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// Main is the entry point of a vet-compatible analysis tool. It speaks the
-// 'go vet -vettool' protocol:
+// Main is the entry point of a vet-compatible analysis tool, which always
+// runs the whole suite. It speaks the 'go vet -vettool' protocol:
 //
 //	-V=full    print a content-addressed version line (for build caching)
 //	-flags     describe supported flags as JSON
@@ -62,14 +58,6 @@ func Main(analyzers ...*Analyzer) {
 	var versionFlag string
 	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON")
 	flag.StringVar(&versionFlag, "V", "", "print version and exit (-V=full)")
-	enabled := make(map[string]*bool)
-	for _, a := range analyzers {
-		doc := a.Doc
-		if i := strings.IndexByte(doc, '\n'); i >= 0 {
-			doc = doc[:i]
-		}
-		enabled[a.Name] = flag.Bool(a.Name, false, "enable only the "+a.Name+" analyzer: "+doc)
-	}
 	flag.Parse()
 
 	if versionFlag != "" {
@@ -82,24 +70,6 @@ func Main(analyzers ...*Analyzer) {
 	if *printFlags {
 		describeFlags()
 		return
-	}
-
-	// If any analyzer was named explicitly, run only those.
-	anyNamed := false
-	for _, on := range enabled {
-		if *on {
-			anyNamed = true
-			break
-		}
-	}
-	if anyNamed {
-		var keep []*Analyzer
-		for _, a := range analyzers {
-			if *enabled[a.Name] {
-				keep = append(keep, a)
-			}
-		}
-		analyzers = keep
 	}
 
 	args := flag.Args()
@@ -163,19 +133,11 @@ func reexecGoVet(patterns []string) {
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		var exit *exec.ExitError
-		if ok := isExitError(err, &exit); ok {
+		if errors.As(err, &exit) {
 			os.Exit(exit.ExitCode())
 		}
 		log.Fatal(err)
 	}
-}
-
-func isExitError(err error, out **exec.ExitError) bool {
-	e, ok := err.(*exec.ExitError)
-	if ok {
-		*out = e
-	}
-	return ok
 }
 
 // runUnit analyzes one compilation unit and exits: 0 when clean, 1 when any

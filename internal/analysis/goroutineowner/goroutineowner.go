@@ -10,7 +10,7 @@
 //     defer wg.Done(); … }()`), joined by Wait in Quiesce/Shutdown;
 //   - the spawned function literal itself contains `defer wg.Done()` for
 //     some WaitGroup (the Add happened in a caller that owns the count);
-//   - the statement carries `//distenc:goroutine-owned-by <mechanism> --
+//   - the go statement carries `//distenc:goroutine-owned-by <mechanism> --
 //     reason`, naming the lifetime that joins or bounds the goroutine
 //     (e.g. channel-drain, conn-close, process-lifetime).
 //
@@ -21,7 +21,6 @@ package goroutineowner
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 
 	"distenc/internal/analysis/directives"
@@ -91,14 +90,14 @@ func checkFunc(pass *framework.Pass, dirs *directives.Map, body *ast.BlockStmt) 
 		return true
 	})
 	for _, g := range sites {
-		checkGoStmt(pass, dirs, body, g, adds)
+		checkGoStmt(pass, dirs, g, adds)
 	}
 	for _, lit := range lits {
 		checkFunc(pass, dirs, lit.Body)
 	}
 }
 
-func checkGoStmt(pass *framework.Pass, dirs *directives.Map, scope *ast.BlockStmt, g *ast.GoStmt, adds []ast.Node) {
+func checkGoStmt(pass *framework.Pass, dirs *directives.Map, g *ast.GoStmt, adds []ast.Node) {
 	// Ownership (1): wg.Add earlier in the same function.
 	for _, a := range adds {
 		if a.Pos() < g.Pos() {
@@ -110,36 +109,19 @@ func checkGoStmt(pass *framework.Pass, dirs *directives.Map, scope *ast.BlockStm
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok && defersDone(pass, lit.Body) {
 		return
 	}
-	// Ownership (3): an explicit directive on the statement or an enclosing
-	// statement, with mechanism and reason.
-	if d, found := ownerDirective(pass, dirs, scope, g); found {
-		if len(d.Args) == 0 || d.Reason == "" {
-			pass.Reportf(g.Pos(),
-				"//distenc:goroutine-owned-by needs a mechanism and a reason (`//distenc:goroutine-owned-by <mechanism> -- why it cannot leak`)")
+	// Ownership (3): an explicit directive on the statement, with mechanism
+	// and reason.
+	for _, d := range dirs.ForNode(g) {
+		if d.Name == "goroutine-owned-by" {
+			if len(d.Args) == 0 || d.Reason == "" {
+				pass.Reportf(g.Pos(),
+					"//distenc:goroutine-owned-by needs a mechanism and a reason (`//distenc:goroutine-owned-by <mechanism> -- why it cannot leak`)")
+			}
+			return
 		}
-		return
 	}
 	pass.Reportf(g.Pos(),
 		"unowned goroutine: tie it to a lifetime with wg.Add before the go statement, a deferred wg.Done in the goroutine, or //distenc:goroutine-owned-by <mechanism> -- reason")
-}
-
-// ownerDirective finds a goroutine-owned-by directive on g or any statement
-// enclosing it within scope.
-func ownerDirective(pass *framework.Pass, dirs *directives.Map, scope *ast.BlockStmt, g *ast.GoStmt) (directives.Directive, bool) {
-	var found directives.Directive
-	ok := false
-	ast.Inspect(scope, func(n ast.Node) bool {
-		st, isStmt := n.(ast.Stmt)
-		if isStmt && st.Pos() <= g.Pos() && g.End() <= st.End() {
-			for _, d := range dirs.ForNode(st) {
-				if d.Name == "goroutine-owned-by" {
-					found, ok = d, true
-				}
-			}
-		}
-		return true
-	})
-	return found, ok
 }
 
 // defersDone reports whether body contains `defer wg.Done()` for a
@@ -159,22 +141,6 @@ func defersDone(pass *framework.Pass, body *ast.BlockStmt) bool {
 }
 
 func isWaitGroupCall(pass *framework.Pass, call *ast.CallExpr, method string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "WaitGroup"
+	fn := framework.Callee(pass.TypesInfo, call)
+	return fn != nil && fn.Name() == method && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && framework.RecvName(fn) == "WaitGroup"
 }

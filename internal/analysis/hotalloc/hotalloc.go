@@ -1,17 +1,13 @@
 // Package hotalloc locks in the allocation discipline of the MTTKRP kernels
 // (the O(R·nnz) per-iteration hot path of Algorithm 3). Inside functions
-// annotated `//distenc:hotpath`:
-//
-//   - loop bodies may not allocate (append / make / new / slice, map or
-//     closure literals), write to maps, or box values into interfaces — any
-//     of these inside the per-non-zero loops silently reintroduces the
-//     per-entry garbage the fused kernel was built to eliminate;
-//   - make / new / append are flagged anywhere in the body, loop or not:
-//     hot-path scratch must come from the task arena (rdd.TaskCtx.Arena),
-//     which is what makes steady-state iterations allocation-free. The one
-//     sanctioned exception is the amortized self-append idiom
-//     `buf = append(buf, …)` outside a loop — growing a caller-owned buffer
-//     in place is how the wire encoders work.
+// annotated `//distenc:hotpath`, make / new / append are flagged anywhere in
+// the body: hot-path scratch must come from the task arena
+// (rdd.TaskCtx.Arena), which is what makes steady-state iterations
+// allocation-free. The one sanctioned exception is the amortized self-append
+// idiom `buf = append(buf, …)` outside a loop — growing a caller-owned buffer
+// in place is how the wire encoders work. The rule reaches what the
+// AllocsPerRun tests cannot: the map and reduce task closures, which those
+// tests replicate rather than run.
 //
 // Setup and emission code that runs per mode or per partition rather than
 // per non-zero — or whose result must outlive the arena's reset cycle — is
@@ -34,7 +30,7 @@ import (
 // Analyzer is the hotalloc pass.
 var Analyzer = &framework.Analyzer{
 	Name: "hotalloc",
-	Doc:  "functions marked //distenc:hotpath must draw scratch from the task arena, never the heap, and must not write maps or box interfaces in loop bodies",
+	Doc:  "functions marked //distenc:hotpath must draw scratch from the task arena, never the heap",
 	Run:  run,
 }
 
@@ -51,10 +47,17 @@ func run(pass *framework.Pass) (any, error) {
 					return false
 				}
 			case ast.Stmt:
-				if dirs.Has(n, "hotpath") {
-					markLiterals(pass, dirs, n)
-					return false
+				if !dirs.Has(n, "hotpath") {
+					return true
 				}
+				ast.Inspect(n, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						checkHot(pass, dirs, lit.Body)
+						return false
+					}
+					return true
+				})
+				return false
 			}
 			return true
 		})
@@ -62,21 +65,10 @@ func run(pass *framework.Pass) (any, error) {
 	return nil, nil
 }
 
-// markLiterals checks every func literal under an annotated statement.
-func markLiterals(pass *framework.Pass, dirs *directives.Map, stmt ast.Stmt) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkHot(pass, dirs, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
-// checkHot walks a hot function body tracking loop depth. Allocating
-// builtins are violations at any depth (hot-path scratch belongs to the task
-// arena); map writes, interface boxing, and literal allocations are reported
-// only inside loop bodies, where they run per entry.
+// checkHot walks a hot function body tracking loop depth: make, new and
+// append are violations anywhere in it, except the self-append idiom outside
+// a loop. Func literals inside run on their own schedule and are not part of
+// this hot path unless separately annotated.
 func checkHot(pass *framework.Pass, dirs *directives.Map, body *ast.BlockStmt) {
 	selfAppends := collectSelfAppends(body)
 	var walk func(n ast.Node, inLoop bool)
@@ -90,14 +82,10 @@ func checkHot(pass *framework.Pass, dirs *directives.Map, body *ast.BlockStmt) {
 			}
 			switch n := n.(type) {
 			case *ast.ForStmt:
-				if n.Init != nil {
-					walk(n.Init, inLoop)
-				}
-				if n.Cond != nil {
-					walk(n.Cond, inLoop)
-				}
-				if n.Post != nil {
-					walk(n.Post, inLoop)
+				for _, part := range []ast.Node{n.Init, n.Cond, n.Post} {
+					if part != nil {
+						walk(part, inLoop)
+					}
 				}
 				walk(n.Body, true)
 				return false
@@ -106,33 +94,25 @@ func checkHot(pass *framework.Pass, dirs *directives.Map, body *ast.BlockStmt) {
 				walk(n.Body, true)
 				return false
 			case *ast.FuncLit:
-				if inLoop {
-					pass.Reportf(n.Pos(), "closure literal allocated inside a hot-path loop")
-				}
-				// The literal runs on its own schedule; its body is not part
-				// of this hot path unless separately annotated.
 				return false
-			case *ast.CompositeLit:
-				if !inLoop {
-					return true
-				}
-				switch pass.TypesInfo.TypeOf(n).Underlying().(type) {
-				case *types.Slice, *types.Map:
-					pass.Reportf(n.Pos(), "%s literal allocates inside a hot-path loop", kindOf(pass, n))
-				}
-			case *ast.AssignStmt:
-				if !inLoop {
-					return true
-				}
-				for _, lhs := range n.Lhs {
-					if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-						if _, isMap := pass.TypesInfo.TypeOf(ix.X).Underlying().(*types.Map); isMap {
-							pass.Reportf(lhs.Pos(), "map write inside a hot-path loop; use a flat slice accumulator (see PR 1's fused MTTKRP layout)")
-						}
-					}
-				}
 			case *ast.CallExpr:
-				checkCall(pass, n, inLoop, selfAppends)
+				id, ok := ast.Unparen(n.Fun).(*ast.Ident)
+				if !ok {
+					return true
+				}
+				b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+				if !ok || (b.Name() != "append" && b.Name() != "make" && b.Name() != "new") {
+					return true
+				}
+				switch {
+				case inLoop:
+					pass.Reportf(n.Pos(), "%s inside a hot-path loop; hoist the allocation out of the per-entry path or mark the statement //distenc:coldpath -- reason", b.Name())
+				case b.Name() == "append" && selfAppends[n]:
+					// buf = append(buf, …): amortized in-place growth of a
+					// caller-owned buffer, the wire-encoder idiom.
+				default:
+					pass.Reportf(n.Pos(), "%s allocates from the heap in a //distenc:hotpath body; draw scratch from the task arena (rdd.TaskCtx.Arena) or mark the statement //distenc:coldpath -- reason", b.Name())
+				}
 			}
 			return true
 		})
@@ -165,90 +145,5 @@ func collectSelfAppends(body *ast.BlockStmt) map[*ast.CallExpr]bool {
 		}
 		return true
 	})
-	return ok
-}
-
-func kindOf(pass *framework.Pass, n ast.Expr) string {
-	switch pass.TypesInfo.TypeOf(n).Underlying().(type) {
-	case *types.Slice:
-		return "slice"
-	case *types.Map:
-		return "map"
-	}
-	return "composite"
-}
-
-// checkCall flags allocating builtins anywhere in a hot body (with the
-// self-append exemption outside loops) and interface boxing inside hot loops.
-func checkCall(pass *framework.Pass, call *ast.CallExpr, inLoop bool, selfAppends map[*ast.CallExpr]bool) {
-	info := pass.TypesInfo
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append", "make", "new":
-				switch {
-				case inLoop:
-					pass.Reportf(call.Pos(), "%s inside a hot-path loop; hoist the allocation out of the per-entry path or mark the statement //distenc:coldpath -- reason", b.Name())
-				case b.Name() == "append" && selfAppends[call]:
-					// buf = append(buf, …): amortized in-place growth of a
-					// caller-owned buffer, the wire-encoder idiom.
-				default:
-					pass.Reportf(call.Pos(), "%s allocates from the heap in a //distenc:hotpath body; draw scratch from the task arena (rdd.TaskCtx.Arena) or mark the statement //distenc:coldpath -- reason", b.Name())
-				}
-			}
-			return
-		}
-	}
-	if !inLoop {
-		return
-	}
-	tv, ok := info.Types[call.Fun]
-	if !ok {
-		return
-	}
-	if tv.IsType() {
-		// Conversion: concrete -> interface boxes the value.
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 && isConcrete(info.TypeOf(call.Args[0])) {
-			pass.Reportf(call.Pos(), "conversion to %s boxes a value inside a hot-path loop", tv.Type)
-		}
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	for i, arg := range call.Args {
-		var param types.Type
-		switch {
-		case sig.Variadic() && i >= sig.Params().Len()-1:
-			if call.Ellipsis.IsValid() {
-				continue // forwarding a slice does not box per element
-			}
-			param = sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice).Elem()
-		case i < sig.Params().Len():
-			param = sig.Params().At(i).Type()
-		default:
-			continue
-		}
-		if types.IsInterface(param) && !isTypeParam(param) && isConcrete(info.TypeOf(arg)) {
-			pass.Reportf(arg.Pos(), "argument boxes a %s into %s inside a hot-path loop", info.TypeOf(arg), param)
-		}
-	}
-}
-
-// isConcrete reports whether t is a non-interface, non-nil type (the shapes
-// that heap-box when converted to an interface).
-func isConcrete(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if b, ok := t.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
-		return false
-	}
-	return !types.IsInterface(t)
-}
-
-func isTypeParam(t types.Type) bool {
-	_, ok := t.(*types.TypeParam)
 	return ok
 }

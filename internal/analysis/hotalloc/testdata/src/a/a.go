@@ -1,20 +1,14 @@
-// Fixture exercising hotalloc: allocation, map writes, and interface boxing
-// inside annotated hot loops, plus the coldpath escape and the
-// statement-level directive form.
+// Fixture exercising hotalloc: allocation inside annotated hot loops and
+// bodies, plus the coldpath escape and the statement-level directive form.
 package a
 
-func sink(v any) { _ = v }
-
 //distenc:hotpath
-func hotKernel(xs []float64, out []float64, m map[int]int) []float64 {
+func hotKernel(xs []float64, out []float64) []float64 {
 	buf := make([]float64, 8) // want `make allocates from the heap in a //distenc:hotpath body`
-	for i, x := range xs {
+	for _, x := range xs {
 		out = append(out, x)  // want `append inside a hot-path loop`
 		tmp := make([]int, 4) // want `make inside a hot-path loop`
 		_ = tmp
-		m[i] = i     // want `map write inside a hot-path loop`
-		sink(x)      // want `boxes a float64 into`
-		_ = []int{i} // want `slice literal allocates inside a hot-path loop`
 	}
 	//distenc:coldpath -- emission loop, runs once per call
 	for i := range buf {
@@ -38,7 +32,7 @@ func statementForm(xs []int) func() {
 	//distenc:hotpath
 	fn := func() {
 		for range xs {
-			_ = func() {} // want `closure literal allocated inside a hot-path loop`
+			_ = new(int) // want `new inside a hot-path loop`
 		}
 	}
 	return fn

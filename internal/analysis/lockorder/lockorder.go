@@ -9,9 +9,8 @@
 //     Blocking operations are: channel sends and receives, selects without a
 //     default, time.Sleep, sync.WaitGroup/sync.Cond Wait, process waits,
 //     socket dials and reads/writes (net, bufio-over-conn, io interface
-//     calls, the rdd frame codec, rdd.Transport calls), calls to
-//     same-package functions that (transitively) do any of those, and calls
-//     to functions annotated `//distenc:blocks -- reason`.
+//     calls, the rdd frame codec, rdd.Transport calls, framerpc), and calls
+//     to same-package functions that (transitively) do any of those.
 //
 //  2. No lock-order cycles. For every mutex B acquired (directly, or by a
 //     same-package callee) while mutex A is held, the pass records the edge
@@ -24,8 +23,8 @@
 //
 //   - `mu.Lock()` adds the lock to the held set, `mu.Unlock()` removes it,
 //     and `defer mu.Unlock()` keeps it held to the end of the function.
-//   - A branch that ends in return/break/continue/goto/panic has its
-//     lock-set effects discarded (control never continues past it), so the
+//   - A branch that ends in return/break/continue/goto has its lock-set
+//     effects discarded (control never continues past it), so the
 //     ubiquitous `if cond { mu.Unlock(); return }` guard keeps the lock held
 //     on the fall-through path.
 //   - Branches that fall through merge pessimistically for acquisition
@@ -39,10 +38,11 @@
 package lockorder
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,48 +57,39 @@ var Analyzer = &framework.Analyzer{
 	Run:  run,
 }
 
+// lockSet is the set of locks held at a program point, by identity.
+type lockSet map[string]bool
+
 // edge is one lock-order edge: to was acquired while from was held.
 type edge struct {
 	from, to string
 	pos      token.Pos
 }
 
-// callSite is a statically resolved same-package call made with locks held.
-type callSite struct {
+// site is a directly blocking operation (desc) or a statically resolved
+// same-package call (callee), with the locks held there.
+type site struct {
+	desc   string
 	callee *types.Func
 	pos    token.Pos
-	held   []heldLock
-	waived bool
-}
-
-// heldLock is one lock in the held set, with where it was acquired.
-type heldLock struct {
-	id  string
-	pos token.Pos
-}
-
-// blockEvent is a directly blocking operation found with locks held.
-type blockEvent struct {
-	desc   string
-	pos    token.Pos
-	held   []heldLock
+	held   []string
 	waived bool
 }
 
 // funcFacts aggregates what one function body does with locks.
 type funcFacts struct {
 	obj      *types.Func // nil for function literals
-	acquires map[string]token.Pos
+	acquires lockSet
 	blocks   bool // contains a direct blocking operation
-	calls    []callSite
-	events   []blockEvent
+	calls    []site
+	events   []site
 	edges    []edge
 }
 
 type checker struct {
 	pass  *framework.Pass
 	dirs  *directives.Map
-	decls map[*types.Func]*ast.FuncDecl
+	decls map[*types.Func]bool // same-package functions with bodies
 	funcs []*funcFacts
 	// queue of function-literal bodies to analyze as independent roots
 	// (goroutine bodies, deferred closures, callbacks): they do not run
@@ -111,35 +102,29 @@ func run(pass *framework.Pass) (any, error) {
 	c := &checker{
 		pass:  pass,
 		dirs:  directives.Scan(pass.Fset, pass.Files),
-		decls: map[*types.Func]*ast.FuncDecl{},
+		decls: map[*types.Func]bool{},
 		seen:  map[*ast.FuncLit]bool{},
 	}
+	var roots []*ast.FuncDecl
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				c.decls[fn] = fd
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				roots = append(roots, fd)
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					c.decls[fn] = true
+				}
 			}
 		}
 	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			c.analyzeBody(fn, fd, fd.Body)
-		}
+	for _, fd := range roots {
+		fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		c.analyzeBody(fn, c.dirs.Has(fd, "lockheld-ok"), fd.Body)
 	}
 	// Function literals reached from the roots (and from each other).
 	for len(c.lits) > 0 {
 		lit := c.lits[0]
 		c.lits = c.lits[1:]
-		c.analyzeBody(nil, nil, lit.Body)
+		c.analyzeBody(nil, false, lit.Body)
 	}
 	c.report()
 	return nil, nil
@@ -147,18 +132,18 @@ func run(pass *framework.Pass) (any, error) {
 
 // analyzeBody walks one function body as an independent root with an empty
 // held set.
-func (c *checker) analyzeBody(fn *types.Func, decl *ast.FuncDecl, body *ast.BlockStmt) {
-	f := &funcFacts{obj: fn, acquires: map[string]token.Pos{}}
-	w := &walker{c: c, f: f}
-	if decl != nil && c.hasDirective(decl, "lockheld-ok") {
-		w.funcWaived = true
-	}
-	w.walkStmt(body, map[string]token.Pos{})
+func (c *checker) analyzeBody(fn *types.Func, waived bool, body *ast.BlockStmt) {
+	f := &funcFacts{obj: fn, acquires: lockSet{}}
+	w := &walker{c: c, f: f, funcWaived: waived}
+	w.walkStmt(body, lockSet{})
 	c.funcs = append(c.funcs, f)
 }
 
-func (c *checker) hasDirective(node ast.Node, name string) bool {
-	return c.dirs.Has(node, name)
+func (c *checker) enqueueLit(lit *ast.FuncLit) {
+	if !c.seen[lit] {
+		c.seen[lit] = true
+		c.lits = append(c.lits, lit)
+	}
 }
 
 // walker tracks the may-held lock set through one function body.
@@ -170,71 +155,47 @@ type walker struct {
 }
 
 func (w *walker) waived() bool {
-	if w.funcWaived {
-		return true
-	}
-	for _, s := range w.stack {
-		if w.c.hasDirective(s, "lockheld-ok") {
-			return true
-		}
-	}
-	return false
+	return w.funcWaived || slices.ContainsFunc(w.stack, func(s ast.Stmt) bool { return w.c.dirs.Has(s, "lockheld-ok") })
 }
 
-func snapshot(held map[string]token.Pos) []heldLock {
-	out := make([]heldLock, 0, len(held))
-	for id, pos := range held {
-		out = append(out, heldLock{id, pos})
+// block records a directly blocking operation.
+func (w *walker) block(pos token.Pos, desc string, held lockSet) {
+	w.f.blocks = true
+	if len(held) > 0 {
+		w.f.events = append(w.f.events, site{desc: desc, pos: pos, held: sorted(held), waived: w.waived()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
 }
 
-func clone(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
+func sorted(held lockSet) []string { return slices.Sorted(maps.Keys(held)) }
 
-// mergeBranches folds the fall-through branches of a conditional back into
-// pre: a lock survives if every branch (and the pre state) still holds it
-// — optimistic release — and a lock newly acquired by any branch is held —
+// merge folds the fall-through branches of a conditional back into held: a
+// lock survives if every branch (and the pre state) still holds it —
+// optimistic release — and a lock newly acquired by any branch is held —
 // pessimistic acquisition.
-func mergeBranches(pre map[string]token.Pos, branches []map[string]token.Pos) map[string]token.Pos {
+func merge(held lockSet, branches []lockSet) {
 	if len(branches) == 0 {
-		return pre
+		return
 	}
-	out := map[string]token.Pos{}
-	for id, pos := range pre {
-		all := true
-		for _, b := range branches {
-			if _, ok := b[id]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			out[id] = pos
+	pre := maps.Clone(held)
+	clear(held)
+	for id := range pre {
+		if !slices.ContainsFunc(branches, func(b lockSet) bool { return !b[id] }) {
+			held[id] = true
 		}
 	}
 	for _, b := range branches {
-		for id, pos := range b {
-			if _, inPre := pre[id]; !inPre {
-				if _, ok := out[id]; !ok {
-					out[id] = pos
-				}
+		for id := range b {
+			if !pre[id] {
+				held[id] = true
 			}
 		}
 	}
-	return out
 }
 
 // walkStmt processes stmt, mutating held; it reports true when stmt
-// unconditionally leaves the enclosing block (return, branch, panic), so
-// callers can discard the branch's lock-set effects.
-func (w *walker) walkStmt(stmt ast.Stmt, held map[string]token.Pos) bool {
+// unconditionally leaves the enclosing block (return, branch), so callers
+// can discard the branch's lock-set effects.
+func (w *walker) walkStmt(stmt ast.Stmt, held lockSet) bool {
 	if stmt == nil {
 		return false
 	}
@@ -243,119 +204,55 @@ func (w *walker) walkStmt(stmt ast.Stmt, held map[string]token.Pos) bool {
 
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
-		for _, st := range s.List {
-			if w.walkStmt(st, held) {
-				return true
-			}
-		}
+		return w.walkList(s.List, held)
 	case *ast.IfStmt:
 		w.walkStmt(s.Init, held)
 		w.walkExpr(s.Cond, held)
-		thenHeld := clone(held)
+		thenHeld, elseHeld := maps.Clone(held), maps.Clone(held)
 		thenTerm := w.walkStmt(s.Body, thenHeld)
-		elseHeld := clone(held)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseHeld)
-		}
+		elseTerm := w.walkStmt(s.Else, elseHeld)
 		switch {
-		case thenTerm && elseTerm && s.Else != nil:
+		case thenTerm && elseTerm:
 			return true
 		case thenTerm:
-			replace(held, elseHeld)
+			clear(held)
+			maps.Copy(held, elseHeld)
 		case elseTerm:
-			replace(held, thenHeld)
+			clear(held)
+			maps.Copy(held, thenHeld)
 		default:
-			replace(held, mergeBranches(held, []map[string]token.Pos{thenHeld, elseHeld}))
+			merge(held, []lockSet{thenHeld, elseHeld})
 		}
 	case *ast.ForStmt:
 		w.walkStmt(s.Init, held)
 		w.walkExpr(s.Cond, held)
-		body := clone(held)
+		body := maps.Clone(held)
 		if !w.walkStmt(s.Body, body) {
 			w.walkStmt(s.Post, body)
-			replace(held, mergeBranches(held, []map[string]token.Pos{body}))
+			merge(held, []lockSet{body})
 		}
 	case *ast.RangeStmt:
 		w.walkExpr(s.X, held)
-		body := clone(held)
+		body := maps.Clone(held)
 		if !w.walkStmt(s.Body, body) {
-			replace(held, mergeBranches(held, []map[string]token.Pos{body}))
+			merge(held, []lockSet{body})
 		}
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var init ast.Stmt
-		var body *ast.BlockStmt
-		hasDefault := false
-		if sw, ok := s.(*ast.SwitchStmt); ok {
-			init, body = sw.Init, sw.Body
-			w.walkStmt(init, held)
-			w.walkExpr(sw.Tag, held)
-		} else {
-			ts := s.(*ast.TypeSwitchStmt)
-			init, body = ts.Init, ts.Body
-			w.walkStmt(init, held)
-		}
-		var branches []map[string]token.Pos
-		for _, cc := range body.List {
-			cl := cc.(*ast.CaseClause)
-			if cl.List == nil {
-				hasDefault = true
-			}
-			for _, e := range cl.List {
-				w.walkExpr(e, held)
-			}
-			bh := clone(held)
-			term := false
-			for _, st := range cl.Body {
-				if w.walkStmt(st, bh) {
-					term = true
-					break
-				}
-			}
-			if !term {
-				branches = append(branches, bh)
-			}
-		}
-		if !hasDefault {
-			branches = append(branches, clone(held)) // no case may match
-		}
-		replace(held, mergeBranches(held, branches))
+	case *ast.SwitchStmt:
+		w.walkStmt(s.Init, held)
+		w.walkExpr(s.Tag, held)
+		w.walkClauses(s.Body, held)
+	case *ast.TypeSwitchStmt:
+		w.walkStmt(s.Init, held)
+		w.walkClauses(s.Body, held)
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cc := range s.Body.List {
-			if cc.(*ast.CommClause).Comm == nil {
-				hasDefault = true
-			}
+		if !slices.ContainsFunc(s.Body.List, func(cc ast.Stmt) bool { return cc.(*ast.CommClause).Comm == nil }) {
+			w.block(s.Pos(), "select without a default case", held)
 		}
-		if !hasDefault {
-			w.f.blocks = true
-			if len(held) > 0 {
-				w.blockAt(s.Pos(), "select without a default case", held)
-			}
-		}
-		var branches []map[string]token.Pos
-		for _, cc := range s.Body.List {
-			cl := cc.(*ast.CommClause)
-			bh := clone(held)
-			term := false
-			for _, st := range cl.Body {
-				if w.walkStmt(st, bh) {
-					term = true
-					break
-				}
-			}
-			if !term {
-				branches = append(branches, bh)
-			}
-		}
-		replace(held, mergeBranches(held, branches))
+		w.walkClauses(s.Body, held)
 	case *ast.SendStmt:
 		w.walkExpr(s.Chan, held)
 		w.walkExpr(s.Value, held)
-		w.f.blocks = true
-		if len(held) > 0 {
-			w.blockAt(s.Pos(), "channel send", held)
-		}
+		w.block(s.Pos(), "channel send", held)
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			w.walkExpr(e, held)
@@ -366,26 +263,13 @@ func (w *walker) walkStmt(stmt ast.Stmt, held map[string]token.Pos) bool {
 	case *ast.DeferStmt:
 		// defer mu.Unlock() keeps the lock held to the end of the function;
 		// other deferred work runs at return, outside this walk.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.c.enqueueLit(lit)
-		}
-		for _, a := range s.Call.Args {
-			w.walkExpr(a, held)
-		}
+		w.walkGo(s.Call, held)
 	case *ast.GoStmt:
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.c.enqueueLit(lit)
-		}
-		for _, a := range s.Call.Args {
-			w.walkExpr(a, held)
-		}
+		w.walkGo(s.Call, held)
 	case *ast.ExprStmt:
 		w.walkExpr(s.X, held)
 	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.walkExpr(e, held)
-		}
-		for _, e := range s.Lhs {
+		for _, e := range append(slices.Clip(s.Rhs), s.Lhs...) {
 			w.walkExpr(e, held)
 		}
 	case *ast.DeclStmt:
@@ -406,220 +290,155 @@ func (w *walker) walkStmt(stmt ast.Stmt, held map[string]token.Pos) bool {
 	return false
 }
 
-func replace(dst, src map[string]token.Pos) {
-	for k := range dst {
-		delete(dst, k)
+func (w *walker) walkList(list []ast.Stmt, held lockSet) bool {
+	for _, st := range list {
+		if w.walkStmt(st, held) {
+			return true
+		}
 	}
-	for k, v := range src {
-		dst[k] = v
+	return false
+}
+
+// walkClauses walks the case (or comm) clauses of a switch or select as
+// alternative branches. (The branch in which no case runs needs no entry:
+// it would hold every lock the others merge against.)
+func (w *walker) walkClauses(body *ast.BlockStmt, held lockSet) {
+	var branches []lockSet
+	for _, cc := range body.List {
+		var stmts []ast.Stmt
+		switch cl := cc.(type) {
+		case *ast.CaseClause:
+			for _, e := range cl.List {
+				w.walkExpr(e, held)
+			}
+			stmts = cl.Body
+		case *ast.CommClause:
+			stmts = cl.Body
+		}
+		if bh := maps.Clone(held); !w.walkList(stmts, bh) {
+			branches = append(branches, bh)
+		}
+	}
+	merge(held, branches)
+}
+
+// walkGo handles the call of a go or defer statement: its arguments are
+// evaluated now, a literal body runs later as its own root.
+func (w *walker) walkGo(call *ast.CallExpr, held lockSet) {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		w.c.enqueueLit(lit)
+	}
+	for _, a := range call.Args {
+		w.walkExpr(a, held)
 	}
 }
 
 // walkExpr scans an expression for lock operations, blocking operations and
 // same-package calls. Function literals become independent roots.
-func (w *walker) walkExpr(expr ast.Expr, held map[string]token.Pos) {
+func (w *walker) walkExpr(expr ast.Expr, held lockSet) {
 	if expr == nil {
 		return
 	}
-	switch e := expr.(type) {
-	case *ast.FuncLit:
-		w.c.enqueueLit(e)
-		return
-	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			w.f.blocks = true
-			if len(held) > 0 {
-				w.blockAt(e.Pos(), "channel receive", held)
+	ast.Inspect(expr, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.FuncLit:
+			w.c.enqueueLit(e)
+			return false
+		case *ast.UnaryExpr:
+			if e.Op == token.ARROW {
+				w.block(e.Pos(), "channel receive", held)
 			}
+		case *ast.CallExpr:
+			// Arguments evaluate before the call transfers control.
+			w.walkExpr(e.Fun, held)
+			for _, a := range e.Args {
+				w.walkExpr(a, held)
+			}
+			w.handleCall(e, held)
+			return false
 		}
-		w.walkExpr(e.X, held)
-		return
-	case *ast.CallExpr:
-		// Arguments evaluate before the call transfers control.
-		w.walkExpr(e.Fun, held)
-		for _, a := range e.Args {
-			w.walkExpr(a, held)
-		}
-		w.handleCall(e, held)
-		return
-	case *ast.BinaryExpr:
-		w.walkExpr(e.X, held)
-		w.walkExpr(e.Y, held)
-	case *ast.ParenExpr:
-		w.walkExpr(e.X, held)
-	case *ast.SelectorExpr:
-		w.walkExpr(e.X, held)
-	case *ast.IndexExpr:
-		w.walkExpr(e.X, held)
-		w.walkExpr(e.Index, held)
-	case *ast.IndexListExpr:
-		w.walkExpr(e.X, held)
-		for _, i := range e.Indices {
-			w.walkExpr(i, held)
-		}
-	case *ast.SliceExpr:
-		w.walkExpr(e.X, held)
-		w.walkExpr(e.Low, held)
-		w.walkExpr(e.High, held)
-		w.walkExpr(e.Max, held)
-	case *ast.StarExpr:
-		w.walkExpr(e.X, held)
-	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X, held)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.walkExpr(el, held)
-		}
-	case *ast.KeyValueExpr:
-		w.walkExpr(e.Value, held)
-	}
+		return true
+	})
 }
 
 // handleCall classifies one call: mutex operation, known-blocking callee, or
 // same-package call to resolve in the cross-function phase.
-func (w *walker) handleCall(call *ast.CallExpr, held map[string]token.Pos) {
-	if id, op, ok := w.c.mutexOp(call); ok {
-		switch op {
-		case opLock:
-			if _, already := held[id]; !already {
-				for from, fpos := range held {
-					if from != id {
-						w.f.edges = append(w.f.edges, edge{from: from, to: id, pos: call.Pos()})
-						_ = fpos
-					}
-				}
-				held[id] = call.Pos()
-				if _, ok := w.f.acquires[id]; !ok {
-					w.f.acquires[id] = call.Pos()
-				}
-			}
-		case opUnlock:
+func (w *walker) handleCall(call *ast.CallExpr, held lockSet) {
+	if id, lock, ok := w.c.mutexOp(call); ok {
+		if !lock {
 			delete(held, id)
+		} else if !held[id] {
+			for from := range held {
+				w.f.edges = append(w.f.edges, edge{from: from, to: id, pos: call.Pos()})
+			}
+			held[id] = true
+			w.f.acquires[id] = true
 		}
 		return
 	}
-	if desc, ok := w.c.blockingCallee(call); ok {
-		w.f.blocks = true
-		if len(held) > 0 {
-			w.blockAt(call.Pos(), desc, held)
-		}
+	fn := framework.Callee(w.c.pass.TypesInfo, call)
+	if desc, ok := w.c.blockingCallee(fn); ok {
+		w.block(call.Pos(), desc, held)
 		return
 	}
-	if fn, ok := w.c.samePkgCallee(call); ok {
-		w.f.calls = append(w.f.calls, callSite{
-			callee: fn,
-			pos:    call.Pos(),
-			held:   snapshot(held),
-			waived: w.waived(),
-		})
+	if w.c.decls[fn] {
+		w.f.calls = append(w.f.calls, site{callee: fn, pos: call.Pos(), held: sorted(held), waived: w.waived()})
 	}
 }
 
-func (w *walker) blockAt(pos token.Pos, desc string, held map[string]token.Pos) {
-	w.f.blocks = true
-	w.f.events = append(w.f.events, blockEvent{
-		desc:   desc,
-		pos:    pos,
-		held:   snapshot(held),
-		waived: w.waived(),
-	})
-}
-
-func (c *checker) enqueueLit(lit *ast.FuncLit) {
-	if !c.seen[lit] {
-		c.seen[lit] = true
-		c.lits = append(c.lits, lit)
+// mutexOp recognizes sync.Mutex / sync.RWMutex method calls, reporting
+// whether they lock or unlock, and resolves the lock's package-wide
+// identity: `Type.field` for a mutex struct field, the variable name
+// otherwise.
+func (c *checker) mutexOp(call *ast.CallExpr) (id string, lock, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", false, false
 	}
-}
-
-type mutexOpKind int
-
-const (
-	opNone mutexOpKind = iota
-	opLock
-	opUnlock
-)
-
-// mutexOp recognizes sync.Mutex / sync.RWMutex method calls and resolves the
-// lock's package-wide identity: `Type.field` for a mutex struct field, the
-// variable name otherwise.
-func (c *checker) mutexOp(call *ast.CallExpr) (string, mutexOpKind, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", opNone, false
-	}
-	var op mutexOpKind
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "TryLock", "TryRLock":
-		op = opLock
+		lock = true
 	case "Unlock", "RUnlock":
-		op = opUnlock
 	default:
-		return "", opNone, false
+		return "", false, false
 	}
-	fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", opNone, false
+	fn, isFn := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", false, false
 	}
-	recv := recvTypeName(fn)
-	if recv != "Mutex" && recv != "RWMutex" {
-		return "", opNone, false
+	if recv := framework.RecvName(fn); recv != "Mutex" && recv != "RWMutex" {
+		return "", false, false
 	}
-	return c.lockID(sel.X), op, true
+	return c.lockID(sel.X), lock, true
 }
 
 // lockID names the mutex denoted by expr with a package-wide identity.
 func (c *checker) lockID(expr ast.Expr) string {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.SelectorExpr:
-		if selInfo, ok := c.pass.TypesInfo.Selections[e]; ok {
-			recv := selInfo.Recv()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
-			}
-			if named, ok := recv.(*types.Named); ok {
-				return named.Obj().Name() + "." + e.Sel.Name
-			}
-			return e.Sel.Name
-		}
-		if obj, ok := c.pass.TypesInfo.Uses[e.Sel]; ok {
-			return obj.Name() // package-qualified variable
-		}
-		return e.Sel.Name
-	case *ast.Ident:
-		return e.Name
-	default:
+	e, ok := ast.Unparen(expr).(*ast.SelectorExpr)
+	if !ok {
 		return types.ExprString(expr)
 	}
+	if sel, ok := c.pass.TypesInfo.Selections[e]; ok {
+		recv := sel.Recv()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if named, ok := recv.(*types.Named); ok {
+			return named.Obj().Name() + "." + e.Sel.Name
+		}
+	}
+	return e.Sel.Name // a field of an unnamed struct, or a package-level variable
 }
 
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
-// blockingCallee reports whether call's statically resolved callee is a
-// known-blocking operation from another package. Cross-package comments are
-// invisible under the vet unit protocol, so the `//distenc:blocks` contract
-// for foreign packages is mirrored here as a curated table; same-package
-// `//distenc:blocks` annotations are honored from source in report().
-func (c *checker) blockingCallee(call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(c.pass, call)
+// blockingCallee reports whether fn is a known-blocking operation of the
+// standard library or of the repo's network layers.
+func (c *checker) blockingCallee(fn *types.Func) (string, bool) {
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
 	path, name := fn.Pkg().Path(), fn.Name()
-	recv := recvTypeName(fn)
+	recv := framework.RecvName(fn)
+	foreign := fn.Pkg() != c.pass.Pkg
 	switch {
 	case path == "time" && name == "Sleep":
 		return "time.Sleep", true
@@ -636,166 +455,78 @@ func (c *checker) blockingCallee(call *ast.CallExpr) (string, bool) {
 		return "io." + name, true
 	case path == "bufio" && (name == "Flush" || name == "Read" || name == "ReadByte" || name == "ReadBytes" || name == "ReadString" || name == "Peek"):
 		return "bufio." + recv + "." + name, true
-	case strings.HasSuffix(path, "internal/framerpc") && fn.Pkg() != c.pass.Pkg && (name == "Dial" || name == "Call"):
+	case strings.HasSuffix(path, "internal/framerpc") && foreign && (name == "Dial" || name == "Call"):
 		return "framerpc." + name, true
-	case strings.HasSuffix(path, "internal/rdd") && fn.Pkg() != c.pass.Pkg:
-		if name == "ReadFrame" || name == "WriteFrame" {
-			return "rdd." + name, true
-		}
-		if recv == "Transport" {
-			return "rdd.Transport." + name, true
-		}
-	case fn.Pkg() == c.pass.Pkg && recv == "Transport":
-		// The engine's own Transport interface: every method is a network
-		// round trip on the remote backend.
-		return "Transport." + name, true
+	case strings.HasSuffix(path, "internal/rdd") && foreign && (name == "ReadFrame" || name == "WriteFrame"):
+		return "rdd." + name, true
+	case strings.HasSuffix(path, "internal/rdd") && recv == "Transport":
+		// Every method of the engine's Transport is a network round trip
+		// on the remote backend.
+		return "rdd.Transport." + name, true
 	}
 	return "", false
-}
-
-// samePkgCallee resolves a statically dispatched call to a function or
-// method declared in the package under analysis.
-func (c *checker) samePkgCallee(call *ast.CallExpr) (*types.Func, bool) {
-	fn := calleeFunc(c.pass, call)
-	if fn == nil || fn.Pkg() != c.pass.Pkg {
-		return nil, false
-	}
-	if _, ok := c.decls[fn]; !ok {
-		return nil, false // interface method or declaration without a body
-	}
-	return fn, true
-}
-
-func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.IndexExpr:
-		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		} else if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		}
-	case *ast.IndexListExpr:
-		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		} else if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		}
-	}
-	if id == nil {
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }
 
 // report runs the cross-function phases: blocking propagation through
 // same-package calls, then the lock-graph cycle check.
 func (c *checker) report() {
-	// Fixed point 1: which declared functions may block. Seeds are direct
-	// blocking operations and //distenc:blocks annotations.
+	// Which declared functions may block, and the transitive lock
+	// acquisitions of each, to a fixed point.
 	mayBlock := map[*types.Func]bool{}
-	annotated := map[*types.Func]bool{}
-	byObj := map[*types.Func]*funcFacts{}
+	acq := map[*types.Func]lockSet{}
+	var declared []*funcFacts
 	for _, f := range c.funcs {
-		if f.obj == nil {
-			continue
-		}
-		byObj[f.obj] = f
-		if f.blocks {
-			mayBlock[f.obj] = true
-		}
-		if decl := c.decls[f.obj]; decl != nil && c.hasDirective(decl, "blocks") {
-			mayBlock[f.obj] = true
-			annotated[f.obj] = true
+		if f.obj != nil {
+			declared = append(declared, f)
+			mayBlock[f.obj] = f.blocks
+			acq[f.obj] = maps.Clone(f.acquires)
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for obj, f := range byObj {
-			if mayBlock[obj] {
-				continue
-			}
+		for _, f := range declared {
 			for _, cs := range f.calls {
-				if mayBlock[cs.callee] {
-					mayBlock[obj] = true
-					changed = true
-					break
+				if mayBlock[cs.callee] && !mayBlock[f.obj] {
+					mayBlock[f.obj], changed = true, true
 				}
-			}
-		}
-	}
-	// Fixed point 2: the transitive lock-acquisition set of each function.
-	acq := map[*types.Func]map[string]bool{}
-	for obj, f := range byObj {
-		set := map[string]bool{}
-		for id := range f.acquires {
-			set[id] = true
-		}
-		acq[obj] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, f := range byObj {
-			for _, cs := range f.calls {
 				for id := range acq[cs.callee] {
-					if !acq[obj][id] {
-						acq[obj][id] = true
-						changed = true
+					if !acq[f.obj][id] {
+						acq[f.obj][id], changed = true, true
 					}
 				}
 			}
 		}
 	}
 
-	// Blocking-while-locked diagnostics: direct events plus lock-held calls
-	// to may-block functions.
-	for _, f := range c.funcs {
-		for _, ev := range f.events {
-			if ev.waived {
-				continue
-			}
-			c.pass.Reportf(ev.pos,
-				"%s while holding %s; blocking under a lock convoys every contender — release the lock first, or waive a deliberate design with //distenc:lockheld-ok -- reason",
-				ev.desc, heldNames(ev.held))
-		}
-		for _, cs := range f.calls {
-			if len(cs.held) == 0 || cs.waived || !mayBlock[cs.callee] {
-				continue
-			}
-			why := "it performs a blocking operation"
-			if annotated[cs.callee] {
-				why = "it is annotated //distenc:blocks"
-			}
-			c.pass.Reportf(cs.pos,
-				"blocking call to %s while holding %s (%s); blocking under a lock convoys every contender — release the lock first, or waive a deliberate design with //distenc:lockheld-ok -- reason",
-				cs.callee.Name(), heldNames(cs.held), why)
-		}
-	}
-
-	// Lock graph: direct edges plus edges induced by lock-held calls.
+	// Blocking-while-locked diagnostics, and the lock graph: direct edges
+	// plus edges induced by lock-held calls.
 	edges := map[[2]string]token.Pos{}
 	addEdge := func(from, to string, pos token.Pos) {
-		if from == to {
-			return
-		}
 		key := [2]string{from, to}
-		if old, ok := edges[key]; !ok || pos < old {
+		if old, ok := edges[key]; from != to && (!ok || pos < old) {
 			edges[key] = pos
 		}
 	}
 	for _, f := range c.funcs {
+		for _, ev := range f.events {
+			if !ev.waived {
+				c.pass.Reportf(ev.pos,
+					"%s while holding %s; blocking under a lock convoys every contender — release the lock first, or waive a deliberate design with //distenc:lockheld-ok -- reason",
+					ev.desc, strings.Join(ev.held, ", "))
+			}
+		}
 		for _, e := range f.edges {
 			addEdge(e.from, e.to, e.pos)
 		}
 		for _, cs := range f.calls {
+			if len(cs.held) > 0 && !cs.waived && mayBlock[cs.callee] {
+				c.pass.Reportf(cs.pos,
+					"blocking call to %s while holding %s (it performs a blocking operation); blocking under a lock convoys every contender — release the lock first, or waive a deliberate design with //distenc:lockheld-ok -- reason",
+					cs.callee.Name(), strings.Join(cs.held, ", "))
+			}
 			for id := range acq[cs.callee] {
 				for _, h := range cs.held {
-					addEdge(h.id, id, cs.pos)
+					addEdge(h, id, cs.pos)
 				}
 			}
 		}
@@ -827,19 +558,10 @@ func reaches(succ map[string][]string, from, to string) bool {
 		if n == to {
 			return true
 		}
-		if seen[n] {
-			continue
+		if !seen[n] {
+			seen[n] = true
+			stack = append(stack, succ[n]...)
 		}
-		seen[n] = true
-		stack = append(stack, succ[n]...)
 	}
 	return false
-}
-
-func heldNames(held []heldLock) string {
-	names := make([]string, len(held))
-	for i, h := range held {
-		names[i] = h.id
-	}
-	return fmt.Sprintf("%s", strings.Join(names, ", "))
 }

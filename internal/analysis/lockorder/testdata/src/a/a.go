@@ -1,6 +1,6 @@
 // Package a exercises the lockorder analyzer: blocking operations under a
 // held mutex, guard-unlock-return tracking, waivers, same-package blocking
-// propagation, //distenc:blocks annotations, and lock-order cycles.
+// propagation, and lock-order cycles.
 package a
 
 import (
@@ -134,15 +134,15 @@ func (e *engine) callsBlockingUnderLock() {
 	e.mu.Unlock()
 }
 
-//distenc:blocks -- replays the whole upstream lineage over the network
-func (e *engine) recompute() {
-	e.state++
+// drain blocks only through flush: blocking propagates through calls.
+func (e *engine) drain() {
+	e.flush()
 }
 
-func (e *engine) callsAnnotatedUnderLock() {
+func (e *engine) callsTransitivelyBlockingUnderLock() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.recompute() // want `blocking call to recompute while holding engine\.mu`
+	e.drain() // want `blocking call to drain while holding engine\.mu`
 }
 
 // goroutine bodies are independent roots: the spawner's lock is not held

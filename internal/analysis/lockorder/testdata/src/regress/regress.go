@@ -16,11 +16,12 @@ type blockState struct {
 type exchange struct {
 	mu     sync.Mutex
 	blocks map[int]*blockState
+	stage  chan []byte
 }
 
-//distenc:blocks -- replays the whole upstream lineage over the network
+// recompute replays the whole upstream lineage: it waits for a map stage.
 func (e *exchange) recompute(mp int) *blockState {
-	return &blockState{data: make([]byte, mp)}
+	return &blockState{data: <-e.stage}
 }
 
 // blockForConvoy is the buggy PR 5 shape: recompute runs under e.mu.
@@ -31,7 +32,7 @@ func (e *exchange) blockForConvoy(mp int) []byte {
 	if ok {
 		return bs.data
 	}
-	bs = e.recompute(mp) // want `blocking call to recompute while holding exchange\.mu \(it is annotated //distenc:blocks\)`
+	bs = e.recompute(mp) // want `blocking call to recompute while holding exchange\.mu \(it performs a blocking operation\)`
 	e.blocks[mp] = bs
 	return bs.data
 }

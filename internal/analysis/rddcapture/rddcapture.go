@@ -14,8 +14,8 @@
 //     no broadcast variables: read-only shipment that the algorithm accounts
 //     for explicitly (e.g. the MTTKRP factor-row shipping charged via
 //     TaskCtx.CountShuffled) is waived per variable with
-//     `//distenc:capture-ok var... -- reason`, keeping every crossing of the
-//     boundary auditable.
+//     `//distenc:capture-ok var... -- reason` on a statement enclosing the
+//     call, keeping every crossing of the boundary auditable.
 //
 // The engine package itself (distenc/internal/rdd) is exempt: its internal
 // closures ARE the machinery that emulates the boundary.
@@ -25,7 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 	"strings"
 
 	"distenc/internal/analysis/directives"
@@ -49,7 +49,42 @@ func run(pass *framework.Pass) (any, error) {
 	}
 	dirs := directives.Scan(pass.Fset, pass.Files)
 	for _, file := range pass.Files {
-		checkFile(pass, dirs, file)
+		// Find every closure handed to the rdd API, with the capture-ok
+		// waivers on the statements that enclose the call.
+		var tasks []taskClosure
+		isTask := make(map[*ast.FuncLit]bool)
+		var stack []ast.Node
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := framework.Callee(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "rdd" {
+				return true
+			}
+			waivers := map[string]bool{}
+			for _, anc := range stack {
+				if stmt, ok := anc.(ast.Stmt); ok {
+					maps.Copy(waivers, dirs.CaptureWaivers(stmt))
+				}
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					tasks = append(tasks, taskClosure{lit: lit, callee: "rdd." + fn.Name(), waivers: waivers})
+					isTask[lit] = true
+				}
+			}
+			return true
+		})
+		for _, t := range tasks {
+			checkClosure(pass, t, isTask)
+		}
 	}
 	return nil, nil
 }
@@ -61,109 +96,23 @@ type taskClosure struct {
 	waivers map[string]bool // capture-ok variable names in scope for this closure
 }
 
-func checkFile(pass *framework.Pass, dirs *directives.Map, file *ast.File) {
-	// First pass: find every closure that will run as a task. Waivers may sit
-	// on the enclosing statement/call or directly on the literal.
-	var tasks []taskClosure
-	isTask := make(map[*ast.FuncLit]bool)
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := rddCallee(pass, call)
-		if callee == "" {
-			return true
-		}
-		waivers := dirs.CaptureWaivers(call)
-		for _, anc := range stack {
-			if stmt, ok := anc.(ast.Stmt); ok {
-				for v := range dirs.CaptureWaivers(stmt) {
-					if waivers == nil {
-						waivers = make(map[string]bool)
-					}
-					waivers[v] = true
-				}
-			}
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				lw := waivers
-				for v := range dirs.CaptureWaivers(lit) {
-					if lw == nil {
-						lw = make(map[string]bool)
-					}
-					lw[v] = true
-				}
-				tasks = append(tasks, taskClosure{lit: lit, callee: callee, waivers: lw})
-				isTask[lit] = true
-			}
-		}
-		return true
-	})
-
-	for _, t := range tasks {
-		checkClosure(pass, t, isTask)
-	}
-}
-
-// rddCallee returns a display name when call invokes a function or method of
-// the rdd package, and "" otherwise.
-func rddCallee(pass *framework.Pass, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.IndexExpr: // explicit instantiation rdd.MapPartitions[T, U](...)
-		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		} else if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		}
-	case *ast.IndexListExpr:
-		if sel, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		} else if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		}
-	}
-	if id == nil {
-		return ""
-	}
-	if obj, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Name() == "rdd" {
-		return "rdd." + obj.Name()
-	}
-	return ""
-}
-
 func checkClosure(pass *framework.Pass, t taskClosure, isTask map[*ast.FuncLit]bool) {
 	info := pass.TypesInfo
 	lit := t.lit
-	// declaredOutside reports whether obj is driver-side state relative to
-	// this closure: a non-field variable declared outside the literal.
-	declaredOutside := func(obj types.Object) bool {
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() {
-			return false
+	// outside returns the driver-side variable id names — a non-field
+	// variable declared outside the literal — or nil.
+	outside := func(id *ast.Ident) *types.Var {
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || v.IsField() || (v.Pos() >= lit.Pos() && v.Pos() < lit.End()) {
+			return nil
 		}
-		return v.Pos() < lit.Pos() || v.Pos() >= lit.End()
+		return v
 	}
-
 	written := make(map[*types.Var]token.Pos)     // first write site per captured var
 	readMutable := make(map[*types.Var]token.Pos) // first mutable-capture site per var
-
 	noteWrite := func(e ast.Expr, at token.Pos) {
 		if id, ok := baseIdent(e); ok {
-			if obj := info.Uses[id]; obj != nil && declaredOutside(obj) {
-				v := obj.(*types.Var)
+			if v := outside(id); v != nil {
 				if _, dup := written[v]; !dup {
 					written[v] = at
 				}
@@ -172,12 +121,11 @@ func checkClosure(pass *framework.Pass, t taskClosure, isTask map[*ast.FuncLit]b
 	}
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if inner, ok := n.(*ast.FuncLit); ok && inner != lit && isTask[inner] {
+		switch n := n.(type) {
+		case *ast.FuncLit:
 			// A nested task closure is analyzed on its own; skip it here so
 			// its captures are not double-reported against this closure.
-			return false
-		}
-		switch n := n.(type) {
+			return !isTask[n]
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				noteWrite(lhs, n.TokPos)
@@ -198,57 +146,34 @@ func checkClosure(pass *framework.Pass, t taskClosure, isTask map[*ast.FuncLit]b
 				}
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && info.Uses[id] != nil {
-				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "copy", "clear", "append":
-						if len(n.Args) > 0 {
-							noteWrite(n.Args[0], n.Pos())
-						}
-					}
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && (b.Name() == "copy" || b.Name() == "clear" || b.Name() == "append") {
+					noteWrite(n.Args[0], n.Pos())
 				}
 			}
 		case *ast.Ident:
-			obj := info.Uses[n]
-			if obj == nil || !declaredOutside(obj) {
-				return true
-			}
-			v := obj.(*types.Var)
-			if _, dup := readMutable[v]; !dup && !allowedCaptureType(v.Type(), nil) {
-				readMutable[v] = n.Pos()
+			if v := outside(n); v != nil && !allowedCaptureType(v.Type()) {
+				if _, dup := readMutable[v]; !dup {
+					readMutable[v] = n.Pos()
+				}
 			}
 		}
 		return true
 	})
 
-	type finding struct {
-		pos   token.Pos
-		v     *types.Var
-		write bool
-	}
-	var findings []finding
 	for v, pos := range written {
-		findings = append(findings, finding{pos, v, true})
+		if !t.waivers[v.Name()] {
+			pass.Reportf(pos,
+				"task closure passed to %s writes to captured driver-side variable %q; on a real cluster the closure is shipped by value and the write is lost — return results instead",
+				t.callee, v.Name())
+		}
 	}
 	for v, pos := range readMutable {
-		if _, alsoWritten := written[v]; alsoWritten {
-			continue // the write diagnostic subsumes the capture one
-		}
-		findings = append(findings, finding{pos, v, false})
-	}
-	sort.Slice(findings, func(i, j int) bool { return findings[i].pos < findings[j].pos })
-	for _, f := range findings {
-		if t.waivers[f.v.Name()] {
-			continue
-		}
-		if f.write {
-			pass.Reportf(f.pos,
-				"task closure passed to %s writes to captured driver-side variable %q; on a real cluster the closure is shipped by value and the write is lost — return results instead",
-				t.callee, f.v.Name())
-		} else {
-			pass.Reportf(f.pos,
+		// A write diagnostic subsumes the capture one.
+		if _, alsoWritten := written[v]; !alsoWritten && !t.waivers[v.Name()] {
+			pass.Reportf(pos,
 				"task closure passed to %s captures driver-side mutable state %q (%s); pass it through the RDD, or waive an accounted read-only shipment with //distenc:capture-ok %s -- reason",
-				t.callee, f.v.Name(), f.v.Type(), f.v.Name())
+				t.callee, v.Name(), v.Type(), v.Name())
 		}
 	}
 }
@@ -280,14 +205,7 @@ func baseIdent(e ast.Expr) (*ast.Ident, bool) {
 // allowedCaptureType reports whether a value of type t may be captured
 // read-only: immutable shapes and plain funcs. Everything reference-like
 // needs an explicit waiver.
-func allowedCaptureType(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return true // cycle through a pointer was already judged
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
+func allowedCaptureType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Basic:
 		return true
@@ -297,13 +215,13 @@ func allowedCaptureType(t types.Type, seen map[types.Type]bool) bool {
 		return true
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if !allowedCaptureType(u.Field(i).Type(), seen) {
+			if !allowedCaptureType(u.Field(i).Type()) {
 				return false
 			}
 		}
 		return true
 	case *types.Array:
-		return allowedCaptureType(u.Elem(), seen)
+		return allowedCaptureType(u.Elem())
 	default:
 		// Slices, maps, pointers, chans, interfaces: shared mutable reach.
 		return false

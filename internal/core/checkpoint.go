@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"os"
 	"path/filepath"
 
@@ -243,18 +244,21 @@ func readCheckpointGroups(path string, groups int) (*Checkpoint, error) {
 	}
 	// Validate the declared geometry against the bytes actually present
 	// before allocating: a corrupt rank or mode size must fail with an exact
-	// got/want count, not an allocation of whatever the header claims.
-	var want uint64
+	// got/want count, not an allocation of whatever the header claims. The
+	// count is exact: in uint64, 2³¹ rows at rank 2³¹ is 6·2⁶⁴ bytes, which
+	// wraps to the 0 bytes a 36-byte file holds.
+	want := new(big.Int)
 	for _, d := range dims {
-		want += uint64(d) * uint64(rank)
+		want.Add(want, new(big.Int).Mul(big.NewInt(int64(d)), big.NewInt(int64(rank))))
 	}
-	want *= 3 * 8 // factors+aux+duals groups, 8 bytes per float64
-	if got := uint64(size) - uint64(len(head)) - 4*uint64(order); got != want {
+	want.Mul(want, big.NewInt(3*8)) // factors+aux+duals groups, 8 bytes per float64
+	got := uint64(size) - uint64(len(head)) - 4*uint64(order)
+	if !want.IsUint64() || want.Uint64() != got {
 		return nil, fmt.Errorf("core: %s: checkpoint holds %d bytes of matrix data, want %d for dims=%v rank=%d (truncated or corrupt)",
 			path, got, want, dims, rank)
 	}
 	ck := &Checkpoint{Path: path, Iter: int(iter), Eta: eta}
-	chunk := make([]byte, min(uint64(ckptChunk), want))
+	chunk := make([]byte, min(uint64(ckptChunk), got))
 	for _, group := range []*[]*mat.Dense{&ck.Factors, &ck.Aux, &ck.Duals}[:groups] {
 		ms := make([]*mat.Dense, order)
 		for n := range ms {

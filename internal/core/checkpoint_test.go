@@ -38,6 +38,19 @@ func writeTestCheckpoint(t *testing.T) (string, *checkpointState) {
 	return CheckpointPath(dir), st
 }
 
+// wrappingCheckpointHeader is a 36-byte image: magic, version 1, order 1,
+// rank 2³¹, one mode of 2³¹ rows, and no matrix data.
+func wrappingCheckpointHeader() []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, ckptMagic)
+	b = le.AppendUint32(b, ckptVersion)
+	b = le.AppendUint64(b, 0) // iter
+	b = le.AppendUint64(b, 0) // eta
+	b = le.AppendUint32(b, 1) // order
+	b = le.AppendUint32(b, 1<<31)
+	return le.AppendUint32(b, 1<<31)
+}
+
 func TestReadCheckpointRoundTrip(t *testing.T) {
 	path, st := writeTestCheckpoint(t)
 	ck, err := ReadCheckpoint(path)
@@ -188,6 +201,14 @@ func TestReadCheckpointRejectsCorruptImages(t *testing.T) {
 				return b
 			}),
 			want: []string{"bytes of matrix data"},
+		},
+		{
+			// 2³¹ rows at rank 2³¹ is 6·2⁶⁴ bytes of matrices: counted in
+			// uint64 it wraps to the 0 bytes present and used to reach
+			// make([]float64, 2⁶²).
+			name: "geometry that wraps uint64",
+			img:  wrappingCheckpointHeader(),
+			want: []string{"holds 0 bytes of matrix data", "want 110680464442257309696", "truncated or corrupt"},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -160,6 +160,28 @@ func TestLanczosScaleInvariant(t *testing.T) {
 	}
 }
 
+// The dense decomposition of a Laplacian scaled by c is c times the
+// unscaled one, down to weights whose squares are far below 1e-24.
+func TestExactSpectralScaleInvariant(t *testing.T) {
+	s := communityGraph(40, 2, 3, rand.New(rand.NewPCG(13, 13)))
+	want, err := ExactSpectral(NewLaplacian(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := 2 * NewLaplacian(s).MaxDegree() // ‖L‖₁
+	for _, c := range []float64{1e-15, 1e-40} {
+		got, err := ExactSpectral(NewLaplacian(scaledGraph(s, c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, lam := range got.Values {
+			if d := math.Abs(lam/c - want.Values[j]); d > 1e-9*norm {
+				t.Errorf("c=%g: λ_%d/c = %v, want %v", c, j, lam/c, want.Values[j])
+			}
+		}
+	}
+}
+
 // Every pair whose residual estimate says it converged is an eigenpair of
 // the dense decomposition: its value is an exact eigenvalue and its vector
 // lies in that eigenvalue's eigenspace. 200 steps on 600 nodes converge a

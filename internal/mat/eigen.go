@@ -28,6 +28,15 @@ func SymEigen(a *Dense) (*Eigen, error) {
 	w := a.Clone()
 	v := Identity(n)
 
+	// The sweeps stop once the off-diagonal mass is below 1e-24, relative to
+	// ‖A‖²_F when that is under 1: an absolute bound would stop a matrix of
+	// norm 1e-12 before its first rotation and return its diagonal. The
+	// rotations are orthogonal, so ‖A‖_F is the same in every sweep.
+	var fro2 float64
+	for _, x := range a.data {
+		fro2 += x * x
+	}
+	tol := 1e-24 * min(1, fro2)
 	const maxSweeps = 64
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		// Off-diagonal Frobenius norm.
@@ -38,7 +47,7 @@ func SymEigen(a *Dense) (*Eigen, error) {
 				off += row[j] * row[j]
 			}
 		}
-		if off < 1e-24 {
+		if off < tol || off == 0 {
 			break
 		}
 		for p := 0; p < n-1; p++ {

@@ -148,6 +148,24 @@ func TestSymEigenSmall(t *testing.T) {
 	}
 }
 
+// A matrix whose off-diagonal mass starts under 1e-24 is still diagonalized:
+// the stopping test is relative to ‖A‖²_F below 1.
+func TestSymEigenScaled(t *testing.T) {
+	for _, c := range []float64{1e-13, 1e-100} {
+		a := NewDenseData(2, 2, []float64{2 * c, c, c, 2 * c})
+		e, err := SymEigen(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almostEq(e.Values[0]/c, 1, 1e-10) || !almostEq(e.Values[1]/c, 3, 1e-10) {
+			t.Fatalf("c=%g: eigenvalues = %v, want [%g %g]", c, e.Values, c, 3*c)
+		}
+		if d := MaxAbsDiff(reconstruct(e), a); d > 1e-10*c {
+			t.Fatalf("c=%g: reconstruction off by %v", c, d)
+		}
+	}
+}
+
 func TestSymEigenReconstructsRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	for _, n := range []int{1, 3, 10, 30} {
