@@ -71,6 +71,13 @@ var seededDefects = []seededDefect{
 		analyzer: "hotalloc", want: `make allocates from the heap in a //distenc:hotpath body`,
 	},
 	{
+		name: "vector-kernel-heap-prefix",
+		pkg:  "distenc/internal/core", file: "kernel_amd64.go",
+		old:      "s.left[rank:3*rank],\n",
+		new:      "make([]float64, 2*rank),\n",
+		analyzer: "hotalloc", want: `make inside a hot-path loop`,
+	},
+	{
 		name: "map-task-heap-accumulators",
 		pkg:  "distenc/internal/core", file: "mttkrp.go",
 		old:      "\t\tacc := ms.acc\n",

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -448,6 +451,113 @@ func TestTCPKillInsideVectoredCall(t *testing.T) {
 			assertBitIdentical(t, "kill inside "+name+" vs clean", want.Model.Factors, got.Model.Factors)
 			if cleanB, gotB := clean.Metrics().BytesShuffled.Load(), c.Metrics().BytesShuffled.Load(); gotB != cleanB {
 				t.Errorf("BytesShuffled = %d after recovery, clean = %d", gotB, cleanB)
+			}
+		})
+	}
+}
+
+// corruptingTransport rewrites the first shuffle block fetched for reduce
+// partition 0 the way a faulty worker could: decoded, edited and re-encoded
+// at its original length, so the engine's fetched-length check passes.
+type corruptingTransport struct {
+	*transport.Client
+	rewrite func(recs []PackedRows)
+	once    sync.Once
+	err     error // set when the edit could not keep the length
+}
+
+func (ct *corruptingTransport) FetchBlocks(m int, ids []rdd.BlockID, images [][]byte) error {
+	if err := ct.Client.FetchBlocks(m, ids, images); err != nil {
+		return err
+	}
+	for i, id := range ids {
+		if id.Kind == rdd.BlockShuffle && id.Reduce == 0 {
+			ct.once.Do(func() { ct.err = ct.corrupt(images[i]) })
+		}
+	}
+	return nil
+}
+
+func (ct *corruptingTransport) corrupt(image []byte) error {
+	n, used := binary.Uvarint(image)
+	recs := make([]PackedRows, n)
+	data := image[used:]
+	for i := range recs {
+		var err error
+		if data, err = recs[i].DecodeRecord(data); err != nil {
+			return err
+		}
+	}
+	ct.rewrite(recs)
+	buf := binary.AppendUvarint(nil, n)
+	for i := range recs {
+		buf = recs[i].AppendRecord(buf)
+	}
+	if len(buf) != len(image) {
+		return fmt.Errorf("rewritten block is %d bytes, fetched %d", len(buf), len(image))
+	}
+	copy(image, buf)
+	return nil
+}
+
+// TestTCPCorruptShuffleBlockFailsTheSolve feeds the reduce side four blocks
+// that decode cleanly and hold the fetched length but break the layout: a
+// mode past the order, a row one past the partition's range, an ‖E‖²
+// record without its value, and a slab one value short of its rows. Each
+// must come back from the solve as an error naming reduce partition 0 and
+// the mode, not panic in the reduce task.
+func TestTCPCorruptShuffleBlockFailsTheSolve(t *testing.T) {
+	const rank, parts = 2, 4
+	// Rows under 64 and slabs under 128 values keep every varint one byte,
+	// so each edit below keeps the block's length.
+	d := synth.LinearFactorDataset([]int{24, 24, 24}, 2, 1500, 61)
+	dopt := DistOptions{Options: Options{Rank: rank, MaxIter: 2, Tol: -1, Seed: 62}, Partitions: parts, GridPartition: true}
+	bounds := testLayout(d.Tensor, rank, parts, true, false).modeBounds
+	firstSlab := func(recs []PackedRows) *PackedRows {
+		return &recs[slices.IndexFunc(recs, func(r PackedRows) bool { return r.Mode >= 0 && len(r.Rows) > 0 })]
+	}
+	for _, tc := range []struct {
+		name, want string
+		rewrite    func(recs []PackedRows)
+	}{
+		{"mode-past-order", `reduce partition 0: record of mode 7`, func(recs []PackedRows) {
+			firstSlab(recs).Mode = 7
+		}},
+		{"row-past-range", `reduce partition 0: mode \d row (\d+) outside its rows \[0, \d+\)`, func(recs []PackedRows) {
+			rec := firstSlab(recs)
+			_, hi := bounds[rec.Mode].Range(0)
+			shift := int32(hi) - rec.Rows[len(rec.Rows)-1]
+			for i := range rec.Rows {
+				rec.Rows[i] += shift
+			}
+		}},
+		{"norm-without-value", `reduce partition 0: mode -1 \(‖E‖²\) record carries 0 values`, func(recs []PackedRows) {
+			rec := &recs[slices.IndexFunc(recs, func(r PackedRows) bool { return r.Mode == -1 })]
+			rec.Rows, rec.Vals = make([]int32, 8), nil // eight one-byte rows for the eight-byte value
+		}},
+		{"values-short", `reduce partition 0: mode \d record has \d+ values for \d+ rows at rank 2`, func(recs []PackedRows) {
+			rec := firstSlab(recs)
+			last := rec.Rows[len(rec.Rows)-1]
+			rec.Vals = rec.Vals[:len(rec.Vals)-1]
+			for range 8 {
+				rec.Rows = append(rec.Rows, last)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, tcl := inprocWorkers(t, 2)
+			ct := &corruptingTransport{Client: tcl, rewrite: tc.rewrite}
+			c, err := rdd.NewCluster(rdd.Config{Machines: 2, Transport: ct})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, err = CompleteDistributed(c, d.Tensor, d.Sims, dopt)
+			if ct.err != nil {
+				t.Fatal(ct.err)
+			}
+			if err == nil || !regexp.MustCompile(tc.want).MatchString(err.Error()) {
+				t.Fatalf("solve over a rewritten block returned %v, want an error matching %q", err, tc.want)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"distenc/internal/mat"
+	"distenc/internal/part"
 	"distenc/internal/rdd"
 )
 
@@ -137,6 +138,11 @@ func newFusedScratch(order, rank int) *fusedScratch {
 	}
 }
 
+// useVecKernel routes order-3 blocks to the AVX2 body (vecBlockMTTKRP3). It
+// is hasVecKernel, decided once at init; tests set it to run both bodies on
+// one host.
+var useVecKernel = hasVecKernel
+
 // fusedBlockMTTKRP runs the fused residual + all-mode MTTKRP kernel over one
 // tensor block, accumulating mode-n partials into the flat slab acc[n]
 // (len(neededRows[n])×R, addressed through the precomputed local ids in loc)
@@ -149,6 +155,20 @@ func newFusedScratch(order, rank int) *fusedScratch {
 // products across runs of entries that share their leading fibers (the
 // paper's row-wise fiber MTTKRP, §III-C).
 //
+// An order-3 block runs four ranks a step where the CPU has AVX2
+// (kernel_amd64.s); every other block, and every block of a -race build, runs
+// portableBlockMTTKRP. The two agree bit for bit.
+//
+//distenc:hotpath
+func fusedBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank int, acc [][]float64, s *fusedScratch) float64 {
+	if blk.Order == 3 && useVecKernel {
+		return vecBlockMTTKRP3(blk, loc, factors, rank, acc, s)
+	}
+	return portableBlockMTTKRP(blk, loc, factors, rank, acc, s)
+}
+
+// portableBlockMTTKRP is fusedBlockMTTKRP in Go, for any order and target.
+//
 // An entry whose first differing mode is f costs 2N−f rank-length loops — at
 // order 3 and f = 0 five loops and 11R flops — each ranging over one slice
 // with its companions re-sliced to that length, so none keeps a bounds check
@@ -158,7 +178,7 @@ func newFusedScratch(order, rank int) *fusedScratch {
 // refBlockMTTKRP): the results agree bit for bit (DESIGN.md §5).
 //
 //distenc:hotpath
-func fusedBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank int, acc [][]float64, s *fusedScratch) float64 {
+func portableBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank int, acc [][]float64, s *fusedScratch) float64 {
 	order := blk.Order
 	last := order - 1
 	left, suf, rows := s.left, s.suf[:rank], s.rows
@@ -263,6 +283,32 @@ func (p *PackedRows) addInto(slab []float64, touched []bool, lo, rank int) {
 		}
 		//bce:end
 	}
+}
+
+// checkReduced vets a fetched record before reduce partition rp folds it: a
+// worker's block passes the engine's length check whatever its bytes say,
+// and a mode, value count or row id off the layout would index out of range.
+func (p *PackedRows) checkReduced(rp, rank int, bounds []part.Boundaries) error {
+	switch {
+	case p.Mode < -1 || int(p.Mode) >= len(bounds):
+		return fmt.Errorf("core: mttkrp reduce partition %d: record of mode %d, want -1 to %d", rp, p.Mode, len(bounds)-1)
+	case p.Mode == -1:
+		if len(p.Vals) != 1 {
+			return fmt.Errorf("core: mttkrp reduce partition %d: mode -1 (‖E‖²) record carries %d values, want 1", rp, len(p.Vals))
+		}
+		return nil
+	case len(p.Vals) != len(p.Rows)*rank:
+		return fmt.Errorf("core: mttkrp reduce partition %d: mode %d record has %d values for %d rows at rank %d", rp, p.Mode, len(p.Vals), len(p.Rows), rank)
+	case rp >= bounds[p.Mode].NumPartitions():
+		return fmt.Errorf("core: mttkrp reduce partition %d: mode %d has no rows here, but a record sent %d", rp, p.Mode, len(p.Rows))
+	}
+	lo, hi := bounds[p.Mode].Range(rp)
+	for _, row := range p.Rows {
+		if int(row) < lo || int(row) >= hi {
+			return fmt.Errorf("core: mttkrp reduce partition %d: mode %d row %d outside its rows [%d, %d)", rp, p.Mode, row, lo, hi)
+		}
+	}
+	return nil
 }
 
 // compactRows squeezes the touched rows of a reduce slab to its front — in
@@ -471,6 +517,9 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 				return nil, err
 			}
 			for _, rec := range in {
+				if err := rec.checkReduced(rp, rank, bounds); err != nil {
+					return nil, err
+				}
 				if rec.Mode < 0 {
 					norm2 += rec.Vals[0]
 					continue

@@ -44,8 +44,17 @@ func BenchmarkMTTKRPStage(b *testing.B) {
 	benchStage(b, DistOptions{Options: Options{Rank: 8}})
 }
 
+// BenchmarkMTTKRPStageGrid times the stage on the grid blocking. Its /ref
+// sibling runs the same stage with the dispatch forced to the portable
+// kernel, a moment later in the same process: the ledger gates the ratio of
+// the two, which the host's speed does not move.
 func BenchmarkMTTKRPStageGrid(b *testing.B) {
-	benchStage(b, DistOptions{Options: Options{Rank: 8}, GridPartition: true})
+	opt := DistOptions{Options: Options{Rank: 8}, GridPartition: true}
+	b.Run("linear", func(b *testing.B) { benchStage(b, opt) })
+	b.Run("linear/ref", func(b *testing.B) {
+		usePortableKernel(b)
+		benchStage(b, opt)
+	})
 }
 
 // layoutBenchTensor is the solve-scatter tensor of BENCHMARK.json (seed 1),
@@ -172,19 +181,26 @@ func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 // kernel call, the Grams and the driver update — on the solve-fiber tensor at
 // R = 8, amortised over the six iterations of one solve. It is the ledger's
 // serial row: core.dist_over_serial divides by what this times (ROADMAP
-// finding F3 was that nothing recorded it).
+// finding F3 was that nothing recorded it). Its /ref sibling forces the
+// portable kernel, as BenchmarkMTTKRPStageGrid's does.
 func BenchmarkSerialIteration(b *testing.B) {
 	const iters = 6
 	ts := benchmarkTensors()[1].tensor
 	opt := Options{Rank: 8, MaxIter: iters, Tol: -1, Seed: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Complete(ts, nil, opt); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Complete(ts, nil, opt); err != nil {
+				b.Fatal(err)
+			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters/1e6, "ms/iter")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/iters/1e6, "ms/iter")
+	b.Run("fiber", run)
+	b.Run("fiber/ref", func(b *testing.B) {
+		usePortableKernel(b)
+		run(b)
+	})
 }
 
 // BenchmarkFusedKernel times the map-side kernel alone at the scale the gate

@@ -4,7 +4,8 @@
 # The dense-algebra, Lanczos, shuffle-codec, sparse-kernel, driver-update,
 # B-step, batched-evaluator and binary-decode hot loops (mat.AxpyRows,
 # mat.MulATB, mat.GramAddUpper, the Gram–Schmidt dot sweep mat.dotRows,
-# rdd.AppendF64Vals, rdd.DecodeF64Vals, core.fusedBlockMTTKRP,
+# rdd.AppendF64Vals, rdd.DecodeF64Vals, core.portableBlockMTTKRP (the Go body
+# of the fused kernel; its AVX2 body checks its ids itself),
 # core.PackedRows.addInto, core.solverState.update, graph.Laplacian.BStep,
 # sptensor.Kruskal.AtCells — the predict kernel — and the index decode of
 # distenc.ReadBinary, whose values go through rdd.DecodeF64Vals) are
