@@ -60,7 +60,7 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome-trace JSON of the phases experiment's run to this file")
 		stageSum  = flag.Bool("stage-summary", false, "print the per-stage engine table in the phases experiment")
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the phases experiment's cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\"")
-		specSpec  = flag.String("speculation", "", "speculative execution for the phases experiment's cluster: \"on\" or \"quantile=0.75,multiplier=1.5,min=10ms\"")
+		speculate = flag.Bool("speculation", false, "run the phases experiment's cluster with speculative execution")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
@@ -96,7 +96,7 @@ func main() {
 	p := bench.Profile{
 		Small: *small, Seed: *seed, Machines: *machines,
 		TraceFile: *traceOut, StageSummary: *stageSum,
-		Backend: *backendF,
+		Backend: *backendF, Speculation: *speculate,
 	}
 	if *faultSpec != "" {
 		fault, err := rdd.ParseFaultPlan(*faultSpec)
@@ -104,13 +104,6 @@ func main() {
 			log.Fatal(err)
 		}
 		p.Fault = fault
-	}
-	if *specSpec != "" {
-		spec, err := rdd.ParseSpeculation(*specSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p.Speculation = spec
 	}
 	ran := 0
 	start := time.Now()

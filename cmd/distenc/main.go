@@ -88,7 +88,7 @@ func main() {
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated addresses of running distenc-worker daemons, one per machine (default with -backend tcp: spawn workers by re-execing this binary)")
 
 		faultSpec = flag.String("fault-plan", "", "seeded chaos schedule for the simulated cluster, e.g. \"seed=7,failprob=0.02,kill=1@5\" (needs -machines > 0; see distenc.ParseFaultPlan)")
-		specSpec  = flag.String("speculation", "", "speculative execution for straggler mitigation: \"on\" for defaults or \"quantile=0.75,multiplier=1.5,min=10ms\" (needs -machines > 0; see distenc.ParseSpeculation)")
+		speculate = flag.Bool("speculation", false, "speculative execution for straggler mitigation: back up a task running 1.5× past the stage's 75th-percentile task time (at least 10ms) on another machine (needs -machines > 0)")
 
 		traceOut = flag.String("trace", "", "write a Chrome-trace JSON (chrome://tracing, Perfetto) of every stage, task and driver span to this file (needs -machines > 0)")
 		stageSum = flag.Bool("stage-summary", false, "print the per-stage timing/shuffle table and per-iteration phase breakdown after solving")
@@ -177,7 +177,7 @@ func main() {
 		if *faultSpec != "" {
 			log.Fatal("-fault-plan needs the distributed solver (-machines > 0)")
 		}
-		if *specSpec != "" {
+		if *speculate {
 			log.Fatal("-speculation needs the distributed solver (-machines > 0)")
 		}
 		if *resume {
@@ -189,13 +189,6 @@ func main() {
 		var fault *distenc.FaultPlan
 		if *faultSpec != "" {
 			fault, err = distenc.ParseFaultPlan(*faultSpec)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		var spec distenc.SpeculationConfig
-		if *specSpec != "" {
-			spec, err = distenc.ParseSpeculation(*specSpec)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -233,7 +226,7 @@ func main() {
 			Machines:    *machines,
 			TaskTrace:   *traceOut != "",
 			Fault:       fault,
-			Speculation: spec,
+			Speculation: *speculate,
 			Transport:   tp,
 		})
 		if err != nil {

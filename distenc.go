@@ -113,17 +113,6 @@ func DialTCPWorkers(addrs []string, opts TransportOptions) (*TCPTransport, error
 // thing in main().
 func WorkerHook() { transport.WorkerHook() }
 
-// SpeculationConfig enables Spark-style speculative execution on the
-// simulated cluster: tasks running far beyond the completed-task duration
-// distribution get a backup attempt on a different machine, and the first
-// attempt to finish wins (set ClusterConfig.Speculation).
-type SpeculationConfig = rdd.SpeculationConfig
-
-// ParseSpeculation builds a SpeculationConfig from the compact spec the
-// -speculation CLI flag takes: "on" for the defaults, or
-// "quantile=0.75,multiplier=1.5,min=10ms".
-var ParseSpeculation = rdd.ParseSpeculation
-
 // Trace is a per-iteration convergence record.
 type Trace = metrics.Trace
 

@@ -168,11 +168,11 @@ var seededDefects = []seededDefect{
 		analyzer: "lockorder", want: `net Listener\.Accept I/O while holding Server\.mu`,
 	},
 	{
-		name: "spec-launch-takes-log-lock-first",
-		pkg:  "distenc/internal/rdd", file: "speculation.go",
-		old:      "\tst.mu.Lock()\n\tif !st.closed {\n\t\tst.specLaunches++\n\t\tst.recEvents = append(st.recEvents, ev)\n\t\tst.mu.Unlock()\n\t\treturn\n\t}\n\tidx := st.logIdx\n\tst.mu.Unlock()\n\tst.c.simMu.Lock()\n",
-		new:      "\tst.c.simMu.Lock()\n\tst.mu.Lock()\n\tif !st.closed {\n\t\tst.specLaunches++\n\t\tst.recEvents = append(st.recEvents, ev)\n\t\tst.mu.Unlock()\n\t\tst.c.simMu.Unlock()\n\t\treturn\n\t}\n\tidx := st.logIdx\n\tst.mu.Unlock()\n",
-		analyzer: "lockorder", want: `lock-order cycle: stageState\.mu is acquired while Cluster\.simMu is held`,
+		name: "cache-recheck-under-part-lock",
+		pkg:  "distenc/internal/rdd", file: "rdd.go",
+		old:      "\tif cp.done {\n\t\treturn cp.items, nil\n\t}\n",
+		new:      "\tr.cacheMu.Lock()\n\tcached = r.cached\n\tr.cacheMu.Unlock()\n\tif cp.done && cached {\n\t\treturn cp.items, nil\n\t}\n",
+		analyzer: "lockorder", want: `lock-order cycle: RDD\.cacheMu is acquired while cachedPart\.mu is held`,
 	},
 
 	// goroutineowner: every go statement has a lifetime.

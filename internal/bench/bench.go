@@ -45,10 +45,10 @@ type Profile struct {
 	// seeded chaos schedule (task failures, a machine kill, stragglers) so
 	// the recovery cost shows up in its stage table and recovery log.
 	Fault *rdd.FaultPlan
-	// Speculation, when enabled, runs the Phases experiment's cluster with
-	// speculative execution so straggler mitigation shows up in its stage
-	// table (spec/wastedB columns) and recovery log.
-	Speculation rdd.SpeculationConfig
+	// Speculation runs the Phases experiment's cluster with speculative
+	// execution so straggler mitigation shows up in its stage table
+	// (spec/wastedB columns) and recovery log.
+	Speculation bool
 	// Backend selects the execution backend: "" or "inproc" keeps every
 	// cluster in-process; "tcp" spawns one worker process per machine for
 	// each cluster (the binary must call transport.WorkerHook first thing

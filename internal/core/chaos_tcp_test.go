@@ -482,9 +482,10 @@ func (ct *corruptingTransport) corrupt(image []byte) error {
 	n, used := binary.Uvarint(image)
 	recs := make([]PackedRows, n)
 	data := image[used:]
+	var arena rdd.Arena
 	for i := range recs {
 		var err error
-		if data, err = recs[i].DecodeRecord(data); err != nil {
+		if data, err = recs[i].DecodeRecordArena(&arena, data); err != nil {
 			return err
 		}
 	}

@@ -140,14 +140,14 @@ func TestSolveKillDuringAndAfterRetire(t *testing.T) {
 }
 
 // TestRetireUnderSpeculationLeavesNothingLive: with stragglers out-raced by
-// backups in both stages, the losing attempts outlive their stage — a zombie
-// reduce attempt wakes to a retired exchange, a zombie map attempt finishes
-// encoding for one. Neither may disturb the factors, the exactly-once shuffle
-// volume or the gauges, and (run under -race) neither may touch an image the
-// next iteration is encoding into.
+// backups in both stages, every losing attempt has ended by the time its
+// stage returns, so none can disturb the factors, the exactly-once shuffle
+// volume or the gauges, and (run under -race) none can touch an image the
+// next iteration is encoding into. Twelve partitions let a stage reach the
+// 75 % committed quorum with up to three stragglers.
 func TestRetireUnderSpeculationLeavesNothingLive(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{20, 20, 20}, 2, 1500, 71)
-	dopt := DistOptions{Options: Options{Rank: 3, MaxIter: 6, Tol: -1, Seed: 72}}
+	dopt := DistOptions{Options: Options{Rank: 3, MaxIter: 6, Tol: -1, Seed: 72}, Partitions: 12}
 	clean := rdd.MustNewCluster(rdd.Config{Machines: 3})
 	defer clean.Close()
 	want, err := CompleteDistributed(clean, d.Tensor, d.Sims, dopt)
@@ -156,15 +156,14 @@ func TestRetireUnderSpeculationLeavesNothingLive(t *testing.T) {
 	}
 	c := rdd.MustNewCluster(rdd.Config{
 		Machines:    3,
-		Fault:       &rdd.FaultPlan{Seed: 11, StragglerProb: 0.3, StragglerDelay: 15 * time.Millisecond},
-		Speculation: rdd.SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 2 * time.Millisecond},
+		Fault:       &rdd.FaultPlan{Seed: 11, StragglerProb: 0.3, StragglerDelay: 40 * time.Millisecond},
+		Speculation: true,
 	})
 	defer c.Close()
 	got, err := CompleteDistributed(c, d.Tensor, d.Sims, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Quiesce()
 	assertBitIdentical(t, "speculation vs clean", want.Model.Factors, got.Model.Factors)
 	m := c.Metrics()
 	if m.SpeculativeTasks.Load() == 0 {

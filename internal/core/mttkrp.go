@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"iter"
-	"slices"
 
 	"distenc/internal/mat"
 	"distenc/internal/part"
@@ -15,7 +14,7 @@ import (
 // sends to one reduce partition, packed as a row-id list plus a values slab
 // (len(Rows)×R, row-major). Packing makes the shuffle O(P·N) slab records per
 // map task instead of one record per row; Mode -1 carries the ‖E‖²_F
-// side-channel in Vals[0]. The type implements rdd.ArenaBinaryRecord: shuffle
+// side-channel in Vals[0]. The type implements rdd.BinaryRecord: shuffle
 // blocks use the compact binary framing below — flowing through the
 // engine's BytesShuffled accounting, which thereby counts compressed wire
 // bytes — and the shuffle fetch path decodes payloads into task-arena slabs
@@ -58,22 +57,12 @@ func (p *PackedRows) AppendRecord(buf []byte) []byte {
 	return rdd.AppendF64Vals(buf, p.Vals)
 }
 
-// DecodeRecord implements rdd.BinaryRecord, allocating the payload slices on
-// the heap — the right lifetime for arena-less callers (checkpoint reads,
-// the codec fuzzer).
-func (p *PackedRows) DecodeRecord(data []byte) ([]byte, error) {
-	return p.decode(nil, data)
-}
-
-// DecodeRecordArena implements rdd.ArenaBinaryRecord: like DecodeRecord but
-// the payload slices come from the task arena, so the shuffle fetch path of
-// a steady-state iteration allocates nothing.
-func (p *PackedRows) DecodeRecordArena(a *rdd.Arena, data []byte) ([]byte, error) {
-	return p.decode(a, data)
-}
-
+// DecodeRecordArena implements rdd.BinaryRecord: the payload slices come from
+// the task arena, so the shuffle fetch path of a steady-state iteration
+// allocates nothing.
+//
 //distenc:hotpath
-func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
+func (p *PackedRows) DecodeRecordArena(a *rdd.Arena, data []byte) ([]byte, error) {
 	if len(data) < 3 {
 		return nil, fmt.Errorf("core: packed record truncated at header")
 	}
@@ -100,15 +89,8 @@ func (p *PackedRows) decode(a *rdd.Arena, data []byte) ([]byte, error) {
 	if nr > uint64(len(data)) || nv > uint64(len(data))/8 {
 		return nil, fmt.Errorf("core: packed record claims %d rows, %d values in a %d-byte payload", nr, nv, len(data))
 	}
-	if a != nil {
-		p.Rows = a.Int32s(int(nr))
-		p.Vals = a.Float64sDirty(int(nv)) // the value decoders overwrite it all, or fail the record
-	}
-	//distenc:coldpath -- heap fallback for arena-less callers (checkpoint reads, fuzzing); the shuffle fetch hot path passes an arena
-	if a == nil {
-		p.Rows = make([]int32, nr)
-		p.Vals = make([]float64, nv)
-	}
+	p.Rows = a.Int32s(int(nr))
+	p.Vals = a.Float64sDirty(int(nv)) // the value decoders overwrite it all, or fail the record
 	data, err := rdd.DecodeDeltaRows(p.Rows, data)
 	if err != nil {
 		return nil, err
@@ -404,12 +386,6 @@ const (
 // iterations allocate nothing.
 func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, factors []*mat.Dense, opt DistOptions) ([]*mat.Dense, float64, error) {
 	rank := opt.Rank
-	// Snapshot the factor slice: under speculative execution a losing
-	// duplicate attempt can outlive this stage, and the solver overwrites
-	// its factors slice entries (advance) as soon as the stage returns. The
-	// matrices themselves are immutable once published — only the slice slots
-	// are rewritten — so a shallow clone pins what the zombie reads.
-	factors = slices.Clone(factors)
 	// Bytes of factor rows shipped to each block, eight a value. The flat
 	// accumulator slabs the kernel fills have the same shape, and both are
 	// live simultaneously on a real executor.

@@ -89,8 +89,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var arena rdd.Arena
 		var p PackedRows
-		rest, err := p.DecodeRecord(data)
+		rest, err := p.DecodeRecordArena(&arena, data)
 		if err != nil {
 			return
 		}
@@ -103,7 +104,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		// canonical encodings rather than the raw input).
 		re := p.AppendRecord(nil)
 		var q PackedRows
-		rest2, err := q.DecodeRecord(re)
+		rest2, err := q.DecodeRecordArena(&arena, re)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
@@ -195,9 +196,9 @@ func TestAppendRecordGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripAllWires pins the lossless round-trip of the one wire,
-// including arena-backed decode, which must agree byte-for-byte with the heap
-// decode.
+// TestCodecRoundTripAllWires pins the lossless round-trip of the one wire
+// through the arena-backed decode: every field comes back bit for bit and
+// re-encodes to the same frame.
 func TestCodecRoundTripAllWires(t *testing.T) {
 	recs := []PackedRows{
 		{Mode: 0, Rows: []int32{0, 1, 2, 3}, Vals: []float64{1, 2, 3, 4, 5, 6, 7, 8}},
@@ -208,35 +209,28 @@ func TestCodecRoundTripAllWires(t *testing.T) {
 	var arena rdd.Arena
 	for _, rec := range recs {
 		enc := rec.AppendRecord(nil)
-		var heap, ar PackedRows
-		rest, err := heap.DecodeRecord(enc)
+		var got PackedRows
+		rest, err := got.DecodeRecordArena(&arena, enc)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if len(rest) != 0 {
 			t.Fatalf("%d trailing bytes", len(rest))
 		}
-		restA, err := ar.DecodeRecordArena(&arena, enc)
-		if err != nil {
-			t.Fatalf("arena decode: %v", err)
+		if !bytes.Equal(got.AppendRecord(nil), enc) {
+			t.Fatalf("decoded record re-encodes differently: %+v vs %+v", got, rec)
 		}
-		if len(restA) != 0 {
-			t.Fatalf("arena decode left %d trailing bytes", len(restA))
-		}
-		if !bytes.Equal(heap.AppendRecord(nil), ar.AppendRecord(nil)) {
-			t.Fatalf("arena and heap decodes disagree: %+v vs %+v", heap, ar)
-		}
-		if heap.Mode != rec.Mode || len(heap.Rows) != len(rec.Rows) || len(heap.Vals) != len(rec.Vals) {
-			t.Fatalf("decoded %+v, want %+v", heap, rec)
+		if got.Mode != rec.Mode || len(got.Rows) != len(rec.Rows) || len(got.Vals) != len(rec.Vals) {
+			t.Fatalf("decoded %+v, want %+v", got, rec)
 		}
 		for i, r := range rec.Rows {
-			if heap.Rows[i] != r {
-				t.Fatalf("row %d = %d, want %d", i, heap.Rows[i], r)
+			if got.Rows[i] != r {
+				t.Fatalf("row %d = %d, want %d", i, got.Rows[i], r)
 			}
 		}
 		for i, v := range rec.Vals {
-			if math.Float64bits(heap.Vals[i]) != math.Float64bits(v) {
-				t.Fatalf("val %d = %v, want %v", i, heap.Vals[i], v)
+			if math.Float64bits(got.Vals[i]) != math.Float64bits(v) {
+				t.Fatalf("val %d = %v, want %v", i, got.Vals[i], v)
 			}
 		}
 	}
@@ -254,7 +248,7 @@ func TestDecodeRecordRejectsWrappedCounts(t *testing.T) {
 		frame := (&PackedRows{Mode: 1, Rows: []int32{3}, Vals: []float64{2}}).AppendRecord(nil)
 		frame[0] = tag
 		var p PackedRows
-		if _, err := p.DecodeRecord(frame); err == nil {
+		if _, err := p.DecodeRecordArena(&rdd.Arena{}, frame); err == nil {
 			t.Errorf("tag=%d: decode accepted a frame with an unknown wire tag", tag)
 		}
 	}
@@ -264,7 +258,7 @@ func TestDecodeRecordRejectsWrappedCounts(t *testing.T) {
 		data = binary.AppendUvarint(data, 1)
 		data = append(data, make([]byte, 8)...)
 		var p PackedRows
-		if _, err := p.DecodeRecord(data); err == nil {
+		if _, err := p.DecodeRecordArena(&rdd.Arena{}, data); err == nil {
 			t.Errorf("nr=%d: decode accepted a wrapped row count", nr)
 		}
 	}
@@ -275,7 +269,7 @@ func TestDecodeRecordRejectsWrappedCounts(t *testing.T) {
 		data = binary.AppendUvarint(data, nv)
 		data = append(data, make([]byte, 16)...)
 		var p PackedRows
-		if _, err := p.DecodeRecord(data); err == nil {
+		if _, err := p.DecodeRecordArena(&rdd.Arena{}, data); err == nil {
 			t.Errorf("nv=%d: decode accepted a wrapped value count", nv)
 		}
 	}
@@ -291,7 +285,7 @@ func TestDecodeRecordRejectsDeltaOverflow(t *testing.T) {
 	data = binary.AppendVarint(data, math.MaxInt32)
 	data = binary.AppendVarint(data, 1)
 	var p PackedRows
-	if _, err := p.DecodeRecord(data); err == nil {
+	if _, err := p.DecodeRecordArena(&rdd.Arena{}, data); err == nil {
 		t.Error("decode accepted a delta chain overflowing int32")
 	}
 	// A single absurd delta is rejected even before the running sum check.
@@ -299,7 +293,7 @@ func TestDecodeRecordRejectsDeltaOverflow(t *testing.T) {
 	data = binary.AppendUvarint(data, 1)
 	data = binary.AppendUvarint(data, 0)
 	data = binary.AppendVarint(data, math.MaxInt64)
-	if _, err := p.DecodeRecord(data); err == nil {
+	if _, err := p.DecodeRecordArena(&rdd.Arena{}, data); err == nil {
 		t.Error("decode accepted a delta beyond the 33-bit bound")
 	}
 }

@@ -121,8 +121,8 @@ type solverState struct {
 	opt Options
 	lap []*graph.Laplacian // nil entries: modes without a similarity
 	// factors are the A(n). A published factor matrix is never written: each
-	// iteration's A is a new matrix, because a speculative map attempt that
-	// lost its race may still be reading the previous one (MTTKRPStage).
+	// iteration's A is a new matrix. No stage reads one after it returns, so
+	// recycling them is open (ROADMAP item 5).
 	factors []*mat.Dense
 	aux     []*mat.Dense // B(n)
 	mult    []*mat.Dense // Y(n), updated in place

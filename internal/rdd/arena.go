@@ -24,9 +24,8 @@ import "sync"
 //
 // Concurrency: an arena is owned by exactly one task attempt at a time.
 // Speculative duplicate attempts run on distinct machines and thus draw
-// distinct arenas; a zombie attempt that is still draining when the next
-// iteration starts simply keeps its arena until it finishes, and the new
-// attempt pops a fresh one from (or adds one to) the pool.
+// distinct arenas, and every attempt checks its arena in before its stage
+// returns.
 type Arena struct {
 	f64 arenaSlab[float64]
 	i32 arenaSlab[int32]

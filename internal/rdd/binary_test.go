@@ -33,7 +33,7 @@ func (s *slabRec) AppendRecord(buf []byte) []byte {
 	return buf
 }
 
-func (s *slabRec) DecodeRecord(data []byte) ([]byte, error) {
+func (s *slabRec) DecodeRecordArena(a *Arena, data []byte) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("short record")
 	}
@@ -47,7 +47,7 @@ func (s *slabRec) DecodeRecord(data []byte) ([]byte, error) {
 	if uint64(len(data)) < n*8 {
 		return nil, fmt.Errorf("short payload")
 	}
-	s.Vals = make([]float64, n)
+	s.Vals = a.Float64sDirty(int(n))
 	for i := range s.Vals {
 		s.Vals[i] = float64(int64(binary.LittleEndian.Uint64(data[i*8:]))) / 1e6
 	}
@@ -68,7 +68,7 @@ func TestBinaryRecordBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBlock[slabRec](nil, data)
+	got, err := decodeBlock[slabRec](&Arena{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBinaryRecordEmptyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBlock[slabRec](nil, data)
+	got, err := decodeBlock[slabRec](&Arena{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestBinaryRecordCorruptBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBlock[slabRec](nil, data[:len(data)-3]); err == nil {
+	if _, err := decodeBlock[slabRec](&Arena{}, data[:len(data)-3]); err == nil {
 		t.Fatal("truncated block decoded without error")
 	}
-	if _, err := decodeBlock[slabRec](nil, append(data, 0xFF)); err == nil {
+	if _, err := decodeBlock[slabRec](&Arena{}, append(data, 0xFF)); err == nil {
 		t.Fatal("trailing garbage decoded without error")
 	}
 }
@@ -250,13 +250,13 @@ func (h *hugeRec) RecordSize() int { return h.size }
 func (h *hugeRec) AppendRecord(buf []byte) []byte {
 	panic("oversized block was encoded")
 }
-func (h *hugeRec) DecodeRecord(data []byte) ([]byte, error) { return data, nil }
+func (h *hugeRec) DecodeRecordArena(_ *Arena, data []byte) ([]byte, error) { return data, nil }
 
 // A block of 2 GiB or more used to have its length stored as a wrapped int32;
 // it is now refused with an error naming the stage, map and reduce partition.
 func TestShuffleBlockTooLargeIsRejected(t *testing.T) {
 	for _, sizes := range [][]int{{math.MaxInt32}, {1 << 30, 1 << 30}, {math.MaxInt, math.MaxInt}} {
-		c := MustNewCluster(Config{Machines: 2, MaxTaskRetries: -1})
+		c := MustNewCluster(Config{Machines: 2})
 		src := Parallelize(c, "ints", []int{1, 2}, 2)
 		out := ShuffleMap(src, "huge", "huge-reduce", 3, func(tc *TaskCtx, mp int, in []int) ([][]hugeRec, error) {
 			buckets := make([][]hugeRec, 3)

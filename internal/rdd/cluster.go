@@ -91,10 +91,6 @@ type Config struct {
 	// in StageLog are always collected, the per-task log only when asked,
 	// so tracing never taxes benchmark runs that don't want it.
 	TaskTrace bool
-	// MaxTaskRetries is the per-task retry budget for retryable failures
-	// (injected faults, machine loss). 0 means the default of 2; negative
-	// disables retries.
-	MaxTaskRetries int
 	// Fault, when set, injects the seeded chaos schedule (task failures,
 	// a machine kill, stragglers) described by the plan. Nil runs clean.
 	Fault *FaultPlan
@@ -104,7 +100,7 @@ type Config struct {
 	// task running far beyond it; the first finisher wins the partition's
 	// commit and the loser's traffic lands in BytesWasted. Ignored under
 	// SerializeTasks, whose point is uncontended single-core task costs.
-	Speculation SpeculationConfig
+	Speculation bool
 	// Transport, when set, moves committed block images (shuffle buckets) to
 	// real worker processes instead of keeping them in the driver's memory —
 	// see the Transport interface. Nil selects the built-in in-process
@@ -235,9 +231,9 @@ type Cluster struct {
 	metrics      Metrics
 	start        time.Time    // all trace timestamps are offsets from this
 	planFailures atomic.Int64 // fault-plan task failures injected so far
-	// attempts tracks every in-flight task attempt, including speculative
-	// losers that outlive their stage; Quiesce waits for it.
-	attempts sync.WaitGroup
+	// evictions tracks machineLost's asynchronous evictions; Quiesce waits
+	// for it.
+	evictions sync.WaitGroup
 	// arenas pools per-(machine, stage, partition) slab arenas across task
 	// attempts so steady-state iterations reuse scratch memory (see Arena).
 	arenas    arenaPool
@@ -286,16 +282,15 @@ func MustNewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Quiesce blocks until every task attempt has finished running, including
-// speculative losers that outlived their stage (a stage resolves as soon as
-// each partition has a winner; the losing duplicates keep running and fold
-// their traffic into BytesWasted when they drain). Call it before comparing
-// metric totals; Close quiesces automatically.
-func (c *Cluster) Quiesce() { c.attempts.Wait() }
+// Quiesce blocks until every asynchronous eviction has finished: those
+// machineLost starts when a task finds its worker dead (KillMachine evicts
+// synchronously). Task attempts need no waiting for: a stage returns only
+// after all of its attempts have ended. Close quiesces automatically.
+func (c *Cluster) Quiesce() { c.evictions.Wait() }
 
 // Close retires every shuffle exchange still alive (worker-held blocks
-// dropped). It first waits for any straggling speculative attempts so nothing
-// races the teardown.
+// dropped). It first waits for pending evictions so nothing races the
+// teardown.
 func (c *Cluster) Close() error {
 	c.Quiesce()
 	c.mu.Lock()

@@ -47,7 +47,8 @@ type FaultPlan struct {
 //	seed=7,failprob=0.02,maxfail=10,kill=1@5,stragglerprob=0.05,stragglerdelay=5ms
 //
 // where kill=M@S kills machine M at the start of stage S. Unknown keys are an
-// error; every key is optional.
+// error; every key is optional. Probabilities must lie in [0, 1], and the
+// failure cap, the kill stage and the delay must not be negative.
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	f := &FaultPlan{}
 	for _, field := range strings.Split(spec, ",") {
@@ -64,9 +65,11 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		case "seed":
 			f.Seed, err = strconv.ParseUint(val, 10, 64)
 		case "failprob":
-			f.TaskFailureProb, err = strconv.ParseFloat(val, 64)
+			f.TaskFailureProb, err = parseProb(val)
 		case "maxfail":
-			f.MaxTaskFailures, err = strconv.Atoi(val)
+			if f.MaxTaskFailures, err = strconv.Atoi(val); err == nil && f.MaxTaskFailures < 0 {
+				err = fmt.Errorf("negative cap %d", f.MaxTaskFailures)
+			}
 		case "kill":
 			m, s, ok := strings.Cut(val, "@")
 			if !ok {
@@ -74,12 +77,17 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 			}
 			if f.KillMachine, err = strconv.Atoi(m); err == nil {
 				f.KillAtStage, err = strconv.Atoi(s)
-				f.KillSet = err == nil
 			}
+			if err == nil && f.KillAtStage < 0 {
+				err = fmt.Errorf("negative stage %d", f.KillAtStage)
+			}
+			f.KillSet = err == nil
 		case "stragglerprob":
-			f.StragglerProb, err = strconv.ParseFloat(val, 64)
+			f.StragglerProb, err = parseProb(val)
 		case "stragglerdelay":
-			f.StragglerDelay, err = time.ParseDuration(val)
+			if f.StragglerDelay, err = time.ParseDuration(val); err == nil && f.StragglerDelay < 0 {
+				err = fmt.Errorf("negative delay %v", f.StragglerDelay)
+			}
 		default:
 			return nil, fmt.Errorf("rdd: unknown fault plan key %q", key)
 		}
@@ -88,6 +96,17 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		}
 	}
 	return f, nil
+}
+
+// parseProb parses a probability, refusing anything outside [0, 1] — NaN
+// included, which would compare false against every hash and so fail or
+// straggle every first attempt.
+func parseProb(val string) (float64, error) {
+	p, err := strconv.ParseFloat(val, 64)
+	if err == nil && !(p >= 0 && p <= 1) {
+		err = fmt.Errorf("probability %v outside [0, 1]", p)
+	}
+	return p, err
 }
 
 // Fault-decision salts keep the failure and straggler hash streams
@@ -133,16 +152,25 @@ func (c *Cluster) planShouldFail(stage string, part, attempt int) bool {
 }
 
 // planStraggle sleeps inside the timed task body when the plan marks this
-// attempt a straggler, so the delay shows up in task durations and skew.
-// Speculative backups are exempt: they model re-placement on a fast
-// executor, the mitigation the stragglers exist to exercise.
-func (c *Cluster) planStraggle(stage string, part, attempt int) {
+// attempt a straggler, so the delay shows up in task durations and skew. The
+// sleep ends early when won closes — a backup committed the partition — and
+// planStraggle then reports true, so an out-raced straggler skips its body
+// and frees its core at once. Speculative backups are exempt: they model
+// re-placement on a fast executor, the mitigation the stragglers exist to
+// exercise.
+func (c *Cluster) planStraggle(stage string, part, attempt int, won <-chan struct{}) bool {
 	f := c.cfg.Fault
-	if f == nil || f.StragglerProb <= 0 || f.StragglerDelay <= 0 || attempt >= speculativeAttempt {
-		return
+	if f == nil || f.StragglerProb <= 0 || f.StragglerDelay <= 0 || attempt >= speculativeAttempt ||
+		faultHash(f.Seed, stage, part, attempt, saltStraggle) >= f.StragglerProb {
+		return false
 	}
-	if faultHash(f.Seed, stage, part, attempt, saltStraggle) < f.StragglerProb {
-		time.Sleep(f.StragglerDelay)
+	t := time.NewTimer(f.StragglerDelay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return false
+	case <-won:
+		return true
 	}
 }
 

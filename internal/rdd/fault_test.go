@@ -409,18 +409,52 @@ func TestParseFaultPlan(t *testing.T) {
 	if *f != want {
 		t.Fatalf("parsed %+v, want %+v", *f, want)
 	}
-	for _, bad := range []string{"frobnicate=1", "kill=3", "failprob=x", "seed"} {
-		if _, err := ParseFaultPlan(bad); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted garbage", bad)
+	for _, bad := range []struct{ spec, field string }{
+		{"frobnicate=1", "frobnicate"},
+		{"kill=3", "kill"},
+		{"failprob=x", "failprob"},
+		{"seed", "seed"},
+		{"failprob=NaN", "failprob"},
+		{"failprob=1.5", "failprob"},
+		{"stragglerprob=-0.5", "stragglerprob"},
+		{"maxfail=-3", "maxfail"},
+		{"kill=1@-2", "kill"},
+		{"stragglerdelay=-5ms", "stragglerdelay"},
+	} {
+		if _, err := ParseFaultPlan(bad.spec); err == nil || !strings.Contains(err.Error(), bad.field) {
+			t.Errorf("ParseFaultPlan(%q) = %v, want an error naming %s", bad.spec, err, bad.field)
 		}
 	}
 }
 
-// TestMaxTaskRetriesConfigurable: a budget of 5 survives 5 consecutive
-// injected failures of the same task; the default budget of 2 would not.
-func TestMaxTaskRetriesConfigurable(t *testing.T) {
-	c := testCluster(t, Config{Machines: 1, MaxTaskRetries: 5})
-	c.InjectTaskFailures("collect:stubborn", 5)
+// FuzzParseFaultPlan: the -fault-plan flag's parser never panics, and a plan
+// it accepts holds only values the scheduler can honour.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, seed := range []string{
+		"seed=7,failprob=0.02,maxfail=10,kill=1@5,stragglerprob=0.05,stragglerdelay=5ms",
+		"kill=1@0", "failprob=NaN", "maxfail=-3", "stragglerdelay=-5ms", ",,", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFaultPlan(spec)
+		if err != nil {
+			return
+		}
+		if !(p.TaskFailureProb >= 0 && p.TaskFailureProb <= 1) || !(p.StragglerProb >= 0 && p.StragglerProb <= 1) {
+			t.Fatalf("%q: probabilities %v, %v outside [0, 1]", spec, p.TaskFailureProb, p.StragglerProb)
+		}
+		if p.MaxTaskFailures < 0 || p.KillAtStage < 0 || p.StragglerDelay < 0 {
+			t.Fatalf("%q: negative field in %+v", spec, *p)
+		}
+	})
+}
+
+// TestTaskRetryBudget pins maxTaskRetries: a task survives two consecutive
+// injected failures with two retries, and a third fails the stage.
+func TestTaskRetryBudget(t *testing.T) {
+	c := testCluster(t, Config{Machines: 1})
+	c.InjectTaskFailures("collect:stubborn", 2)
 	got, err := Parallelize(c, "stubborn", ints(10), 1).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -428,15 +462,17 @@ func TestMaxTaskRetriesConfigurable(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("collected %d", len(got))
 	}
-	if c.Metrics().TaskRetries.Load() != 5 {
-		t.Fatalf("retries = %d, want 5", c.Metrics().TaskRetries.Load())
+	if n := c.Metrics().TaskRetries.Load(); n != 2 {
+		t.Fatalf("retries = %d, want 2", n)
 	}
 
-	// Negative disables retries entirely.
-	c2 := testCluster(t, Config{Machines: 2, MaxTaskRetries: -1})
-	c2.InjectTaskFailures("collect:fragile", 1)
-	if _, err := Parallelize(c2, "fragile", ints(10), 2).Collect(); err == nil {
-		t.Fatal("MaxTaskRetries=-1 still retried")
+	c2 := testCluster(t, Config{Machines: 2})
+	c2.InjectTaskFailures("collect:fragile", 3)
+	if _, err := Parallelize(c2, "fragile", ints(10), 1).Collect(); !errors.Is(err, errRetryable) {
+		t.Fatalf("three failures of one task returned %v, want the third's retryable error", err)
+	}
+	if n := c2.Metrics().TaskRetries.Load(); n != 2 {
+		t.Fatalf("retries = %d, want 2", n)
 	}
 }
 

@@ -24,7 +24,7 @@ func (e *slowEvictor) evictMachine(m int) {
 // TestMachineLostEvictionJoinsQuiesce pins the fix for the unowned eviction
 // goroutine: machineLost spawns evictDeadMachine asynchronously (evicting
 // synchronously inside a task could deadlock on partition locks), but that
-// goroutine must join the attempts group — otherwise Quiesce, and therefore
+// goroutine must join the evictions group — otherwise Quiesce, and therefore
 // Close, returns while evictors are still republishing state, and shutdown
 // tears the cluster out from under its own recovery.
 func TestMachineLostEvictionJoinsQuiesce(t *testing.T) {
@@ -41,27 +41,22 @@ func TestMachineLostEvictionJoinsQuiesce(t *testing.T) {
 	leakcheck.Check(t)
 }
 
-// TestSpeculationMonitorJoinsQuiesce pins the monitor's ownership: after a
-// speculative stage completes and the cluster closes, no monitor goroutine
-// may survive. Before the monitor joined the attempts group, a Close racing
-// the tail of a stage could tear down machines under a live monitor.
-func TestSpeculationMonitorJoinsQuiesce(t *testing.T) {
+// TestSpeculationMonitorEndsWithItsStage pins the monitor's ownership: once
+// a speculative stage has returned, no goroutine it started survives — not
+// the monitor, not the straggler a backup out-raced, with no Quiesce or
+// Close in between.
+func TestSpeculationMonitorEndsWithItsStage(t *testing.T) {
 	c := testCluster(t, Config{
-		Machines: 4, CoresPerMachine: 2,
-		Speculation: SpeculationConfig{
-			Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond,
-		},
+		Machines: 4, CoresPerMachine: 2, Speculation: true,
+		Fault: stragglerPlan(t, 8, 1, time.Minute, "collect:slow"),
 	})
-	r := MapPartitions(Parallelize(c, "nums", ints(16), 4), "slow",
-		func(tc *TaskCtx, p int, in []int) ([]int, error) {
-			if p == 0 {
-				time.Sleep(50 * time.Millisecond)
-			}
-			return in, nil
-		})
+	r := MapPartitions(Parallelize(c, "nums", ints(16), 8), "slow",
+		func(tc *TaskCtx, p int, in []int) ([]int, error) { return in, nil })
 	if _, err := r.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	c.Quiesce()
+	if n := c.Metrics().SpeculativeTasks.Load(); n < 1 {
+		t.Fatalf("SpeculativeTasks = %d: the case under test did not occur", n)
+	}
 	leakcheck.Check(t)
 }

@@ -261,7 +261,7 @@ func TestRetireKillDuringAndAfter(t *testing.T) {
 type gateRec struct{ slabRec }
 
 // gateTag marks the record map part gateMap sends to reduce partition 0 in
-// TestRetireLeavesImagesToZombieReader (tags there are mp*parts+rp, parts 8).
+// TestRetireAfterParkedLoserEnds (tags there are mp*parts+rp, parts 8).
 const gateMap, gateTag = 2, 2 * 8
 
 var gate struct {
@@ -269,35 +269,31 @@ var gate struct {
 	entered, release chan struct{}
 }
 
-func (g *gateRec) DecodeRecord(data []byte) ([]byte, error) {
+func (g *gateRec) DecodeRecordArena(a *Arena, data []byte) ([]byte, error) {
 	if int32(binary.LittleEndian.Uint32(data)) == gateTag && gate.armed.CompareAndSwap(true, false) {
 		close(gate.entered)
 		<-gate.release
 	}
-	return g.slabRec.DecodeRecord(data)
+	return g.slabRec.DecodeRecordArena(a, data)
 }
 
-// TestRetireLeavesImagesToZombieReader is the reader rule under speculation.
-// A reduce attempt is parked mid-decode of an in-memory image, its backup
-// wins the partition, the stage commits and the exchange is retired while
-// the zombie still holds the image; a second, same-shape round then encodes.
-// The zombie must wake to the bytes it was reading (its image was left to
-// the GC, not recycled under it), and its next fetch must fail as retired —
-// no nil index, no stale block.
-func TestRetireLeavesImagesToZombieReader(t *testing.T) {
+// TestRetireAfterParkedLoserEnds is the stage invariant on the reduce side. A
+// reduce attempt is parked mid-decode of an in-memory image until its backup
+// has finished the partition; Collect must return only after the parked
+// attempt has ended too, having decoded the bytes it was reading. The
+// exchange then retires with no reader inside, so a second, same-shape round
+// draws every image it encodes from the pool.
+func TestRetireAfterParkedLoserEnds(t *testing.T) {
 	const parts = 8
-	c := testCluster(t, Config{
-		Machines: 4, CoresPerMachine: 2,
-		Speculation: SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond},
-	})
+	c := testCluster(t, Config{Machines: 4, CoresPerMachine: 2, Speculation: true})
 	gate.entered, gate.release = make(chan struct{}), make(chan struct{})
 
 	// What each attempt of round 1's partition 0 decoded for the gated record
-	// and how its loop ended, by machine: the first to reach the gate parks
-	// (normally the primary), the other wins the partition.
+	// and whether it has ended, by machine: the first to reach the gate parks
+	// (normally the primary), and the other finishes the partition.
 	type attempt struct {
-		saw []float64
-		err error
+		saw   []float64
+		ended bool
 	}
 	var mu sync.Mutex
 	attempts := map[int]*attempt{}
@@ -318,13 +314,15 @@ func TestRetireLeavesImagesToZombieReader(t *testing.T) {
 					mu.Lock()
 					attempts[tc.Machine] = me
 					mu.Unlock()
+					defer func() {
+						mu.Lock()
+						me.ended = true
+						mu.Unlock()
+					}()
 				}
 				acc := 0.0
 				for block, err := range blocks {
 					if err != nil {
-						if me != nil {
-							me.err = err
-						}
 						return nil, err
 					}
 					for _, rec := range block {
@@ -340,6 +338,26 @@ func TestRetireLeavesImagesToZombieReader(t *testing.T) {
 			})
 	}
 
+	// Release the parked attempt once the other one has ended — or after a
+	// bound, so a missing backup fails the test instead of hanging it.
+	go func() {
+		<-gate.entered
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			mu.Lock()
+			finished := 0
+			for _, a := range attempts {
+				if a.ended {
+					finished++
+				}
+			}
+			mu.Unlock()
+			if finished > 0 {
+				break
+			}
+		}
+		close(gate.release)
+	}()
+
 	gate.armed.Store(true)
 	r1 := round(1)
 	got, err := r1.Collect()
@@ -347,11 +365,22 @@ func TestRetireLeavesImagesToZombieReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBits(t, "round 1", got, foldWant(parts, 1))
-	<-gate.entered // the loser is inside the image of map part gateMap
+	mu.Lock()
+	if len(attempts) != 2 {
+		t.Errorf("%d attempts of partition 0, want the parked one and its backup", len(attempts))
+	}
+	for m, a := range attempts {
+		if !a.ended {
+			t.Errorf("Collect returned while the attempt on machine %d was still running", m)
+		}
+		assertBits(t, fmt.Sprintf("gated block as machine %d decoded it", m), a.saw, roundVals(1, gateMap, 0))
+	}
+	mu.Unlock()
 	r1.Unpersist()
 	m := c.Metrics()
-	if got := m.BlocksRecycled.Load(); got != 0 {
-		t.Fatalf("BlocksRecycled = %d before any round could recycle", got)
+	retired := m.BlocksAllocated.Load()
+	if got := m.BlocksRecycled.Load(); got != 0 || retired != parts*parts {
+		t.Fatalf("round 1 recycled %d and allocated %d images, want 0 and %d", got, retired, parts*parts)
 	}
 
 	r2 := round(2)
@@ -360,26 +389,7 @@ func TestRetireLeavesImagesToZombieReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBits(t, "round 2", got, foldWant(parts, 2))
-	if got := m.BlocksRecycled.Load(); got != 0 {
-		t.Errorf("round 2 drew %d image(s) from the pool: round 1 retired with a reader inside and must have left its images to the GC", got)
-	}
-
-	close(gate.release)
-	c.Quiesce()
-	mu.Lock()
-	defer mu.Unlock()
-	zombies := 0
-	for m, a := range attempts {
-		assertBits(t, fmt.Sprintf("gated block as machine %d decoded it", m), a.saw, roundVals(1, gateMap, 0))
-		if a.err == nil {
-			continue
-		}
-		zombies++
-		if !errors.Is(a.err, errRetired) || !errors.Is(a.err, errObsolete) {
-			t.Errorf("zombie's next fetch returned %v, want errRetired (an obsolete-attempt error)", a.err)
-		}
-	}
-	if len(attempts) != 2 || zombies != 1 {
-		t.Errorf("%d attempts of partition 0, %d ended on a retired exchange; want 2 and 1", len(attempts), zombies)
+	if got := m.BlocksRecycled.Load(); got != retired {
+		t.Errorf("round 2 drew %d image(s) from the pool, want all %d round 1 retired", got, retired)
 	}
 }

@@ -159,13 +159,13 @@ func TestRemoteShuffleIsVectoredAndRecycles(t *testing.T) {
 // images, and they go back to the pool however its fold ends — a FetchBlocks
 // that fails, a block its worker has lost (a hard failure that names the
 // block: lineage recovery is for dead machines, not for a live worker that
-// forgot), and an exchange retired under the reader. The invariant is a count:
-// with no task running, every image ever allocated is in the pool, less the
-// one buffer the transport handed back as nil.
+// forgot), and a read of an exchange already retired. The invariant is a
+// count: once a stage has returned, every image ever allocated is in the pool,
+// less the one buffer the transport handed back as nil.
 func TestRemoteFetchFailureReturnsBuffers(t *testing.T) {
 	const parts, workers = 4, 2
 	mt := newMemTransport(workers)
-	c := testCluster(t, Config{Machines: workers, SerializeTasks: true, MaxTaskRetries: -1, Transport: mt})
+	c := testCluster(t, Config{Machines: workers, SerializeTasks: true, Transport: mt})
 	warm := foldRound(c, parts, 0)
 	if _, err := warm.Collect(); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,6 @@ func TestRemoteFetchFailureReturnsBuffers(t *testing.T) {
 	if _, err := r.Collect(); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the transport's error", err)
 	}
-	c.Quiesce()
 	if n := c.pooled(); int64(n) != allocated() {
 		t.Errorf("pool holds %d images after a failed FetchBlocks, %d were allocated", n, allocated())
 	}
@@ -203,7 +202,6 @@ func TestRemoteFetchFailureReturnsBuffers(t *testing.T) {
 	if !errors.Is(err, ErrBlockNotFound) || !strings.Contains(err.Error(), lost.String()) {
 		t.Fatalf("got %v, want ErrBlockNotFound naming %v", err, lost)
 	}
-	c.Quiesce()
 	if n := c.pooled(); int64(n) != allocated()-1 {
 		// The missing block's buffer came back nil from the transport.
 		t.Errorf("pool holds %d images after a fetch with one block missing, want %d", n, allocated()-1)

@@ -119,41 +119,29 @@ func (tc *TaskCtx) Arena() *Arena {
 	return tc.arena
 }
 
-// defaultMaxTaskRetries is the retry budget when Config.MaxTaskRetries is 0.
-const defaultMaxTaskRetries = 2
-
-// maxRetries resolves the configured per-task retry budget.
-func (c *Cluster) maxRetries() int {
-	switch {
-	case c.cfg.MaxTaskRetries > 0:
-		return c.cfg.MaxTaskRetries
-	case c.cfg.MaxTaskRetries < 0:
-		return 0
-	default:
-		return defaultMaxTaskRetries
-	}
-}
+// maxTaskRetries is the per-task retry budget for retryable failures
+// (injected faults, machine loss).
+const maxTaskRetries = 2
 
 // stageState carries one executing stage's shared scheduler state: the
 // rollups folded into its StageRecord, the resolution WaitGroup (one Done per
-// partition, fired by the commit-race winner or a fatal failure), and — once
-// the stage closed its record — the log index late-finishing speculative
-// losers fold their waste into.
+// partition, fired by the commit-race winner or a fatal failure), and the
+// WaitGroup of every goroutine the stage started, which runStage drains
+// before it returns.
 type stageState struct {
-	c     *Cluster
-	name  string
-	tag   string
-	parts int
-	start time.Time
-	wg    sync.WaitGroup // counts unresolved partitions
-	done  chan struct{}  // closed after wg.Wait; stops the speculation monitor
+	c       *Cluster
+	name    string
+	tag     string
+	parts   int
+	start   time.Time
+	wg      sync.WaitGroup // counts unresolved partitions
+	running sync.WaitGroup // counts live attempts and the speculation monitor
+	done    chan struct{}  // closed after wg.Wait; stops the speculation monitor
 
 	errMu    sync.Mutex
 	firstErr error
 
 	mu            sync.Mutex
-	closed        bool // StageRecord appended; late attempts go via logIdx
-	logIdx        int
 	busy          []time.Duration
 	durs          []time.Duration
 	winDurs       []time.Duration // committed-attempt durations (speculation baseline)
@@ -203,12 +191,14 @@ func (st *stageState) fail(ps *partState, err error) {
 }
 
 // partState is the per-partition commit race: exactly one attempt flips
-// committed and gets to run its TaskCtx.commit. The body fields let the
-// speculation monitor see how long the primary attempt has been running and
-// where, without touching the attempt goroutine.
+// committed and gets to run its TaskCtx.commit. Under speculation won is
+// closed with the flip, which cuts a planned straggler's delay short. The
+// body fields let the speculation monitor see how long the primary attempt
+// has been running and where, without touching the attempt goroutine.
 type partState struct {
 	mu           sync.Mutex
 	committed    bool
+	won          chan struct{} // nil unless the stage speculates
 	resolved     bool
 	specLaunched bool
 	bodyRunning  bool
@@ -241,15 +231,20 @@ func (ps *partState) bodyEnded() {
 // Tasks failing with errRetryable — injected faults, or attempts whose
 // machine was killed while they ran — are re-placed on another healthy
 // machine (never the machine that just failed when an alternative exists)
-// and recomputed from lineage, up to the configured retry budget; other
-// errors abort the stage. With speculation enabled a monitor goroutine
-// additionally launches one backup attempt per suspected straggler; the first
-// finisher wins the partition.
+// and recomputed from lineage, up to maxTaskRetries; other errors abort the
+// stage. With speculation enabled a monitor goroutine additionally launches
+// one backup attempt per suspected straggler; the first finisher wins the
+// partition.
 //
 // Exactly-once contract: each partition has a single commit flag, so exactly
 // one attempt's byte counters and deferred OnSuccess hooks are committed;
 // every other attempt's traffic — failed, or a healthy duplicate that lost
 // the race — is reattributed to BytesWasted and its hooks are dropped.
+//
+// runStage returns only after every attempt it launched has ended — primaries,
+// backups and the monitor — so nothing of a stage outlives it. A loser still
+// queued for a core is skipped, and one inside a planned straggler delay is
+// woken by the commit and skips its body; one whose body runs is waited for.
 func (c *Cluster) runStage(name string, parts int, task func(tc *TaskCtx, p int) error) error {
 	stageIdx := c.metrics.Stages.Add(1) - 1
 	c.maybePlanKill(stageIdx)
@@ -266,29 +261,29 @@ func (c *Cluster) runStage(name string, parts int, task func(tc *TaskCtx, p int)
 		busy:  make([]time.Duration, c.cfg.Machines),
 		durs:  make([]time.Duration, 0, parts),
 	}
+	speculate := c.speculating() && parts > 1
 	states := make([]*partState, parts)
 	for p := range states {
 		states[p] = &partState{}
+		if speculate {
+			states[p].won = make(chan struct{})
+		}
 	}
 	st.wg.Add(parts)
 
-	if c.speculating() && parts > 1 {
+	if speculate {
 		st.done = make(chan struct{})
-		// The monitor joins the attempts group so Quiesce waits for it: it
-		// exits on st.done, which closes right after st.wg.Wait below, so it
-		// never outlives the stage — but without the Add a Close racing the
-		// tail of a stage could tear down machines under a live monitor.
-		c.attempts.Add(1)
+		st.running.Add(1)
 		go func() {
-			defer c.attempts.Done()
+			defer st.running.Done()
 			c.speculationMonitor(st, states, task)
 		}()
 	}
 
 	for p := 0; p < parts; p++ {
-		c.attempts.Add(1)
+		st.running.Add(1)
 		go func(p int) {
-			defer c.attempts.Done()
+			defer st.running.Done()
 			c.runPrimary(st, states[p], task, p)
 		}(p)
 	}
@@ -296,8 +291,8 @@ func (c *Cluster) runStage(name string, parts int, task func(tc *TaskCtx, p int)
 	if st.done != nil {
 		close(st.done)
 	}
+	st.running.Wait()
 
-	st.mu.Lock()
 	// Critical-path accounting: the stage is as slow as its busiest machine.
 	var critical time.Duration
 	for _, b := range st.busy {
@@ -329,17 +324,12 @@ func (c *Cluster) runStage(name string, parts int, task func(tc *TaskCtx, p int)
 		MedianTask:       medianTask,
 		TransientPeak:    st.transientPeak,
 	}
-	taskRecs, recEvents := st.taskRecs, st.recEvents
-	st.taskRecs, st.recEvents = nil, nil
 	c.simMu.Lock()
 	c.simTime += critical
-	st.logIdx = len(c.stageLog)
 	c.stageLog = append(c.stageLog, rec)
-	c.taskLog = append(c.taskLog, taskRecs...)
-	c.recoveries = append(c.recoveries, recEvents...)
+	c.taskLog = append(c.taskLog, st.taskRecs...)
+	c.recoveries = append(c.recoveries, st.recEvents...)
 	c.simMu.Unlock()
-	st.closed = true
-	st.mu.Unlock()
 	return st.err()
 }
 
@@ -400,9 +390,6 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 		// The race was decided while this attempt waited for a core: don't
 		// burn the core on a doomed body.
 		<-mm.sem
-		if !speculative {
-			st.resolve(ps)
-		}
 		return errObsolete, false
 	}
 	if c.cfg.SerializeTasks {
@@ -421,9 +408,10 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 		err = fmt.Errorf("rdd: fault-plan failure in stage %q task %d on machine %d: %w", st.name, p, m, errRetryable)
 	default:
 		//distenc:lockheld-ok -- SerializeTasks runs whole task bodies (straggle injection included) under serialMu by design; the lock IS the serializer
-		c.planStraggle(st.name, p, attempt)
-		err = task(tc, p)
-		if err == nil && c.machineDead(m) {
+		if c.planStraggle(st.name, p, attempt, ps.won) {
+			// A backup won during the straggler's delay: skip the body.
+			err = errObsolete
+		} else if err = task(tc, p); err == nil && c.machineDead(m) {
 			// The machine died under the running task: its result
 			// is gone with the machine, so discard and retry.
 			err = fmt.Errorf("rdd: machine %d died while running stage %q task %d: %w", m, st.name, p, errRetryable)
@@ -444,21 +432,19 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 		if !ps.committed {
 			ps.committed = true
 			won = true
+			if ps.won != nil {
+				close(ps.won)
+			}
 		}
 		ps.mu.Unlock()
 	}
 	raceDecided := won || ps.isCommitted()
 	willRetry := err != nil && errors.Is(err, errRetryable) &&
-		!speculative && attempt < c.maxRetries() && !raceDecided
+		!speculative && attempt < maxTaskRetries && !raceDecided
 	if won {
-		// Hooks must fire before the partition resolves: the driver reads
-		// hook-installed results as soon as the stage returns.
 		tc.commit()
 	}
 	st.recordAttempt(tc, m, p, attempt, dur, taskStart, enqueued, err, won, willRetry, speculative)
-	// The transient charge goes before the partition resolves: once the last
-	// one has, the stage returns, and a machine still charged for a finished
-	// task would refuse the next stage's first charge under a tight budget.
 	if tc.charged > 0 {
 		c.release(m, tc.charged)
 	}
@@ -474,20 +460,12 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 	}
 	<-mm.sem
 	c.metrics.TasksRun.Add(1)
-	if err == nil && !won {
-		// A healthy duplicate that lost: the winner already resolved the
-		// partition; this attempt's work was wasted but nothing failed.
-		st.resolve(ps)
-	}
 	return err, willRetry
 }
 
 // recordAttempt folds one finished attempt into the stage rollups (and the
-// cluster waste counter for losers). If the stage already closed its record —
-// a speculative race left this attempt running past stage resolution — the
-// waste is folded into the published StageRecord instead, so per-stage
-// rollups keep summing to the cluster totals. Speculative wins and losses are
-// logged as recovery events here, where the race outcome is known.
+// cluster waste counter for losers). Speculative wins and losses are logged
+// as recovery events here, where the race outcome is known.
 func (st *stageState) recordAttempt(tc *TaskCtx, m, p, attempt int, dur time.Duration, taskStart, enqueued time.Time, err error, won, willRetry, speculative bool) {
 	c := st.c
 	waste := int64(0)
@@ -526,13 +504,10 @@ func (st *stageState) recordAttempt(tc *TaskCtx, m, p, attempt int, dur time.Dur
 			Kind:  RecoverySpeculativeWin,
 			Cause: "backup attempt finished first; primary attempt's work discarded",
 		}
-	case err == nil && !won,
-		speculative && err != nil:
-		cause := "duplicate attempt lost the commit race"
-		if err != nil {
-			cause = err.Error()
-		}
-		ev = &RecoveryEvent{Kind: RecoverySpeculativeLoss, Cause: cause}
+	case err == nil && !won, errors.Is(err, errObsolete):
+		ev = &RecoveryEvent{Kind: RecoverySpeculativeLoss, Cause: "duplicate attempt lost the commit race"}
+	case speculative && err != nil:
+		ev = &RecoveryEvent{Kind: RecoverySpeculativeLoss, Cause: err.Error()}
 	}
 	if ev != nil {
 		ev.Stage, ev.Partition, ev.Machine, ev.Attempt = st.name, p, m, attempt
@@ -541,43 +516,27 @@ func (st *stageState) recordAttempt(tc *TaskCtx, m, p, attempt int, dur time.Dur
 	}
 
 	st.mu.Lock()
-	if !st.closed {
-		st.busy[m] += dur
-		st.durs = append(st.durs, dur)
-		if won {
-			st.winDurs = append(st.winDurs, dur)
-			st.shuffled += tc.shuffled
-			st.recomputed += tc.recomputed
-			st.spilled += tc.spilled()
-		} else {
-			st.wasted += waste
-		}
-		if tc.charged > st.transientPeak {
-			st.transientPeak = tc.charged
-		}
-		if willRetry {
-			st.retries++
-		}
-		if rec != nil {
-			st.taskRecs = append(st.taskRecs, *rec)
-		}
-		if ev != nil {
-			st.recEvents = append(st.recEvents, *ev)
-		}
-		st.mu.Unlock()
-		return
+	defer st.mu.Unlock()
+	st.busy[m] += dur
+	st.durs = append(st.durs, dur)
+	if won {
+		st.winDurs = append(st.winDurs, dur)
+		st.shuffled += tc.shuffled
+		st.recomputed += tc.recomputed
+		st.spilled += tc.spilled()
+	} else {
+		st.wasted += waste
 	}
-	idx := st.logIdx
-	st.mu.Unlock()
-	c.simMu.Lock()
-	if waste > 0 {
-		c.stageLog[idx].BytesWasted += waste
+	if tc.charged > st.transientPeak {
+		st.transientPeak = tc.charged
+	}
+	if willRetry {
+		st.retries++
 	}
 	if rec != nil {
-		c.taskLog = append(c.taskLog, *rec)
+		st.taskRecs = append(st.taskRecs, *rec)
 	}
 	if ev != nil {
-		c.recoveries = append(c.recoveries, *ev)
+		st.recEvents = append(st.recEvents, *ev)
 	}
-	c.simMu.Unlock()
 }

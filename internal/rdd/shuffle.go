@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"sync"
@@ -19,7 +20,9 @@ import (
 // An exchange lives until retire (Unpersist of the RDD that reads it, or
 // Cluster.Close). Until then a machine kill evicts its outputs and the next
 // fetch recomputes them from lineage; afterwards there is nothing to evict,
-// recompute or fetch, and an attempt that still tries gets errRetired.
+// recompute or fetch, and reading the RDD again fails with errRetired. No
+// attempt that touches the exchange outlives its stage, so retire never races
+// a reader or a writer.
 type exchange[R any, PR recordPtr[R]] struct {
 	c           *Cluster
 	id          int64
@@ -49,12 +52,7 @@ type exchange[R any, PR recordPtr[R]] struct {
 	lost     []bool                // map outputs evicted by a machine kill, pending recompute
 	inflight map[int]chan struct{} // map partitions being recomputed right now
 	live     int64                 // committed bytes this exchange added to Metrics.ShuffleLiveBytes
-
-	// retired is set (under mu) by retire. readers counts the reduce attempts
-	// inside records: each joins before it takes an image under mu, so a
-	// retire that reads zero under mu knows no image is held.
-	retired atomic.Bool
-	readers atomic.Int32
+	retired  atomic.Bool           // set (under mu) by retire
 }
 
 func newExchange[R any, PR recordPtr[R]](c *Cluster, name string, parentDeps []dep, mapParts, reduceParts int,
@@ -72,15 +70,12 @@ func newExchange[R any, PR recordPtr[R]](c *Cluster, name string, parentDeps []d
 	return e
 }
 
-// errRetired fails an attempt that outlived its exchange — a speculative
-// loser still running after the consuming stage committed.
-var errRetired = fmt.Errorf("rdd: shuffle exchange retired: %w", errObsolete)
+// errRetired fails a read of an RDD whose exchange was retired (Unpersist).
+var errRetired = errors.New("rdd: shuffle exchange retired")
 
 // retire ends the exchange's life: it leaves the kill-notification set,
 // every live worker drops its blocks, and its in-memory images go to the
-// cluster's block pool for the next exchange to encode into — unless a reduce
-// attempt is still reading them, in which case they are left to the GC: an
-// image a reader holds is never overwritten.
+// cluster's block pool for the next exchange to encode into.
 // Under a remote Transport the driver holds no image of it by now (its tasks
 // recycled theirs as they went, see blockPool), so the pool is only trimmed.
 func (e *exchange[R, PR]) retire() {
@@ -90,7 +85,7 @@ func (e *exchange[R, PR]) retire() {
 		e.mu.Unlock()
 		return
 	}
-	blocks, lens, live, idle := e.blocks, e.lens, e.live, e.readers.Load() == 0
+	blocks, lens, live := e.blocks, e.lens, e.live
 	e.blocks, e.lens = nil, nil
 	e.mu.Unlock()
 	e.c.metrics.ShuffleLiveBytes.Add(-live)
@@ -99,7 +94,7 @@ func (e *exchange[R, PR]) retire() {
 		if blocks != nil {
 			e.c.dropRemoteBlocks(e.id)
 		}
-	} else if idle {
+	} else {
 		e.c.blockPool.refill(blocks)
 	}
 }
@@ -109,21 +104,6 @@ func (e *exchange[R, PR]) retire() {
 // them in the driver on either backend).
 func (e *exchange[R, PR]) remote() bool {
 	return e.c.remote() != nil && e.c.cfg.Mode != ModeMapReduce
-}
-
-// discardIfRetired is the check a map-side attempt makes after storing its
-// output outside the driver (blocks put on machine m's worker): if the
-// exchange retired meanwhile nothing would ever clean up after the attempt,
-// so it drops what it stored and fails. A retire that lands after this check
-// finds the output already stored, and drops it itself.
-func (e *exchange[R, PR]) discardIfRetired(m int, put bool) error {
-	if !e.retired.Load() {
-		return nil
-	}
-	if put {
-		e.c.dropBlocks(m, e.id)
-	}
-	return errRetired
 }
 
 // evictMachine marks the in-memory map outputs the dead machine held as lost;
@@ -223,9 +203,6 @@ func (e *exchange[R, PR]) ensure() error {
 				e.c.blockPool.recycle(enc)
 				enc = nil
 			}
-			if err := e.discardIfRetired(tc.Machine, lens != nil); err != nil {
-				return err
-			}
 			// Publish on commit only: under speculative execution two
 			// attempts of the same map task can finish, and the map-output
 			// registry (in particular machines[p], which drives kill-time
@@ -292,10 +269,6 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 	remote := e.remote()
 	for {
 		e.mu.Lock()
-		if e.retired.Load() {
-			e.mu.Unlock()
-			return nil, errRetired
-		}
 		if !e.lost[mp] {
 			if !remote {
 				data := e.blocks[mp][rp]
@@ -351,9 +324,6 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 		var out []byte
 		if err == nil && remote {
 			if lens, err = e.putBlocks(tc, mp, enc); err == nil {
-				err = e.discardIfRetired(tc.Machine, true)
-			}
-			if err == nil {
 				out, enc[rp] = enc[rp], nil
 			}
 			e.c.blockPool.recycle(enc)
@@ -362,7 +332,7 @@ func (e *exchange[R, PR]) blockFor(tc *TaskCtx, mp, rp int) ([]byte, error) {
 
 		e.mu.Lock()
 		delete(e.inflight, mp)
-		if err == nil && !e.retired.Load() {
+		if err == nil {
 			e.blocks[mp] = enc
 			e.lens[mp] = lens
 			e.machines[mp] = tc.Machine
@@ -443,10 +413,6 @@ func (e *exchange[R, PR]) fetchPartition(rp int, images [][]byte) error {
 	src := make([]int, e.mapParts) // worker to read map output mp's block from (-1: none)
 	lens := make([]int, e.mapParts)
 	e.mu.Lock()
-	if e.retired.Load() {
-		e.mu.Unlock()
-		return errRetired
-	}
 	for mp := range src {
 		src[mp] = -1
 		if m := e.machines[mp]; m >= 0 && !e.lost[mp] && !e.c.machineDead(m) && e.lens[mp] != nil && e.lens[mp][rp] > 0 {
@@ -480,16 +446,17 @@ func (e *exchange[R, PR]) fetchPartition(rp int, images [][]byte) error {
 // one decoded block at a time in map-partition order, attributing any
 // modelled disk reads (and lost-block recomputes) to the fetching task. Each
 // block is decoded into an arena region that is rewound for the next (see
-// ShuffleMap), and the loop counts as a reader of the exchange until it ends
-// (see retire).
+// ShuffleMap). Reading a retired exchange fails with errRetired.
 // Under a remote Transport the partition's encoded input is fetched up front
 // (fetchPartition) into pool images that go back to the pool when the loop
 // ends, however it ends; the fold order does not depend on which worker
 // answered first.
 func (e *exchange[R, PR]) records(tc *TaskCtx, rp int) iter.Seq2[[]R, error] {
 	return func(yield func([]R, error) bool) {
-		e.readers.Add(1)
-		defer e.readers.Add(-1)
+		if e.retired.Load() {
+			yield(nil, errRetired)
+			return
+		}
 		arena := tc.Arena()
 		mark := arena.Mark()
 		var fetched [][]byte

@@ -30,10 +30,12 @@ func partitionBytes[T any](items []T) (int64, error) {
 // BinaryRecord is implemented (on the pointer receiver) by shuffle record
 // types: they provide their own compact binary framing. encodeBlock writes a
 // record count followed by each record's self-delimiting frame, and
-// decodeBlock reverses it. The resulting byte counts flow through the
-// BytesShuffled / DiskBytes accounting, so the engine's Lemma 3 bookkeeping
-// stays honest — the packed MTTKRP slab records in internal/core are the one
-// production user.
+// decodeBlock reverses it, drawing each record's variable-length payload from
+// the consuming attempt's arena: a fetched block's records live until the
+// reduce side has folded them (see exchange.records). The resulting byte
+// counts flow through the BytesShuffled / DiskBytes accounting, so the
+// engine's Lemma 3 bookkeeping stays honest — the packed MTTKRP slab records
+// in internal/core are the one production user.
 type BinaryRecord interface {
 	// RecordSize returns the exact length of the frame AppendRecord writes,
 	// so a block is allocated once at its final size — the published image
@@ -42,9 +44,9 @@ type BinaryRecord interface {
 	RecordSize() int
 	// AppendRecord appends the record's frame to buf and returns it.
 	AppendRecord(buf []byte) []byte
-	// DecodeRecord parses one frame from the front of data into the
-	// receiver and returns the remaining bytes.
-	DecodeRecord(data []byte) (rest []byte, err error)
+	// DecodeRecordArena parses one frame from the front of data into the
+	// receiver, drawing its slices from a, and returns the remaining bytes.
+	DecodeRecordArena(a *Arena, data []byte) (rest []byte, err error)
 }
 
 // recordPtr is the constraint ShuffleMap puts on its record type R: *R must
@@ -53,18 +55,6 @@ type BinaryRecord interface {
 type recordPtr[R any] interface {
 	*R
 	BinaryRecord
-}
-
-// ArenaBinaryRecord is implemented by BinaryRecord types that can decode
-// their variable-length payloads into task-arena slabs instead of fresh heap
-// allocations: a fetched block's records live until the reduce side has
-// folded them, a region of the consuming attempt's arena (see
-// exchange.records).
-type ArenaBinaryRecord interface {
-	BinaryRecord
-	// DecodeRecordArena parses one frame like DecodeRecord, drawing the
-	// receiver's slices from a.
-	DecodeRecordArena(a *Arena, data []byte) (rest []byte, err error)
 }
 
 // maxBlockBytes bounds one encoded shuffle block: the exchange records block
@@ -174,7 +164,7 @@ func encodeBlock[R any, PR recordPtr[R]](c *Cluster, records []R) ([]byte, error
 }
 
 // decodeBlock reverses encodeBlock, drawing record payload slices from the
-// arena when the record type supports it, from the heap otherwise.
+// arena.
 func decodeBlock[R any, PR recordPtr[R]](a *Arena, data []byte) ([]R, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
@@ -189,12 +179,7 @@ func decodeBlock[R any, PR recordPtr[R]](a *Arena, data []byte) ([]R, error) {
 	records := make([]R, n)
 	for i := range records {
 		var err error
-		if ar, ok := any(PR(&records[i])).(ArenaBinaryRecord); ok {
-			data, err = ar.DecodeRecordArena(a, data)
-		} else {
-			data, err = PR(&records[i]).DecodeRecord(data)
-		}
-		if err != nil {
+		if data, err = PR(&records[i]).DecodeRecordArena(a, data); err != nil {
 			return nil, fmt.Errorf("rdd: decoding binary shuffle record %d/%d: %w", i, n, err)
 		}
 	}

@@ -4,126 +4,38 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 )
 
-// SpeculationConfig tunes Spark-style speculative execution (Config
-// .Speculation). With Enabled set, each stage runs a monitor that compares
-// running tasks against the distribution of the stage's already-committed
-// task durations: once at least Quantile of the stage's tasks have committed,
-// a task whose body has been running longer than Multiplier × the Quantile
-// duration (floored at MinDuration) gets one backup attempt on a different
-// healthy machine, and whichever attempt finishes first wins the partition's
-// exactly-once commit. Mirrors spark.speculation{.quantile,.multiplier}.
-type SpeculationConfig struct {
-	// Enabled turns speculative execution on.
-	Enabled bool
-	// Quantile is both the fraction of a stage's tasks that must have
-	// committed before backups may launch and the quantile of the
-	// committed-duration distribution the cutoff is computed from.
-	// Default 0.75.
-	Quantile float64
-	// Multiplier scales the quantile duration into the speculation cutoff: a
-	// running task becomes a backup candidate once its body has run longer
-	// than Multiplier × the quantile duration. Default 1.5.
-	Multiplier float64
-	// MinDuration floors the cutoff so short tasks are never speculated on
-	// timing noise. Default 10ms.
-	MinDuration time.Duration
-}
-
-func (s SpeculationConfig) withDefaults() SpeculationConfig {
-	if s.Quantile <= 0 || s.Quantile >= 1 {
-		s.Quantile = 0.75
-	}
-	if s.Multiplier <= 1 {
-		s.Multiplier = 1.5
-	}
-	if s.MinDuration <= 0 {
-		s.MinDuration = 10 * time.Millisecond
-	}
-	return s
-}
-
-// ParseSpeculation parses a CLI speculation spec. "on" (or "true") enables
-// speculation with defaults; otherwise the spec is a comma-separated
-// key=value list:
-//
-//	quantile=0.75     committed-task fraction / duration quantile in (0,1)
-//	multiplier=1.5    cutoff multiplier over the quantile duration (>1)
-//	min=10ms          cutoff floor (Go duration)
-//
-// e.g. "quantile=0.5,multiplier=2,min=5ms". Any key=value form enables
-// speculation.
-func ParseSpeculation(spec string) (SpeculationConfig, error) {
-	s := SpeculationConfig{Enabled: true}
-	trimmed := strings.TrimSpace(spec)
-	switch strings.ToLower(trimmed) {
-	case "on", "true", "1":
-		return s, nil
-	case "":
-		return SpeculationConfig{}, fmt.Errorf("rdd: empty speculation spec")
-	}
-	for _, field := range strings.Split(trimmed, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return SpeculationConfig{}, fmt.Errorf("rdd: speculation field %q is not key=value", field)
-		}
-		var err error
-		switch strings.ToLower(strings.TrimSpace(key)) {
-		case "quantile":
-			s.Quantile, err = strconv.ParseFloat(val, 64)
-			if err == nil && (s.Quantile <= 0 || s.Quantile >= 1) {
-				err = fmt.Errorf("quantile %v outside (0,1)", s.Quantile)
-			}
-		case "multiplier":
-			s.Multiplier, err = strconv.ParseFloat(val, 64)
-			if err == nil && s.Multiplier <= 1 {
-				err = fmt.Errorf("multiplier %v must exceed 1", s.Multiplier)
-			}
-		case "min":
-			s.MinDuration, err = time.ParseDuration(val)
-			if err == nil && s.MinDuration <= 0 {
-				err = fmt.Errorf("min %v must be positive", s.MinDuration)
-			}
-		default:
-			err = fmt.Errorf("unknown key (want quantile, multiplier, min)")
-		}
-		if err != nil {
-			return SpeculationConfig{}, fmt.Errorf("rdd: speculation field %q: %w", field, err)
-		}
-	}
-	return s, nil
-}
+// Speculative execution (Config.Speculation) mirrors
+// spark.speculation{.quantile,.multiplier}: each stage runs a monitor that
+// compares running tasks against the stage's already-committed task
+// durations. Once specQuantile of the stage's tasks have committed, a task
+// whose body has been running longer than specMultiplier × the specQuantile
+// duration (floored at specMinDuration, so short tasks are never speculated
+// on timing noise) gets one backup attempt on a different healthy machine,
+// and whichever attempt finishes first wins the partition's exactly-once
+// commit.
+const (
+	specQuantile    = 0.75
+	specMultiplier  = 1.5
+	specMinDuration = 10 * time.Millisecond
+)
 
 // speculating reports whether stages should run the speculation monitor.
 // SerializeTasks wins over Speculation: its whole point is uncontended
 // single-core task durations, and a backup racing the task it duplicates
 // would deadlock behind the straggler's serial lock anyway.
 func (c *Cluster) speculating() bool {
-	return c.cfg.Speculation.Enabled && !c.cfg.SerializeTasks
+	return c.cfg.Speculation && !c.cfg.SerializeTasks
 }
 
 // speculationMonitor watches a stage's running primary attempts and launches
 // at most one backup per partition once the commit-race cutoff is known and
 // exceeded. It exits when the stage resolves or aborts.
 func (c *Cluster) speculationMonitor(st *stageState, states []*partState, task func(tc *TaskCtx, p int) error) {
-	cfg := c.cfg.Speculation.withDefaults()
-	need := int(math.Ceil(cfg.Quantile * float64(st.parts)))
-	if need < 1 {
-		need = 1
-	}
-	tick := cfg.MinDuration / 2
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	need := int(math.Ceil(specQuantile * float64(st.parts)))
+	ticker := time.NewTicker(specMinDuration / 2)
 	defer ticker.Stop()
 	for {
 		select {
@@ -134,7 +46,7 @@ func (c *Cluster) speculationMonitor(st *stageState, states []*partState, task f
 		if st.aborted() {
 			return
 		}
-		cutoff, ok := st.specCutoff(cfg, need)
+		cutoff, ok := st.specCutoff(need)
 		if !ok {
 			continue
 		}
@@ -162,19 +74,19 @@ func (c *Cluster) speculationMonitor(st *stageState, states []*partState, task f
 			}
 			st.addSpecLaunch(p, m, elapsed, cutoff)
 			c.metrics.SpeculativeTasks.Add(1)
-			c.attempts.Add(1)
+			st.running.Add(1)
 			go func(p, m int, ps *partState) {
-				defer c.attempts.Done()
+				defer st.running.Done()
 				c.runAttempt(st, ps, task, p, speculativeAttempt, m, true)
 			}(p, m, ps)
 		}
 	}
 }
 
-// specCutoff returns the current backup-launch threshold: Multiplier × the
-// Quantile duration of the stage's committed attempts, floored at
-// MinDuration. ok is false until Quantile of the stage's tasks committed.
-func (st *stageState) specCutoff(cfg SpeculationConfig, need int) (time.Duration, bool) {
+// specCutoff returns the current backup-launch threshold: specMultiplier ×
+// the specQuantile duration of the stage's committed attempts, floored at
+// specMinDuration. ok is false until need of the stage's tasks committed.
+func (st *stageState) specCutoff(need int) (time.Duration, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if len(st.winDurs) < need {
@@ -182,18 +94,12 @@ func (st *stageState) specCutoff(cfg SpeculationConfig, need int) (time.Duration
 	}
 	ds := slices.Clone(st.winDurs)
 	slices.Sort(ds)
-	q := ds[int(cfg.Quantile*float64(len(ds)-1))]
-	cutoff := time.Duration(cfg.Multiplier * float64(q))
-	if cutoff < cfg.MinDuration {
-		cutoff = cfg.MinDuration
-	}
-	return cutoff, true
+	q := ds[int(specQuantile*float64(len(ds)-1))]
+	return max(time.Duration(specMultiplier*float64(q)), specMinDuration), true
 }
 
 // addSpecLaunch counts a backup launch in the stage rollup and logs the
-// recovery event. The monitor stops before the stage record closes, but a
-// racing resolution can close it first — route late launches to the
-// published record like recordAttempt does.
+// recovery event.
 func (st *stageState) addSpecLaunch(p, m int, elapsed, cutoff time.Duration) {
 	ev := RecoveryEvent{
 		Kind:      RecoverySpeculativeLaunch,
@@ -205,16 +111,7 @@ func (st *stageState) addSpecLaunch(p, m int, elapsed, cutoff time.Duration) {
 		At:        time.Since(st.c.start),
 	}
 	st.mu.Lock()
-	if !st.closed {
-		st.specLaunches++
-		st.recEvents = append(st.recEvents, ev)
-		st.mu.Unlock()
-		return
-	}
-	idx := st.logIdx
+	st.specLaunches++
+	st.recEvents = append(st.recEvents, ev)
 	st.mu.Unlock()
-	st.c.simMu.Lock()
-	st.c.stageLog[idx].SpeculativeTasks++
-	st.c.recoveries = append(st.c.recoveries, ev)
-	st.c.simMu.Unlock()
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // slowOnPrimary builds a partition closure where partition 0's first
-// placement (machine 0, its preferred location) sleeps for d while every
-// other attempt returns immediately — a deterministic straggler that a
-// backup attempt on any other machine beats.
+// placement (machine 0, its preferred location) sleeps for d inside its body
+// while every other attempt returns immediately — a deterministic straggler
+// that a backup attempt on any other machine beats, and that the engine
+// cannot cut short.
 func slowOnPrimary(d time.Duration) func(tc *TaskCtx, p int, in []int) ([]int, error) {
 	return func(tc *TaskCtx, p int, in []int) ([]int, error) {
 		if p == 0 && tc.Machine == 0 {
@@ -21,28 +22,60 @@ func slowOnPrimary(d time.Duration) func(tc *TaskCtx, p int, in []int) ([]int, e
 	}
 }
 
-// TestSpeculationBackupWinsStraggler is the tentpole's end-to-end unit test:
-// a deterministic straggler is out-raced by a backup attempt on a different
-// machine, the stage resolves without waiting for the straggler, exactly one
-// attempt per partition commits, and the loser's traffic lands in
-// BytesWasted once it drains.
+// stragglerPlan returns a fault plan under which exactly n of the parts
+// partitions of stages[0] straggle for delay on their first attempt, and no
+// partition of the other stages does. It searches seeds with faultHash, the
+// function planStraggle decides by.
+func stragglerPlan(t *testing.T, parts, n int, delay time.Duration, stages ...string) *FaultPlan {
+	t.Helper()
+	const prob = 0.2
+	for seed := uint64(0); seed < 10_000; seed++ {
+		ok := true
+		for i, stage := range stages {
+			k := 0
+			for p := 0; p < parts; p++ {
+				if faultHash(seed, stage, p, 0, saltStraggle) < prob {
+					k++
+				}
+			}
+			if i == 0 && k != n || i > 0 && k != 0 {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return &FaultPlan{Seed: seed, StragglerProb: prob, StragglerDelay: delay}
+		}
+	}
+	t.Fatalf("no seed gives %d straggler(s) among %d partitions of %v", n, parts, stages)
+	return nil
+}
+
+// stageWasted sums the per-stage BytesWasted rollups.
+func stageWasted(c *Cluster) (n int64) {
+	for _, s := range c.StageLog() {
+		n += s.BytesWasted
+	}
+	return n
+}
+
+// TestSpeculationBackupWinsStraggler is speculation end to end: a planned
+// straggler is out-raced by a backup attempt on a different machine, its
+// delay is cut short by the commit so the stage ends long before the delay
+// would have, exactly one attempt per partition commits, and the byte and
+// event accounting is complete the moment Collect returns.
 func TestSpeculationBackupWinsStraggler(t *testing.T) {
-	const sleep = 500 * time.Millisecond
+	const delay = 5 * time.Second
 	c := testCluster(t, Config{
-		Machines: 4, CoresPerMachine: 2, TaskTrace: true,
-		Speculation: SpeculationConfig{
-			Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond,
-		},
+		Machines: 4, CoresPerMachine: 2, TaskTrace: true, Speculation: true,
+		Fault: stragglerPlan(t, 8, 1, delay, "collect:slow"),
 	})
 	var exact atomic.Int64
 	r := MapPartitions(Parallelize(c, "nums", ints(80), 8), "slow",
 		func(tc *TaskCtx, p int, in []int) ([]int, error) {
-			out, err := slowOnPrimary(sleep)(tc, p, in)
-			if err != nil {
-				return nil, err
-			}
+			tc.CountShuffled(1000)
 			tc.OnSuccess(func() { exact.Add(int64(len(in))) })
-			return out, nil
+			return in, nil
 		})
 	stageStart := time.Now()
 	got, err := r.Collect()
@@ -53,10 +86,9 @@ func TestSpeculationBackupWinsStraggler(t *testing.T) {
 	if len(got) != 80 {
 		t.Fatalf("collected %d elements, want 80", len(got))
 	}
-	if wall >= sleep {
-		t.Errorf("stage took %v, not faster than the %v straggler: speculation gained nothing", wall, sleep)
+	if wall >= delay {
+		t.Errorf("stage took %v, not faster than the %v straggler: speculation gained nothing", wall, delay)
 	}
-	c.Quiesce() // drain the losing straggler before reading totals
 
 	if n := c.Metrics().SpeculativeTasks.Load(); n < 1 {
 		t.Fatalf("SpeculativeTasks = %d, want >= 1", n)
@@ -68,35 +100,32 @@ func TestSpeculationBackupWinsStraggler(t *testing.T) {
 	if m.BytesShuffled != 8*1000 {
 		t.Errorf("BytesShuffled = %d, want exactly %d: a duplicate attempt leaked into the exactly-once counter", m.BytesShuffled, 8*1000)
 	}
-	if m.BytesWasted < 1000 || m.BytesWasted%1000 != 0 {
-		t.Errorf("BytesWasted = %d, want a positive multiple of 1000 (losing attempts' traffic)", m.BytesWasted)
+	if m.BytesWasted%1000 != 0 || m.BytesWasted != stageWasted(c) {
+		t.Errorf("Metrics.BytesWasted = %d, stage rollups sum to %d: want equal multiples of 1000", m.BytesWasted, stageWasted(c))
 	}
-	var stageWasted int64
 	var stageSpec int
 	for _, s := range c.StageLog() {
-		stageWasted += s.BytesWasted
 		stageSpec += s.SpeculativeTasks
-	}
-	if stageWasted != m.BytesWasted {
-		t.Errorf("Metrics.BytesWasted=%d but stage rollups sum to %d (late loser not folded into its record)", m.BytesWasted, stageWasted)
 	}
 	if stageSpec < 1 {
 		t.Errorf("no StageRecord counts a speculative task")
 	}
 
-	var launches, wins int
+	var launches, wins, losses int
 	for _, ev := range c.Recoveries() {
 		switch ev.Kind {
 		case RecoverySpeculativeLaunch:
 			launches++
 		case RecoverySpeculativeWin:
 			wins++
+		case RecoverySpeculativeLoss:
+			losses++
 		}
 	}
-	if launches < 1 || wins < 1 {
-		t.Errorf("recovery log: launches=%d wins=%d, want both >= 1", launches, wins)
+	if launches < 1 || wins < 1 || losses < 1 {
+		t.Errorf("recovery log: launches=%d wins=%d losses=%d, want all >= 1", launches, wins, losses)
 	}
-	var sawBackupSpan bool
+	var sawBackupSpan, sawCutStraggler bool
 	for _, tr := range c.Trace() {
 		if tr.Speculative {
 			sawBackupSpan = true
@@ -104,28 +133,50 @@ func TestSpeculationBackupWinsStraggler(t *testing.T) {
 				t.Errorf("backup span attempt = %d, want %d", tr.Attempt, speculativeAttempt)
 			}
 		}
+		if tr.Error == errObsolete.Error() {
+			sawCutStraggler = true
+			if tr.Run >= delay || tr.BytesShuffled != 0 {
+				t.Errorf("out-raced straggler ran %v and shuffled %d B; want its delay cut short and its body skipped", tr.Run, tr.BytesShuffled)
+			}
+		}
 	}
 	if !sawBackupSpan {
 		t.Error("task trace has no span for the backup attempt")
 	}
+	if !sawCutStraggler {
+		t.Error("task trace has no span for the out-raced straggler")
+	}
 }
 
-// TestSpeculationLoserDrainsAsLoss: once the straggler finally finishes, its
-// attempt must be logged as a speculative loss and never fire OnSuccess
-// hooks.
+// TestSpeculationLoserDrainsAsLoss: a straggler the engine cannot cut short
+// (its delay is inside the task body) is waited for — the stage returns only
+// after it has finished — and is logged as a speculative loss whose traffic
+// is wasted, with no OnSuccess hook fired.
 func TestSpeculationLoserDrainsAsLoss(t *testing.T) {
-	c := testCluster(t, Config{
-		Machines: 4, CoresPerMachine: 2,
-		Speculation: SpeculationConfig{
-			Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond,
-		},
-	})
+	c := testCluster(t, Config{Machines: 4, CoresPerMachine: 2, Speculation: true})
+	var stragglerEnded atomic.Bool
+	var hooks atomic.Int64
+	slow := slowOnPrimary(300 * time.Millisecond)
 	r := MapPartitions(Parallelize(c, "nums", ints(40), 8), "slow",
-		slowOnPrimary(300*time.Millisecond))
+		func(tc *TaskCtx, p int, in []int) ([]int, error) {
+			if p == 0 && tc.Machine == 0 {
+				defer stragglerEnded.Store(true)
+			}
+			tc.OnSuccess(func() { hooks.Add(1) })
+			return slow(tc, p, in)
+		})
 	if err := r.ForeachPartition(func(tc *TaskCtx, p int, items []int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	c.Quiesce()
+	if c.Metrics().SpeculativeTasks.Load() < 1 {
+		t.Fatal("no backup launched against the straggler")
+	}
+	if !stragglerEnded.Load() {
+		t.Fatal("the stage returned while the straggler's body was still running")
+	}
+	if n := hooks.Load(); n != 8 {
+		t.Errorf("OnSuccess fired %d times, want once per partition (8)", n)
+	}
 	var losses int
 	for _, ev := range c.Recoveries() {
 		if ev.Kind == RecoverySpeculativeLoss {
@@ -138,14 +189,17 @@ func TestSpeculationLoserDrainsAsLoss(t *testing.T) {
 	if losses < 1 {
 		t.Fatalf("no speculative-loss event after the straggler drained (recoveries: %+v)", c.Recoveries())
 	}
+	if w := c.Metrics().BytesWasted.Load(); w < 1000 || w%1000 != 0 || w != stageWasted(c) {
+		t.Errorf("Metrics.BytesWasted = %d, stage rollups sum to %d: want equal positive multiples of 1000", w, stageWasted(c))
+	}
 }
 
 // TestSpeculationQuietWithoutStragglers: with speculation enabled but no
-// stragglers, no backups launch (MinDuration floors the cutoff above the
+// stragglers, no backups launch (specMinDuration floors the cutoff above the
 // noise) and the exactly-once totals are identical to a speculation-off run.
 func TestSpeculationQuietWithoutStragglers(t *testing.T) {
-	run := func(spec SpeculationConfig) (map[int]int, MetricsSnapshot) {
-		c := testCluster(t, Config{Machines: 3, Speculation: spec})
+	run := func(speculate bool) (map[int]int, MetricsSnapshot) {
+		c := testCluster(t, Config{Machines: 3, Speculation: speculate})
 		pairs := make([]slabRec, 90)
 		for i := range pairs {
 			pairs[i] = kv(i%9, i)
@@ -154,11 +208,10 @@ func TestSpeculationQuietWithoutStragglers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Quiesce()
 		return vals, c.Metrics().Snapshot()
 	}
-	offVals, off := run(SpeculationConfig{})
-	onVals, on := run(SpeculationConfig{Enabled: true})
+	offVals, off := run(false)
+	onVals, on := run(true)
 	if on.SpeculativeTasks != 0 {
 		t.Errorf("straggler-free run launched %d backups", on.SpeculativeTasks)
 	}
@@ -175,10 +228,7 @@ func TestSpeculationQuietWithoutStragglers(t *testing.T) {
 // would deadlock behind the straggler's serial lock, so the monitor must not
 // run at all.
 func TestSpeculationDisabledUnderSerializeTasks(t *testing.T) {
-	c := testCluster(t, Config{
-		Machines: 3, SerializeTasks: true,
-		Speculation: SpeculationConfig{Enabled: true, MinDuration: time.Millisecond},
-	})
+	c := testCluster(t, Config{Machines: 3, SerializeTasks: true, Speculation: true})
 	if c.speculating() {
 		t.Fatal("speculating() with SerializeTasks set")
 	}
@@ -187,33 +237,6 @@ func TestSpeculationDisabledUnderSerializeTasks(t *testing.T) {
 	}
 	if n := c.Metrics().SpeculativeTasks.Load(); n != 0 {
 		t.Fatalf("launched %d backups under SerializeTasks", n)
-	}
-}
-
-// TestParseSpeculation covers the -speculation CLI spec forms and error
-// cases.
-func TestParseSpeculation(t *testing.T) {
-	s, err := ParseSpeculation("on")
-	if err != nil || !s.Enabled {
-		t.Fatalf("ParseSpeculation(on) = %+v, %v", s, err)
-	}
-	s, err = ParseSpeculation("quantile=0.5,multiplier=2,min=5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond}
-	if s != want {
-		t.Fatalf("parsed %+v, want %+v", s, want)
-	}
-	for _, bad := range []string{"", "quantile=2", "multiplier=0.5", "min=-1ms", "frobnicate=1", "quantile"} {
-		if _, err := ParseSpeculation(bad); err == nil {
-			t.Errorf("ParseSpeculation(%q) accepted garbage", bad)
-		}
-	}
-	// Defaults fill unset knobs.
-	d := SpeculationConfig{Enabled: true}.withDefaults()
-	if d.Quantile != 0.75 || d.Multiplier != 1.5 || d.MinDuration != 10*time.Millisecond {
-		t.Fatalf("withDefaults = %+v", d)
 	}
 }
 

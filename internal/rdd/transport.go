@@ -167,12 +167,12 @@ func (c *Cluster) machineLost(m int, cause string) {
 	if m < 0 || m >= c.cfg.Machines || c.machines[m].dead.Swap(true) {
 		return
 	}
-	// Eviction joins the attempts group: Quiesce (and therefore Close) must
-	// not return while an evictor is still republishing blocks, or shutdown
-	// tears the transport out from under the recovery it triggered.
-	c.attempts.Add(1)
+	// Quiesce (and therefore Close) must not return while an evictor is
+	// still republishing blocks, or shutdown tears the transport out from
+	// under the recovery it triggered.
+	c.evictions.Add(1)
 	go func() {
-		defer c.attempts.Done()
+		defer c.evictions.Done()
 		c.evictDeadMachine(m, cause)
 	}()
 }

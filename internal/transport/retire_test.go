@@ -44,7 +44,7 @@ func (r *intRec) RecordSize() int { return 4 }
 func (r *intRec) AppendRecord(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, uint32(*r))
 }
-func (r *intRec) DecodeRecord(data []byte) ([]byte, error) {
+func (r *intRec) DecodeRecordArena(_ *rdd.Arena, data []byte) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, errors.New("short intRec frame")
 	}
@@ -54,17 +54,20 @@ func (r *intRec) DecodeRecord(data []byte) ([]byte, error) {
 
 // mapGate parks one map attempt: the first attempt of map task 0 to arrive
 // while it is armed signals entered and waits for release before it encodes
-// anything; its backup is never held.
+// anything, then takes its time; its backup is never held. done counts the
+// attempts of map task 0 that have returned.
 var mapGate struct {
 	armed            atomic.Bool
 	entered, release chan struct{}
+	done             atomic.Int32
 }
 
 // TestRetiredShuffleLeavesNoBlockOnAnyWorker drives an engine cluster over
 // three in-process workers. While an exchange lives its blocks sit in the
-// workers' stores; after it retires every store is empty — including after a
-// speculative duplicate map attempt that outlived the stage Puts its blocks
-// when the Drop has already gone out — and Close retires what is left.
+// workers' stores; right after it retires every store is empty, with no
+// Quiesce — including when a map attempt parked until its backup had
+// finished stored a second copy of its blocks, which the map stage waited
+// for — and Close retires what is left.
 func TestRetiredShuffleLeavesNoBlockOnAnyWorker(t *testing.T) {
 	const machines, parts = 3, 6
 	servers := make([]*Server, machines)
@@ -85,8 +88,7 @@ func TestRetiredShuffleLeavesNoBlockOnAnyWorker(t *testing.T) {
 	t.Cleanup(func() { cl.Close() })
 	tp := &countingTransport{Client: cl}
 	c, err := rdd.NewCluster(rdd.Config{
-		Machines: machines, CoresPerMachine: 2, Transport: tp,
-		Speculation: rdd.SpeculationConfig{Enabled: true, Quantile: 0.5, Multiplier: 2, MinDuration: 5 * time.Millisecond},
+		Machines: machines, CoresPerMachine: 2, Transport: tp, Speculation: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +106,13 @@ func TestRetiredShuffleLeavesNoBlockOnAnyWorker(t *testing.T) {
 		//distenc:capture-ok mapGate -- the test's gate, not data: it exists to park one attempt of the closure
 		return rdd.ShuffleMap(src, "sum-map", "sum-reduce", parts,
 			func(tc *rdd.TaskCtx, mp int, _ []int) ([][]intRec, error) {
-				if mp == 0 && mapGate.armed.CompareAndSwap(true, false) {
-					close(mapGate.entered)
-					<-mapGate.release
+				if mp == 0 {
+					defer mapGate.done.Add(1)
+					if mapGate.armed.CompareAndSwap(true, false) {
+						close(mapGate.entered)
+						<-mapGate.release
+						time.Sleep(50 * time.Millisecond) // long past the rest of the round
+					}
 				}
 				out := make([][]intRec, parts)
 				for rp := range out {
@@ -149,29 +155,35 @@ func TestRetiredShuffleLeavesNoBlockOnAnyWorker(t *testing.T) {
 			t.Fatalf("round %d: workers hold %d blocks while the exchange lives, want at least %d", i, n, parts*parts)
 		}
 		r.Unpersist()
-		c.Quiesce() // such a backup may still be cleaning up after itself
 		if n := stored(); n != 0 {
 			t.Fatalf("round %d: %d block(s) of a retired exchange survive on the workers", i, n)
 		}
 	}
 
-	// The zombie: parked until its exchange has retired and the Drop is out.
+	// The parked loser: map task 0's first attempt waits until its backup has
+	// returned (or a bound has passed, so a missing backup fails the test
+	// instead of hanging it), then stores its own copy.
 	mapGate.armed.Store(true)
+	mapGate.done.Store(0)
+	go func() {
+		<-mapGate.entered
+		for deadline := time.Now().Add(10 * time.Second); mapGate.done.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		close(mapGate.release)
+	}()
+	puts := tp.puts.Load()
 	r := round()
 	collect(r)
-	<-mapGate.entered
+	if n := mapGate.done.Load(); n != 2 {
+		t.Fatalf("%d attempt(s) of map task 0 had returned when Collect did, want the parked one and its backup", n)
+	}
+	if got := tp.puts.Load() - puts; got < parts*parts+parts {
+		t.Fatalf("the round Put %d blocks, want at least %d: map task 0's parked attempt and its backup each store %d", got, parts*parts+parts, parts)
+	}
 	r.Unpersist()
 	if n := stored(); n != 0 {
 		t.Fatalf("%d block(s) survive retirement", n)
-	}
-	puts := tp.puts.Load()
-	close(mapGate.release)
-	c.Quiesce()
-	if got := tp.puts.Load() - puts; got != parts {
-		t.Fatalf("the late duplicate Put %d blocks, want %d: the case under test did not occur", got, parts)
-	}
-	if n := stored(); n != 0 {
-		t.Fatalf("%d block(s) Put by a duplicate attempt after the Drop survive on the workers", n)
 	}
 
 	// An exchange nobody retired is retired by Close.
