@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"distenc/internal/graph"
@@ -408,5 +409,76 @@ func TestGridPartitionShipsFewerRows(t *testing.T) {
 		if grid, modeSplit := shuffled(true), shuffled(false); grid >= modeSplit {
 			t.Errorf("%s: grid blocking shuffled %d bytes, mode-0 blocking %d — expected a reduction", tc.name, grid, modeSplit)
 		}
+	}
+}
+
+// TestDivergedSolveIsAnError is ROADMAP F8's reproduction: one entry of the
+// 20×15×10 linear-factor tensor set to 1e20 or 1e40 drives the factors past
+// the float64 range within 30 iterations. Serial, at P = 1 and at P = 4 the
+// solve must return an error naming the iteration — never a Result, which
+// used to carry NaN factors — while the untouched tensor solves to finite
+// factors.
+func TestDivergedSolveIsAnError(t *testing.T) {
+	opt := Options{Rank: 3, MaxIter: 30, Tol: -1, Lambda: 1e-2, Seed: 1}
+	for _, big := range []float64{0, 1e20, 1e40} {
+		ts := synth.LinearFactorDataset([]int{20, 15, 10}, 3, 500, 9).Tensor
+		for e := range ts.Val {
+			if big != 0 && ts.Index(e)[0] == 0 && ts.Index(e)[1] == 0 && ts.Index(e)[2] == 0 {
+				ts.Val[e] = big // the cell distenc-gen writes first
+			}
+		}
+		for _, p := range []int{0, 1, 4} {
+			var res *Result
+			var err error
+			if p == 0 {
+				res, err = Complete(ts, nil, opt)
+			} else {
+				c := rdd.MustNewCluster(rdd.Config{Machines: p})
+				res, err = CompleteDistributed(c, ts, nil, DistOptions{Options: opt})
+				c.Close()
+			}
+			if big == 0 {
+				if err != nil {
+					t.Fatalf("P=%d: clean solve failed: %v", p, err)
+				}
+				for n, f := range res.Model.Factors {
+					for _, v := range f.Data() {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("P=%d: clean solve left %v in mode %d", p, v, n)
+						}
+					}
+				}
+				continue
+			}
+			if err == nil || res != nil {
+				t.Fatalf("entry %g, P=%d: solve returned %v, %v; want an error and no result", big, p, res, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "iteration ") || !strings.Contains(msg, "diverged") {
+				t.Fatalf("entry %g, P=%d: error %q names no iteration", big, p, msg)
+			}
+			t.Logf("entry %g, P=%d: %v", big, p, err)
+		}
+	}
+}
+
+// TestUpdateRefusesNonFiniteState: the driver update returns an error naming
+// the iteration and the mode, not a panic or NaN factors, when a current
+// factor holds an infinity (its Gram, computed on the first update) and when
+// an H_n does (the next Gram of that mode).
+func TestUpdateRefusesNonFiniteState(t *testing.T) {
+	ts := synth.LinearFactorDataset([]int{20, 15, 10}, 3, 500, 9).Tensor
+	opt := Options{Rank: 3, Seed: 1}.withDefaults()
+	st := newSolverState(ts, nil, opt)
+	hs, _ := naiveStageMTTKRP(ts, st.factors)
+	st.factors[1].Data()[4] = math.Inf(-1)
+	if _, err := st.update(hs); err == nil || !strings.Contains(err.Error(), "iteration 0, mode 1:") {
+		t.Fatalf("an infinite factor entry gave %v", err)
+	}
+	st = newSolverState(ts, nil, opt)
+	hs, _ = naiveStageMTTKRP(ts, st.factors)
+	st.iter = 6
+	hs[2].Data()[7] = math.NaN()
+	if _, err := st.update(hs); err == nil || !strings.Contains(err.Error(), "iteration 6, mode 2:") {
+		t.Fatalf("a NaN in H_2 gave %v", err)
 	}
 }

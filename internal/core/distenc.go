@@ -167,8 +167,14 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 		if err != nil {
 			return nil, err
 		}
+		if err := st.checkResidual(residNorm2); err != nil {
+			return nil, err
+		}
 		drvStart := time.Now()
-		delta := st.update(hs)
+		delta, err := st.update(hs)
+		if err != nil {
+			return nil, err
+		}
 		drvDur := time.Since(drvStart)
 		if opt.CheckpointEvery > 0 {
 			ckStart := time.Now()

@@ -1,18 +1,17 @@
-//go:build !race
+//go:build !race && !purego
 
 package core
 
 import (
 	"fmt"
 
+	"distenc/internal/cpu"
 	"distenc/internal/mat"
 )
 
-// hasVecKernel reports, once at init, whether this CPU and OS run the AVX2
-// body of the order-3 kernel; -race builds get kernel_other.go instead.
-var hasVecKernel = cpuAVX2()
-
-func cpuAVX2() bool
+// hasVecKernel reports whether this CPU and OS run the AVX2 body of the
+// order-3 kernel; -race and purego builds get kernel_other.go instead.
+var hasVecKernel = cpu.AVX2()
 
 // fusedBlock3AVX2 is the order-3 body in kernel_amd64.s: factors and slabs
 // row-major at row length rank, left = left1, left2, sum the ‖E‖² to add to,

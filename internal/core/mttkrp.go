@@ -207,7 +207,7 @@ func portableBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, ra
 			//bce:end
 		}
 		resid := val - model
-		norm2 += resid * resid
+		norm2 += float64(resid * resid)
 		// Backward sweep: suf = resid · ∗_{k>n} A(k)[i_k, :], so the mode-n
 		// partial is left[n] ⊙ suf, and one loop per mode both accumulates it
 		// and extends suf.
@@ -216,7 +216,7 @@ func portableBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, ra
 			dst := acc[last][int(lidx[last])*rank:][:len(suf)]
 			//bce:begin
 			for r, v := range lastLeft {
-				dst[r] += v * resid
+				dst[r] += float64(v * resid)
 				suf[r] = resid * row[r]
 			}
 			//bce:end
@@ -231,7 +231,7 @@ func portableBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, ra
 			dst := acc[n][int(lidx[n])*rank:][:len(suf)]
 			//bce:begin
 			for r, t := range suf {
-				dst[r] += lf[r] * t
+				dst[r] += float64(lf[r] * t)
 				suf[r] = t * row[r]
 			}
 			//bce:end

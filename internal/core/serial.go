@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -76,7 +77,10 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	start := time.Now()
 	for ; st.iter < opt.MaxIter; st.iter++ {
 		iterStart := time.Now()
-		delta := st.update(hs)
+		delta, err := st.update(hs)
+		if err != nil {
+			return nil, err
+		}
 		driver := time.Since(iterStart)
 		// The checkpoint write is neither kernel nor driver algebra: like the
 		// distributed loop's "checkpoint" span it stays out of both phases.
@@ -89,6 +93,9 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 		t0 := time.Now()
 		residNorm2 := mttkrp()
 		kernel := time.Since(t0)
+		if err := st.checkResidual(residNorm2); err != nil {
+			return nil, err
+		}
 		st.phases = append(st.phases, metrics.PhaseTimes{
 			Iter:      st.iter,
 			MTTKRPMap: kernel,
@@ -120,12 +127,15 @@ type solverState struct {
 	t   *sptensor.Tensor
 	opt Options
 	lap []*graph.Laplacian // nil entries: modes without a similarity
-	// factors are the A(n). A published factor matrix is never written: each
-	// iteration's A is a new matrix. No stage reads one after it returns, so
-	// recycling them is open (ROADMAP item 5).
-	factors []*mat.Dense
-	aux     []*mat.Dense // B(n)
-	mult    []*mat.Dense // Y(n), updated in place
+	// factors are the A(n). retired[n] is the matrix that held mode n's A
+	// one iteration back, nil until the first update: the update writes the
+	// next A into it and the two swap, so a warm iteration allocates no
+	// factor matrix. Nothing reads A_{t−1} by then: the serial kernel reads
+	// only A_t, and runStage returns only once every attempt it launched,
+	// speculative losers included, has stopped reading A_{t−1}.
+	factors, retired []*mat.Dense
+	aux              []*mat.Dense // B(n)
+	mult             []*mat.Dense // Y(n), updated in place
 	// spare[n] is what mode n's next B-step writes; it swaps with aux[n] once
 	// the mode's pass is done, so the step reads the previous B unchanged.
 	spare []*mat.Dense
@@ -134,8 +144,10 @@ type solverState struct {
 	// and the two sets swap when it commits: every mode's F_n reads the
 	// iteration-t Grams of all the others.
 	gram, nextGram []*mat.Dense
-	eta            float64
-	iter           int
+	// w holds one tile of the right-hand side H + ηB + Y − cA.
+	w    []float64
+	eta  float64
+	iter int
 
 	consensus float64
 	converged bool
@@ -150,6 +162,7 @@ func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *so
 		lap:     lap,
 		factors: initFactors(t.Dims, opt.Rank, opt.Seed),
 		eta:     opt.Eta0,
+		w:       make([]float64, driverTileRows(opt.Rank)*opt.Rank),
 	}
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
@@ -187,28 +200,43 @@ func driverTileRows(r int) int { return max(4, driverTileFloats/r&^3) }
 // (F_n + cI)⁻¹, c = λ+η, every other step is row-local, so a mode is one pass
 // over its rows in tiles of driverTileRows. Per tile:
 //   - the B-step on the tile's rows, from the previous B (auxRows);
-//   - per row, w = H + ηB + Y − cA and the new row A + w(F + cI)⁻¹, the
-//     one-multiply form of Algorithm 3 line 11, A ← (A·F + H + ηB + Y)
-//     (F + cI)⁻¹ (DESIGN.md §5);
-//   - per row, ‖ΔA‖² and ‖B − A‖² accumulated, and Y ← Y + η(B − A) in place
-//     (line 12);
+//   - w = H + ηB + Y − cA (driverRHS), and per row the new row
+//     A + w(F + cI)⁻¹ (mat.AxpyRows), the one-multiply form of Algorithm 3
+//     line 11, A ← (A·F + H + ηB + Y)(F + cI)⁻¹ (DESIGN.md §5);
+//   - ‖ΔA‖² and ‖B − A‖² accumulated, and Y ← Y + η(B − A) in place (line
+//     12; driverAdvance);
 //   - the tile's new rows added into the next iteration's Gram.
 //
 // Row products do not change under tiling, and both sums and the Gram's
 // row folds (mat.GramAddUpper) run through the tiles in ascending order. So
-// the pass computes what separate whole-matrix sweeps compute, bit for bit. It also records the consensus gap max_n ‖A(n)−B(n)‖_F
-// for the Algorithm 1 stopping criterion, and grows η (line 14).
-func (st *solverState) update(hs []*mat.Dense) float64 {
+// the pass computes what separate whole-matrix sweeps compute, bit for bit.
+// It also records the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1
+// stopping criterion, and grows η (line 14).
+//
+// The next A goes into retired[n] and B into spare[n], and Y and the Grams
+// are updated in place or alternate, so after the first call update
+// allocates nothing I-sized. It returns an error naming the iteration and
+// the mode when a Gram's diagonal is not finite, which a factor entry that
+// is not finite (or whose square overflows) makes it: the solve has diverged.
+func (st *solverState) update(hs []*mat.Dense) (float64, error) {
 	rank := st.opt.Rank
 	eta, c := st.eta, st.opt.Lambda+st.eta
 	tile := driverTileRows(rank)
-	w := make([]float64, rank) // one row of H + ηB + Y − cA
 	if st.gram == nil {
-		// The first update: every later one carries the Grams over from the
-		// pass before it.
+		// The first update, or the first after a restore: every later one
+		// carries the Grams over from the pass before it.
 		st.gram = make([]*mat.Dense, len(st.factors))
 		for n, f := range st.factors {
 			st.gram[n] = mat.Gram(f)
+			if err := st.checkGram(n, st.gram[n].Data()); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if st.retired == nil {
+		st.retired = make([]*mat.Dense, len(st.factors))
+		for n, f := range st.factors {
+			st.retired[n] = mat.NewDense(f.Dims())
 		}
 	}
 	var maxDelta, consensus float64
@@ -220,11 +248,10 @@ func (st *solverState) update(hs []*mat.Dense) float64 {
 		}
 		inv, err := mat.InverseSPD(lhs)
 		if err != nil {
-			// F + (λ+η)I is SPD by construction; reaching this means the
-			// factors carry non-finite values and iteration must stop.
-			panic("core: normal-equation matrix not SPD: " + err.Error())
+			// F + (λ+η)I is SPD by construction when the Grams are finite.
+			return 0, fmt.Errorf("core: iteration %d, mode %d: normal-equation matrix not SPD: %w", st.iter, n, err)
 		}
-		next := mat.NewDense(cur.Dims())
+		next := st.retired[n]
 		a := cur.Data()
 		nx, b := next.Data()[:len(a)], st.spare[n].Data()[:len(a)]
 		y, h := st.mult[n].Data()[:len(a)], hs[n].Data()[:len(a)]
@@ -234,45 +261,120 @@ func (st *solverState) update(hs []*mat.Dense) float64 {
 		for lo := 0; lo < cur.Rows(); lo += tile {
 			hi := min(lo+tile, cur.Rows())
 			st.auxRows(n, lo, hi)
-			for i := lo * rank; i < hi*rank; i += rank {
-				ai := a[i : i+rank]
-				hr, br, yr := h[i:][:len(ai)], b[i:][:len(ai)], y[i:][:len(ai)]
-				nr, wr := nx[i:][:len(ai)], w[:len(ai)]
-				//bce:begin
-				for r, av := range ai {
-					wr[r] = hr[r] + eta*br[r] + yr[r] - c*av
-				}
-				//bce:end
-				copy(nr, ai)
-				mat.AxpyRows(nr, wr, inv.Data())
-				//bce:begin
-				for r, nv := range nr {
-					d := nv - ai[r]
-					delta2 += d * d
-					gap := br[r] - nv
-					gap2 += gap * gap
-					yr[r] += eta * gap
-				}
-				//bce:end
+			t0, t1 := lo*rank, hi*rank
+			w := st.w[:t1-t0]
+			driverRHS(w, h[t0:t1], b[t0:t1], y[t0:t1], a[t0:t1], eta, c)
+			copy(nx[t0:t1], a[t0:t1])
+			for i := 0; i < len(w); i += rank {
+				mat.AxpyRows(nx[t0+i:t0+i+rank], w[i:i+rank], inv.Data())
 			}
-			mat.GramAddUpper(g, nx[lo*rank:hi*rank], rank)
+			delta2, gap2 = driverAdvance(nx[t0:t1], a[t0:t1], b[t0:t1], y[t0:t1], eta, delta2, gap2)
+			mat.GramAddUpper(g, nx[t0:t1], rank)
 		}
 		mat.MirrorUpper(g, rank)
+		if err := st.checkGram(n, g); err != nil {
+			return 0, err
+		}
 		maxDelta = math.Max(maxDelta, delta2)
 		consensus = math.Max(consensus, math.Sqrt(gap2))
-		st.factors[n] = next
+		st.factors[n], st.retired[n] = next, cur
 		st.aux[n], st.spare[n] = st.spare[n], st.aux[n]
 	}
 	st.gram, st.nextGram = st.nextGram, st.gram
 	st.eta = math.Min(st.opt.Rho*st.eta, st.opt.EtaMax)
 	st.consensus = consensus
-	return maxDelta
+	return maxDelta, nil
+}
+
+// checkGram returns an error naming the iteration and mode n when a diagonal
+// entry of n's r×r Gram g is not finite.
+func (st *solverState) checkGram(n int, g []float64) error {
+	r := st.opt.Rank
+	for i := 0; i < r; i++ {
+		if v := g[i*r+i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: iteration %d, mode %d: the factors diverged: Gram diagonal %d is %v", st.iter, n, i, v)
+		}
+	}
+	return nil
+}
+
+// checkResidual returns an error naming the iteration when the kernel's
+// ‖E‖²_F is not finite.
+func (st *solverState) checkResidual(residNorm2 float64) error {
+	if math.IsNaN(residNorm2) || math.IsInf(residNorm2, 0) {
+		return fmt.Errorf("core: iteration %d: the solve diverged: training ‖E‖² is %v", st.iter, residNorm2)
+	}
+	return nil
+}
+
+// useVecDriver routes the driver pass's element loops to their AVX2 bodies
+// (driver_amd64.s). It is hasVecDriver, decided once at init; tests clear it
+// to run the Go bodies on the same host.
+var useVecDriver = hasVecDriver
+
+// driverRHS sets w = H + ηB + Y − cA element by element; h, b, y and a hold
+// at least len(w) elements.
+func driverRHS(w, h, b, y, a []float64, eta, c float64) {
+	h, b, y, a = h[:len(w)], b[:len(w)], y[:len(w)], a[:len(w)]
+	if useVecDriver {
+		driverRHSAVX2(w, h, b, y, a, eta, c)
+		return
+	}
+	//bce:begin
+	for i, av := range a {
+		w[i] = h[i] + float64(eta*b[i]) + y[i] - float64(c*av)
+	}
+	//bce:end
+}
+
+// driverAdvance adds ‖A' − A‖² and ‖B − A'‖² over the elements of nx (A')
+// to delta2 and gap2, one element at a time in ascending order, and steps
+// Y ← Y + η(B − A'); a, b and y hold at least len(nx) elements. The AVX2
+// body folds its lanes into the two sums one at a time, lane 0 first, so
+// both stay the sequential sums.
+func driverAdvance(nx, a, b, y []float64, eta, delta2, gap2 float64) (float64, float64) {
+	a, b, y = a[:len(nx)], b[:len(nx)], y[:len(nx)]
+	if useVecDriver {
+		return driverAdvanceAVX2(nx, a, b, y, eta, delta2, gap2)
+	}
+	//bce:begin
+	for i, nv := range nx {
+		d := nv - a[i]
+		delta2 += float64(d * d)
+		gap := b[i] - nv
+		gap2 += float64(gap * gap)
+		y[i] += float64(eta * gap)
+	}
+	//bce:end
+	return delta2, gap2
+}
+
+// driverFreeB sets B = (ηA − Y)·(1/η), negatives clamped to zero under
+// nonNeg: the B-step of a mode without a similarity. a and y hold at least
+// len(b) elements.
+func driverFreeB(b, a, y []float64, eta float64, nonNeg bool) {
+	a, y = a[:len(b)], y[:len(b)]
+	inv := 1 / eta
+	if useVecDriver {
+		driverFreeBAVX2(b, a, y, eta, inv, nonNeg)
+		return
+	}
+	//bce:begin
+	for i, av := range a {
+		v := (float64(eta*av) - y[i]) * inv
+		if nonNeg && v < 0 {
+			v = 0
+		}
+		b[i] = v
+	}
+	//bce:end
 }
 
 // auxRows writes rows [lo, hi) of mode n's next B into spare[n] from
 // x = ηA(n) − Y(n) and the previous B: one damped-Jacobi step towards
 // (ηI + αL_n)⁻¹·x (graph.Laplacian.BStep) on a mode with a similarity, x/η
-// exactly on a mode without one, projected onto B ≥ 0 under NonNegative.
+// exactly on a mode without one (driverFreeB), projected onto B ≥ 0 under
+// NonNegative.
 func (st *solverState) auxRows(n, lo, hi int) {
 	rank, eta := st.opt.Rank, st.eta
 	b, a, y := st.spare[n].Data(), st.factors[n].Data(), st.mult[n].Data()
@@ -280,18 +382,7 @@ func (st *solverState) auxRows(n, lo, hi int) {
 		st.lap[n].BStep(b, st.aux[n].Data(), a, y, lo, hi, rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
 		return
 	}
-	inv, nonNeg := 1/eta, st.opt.NonNegative
-	bt := b[lo*rank : hi*rank]
-	at, yt := a[lo*rank:][:len(bt)], y[lo*rank:][:len(bt)]
-	//bce:begin
-	for i, av := range at {
-		v := (eta*av - yt[i]) * inv
-		if nonNeg && v < 0 {
-			v = 0
-		}
-		bt[i] = v
-	}
-	//bce:end
+	driverFreeB(b[lo*rank:hi*rank], a[lo*rank:], y[lo*rank:], eta, st.opt.NonNegative)
 }
 
 // stop reports whether either stopping criterion fired for delta.

@@ -77,8 +77,9 @@ func referenceIterate(st *solverState, grams, hs []*mat.Dense) (next, bs, mult [
 // right-hand side H + ηB + Y − cA into an I×R workspace; A + W(F + cI)⁻¹ by
 // mat.MulAddInto into a new matrix; then, once every mode is done, one pass
 // per mode for ‖ΔA‖², ‖B − A‖² and Y. It commits into st exactly as update
-// does, apart from B living in new matrices instead of the ping-pong pair,
-// and leaves st.gram alone.
+// does, apart from A and B living in new matrices instead of the ping-pong
+// pairs, and leaves st.gram alone. Its products are rounded before they are
+// added, as the pass's are, so it holds on every target.
 func sweepUpdate(st *solverState, hs []*mat.Dense) float64 {
 	order := st.t.Order()
 	grams := make([]*mat.Dense, order)
@@ -95,7 +96,7 @@ func sweepUpdate(st *solverState, hs []*mat.Dense) float64 {
 			st.lap[n].BStep(bd, st.aux[n].Data(), a, y, 0, st.factors[n].Rows(), st.opt.Rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
 		} else {
 			for i, av := range a {
-				v := eta*av - y[i]
+				v := float64(eta*av) - y[i]
 				bd[i] = v * (1 / eta)
 				if st.opt.NonNegative && bd[i] < 0 {
 					bd[i] = 0
@@ -114,7 +115,7 @@ func sweepUpdate(st *solverState, hs []*mat.Dense) float64 {
 		work := mat.NewDense(st.factors[n].Dims())
 		w, h := work.Data(), hs[n].Data()
 		for i, av := range a {
-			w[i] = h[i] + eta*bd[i] + y[i] - c*av
+			w[i] = h[i] + float64(eta*bd[i]) + y[i] - float64(c*av)
 		}
 		next[n] = mat.NewDense(st.factors[n].Dims())
 		mat.MulAddInto(next[n], 1, st.factors[n], work, inv)
@@ -126,10 +127,10 @@ func sweepUpdate(st *solverState, hs []*mat.Dense) float64 {
 		var delta2, gap2 float64
 		for i, nv := range nx {
 			d := nv - a[i]
-			delta2 += d * d
+			delta2 += float64(d * d)
 			gap := b[i] - nv
-			gap2 += gap * gap
-			y[i] += st.eta * gap
+			gap2 += float64(gap * gap)
+			y[i] += float64(st.eta * gap)
 		}
 		maxDelta = math.Max(maxDelta, delta2)
 		consensus = math.Max(consensus, math.Sqrt(gap2))
@@ -197,7 +198,7 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 						}
 						hs, _ := naiveStageMTTKRP(ts, st.factors)
 						wantNext, wantBs, wantMult, wantDelta, wantCons := referenceIterate(st, grams, hs)
-						delta := st.update(hs)
+						delta := mustUpdate(t, st, hs)
 						matsClose(t, "next", st.factors, wantNext, tol)
 						matsClose(t, "bs", st.aux, wantBs, tol)
 						matsClose(t, "mult", st.mult, wantMult, tol)
@@ -212,11 +213,13 @@ func TestFusedUpdateMatchesReferenceComposition(t *testing.T) {
 }
 
 // TestFusedUpdateMatchesSweepsBits holds the one-pass update to the separate
-// sweeps it replaced (sweepUpdate), Float64bits-equal in A, B, Y, both
-// convergence values and the Grams it carries into the next iteration, over
-// four iterations: order 3 and 4, with and without similarities, NonNegative
-// on and off, and on mode lengths that straddle the tile — below one tile,
-// one tile + 1, every I mod 4 in {1, 2, 3}, and a length-1 mode.
+// sweeps it replaced (sweepUpdate, run on the Go bodies), Float64bits-equal
+// in A, B, Y, both convergence values and the Grams it carries into the next
+// iteration, over four iterations, with each body set of the pass in turn
+// (the Go bodies, and the AVX2 ones where the host has them): order 3 and 4,
+// with and without similarities, NonNegative on and off, and on mode lengths
+// that straddle the tile — below one tile, one tile + 1, every I mod 4 in
+// {1, 2, 3}, and a length-1 mode.
 func TestFusedUpdateMatchesSweepsBits(t *testing.T) {
 	const rank = 5
 	tile := driverTileRows(rank)
@@ -232,22 +235,29 @@ func TestFusedUpdateMatchesSweepsBits(t *testing.T) {
 						sims[0], sims[1] = ringSimilarity(dims[0]), ringSimilarity(dims[1])
 					}
 					opt := Options{Rank: rank, Seed: 4, NonNegative: nonNeg}.withDefaults()
-					st := newSolverState(ts, laplacians(sims), opt)
-					ref := newSolverState(ts, laplacians(sims), opt)
-					for iter := 0; iter < 4; iter++ {
-						hs, _ := naiveStageMTTKRP(ts, st.factors)
-						delta, wantDelta := st.update(hs), sweepUpdate(ref, hs)
-						what := fmt.Sprintf("iter %d", iter)
-						assertBitIdentical(t, what+" A", ref.factors, st.factors)
-						assertBitIdentical(t, what+" B", ref.aux, st.aux)
-						assertBitIdentical(t, what+" Y", ref.mult, st.mult)
-						wantGrams := make([]*mat.Dense, len(ref.factors))
-						for n, f := range ref.factors {
-							wantGrams[n] = mat.MulATB(f, f)
-						}
-						assertBitIdentical(t, what+" Gram", wantGrams, st.gram)
-						if math.Float64bits(delta) != math.Float64bits(wantDelta) || math.Float64bits(st.consensus) != math.Float64bits(ref.consensus) {
-							t.Fatalf("%s: delta %v (sweeps %v), consensus %v (sweeps %v)", what, delta, wantDelta, st.consensus, ref.consensus)
+					for _, body := range driverBodyNames() {
+						st := newSolverState(ts, laplacians(sims), opt)
+						ref := newSolverState(ts, laplacians(sims), opt)
+						for iter := 0; iter < 4; iter++ {
+							hs, _ := naiveStageMTTKRP(ts, st.factors)
+							undo := setDriverBodies(body == "avx2")
+							delta := mustUpdate(t, st, hs)
+							undo()
+							undo = setDriverBodies(false)
+							wantDelta := sweepUpdate(ref, hs)
+							wantGrams := make([]*mat.Dense, len(ref.factors))
+							for n, f := range ref.factors {
+								wantGrams[n] = mat.MulATB(f, f)
+							}
+							undo()
+							what := fmt.Sprintf("%s bodies, iter %d", body, iter)
+							assertBitIdentical(t, what+" A", ref.factors, st.factors)
+							assertBitIdentical(t, what+" B", ref.aux, st.aux)
+							assertBitIdentical(t, what+" Y", ref.mult, st.mult)
+							assertBitIdentical(t, what+" Gram", wantGrams, st.gram)
+							if math.Float64bits(delta) != math.Float64bits(wantDelta) || math.Float64bits(st.consensus) != math.Float64bits(ref.consensus) {
+								t.Fatalf("%s: delta %v (sweeps %v), consensus %v (sweeps %v)", what, delta, wantDelta, st.consensus, ref.consensus)
+							}
 						}
 					}
 				})
@@ -256,19 +266,19 @@ func TestFusedUpdateMatchesSweepsBits(t *testing.T) {
 	}
 }
 
-// TestDriverUpdateAllocatesOnlyPublishedMatrices is the allocation budget of
-// one warm driver update: the only I-sized allocations are the next factor
-// matrices it publishes. Those cannot be reused buffers: a speculative map
-// attempt that lost its race may still be reading the previous factors
-// (MTTKRPStage), so a published A is never written again. B ping-pongs
-// between two solver-owned buffers, Y is updated in place, the Grams
-// alternate between two R×R sets, and the B-step allocates nothing. The byte
-// budget is those matrices plus a fixed allowance for the R×R pieces (Gram
-// products, Cholesky factor and inverse); the object count must not depend on
-// I at all.
-func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
+// TestDriverUpdateAllocatesNothingISized is the allocation budget of one warm
+// driver update: nothing I-sized. The next A goes into the matrix that held
+// the A before the current one (retired), B ping-pongs between two
+// solver-owned buffers, Y is updated in place, the Grams alternate between
+// two R×R sets, the right-hand side goes through one R-wide tile, and the
+// B-step allocates nothing. What is left is R×R work per mode — Gram
+// products, the normal matrix, its Cholesky factor and inverse — so the
+// byte budget is a fixed allowance of R×R matrices per mode, the object count
+// must not depend on I at all, and the same budget holds for either body
+// set.
+func TestDriverUpdateAllocatesNothingISized(t *testing.T) {
 	const rank = 8
-	measure := func(dims []int) (objects int, bytes, published uint64) {
+	measure := func(dims []int) (objects int, bytes uint64) {
 		rng := rand.New(rand.NewPCG(7, 8))
 		ts := randomTensor(dims, 2000, rng)
 		ts.Dedupe()
@@ -276,26 +286,30 @@ func TestDriverUpdateAllocatesOnlyPublishedMatrices(t *testing.T) {
 		sims[0] = ringSimilarity(dims[0])
 		opt := Options{Rank: rank, Seed: 2}.withDefaults()
 		st := newSolverState(ts, laplacians(sims), opt)
-		for _, d := range dims {
-			published += uint64(d) * rank * 8
-		}
 		hs, _ := naiveStageMTTKRP(ts, st.factors)
-		step := func() { st.update(hs) }
+		step := func() { mustUpdate(t, st, hs) }
+		step() // the first update allocates the retired factors
 		objects = int(testing.AllocsPerRun(5, step))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		step()
 		runtime.ReadMemStats(&after)
-		return objects, after.TotalAlloc - before.TotalAlloc, published
+		return objects, after.TotalAlloc - before.TotalAlloc
 	}
-	smallN, _, _ := measure([]int{300, 250, 40})
-	largeN, largeBytes, published := measure([]int{3000, 2500, 40})
-	if smallN != largeN {
-		t.Errorf("driver update allocates %d objects at I=300 and %d at I=3000: the count must not depend on I", smallN, largeN)
-	}
-	// Large allocations round up to whole pages; the remainder is R×R work.
-	if slack := uint64(64 << 10); largeBytes > published+slack {
-		t.Errorf("driver update allocated %d bytes; the published next factors are %d (+%d allowed)", largeBytes, published, slack)
+	for _, body := range driverBodyNames() {
+		undo := setDriverBodies(body == "avx2")
+		dims := []int{3000, 2500, 40}
+		smallN, _ := measure([]int{300, 250, 40})
+		largeN, largeBytes := measure(dims)
+		undo()
+		if smallN != largeN {
+			t.Errorf("%s bodies: driver update allocates %d objects at I=300 and %d at I=3000: the count must not depend on I", body, smallN, largeN)
+		}
+		// Eight R×R matrices a mode, headers included, is the allowance: a
+		// single I×R allocation at I = 2 500 is 160 000 bytes.
+		if slack := uint64(8 * len(dims) * (rank*rank*8 + 64)); largeBytes > slack {
+			t.Errorf("%s bodies: driver update allocated %d bytes, more than the %d of its R×R work: something I-sized was allocated", body, largeBytes, slack)
+		}
 	}
 }
 
@@ -480,9 +494,9 @@ func communitySimilarity(n, blocks, deg int, rng *rand.Rand) *graph.Similarity {
 // 25 000 × 25 000 × 5 at R = 16, with 12-community similarities on the two
 // long modes. The state is one update past initialization and is restored
 // before every op, outside the timer, so every op does the same work. The
-// /ref sibling runs the separate sweeps the one-pass update replaced
-// (sweepUpdate, the parent's Gram loop + iterateWith + advance) on the same
-// state: the in-repo before/after.
+// /ref sibling runs the same pass on the Go bodies of every loop (its own,
+// mat's and graph's): the ledger gates the AVX2 pass on its share of that
+// (BENCH_driver.json).
 func BenchmarkDriverUpdate(b *testing.B) {
 	const rank = 16
 	dims := []int{25_000, 25_000, 5}
@@ -498,18 +512,21 @@ func BenchmarkDriverUpdate(b *testing.B) {
 			hs[n].Data()[i] = rng.NormFloat64()
 		}
 	}
-	st.update(hs)
-	factors, aux, spare := slices.Clone(st.factors), slices.Clone(st.aux), slices.Clone(st.spare)
+	mustUpdate(b, st, hs)
+	factors, retired := slices.Clone(st.factors), slices.Clone(st.retired)
+	aux, spare := slices.Clone(st.aux), slices.Clone(st.spare)
 	gram, nextGram, eta := st.gram, st.nextGram, st.eta
 	mult := make([]*mat.Dense, len(dims))
 	for n, y := range st.mult {
 		mult[n] = y.Clone()
 	}
-	// restore undoes an op: the update writes only spare, nextGram, Y and
-	// the slots of these slices, and never a published factor or the B it
-	// read.
+	// restore undoes an op. The update writes only retired, spare, nextGram,
+	// Y and the slots of these slices, never a current factor or the B it
+	// read; putting the retired and spare slots back too means an op always
+	// writes into the buffers the snapshot does not hold.
 	restore := func() {
 		copy(st.factors, factors)
+		copy(st.retired, retired)
 		copy(st.aux, aux)
 		copy(st.spare, spare)
 		st.gram, st.nextGram, st.eta = gram, nextGram, eta
@@ -517,21 +534,18 @@ func BenchmarkDriverUpdate(b *testing.B) {
 			copy(y.Data(), mult[n].Data())
 		}
 	}
-	for _, k := range []struct {
-		name string
-		op   func()
-	}{
-		{"highdim", func() { st.update(hs) }},
-		{"highdim/ref", func() { sweepUpdate(st, hs) }},
-	} {
-		b.Run(k.name, func(b *testing.B) {
+	for _, name := range []string{"highdim", "highdim/ref"} {
+		b.Run(name, func(b *testing.B) {
+			if name == "highdim/ref" {
+				usePortableDriver(b)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				restore()
 				b.StartTimer()
-				k.op()
+				mustUpdate(b, st, hs)
 			}
 		})
 	}

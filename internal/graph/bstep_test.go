@@ -88,7 +88,9 @@ func TestBStepRows(t *testing.T) {
 }
 
 // plainBStep is the B-step with one neighbour row per sweep, the loop BStep
-// folds four at a time; the test reference for its bits.
+// folds four at a time and runs four columns wide; the test reference for its
+// bits and the /ref sibling of BenchmarkLaplacianBStep. Its products are
+// rounded before they are added, as the step's are.
 func plainBStep(l *Laplacian, dst, prev, a, y []float64, rank int, eta, alpha float64, nonNeg bool) {
 	for i, d := range l.deg {
 		out := dst[i*rank : (i+1)*rank]
@@ -98,12 +100,12 @@ func plainBStep(l *Laplacian, dst, prev, a, y []float64, rank int, eta, alpha fl
 		for k := l.off[i]; k < l.off[i+1]; k++ {
 			j, s := int(l.col[k]), l.w[k]
 			for r := range out {
-				out[r] += s * prev[j*rank+r]
+				out[r] += float64(s * prev[j*rank+r])
 			}
 		}
-		inv := 1 / (eta + 2*alpha*d)
+		inv := 1 / (eta + float64(2*alpha*d))
 		for r, v := range out {
-			out[r] = (eta*a[i*rank+r] - y[i*rank+r] + alpha*v) * inv
+			out[r] = (float64(eta*a[i*rank+r]) - y[i*rank+r] + float64(alpha*v)) * inv
 			if nonNeg && out[r] < 0 {
 				out[r] = 0
 			}
@@ -111,11 +113,26 @@ func plainBStep(l *Laplacian, dst, prev, a, y []float64, rank int, eta, alpha fl
 	}
 }
 
-// TestBStepMatchesPlainLoopBits: folding four neighbours per sweep, and
-// taking the step in row tiles, changes no bit of the result — on a
-// community graph whose degrees cover every remainder mod 4, with weighted
-// edges, at ranks below, at and above a sweep's width, clamp on and off. A
-// tiled call writes only its own rows.
+// bstepBodies runs f once per body BStep can dispatch to on this host: the
+// Go body always, the AVX2 one where the build and CPU have it.
+func bstepBodies(t *testing.T, f func(t *testing.T)) {
+	old := useVecBStep
+	defer func() { useVecBStep = old }()
+	for _, vec := range []bool{false, true} {
+		if vec && !hasVecBStep {
+			continue
+		}
+		useVecBStep = vec
+		t.Run(map[bool]string{false: "go", true: "avx2"}[vec], f)
+	}
+}
+
+// TestBStepMatchesPlainLoopBits: folding four neighbours per sweep, running
+// four columns wide, and taking the step in row tiles change no bit of the
+// result — each body on a community graph whose degrees cover every
+// remainder mod 4, with weighted edges, at ranks below, at and above a
+// sweep's width and at every tail of the AVX2 body's sixteen- and four-column
+// steps, clamp on and off. A tiled call writes only its own rows.
 func TestBStepMatchesPlainLoopBits(t *testing.T) {
 	const n, eta, alpha = 300, 1.3, 0.2
 	rng := rand.New(rand.NewPCG(23, 24))
@@ -129,36 +146,58 @@ func TestBStepMatchesPlainLoopBits(t *testing.T) {
 	if len(mods) != 4 {
 		t.Fatalf("degrees cover remainders %v mod 4, want all four", mods)
 	}
-	for _, rank := range []int{1, 3, 16} {
-		a, y, prev := randRows(n, rank, rng), randRows(n, rank, rng), randRows(n, rank, rng)
-		for _, nonNeg := range []bool{false, true} {
-			want := make([]float64, n*rank)
-			plainBStep(l, want, prev.Data(), a.Data(), y.Data(), rank, eta, alpha, nonNeg)
-			whole := make([]float64, n*rank)
-			l.BStep(whole, prev.Data(), a.Data(), y.Data(), 0, n, rank, eta, alpha, nonNeg)
-			tiled := make([]float64, n*rank)
-			for lo := 0; lo < n; lo += 28 {
-				hi := min(lo+28, n)
-				l.BStep(tiled, prev.Data(), a.Data(), y.Data(), lo, hi, rank, eta, alpha, nonNeg)
-				for i, v := range tiled[hi*rank:] {
-					if v != 0 {
-						t.Fatalf("rank %d: the call on rows [%d, %d) wrote element %d", rank, lo, hi, hi*rank+i)
+	bstepBodies(t, func(t *testing.T) {
+		for _, rank := range []int{1, 3, 5, 16, 19, 33} {
+			a, y, prev := randRows(n, rank, rng), randRows(n, rank, rng), randRows(n, rank, rng)
+			for _, nonNeg := range []bool{false, true} {
+				want := make([]float64, n*rank)
+				plainBStep(l, want, prev.Data(), a.Data(), y.Data(), rank, eta, alpha, nonNeg)
+				whole := make([]float64, n*rank)
+				l.BStep(whole, prev.Data(), a.Data(), y.Data(), 0, n, rank, eta, alpha, nonNeg)
+				tiled := make([]float64, n*rank)
+				for lo := 0; lo < n; lo += 28 {
+					hi := min(lo+28, n)
+					l.BStep(tiled, prev.Data(), a.Data(), y.Data(), lo, hi, rank, eta, alpha, nonNeg)
+					for i, v := range tiled[hi*rank:] {
+						if v != 0 {
+							t.Fatalf("rank %d: the call on rows [%d, %d) wrote element %d", rank, lo, hi, hi*rank+i)
+						}
+					}
+				}
+				for i, v := range want {
+					if math.Float64bits(whole[i]) != math.Float64bits(v) || math.Float64bits(tiled[i]) != math.Float64bits(v) {
+						t.Fatalf("rank %d nonNeg=%v: element %d = %v whole, %v tiled; the plain loop gives %v", rank, nonNeg, i, whole[i], tiled[i], v)
 					}
 				}
 			}
-			for i, v := range want {
-				if math.Float64bits(whole[i]) != math.Float64bits(v) || math.Float64bits(tiled[i]) != math.Float64bits(v) {
-					t.Fatalf("rank %d nonNeg=%v: element %d = %v whole, %v tiled; the plain loop gives %v", rank, nonNeg, i, whole[i], tiled[i], v)
-				}
-			}
 		}
-	}
+	})
+}
+
+// TestBStepRejectsBadAdjacency: a neighbour id outside the graph panics in
+// either body instead of reading outside prev.
+func TestBStepRejectsBadAdjacency(t *testing.T) {
+	s := NewSimilarity(3)
+	s.AddEdge(0, 1, 1)
+	l := NewLaplacian(s)
+	l.col[0] = 7
+	m := make([]float64, 3*4)
+	bstepBodies(t, func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("BStep over a neighbour id past the graph did not panic")
+			}
+		}()
+		l.BStep(make([]float64, len(m)), m, m, m, 0, 3, 4, 1, 0.5, false)
+	})
 }
 
 // BenchmarkLaplacianBStep times the B-step the solver takes per similarity
 // mode and iteration, at R = 16 on community graphs of the shape of the
 // solve-highdim (25 000 nodes) and canary (4 000) workloads, built the way
-// BenchmarkTruncatedSpectral builds them.
+// BenchmarkTruncatedSpectral builds them. Each /ref sibling runs plainBStep,
+// the one-neighbour-at-a-time Go loop, on the same inputs: the ledger gates
+// BStep on its share of that (BENCH_spectral.json).
 func BenchmarkLaplacianBStep(b *testing.B) {
 	const rank = 16
 	for _, bc := range []struct {
@@ -172,12 +211,20 @@ func BenchmarkLaplacianBStep(b *testing.B) {
 		l := NewLaplacian(communityGraph(bc.n, 12, 3, rng))
 		a, y, prev := randRows(bc.n, rank, rng), randRows(bc.n, rank, rng), randRows(bc.n, rank, rng)
 		dst := mat.NewDense(bc.n, rank)
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				l.BStep(dst.Data(), prev.Data(), a.Data(), y.Data(), 0, bc.n, rank, 1, 0.1, false)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.n), "ns/row")
-		})
+		for _, k := range []struct {
+			name string
+			step func()
+		}{
+			{bc.name, func() { l.BStep(dst.Data(), prev.Data(), a.Data(), y.Data(), 0, bc.n, rank, 1, 0.1, false) }},
+			{bc.name + "/ref", func() { plainBStep(l, dst.Data(), prev.Data(), a.Data(), y.Data(), rank, 1, 0.1, false) }},
+		} {
+			b.Run(k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					k.step()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.n), "ns/row")
+			})
+		}
 	}
 }

@@ -145,6 +145,11 @@ func (l *Laplacian) Apply(dst, x []float64) {
 	}
 }
 
+// useVecBStep routes BStep to its AVX2 body (bstep_amd64.s). It is
+// hasVecBStep, decided once at init; tests clear it to run the Go body on the
+// same host.
+var useVecBStep = hasVecBStep
+
 // BStep takes one damped-Jacobi step towards the solution of
 // (ηI + αL)·B = ηA − Y, Algorithm 1 line 4, on I×R row-major matrices:
 //
@@ -160,9 +165,10 @@ func (l *Laplacian) Apply(dst, x []float64) {
 // All four matrices are the whole I×R; only rows [lo, hi) of dst are
 // written, and only those rows of a and y (and any row of prev) are read, so
 // a caller can take the step a tile of rows at a time. Neighbour rows are
-// folded four per sweep, added left to right in adjacency order, so the sums
-// are those of the one-neighbour-at-a-time loop bit for bit. dst must not
-// overlap prev, a or y.
+// added in adjacency order, each product rounded before it is added. Where
+// the CPU has AVX2 the step runs four columns a step, each column's
+// operations those of the Go body, so the two agree bit for bit (DESIGN.md
+// §5). dst must not overlap prev, a or y.
 //
 //distenc:hotpath
 func (l *Laplacian) BStep(dst, prev, a, y []float64, lo, hi, rank int, eta, alpha float64, nonNeg bool) {
@@ -172,6 +178,26 @@ func (l *Laplacian) BStep(dst, prev, a, y []float64, lo, hi, rank int, eta, alph
 	if lo < 0 || hi > len(l.deg) || lo > hi {
 		panic("graph: BStep on a row range outside the matrix")
 	}
+	if !useVecBStep {
+		l.bstepGo(dst, prev, a, y, lo, hi, rank, eta, alpha, nonNeg)
+		return
+	}
+	if len(l.w) != len(l.col) || len(l.off) != len(l.deg)+1 {
+		panic("graph: BStep on a malformed Laplacian")
+	}
+	if bad := bstepAVX2(dst, prev, a, y, l.off, l.col, l.w, l.deg, lo, hi, rank, eta, alpha, nonNeg); bad >= 0 {
+		panic(fmt.Sprintf("graph: BStep row %d has adjacency entries outside the graph", bad))
+	}
+}
+
+// bstepGo is BStep's portable body. Neighbour rows are folded four per
+// sweep, added left to right in adjacency order, so the sums are those of
+// the one-neighbour-at-a-time loop bit for bit. Every product is rounded
+// before it is added (float64(·) keeps the compiler from fusing the two, as
+// it would on arm64).
+//
+//distenc:hotpath
+func (l *Laplacian) bstepGo(dst, prev, a, y []float64, lo, hi, rank int, eta, alpha float64, nonNeg bool) {
 	for i := lo; i < hi; i++ {
 		d := l.deg[i]
 		out := dst[i*rank:][:rank]
@@ -192,7 +218,7 @@ func (l *Laplacian) BStep(dst, prev, a, y []float64, lo, hi, rank int, eta, alph
 			p3 := prev[int(cols[k+3])*rank:][:len(out)]
 			//bce:begin
 			for r := range out {
-				out[r] = out[r] + s0*p0[r] + s1*p1[r] + s2*p2[r] + s3*p3[r]
+				out[r] = out[r] + float64(s0*p0[r]) + float64(s1*p1[r]) + float64(s2*p2[r]) + float64(s3*p3[r])
 			}
 			//bce:end
 		}
@@ -201,15 +227,15 @@ func (l *Laplacian) BStep(dst, prev, a, y []float64, lo, hi, rank int, eta, alph
 			s := ws[k]
 			//bce:begin
 			for r, v := range pj {
-				out[r] += s * v
+				out[r] += float64(s * v)
 			}
 			//bce:end
 		}
 		ai, yi := a[i*rank:][:len(out)], y[i*rank:][:len(out)]
-		inv := 1 / (eta + 2*alpha*d)
+		inv := 1 / (eta + float64(2*alpha*d))
 		//bce:begin
 		for r, v := range out {
-			out[r] = (eta*ai[r] - yi[r] + alpha*v) * inv
+			out[r] = (float64(eta*ai[r]) - yi[r] + float64(alpha*v)) * inv
 		}
 		//bce:end
 		if nonNeg {

@@ -183,14 +183,36 @@ func MulAddInto(dst *Dense, s float64, c, a, b *Dense) {
 	}
 }
 
+// useVecRows routes AxpyRows and GramAddUpper to their AVX2 bodies
+// (rows_amd64.s). It is hasVecRows, decided once at init; tests clear it to
+// run the Go bodies on the same host.
+var useVecRows = hasVecRows
+
 // AxpyRows accumulates dst += Σ_k x[k]·b[k·n : (k+1)·n] with n = len(dst):
-// one row of a matrix product in ikj order. Four b rows are consumed per
-// sweep with their multipliers held in registers, so dst is loaded and
-// stored once per four multiply-adds instead of once per one; the additions
-// still happen in ascending k, so the result is bit-identical to the plain
-// one-row-at-a-time loop. The inner loops carry no bounds checks
-// (scripts/check_bce.sh keeps it so).
+// one row of a matrix product in ikj order, the additions in ascending k.
+// dst must not overlap x or b. Where the CPU has AVX2 it runs four columns a
+// step with each column's sum in a register; every column sees the same
+// roundings in the same order as the Go body, so the two agree bit for bit
+// (DESIGN.md §5).
 func AxpyRows(dst, x, b []float64) {
+	if useVecRows {
+		if len(b) < len(x)*len(dst) {
+			panic(fmt.Sprintf("mat: AxpyRows of %d rows of width %d from %d values", len(x), len(dst), len(b)))
+		}
+		axpyRowsAVX2(dst, x, b)
+		return
+	}
+	axpyRowsGo(dst, x, b)
+}
+
+// axpyRowsGo is AxpyRows' portable body. Four b rows are consumed per sweep
+// with their multipliers held in registers, so dst is loaded and stored once
+// per four multiply-adds instead of once per one; the additions still happen
+// in ascending k, so the result is bit-identical to the plain
+// one-row-at-a-time loop. Every product is rounded before it is added
+// (float64(·) keeps the compiler from fusing the two, as it would on arm64).
+// The inner loops carry no bounds checks (scripts/check_bce.sh keeps it so).
+func axpyRowsGo(dst, x, b []float64) {
 	n := len(dst)
 	k := 0
 	for ; k+4 <= len(x); k += 4 {
@@ -201,7 +223,7 @@ func AxpyRows(dst, x, b []float64) {
 		b3 := b[(k+3)*n : (k+4)*n][:len(dst)]
 		//bce:begin
 		for j := range dst {
-			dst[j] = dst[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+			dst[j] = dst[j] + float64(x0*b0[j]) + float64(x1*b1[j]) + float64(x2*b2[j]) + float64(x3*b3[j])
 		}
 		//bce:end
 	}
@@ -210,7 +232,7 @@ func AxpyRows(dst, x, b []float64) {
 		brow := b[k*n : (k+1)*n][:len(dst)]
 		//bce:begin
 		for j := range dst {
-			dst[j] += xv * brow[j]
+			dst[j] += float64(xv * brow[j])
 		}
 		//bce:end
 	}
@@ -237,7 +259,7 @@ func MulATB(a, b *Dense) *Dense {
 			drow := out.data[i*n : (i+1)*n][:len(b0)]
 			//bce:begin
 			for j := range drow {
-				drow[j] = drow[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+				drow[j] = drow[j] + float64(x0*b0[j]) + float64(x1*b1[j]) + float64(x2*b2[j]) + float64(x3*b3[j])
 			}
 			//bce:end
 		}
@@ -280,16 +302,36 @@ func Gram(a *Dense) *Dense {
 }
 
 // GramAddUpper adds the upper triangle (j ≥ i) of rowsᵀ·rows to g, the
-// row-major r×r accumulator, where rows holds len(rows)/r rows of length r.
-// Like MulATB it folds four rows per sweep but adds them left to right, in
-// ascending row order, as the one-row-at-a-time loop would; and a product
-// x_i·x_j rounds the same as x_j·x_i. So accumulating a matrix in pieces of
-// any height, in order, and then mirroring reproduces MulATB(a, a) bit for
-// bit. The lower triangle of g is not touched.
+// row-major r×r accumulator, where rows holds len(rows)/r rows of length r,
+// each entry's terms added in ascending row order; and a product x_i·x_j
+// rounds the same as x_j·x_i. So accumulating a matrix in pieces of any
+// height, in order, and then mirroring reproduces MulATB(a, a) bit for bit.
+// The lower triangle of g is not touched. Where the CPU has AVX2 it runs four
+// columns a step, bit for bit the Go body (DESIGN.md §5).
 func GramAddUpper(g, rows []float64, r int) {
 	if len(g) != r*r || len(rows)%r != 0 {
 		panic(fmt.Sprintf("mat: GramAddUpper of %d values into %d at width %d", len(rows), len(g), r))
 	}
+	if useVecRows {
+		// The AVX2 body sweeps its rows once per row of g, so it takes them
+		// an L1-sized chunk at a time; chunks in order add in order.
+		step := max(1, gramChunkFloats/r) * r
+		for lo := 0; lo < len(rows); lo += step {
+			gramAddUpperAVX2(g, rows[lo:min(lo+step, len(rows))], r)
+		}
+		return
+	}
+	gramAddUpperGo(g, rows, r)
+}
+
+// gramChunkFloats bounds the rows one call of the AVX2 GramAddUpper body
+// reads, 8 KB of them.
+const gramChunkFloats = 1024
+
+// gramAddUpperGo is GramAddUpper's portable body. Like MulATB it folds four
+// rows per sweep but adds them left to right, in ascending row order, as the
+// one-row-at-a-time loop would, each product rounded before it is added.
+func gramAddUpperGo(g, rows []float64, r int) {
 	n := len(rows) / r
 	k := 0
 	for ; k+4 <= n; k += 4 {
@@ -301,7 +343,7 @@ func GramAddUpper(g, rows []float64, r int) {
 			b0, b1, b2, b3 := a0[i:][:len(drow)], a1[i:][:len(drow)], a2[i:][:len(drow)], a3[i:][:len(drow)]
 			//bce:begin
 			for j := range drow {
-				drow[j] = drow[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+				drow[j] = drow[j] + float64(x0*b0[j]) + float64(x1*b1[j]) + float64(x2*b2[j]) + float64(x3*b3[j])
 			}
 			//bce:end
 		}
@@ -313,7 +355,7 @@ func GramAddUpper(g, rows []float64, r int) {
 			b0 := a0[i:][:len(drow)]
 			//bce:begin
 			for j := range drow {
-				drow[j] += x * b0[j]
+				drow[j] += float64(x * b0[j])
 			}
 			//bce:end
 		}

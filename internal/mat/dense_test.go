@@ -292,11 +292,12 @@ func TestBlockedProductsMatchNaiveBits(t *testing.T) {
 // MulATB(a, a) bit for bit, whole and accumulated tile by tile in row order
 // (how the solver's driver pass builds the next Grams; a 7-row tile leaves a
 // different remainder in every tile), on row counts with every remainder
-// mod 4 and on widths below, at and above one four-wide sweep.
+// mod 4 and one (300) that spans several chunks of the AVX2 body, and on
+// widths below, at and above one four-wide sweep.
 func TestGramMatchesMulATBBits(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
 	for _, cols := range []int{1, 3, 10, 16} {
-		for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 300} {
 			a := randDense(rng, rows, cols)
 			want := MulATB(a, a)
 			tiled := NewDense(cols, cols)

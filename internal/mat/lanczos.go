@@ -163,10 +163,10 @@ func dotRows(h, x, b []float64) {
 		var s0, s1, s2, s3 float64
 		//bce:begin
 		for e, xv := range x {
-			s0 += b0[e] * xv
-			s1 += b1[e] * xv
-			s2 += b2[e] * xv
-			s3 += b3[e] * xv
+			s0 += float64(b0[e] * xv)
+			s1 += float64(b1[e] * xv)
+			s2 += float64(b2[e] * xv)
+			s3 += float64(b3[e] * xv)
 		}
 		//bce:end
 		h[k], h[k+1], h[k+2], h[k+3] = s0, s1, s2, s3

@@ -121,7 +121,7 @@ func (k *Kruskal) AtCells(flat []int32, out []float64) []float64 {
 			var s float64
 			//bce:begin
 			for j, v := range row {
-				s += p[j] * v
+				s += float64(p[j] * v)
 			}
 			//bce:end
 			out = append(out, s)

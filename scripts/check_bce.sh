@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # check_bce.sh — keeps the annotated inner loops free of bounds checks.
 #
-# The dense-algebra, Lanczos, shuffle-codec, sparse-kernel, driver-update,
-# B-step, batched-evaluator and binary-decode hot loops (mat.AxpyRows,
-# mat.MulATB, mat.GramAddUpper, the Gram–Schmidt dot sweep mat.dotRows,
-# rdd.AppendF64Vals, rdd.DecodeF64Vals, core.portableBlockMTTKRP (the Go body
-# of the fused kernel; its AVX2 body checks its ids itself),
-# core.PackedRows.addInto, core.solverState.update, graph.Laplacian.BStep,
+# The dense-algebra, Lanczos, shuffle-codec, sparse-kernel, driver-pass,
+# B-step, batched-evaluator and binary-decode hot loops (the Go bodies of
+# mat.AxpyRows and mat.GramAddUpper, mat.MulATB, the Gram–Schmidt dot sweep
+# mat.dotRows, rdd.AppendF64Vals, rdd.DecodeF64Vals, core.portableBlockMTTKRP
+# (the Go body of the fused kernel), core.PackedRows.addInto, the driver
+# pass's element loops core.driverRHS, core.driverAdvance and
+# core.driverFreeB, the Go body of graph.Laplacian.BStep,
 # sptensor.Kruskal.AtCells — the predict kernel — and the index decode of
-# distenc.ReadBinary, whose values go through rdd.DecodeF64Vals) are
-# written so the compiler can prove every index in range. Each such loop is bracketed by
+# distenc.ReadBinary, whose values go through rdd.DecodeF64Vals) are written
+# so the compiler can prove every index in range; their AVX2 bodies check
+# what they index themselves. Each such loop is bracketed by
 # `//bce:begin` … `//bce:end` comments; this script compiles the packages with
 # -d=ssa/check_bce, which reports every bounds check the compiler kept, and
 # fails if one falls between a pair of markers (or if the markers are gone).
+# scripts/check_nofma.sh keeps fused multiply-adds out of the same regions.
 #
 # Usage: scripts/check_bce.sh
 set -euo pipefail
