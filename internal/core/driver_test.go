@@ -2,34 +2,22 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"testing"
-	_ "unsafe" // for go:linkname
 
+	"distenc/internal/cpu"
 	"distenc/internal/graph"
 	"distenc/internal/mat"
 )
 
-// The driver pass runs three body sets, each behind its package's unexported
-// switch: its own element loops (useVecDriver), mat's row algebra
-// (AxpyRows, GramAddUpper) and graph's B-step. The tests reach the other two
-// packages' switches by name, so that no package exports one.
-
-//go:linkname matUseVecRows distenc/internal/mat.useVecRows
-var matUseVecRows bool
-
-//go:linkname graphUseVecBStep distenc/internal/graph.useVecBStep
-var graphUseVecBStep bool
-
-// setDriverBodies points all three switches at the AVX2 bodies (vec, where
-// the build and CPU have them: the three packages share their build
-// constraints and probe) or the Go ones, and returns what undoes it.
+// setDriverBodies points the driver pass's loops with AVX2 bodies — mat's
+// row algebra (AxpyRows, GramAddUpper) and graph's B-step — at those bodies
+// (vec, where the build and CPU have them) or at their Go ones, through the
+// one switch both packages read, and returns what undoes it.
 func setDriverBodies(vec bool) (restore func()) {
-	d, r, b := useVecDriver, matUseVecRows, graphUseVecBStep
-	vec = vec && hasVecDriver
-	useVecDriver, matUseVecRows, graphUseVecBStep = vec, vec, vec
-	return func() { useVecDriver, matUseVecRows, graphUseVecBStep = d, r, b }
+	old := cpu.GoBodies
+	cpu.GoBodies = !vec
+	return func() { cpu.GoBodies = old }
 }
 
 // usePortableDriver runs the driver pass on its Go bodies until tb ends: the
@@ -37,9 +25,11 @@ func setDriverBodies(vec bool) (restore func()) {
 func usePortableDriver(tb testing.TB) { tb.Cleanup(setDriverBodies(false)) }
 
 // driverBodyNames lists the body sets the driver pass can run on this host:
-// the Go bodies always, the AVX2 ones where the build and CPU have them.
+// the Go bodies always, the AVX2 ones where the build and CPU have them (the
+// kernel's build constraints and probe, which mat's and graph's bodies
+// share).
 func driverBodyNames() []string {
-	if hasVecDriver {
+	if hasVecKernel {
 		return []string{"go", "avx2"}
 	}
 	return []string{"go"}
@@ -95,11 +85,10 @@ func (f *fuzzFloats) slice(n int) []float64 {
 }
 
 // FuzzDriverRows is the differential of every AVX2 body of the driver pass
-// against its Go twin: mat.AxpyRows, mat.GramAddUpper, graph.Laplacian.BStep
-// (on a fuzzer-built graph with fuzzer weights) and the pass's own driverRHS,
-// driverAdvance and driverFreeB, at ranks 1–33 and 0–9 rows, every output and
-// both scalar sums Float64bits-equal. Without the AVX2 bodies it runs the Go
-// ones twice.
+// against its Go twin: mat.AxpyRows, mat.GramAddUpper and
+// graph.Laplacian.BStep (on a fuzzer-built graph with fuzzer weights), at
+// ranks 1–33 and 0–9 rows, every output Float64bits-equal. Without the AVX2
+// bodies it runs the Go ones twice.
 func FuzzDriverRows(f *testing.F) {
 	f.Add([]byte{16, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{32, 9, 1, 0x84, 0, 0x80, 0x85, 1, 2, 0x06, 3, 4, 0x07, 0, 0})
@@ -111,9 +100,9 @@ func FuzzDriverRows(f *testing.F) {
 		}
 		rank, rows, nonNeg := 1+int(data[0])%33, int(data[1])%10, data[2]&1 == 1
 		src := &fuzzFloats{data: data[3:]}
-		eta, alpha, c := src.next(), src.next(), src.next()
+		eta, alpha := src.next(), src.next()
 		x, bmat := src.slice(rank), src.slice(rank*rank)
-		tile, a, b, y, h := src.slice(rows*rank), src.slice(rows*rank), src.slice(rows*rank), src.slice(rows*rank), src.slice(rows*rank)
+		tile, a, y := src.slice(rows*rank), src.slice(rows*rank), src.slice(rows*rank)
 		sim := graph.NewSimilarity(max(rows, 1))
 		for i := 0; i+1 < rows; i++ {
 			for j := i + 1; j < rows; j++ {
@@ -126,10 +115,7 @@ func FuzzDriverRows(f *testing.F) {
 		prev := src.slice(max(rows, 1) * rank)
 		g0 := src.slice(rank * rank)
 
-		type outputs struct {
-			axpy, gram, bstep, rhs, y, freeB []float64
-			delta2, gap2                     float64
-		}
+		type outputs struct{ axpy, gram, bstep []float64 }
 		run := func(vec bool) (o outputs) {
 			defer setDriverBodies(vec)()
 			o.axpy = append([]float64(nil), x...)
@@ -140,12 +126,6 @@ func FuzzDriverRows(f *testing.F) {
 				o.bstep = make([]float64, rows*rank)
 				lap.BStep(o.bstep, prev, a, y, 0, rows, rank, eta, alpha, nonNeg)
 			}
-			o.rhs = make([]float64, rows*rank)
-			driverRHS(o.rhs, h, b, y, a, eta, c)
-			o.y = append([]float64(nil), y...)
-			o.delta2, o.gap2 = driverAdvance(tile, a, b, o.y, eta, float64(data[0]), 1)
-			o.freeB = make([]float64, rows*rank)
-			driverFreeB(o.freeB, a, y, eta, nonNeg)
 			return o
 		}
 		want, got := run(false), run(true)
@@ -159,19 +139,5 @@ func FuzzDriverRows(f *testing.F) {
 		same("AxpyRows", want.axpy, got.axpy)
 		same("GramAddUpper", want.gram, got.gram)
 		same("BStep", want.bstep, got.bstep)
-		same("driverRHS", want.rhs, got.rhs)
-		same("driverAdvance Y", want.y, got.y)
-		same("driverFreeB", want.freeB, got.freeB)
-		same("driverAdvance sums", []float64{want.delta2, want.gap2}, []float64{got.delta2, got.gap2})
 	})
-}
-
-// TestDriverSwitchesFollowTheProbe: the three switches the bit tests flip
-// all start at the shared probe's answer — which, on a host with AVX2, also
-// shows the two linked by name are the packages' own.
-func TestDriverSwitchesFollowTheProbe(t *testing.T) {
-	want := fmt.Sprint(useVecDriver, matUseVecRows, graphUseVecBStep)
-	if got := fmt.Sprint(hasVecDriver, hasVecDriver, hasVecDriver); got != want {
-		t.Fatalf("switches default to %s, the shared probe says %s", want, got)
-	}
 }

@@ -1,4 +1,4 @@
-//go:build !race && !purego
+//go:build !race
 
 package core
 
@@ -10,7 +10,7 @@ import (
 )
 
 // hasVecKernel reports whether this CPU and OS run the AVX2 body of the
-// order-3 kernel; -race and purego builds get kernel_other.go instead.
+// order-3 kernel; -race builds get kernel_other.go instead.
 var hasVecKernel = cpu.AVX2()
 
 // fusedBlock3AVX2 is the order-3 body in kernel_amd64.s: factors and slabs

@@ -1,12 +1,11 @@
-//go:build !amd64 || race || purego
+//go:build !amd64 || race
 
 package core
 
 import "distenc/internal/mat"
 
-// hasVecKernel is false: off amd64, under the race detector (which does not
-// instrument assembly) and in a purego build, every block runs the portable
-// kernel.
+// hasVecKernel is false: off amd64, and under the race detector (which
+// does not instrument assembly), every block runs the portable kernel.
 const hasVecKernel = false
 
 func vecBlockMTTKRP3(*TensorBlock, []int32, []*mat.Dense, int, [][]float64, *fusedScratch) float64 {

@@ -307,19 +307,10 @@ func (st *solverState) checkResidual(residNorm2 float64) error {
 	return nil
 }
 
-// useVecDriver routes the driver pass's element loops to their AVX2 bodies
-// (driver_amd64.s). It is hasVecDriver, decided once at init; tests clear it
-// to run the Go bodies on the same host.
-var useVecDriver = hasVecDriver
-
 // driverRHS sets w = H + ηB + Y − cA element by element; h, b, y and a hold
 // at least len(w) elements.
 func driverRHS(w, h, b, y, a []float64, eta, c float64) {
 	h, b, y, a = h[:len(w)], b[:len(w)], y[:len(w)], a[:len(w)]
-	if useVecDriver {
-		driverRHSAVX2(w, h, b, y, a, eta, c)
-		return
-	}
 	//bce:begin
 	for i, av := range a {
 		w[i] = h[i] + float64(eta*b[i]) + y[i] - float64(c*av)
@@ -329,14 +320,9 @@ func driverRHS(w, h, b, y, a []float64, eta, c float64) {
 
 // driverAdvance adds ‖A' − A‖² and ‖B − A'‖² over the elements of nx (A')
 // to delta2 and gap2, one element at a time in ascending order, and steps
-// Y ← Y + η(B − A'); a, b and y hold at least len(nx) elements. The AVX2
-// body folds its lanes into the two sums one at a time, lane 0 first, so
-// both stay the sequential sums.
+// Y ← Y + η(B − A'); a, b and y hold at least len(nx) elements.
 func driverAdvance(nx, a, b, y []float64, eta, delta2, gap2 float64) (float64, float64) {
 	a, b, y = a[:len(nx)], b[:len(nx)], y[:len(nx)]
-	if useVecDriver {
-		return driverAdvanceAVX2(nx, a, b, y, eta, delta2, gap2)
-	}
 	//bce:begin
 	for i, nv := range nx {
 		d := nv - a[i]
@@ -355,10 +341,6 @@ func driverAdvance(nx, a, b, y []float64, eta, delta2, gap2 float64) (float64, f
 func driverFreeB(b, a, y []float64, eta float64, nonNeg bool) {
 	a, y = a[:len(b)], y[:len(b)]
 	inv := 1 / eta
-	if useVecDriver {
-		driverFreeBAVX2(b, a, y, eta, inv, nonNeg)
-		return
-	}
 	//bce:begin
 	for i, av := range a {
 		v := (float64(eta*av) - y[i]) * inv

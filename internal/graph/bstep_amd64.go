@@ -1,11 +1,11 @@
-//go:build !race && !purego
+//go:build !race
 
 package graph
 
 import "distenc/internal/cpu"
 
 // hasVecBStep reports whether this CPU and OS run the AVX2 body of
-// Laplacian.BStep; -race and purego builds get bstep_other.go instead.
+// Laplacian.BStep; -race builds get bstep_other.go instead.
 var hasVecBStep = cpu.AVX2()
 
 // bstepAVX2 is BStep's row loop four columns a step, in bstep_amd64.s. The

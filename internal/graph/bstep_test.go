@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"distenc/internal/cpu"
 	"distenc/internal/mat"
 )
 
@@ -116,13 +117,13 @@ func plainBStep(l *Laplacian, dst, prev, a, y []float64, rank int, eta, alpha fl
 // bstepBodies runs f once per body BStep can dispatch to on this host: the
 // Go body always, the AVX2 one where the build and CPU have it.
 func bstepBodies(t *testing.T, f func(t *testing.T)) {
-	old := useVecBStep
-	defer func() { useVecBStep = old }()
+	old := cpu.GoBodies
+	defer func() { cpu.GoBodies = old }()
 	for _, vec := range []bool{false, true} {
 		if vec && !hasVecBStep {
 			continue
 		}
-		useVecBStep = vec
+		cpu.GoBodies = !vec
 		t.Run(map[bool]string{false: "go", true: "avx2"}[vec], f)
 	}
 }

@@ -9,6 +9,7 @@ package graph
 import (
 	"fmt"
 
+	"distenc/internal/cpu"
 	"distenc/internal/mat"
 )
 
@@ -145,11 +146,6 @@ func (l *Laplacian) Apply(dst, x []float64) {
 	}
 }
 
-// useVecBStep routes BStep to its AVX2 body (bstep_amd64.s). It is
-// hasVecBStep, decided once at init; tests clear it to run the Go body on the
-// same host.
-var useVecBStep = hasVecBStep
-
 // BStep takes one damped-Jacobi step towards the solution of
 // (ηI + αL)·B = ηA − Y, Algorithm 1 line 4, on I×R row-major matrices:
 //
@@ -178,7 +174,7 @@ func (l *Laplacian) BStep(dst, prev, a, y []float64, lo, hi, rank int, eta, alph
 	if lo < 0 || hi > len(l.deg) || lo > hi {
 		panic("graph: BStep on a row range outside the matrix")
 	}
-	if !useVecBStep {
+	if !hasVecBStep || cpu.GoBodies {
 		l.bstepGo(dst, prev, a, y, lo, hi, rank, eta, alpha, nonNeg)
 		return
 	}

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"distenc/internal/cpu"
 )
 
 // Dense is a row-major dense matrix. The zero value is an empty 0×0 matrix.
@@ -183,10 +185,10 @@ func MulAddInto(dst *Dense, s float64, c, a, b *Dense) {
 	}
 }
 
-// useVecRows routes AxpyRows and GramAddUpper to their AVX2 bodies
-// (rows_amd64.s). It is hasVecRows, decided once at init; tests clear it to
-// run the Go bodies on the same host.
-var useVecRows = hasVecRows
+// useVecRows reports whether AxpyRows and GramAddUpper take their AVX2
+// bodies (rows_amd64.s): where the build and CPU have them, unless a test
+// has set cpu.GoBodies.
+func useVecRows() bool { return hasVecRows && !cpu.GoBodies }
 
 // AxpyRows accumulates dst += Σ_k x[k]·b[k·n : (k+1)·n] with n = len(dst):
 // one row of a matrix product in ikj order, the additions in ascending k.
@@ -195,7 +197,7 @@ var useVecRows = hasVecRows
 // roundings in the same order as the Go body, so the two agree bit for bit
 // (DESIGN.md §5).
 func AxpyRows(dst, x, b []float64) {
-	if useVecRows {
+	if useVecRows() {
 		if len(b) < len(x)*len(dst) {
 			panic(fmt.Sprintf("mat: AxpyRows of %d rows of width %d from %d values", len(x), len(dst), len(b)))
 		}
@@ -312,7 +314,7 @@ func GramAddUpper(g, rows []float64, r int) {
 	if len(g) != r*r || len(rows)%r != 0 {
 		panic(fmt.Sprintf("mat: GramAddUpper of %d values into %d at width %d", len(rows), len(g), r))
 	}
-	if useVecRows {
+	if useVecRows() {
 		// The AVX2 body sweeps its rows once per row of g, so it takes them
 		// an L1-sized chunk at a time; chunks in order add in order.
 		step := max(1, gramChunkFloats/r) * r

@@ -1,11 +1,11 @@
-//go:build !race && !purego
+//go:build !race
 
 package mat
 
 import "distenc/internal/cpu"
 
 // hasVecRows reports whether this CPU and OS run the AVX2 bodies of AxpyRows
-// and GramAddUpper; -race and purego builds get rows_other.go instead.
+// and GramAddUpper; -race builds get rows_other.go instead.
 var hasVecRows = cpu.AVX2()
 
 // axpyRowsAVX2 is AxpyRows four columns a step, in rows_amd64.s. The caller

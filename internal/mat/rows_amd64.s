@@ -1,4 +1,4 @@
-//go:build !race && !purego
+//go:build !race
 
 #include "textflag.h"
 

@@ -1,10 +1,9 @@
-//go:build !amd64 || race || purego
+//go:build !amd64 || race
 
 package mat
 
-// hasVecRows is false: off amd64, under the race detector (which does not
-// instrument assembly) and in a purego build, AxpyRows and GramAddUpper run
-// their Go bodies.
+// hasVecRows is false: off amd64, and under the race detector (which does
+// not instrument assembly), AxpyRows and GramAddUpper run their Go bodies.
 const hasVecRows = false
 
 func axpyRowsAVX2(dst, x, b []float64) { panic("mat: this build has no vector row bodies") }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"distenc/internal/cpu"
 )
 
 // specialValue draws a float64 that is usually a normal number but one time
@@ -90,9 +92,9 @@ func BenchmarkGram(b *testing.B) {
 			if vec && !hasVecRows {
 				b.Skip("no AVX2 row bodies")
 			}
-			old := useVecRows
-			useVecRows = vec
-			defer func() { useVecRows = old }()
+			old := cpu.GoBodies
+			cpu.GoBodies = !vec
+			defer func() { cpu.GoBodies = old }()
 			for b.Loop() {
 				Gram(a)
 			}
