@@ -190,6 +190,8 @@ const maxCkptOrder = 16
 // whatever file an operator names), so every rejection is descriptive — the
 // file, what was found, what was expected — and the declared matrix sizes
 // are validated against the actual byte count before anything is allocated.
+// An image whose factors hold a NaN or ±Inf is refused, naming the mode and
+// the row: a model that predicts one is never loaded.
 func ReadCheckpoint(path string) (*Checkpoint, error) { return readCheckpointGroups(path, 3) }
 
 // ReadCheckpointFactors is ReadCheckpoint for a reader that only predicts:
@@ -259,7 +261,7 @@ func readCheckpointGroups(path string, groups int) (*Checkpoint, error) {
 	}
 	ck := &Checkpoint{Path: path, Iter: int(iter), Eta: eta}
 	chunk := make([]byte, min(uint64(ckptChunk), got))
-	for _, group := range []*[]*mat.Dense{&ck.Factors, &ck.Aux, &ck.Duals}[:groups] {
+	for g, group := range []*[]*mat.Dense{&ck.Factors, &ck.Aux, &ck.Duals}[:groups] {
 		ms := make([]*mat.Dense, order)
 		for n := range ms {
 			vals := make([]float64, int(dims[n])*int(rank))
@@ -268,8 +270,18 @@ func readCheckpointGroups(path string, groups int) (*Checkpoint, error) {
 				if _, err := io.ReadFull(f, b); err != nil {
 					return nil, fmt.Errorf("core: %s: truncated checkpoint matrices: %w", path, err)
 				}
-				if _, err := rdd.DecodeF64Vals(rest[:len(b)/8], b); err != nil {
+				part := rest[:len(b)/8]
+				if _, err := rdd.DecodeF64Vals(part, b); err != nil {
 					return nil, fmt.Errorf("core: %s: decoding checkpoint matrices: %w", path, err)
+				}
+				// A model that predicts NaN or ±Inf is never served (or
+				// resumed): the factors must be finite, checked while the
+				// chunk is still in cache.
+				if g == 0 {
+					if e := firstNonFinite(part); e >= 0 {
+						return nil, fmt.Errorf("core: %s: checkpoint group factors, mode %d, row %d holds the non-finite entry %v",
+							path, n, (len(vals)-len(rest)+e)/int(rank), part[e])
+					}
 				}
 				rest = rest[len(b)/8:]
 			}
@@ -278,6 +290,33 @@ func readCheckpointGroups(path string, groups int) (*Checkpoint, error) {
 		*group = ms
 	}
 	return ck, nil
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf of vals, or -1.
+// The common case, none, costs a multiply and an add a value, into four
+// independent sums: x·0 is ±0 for a finite x and NaN for any other, so the
+// sums stay zero exactly when every value is finite.
+func firstNonFinite(vals []float64) int {
+	var s0, s1, s2, s3 float64
+	v := vals
+	for ; len(v) >= 4; v = v[4:] {
+		s0 += v[0] * 0
+		s1 += v[1] * 0
+		s2 += v[2] * 0
+		s3 += v[3] * 0
+	}
+	for _, x := range v {
+		s0 += x * 0
+	}
+	if s0+s1+s2+s3 == 0 {
+		return -1
+	}
+	for i, x := range vals {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // readCheckpoint parses dir's checkpoint file into the solver's internal

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -14,9 +17,12 @@ import (
 // API. It must never panic; what it accepts must be exactly what
 // writeCheckpoint writes for the state it decoded, and the factors-only
 // reader must accept the same files and decode the same factors bit for bit.
-// Seeded with a tiny solve's image, its truncations at every structural
-// boundary, and a 36-byte header whose matrix size wraps uint64. CI runs this
-// target for a 30-second smoke on every push.
+// Both must refuse an image whose factors hold a NaN or ±Inf, naming the
+// mode and row refNonFiniteFactor finds in the bytes, and accept none it
+// finds one in. Seeded with a tiny solve's image, its truncations at every
+// structural boundary, the image with a NaN in its last factor row, and a
+// 36-byte header whose matrix size wraps uint64. CI runs this target for a
+// 30-second smoke on every push.
 func FuzzReadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
 	ts := randomTensor([]int{4, 3, 2}, 12, rand.New(rand.NewPCG(3, 4)))
@@ -33,6 +39,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Add(img[:n])
 	}
 	f.Add(wrappingCheckpointHeader())
+	nan := append([]byte(nil), img...)
+	head := 32 + 4*3 // the order-3 header and its mode sizes; three equal groups follow
+	binary.LittleEndian.PutUint64(nan[head+(len(nan)-head)/3-8:], 0x7ff8000000000001) // the last factor entry
+	f.Add(nan)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -46,7 +56,17 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("ReadCheckpoint err = %v, ReadCheckpointFactors err = %v", err, ferr)
 		}
 		if err != nil {
+			if strings.Contains(err.Error(), "non-finite") {
+				n, row, found := refNonFiniteFactor(data)
+				at := fmt.Sprintf("mode %d, row %d ", n, row)
+				if !found || !strings.Contains(err.Error(), at) || !strings.Contains(ferr.Error(), at) {
+					t.Fatalf("refused with %q and %q; the reference finds a non-finite factor: %v, at %s", err, ferr, found, at)
+				}
+			}
 			return
+		}
+		if n, row, found := refNonFiniteFactor(data); found {
+			t.Fatalf("accepted an image whose factor mode %d row %d holds a non-finite entry", n, row)
 		}
 		out := filepath.Join(dir, "out")
 		if err := writeCheckpoint(out, &checkpointState{iter: ck.Iter, eta: ck.Eta, factors: ck.Factors, aux: ck.Aux, mult: ck.Duals}); err != nil {
@@ -74,4 +94,24 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refNonFiniteFactor is the readers' finiteness rule written against the
+// image bytes of a well-formed image: the mode and row of the first factor
+// entry, in file order, that is NaN or ±Inf.
+func refNonFiniteFactor(img []byte) (mode, row int, found bool) {
+	le := binary.LittleEndian
+	order, rank := int(le.Uint32(img[24:])), int(le.Uint32(img[28:]))
+	off := 32 + 4*order
+	for n := 0; n < order; n++ {
+		rows := int(le.Uint32(img[32+4*n:]))
+		for i := 0; i < rows*rank; i++ {
+			v := math.Float64frombits(le.Uint64(img[off:]))
+			off += 8
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return n, i / rank, true
+			}
+		}
+	}
+	return 0, 0, false
 }

@@ -84,6 +84,33 @@ func TestReadCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCheckpointRefusesNonFiniteFactors: a NaN or +Inf in a factor
+// matrix makes both readers refuse the image, naming the group, the mode
+// and the row, so a diverged model can never be loaded for serving or
+// resumed.
+func TestReadCheckpointRefusesNonFiniteFactors(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mode, row int
+		v         float64
+		want      string
+	}{
+		{"NaN", 0, 2, math.NaN(), "group factors, mode 0, row 2 holds the non-finite entry NaN"},
+		{"+Inf", 1, 1, math.Inf(1), "group factors, mode 1, row 1 holds the non-finite entry +Inf"},
+	} {
+		path, st := writeTestCheckpoint(t)
+		st.factors[tc.mode].Set(tc.row, 1, tc.v)
+		if err := writeCheckpoint(filepath.Dir(path), st); err != nil {
+			t.Fatal(err)
+		}
+		for name, read := range map[string]func(string) (*Checkpoint, error){"ReadCheckpoint": ReadCheckpoint, "ReadCheckpointFactors": ReadCheckpointFactors} {
+			if _, err := read(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: %v, want an error naming %q", tc.name, name, err, tc.want)
+			}
+		}
+	}
+}
+
 // TestReadCheckpointRejectsCorruptImages drives the loader through the
 // corruption classes an untrusted admin-API path can present: wrong file
 // type, wrong version, truncations at every structural boundary, and

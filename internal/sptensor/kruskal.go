@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"distenc/internal/cpu"
 	"distenc/internal/mat"
 )
 
@@ -55,32 +56,77 @@ func (k *Kruskal) At(idx []int32) float64 {
 	return s
 }
 
-// cellTile is the product slab of AtCells in floats: 8 KB, a quarter of a
-// 32 KB L1d, so a tile's partial products stay resident while the factor rows
-// of its cells stream past them once per mode.
+// cellTile is the product slab of the Go body of AtCells in floats: 8 KB, a
+// quarter of a 32 KB L1d, so a tile's partial products stay resident while
+// the factor rows of its cells stream past them once per mode.
 const cellTile = 1024
+
+// vecChunk is the most cells one call of the AVX2 body covers: Go never
+// preempts assembly, so it bounds how long a stop-the-world can wait (well
+// under a ms).
+const vecChunk = 4096
 
 // AtCells evaluates k at the len(flat)/N cells of a flat row-major index
 // block, N the order, appending one value per cell to out. The indices must
-// be in range; AtCells panics otherwise.
+// be in range; AtCells panics otherwise, naming the first bad cell.
 //
-// Cells are evaluated a tile of cellTile/R at a time and, within a tile, a
-// mode at a time: the mode-0 rows are copied into the slab, the rows of modes
-// 1…N−2 multiplied into it, and the last mode finishes each cell as
-// s += p·v for j ascending. Those are the operations of At in its order — per
-// j the product runs over the modes ascending, the sum over j ascending — so
-// every value is bit-equal to it; what changes is that a tile's row loads are
-// independent of one another and overlap, where a cell at a time each gather
-// waits for the sum before it.
+// At order 3, where the CPU has AVX2, the cells run through the assembly
+// body of kruskal_amd64.s: a cell at a time, four ranks a step, each lane
+// forming (A0[i,r]·A1[j,r])·A2[k,r] with every product rounded and the lanes
+// summed into the value from +0 in ascending r — At's operations in At's
+// order, so every value is bit-equal to it (DESIGN.md §5). While it works on
+// cell c it prefetches the mode-0 and mode-1 rows of cell c+8, so many row
+// misses are in flight at once. Every other order, -race builds, other CPUs
+// and a test that sets cpu.GoBodies run the Go body, atCellsGo.
 func (k *Kruskal) AtCells(flat []int32, out []float64) []float64 {
-	fs := k.Factors
-	order := len(fs)
+	order := len(k.Factors)
 	if len(flat)%order != 0 {
 		panic(fmt.Sprintf("sptensor: %d indices do not tile order %d", len(flat), order))
 	}
-	count := len(flat) / order
-	out = slices.Grow(out, count)
+	out = slices.Grow(out, len(flat)/order)
+	if order == 3 && k.Rank() > 0 && hasVecCells && !cpu.GoBodies {
+		return k.vecAtCells3(flat, out)
+	}
+	return k.atCellsGo(flat, out)
+}
 
+// vecAtCells3 runs the order-3 AVX2 body over flat a chunk of vecChunk cells
+// at a time, writing into out's spare capacity.
+func (k *Kruskal) vecAtCells3(flat []int32, out []float64) []float64 {
+	f0, f1, f2 := k.Factors[0], k.Factors[1], k.Factors[2]
+	r := f0.Cols()
+	if f1.Cols() != r || f2.Cols() != r {
+		panic(fmt.Sprintf("sptensor: factors of ranks %d/%d/%d", r, f1.Cols(), f2.Cols()))
+	}
+	n, count := len(out), len(flat)/3
+	for lo := 0; lo < count; lo += vecChunk {
+		hi := min(lo+vecChunk, count)
+		if bad := atCells3AVX2(flat[3*lo:3*hi], out[n+lo:n+hi], f0.Data(), f1.Data(), f2.Data(), r, f0.Rows(), f1.Rows(), f2.Rows()); bad >= 0 {
+			k.badCell(flat, lo+bad)
+		}
+	}
+	return out[:n+count]
+}
+
+// badCell panics naming cell c of flat, one of whose indices is out of range.
+func (k *Kruskal) badCell(flat []int32, c int) {
+	order := len(k.Factors)
+	panic(fmt.Sprintf("sptensor: cell %d has indices %v, out of range for dims %v", c, flat[c*order:(c+1)*order], k.Dims()))
+}
+
+// atCellsGo is the Go body of AtCells, every order. Cells are evaluated a
+// tile of cellTile/R at a time and, within a tile, a mode at a time: the
+// mode-0 rows are copied into the slab, the rows of modes 1…N−2 multiplied
+// into it, and the last mode finishes each cell as s += p·v for j ascending.
+// Those are the operations of At in its order — per j the product runs over
+// the modes ascending, the sum over j ascending — so every value is
+// bit-equal to it; what changes is that a tile's row loads are independent
+// of one another and overlap, where a cell at a time each gather waits for
+// the sum before it. A tile's indices are checked before any row is read.
+func (k *Kruskal) atCellsGo(flat []int32, out []float64) []float64 {
+	fs := k.Factors
+	order := len(fs)
+	count := len(flat) / order
 	r := k.Rank()
 	var stack [cellTile]float64
 	slab := stack[:]
@@ -92,6 +138,13 @@ func (k *Kruskal) AtCells(flat []int32, out []float64) []float64 {
 	for c0 := 0; c0 < count; c0 += tile {
 		nc := min(tile, count-c0)
 		cells := flat[c0*order : (c0+nc)*order]
+		for c := 0; c < nc; c++ {
+			for n, f := range fs {
+				if uint(cells[c*order+n]) >= uint(f.Rows()) {
+					k.badCell(flat, c0+c)
+				}
+			}
+		}
 		prod := slab[:nc*r]
 		if last == 0 {
 			// Order 1 has no second mode to finish with: mode 0 finishes a

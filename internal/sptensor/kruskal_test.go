@@ -1,12 +1,14 @@
 package sptensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"distenc/internal/cpu"
 	"distenc/internal/mat"
 )
 
@@ -137,4 +139,214 @@ func TestValidateNamesFirstBadEntry(t *testing.T) {
 	if err := ts.Validate(); err != nil {
 		t.Errorf("the largest finite value is refused: %v", err)
 	}
+}
+
+// atCellsBodies names the bodies AtCells can run at order 3 on this host,
+// each by the cpu.GoBodies value that selects it: the Go body always, the
+// AVX2 one where the build and CPU have it.
+func atCellsBodies() map[string]bool {
+	bodies := map[string]bool{"go": true}
+	if hasVecCells {
+		bodies["avx2"] = false
+	}
+	return bodies
+}
+
+// withGoBodies runs f with cpu.GoBodies set to goBody.
+func withGoBodies(goBody bool, f func()) {
+	old := cpu.GoBodies
+	cpu.GoBodies = goBody
+	defer func() { cpu.GoBodies = old }()
+	f()
+}
+
+// agreesWithAt reports whether got is k.At(idx): the same bits or, where a
+// multiply or add of At's chain meets two NaNs, any NaN. Which of two NaN
+// operands' payloads x86 keeps depends on their order, and in Go code that
+// order is the register allocator's choice (a -race build chooses unlike a
+// plain one), so no body can be held to it; a single NaN's payload
+// propagates wherever it sits, and is held bit for bit.
+func agreesWithAt(k *Kruskal, idx []int32, got float64) bool {
+	want := k.At(idx)
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return true
+	}
+	if !math.IsNaN(got) || !math.IsNaN(want) {
+		return false
+	}
+	var s float64
+	for j := 0; j < k.Rank(); j++ {
+		p := k.Factors[0].At(int(idx[0]), j)
+		for n := 1; n < len(k.Factors); n++ {
+			v := k.Factors[n].At(int(idx[n]), j)
+			if math.IsNaN(p) && math.IsNaN(v) {
+				return true
+			}
+			p *= v
+		}
+		if math.IsNaN(s) && math.IsNaN(p) {
+			return true
+		}
+		s += p
+	}
+	return false
+}
+
+// specialValue draws a float64 that is usually a normal number but one time
+// in three a signed zero, a subnormal, a magnitude whose products overflow or
+// underflow, an infinity or a NaN with a payload of its own (quiet or
+// signalling, either sign), so that where two NaNs meet the operand order
+// shows in the result.
+func specialValue(rng *rand.Rand) float64 {
+	if rng.IntN(3) != 0 {
+		return rng.NormFloat64()
+	}
+	switch rng.IntN(7) {
+	case 0:
+		return math.Copysign(0, rng.NormFloat64())
+	case 1:
+		return rng.NormFloat64() * 0x1p-1060
+	case 2:
+		return rng.NormFloat64() * 0x1p400
+	case 3:
+		return math.Inf(1 - 2*rng.IntN(2))
+	case 4:
+		payload := 1 + rng.Uint64N(1<<51-1)
+		return math.Float64frombits(uint64(rng.IntN(2))<<63 | 0x7ff8<<48 | payload)
+	case 5:
+		payload := 1 + rng.Uint64N(1<<51-1)
+		return math.Float64frombits(uint64(rng.IntN(2))<<63 | 0x7ff0<<48 | payload)
+	}
+	return rng.NormFloat64() * 0x1p-400
+}
+
+// TestAtCellsBodiesMatchBits holds both order-3 bodies of AtCells, selected
+// through cpu.GoBodies, to Kruskal.At at ranks 1–33 (every tail length of
+// the four-lane body) and 64, and at cell counts around the AVX2 body's
+// prefetch distance (8) and chunk edge (vecChunk), on factors full of signed
+// zeros, subnormals, infinities, NaN payloads and products that overflow:
+// every value Float64bits-equal (agreesWithAt), appended after what out held.
+func TestAtCellsBodiesMatchBits(t *testing.T) {
+	dims := []int{37, 23, 11}
+	ranks := []int{64}
+	for r := 1; r <= 33; r++ {
+		ranks = append(ranks, r)
+	}
+	for _, rank := range ranks {
+		rng := rand.New(rand.NewPCG(uint64(rank), 42))
+		fs := make([]*mat.Dense, len(dims))
+		for n, d := range dims {
+			fs[n] = mat.NewDense(d, rank)
+			for i := range fs[n].Data() {
+				fs[n].Data()[i] = specialValue(rng)
+			}
+		}
+		k := NewKruskal(fs...)
+		all := randCells(rng, dims, vecChunk+1)
+		for _, count := range []int{0, 1, 7, 8, 9, vecChunk - 1, vecChunk, vecChunk + 1} {
+			flat := all.Idx[:3*count]
+			for body, goBody := range atCellsBodies() {
+				var got []float64
+				withGoBodies(goBody, func() { got = k.AtCells(flat, []float64{-1}) })
+				name := fmt.Sprintf("%s body, R=%d, %d cells", body, rank, count)
+				if len(got) != 1+count || got[0] != -1 {
+					t.Fatalf("%s: %d values after the one out held, want %d appended", name, len(got)-1, count)
+				}
+				for c := 0; c < count; c++ {
+					if idx := flat[3*c : 3*c+3]; !agreesWithAt(k, idx, got[1+c]) {
+						want := k.At(idx)
+						t.Fatalf("%s: cell %d = %v (%#x), At %v (%#x)", name, c, got[1+c], math.Float64bits(got[1+c]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAtCellsPanicsOnBadIndex: a negative and a too-large index, in each
+// mode, make both bodies panic naming the first bad cell, as PredictBatch
+// and every other caller rely on.
+func TestAtCellsPanicsOnBadIndex(t *testing.T) {
+	dims := []int{9, 7, 5}
+	rng := rand.New(rand.NewPCG(8, 9))
+	k := randKruskal(rng, dims, 6)
+	for body, goBody := range atCellsBodies() {
+		for n, d := range dims {
+			for _, id := range []int32{-1, int32(d)} {
+				cells := randCells(rng, dims, 40)
+				cells.Index(13)[n] = id
+				cells.Index(30)[(n+1)%3] = -5 // a later bad cell is not the one named
+				name := fmt.Sprintf("%s body, mode %d index %d", body, n, id)
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					withGoBodies(goBody, func() { k.AtCells(cells.Idx, nil) })
+					return ""
+				}()
+				if !strings.Contains(msg, "cell 13 ") {
+					t.Errorf("%s: panic %q, want one naming cell 13", name, msg)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAtCells holds both order-3 bodies of AtCells to Kruskal.At on
+// fuzzer-built models and cells: rank 1–64, modes of 1–8 rows, up to 512
+// cells in the fuzzer's order, and factor entries that are one time in four
+// the fuzzer's raw bits — NaN payloads, infinities, subnormals — and
+// otherwise moderate values. Every value must agree in Float64bits
+// (agreesWithAt). CI runs it for a 30-second smoke.
+func FuzzAtCells(f *testing.F) {
+	f.Add(uint8(31), []byte{4, 5, 6, 0, 1, 2, 3, 4, 5, 1, 1, 1, 2, 0, 3, 0, 0, 0, 7, 7, 7, 9, 200, 13})
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 0})
+	f.Add(uint8(63), []byte{7, 7, 7, 0xff, 0xf8, 0, 0, 0, 0, 0x12, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	f.Fuzz(func(t *testing.T, rankByte uint8, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		rank := 1 + int(rankByte)%64
+		dims := []int{1 + int(data[0])%8, 1 + int(data[1])%8, 1 + int(data[2])%8}
+		var flat []int32
+		for c := data[3:]; len(c) >= 3 && len(flat) < 3*512; c = c[3:] {
+			for n, d := range dims {
+				flat = append(flat, int32(int(c[n])%d))
+			}
+		}
+		pos := 0
+		next := func() byte {
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		fs := make([]*mat.Dense, len(dims))
+		for n, d := range dims {
+			fs[n] = mat.NewDense(d, rank)
+			for i := range fs[n].Data() {
+				var w [9]byte
+				for j := range w {
+					w[j] = next()
+				}
+				bits := binary.LittleEndian.Uint64(w[1:])
+				if w[0]%4 == 0 {
+					fs[n].Data()[i] = math.Float64frombits(bits)
+				} else {
+					fs[n].Data()[i] = float64(int64(bits)>>40) / (1 << 12)
+				}
+			}
+		}
+		k := NewKruskal(fs...)
+		for body, goBody := range atCellsBodies() {
+			var got []float64
+			withGoBodies(goBody, func() { got = k.AtCells(flat, nil) })
+			if len(got) != len(flat)/3 {
+				t.Fatalf("%s body: %d values for %d cells", body, len(got), len(flat)/3)
+			}
+			for c := range got {
+				if idx := flat[3*c : 3*c+3]; !agreesWithAt(k, idx, got[c]) {
+					want := k.At(idx)
+					t.Fatalf("%s body, rank %d: cell %d = %v (%#x), At %v (%#x)", body, rank, c, got[c], math.Float64bits(got[c]), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
 }

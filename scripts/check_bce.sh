@@ -7,7 +7,7 @@
 # mat.dotRows, rdd.AppendF64Vals, rdd.DecodeF64Vals, core.portableBlockMTTKRP
 # (the Go body of the fused kernel), core.PackedRows.addInto, the driver
 # pass's element loops core.driverRHS, core.driverAdvance and
-# core.driverFreeB, the Go body of graph.Laplacian.BStep,
+# core.driverFreeB, the Go bodies of graph.Laplacian.BStep and of
 # sptensor.Kruskal.AtCells — the predict kernel — and the index decode of
 # distenc.ReadBinary, whose values go through rdd.DecodeF64Vals) are written
 # so the compiler can prove every index in range; their AVX2 bodies check
