@@ -87,8 +87,8 @@ var seededDefects = []seededDefect{
 	{
 		name: "reduce-task-heap-records",
 		pkg:  "distenc/internal/core", file: "mttkrp.go",
-		old:      "\t\tout := rs.out[:0]\n",
-		new:      "\t\tout := make([]PackedRows, 0, l.order+1)\n",
+		old:      "\t\tout := rs.out[:l.order]\n",
+		new:      "\t\tout := make([]HRows, l.order, l.order+1)\n",
 		analyzer: "hotalloc", want: `make allocates from the heap in a //distenc:hotpath body`,
 	},
 

@@ -117,7 +117,7 @@ func ALS(c *rdd.Cluster, t *sptensor.Tensor, opt core.Options) (*core.Result, er
 		for n := range factors {
 			fn := sptensor.GramProduct(grams, n)
 			h := mat.Mul(factors[n], fn)
-			h = mat.AddMat(h, hs[n])
+			addH(h, hs[n])
 			lhs := fn.Clone()
 			for i := 0; i < lhs.Rows(); i++ {
 				lhs.Add(i, i, opt.Lambda)
@@ -161,4 +161,15 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// addH adds the runs of H_n that core.MTTKRPStage returns into dst, an
+// I_n×R matrix: dst += H_n.
+func addH(dst *mat.Dense, h []core.HRows) {
+	d := dst.Data()
+	for _, run := range h {
+		for i, v := range run.Vals {
+			d[run.Lo*dst.Cols()+i] += v
+		}
+	}
 }

@@ -59,7 +59,7 @@ func SCouT(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt cor
 		for n := 0; n < order; n++ {
 			fn := sptensor.GramProduct(grams, n)
 			h := mat.Mul(factors[n], fn)
-			h = mat.AddMat(h, hs[n])
+			addH(h, hs[n])
 			lhs := fn.Clone()
 			if sims != nil && sims[n] != nil && sims[n].NumEdges() > 0 {
 				// Coupled-matrix side: refresh V(n), then add S·V and VᵀV.

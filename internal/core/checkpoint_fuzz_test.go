@@ -40,7 +40,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(wrappingCheckpointHeader())
 	nan := append([]byte(nil), img...)
-	head := 32 + 4*3 // the order-3 header and its mode sizes; three equal groups follow
+	// The order-3 header and its mode sizes; three equal groups follow.
+	head := 32 + 4*3
 	binary.LittleEndian.PutUint64(nan[head+(len(nan)-head)/3-8:], 0x7ff8000000000001) // the last factor entry
 	f.Add(nan)
 

@@ -471,14 +471,14 @@ func TestUpdateRefusesNonFiniteState(t *testing.T) {
 	st := newSolverState(ts, nil, opt)
 	hs, _ := naiveStageMTTKRP(ts, st.factors)
 	st.factors[1].Data()[4] = math.Inf(-1)
-	if _, err := st.update(hs); err == nil || !strings.Contains(err.Error(), "iteration 0, mode 1:") {
+	if _, err := st.update(wholeH(hs)); err == nil || !strings.Contains(err.Error(), "iteration 0, mode 1:") {
 		t.Fatalf("an infinite factor entry gave %v", err)
 	}
 	st = newSolverState(ts, nil, opt)
 	hs, _ = naiveStageMTTKRP(ts, st.factors)
 	st.iter = 6
 	hs[2].Data()[7] = math.NaN()
-	if _, err := st.update(hs); err == nil || !strings.Contains(err.Error(), "iteration 6, mode 2:") {
+	if _, err := st.update(wholeH(hs)); err == nil || !strings.Contains(err.Error(), "iteration 6, mode 2:") {
 		t.Fatalf("a NaN in H_2 gave %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"distenc/internal/graph"
-	"distenc/internal/mat"
 	"distenc/internal/metrics"
 	"distenc/internal/part"
 	"distenc/internal/rdd"
@@ -245,12 +244,15 @@ type Layout struct {
 	// destination reduce partition, precomputed so the map task can slice its
 	// accumulator slab into per-destination PackedRows records.
 	rowRuns [][][]int
-	parts   int
+	// reduceNeed[rp] is reduce task rp's float64 arena demand: its dense
+	// slabs plus the largest block it decodes, the ‖E‖² records included.
+	reduceNeed []int
+	parts      int
 	// blocking is what the nested split chose and what it costs per iteration.
 	blocking Blocking
-	// hs are the H_n matrices MTTKRPStage assembles into, reused by every
+	// hv holds the per-mode run lists MTTKRPStage returns, reused by every
 	// stage run over this layout (the only mutable state in it).
-	hs []*mat.Dense
+	hv [][]HRows
 }
 
 // Blocking reports how a Layout cut the tensor into its P blocks and what
@@ -303,6 +305,8 @@ func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 		neededRows: make([][][]int32, p),
 		locIdx:     make([][]int32, p),
 		rowRuns:    make([][][]int, p),
+		hv:         make([][]HRows, order),
+		reduceNeed: make([]int, p),
 	}
 	counts := make([][]int64, order)
 	for n := 0; n < order; n++ {
@@ -342,6 +346,24 @@ func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 		}
 		l.locIdx[b] = loc
 	}
+	for rp := range l.reduceNeed {
+		for _, runs := range l.rowRuns { // the largest block rp decodes
+			rows := 0
+			for _, r := range runs {
+				if rp < len(r)-1 {
+					rows += r[rp+1] - r[rp]
+				}
+			}
+			l.reduceNeed[rp] = max(l.reduceNeed[rp], rows*opt.Rank)
+		}
+		for _, b := range l.modeBounds { // and its slabs
+			if rp < b.NumPartitions() {
+				lo, hi := b.Range(rp)
+				l.reduceNeed[rp] += (hi - lo) * opt.Rank
+			}
+		}
+	}
+	l.reduceNeed[0]++ // every map task's ‖E‖² record rides to partition 0
 	l.blocking.Imbalance = 1
 	if t.NNZ() > 0 {
 		l.blocking.Imbalance = float64(maxBlock) * float64(p) / float64(t.NNZ())

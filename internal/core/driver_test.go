@@ -35,10 +35,21 @@ func driverBodyNames() []string {
 	return []string{"go"}
 }
 
-// mustUpdate runs one driver update and fails tb on an error.
+// wholeH is the view of full-height H_n matrices as one run each, as the
+// serial solver passes them to update.
+func wholeH(hs []*mat.Dense) [][]HRows {
+	hv := make([][]HRows, len(hs))
+	for n, h := range hs {
+		hv[n] = []HRows{{Mode: int16(n), Vals: h.Data()}}
+	}
+	return hv
+}
+
+// mustUpdate runs one driver update from full-height H_n and fails tb on an
+// error.
 func mustUpdate(tb testing.TB, st *solverState, hs []*mat.Dense) float64 {
 	tb.Helper()
-	delta, err := st.update(hs)
+	delta, err := st.update(wholeH(hs))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -249,14 +249,13 @@ func portableBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, ra
 }
 
 // addInto accumulates the record's partial rows into slab, the dense
-// rank-wide accumulator of global rows lo, lo+1, …, and marks each row it
-// hits in touched — the reduce side of the MTTKRP shuffle.
+// rank-wide accumulator of global rows lo, lo+1, … — the reduce side of the
+// MTTKRP shuffle.
 //
 //distenc:hotpath
-func (p *PackedRows) addInto(slab []float64, touched []bool, lo, rank int) {
+func (p *PackedRows) addInto(slab []float64, lo, rank int) {
 	for i, row := range p.Rows {
 		li := int(row) - lo
-		touched[li] = true
 		dst := slab[li*rank : (li+1)*rank]
 		src := p.Vals[i*rank:][:len(dst)]
 		//bce:begin
@@ -293,25 +292,13 @@ func (p *PackedRows) checkReduced(rp, rank int, bounds []part.Boundaries) error 
 	return nil
 }
 
-// compactRows squeezes the touched rows of a reduce slab to its front — in
-// place, so the values are moved at most once and need no second slab — and
-// returns them as mode n's reduced record.
-//
-//distenc:hotpath
-func compactRows(a *rdd.Arena, n, lo, rank int, slab []float64, touched []bool) PackedRows {
-	rows := a.Int32s(len(touched))
-	ri := 0
-	for li, t := range touched {
-		if !t {
-			continue
-		}
-		rows[ri] = int32(lo + li)
-		if ri != li {
-			copy(slab[ri*rank:(ri+1)*rank], slab[li*rank:(li+1)*rank])
-		}
-		ri++
-	}
-	return PackedRows{Mode: int16(n), Rows: rows[:ri], Vals: slab[:ri*rank]}
+// HRows is a run of consecutive rows of one mode's H_n = E_(n)·U(n): rows
+// Lo, Lo+1, … in Vals, R values a row, row-major. Mode −1 carries ‖E‖²_F in
+// Vals[0] instead.
+type HRows struct {
+	Mode int16
+	Lo   int
+	Vals []float64
 }
 
 // mapSlabs points acc[n] at partition p's zeroed mode-n accumulator slab (one
@@ -342,12 +329,8 @@ type mttkrpMapScratch struct {
 	fused *fusedScratch
 }
 
-// mttkrpReduceScratch is the reduce task's stash-resident container set.
-type mttkrpReduceScratch struct {
-	slabs   [][]float64
-	touched [][]bool
-	out     []PackedRows
-}
+// mttkrpReduceScratch is the reduce task's stash-resident output runs.
+type mttkrpReduceScratch struct{ out []HRows }
 
 // Arena stash keys for the two MTTKRP closures. A lineage recompute can run
 // the map closure inside a reduce attempt's arena, so the keys must be
@@ -357,10 +340,10 @@ const (
 	mttkrpReduceStash = "core.mttkrp.reduce"
 )
 
-// MTTKRPStage executes the per-iteration distributed stage and returns the
-// assembled H_n = E_(n)·U(n) matrices plus ‖E‖²_F. The matrices belong to
-// the layout and are overwritten by its next MTTKRPStage call: read them
-// before then, and do not write to them.
+// MTTKRPStage executes the per-iteration distributed stage and returns
+// H_n = E_(n)·U(n), per mode the reduce slabs as runs tiling [0, I_n) in
+// ascending order, plus ‖E‖²_F. The slabs live in task arenas until the next
+// stage over the layout's partitions: read them before then, read only.
 //
 // The map side ships each block the factor rows its non-zeros touch (counted
 // as shuffle traffic — the O(T·N·M·I·R) term of Lemma 3, eight bytes a
@@ -369,8 +352,8 @@ const (
 // mode): the layout's sorted needed-row lists make each destination a
 // contiguous slice of the slab. The reduce side folds each incoming block
 // into its dense row ranges as it arrives, in map-partition order (it holds
-// its slabs plus one decoded block, never all P), and returns one compacted
-// record per mode for the driver to scatter into H_n. The two sides run as
+// its slabs plus one decoded block, never all P), and returns the slabs
+// themselves: a row no entry touches stays zero. The two sides run as
 // distinct named stages — "mttkrp-map" (shuffle write) and "mttkrp-reduce"
 // (collect) — so stage logs, phase attribution and fault-injection prefixes
 // can tell the two apart.
@@ -380,11 +363,11 @@ const (
 // encode into, worker-held blocks dropped. A machine killed
 // during the call is recovered from lineage; one killed later held nothing.
 //
-// All per-iteration scratch — accumulator slabs, emitted and compacted record
-// payloads — comes from the task arena, which the cluster pools by (machine,
-// stage, partition): after the first iteration sizes the slabs, steady-state
-// iterations allocate nothing.
-func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, factors []*mat.Dense, opt DistOptions) ([]*mat.Dense, float64, error) {
+// All per-iteration scratch — accumulator slabs, decoded records, the reduce
+// slabs — comes from the task arena, pooled by (machine, partition): map
+// task p's accumulators are dead once encoded, so reduce task p folds into
+// the same backing, and steady-state iterations allocate nothing.
+func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, factors []*mat.Dense, opt DistOptions) ([][]HRows, float64, error) {
 	rank := opt.Rank
 	// Bytes of factor rows shipped to each block, eight a value. The flat
 	// accumulator slabs the kernel fills have the same shape, and both are
@@ -458,34 +441,29 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 		//distenc:coldpath -- one record per task into stash-pooled capacity
 		out[0] = append(out[0], PackedRows{Mode: -1, Vals: nv})
 		return out, nil
-	}, func(tc *rdd.TaskCtx, rp int, blocks iter.Seq2[[]PackedRows, error]) ([]PackedRows, error) {
+	}, func(tc *rdd.TaskCtx, rp int, blocks iter.Seq2[[]PackedRows, error]) ([]HRows, error) {
 		a := tc.Arena()
+		a.ReserveFloat64s(l.reduceNeed[rp]) // only dead slabs are in the arena yet
 		rs, _ := a.Stash(mttkrpReduceStash).(*mttkrpReduceScratch)
 		//distenc:coldpath -- first-use stash setup; every later iteration reuses these containers from the arena stash
 		if rs == nil {
-			rs = &mttkrpReduceScratch{
-				slabs:   make([][]float64, l.order),
-				touched: make([][]bool, l.order),
-			}
+			rs = &mttkrpReduceScratch{out: make([]HRows, l.order, l.order+1)}
 			a.SetStash(mttkrpReduceStash, rs)
 		}
 		// Every slab is drawn before the first block arrives: the arena region
 		// a block is decoded into is rewound after it, with anything drawn
 		// meanwhile. A mode shorter than the partition count has no rows here.
-		slabs, touched := rs.slabs, rs.touched
-		for n := range slabs {
-			slabs[n], touched[n] = nil, nil
+		out := rs.out[:l.order]
+		for n := range out {
+			out[n] = HRows{Mode: int16(n)}
 			if rp >= bounds[n].NumPartitions() {
 				continue
 			}
 			lo, hi := bounds[n].Range(rp)
-			// One rank-wide float64 row plus one byte of touched-bitmap per
-			// row — not (rank+1) full words, which over-charged the bitmap 8×.
-			if err := tc.ChargeTransient(int64(hi-lo) * (int64(rank)*8 + 1)); err != nil {
+			if err := tc.ChargeTransient(int64(hi-lo) * int64(rank) * 8); err != nil {
 				return nil, err
 			}
-			slabs[n] = a.Float64s((hi - lo) * rank)
-			touched[n] = a.Bools(hi - lo)
+			out[n].Lo, out[n].Vals = lo, a.Float64s((hi-lo)*rank)
 		}
 		var norm2 float64
 		for in, err := range blocks {
@@ -500,26 +478,17 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 					norm2 += rec.Vals[0]
 					continue
 				}
-				lo, _ := bounds[rec.Mode].Range(rp)
-				rec.addInto(slabs[rec.Mode], touched[rec.Mode], lo, rank)
+				rec.addInto(out[rec.Mode].Vals, out[rec.Mode].Lo, rank)
 			}
-		}
-		out := rs.out[:0]
-		for n := range slabs {
-			if slabs[n] == nil {
-				continue
-			}
-			lo, _ := bounds[n].Range(rp)
-			//distenc:coldpath -- one record per mode into stash-pooled capacity
-			out = append(out, compactRows(a, n, lo, rank, slabs[n], touched[n]))
 		}
 		if rp == 0 {
 			nv := a.Float64s(1)
 			nv[0] = norm2
+			// Not out = append(…): the loop body captures out, and a
+			// reassigned capture moves to the heap.
 			//distenc:coldpath -- one record per task into stash-pooled capacity
-			out = append(out, PackedRows{Mode: -1, Vals: nv})
+			return append(out, HRows{Mode: -1, Vals: nv}), nil
 		}
-		rs.out = out
 		return out, nil
 	})
 	defer reduced.Unpersist()
@@ -528,26 +497,17 @@ func MTTKRPStage(c *rdd.Cluster, blocks *rdd.RDD[*TensorBlock], l *Layout, facto
 	if err != nil {
 		return nil, 0, err
 	}
-	// The rows a stage writes are fixed by the layout — every row with an
-	// observed entry, each overwritten in full, the rest never touched — so
-	// the H_n matrices are allocated once per layout and neither re-zeroed
-	// nor re-allocated afterwards.
-	if l.hs == nil {
-		l.hs = make([]*mat.Dense, l.order)
-		for n := range l.hs {
-			l.hs[n] = mat.NewDense(l.dims[n], rank)
-		}
-	}
 	var norm2 float64
+	for n := range l.hv {
+		l.hv[n] = l.hv[n][:0]
+	}
 	for _, rec := range recs {
-		if rec.Mode < 0 {
+		switch {
+		case rec.Mode < 0:
 			norm2 += rec.Vals[0]
-			continue
-		}
-		h := l.hs[rec.Mode]
-		for i, row := range rec.Rows {
-			copy(h.Row(int(row)), rec.Vals[i*rank:(i+1)*rank])
+		case len(rec.Vals) > 0: // a partition past a short mode's last holds none of its rows
+			l.hv[rec.Mode] = append(l.hv[rec.Mode], rec)
 		}
 	}
-	return l.hs, norm2, nil
+	return l.hv, norm2, nil
 }

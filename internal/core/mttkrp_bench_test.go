@@ -40,8 +40,16 @@ func benchStage(b *testing.B, opt DistOptions) {
 	}
 }
 
+// BenchmarkMTTKRPStage times the stage on the mode-0 blocking. Its /ref
+// sibling forces the portable kernel, as BenchmarkMTTKRPStageGrid's does: the
+// ledger gates the ratio of the two.
 func BenchmarkMTTKRPStage(b *testing.B) {
-	benchStage(b, DistOptions{Options: Options{Rank: 8}})
+	opt := DistOptions{Options: Options{Rank: 8}}
+	b.Run("linear", func(b *testing.B) { benchStage(b, opt) })
+	b.Run("linear/ref", func(b *testing.B) {
+		usePortableKernel(b)
+		benchStage(b, opt)
+	})
 }
 
 // BenchmarkMTTKRPStageGrid times the stage on the grid blocking. Its /ref
@@ -82,9 +90,9 @@ func BenchmarkNewLayout(b *testing.B) {
 // steadyWorkerIteration runs one worker-side MTTKRP iteration over every
 // partition of l against a single shared arena: map kernel, slab emission,
 // record encoding into buf, wire decode back out of buf, and the reduce
-// accumulation + compaction. This is the allocation-visible span of a
+// accumulation into dense slabs. This is the allocation-visible span of a
 // steady-state iteration; everything outside it — engine task dispatch,
-// driver-side H_n assembly — allocates a handful of O(P+N) small objects per
+// the driver's run lists — allocates a handful of O(P+N) small objects per
 // iteration by design and is excluded from the zero-alloc contract.
 func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank int, buf []byte) ([]byte, float64) {
 	a.Reset()
@@ -124,16 +132,11 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 	// every mode's full row range.
 	rs, _ := a.Stash(mttkrpReduceStash).(*mttkrpReduceScratch)
 	if rs == nil {
-		rs = &mttkrpReduceScratch{
-			slabs:   make([][]float64, l.order),
-			touched: make([][]bool, l.order),
-		}
+		rs = &mttkrpReduceScratch{out: make([]HRows, l.order)}
 		a.SetStash(mttkrpReduceStash, rs)
 	}
-	slabs, touched := rs.slabs, rs.touched
-	for n := range slabs {
-		slabs[n] = a.Float64s(l.dims[n] * rank)
-		touched[n] = a.Bools(l.dims[n])
+	for n := range rs.out {
+		rs.out[n] = HRows{Mode: int16(n), Vals: a.Float64s(l.dims[n] * rank)}
 	}
 	data := buf
 	var rec PackedRows
@@ -143,19 +146,15 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 		if err != nil {
 			panic(err)
 		}
-		rec.addInto(slabs[rec.Mode], touched[rec.Mode], 0, rank)
+		rec.addInto(rs.out[rec.Mode].Vals, 0, rank)
 	}
-	out := rs.out[:0]
-	for n := 0; n < l.order; n++ {
-		out = append(out, compactRows(a, n, 0, rank, slabs[n], touched[n]))
-	}
-	rs.out = out
 	return buf, norm2
 }
 
 // BenchmarkMTTKRPSteadyStateFused measures the arena-backed worker path in
 // its steady state (iteration ≥ 2): allocs/op must report 0 — the contract
-// TestMTTKRPSteadyStateZeroAlloc pins.
+// TestMTTKRPSteadyStateZeroAlloc pins. Its /ref sibling forces the portable
+// kernel, so the ledger can gate the ratio of the two.
 func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 	d := synth.LinearFactorDataset([]int{200, 200, 200}, 4, 50_000, 1)
 	opt := DistOptions{Options: Options{Rank: 8}, GridPartition: true}
@@ -163,18 +162,25 @@ func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 	opt.Partitions = 4
 	l := NewLayout(d.Tensor, opt)
 	factors := initFactors(d.Tensor.Dims, opt.Rank, 2)
-	var a rdd.Arena
-	var buf []byte
-	// Warm up until the arena slabs and encode buffer reach the cycle's
-	// high-water capacity; geometric growth converges within a few cycles.
-	for i := 0; i < 5; i++ {
-		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
+	run := func(b *testing.B) {
+		var a rdd.Arena
+		var buf []byte
+		// Warm up until the arena slabs and encode buffer reach the
+		// cycle's high-water capacity.
+		for i := 0; i < 5; i++ {
+			buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _ = steadyWorkerIteration(&a, l, factors, opt.Rank, buf)
-	}
+	b.Run("grid", run)
+	b.Run("grid/ref", func(b *testing.B) {
+		usePortableKernel(b)
+		run(b)
+	})
 }
 
 // BenchmarkSerialIteration times one Complete iteration — the whole-tensor

@@ -65,8 +65,9 @@ var goldenShapes = [][]int{
 
 // TestMTTKRPStageMatchesNaive is the golden equivalence test for the stage
 // kernel + packed shuffle: across tensor orders, block layouts and partition
-// counts, the distributed stage must agree per row with the naive serial
-// reference within 1e-9 relative tolerance.
+// counts, the runs the distributed stage returns must tile every mode's rows
+// in ascending order and agree per row with the naive serial reference
+// within 1e-9 relative tolerance.
 func TestMTTKRPStageMatchesNaive(t *testing.T) {
 	const tol = 1e-9
 	const rank = 5
@@ -98,8 +99,23 @@ func TestMTTKRPStageMatchesNaive(t *testing.T) {
 					t.Fatalf("order-%d %s P=%d: ‖E‖² = %v, want %v", len(dims), lo.name, parts, gotNorm2, wantNorm2)
 				}
 				for n := range wantHs {
+					next := 0
+					for _, run := range gotHs[n] {
+						if int(run.Mode) != n || run.Lo != next || len(run.Vals)%rank != 0 {
+							t.Fatalf("order-%d %s P=%d: mode %d run of mode %d at row %d (%d values) does not continue the tiling at row %d",
+								len(dims), lo.name, parts, n, run.Mode, run.Lo, len(run.Vals), next)
+						}
+						next += len(run.Vals) / rank
+					}
+					if next != dims[n] {
+						t.Fatalf("order-%d %s P=%d: mode %d runs end at row %d, want %d", len(dims), lo.name, parts, n, next, dims[n])
+					}
+					got := mat.NewDense(dims[n], rank)
+					for _, run := range gotHs[n] {
+						copy(got.Data()[run.Lo*rank:], run.Vals)
+					}
 					for i := 0; i < wantHs[n].Rows(); i++ {
-						wantRow, gotRow := wantHs[n].Row(i), gotHs[n].Row(i)
+						wantRow, gotRow := wantHs[n].Row(i), got.Row(i)
 						for r := 0; r < rank; r++ {
 							if !relClose(gotRow[r], wantRow[r], tol) {
 								t.Fatalf("order-%d %s P=%d: H_%d[%d,%d] = %v, want %v",

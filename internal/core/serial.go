@@ -58,11 +58,11 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	// full-height slab, so the kernel accumulates straight into the H_n.
 	blk := &TensorBlock{Order: t.Order(), Idx: t.Idx, Val: t.Val}
 	sortEntriesModeMajor(blk) // copies when it has to reorder; the kernel only reads
-	hs := make([]*mat.Dense, t.Order())
 	acc := make([][]float64, t.Order())
+	hv := make([][]HRows, t.Order()) // each H_n one full-height run
 	for n, d := range t.Dims {
-		hs[n] = mat.NewDense(d, opt.Rank)
-		acc[n] = hs[n].Data()
+		acc[n] = make([]float64, d*opt.Rank)
+		hv[n] = []HRows{{Mode: int16(n), Vals: acc[n]}}
 	}
 	scratch := newFusedScratch(t.Order(), opt.Rank)
 	// mttkrp fills every H_n = E_(n)·U(n) at the current factors and returns
@@ -77,7 +77,7 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	start := time.Now()
 	for ; st.iter < opt.MaxIter; st.iter++ {
 		iterStart := time.Now()
-		delta, err := st.update(hs)
+		delta, err := st.update(hv)
 		if err != nil {
 			return nil, err
 		}
@@ -127,27 +127,26 @@ type solverState struct {
 	t   *sptensor.Tensor
 	opt Options
 	lap []*graph.Laplacian // nil entries: modes without a similarity
-	// factors are the A(n). retired[n] is the matrix that held mode n's A
-	// one iteration back, nil until the first update: the update writes the
-	// next A into it and the two swap, so a warm iteration allocates no
-	// factor matrix. Nothing reads A_{t−1} by then: the serial kernel reads
-	// only A_t, and runStage returns only once every attempt it launched,
-	// speculative losers included, has stopped reading A_{t−1}.
-	factors, retired []*mat.Dense
-	aux              []*mat.Dense // B(n)
-	mult             []*mat.Dense // Y(n), updated in place
-	// spare[n] is what mode n's next B-step writes; it swaps with aux[n] once
-	// the mode's pass is done, so the step reads the previous B unchanged.
+	// factors are the A(n), updated in place: the kernel runs before the
+	// update, and runStage returns only once every attempt it launched has
+	// stopped reading them.
+	factors []*mat.Dense
+	aux     []*mat.Dense // B(n)
+	mult    []*mat.Dense // Y(n), updated in place
+	// spare[n] is what a similarity mode's B-step writes; it swaps with
+	// aux[n] once the mode's pass is done. A free mode's step reads no B and
+	// writes aux[n] in place: its spare[n] is nil.
 	spare []*mat.Dense
 	// gram[n] = A(n)ᵀA(n) at the current factors, nil until the first update
 	// computes it. The pass accumulates the next iteration's into nextGram,
 	// and the two sets swap when it commits: every mode's F_n reads the
 	// iteration-t Grams of all the others.
 	gram, nextGram []*mat.Dense
-	// w holds one tile of the right-hand side H + ηB + Y − cA.
-	w    []float64
-	eta  float64
-	iter int
+	// w holds one tile of the right-hand side H + ηB + Y − cA, and nx the
+	// tile's new rows of A until they are copied over the old ones.
+	w, nx []float64
+	eta   float64
+	iter  int
 
 	consensus float64
 	converged bool
@@ -163,6 +162,7 @@ func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *so
 		factors: initFactors(t.Dims, opt.Rank, opt.Seed),
 		eta:     opt.Eta0,
 		w:       make([]float64, driverTileRows(opt.Rank)*opt.Rank),
+		nx:      make([]float64, driverTileRows(opt.Rank)*opt.Rank),
 	}
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
@@ -174,15 +174,17 @@ func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *so
 		// would drag A toward zero when α·d_i outweighs η.
 		st.aux[n] = st.factors[n].Clone()
 		st.mult[n] = mat.NewDense(d, opt.Rank)
-		st.spare[n] = mat.NewDense(d, opt.Rank)
+		if lap != nil && lap[n] != nil {
+			st.spare[n] = mat.NewDense(d, opt.Rank)
+		}
 		st.nextGram[n] = mat.NewDense(opt.Rank, opt.Rank)
 	}
 	return st
 }
 
 // driverTileFloats bounds one I×R operand's share of a driver-pass tile at
-// 4 KB: a tile's rows of A, Y, H, both Bs and the new A then fit a 32 KB L1d
-// together from the B-step through the Gram.
+// 4 KB: a tile's rows of A, Y, H, both Bs, w and the new A then fit a 32 KB
+// L1d together from the B-step through the Gram.
 const driverTileFloats = 512
 
 // driverTileRows is the pass's tile height at rank r. It is a multiple of
@@ -191,21 +193,24 @@ const driverTileFloats = 512
 func driverTileRows(r int) int { return max(4, driverTileFloats/r&^3) }
 
 // update performs one Jacobi-style outer iteration, Algorithm 3 lines 7–14,
-// and returns the convergence value max_n ‖A_{t+1}−A_t‖²_F. hs are the
-// kernel's H_n = E_(n)·U(n) at the current factors and are only read. The
-// residual E = Ω∗(T − [[A_{t+1}]]) is the next kernel call's, never stored
-// (§III-D; see DESIGN.md on the Algorithm 3 line-13 typo).
+// and returns the convergence value max_n ‖A_{t+1}−A_t‖²_F. hv holds the
+// kernel's H_n = E_(n)·U(n) at the current factors as MTTKRPStage returns
+// it, and is only read. The residual E = Ω∗(T − [[A_{t+1}]]) is the next
+// kernel call's, never stored (§III-D; see DESIGN.md on the Algorithm 3
+// line-13 typo).
 //
 // Every mode's F_n comes from the iteration-t Grams (Eq. 12). Given the R×R
 // (F_n + cI)⁻¹, c = λ+η, every other step is row-local, so a mode is one pass
 // over its rows in tiles of driverTileRows. Per tile:
 //   - the B-step on the tile's rows, from the previous B (auxRows);
-//   - w = H + ηB + Y − cA (driverRHS), and per row the new row
+//   - w = H + ηB + Y − cA (driverRHS, element-wise, so a run of H ending
+//     inside the tile changes no bit), and per row the new row
 //     A + w(F + cI)⁻¹ (mat.AxpyRows), the one-multiply form of Algorithm 3
 //     line 11, A ← (A·F + H + ηB + Y)(F + cI)⁻¹ (DESIGN.md §5);
 //   - ‖ΔA‖² and ‖B − A‖² accumulated, and Y ← Y + η(B − A) in place (line
 //     12; driverAdvance);
-//   - the tile's new rows added into the next iteration's Gram.
+//   - the tile's new rows added into the next iteration's Gram, then copied
+//     over the old ones.
 //
 // Row products do not change under tiling, and both sums and the Gram's
 // row folds (mat.GramAddUpper) run through the tiles in ascending order. So
@@ -213,12 +218,13 @@ func driverTileRows(r int) int { return max(4, driverTileFloats/r&^3) }
 // It also records the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1
 // stopping criterion, and grows η (line 14).
 //
-// The next A goes into retired[n] and B into spare[n], and Y and the Grams
-// are updated in place or alternate, so after the first call update
-// allocates nothing I-sized. It returns an error naming the iteration and
-// the mode when a Gram's diagonal is not finite, which a factor entry that
-// is not finite (or whose square overflows) makes it: the solve has diverged.
-func (st *solverState) update(hs []*mat.Dense) (float64, error) {
+// The steps read only the tile's own rows of A and Y, so A and Y are updated
+// in place (the new rows through the tile buffer nx), as is a free mode's B;
+// so update allocates nothing I-sized. It returns an error naming the
+// iteration and the mode when a Gram's diagonal is not finite, which a
+// factor entry that is not finite (or whose square overflows) makes it: the
+// solve has diverged.
+func (st *solverState) update(hv [][]HRows) (float64, error) {
 	rank := st.opt.Rank
 	eta, c := st.eta, st.opt.Lambda+st.eta
 	tile := driverTileRows(rank)
@@ -233,12 +239,6 @@ func (st *solverState) update(hs []*mat.Dense) (float64, error) {
 			}
 		}
 	}
-	if st.retired == nil {
-		st.retired = make([]*mat.Dense, len(st.factors))
-		for n, f := range st.factors {
-			st.retired[n] = mat.NewDense(f.Dims())
-		}
-	}
 	var maxDelta, consensus float64
 	for n, cur := range st.factors {
 		// F_n + (λ+η)I via the Hadamard-of-Grams identity (Eq. 12).
@@ -251,10 +251,13 @@ func (st *solverState) update(hs []*mat.Dense) (float64, error) {
 			// F + (λ+η)I is SPD by construction when the Grams are finite.
 			return 0, fmt.Errorf("core: iteration %d, mode %d: normal-equation matrix not SPD: %w", st.iter, n, err)
 		}
-		next := st.retired[n]
 		a := cur.Data()
-		nx, b := next.Data()[:len(a)], st.spare[n].Data()[:len(a)]
-		y, h := st.mult[n].Data()[:len(a)], hs[n].Data()[:len(a)]
+		nb := st.aux[n] // the next B: in place on a mode without a similarity
+		if st.spare[n] != nil {
+			nb = st.spare[n]
+		}
+		b, y := nb.Data()[:len(a)], st.mult[n].Data()[:len(a)]
+		runs := hv[n]
 		g := st.nextGram[n].Data()
 		clear(g)
 		var delta2, gap2 float64
@@ -262,14 +265,23 @@ func (st *solverState) update(hs []*mat.Dense) (float64, error) {
 			hi := min(lo+tile, cur.Rows())
 			st.auxRows(n, lo, hi)
 			t0, t1 := lo*rank, hi*rank
-			w := st.w[:t1-t0]
-			driverRHS(w, h[t0:t1], b[t0:t1], y[t0:t1], a[t0:t1], eta, c)
-			copy(nx[t0:t1], a[t0:t1])
-			for i := 0; i < len(w); i += rank {
-				mat.AxpyRows(nx[t0+i:t0+i+rank], w[i:i+rank], inv.Data())
+			w, nx := st.w[:t1-t0], st.nx[:t1-t0]
+			for r := lo; r < hi; {
+				for runs[0].Lo+len(runs[0].Vals)/rank <= r {
+					runs = runs[1:]
+				}
+				e := min(hi, runs[0].Lo+len(runs[0].Vals)/rank)
+				r0, r1 := r*rank, e*rank
+				driverRHS(w[r0-t0:r1-t0], runs[0].Vals[r0-runs[0].Lo*rank:], b[r0:], y[r0:], a[r0:], eta, c)
+				r = e
 			}
-			delta2, gap2 = driverAdvance(nx[t0:t1], a[t0:t1], b[t0:t1], y[t0:t1], eta, delta2, gap2)
-			mat.GramAddUpper(g, nx[t0:t1], rank)
+			copy(nx, a[t0:t1])
+			for i := 0; i < len(w); i += rank {
+				mat.AxpyRows(nx[i:i+rank], w[i:i+rank], inv.Data())
+			}
+			delta2, gap2 = driverAdvance(nx, a[t0:t1], b[t0:t1], y[t0:t1], eta, delta2, gap2)
+			mat.GramAddUpper(g, nx, rank)
+			copy(a[t0:t1], nx)
 		}
 		mat.MirrorUpper(g, rank)
 		if err := st.checkGram(n, g); err != nil {
@@ -277,8 +289,9 @@ func (st *solverState) update(hs []*mat.Dense) (float64, error) {
 		}
 		maxDelta = math.Max(maxDelta, delta2)
 		consensus = math.Max(consensus, math.Sqrt(gap2))
-		st.factors[n], st.retired[n] = next, cur
-		st.aux[n], st.spare[n] = st.spare[n], st.aux[n]
+		if st.spare[n] != nil {
+			st.aux[n], st.spare[n] = st.spare[n], st.aux[n]
+		}
 	}
 	st.gram, st.nextGram = st.nextGram, st.gram
 	st.eta = math.Min(st.opt.Rho*st.eta, st.opt.EtaMax)
@@ -352,19 +365,19 @@ func driverFreeB(b, a, y []float64, eta float64, nonNeg bool) {
 	//bce:end
 }
 
-// auxRows writes rows [lo, hi) of mode n's next B into spare[n] from
-// x = ηA(n) − Y(n) and the previous B: one damped-Jacobi step towards
-// (ηI + αL_n)⁻¹·x (graph.Laplacian.BStep) on a mode with a similarity, x/η
-// exactly on a mode without one (driverFreeB), projected onto B ≥ 0 under
-// NonNegative.
+// auxRows writes rows [lo, hi) of mode n's next B from x = ηA(n) − Y(n): on a
+// mode with a similarity, one damped-Jacobi step from the previous B towards
+// (ηI + αL_n)⁻¹·x (graph.Laplacian.BStep) into spare[n]; on a mode without
+// one, x/η exactly (driverFreeB) into aux[n] in place; projected onto B ≥ 0
+// under NonNegative.
 func (st *solverState) auxRows(n, lo, hi int) {
 	rank, eta := st.opt.Rank, st.eta
-	b, a, y := st.spare[n].Data(), st.factors[n].Data(), st.mult[n].Data()
-	if st.lap != nil && st.lap[n] != nil {
-		st.lap[n].BStep(b, st.aux[n].Data(), a, y, lo, hi, rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
+	a, y := st.factors[n].Data(), st.mult[n].Data()
+	if b := st.spare[n]; b != nil {
+		st.lap[n].BStep(b.Data(), st.aux[n].Data(), a, y, lo, hi, rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
 		return
 	}
-	driverFreeB(b[lo*rank:hi*rank], a[lo*rank:], y[lo*rank:], eta, st.opt.NonNegative)
+	driverFreeB(st.aux[n].Data()[lo*rank:hi*rank], a[lo*rank:], y[lo*rank:], eta, st.opt.NonNegative)
 }
 
 // stop reports whether either stopping criterion fired for delta.

@@ -267,15 +267,16 @@ func TestFusedUpdateMatchesSweepsBits(t *testing.T) {
 }
 
 // TestDriverUpdateAllocatesNothingISized is the allocation budget of one warm
-// driver update: nothing I-sized. The next A goes into the matrix that held
-// the A before the current one (retired), B ping-pongs between two
-// solver-owned buffers, Y is updated in place, the Grams alternate between
-// two R×R sets, the right-hand side goes through one R-wide tile, and the
-// B-step allocates nothing. What is left is R×R work per mode — Gram
-// products, the normal matrix, its Cholesky factor and inverse — so the
-// byte budget is a fixed allowance of R×R matrices per mode, the object count
-// must not depend on I at all, and the same budget holds for either body
-// set.
+// driver update: nothing I-sized. A and Y are updated in place, and so is B
+// on a mode without a similarity; a mode with one ping-pongs B between two
+// solver-owned buffers. The Grams alternate between two R×R sets, the
+// right-hand side and the new rows go through two tile buffers, and the
+// B-step allocates nothing. So after two warm updates the solver holds A, B
+// and Y per mode and a spare B only on the similarity mode, and what update
+// allocates is R×R work per mode — Gram products, the normal matrix, its
+// Cholesky factor and inverse: the byte budget is a fixed allowance of R×R
+// matrices per mode, the object count must not depend on I at all, and the
+// same budget holds for either body set.
 func TestDriverUpdateAllocatesNothingISized(t *testing.T) {
 	const rank = 8
 	measure := func(dims []int) (objects int, bytes uint64) {
@@ -287,8 +288,22 @@ func TestDriverUpdateAllocatesNothingISized(t *testing.T) {
 		opt := Options{Rank: rank, Seed: 2}.withDefaults()
 		st := newSolverState(ts, laplacians(sims), opt)
 		hs, _ := naiveStageMTTKRP(ts, st.factors)
-		step := func() { mustUpdate(t, st, hs) }
-		step() // the first update allocates the retired factors
+		hv := wholeH(hs)
+		step := func() {
+			if _, err := st.update(hv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // the first update computes the Grams
+		step()
+		if len(st.factors) != len(dims) || len(st.aux) != len(dims) || len(st.mult) != len(dims) {
+			t.Fatalf("the solver holds %d A, %d B and %d Y for %d modes", len(st.factors), len(st.aux), len(st.mult), len(dims))
+		}
+		for n, s := range st.spare {
+			if (s != nil) != (sims[n] != nil) {
+				t.Errorf("mode %d (similarity: %v) holds a spare B: %v", n, sims[n] != nil, s != nil)
+			}
+		}
 		objects = int(testing.AllocsPerRun(5, step))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -310,6 +325,7 @@ func TestDriverUpdateAllocatesNothingISized(t *testing.T) {
 		if slack := uint64(8 * len(dims) * (rank*rank*8 + 64)); largeBytes > slack {
 			t.Errorf("%s bodies: driver update allocated %d bytes, more than the %d of its R×R work: something I-sized was allocated", body, largeBytes, slack)
 		}
+		t.Logf("%s bodies: %d objects, %d bytes per warm update", body, largeN, largeBytes)
 	}
 }
 
@@ -399,7 +415,7 @@ func TestNewSolverStateBuildsNoResidual(t *testing.T) {
 	opt := Options{Rank: 4, Seed: 3, MaxIter: 1, Tol: -1}.withDefaults()
 	dense := uint64(0)
 	for _, d := range dims {
-		dense += 4 * uint64(d*opt.Rank) * 8 // A, the two B buffers and Y
+		dense += 3 * uint64(d*opt.Rank) * 8 // A, B and Y: no mode has a similarity
 	}
 	if tensor := uint64(ts.NNZ()) * 20; tensor < 8*dense {
 		t.Fatalf("tensor is %d B against %d B of dense state: too small to tell a copy of it", tensor, dense)
@@ -513,25 +529,25 @@ func BenchmarkDriverUpdate(b *testing.B) {
 		}
 	}
 	mustUpdate(b, st, hs)
-	factors, retired := slices.Clone(st.factors), slices.Clone(st.retired)
+	hv := wholeH(hs)
 	aux, spare := slices.Clone(st.aux), slices.Clone(st.spare)
 	gram, nextGram, eta := st.gram, st.nextGram, st.eta
-	mult := make([]*mat.Dense, len(dims))
-	for n, y := range st.mult {
-		mult[n] = y.Clone()
+	// saved holds the values of A, B and Y per mode.
+	saved := make([][3]*mat.Dense, len(dims))
+	for n := range dims {
+		saved[n] = [3]*mat.Dense{st.factors[n].Clone(), st.aux[n].Clone(), st.mult[n].Clone()}
 	}
-	// restore undoes an op. The update writes only retired, spare, nextGram,
-	// Y and the slots of these slices, never a current factor or the B it
-	// read; putting the retired and spare slots back too means an op always
-	// writes into the buffers the snapshot does not hold.
+	// restore undoes an op. The update writes A, Y and a free mode's B in
+	// place, a similarity mode's next B into spare, nextGram, and the slots
+	// of these slices: the slots go back, then the values of A, B and Y.
 	restore := func() {
-		copy(st.factors, factors)
-		copy(st.retired, retired)
 		copy(st.aux, aux)
 		copy(st.spare, spare)
 		st.gram, st.nextGram, st.eta = gram, nextGram, eta
-		for n, y := range st.mult {
-			copy(y.Data(), mult[n].Data())
+		for n, m := range saved {
+			for i, dst := range []*mat.Dense{st.factors[n], st.aux[n], st.mult[n]} {
+				copy(dst.Data(), m[i].Data())
+			}
 		}
 	}
 	for _, name := range []string{"highdim", "highdim/ref"} {
@@ -545,7 +561,9 @@ func BenchmarkDriverUpdate(b *testing.B) {
 				b.StopTimer()
 				restore()
 				b.StartTimer()
-				mustUpdate(b, st, hs)
+				if _, err := st.update(hv); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -4,33 +4,32 @@ import "sync"
 
 // Arena is a per-task bump allocator for hot-path scratch memory. Tasks
 // obtain one via TaskCtx.Arena; the cluster pools arenas keyed by (machine,
-// stage, partition), so the attempt running stage S's partition P on machine
-// M in iteration i+1 gets back the very slabs iteration i's attempt used —
-// Reset rewinds the bump offsets without freeing the backing arrays, and
-// checkin grows them to the cycle's high-water demand, so steady-state
-// iterations allocate nothing.
+// partition), in any stage: the map and reduce tasks of partition P, both
+// preferring machine P mod M, share one, and iteration i+1's tasks get back
+// the slabs iteration i's used. Reset rewinds the bump offsets without
+// freeing the backing arrays, and checkin grows them to the cycle's
+// high-water demand, so steady-state iterations allocate nothing.
 //
 // Lifetime contract: memory handed out by an arena is valid until the next
-// Reset of that arena, which happens at the next checkout of the same
-// (machine, stage, partition) key — i.e. the next attempt of the same task,
-// typically one solver iteration later. That makes arena memory safe for
-// (a) scratch consumed within the attempt and (b) task outputs the driver
-// consumes before the next iteration (collect/reduce results), but NOT for
-// anything with a longer life: cached RDD partitions must stay on the
-// ordinary heap (encoded shuffle blocks belong to their exchange, which
-// recycles them through the cluster's block pool when it retires).
-// Mark/Rewind give a region a shorter life than the attempt: the shuffle
-// reader rewinds each decoded block once the reduce side has folded it.
+// task of the same partition on the same machine checks it out, in any
+// stage, and Resets it. That makes it safe for (a) scratch consumed within
+// the attempt and (b) task outputs the driver consumes before it runs the
+// next stage over those partitions (collect/reduce results), but NOT for
+// anything with a longer life: cached RDD partitions stay on the ordinary
+// heap, and a map task's output is encoded into its exchange's blocks before
+// the reduce task resets the arena. Mark/Rewind give a region a shorter life
+// than the attempt: the shuffle reader rewinds each decoded block once the
+// reduce side has folded it.
 //
 // Concurrency: an arena is owned by exactly one task attempt at a time.
 // Speculative duplicate attempts run on distinct machines and thus draw
 // distinct arenas, and every attempt checks its arena in before its stage
-// returns.
+// returns. A lineage recompute inside an attempt shares the attempt's arena
+// without a Reset, so closures that may run in one attempt keep their stash
+// entries under distinct keys.
 type Arena struct {
 	f64 arenaSlab[float64]
 	i32 arenaSlab[int32]
-	byt arenaSlab[byte]
-	bl  arenaSlab[bool]
 	// stash holds long-lived typed scratch (record buffers, slice-of-slice
 	// containers) that survives Reset: closures key their scratch structs by
 	// a unique string and reuse them across iterations.
@@ -98,20 +97,25 @@ func (s *arenaSlab[T]) rewind(m slabMark) {
 }
 
 // ArenaMark is a position in an arena, taken by Mark and restored by Rewind.
-type ArenaMark struct{ f64, i32, byt, bl slabMark }
+type ArenaMark struct{ f64, i32 slabMark }
 
 // Mark returns the arena's current position.
-func (a *Arena) Mark() ArenaMark {
-	return ArenaMark{a.f64.mark(), a.i32.mark(), a.byt.mark(), a.bl.mark()}
-}
+func (a *Arena) Mark() ArenaMark { return ArenaMark{a.f64.mark(), a.i32.mark()} }
 
 // Rewind frees every allocation made since m was taken; memory handed out
 // before the mark is untouched. Marks do not survive Reset.
 func (a *Arena) Rewind(m ArenaMark) {
 	a.f64.rewind(m.f64)
 	a.i32.rewind(m.i32)
-	a.byt.rewind(m.byt)
-	a.bl.rewind(m.bl)
+}
+
+// ReserveFloat64s makes a task's next n float64s one backing's worth: if
+// nothing is drawn and the backing is shorter, it is replaced. A task that
+// knows its demand skips the geometric growth, and the slack it leaves.
+func (a *Arena) ReserveFloat64s(n int) {
+	if s := &a.f64; s.need == 0 && len(s.buf) < n {
+		s.buf, s.off = make([]float64, n), 0
+	}
 }
 
 // Float64s returns a zeroed arena-backed []float64 of length n.
@@ -125,20 +129,12 @@ func (a *Arena) Int32s(n int) []int32 { return a.i32.alloc(n, true) }
 // shuffle payloads), where zero-filling first would touch every byte twice.
 func (a *Arena) Float64sDirty(n int) []float64 { return a.f64.alloc(n, false) }
 
-// Bytes returns a zeroed arena-backed []byte of length n.
-func (a *Arena) Bytes(n int) []byte { return a.byt.alloc(n, true) }
-
-// Bools returns a zeroed arena-backed []bool of length n.
-func (a *Arena) Bools(n int) []bool { return a.bl.alloc(n, true) }
-
 // Reset rewinds every slab to empty without freeing backing memory. The
 // stash survives. Called by the cluster when the arena is checked out to a
 // new task attempt — user code normally never calls it.
 func (a *Arena) Reset() {
 	a.f64.reset()
 	a.i32.reset()
-	a.byt.reset()
-	a.bl.reset()
 }
 
 // trim consolidates each slab's backing to the finished cycle's high-water
@@ -146,8 +142,6 @@ func (a *Arena) Reset() {
 func (a *Arena) trim() {
 	a.f64.trim()
 	a.i32.trim()
-	a.byt.trim()
-	a.bl.trim()
 }
 
 // Stash returns the value stored under key, or nil. Stash entries survive
@@ -164,13 +158,10 @@ func (a *Arena) SetStash(key string, v any) {
 	a.stash[key] = v
 }
 
-// arenaKey identifies one pooled arena lineage: the same task (stage,
-// partition) re-running on the same machine gets the same slabs back.
-type arenaKey struct {
-	machine int
-	stage   string
-	part    int
-}
+// arenaKey identifies one pooled arena lineage: a task of the same
+// partition re-running on the same machine, in any stage, gets the same
+// slabs back.
+type arenaKey struct{ machine, part int }
 
 // arenaPool is the cluster-wide free list of arenas per key.
 type arenaPool struct {
@@ -197,4 +188,17 @@ func (ap *arenaPool) checkin(k arenaKey, a *Arena) {
 		ap.byKey = make(map[arenaKey][]*Arena)
 	}
 	ap.byKey[k] = append(ap.byKey[k], a)
+}
+
+// PooledArenaFloat64s returns the float64 elements backing the arenas pooled
+// between tasks: per (machine, partition), the largest demand of one task.
+func (c *Cluster) PooledArenaFloat64s() (n int) {
+	c.arenas.mu.Lock()
+	defer c.arenas.mu.Unlock()
+	for _, list := range c.arenas.byKey {
+		for _, a := range list {
+			n += len(a.f64.buf)
+		}
+	}
+	return n
 }

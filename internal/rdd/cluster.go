@@ -234,8 +234,8 @@ type Cluster struct {
 	// evictions tracks machineLost's asynchronous evictions; Quiesce waits
 	// for it.
 	evictions sync.WaitGroup
-	// arenas pools per-(machine, stage, partition) slab arenas across task
-	// attempts so steady-state iterations reuse scratch memory (see Arena).
+	// arenas pools per-(machine, partition) slab arenas across tasks and
+	// stages so steady-state iterations reuse scratch memory (see Arena).
 	arenas    arenaPool
 	blockPool blockPool // retired shuffle block images awaiting the next encode
 

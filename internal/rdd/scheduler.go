@@ -17,8 +17,7 @@ import (
 type TaskCtx struct {
 	Machine    int
 	c          *Cluster
-	stage      string // stage name, part of the arena pool key
-	part       int    // partition index, part of the arena pool key
+	part       int    // partition index, with Machine the arena pool key
 	arena      *Arena // lazily checked out; returned to the pool at attempt end
 	charged    int64
 	shuffled   int64
@@ -106,14 +105,14 @@ func (tc *TaskCtx) commit() {
 }
 
 // Arena returns the attempt's slab arena, checking one out of the cluster
-// pool (keyed by machine, stage, and partition) and resetting it on first
-// use. Lineage recomputes that re-enter an upstream closure inside the same
+// pool (keyed by machine and partition) and resetting it on first use.
+// Lineage recomputes that re-enter an upstream closure inside the same
 // attempt share the attempt's arena without an intervening reset, so the
 // downstream closure's live slabs are never clobbered; the arena is checked
 // back in when the attempt finishes. See Arena for the lifetime contract.
 func (tc *TaskCtx) Arena() *Arena {
 	if tc.arena == nil {
-		tc.arena = tc.c.arenas.checkout(arenaKey{tc.Machine, tc.stage, tc.part})
+		tc.arena = tc.c.arenas.checkout(arenaKey{tc.Machine, tc.part})
 		tc.arena.Reset()
 	}
 	return tc.arena
@@ -395,7 +394,7 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 	if c.cfg.SerializeTasks {
 		c.serialMu.Lock()
 	}
-	tc := &TaskCtx{Machine: m, c: c, stage: st.name, part: p}
+	tc := &TaskCtx{Machine: m, c: c, part: p}
 	taskStart := time.Now()
 	if !speculative {
 		ps.bodyStarted(m, taskStart)
@@ -453,9 +452,9 @@ func (c *Cluster) runAttempt(st *stageState, ps *partState, task func(tc *TaskCt
 	}
 	if tc.arena != nil {
 		// Returned only after the commit fired: hook-installed results may be
-		// arena-backed, and the driver consumes them before the next attempt
-		// of this (machine, stage, partition) key resets the slabs.
-		c.arenas.checkin(arenaKey{m, st.name, p}, tc.arena)
+		// arena-backed, and the driver consumes them before the next task of
+		// this (machine, partition) key, in any stage, resets the slabs.
+		c.arenas.checkin(arenaKey{m, p}, tc.arena)
 		tc.arena = nil
 	}
 	<-mm.sem

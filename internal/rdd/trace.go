@@ -55,6 +55,7 @@ func (c *Cluster) Summary() string {
 	}
 	fmt.Fprintf(&b, "shuffle images: %d B live in unretired exchanges, %d recycled, %d allocated\n",
 		c.metrics.ShuffleLiveBytes.Load(), c.metrics.BlocksRecycled.Load(), c.metrics.BlocksAllocated.Load())
+	fmt.Fprintf(&b, "task arenas: %d B of float64 slabs pooled\n", 8*c.PooledArenaFloat64s())
 	if c.remote() != nil {
 		fmt.Fprintf(&b, "transport: %d calls, %d B out, %d B in\n",
 			c.metrics.TransportCalls.Load(), c.metrics.TransportBytesOut.Load(), c.metrics.TransportBytesIn.Load())

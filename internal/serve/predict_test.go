@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"distenc/internal/framerpc"
 	"distenc/internal/mat"
 	"distenc/internal/sptensor"
 )
@@ -248,5 +249,54 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 			perCell(b)
 		})
+	}
+}
+
+// TestPredictRefusesReplyOverFrame: a batch whose reply cannot fit in a
+// frame is answered with stBadRequest naming the count and the limit, before
+// the handler grows its scratch for the batch, and the connection goes on
+// answering. An order-1 request is the case: its reply is twice its indices,
+// so a request the frame admits can ask for a reply it does not.
+func TestPredictRefusesReplyOverFrame(t *testing.T) {
+	const maxFrame = 4096
+	const limit = maxFrame - framerpc.HeaderLen // reply bytes a frame holds
+	m := randomModel([]int{50, 40, 30}, 2, 6)
+	reg := NewRegistry()
+	reg.Put(m)
+
+	// In the handler: nothing is grown for the refused batch.
+	s := &Server{reg: reg, cfg: Config{MaxFrame: maxFrame}}
+	var sc predictScratch
+	over := make([]int32, limit/8+1)
+	status, reply := s.handle(opPredict, appendPredictBody(nil, m.Name, 1, over), nil, &sc)
+	want := fmt.Sprintf("predict batch of %d cells needs a %d-byte reply, over the %d-byte frame limit", len(over), 8*len(over), limit)
+	if status != stBadRequest || string(reply) != want {
+		t.Fatalf("status %d, %q; want %d, %q", status, reply, stBadRequest, want)
+	}
+	if sc.flat != nil || sc.preds != nil {
+		t.Errorf("the refused batch grew the scratch: %d indices, %d predictions of capacity", cap(sc.flat), cap(sc.preds))
+	}
+	// One cell fewer fits, and fails on the model's order instead.
+	if status, reply = s.handle(opPredict, appendPredictBody(nil, m.Name, 1, over[:len(over)-1]), nil, &sc); status != stBadRequest || strings.Contains(string(reply), "frame limit") {
+		t.Errorf("a batch whose reply fits: status %d, %q; want the order refused, not the frame", status, reply)
+	}
+
+	// Over the wire: the request frame fits, the refusal arrives, and the
+	// connection answers the next request.
+	srv, err := NewServer(reg, Config{Listen: "127.0.0.1:0", MaxFrame: maxFrame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startServer(t, srv)
+	cl := dialTest(t, srv.Addr())
+	if _, err := cl.Predict(m.Name, 1, make([]int32, 1000)); err == nil || !strings.Contains(err.Error(), "predict batch of 1000 cells needs a 8000-byte reply, over the 4087-byte frame limit") {
+		t.Fatalf("an order-1 batch of 1000 cells gave %v", err)
+	}
+	got, err := cl.Predict(m.Name, 3, []int32{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := m.Kruskal().At([]int32{1, 2, 3}); math.Float64bits(got[0]) != math.Float64bits(w) {
+		t.Errorf("after the refusal: %v, want %v", got[0], w)
 	}
 }

@@ -64,8 +64,10 @@ func appendPredictBody(buf []byte, name string, order int, flat []int32) []byte 
 
 // parsePredictBody decodes an opPredict body into (model, order, flat
 // indices). The name aliases body; the indices are decoded into flat's backing
-// array, grown only when the body outsizes it.
-func parsePredictBody(body []byte, flat []int32) ([]byte, int, []int32, error) {
+// array, grown only when the body outsizes it. A batch whose reply — eight
+// bytes a cell — would exceed maxReply bytes is refused before anything is
+// grown for it: no client could read the reply.
+func parsePredictBody(body []byte, flat []int32, maxReply int) ([]byte, int, []int32, error) {
 	if len(body) < 2 {
 		return nil, 0, nil, fmt.Errorf("predict body of %d bytes, want >= 2", len(body))
 	}
@@ -81,6 +83,9 @@ func parsePredictBody(body []byte, flat []int32) ([]byte, int, []int32, error) {
 	body = body[6:]
 	if order <= 0 {
 		return nil, 0, nil, fmt.Errorf("predict body declares order %d", order)
+	}
+	if 8*uint64(count) > uint64(maxReply) {
+		return nil, 0, nil, fmt.Errorf("predict batch of %d cells needs a %d-byte reply, over the %d-byte frame limit", count, 8*uint64(count), maxReply)
 	}
 	// In 64 bits, so no count can wrap the product into agreeing with a short
 	// body; the indices are then sized from the bytes that are really there.

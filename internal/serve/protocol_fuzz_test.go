@@ -6,12 +6,16 @@ import (
 	"testing"
 )
 
+// fuzzMaxReply is the reply limit FuzzParsePredictBody decodes under.
+const fuzzMaxReply = 1 << 12
+
 // FuzzParsePredictBody feeds arbitrary bytes to the one decoder a predict
 // client's socket reaches. It must never panic, and what it accepts it must
 // have sized from the bytes that are really there — never from the count or
-// the name length the body merely claims — and must re-encode to the same
-// bytes. The indices decode into a handler's scratch, here one that holds a
-// previous request's four indices, which must not show through.
+// the name length the body merely claims —, must fit its reply in the limit
+// (fuzzMaxReply), and must re-encode to the same bytes. The indices decode
+// into a handler's scratch, here one that holds a previous request's four
+// indices, which must not show through.
 func FuzzParsePredictBody(f *testing.F) {
 	body := func(nameLen uint16, name string, order uint16, count uint32, idx ...uint32) []byte {
 		b := binary.LittleEndian.AppendUint16(nil, nameLen)
@@ -33,13 +37,14 @@ func FuzzParsePredictBody(f *testing.F) {
 	f.Add(body(1, "m", 4, 1<<28+1, 1, 2, 3, 4)) // … and to 16
 	f.Add(body(1, "m", 0xFFFF, 0xFFFFFFFF))     // the largest product
 	f.Add([]byte{1})                            // no name length
+	f.Add(body(0, "", 1, fuzzMaxReply/8+1))     // one cell past the reply limit
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, order, flat, err := parsePredictBody(data, []int32{-1, -1, -1, -1})
+		name, order, flat, err := parsePredictBody(data, []int32{-1, -1, -1, -1}, fuzzMaxReply)
 		if err != nil {
 			return
 		}
-		if order <= 0 || len(flat)%order != 0 || 2+len(name)+6+4*len(flat) != len(data) {
+		if order <= 0 || len(flat)%order != 0 || 2+len(name)+6+4*len(flat) != len(data) || 8*len(flat)/order > fuzzMaxReply {
 			t.Fatalf("accepted a %d-byte body as name %q, order %d, %d indices", len(data), name, order, len(flat))
 		}
 		if reenc := appendPredictBody(nil, string(name), order, flat); !bytes.Equal(reenc, data) {

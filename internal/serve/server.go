@@ -181,7 +181,11 @@ func (s *Server) handle(op uint8, body, buf []byte, sc *predictScratch) (uint8, 
 
 // predict answers one opPredict body out of sc.
 func (s *Server) predict(body, buf []byte, sc *predictScratch) (uint8, []byte) {
-	name, order, flat, err := parsePredictBody(body, sc.flat)
+	maxFrame := s.cfg.MaxFrame
+	if maxFrame <= 0 {
+		maxFrame = rdd.DefaultMaxFrame
+	}
+	name, order, flat, err := parsePredictBody(body, sc.flat, maxFrame-framerpc.HeaderLen)
 	if err != nil {
 		return stBadRequest, append(buf, err.Error()...)
 	}
