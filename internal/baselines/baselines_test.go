@@ -154,10 +154,7 @@ func TestSCouTOnMapReduceCluster(t *testing.T) {
 func TestFlexiFactTrainsAndCommunicates(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{24, 24, 12}, 2, 4000, 15)
 	c := testCluster(t, rdd.Config{Machines: 3})
-	res, err := FlexiFact(c, d.Tensor, d.Sims, FlexiFactOptions{
-		Options:      core.Options{Rank: 3, MaxIter: 25, Tol: 0, Seed: 16, Lambda: 1e-3},
-		LearningRate: 0.4,
-	})
+	res, err := FlexiFact(c, d.Tensor, d.Sims, core.Options{Rank: 3, MaxIter: 25, Tol: 0, Seed: 16, Lambda: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,7 @@ func TestFlexiFactTrainsAndCommunicates(t *testing.T) {
 func TestFlexiFactOOMsOnReplication(t *testing.T) {
 	ts := synth.ScalabilityTensor([]int{30000, 30000, 100}, 500, 17)
 	c := testCluster(t, rdd.Config{Machines: 2, MemoryPerMachine: 1 << 20})
-	_, err := FlexiFact(c, ts, nil, FlexiFactOptions{Options: core.Options{Rank: 10, MaxIter: 1, Seed: 18}})
+	_, err := FlexiFact(c, ts, nil, core.Options{Rank: 10, MaxIter: 1, Seed: 18})
 	if !errors.Is(err, rdd.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -188,7 +185,7 @@ func TestFlexiFactOOMsOnReplication(t *testing.T) {
 func TestFlexiFactRejectsOneModeTensor(t *testing.T) {
 	ts := synth.ScalabilityTensor([]int{10}, 5, 19)
 	c := testCluster(t, rdd.Config{Machines: 2})
-	if _, err := FlexiFact(c, ts, nil, FlexiFactOptions{Options: core.Options{Rank: 2, MaxIter: 1}}); err == nil {
+	if _, err := FlexiFact(c, ts, nil, core.Options{Rank: 2, MaxIter: 1}); err == nil {
 		t.Fatal("expected error for 1-mode tensor")
 	}
 }
@@ -219,7 +216,7 @@ func TestReplicaReleasedOnEveryExit(t *testing.T) {
 			return err
 		}},
 		{"FlexiFact", "collect:flexifact-sgd", func(c *rdd.Cluster) error {
-			_, err := FlexiFact(c, d.Tensor, nil, FlexiFactOptions{Options: opts})
+			_, err := FlexiFact(c, d.Tensor, nil, opts)
 			return err
 		}},
 	}

@@ -15,21 +15,14 @@ import (
 	"distenc/internal/sptensor"
 )
 
-// FlexiFactOptions extends the solver options with SGD knobs.
-type FlexiFactOptions struct {
-	core.Options
-	// LearningRate is the initial SGD step size η₀ (default 0.05); the step
-	// at epoch t is η₀/(1+t), and it is additionally halved whenever an
-	// epoch fails to improve the running training error (bold-driver
-	// backoff).
-	LearningRate float64
-}
-
-// SGD stability bounds: the error signal and factor values are clipped so a
-// single bad stratum cannot blow the model up.
+// SGD settings. The step at epoch t is sgdLearningRate/(1+t), halved
+// whenever an epoch fails to improve the running training error (bold-driver
+// backoff). The error signal and factor values are clipped so a single bad
+// stratum cannot blow the model up.
 const (
-	sgdErrClip   = 100.0
-	sgdValueClip = 1e3
+	sgdLearningRate = 0.05
+	sgdErrClip      = 100.0
+	sgdValueClip    = 1e3
 )
 
 // FlexiFact runs distributed stochastic gradient descent factorization in
@@ -48,11 +41,8 @@ const (
 // Figure 3a), and each of the P sub-epochs re-ships factor blocks, giving the
 // high communication cost Figure 3a attributes to it. Run on a
 // ModeMapReduce cluster for its Hadoop wall-clock behaviour.
-func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt FlexiFactOptions) (*core.Result, error) {
-	opt.Options = opt.Options.WithDefaults()
-	if opt.LearningRate <= 0 {
-		opt.LearningRate = 0.05
-	}
+func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt core.Options) (*core.Result, error) {
+	opt = opt.WithDefaults()
 	if t.Order() < 2 {
 		return nil, fmt.Errorf("baselines: FlexiFact needs at least 2 modes")
 	}
@@ -87,7 +77,7 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 	order := t.Order()
 	rank := opt.Rank
 	factors := core.InitFactors(t.Dims, rank, opt.Seed)
-	core.ApplyInitScale(factors, t, opt.Options)
+	core.ApplyInitScale(factors, t, opt)
 	// Full-replica memory profile: every machine holds all factors for the
 	// whole run.
 	release, err := holdReplica(c, replicaBytes(factors))
@@ -113,7 +103,7 @@ func FlexiFact(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt
 	prevRMSE := math.Sqrt(initSq / float64(maxInt(1, t.NNZ())))
 	for epoch := 0; epoch < opt.MaxIter; epoch++ {
 		iters = epoch + 1
-		lr := lrScale * opt.LearningRate / (1 + float64(epoch))
+		lr := lrScale * sgdLearningRate / (1 + float64(epoch))
 		prev := make([]*mat.Dense, order)
 		for n, f := range factors {
 			prev[n] = f.Clone()

@@ -175,7 +175,7 @@ func TFAI(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt core
 			factors[n] = next[n]
 			aux[n] = bs[n]
 		}
-		eta = math.Min(opt.Rho*eta, opt.EtaMax)
+		eta = core.NextEta(eta)
 
 		point := metrics.ConvergencePoint{
 			Iter:      iter,

@@ -177,7 +177,7 @@ func runMethod(p Profile, m Method, machines int, t *sptensor.Tensor, sims []*gr
 	case MethodSCouT:
 		res, err = baselines.SCouT(c, t, auxiliary, opt)
 	case MethodFlexiFact:
-		res, err = baselines.FlexiFact(c, t, auxiliary, baselines.FlexiFactOptions{Options: opt})
+		res, err = baselines.FlexiFact(c, t, auxiliary, opt)
 	case MethodDisTenC:
 		// Grid blocking is the paper's §III-C compartmentalization; the
 		// harness always runs DisTenC with it.

@@ -132,7 +132,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 	if err := validate(t, sims); err != nil {
 		return nil, err
 	}
-	if err := validateOptions(t, opt.Options); err != nil {
+	if err := validateOptions(opt.Options); err != nil {
 		return nil, err
 	}
 	lap := laplacians(sims)
@@ -213,7 +213,7 @@ func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 		if opt.OnIteration != nil {
 			opt.OnIteration(point)
 		}
-		if st.stop(delta) {
+		if delta < st.opt.Tol {
 			st.converged = true
 			st.iter++
 			break

@@ -10,19 +10,16 @@ import (
 	"distenc/internal/mat"
 )
 
-// setDriverBodies points the driver pass's loops with AVX2 bodies — mat's
-// row algebra (AxpyRows, GramAddUpper) and graph's B-step — at those bodies
-// (vec, where the build and CPU have them) or at their Go ones, through the
-// one switch both packages read, and returns what undoes it.
-func setDriverBodies(vec bool) (restore func()) {
+// useGoBodies sets cpu.GoBodies to on until tb ends, or until the next call:
+// while it is set, every loop with an AVX2 body runs its Go twin — the fused
+// kernel, mat's row algebra (AxpyRows, GramAddUpper), graph's B-step and
+// sptensor's AtCells. It is the /ref side of every benchmark of this package
+// that has one, and how a test runs both bodies on one host.
+func useGoBodies(tb testing.TB, on bool) {
 	old := cpu.GoBodies
-	cpu.GoBodies = !vec
-	return func() { cpu.GoBodies = old }
+	cpu.GoBodies = on
+	tb.Cleanup(func() { cpu.GoBodies = old })
 }
-
-// usePortableDriver runs the driver pass on its Go bodies until tb ends: the
-// /ref side of BenchmarkDriverUpdate.
-func usePortableDriver(tb testing.TB) { tb.Cleanup(setDriverBodies(false)) }
 
 // driverBodyNames lists the body sets the driver pass can run on this host:
 // the Go bodies always, the AVX2 ones where the build and CPU have them (the
@@ -128,7 +125,7 @@ func FuzzDriverRows(f *testing.F) {
 
 		type outputs struct{ axpy, gram, bstep []float64 }
 		run := func(vec bool) (o outputs) {
-			defer setDriverBodies(vec)()
+			useGoBodies(t, !vec)
 			o.axpy = append([]float64(nil), x...)
 			mat.AxpyRows(o.axpy, x, bmat)
 			o.gram = append([]float64(nil), g0...)

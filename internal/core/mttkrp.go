@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 
+	"distenc/internal/cpu"
 	"distenc/internal/mat"
 	"distenc/internal/part"
 	"distenc/internal/rdd"
@@ -120,11 +121,6 @@ func newFusedScratch(order, rank int) *fusedScratch {
 	}
 }
 
-// useVecKernel routes order-3 blocks to the AVX2 body (vecBlockMTTKRP3). It
-// is hasVecKernel, decided once at init; tests set it to run both bodies on
-// one host.
-var useVecKernel = hasVecKernel
-
 // fusedBlockMTTKRP runs the fused residual + all-mode MTTKRP kernel over one
 // tensor block, accumulating mode-n partials into the flat slab acc[n]
 // (len(neededRows[n])×R, addressed through the precomputed local ids in loc)
@@ -138,12 +134,13 @@ var useVecKernel = hasVecKernel
 // paper's row-wise fiber MTTKRP, §III-C).
 //
 // An order-3 block runs four ranks a step where the CPU has AVX2
-// (kernel_amd64.s); every other block, and every block of a -race build, runs
-// portableBlockMTTKRP. The two agree bit for bit.
+// (kernel_amd64.s); every other block, every block of a -race build, and
+// every block while a test sets cpu.GoBodies runs portableBlockMTTKRP. The
+// two agree bit for bit.
 //
 //distenc:hotpath
 func fusedBlockMTTKRP(blk *TensorBlock, loc []int32, factors []*mat.Dense, rank int, acc [][]float64, s *fusedScratch) float64 {
-	if blk.Order == 3 && useVecKernel {
+	if blk.Order == 3 && hasVecKernel && !cpu.GoBodies {
 		return vecBlockMTTKRP3(blk, loc, factors, rank, acc, s)
 	}
 	return portableBlockMTTKRP(blk, loc, factors, rank, acc, s)

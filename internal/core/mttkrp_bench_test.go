@@ -41,26 +41,26 @@ func benchStage(b *testing.B, opt DistOptions) {
 }
 
 // BenchmarkMTTKRPStage times the stage on the mode-0 blocking. Its /ref
-// sibling forces the portable kernel, as BenchmarkMTTKRPStageGrid's does: the
-// ledger gates the ratio of the two.
+// sibling runs every loop on its Go body (useGoBodies), as
+// BenchmarkMTTKRPStageGrid's does: the ledger gates the ratio of the two.
 func BenchmarkMTTKRPStage(b *testing.B) {
 	opt := DistOptions{Options: Options{Rank: 8}}
 	b.Run("linear", func(b *testing.B) { benchStage(b, opt) })
 	b.Run("linear/ref", func(b *testing.B) {
-		usePortableKernel(b)
+		useGoBodies(b, true)
 		benchStage(b, opt)
 	})
 }
 
 // BenchmarkMTTKRPStageGrid times the stage on the grid blocking. Its /ref
-// sibling runs the same stage with the dispatch forced to the portable
-// kernel, a moment later in the same process: the ledger gates the ratio of
-// the two, which the host's speed does not move.
+// sibling runs the same stage with every loop on its Go body (the portable
+// kernel; useGoBodies), a moment later in the same process: the ledger gates
+// the ratio of the two, which the host's speed does not move.
 func BenchmarkMTTKRPStageGrid(b *testing.B) {
 	opt := DistOptions{Options: Options{Rank: 8}, GridPartition: true}
 	b.Run("linear", func(b *testing.B) { benchStage(b, opt) })
 	b.Run("linear/ref", func(b *testing.B) {
-		usePortableKernel(b)
+		useGoBodies(b, true)
 		benchStage(b, opt)
 	})
 }
@@ -153,8 +153,8 @@ func steadyWorkerIteration(a *rdd.Arena, l *Layout, factors []*mat.Dense, rank i
 
 // BenchmarkMTTKRPSteadyStateFused measures the arena-backed worker path in
 // its steady state (iteration ≥ 2): allocs/op must report 0 — the contract
-// TestMTTKRPSteadyStateZeroAlloc pins. Its /ref sibling forces the portable
-// kernel, so the ledger can gate the ratio of the two.
+// TestMTTKRPSteadyStateZeroAlloc pins. Its /ref sibling runs the portable
+// kernel (useGoBodies), so the ledger can gate the ratio of the two.
 func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 	d := synth.LinearFactorDataset([]int{200, 200, 200}, 4, 50_000, 1)
 	opt := DistOptions{Options: Options{Rank: 8}, GridPartition: true}
@@ -178,7 +178,7 @@ func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 	}
 	b.Run("grid", run)
 	b.Run("grid/ref", func(b *testing.B) {
-		usePortableKernel(b)
+		useGoBodies(b, true)
 		run(b)
 	})
 }
@@ -187,8 +187,10 @@ func BenchmarkMTTKRPSteadyStateFused(b *testing.B) {
 // kernel call, the Grams and the driver update — on the solve-fiber tensor at
 // R = 8, amortised over the six iterations of one solve. It is the ledger's
 // serial row: core.dist_over_serial divides by what this times (ROADMAP
-// finding F3 was that nothing recorded it). Its /ref sibling forces the
-// portable kernel, as BenchmarkMTTKRPStageGrid's does.
+// finding F3 was that nothing recorded it). Its /ref sibling runs every
+// loop on its Go body (useGoBodies) — the kernel, the driver pass's row
+// algebra and the initial scale's predictions — so the ledger's share is the
+// whole iteration's, not the kernel's alone.
 func BenchmarkSerialIteration(b *testing.B) {
 	const iters = 6
 	ts := benchmarkTensors()[1].tensor
@@ -204,7 +206,7 @@ func BenchmarkSerialIteration(b *testing.B) {
 	}
 	b.Run("fiber", run)
 	b.Run("fiber/ref", func(b *testing.B) {
-		usePortableKernel(b)
+		useGoBodies(b, true)
 		run(b)
 	})
 }

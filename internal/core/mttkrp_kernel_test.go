@@ -109,14 +109,6 @@ func kernelBodies(order int) []namedKernel {
 	return ks
 }
 
-// usePortableKernel routes every block to the portable kernel until tb
-// ends: the /ref side of the stage and serial benchmarks.
-func usePortableKernel(tb testing.TB) {
-	old := useVecKernel
-	useVecKernel = false
-	tb.Cleanup(func() { useVecKernel = old })
-}
-
 // TestFusedKernelMatchesReferenceBits holds every body of fusedBlockMTTKRP
 // to the plain formulation's bits — every accumulator slab and the returned
 // ‖E‖² — at orders 1–5 and ranks 1–10, 16, 17 and 32 (every tail length of
@@ -283,8 +275,9 @@ func catchPanic(f func()) (msg string, panicked bool) {
 }
 
 // TestVectorKernelSolvesBitIdentically runs the serial and the distributed
-// solver with the dispatch forced to each body in turn: the factors must be
-// the same bits, so which body a host runs never shows in a result.
+// solver on the AVX2 bodies and then, through cpu.GoBodies, on the Go ones
+// (kernel, row algebra, B-step and initial scale alike): the factors must be
+// the same bits, so which bodies a host runs never shows in a result.
 func TestVectorKernelSolvesBitIdentically(t *testing.T) {
 	if !hasVecKernel {
 		t.Skip("this build or CPU has no vector kernel")
@@ -304,11 +297,11 @@ func TestVectorKernelSolvesBitIdentically(t *testing.T) {
 		}
 		return s.Model.Factors, r.Model.Factors
 	}
-	vs, vd := solve() // the dispatch's default here: the AVX2 body
-	usePortableKernel(t)
+	vs, vd := solve() // the dispatch's default here: the AVX2 bodies
+	useGoBodies(t, true)
 	ps, pd := solve()
-	assertBitIdentical(t, "serial, avx2 vs portable kernel", ps, vs)
-	assertBitIdentical(t, "distributed, avx2 vs portable kernel", pd, vd)
+	assertBitIdentical(t, "serial, avx2 vs Go bodies", ps, vs)
+	assertBitIdentical(t, "distributed, avx2 vs Go bodies", pd, vd)
 }
 
 // fuzzSpecials are the finite values FuzzFusedKernel mixes into its blocks:

@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -29,21 +30,15 @@ type Options struct {
 	Rank int
 	// Lambda is the ℓ2 factor regularization weight λ (default 1e-2).
 	Lambda float64
-	// Alpha weights the trace (auxiliary similarity) regularization α_n,
-	// shared across modes that have a similarity (default 1e-1).
+	// Alpha weights the trace (auxiliary similarity) regularization: the
+	// paper's α_n, one value shared by every mode that has a similarity
+	// (default 1e-1).
 	Alpha float64
-	// Alphas optionally overrides Alpha per mode (the paper's α_n); a zero
-	// entry falls back to Alpha. Length must equal the tensor order when
-	// set.
-	Alphas []float64
-	// Eta0 is the initial ADMM penalty η (default 1.0), grown each
-	// iteration by Rho (default 1.1) up to EtaMax (default 10). The penalty
-	// must be large enough for the A=B consensus — and with it the trace
-	// regularizer — to bind; the paper gives no schedule, and these values
-	// follow standard ADMM practice (Boyd et al. [15]).
-	Eta0, Rho, EtaMax float64
+	// Eta0 is the initial ADMM penalty η (default 1.0); NextEta grows it
+	// each iteration.
+	Eta0 float64
 	// Tol stops the loop when max_n ‖A(n)_{t+1}−A(n)_t‖²_F < Tol
-	// (Algorithm 3 line 15; default 1e-4).
+	// (Algorithm 3 line 15; default 1e-4). A negative Tol never stops it.
 	Tol float64
 	// MaxIter bounds the outer iterations (default 50).
 	MaxIter int
@@ -59,10 +54,6 @@ type Options struct {
 	// the projection; this implements the constraint via the standard
 	// projected ADMM splitting).
 	NonNegative bool
-	// ConsensusTol, when positive, additionally stops the loop once
-	// max_n ‖A(n)−B(n)‖_F < ConsensusTol — the Algorithm 1 stopping
-	// criterion, complementing the Algorithm 3 iterate-delta criterion.
-	ConsensusTol float64
 	// Seed fixes the factor initialization.
 	Seed uint64
 	// CheckpointEvery, when positive, persists the full solver state
@@ -95,12 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Eta0 == 0 {
 		o.Eta0 = 1.0
-	}
-	if o.Rho == 0 {
-		o.Rho = 1.1
-	}
-	if o.EtaMax == 0 {
-		o.EtaMax = 10
 	}
 	if o.Tol == 0 {
 		o.Tol = 1e-4
@@ -152,13 +137,18 @@ type Result struct {
 // ErrDimensionMismatch is returned when sims do not match the tensor modes.
 var ErrDimensionMismatch = errors.New("core: similarity/tensor dimension mismatch")
 
-// AlphaFor returns the trace-regularization weight for mode n.
-func (o Options) AlphaFor(n int) float64 {
-	if n < len(o.Alphas) && o.Alphas[n] != 0 {
-		return o.Alphas[n]
-	}
-	return o.Alpha
-}
+// The penalty schedule: η grows by etaGrowth an iteration up to etaMax. The
+// penalty must be large enough for the A=B consensus — and with it the trace
+// regularizer — to bind; the paper gives no schedule, and these values follow
+// standard ADMM practice (Boyd et al. [15]).
+const (
+	etaGrowth = 1.1
+	etaMax    = 10
+)
+
+// NextEta returns the ADMM penalty of the iteration after one run at eta
+// (Algorithm 3 line 14). Every ADMM solver of the module follows it.
+func NextEta(eta float64) float64 { return math.Min(etaGrowth*eta, etaMax) }
 
 func validate(t *sptensor.Tensor, sims []*graph.Similarity) error {
 	if err := t.Validate(); err != nil {
@@ -167,9 +157,18 @@ func validate(t *sptensor.Tensor, sims []*graph.Similarity) error {
 	return validateSims(t, sims)
 }
 
-func validateOptions(t *sptensor.Tensor, o Options) error {
-	if len(o.Alphas) > 0 && len(o.Alphas) != t.Order() {
-		return fmt.Errorf("%w: %d per-mode alphas for order-%d tensor", ErrDimensionMismatch, len(o.Alphas), t.Order())
+// validateOptions refuses options the defaults leave unusable: a negative or
+// non-finite weight — the λ and α of Eq. 4 and the initial penalty η₀ — would
+// make the objective unbounded below or the normal equations indefinite, and
+// the solve would run on to garbage or diverge late.
+func validateOptions(o Options) error {
+	for _, w := range []struct {
+		name string
+		v    float64
+	}{{"Lambda", o.Lambda}, {"Alpha", o.Alpha}, {"Eta0", o.Eta0}} {
+		if w.v < 0 || math.IsNaN(w.v) || math.IsInf(w.v, 0) {
+			return fmt.Errorf("core: Options.%s is %v: it must be finite and not negative", w.name, w.v)
+		}
 	}
 	if o.CheckpointEvery > 0 && o.CheckpointDir == "" {
 		return errors.New("core: Options.CheckpointEvery set without Options.CheckpointDir")

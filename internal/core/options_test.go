@@ -1,7 +1,9 @@
 package core
 
 import (
-	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"distenc/internal/mat"
@@ -39,82 +41,44 @@ func TestNonNegativeOption(t *testing.T) {
 	}
 }
 
-func TestPerModeAlphas(t *testing.T) {
-	d := synth.LinearFactorDataset([]int{12, 12, 12}, 2, 700, 33)
-	// Alphas overriding mode 0 only; zero entries fall back to Alpha.
-	res, err := Complete(d.Tensor, d.Sims, Options{
-		Rank: 3, MaxIter: 10, Seed: 34, Alpha: 0.5, Alphas: []float64{5, 0, 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform, err := Complete(d.Tensor, d.Sims, Options{
-		Rank: 3, MaxIter: 10, Seed: 34, Alpha: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The override must actually change the solution.
-	if diff := mat.MaxAbsDiff(res.Model.Factors[0], uniform.Model.Factors[0]); diff == 0 {
-		t.Fatal("per-mode alpha had no effect")
-	}
-	// Identical values must reproduce the uniform run exactly.
-	same, err := Complete(d.Tensor, d.Sims, Options{
-		Rank: 3, MaxIter: 10, Seed: 34, Alpha: 0.5, Alphas: []float64{0.5, 0.5, 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := range uniform.Model.Factors {
-		if diff := mat.MaxAbsDiff(same.Model.Factors[n], uniform.Model.Factors[n]); diff != 0 {
-			t.Fatalf("explicit uniform alphas diverged at mode %d by %v", n, diff)
-		}
-	}
-}
-
-func TestAlphasLengthValidated(t *testing.T) {
-	d := synth.LinearFactorDataset([]int{8, 8, 8}, 2, 200, 35)
-	_, err := Complete(d.Tensor, d.Sims, Options{Rank: 2, MaxIter: 2, Alphas: []float64{1, 2}})
-	if !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("err = %v, want ErrDimensionMismatch", err)
-	}
+// TestOptionsRefuseNegativeWeights: a negative or non-finite λ, α or η₀ is
+// refused by both solvers with an error naming the field, before an
+// iteration runs, while a negative Tol (never stop) stays legal.
+func TestOptionsRefuseNegativeWeights(t *testing.T) {
+	d := synth.LinearFactorDataset([]int{8, 7, 6}, 2, 200, 35)
 	c := rdd.MustNewCluster(rdd.Config{Machines: 2})
 	defer c.Close()
-	_, err = CompleteDistributed(c, d.Tensor, d.Sims, DistOptions{Options: Options{Rank: 2, MaxIter: 2, Alphas: []float64{1}}})
-	if !errors.Is(err, ErrDimensionMismatch) {
-		t.Fatalf("distributed err = %v, want ErrDimensionMismatch", err)
+	solvers := map[string]func(Options) (*Result, error){
+		"serial": func(o Options) (*Result, error) { return Complete(d.Tensor, d.Sims, o) },
+		"distributed": func(o Options) (*Result, error) {
+			return CompleteDistributed(c, d.Tensor, d.Sims, DistOptions{Options: o})
+		},
 	}
-}
-
-func TestConsensusStoppingCriterion(t *testing.T) {
-	d := synth.LinearFactorDataset([]int{10, 10, 10}, 2, 500, 36)
-	// A loose consensus tolerance must stop earlier than the tight
-	// iterate-delta tolerance alone.
-	strict, err := Complete(d.Tensor, nil, Options{Rank: 2, MaxIter: 200, Tol: 1e-12, Seed: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := Complete(d.Tensor, nil, Options{Rank: 2, MaxIter: 200, Tol: 1e-12, ConsensusTol: 1e-1, Seed: 37})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loose.Converged {
-		t.Fatal("consensus criterion never fired")
-	}
-	if loose.Iters >= strict.Iters {
-		t.Fatalf("consensus stop (%d iters) not earlier than strict (%d iters)", loose.Iters, strict.Iters)
-	}
-}
-
-func TestAlphaForFallback(t *testing.T) {
-	o := Options{Alpha: 0.3, Alphas: []float64{0, 2}}
-	if o.AlphaFor(0) != 0.3 {
-		t.Fatal("zero entry must fall back to Alpha")
-	}
-	if o.AlphaFor(1) != 2 {
-		t.Fatal("override ignored")
-	}
-	if o.AlphaFor(5) != 0.3 {
-		t.Fatal("out-of-range mode must fall back")
+	for name, solve := range solvers {
+		for _, field := range []string{"Lambda", "Alpha", "Eta0"} {
+			for _, v := range []float64{-5, math.Copysign(1e-300, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+				t.Run(fmt.Sprintf("%s/%s=%v", name, field, v), func(t *testing.T) {
+					o := Options{Rank: 2, MaxIter: 2, Seed: 36}
+					switch field {
+					case "Lambda":
+						o.Lambda = v
+					case "Alpha":
+						o.Alpha = v
+					case "Eta0":
+						o.Eta0 = v
+					}
+					res, err := solve(o)
+					if err == nil || !strings.Contains(err.Error(), "Options."+field) {
+						t.Fatalf("err = %v, want one naming Options.%s", err, field)
+					}
+					if res != nil {
+						t.Fatalf("a refused solve returned a result of %d iterations", res.Iters)
+					}
+				})
+			}
+		}
+		if res, err := solve(Options{Rank: 2, MaxIter: 2, Tol: -1, Seed: 36}); err != nil || res.Iters != 2 {
+			t.Fatalf("%s: Tol -1 gave %v after %v", name, err, res)
+		}
 	}
 }

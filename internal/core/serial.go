@@ -47,7 +47,7 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 	if err := validate(t, sims); err != nil {
 		return nil, err
 	}
-	if err := validateOptions(t, opt); err != nil {
+	if err := validateOptions(opt); err != nil {
 		return nil, err
 	}
 	st := newSolverState(t, laplacians(sims), opt)
@@ -112,7 +112,7 @@ func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *che
 		if opt.OnIteration != nil {
 			opt.OnIteration(point)
 		}
-		if st.stop(delta) {
+		if delta < st.opt.Tol {
 			st.converged = true
 			st.iter++
 			break
@@ -142,13 +142,15 @@ type solverState struct {
 	// and the two sets swap when it commits: every mode's F_n reads the
 	// iteration-t Grams of all the others.
 	gram, nextGram []*mat.Dense
+	// lhs, inv and chol are the R×R normal matrix F_n + (λ+η)I, its inverse
+	// and its Cholesky factor, rewritten per mode.
+	lhs, inv, chol *mat.Dense
 	// w holds one tile of the right-hand side H + ηB + Y − cA, and nx the
 	// tile's new rows of A until they are copied over the old ones.
 	w, nx []float64
 	eta   float64
 	iter  int
 
-	consensus float64
 	converged bool
 	trace     metrics.Trace
 	phases    metrics.PhaseBreakdown
@@ -163,6 +165,9 @@ func newSolverState(t *sptensor.Tensor, lap []*graph.Laplacian, opt Options) *so
 		eta:     opt.Eta0,
 		w:       make([]float64, driverTileRows(opt.Rank)*opt.Rank),
 		nx:      make([]float64, driverTileRows(opt.Rank)*opt.Rank),
+		lhs:     mat.NewDense(opt.Rank, opt.Rank),
+		inv:     mat.NewDense(opt.Rank, opt.Rank),
+		chol:    mat.NewDense(opt.Rank, opt.Rank),
 	}
 	ApplyInitScale(st.factors, t, opt)
 	st.aux = make([]*mat.Dense, t.Order())
@@ -207,16 +212,15 @@ func driverTileRows(r int) int { return max(4, driverTileFloats/r&^3) }
 //     inside the tile changes no bit), and per row the new row
 //     A + w(F + cI)⁻¹ (mat.AxpyRows), the one-multiply form of Algorithm 3
 //     line 11, A ← (A·F + H + ηB + Y)(F + cI)⁻¹ (DESIGN.md §5);
-//   - ‖ΔA‖² and ‖B − A‖² accumulated, and Y ← Y + η(B − A) in place (line
-//     12; driverAdvance);
+//   - ‖ΔA‖² accumulated, and Y ← Y + η(B − A) in place (line 12;
+//     driverAdvance);
 //   - the tile's new rows added into the next iteration's Gram, then copied
 //     over the old ones.
 //
-// Row products do not change under tiling, and both sums and the Gram's
-// row folds (mat.GramAddUpper) run through the tiles in ascending order. So
-// the pass computes what separate whole-matrix sweeps compute, bit for bit.
-// It also records the consensus gap max_n ‖A(n)−B(n)‖_F for the Algorithm 1
-// stopping criterion, and grows η (line 14).
+// Row products do not change under tiling, and the sum and the Gram's row
+// folds (mat.GramAddUpper) run through the tiles in ascending order. So the
+// pass computes what separate whole-matrix sweeps compute, bit for bit. It
+// ends by growing η (line 14; NextEta).
 //
 // The steps read only the tile's own rows of A and Y, so A and Y are updated
 // in place (the new rows through the tile buffer nx), as is a free mode's B;
@@ -239,18 +243,18 @@ func (st *solverState) update(hv [][]HRows) (float64, error) {
 			}
 		}
 	}
-	var maxDelta, consensus float64
+	var maxDelta float64
 	for n, cur := range st.factors {
 		// F_n + (λ+η)I via the Hadamard-of-Grams identity (Eq. 12).
-		lhs := sptensor.GramProduct(st.gram, n)
+		sptensor.GramProductInto(st.lhs, st.gram, n)
 		for i := 0; i < rank; i++ {
-			lhs.Add(i, i, c)
+			st.lhs.Add(i, i, c)
 		}
-		inv, err := mat.InverseSPD(lhs)
-		if err != nil {
+		if err := mat.InverseSPDInto(st.inv, st.lhs, st.chol); err != nil {
 			// F + (λ+η)I is SPD by construction when the Grams are finite.
 			return 0, fmt.Errorf("core: iteration %d, mode %d: normal-equation matrix not SPD: %w", st.iter, n, err)
 		}
+		inv := st.inv
 		a := cur.Data()
 		nb := st.aux[n] // the next B: in place on a mode without a similarity
 		if st.spare[n] != nil {
@@ -260,7 +264,7 @@ func (st *solverState) update(hv [][]HRows) (float64, error) {
 		runs := hv[n]
 		g := st.nextGram[n].Data()
 		clear(g)
-		var delta2, gap2 float64
+		var delta2 float64
 		for lo := 0; lo < cur.Rows(); lo += tile {
 			hi := min(lo+tile, cur.Rows())
 			st.auxRows(n, lo, hi)
@@ -279,7 +283,7 @@ func (st *solverState) update(hv [][]HRows) (float64, error) {
 			for i := 0; i < len(w); i += rank {
 				mat.AxpyRows(nx[i:i+rank], w[i:i+rank], inv.Data())
 			}
-			delta2, gap2 = driverAdvance(nx, a[t0:t1], b[t0:t1], y[t0:t1], eta, delta2, gap2)
+			delta2 = driverAdvance(nx, a[t0:t1], b[t0:t1], y[t0:t1], eta, delta2)
 			mat.GramAddUpper(g, nx, rank)
 			copy(a[t0:t1], nx)
 		}
@@ -288,14 +292,12 @@ func (st *solverState) update(hv [][]HRows) (float64, error) {
 			return 0, err
 		}
 		maxDelta = math.Max(maxDelta, delta2)
-		consensus = math.Max(consensus, math.Sqrt(gap2))
 		if st.spare[n] != nil {
 			st.aux[n], st.spare[n] = st.spare[n], st.aux[n]
 		}
 	}
 	st.gram, st.nextGram = st.nextGram, st.gram
-	st.eta = math.Min(st.opt.Rho*st.eta, st.opt.EtaMax)
-	st.consensus = consensus
+	st.eta = NextEta(st.eta)
 	return maxDelta, nil
 }
 
@@ -331,21 +333,19 @@ func driverRHS(w, h, b, y, a []float64, eta, c float64) {
 	//bce:end
 }
 
-// driverAdvance adds ‖A' − A‖² and ‖B − A'‖² over the elements of nx (A')
-// to delta2 and gap2, one element at a time in ascending order, and steps
-// Y ← Y + η(B − A'); a, b and y hold at least len(nx) elements.
-func driverAdvance(nx, a, b, y []float64, eta, delta2, gap2 float64) (float64, float64) {
+// driverAdvance adds ‖A' − A‖² over the elements of nx (A') to delta2, one
+// element at a time in ascending order, and steps Y ← Y + η(B − A'); a, b
+// and y hold at least len(nx) elements.
+func driverAdvance(nx, a, b, y []float64, eta, delta2 float64) float64 {
 	a, b, y = a[:len(nx)], b[:len(nx)], y[:len(nx)]
 	//bce:begin
 	for i, nv := range nx {
 		d := nv - a[i]
 		delta2 += float64(d * d)
-		gap := b[i] - nv
-		gap2 += float64(gap * gap)
-		y[i] += float64(eta * gap)
+		y[i] += float64(eta * (b[i] - nv))
 	}
 	//bce:end
-	return delta2, gap2
+	return delta2
 }
 
 // driverFreeB sets B = (ηA − Y)·(1/η), negatives clamped to zero under
@@ -374,18 +374,10 @@ func (st *solverState) auxRows(n, lo, hi int) {
 	rank, eta := st.opt.Rank, st.eta
 	a, y := st.factors[n].Data(), st.mult[n].Data()
 	if b := st.spare[n]; b != nil {
-		st.lap[n].BStep(b.Data(), st.aux[n].Data(), a, y, lo, hi, rank, eta, st.opt.AlphaFor(n), st.opt.NonNegative)
+		st.lap[n].BStep(b.Data(), st.aux[n].Data(), a, y, lo, hi, rank, eta, st.opt.Alpha, st.opt.NonNegative)
 		return
 	}
 	driverFreeB(st.aux[n].Data()[lo*rank:hi*rank], a[lo*rank:], y[lo*rank:], eta, st.opt.NonNegative)
-}
-
-// stop reports whether either stopping criterion fired for delta.
-func (st *solverState) stop(delta float64) bool {
-	if delta < st.opt.Tol {
-		return true
-	}
-	return st.opt.ConsensusTol > 0 && st.consensus < st.opt.ConsensusTol
 }
 
 // ApplyInitScale rescales the random initialization so the initial model's

@@ -26,20 +26,29 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("mat: Cholesky of non-square %d×%d", a.rows, a.cols)
 	}
-	n := a.rows
-	l := NewDense(n, n)
-	for j := 0; j < n; j++ {
+	c := &Cholesky{n: a.rows, l: NewDense(a.rows, a.rows)}
+	if err := c.factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// factor writes the lower triangle of a's factor into c.l, an n×n matrix
+// whose upper triangle it neither reads nor writes.
+func (c *Cholesky) factor(a *Dense) error {
+	l := c.l
+	for j := 0; j < c.n; j++ {
 		var d float64 = a.At(j, j)
 		lrowj := l.Row(j)
 		for k := 0; k < j; k++ {
 			d -= lrowj[k] * lrowj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotSPD
+			return ErrNotSPD
 		}
 		ljj := math.Sqrt(d)
 		lrowj[j] = ljj
-		for i := j + 1; i < n; i++ {
+		for i := j + 1; i < c.n; i++ {
 			s := a.At(i, j)
 			lrowi := l.Row(i)
 			for k := 0; k < j; k++ {
@@ -48,7 +57,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			lrowi[j] = s / ljj
 		}
 	}
-	return &Cholesky{n: n, l: l}, nil
+	return nil
 }
 
 // SolveVec solves A·x = b in place, overwriting b with x.
@@ -201,5 +210,45 @@ func SolveSPD(a, b *Dense) (*Dense, error) {
 
 // InverseSPD returns A⁻¹ for a symmetric positive definite A.
 func InverseSPD(a *Dense) (*Dense, error) {
-	return SolveSPD(a, Identity(a.rows))
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("mat: inverse of non-square %d×%d", a.rows, a.cols)
+	}
+	inv := NewDense(a.rows, a.rows)
+	if err := InverseSPDInto(inv, a, NewDense(a.rows, a.rows)); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// InverseSPDInto sets dst = A⁻¹ for a symmetric positive definite n×n A,
+// the same bits as SolveSPD(a, Identity(n)): column j of the inverse is
+// Cholesky.SolveVec of the j-th unit vector. l, n×n, holds the Cholesky
+// factor, so nothing is allocated unless the factorization fails and the
+// LU fallback runs.
+func InverseSPDInto(dst, a, l *Dense) error {
+	n := a.rows
+	if a.cols != n || dst.rows != n || dst.cols != n || l.rows != n || l.cols != n {
+		panic(dimErr("InverseSPDInto", dst, a))
+	}
+	ch := Cholesky{n: n, l: l}
+	if ch.factor(a) != nil {
+		lu, err := NewLU(a)
+		if err != nil {
+			return err
+		}
+		copy(dst.data, lu.Solve(Identity(n)).data)
+		return nil
+	}
+	// Solve's order: each column solved in place as a row, then transposed.
+	clear(dst.data)
+	for j := 0; j < n; j++ {
+		dst.data[j*n+j] = 1
+		ch.SolveVec(dst.Row(j))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dst.data[i*n+j], dst.data[j*n+i] = dst.data[j*n+i], dst.data[i*n+j]
+		}
+	}
+	return nil
 }

@@ -326,6 +326,41 @@ func TestInverseSPD(t *testing.T) {
 	}
 }
 
+// TestInverseSPDIntoMatchesSolveSPD holds InverseSPDInto, reusing one
+// destination and one factor buffer across matrices, to SolveSPD(a, I) in
+// Float64bits — on SPD matrices (the Cholesky path, which must allocate
+// nothing) and on symmetric indefinite ones (the LU fallback) — and to
+// SolveSPD's error on a singular one.
+func TestInverseSPDIntoMatchesSolveSPD(t *testing.T) {
+	rng := rand.New(rand.NewPCG(49, 50))
+	for _, n := range []int{1, 2, 5, 8, 16} {
+		dst, l := NewDense(n, n), NewDense(n, n)
+		indefinite := randSPD(rng, n)
+		indefinite.Add(0, 0, -4*float64(n)*float64(n))
+		for _, a := range []*Dense{randSPD(rng, n), randSPD(rng, n), indefinite} {
+			want, err := SolveSPD(a, Identity(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := InverseSPDInto(dst, a, l); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range want.Data() {
+				if math.Float64bits(dst.Data()[i]) != math.Float64bits(v) {
+					t.Fatalf("n=%d: inverse[%d] = %v, SolveSPD %v", n, i, dst.Data()[i], v)
+				}
+			}
+		}
+		spd := randSPD(rng, n)
+		if allocs := testing.AllocsPerRun(5, func() { _ = InverseSPDInto(dst, spd, l) }); allocs != 0 {
+			t.Errorf("n=%d: InverseSPDInto of an SPD matrix allocates %v objects, want 0", n, allocs)
+		}
+	}
+	if err := InverseSPDInto(NewDense(2, 2), NewDense(2, 2), NewDense(2, 2)); err != ErrSingular {
+		t.Fatalf("zero matrix: err = %v, want ErrSingular", err)
+	}
+}
+
 func TestMulVecChecksDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -268,14 +268,19 @@ func MTTKRP(t *Tensor, factors []*mat.Dense, n int, scratch []float64) *mat.Dens
 func GramProduct(grams []*mat.Dense, n int) *mat.Dense {
 	r := grams[0].Rows()
 	out := mat.NewDense(r, r)
-	out.Fill(1)
+	GramProductInto(out, grams, n)
+	return out
+}
+
+// GramProductInto is GramProduct into dst, an R×R matrix it overwrites.
+func GramProductInto(dst *mat.Dense, grams []*mat.Dense, n int) {
+	dst.Fill(1)
 	for k, g := range grams {
 		if k == n {
 			continue
 		}
-		out.HadamardInPlace(g)
+		dst.HadamardInPlace(g)
 	}
-	return out
 }
 
 // MTTKRPFlops returns the floating point operation count of one row-wise

@@ -7,8 +7,10 @@
 # internal/graph and the three reader benchmarks of the root package, and
 # diffs them against the recorded baselines in BENCH_mttkrp.json,
 # BENCH_driver.json, BENCH_predict.json, BENCH_spectral.json and BENCH_io.json
-# (the /ref siblings are run and printed, not gated; a row's "before" entry is
-# history, only "after" gates).
+# (the /ref siblings are run and printed, not gated: the plain formulation of
+# the fused kernel, or the same code with every loop on its Go body through the
+# test switch cpu.GoBodies; a row's "before" entry is history, only "after"
+# gates).
 # Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with
@@ -115,9 +117,10 @@ for name, samples in sorted(runs.items()):
         # The kernel benchmarks run on tensors the size of the end-to-end
         # gate, where a slow phase of the host moves ns/op by more than the
         # tolerance and by more than the kernel whole margin over the plain
-        # formulation. The /ref sibling runs that formulation in the same
-        # process a moment later, so the ratio of the two mins holds where
-        # neither ns/op does: the limit is a share of the sibling min.
+        # formulation. The /ref sibling runs that formulation, or the same
+        # code on its Go bodies (cpu.GoBodies), in the same process a moment
+        # later, so the ratio of the two mins holds where neither ns/op does:
+        # the limit is a share of the sibling min.
         share = want["max_over_ref"]
         limit, why = share * min(ns for ns, _ in ref), f"{share} x the /ref sibling min"
     ns_ok = min_ns <= limit

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,33 +50,7 @@ var fieldVehicles = map[string]string{
 // inside the declaring package, x.Name for methods whatever x is — which can
 // only err towards "reached".
 func TestModuleSurfaceIsReached(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	dirOf := map[*ast.File]string{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		dirOf[f] = filepath.ToSlash(filepath.Dir(path))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files, dirOf := parseNonTestFiles(t)
 
 	// gated reports whether dir's exported names are held to the rule.
 	gated := func(dir string) bool {
@@ -266,6 +241,254 @@ func TestModuleSurfaceIsReached(t *testing.T) {
 		}
 		if !benchUse {
 			t.Errorf("fieldVehicles lists %s, which benchmark/ no longer reads: delete the field", key)
+		}
+	}
+}
+
+// parseNonTestFiles parses every non-test Go file of the root module and of
+// benchmark/ (testdata aside), and returns each file's directory relative to
+// the root.
+func parseNonTestFiles(t *testing.T) (*token.FileSet, []*ast.File, map[*ast.File]string) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	dirOf := map[*ast.File]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		dirOf[f] = filepath.ToSlash(filepath.Dir(path))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files, dirOf
+}
+
+// typeKey names a struct type by its declaring directory and its name.
+type typeKey struct{ dir, typ string }
+
+// knobStructs are the option and configuration structs whose exported
+// fields TestOptionFieldsAreSet holds to a caller.
+var knobStructs = []typeKey{
+	{"internal/core", "Options"},
+	{"internal/core", "DistOptions"},
+	{"internal/rdd", "Config"},
+	{"internal/serve", "Config"},
+	{"internal/serve", "RefreshConfig"},
+	{"internal/transport", "Options"},
+}
+
+// knobVehicles are the fields of knobStructs, as "pkg.Type.Field", that no
+// non-test file sets outside the declaring package but that stay: settings
+// a deployment embedding the package would set, a test hook, and a field
+// benchmark/ reads. Nothing else may be listed: a knob nobody sets is
+// deleted, not exempted, and a listed field that gains a setter leaves the
+// list.
+var knobVehicles = map[string]string{
+	"transport.Options.MaxFrame":     "deployment setting: the frame cap of a client whose workers run with a larger rdd frame limit",
+	"transport.Options.DialTimeout":  "deployment setting: the dial bound on a network slower than the default's",
+	"transport.Options.CallTimeout":  "deployment setting: the round-trip bound past which a stalled worker counts as unreachable",
+	"serve.Config.MaxFrame":          "deployment setting: the request frame cap of a daemon serving larger batches",
+	"serve.RefreshConfig.ScratchDir": "deployment setting: where refresh checkpoints go when the OS temp dir is too small",
+	"serve.RefreshConfig.OnRefresh":  "test hook: the refresh tests wait on it instead of sleeping",
+	"core.Options.Eta0":              "benchmark/probes.go reads it (ROADMAP item 2); the solvers start η from it",
+}
+
+// TestOptionFieldsAreSet keeps every knob the size of its callers: each
+// exported field of knobStructs must be set by a non-test file of the root
+// module or of benchmark/ outside the declaring package — as the key of a
+// composite literal of that type, of an alias of it or of an elided type, or
+// as the field of an assignment or increment target — or be a knobVehicles
+// entry. Matching is on the syntax tree. Assignment targets match by field
+// name, except inside a package that declares a knob struct with a field of
+// that name, where they are taken as that package defaulting its own field.
+func TestOptionFieldsAreSet(t *testing.T) {
+	_, files, dirOf := parseNonTestFiles(t)
+
+	// Declarations: "pkg.Type.Field" → declared, for the exported fields of
+	// each knob struct (an embedded struct is the field of its type's name).
+	declared := map[string]bool{}
+	fieldsOf := map[typeKey][]string{}
+	pkgOf := map[string]string{}
+	for _, k := range knobStructs {
+		for _, f := range files {
+			if dirOf[f] != k.dir {
+				continue
+			}
+			pkgOf[k.dir] = f.Name.Name
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != k.typ {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return false
+				}
+				for _, fl := range st.Fields.List {
+					names := fl.Names
+					if len(names) == 0 { // embedded: the field is named by its type
+						typ := fl.Type
+						if star, ok := typ.(*ast.StarExpr); ok {
+							typ = star.X
+						}
+						switch e := typ.(type) {
+						case *ast.Ident:
+							names = []*ast.Ident{e}
+						case *ast.SelectorExpr:
+							names = []*ast.Ident{e.Sel}
+						}
+					}
+					for _, name := range names {
+						if name.IsExported() {
+							fieldsOf[k] = append(fieldsOf[k], name.Name)
+						}
+					}
+				}
+				return false
+			})
+		}
+		if len(fieldsOf[k]) == 0 {
+			t.Fatalf("found no exported fields of %s.%s: the scan is broken", k.dir, k.typ)
+		}
+		for _, field := range fieldsOf[k] {
+			declared[pkgOf[k.dir]+"."+k.typ+"."+field] = true
+		}
+	}
+
+	// importsOf maps f's local package names to directories of this module.
+	importsOf := func(f *ast.File) map[string]string {
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			d, ok := strings.CutPrefix(p, "distenc/")
+			if p == "distenc" {
+				d, ok = ".", true
+			}
+			if !ok {
+				continue
+			}
+			local := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = d
+		}
+		return imports
+	}
+	// Aliases of knob structs (the root package re-exports core's options).
+	alias := map[typeKey]typeKey{}
+	for _, f := range files {
+		imports := importsOf(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+				if sel, ok := ts.Type.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						alias[typeKey{dirOf[f], ts.Name.Name}] = typeKey{imports[x.Name], sel.Sel.Name}
+					}
+				}
+			}
+			return true
+		})
+	}
+	// ownField reports whether dir declares a knob struct with the field.
+	ownField := func(dir, field string) bool {
+		for k, fields := range fieldsOf {
+			if k.dir == dir && slices.Contains(fields, field) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Setters: per field name, the directory of each file that sets a field
+	// of that name and the composite literal's type (zero for an assignment
+	// or an elided literal type, which match any struct).
+	type setter struct {
+		from string
+		lit  typeKey
+	}
+	sets := map[string][]setter{}
+	for _, f := range files {
+		dir := dirOf[f]
+		imports := importsOf(f)
+		markTarget := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok && !ownField(dir, sel.Sel.Name) {
+				sets[sel.Sel.Name] = append(sets[sel.Sel.Name], setter{from: dir})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				var lit typeKey
+				switch e := n.Type.(type) {
+				case *ast.Ident:
+					lit = typeKey{dir, e.Name}
+				case *ast.SelectorExpr:
+					if x, ok := e.X.(*ast.Ident); ok {
+						lit = typeKey{imports[x.Name], e.Sel.Name}
+					}
+				}
+				if to, ok := alias[lit]; ok {
+					lit = to
+				}
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							sets[k.Name] = append(sets[k.Name], setter{dir, lit})
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					markTarget(lhs)
+				}
+			case *ast.IncDecStmt:
+				markTarget(n.X)
+			}
+			return true
+		})
+	}
+	setOutside := func(k typeKey, field string) bool {
+		for _, s := range sets[field] {
+			if s.from != k.dir && (s.lit == typeKey{} || s.lit == k) {
+				return true
+			}
+		}
+		return false
+	}
+
+	for _, k := range knobStructs {
+		for _, field := range fieldsOf[k] {
+			key := pkgOf[k.dir] + "." + k.typ + "." + field
+			_, vehicle := knobVehicles[key]
+			switch set := setOutside(k, field); {
+			case !set && !vehicle:
+				t.Errorf("%s is set by no non-test file outside %s: delete it, or give it a caller", key, k.dir)
+			case set && vehicle:
+				t.Errorf("%s is set outside %s now: drop it from knobVehicles", key, k.dir)
+			}
+		}
+	}
+	for key := range knobVehicles {
+		if !declared[key] {
+			t.Errorf("knobVehicles lists %s, which is not a declared field of a knob struct", key)
 		}
 	}
 }
