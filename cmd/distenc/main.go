@@ -72,7 +72,7 @@ func main() {
 		output   = flag.String("output", ".", "directory for factor matrices")
 		rank     = flag.Int("rank", 10, "CP rank R")
 		maxIter  = flag.Int("maxiter", 50, "maximum ADMM iterations")
-		tol      = flag.Float64("tol", 1e-4, "convergence tolerance")
+		tol      = flag.Float64("tol", 1e-4, "convergence tolerance (0 = run every iteration)")
 		lambda   = flag.Float64("lambda", 1e-2, "ℓ2 regularization λ")
 		alpha    = flag.Float64("alpha", 1e-1, "auxiliary-information weight α")
 		seed     = flag.Uint64("seed", 1, "factor initialization seed")
@@ -103,6 +103,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	opt, err := solveOptions(*rank, *maxIter, *tol, *lambda, *alpha)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt.Seed, opt.NonNegative = *seed, *nonneg
+	opt.CheckpointEvery, opt.CheckpointDir = *ckptEvery, *ckptDir
 	if *cpuProf != "" {
 		pf, err := os.Create(*cpuProf)
 		if err != nil {
@@ -148,13 +154,6 @@ func main() {
 		}
 	}
 
-	opt := distenc.Options{
-		Rank: *rank, MaxIter: *maxIter, Tol: *tol,
-		Lambda: *lambda, Alpha: *alpha, Seed: *seed,
-		NonNegative:     *nonneg,
-		CheckpointEvery: *ckptEvery,
-		CheckpointDir:   *ckptDir,
-	}
 	if (*resume || *ckptEvery > 0) && *ckptDir == "" {
 		log.Fatal("-resume and -checkpoint-every need -checkpoint-dir")
 	}
@@ -323,6 +322,24 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// solveOptions maps the solver flags to Options. The library reads a zero λ
+// or α as unset and solves at its default, so a zero is refused here rather
+// than silently replaced. -tol 0 runs every iteration, which Options spells as
+// a negative Tol.
+func solveOptions(rank, maxIter int, tol, lambda, alpha float64) (distenc.Options, error) {
+	def := distenc.Options{}.WithDefaults()
+	if lambda == 0 {
+		return distenc.Options{}, fmt.Errorf("-lambda 0 would silently solve at the default λ = %g", def.Lambda)
+	}
+	if alpha == 0 {
+		return distenc.Options{}, fmt.Errorf("-alpha 0 would silently solve at the default α = %g", def.Alpha)
+	}
+	if tol == 0 {
+		tol = -1
+	}
+	return distenc.Options{Rank: rank, MaxIter: maxIter, Tol: tol, Lambda: lambda, Alpha: alpha}, nil
 }
 
 // predictCells reads one multi-index per line (through the serving plane's

@@ -290,6 +290,23 @@ func TestInitFactorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestInitFactorsDrawsRandFloat64: initFactors draws straight from its PCG,
+// and every value, through every mode in turn, is bit for bit what
+// rand.New(rand.NewPCG(seed, 0xd15c0)).Float64() returns in sequence.
+func TestInitFactorsDrawsRandFloat64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 1 << 63} {
+		dims := []int{13, 1, 29, 4}
+		rng := rand.New(rand.NewPCG(seed, 0xd15c0))
+		for n, f := range initFactors(dims, 5, seed) {
+			for i, v := range f.Data() {
+				if want := rng.Float64(); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("seed %d mode %d value %d: %v, want rand.Float64's %v", seed, n, i, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestOnIterationCallback(t *testing.T) {
 	d := synth.LinearFactorDataset([]int{8, 8, 8}, 2, 300, 21)
 	var calls int

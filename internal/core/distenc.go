@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -291,7 +290,9 @@ func shapeString(shape []int) string {
 // block. It is a pure function of the tensor and the options, so retries,
 // resume and both backends rebuild the same layout. The build is linear:
 // O(nnz·N) for the entry passes plus O(P·ΣIₙ) for the per-slab histograms and
-// row scans — the size of one iteration's worst-case shuffle (Lemma 3).
+// row scans — the size of one iteration's worst-case shuffle (Lemma 3); the
+// entries are read once per mode for the histograms, once per cut mode, once
+// for the scatter and per block by blockRows.
 func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 	p := opt.Partitions
 	order := t.Order()
@@ -320,31 +321,21 @@ func NewLayout(t *sptensor.Tensor, opt DistOptions) *Layout {
 	l.blocking.Shape, l.blocking.Bound = chooseShape(counts, p, opt.GridPartition)
 	blocks := splitNested(t, counts, l.blocking.Shape, opt.UniformPartition)
 
-	// local[row] is 0 for a row the (block, mode) at hand does not touch, else
-	// the row's position in the block's needed-row list plus one.
-	local := make([]int32, slices.Max(t.Dims))
+	local := make([][]int32, order)
+	for n, d := range t.Dims {
+		local[n] = make([]int32, d)
+	}
+	scratch := make([]int32, slices.Max(t.Dims))
 	maxBlock := 0
 	for b, blk := range blocks {
-		sortEntriesModeMajor(blk)
-		nnz := blk.NNZ()
-		maxBlock = max(maxBlock, nnz)
+		l.neededRows[b], l.locIdx[b] = blockRows(blk, local, scratch)
+		maxBlock = max(maxBlock, blk.NNZ())
 		l.blockParts[b] = []*TensorBlock{blk}
-		l.neededRows[b] = make([][]int32, order)
 		l.rowRuns[b] = make([][]int, order)
-		loc := make([]int32, len(blk.Idx))
-		for n := 0; n < order; n++ {
-			rows := neededRows(blk, n, local)
-			for e := 0; e < nnz; e++ {
-				loc[e*order+n] = local[blk.Idx[e*order+n]] - 1
-			}
-			for _, row := range rows {
-				local[row] = 0
-			}
-			l.neededRows[b][n] = rows
+		for n, rows := range l.neededRows[b] {
 			l.rowRuns[b][n] = l.modeBounds[n].RunsOf(rows)
 			l.blocking.PartialRows += int64(len(rows))
 		}
-		l.locIdx[b] = loc
 	}
 	for rp := range l.reduceNeed {
 		for _, runs := range l.rowRuns { // the largest block rp decodes
@@ -437,24 +428,25 @@ func chooseShape(counts [][]int64, p int, grid bool) (shape []int, bound int64) 
 // modes are independent — and a leaf's id is the mixed-radix number of its
 // range indices. Entries keep their relative order within a block. counts are
 // the whole tensor's per-mode histograms (what the first cut mode needs).
+// One pass per cut mode moves the entries to their ranges and takes the next
+// cut mode's per-slab histogram; the block sizes are sums of the last one.
 func splitNested(t *sptensor.Tensor, counts [][]int64, shape []int, uniform bool) []*TensorBlock {
 	order, nnz := t.Order(), t.NNZ()
 	cell := make([]int32, nnz) // the slab each entry has reached so far
+	fill := []int{nnz}         // the entries of each block
 	slabs := 1
+	// hist[s·dim+i] counts slab s's non-zeros in mode-n row i, n the mode cut
+	// now: the whole tensor's first, then what the cut before's pass took.
+	var hist []int64
 	for n, pn := range shape {
 		if pn == 1 {
 			continue
 		}
-		dim := t.Dims[n]
-		// hist[s·dim+i] counts slab s's non-zeros in mode-n row i, and
-		// rangeOf[s·dim+i] is the range of slab s that row falls in.
-		hist := counts[n]
-		if slabs > 1 && !uniform {
-			hist = make([]int64, slabs*dim)
-			for e, s := range cell {
-				hist[int(s)*dim+int(t.Idx[e*order+n])]++
-			}
+		if slabs == 1 {
+			hist = counts[n]
 		}
+		dim, p := t.Dims[n], int32(pn)
+		// rangeOf[s·dim+i] is the range of slab s that mode-n row i falls in.
 		rangeOf := make([]int32, slabs*dim)
 		for s := 0; s < slabs; s++ {
 			var b part.Boundaries
@@ -470,21 +462,44 @@ func splitNested(t *sptensor.Tensor, counts [][]int64, shape []int, uniform bool
 				}
 			}
 		}
-		for e, s := range cell {
-			cell[e] = s*int32(pn) + rangeOf[int(s)*dim+int(t.Idx[e*order+n])]
-		}
 		slabs *= pn
+		m := n + 1 // the next mode cut
+		for m < order && shape[m] == 1 {
+			m++
+		}
+		if m == order {
+			// A row's entries in a slab all land in one block.
+			fill = make([]int, slabs)
+			for k, h := range hist {
+				fill[int32(k/dim)*p+rangeOf[k]] += int(h)
+			}
+			for e, s := range cell {
+				cell[e] = s*p + rangeOf[int(s)*dim+int(t.Idx[e*order+n])]
+			}
+			break
+		}
+		hist = make([]int64, slabs*t.Dims[m])
+		for e, s := range cell {
+			s = s*p + rangeOf[int(s)*dim+int(t.Idx[e*order+n])]
+			cell[e] = s
+			hist[int(s)*t.Dims[m]+int(t.Idx[e*order+m])]++
+		}
 	}
 
-	// Count, then fill: every block's slabs are allocated once at their size.
-	fill := make([]int, slabs)
-	for _, c := range cell {
-		fill[c]++
-	}
+	// Every block's slabs are allocated once at their size, then filled.
 	blocks := make([]*TensorBlock, slabs)
 	for b := range blocks {
 		blocks[b] = &TensorBlock{Order: order, Idx: make([]int32, fill[b]*order), Val: make([]float64, fill[b])}
 		fill[b] = 0
+	}
+	if order == 3 {
+		for e, c := range cell {
+			blk, k := blocks[c], fill[c]
+			*(*[3]int32)(blk.Idx[3*k:]) = *(*[3]int32)(t.Idx[3*e:])
+			blk.Val[k] = t.Val[e]
+			fill[c] = k + 1
+		}
+		return blocks
 	}
 	for e, c := range cell {
 		blk, k := blocks[c], fill[c]
@@ -557,28 +572,39 @@ func (l *Layout) Dims() []int { return l.dims }
 // Order returns the tensor order N.
 func (l *Layout) Order() int { return l.order }
 
-// neededRows returns the sorted unique mode-n factor rows blk touches — the
-// "non-local factor matrix rows transferred to this process" of §III-C — and
-// leaves local[row] = position+1 for each of them (the caller zeroes those
-// again; local must be all zero on entry). Mark, then scan the block's row
-// range: O(nnz + range), no sort.
-func neededRows(blk *TensorBlock, n int, local []int32) []int32 {
-	order := blk.Order
-	lo, hi, distinct := int32(math.MaxInt32), int32(-1), 0
-	for e := n; e < len(blk.Idx); e += order {
-		row := blk.Idx[e]
-		if local[row] == 0 {
-			local[row] = 1
-			distinct++
-			lo, hi = min(lo, row), max(hi, row)
+// blockRows sorts blk's entries mode-major unless they are already, and
+// returns the sorted unique rows of every mode blk touches — the "non-local
+// factor matrix rows transferred to this process" of §III-C — and the local
+// ids parallel to blk.Idx (each row's position in its mode's list). Per mode,
+// a branch-free pass marks the rows, a scan numbers the marks and compacts
+// them into scratch, and one more pass reads the ids. local[n], of mode n's
+// length, is zero on entry and on return.
+func blockRows(blk *TensorBlock, local [][]int32, scratch []int32) ([][]int32, []int32) {
+	sortEntriesModeMajor(blk)
+	order, idx := blk.Order, blk.Idx
+	for n, marks := range local {
+		for e := n; e < len(idx); e += order {
+			marks[idx[e]] = 1
 		}
 	}
-	rows := make([]int32, 0, distinct)
-	for row := lo; row <= hi; row++ {
-		if local[row] != 0 {
-			rows = append(rows, row)
-			local[row] = int32(len(rows))
+	rows := make([][]int32, order)
+	for n, marks := range local {
+		count := int32(0)
+		for row, mark := range marks {
+			scratch[count] = int32(row)
+			count += mark
+			marks[row] = count * mark
+		}
+		rows[n] = slices.Clone(scratch[:count])
+	}
+	loc := make([]int32, len(idx))
+	for n, marks := range local {
+		for e := n; e < len(idx); e += order {
+			loc[e] = marks[idx[e]] - 1
 		}
 	}
-	return rows
+	for _, marks := range local {
+		clear(marks)
+	}
+	return rows, loc
 }

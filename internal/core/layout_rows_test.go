@@ -100,20 +100,17 @@ func shapes(dims []int, p int) [][]int {
 // building anything.
 func exactPartialRows(tn *sptensor.Tensor, shape []int) int64 {
 	counts := make([][]int64, tn.Order())
-	maxDim := 0
-	for n := range counts {
+	local := make([][]int32, tn.Order())
+	for n, d := range tn.Dims {
 		counts[n] = tn.ModeCounts(n)
-		maxDim = max(maxDim, tn.Dims[n])
+		local[n] = make([]int32, d)
 	}
-	local := make([]int32, maxDim)
+	scratch := make([]int32, slices.Max(tn.Dims))
 	var total int64
 	for _, blk := range splitNested(tn, counts, shape, false) {
-		for n := 0; n < tn.Order(); n++ {
-			rows := neededRows(blk, n, local)
-			total += int64(len(rows))
-			for _, row := range rows {
-				local[row] = 0
-			}
+		rows, _ := blockRows(blk, local, scratch)
+		for _, r := range rows {
+			total += int64(len(r))
 		}
 	}
 	return total

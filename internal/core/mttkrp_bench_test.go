@@ -65,26 +65,41 @@ func BenchmarkMTTKRPStageGrid(b *testing.B) {
 	})
 }
 
-// layoutBenchTensor is the solve-scatter tensor of BENCHMARK.json (seed 1),
-// generated once: the benchmark function runs several times per measurement.
-var layoutBenchTensor = sync.OnceValue(func() *sptensor.Tensor {
-	return synth.ScalabilityTensor([]int{15_000, 15_000, 15_000}, 500_000, 1)
+// layoutBenchTensors are the solve-scatter and solve-fiber tensors of
+// BENCHMARK.json (seed 1), generated once: the benchmark function runs several
+// times per measurement.
+var layoutBenchTensors = sync.OnceValue(func() map[string]*sptensor.Tensor {
+	return map[string]*sptensor.Tensor{
+		"solve_scatter": synth.ScalabilityTensor([]int{15_000, 15_000, 15_000}, 500_000, 1),
+		"solve_fiber":   synth.FacebookSim(synth.LinkPredConfig{Users: 12_000, Days: 5, Rank: 5, NNZ: 600_000, Noise: 0.05, Seed: 1}).Tensor,
+	}
 })
 
 // BenchmarkNewLayout times the whole layout build — shape choice, nested
-// split, row lists and local ids — as set-up pays for it once per solve, and
-// reports it per non-zero next to what the chosen blocking ships.
+// split, row lists and local ids — as set-up pays for it once per solve, on
+// the solve-scatter and solve-fiber tensors, and reports it per non-zero next
+// to what the chosen blocking ships. Each row's /ref sibling runs
+// refNewLayout, the build before its passes were fused, on the same tensor a
+// moment later: the ledger gates the ratio of the two.
 func BenchmarkNewLayout(b *testing.B) {
-	t := layoutBenchTensor()
-	opt := DistOptions{Options: Options{Rank: 10}.withDefaults(), Partitions: 4, GridPartition: true}
-	var l *Layout
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l = NewLayout(t, opt)
+	for _, name := range []string{"solve_scatter", "solve_fiber"} {
+		t := layoutBenchTensors()[name]
+		for _, row := range []struct {
+			name  string
+			build func(*sptensor.Tensor, DistOptions) *Layout
+		}{{name, NewLayout}, {name + "/ref", refNewLayout}} {
+			b.Run(row.name, func(b *testing.B) {
+				opt := DistOptions{Options: Options{Rank: 10}.withDefaults(), Partitions: 4, GridPartition: true}
+				var l *Layout
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l = row.build(t, opt)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(t.NNZ()), "ns/nnz")
+				b.ReportMetric(float64(l.PartialRows())/float64(t.NNZ()), "rows/nnz")
+			})
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(t.NNZ()), "ns/nnz")
-	b.ReportMetric(float64(l.PartialRows())/float64(t.NNZ()), "rows/nnz")
 }
 
 // steadyWorkerIteration runs one worker-side MTTKRP iteration over every

@@ -195,13 +195,15 @@ func validateSims(t *sptensor.Tensor, sims []*graph.Similarity) error {
 // (line 4), deterministically from the seed. Serial and distributed solvers
 // share it so their iterates coincide.
 func initFactors(dims []int, rank int, seed uint64) []*mat.Dense {
-	rng := rand.New(rand.NewPCG(seed, 0xd15c0))
+	// rand.New(pcg).Float64's arithmetic on pcg's draws, without the call
+	// through the Source interface per value: the same sequence.
+	pcg := rand.NewPCG(seed, 0xd15c0)
 	out := make([]*mat.Dense, len(dims))
 	for n, d := range dims {
 		f := mat.NewDense(d, rank)
 		data := f.Data()
 		for i := range data {
-			data[i] = rng.Float64()
+			data[i] = float64(pcg.Uint64()<<11>>11) / (1 << 53)
 		}
 		out[n] = f
 	}

@@ -158,6 +158,17 @@ var cooSeeds = []string{
 	"dims 9223372036854775807 2\n0 0 0x1p-3\n1 1 -Inf\n",
 	"dims 3000000000\n2147483648 1\n",
 	"dims 2\n1 1_0\n0 +.5\n",
+	// The edges of the common-line path, each between lines it takes: CRLF,
+	// tabs and doubled spaces; a leading '+' and a 10-digit id; weights
+	// strconv alone parses; a comment after the entries and a last line
+	// without a newline; a U+00A0 separator; a field too many; an index past
+	// its mode.
+	"dims 4 5 6\r\n0 1 2 1\r\n3\t4\t5\t2\r\n1  2   3 -1 \r\n0 0 0 1\r\n",
+	"dims 4 5 6\n0 1 2 1\n+1 2 3 1\n0000000001 2 3 1\n1 2 3 1\n1 2 3 1\n",
+	"dims 4 5 6\n0 1 2 1e0\n1 2 3 -0\n2 3 4 0.5\n3 4 5 7\n# after the entries\n0 0 0 1",
+	"dims 4 5 6\n0 0 0 1\n0\u00a01 2 3\n1 2 3 4\n1 2 3 4\n",
+	"dims 4 5 6\n0 0 0 1\n0 1 2 3 4\n1 2 3 4\n1 2 3 4\n",
+	"dims 4 5 6\n0 0 0 1\n4 0 0 1\n0 0 0 1\n0 0 0 1\n",
 }
 
 // FuzzReadCOO holds ReadCOO to the reference: the same decision, and on
@@ -203,6 +214,13 @@ var simSeeds = []string{
 	"  # lead\nnodes\t4\r\n0 3 1e-2\r\n3 2 1\n",
 	"nodes 2147483648\n",
 	"nodes 3\n0 2 NaN\n2 1 +Inf\n1 0 1e400\n",
+	// The edges of the common-line path, as for cooSeeds.
+	"nodes 12\r\n0 1 1\r\n2\t3\t1\r\n4  5   1 \r\n6 7 1\r\n8 9 1\r\n",
+	"nodes 12\n0 1 1\n+1 2 1\n0000000003 4 1\n5 6 1\n1 2 1\n",
+	"nodes 12\n0 1 1e0\n2 3 -0\n4 5 0.5\n6 7 1\n8 9 1\n# after the edges\n10 11 1",
+	"nodes 12\n0 1 1\n0\u00a01 1\n2 3 1\n4 5 1\n",
+	"nodes 12\n0 1 1\n0 1 2 3\n4 5 1\n6 7 1\n",
+	"nodes 12\n0 1 1\n12 1 1\n3 3 1\n4 5 1\n6 7 1\n",
 }
 
 // FuzzReadSimilarity holds ReadSimilarity to the reference: the same

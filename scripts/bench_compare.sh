@@ -8,9 +8,10 @@
 # diffs them against the recorded baselines in BENCH_mttkrp.json,
 # BENCH_driver.json, BENCH_predict.json, BENCH_spectral.json and BENCH_io.json
 # (the /ref siblings are run and printed, not gated: the plain formulation of
-# the fused kernel, or the same code with every loop on its Go body through the
-# test switch cpu.GoBodies; a row's "before" entry is history, only "after"
-# gates).
+# the fused kernel, the same code with every loop on its Go body through the
+# test switch cpu.GoBodies, or the code a row replaced, such as refNewLayout
+# and the readers of readers_ref_test.go; a row's "before" entry is history,
+# only "after" gates).
 # Fails when
 #   - min ns/op across runs exceeds the baseline median by more than
 #     BENCH_TOL_PCT percent (default 25) — or, for a benchmark recorded with

@@ -2,10 +2,13 @@ package distenc
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -24,14 +27,20 @@ const maxLine = 1 << 20
 
 // textLines reads the lines of a text input in place: each line is a view
 // into the reader's buffer and each field a view into its line, valid until
-// the next call. Only a line holding a byte outside ASCII is copied.
+// the next call. Only a line holding a byte outside ASCII is copied. Once a
+// reader sets ids, a common line (commonLine) is parsed in the buffer instead.
 type textLines struct {
-	br   *bufio.Reader
-	no   int    // 1-based number of the line last read
-	line []byte // that line, terminator included
-	cut  []int  // field k is line[cut[2k]:cut[2k+1]]
-	wide []byte // the copy a line with a byte outside ASCII is split in
-	eof  bool
+	br     *bufio.Reader
+	no     int     // 1-based number of the line last read
+	line   []byte  // that line, terminator included, unless common
+	cut    []int   // field k is line[cut[2k]:cut[2k+1]]
+	wide   []byte  // the copy a line with a byte outside ASCII is split in
+	ids    []int32 // a common line's ids; nil until the reader sets them
+	dims   []int   // ids[k] < dims[k] on a common line
+	val    float64 // the value of a common line
+	common bool    // the line last read was common: ids and val hold it
+	ahead  []byte  // the bytes buffered after the line last read
+	eof    bool
 }
 
 func newTextLines(r io.Reader) *textLines {
@@ -42,6 +51,15 @@ func newTextLines(r io.Reader) *textLines {
 // reports whether there is one; a read error, or a line longer than maxLine,
 // is returned as err.
 func (tl *textLines) next() (bool, error) {
+	if tl.ids != nil {
+		if k, v := commonLine(tl.ahead, tl.ids, tl.dims); k > 0 {
+			tl.ahead, tl.no = tl.ahead[k:], tl.no+1
+			tl.val, tl.common = v, true
+			return true, nil
+		}
+		tl.br.Discard(tl.br.Buffered() - len(tl.ahead)) // the common lines
+	}
+	tl.common = false
 	for !tl.eof {
 		line, err := tl.br.ReadSlice('\n')
 		switch {
@@ -58,10 +76,68 @@ func (tl *textLines) next() (bool, error) {
 		tl.no++
 		tl.split(line)
 		if tl.fields() > 0 && tl.line[tl.cut[0]] != '#' {
+			tl.ahead, _ = tl.br.Peek(tl.br.Buffered())
 			return true, nil
 		}
 	}
 	return false, nil
+}
+
+// commonLine parses the line at the head of b if it takes the common form —
+// len(ids) decimal ids of up to 8 digits, each below its dims entry, then a
+// value parseValue takes, split by ASCII white space, each field with 9 bytes
+// of b from its head, and a '\n' in b — into ids, and returns its length and
+// value; else 0. Such a line is ASCII, so the field cutter would find the
+// same fields and numbers in it.
+func commonLine(b []byte, ids []int32, dims []int) (int, float64) {
+	i, v := 0, 0.0
+	for k := 0; k <= len(ids); k++ {
+		for i < len(b) && isBlank(b[i]) {
+			i++
+		}
+		if len(b)-i < 9 {
+			return 0, 0
+		}
+		u, n := leadingDigits(binary.LittleEndian.Uint64(b[i:]))
+		switch {
+		case k < len(ids) && (n == 0 || !isBlank(b[i+n]) || u >= uint64(dims[k])):
+			return 0, 0
+		case k < len(ids):
+			ids[k] = int32(u)
+		case n == 0 || !isSpace(b[i+n]):
+			// A value other than up to 8 digits is cut at the next space
+			// and parsed there; one of up to 8 digits is below 2⁵³, and
+			// float64 of it is exact, as in parseValue.
+			start, ok := i, false
+			for n = 0; i < len(b) && !isSpace(b[i]); i++ {
+			}
+			if v, ok = parseValue(b[start:i]); !ok {
+				return 0, 0
+			}
+		default:
+			v = float64(u)
+		}
+		i += n
+	}
+	for i < len(b) && isBlank(b[i]) {
+		i++
+	}
+	if i == len(b) || b[i] != '\n' {
+		return 0, 0
+	}
+	return i + 1, v
+}
+
+// leadingDigits returns the decimal number that the 8 bytes of x (first byte
+// lowest) start with, and its digit count. The first byte that is not a digit
+// ends the number; a byte below '0' borrows from the bytes above it in d,
+// which the shift drops. Three multiplies fold the digits pairwise.
+func leadingDigits(x uint64) (uint64, int) {
+	d := x - 0x3030303030303030
+	n := bits.TrailingZeros64((d|(x+0x4646464646464646))&0x8080808080808080) / 8
+	d = d << (64 - 8*n) * (10<<8 + 1) >> 8
+	d = (d & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+	return (d & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32, n
 }
 
 // fields returns the number of fields of the current line.
@@ -119,12 +195,17 @@ func (tl *textLines) cutFields(line []byte) (wide bool) {
 // isSpace reports whether c is ASCII white space: ' ', \t, \n, \v, \f or \r.
 func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
 
-// grow returns s with room for n more elements, doubling its capacity when
-// it has to grow: the readers do not know their entry count up front, and
-// append's 1.25× steps would copy and discard several times what they keep.
-func grow[S ~[]E, E any](s S, n int) S {
-	if cap(s)-len(s) < n {
-		s = slices.Grow(s, max(n, len(s)))
+// isBlank reports whether c is ASCII white space other than '\n'.
+func isBlank(c byte) bool { return c != '\n' && isSpace(c) }
+
+// grow returns s with room for per more elements, the share of one line.
+// When it has to grow, it makes room for every line buffered ahead as well,
+// so that an input the buffer holds lands in storage of its exact size, and
+// it at least doubles s: append's 1.25× steps would copy and discard several
+// times what a reader keeps.
+func grow[S ~[]E, E any](tl *textLines, s S, per int) S {
+	if cap(s)-len(s) < per {
+		s = slices.Grow(s, max(per*(1+bytes.Count(tl.ahead, []byte{'\n'})), len(s)))
 	}
 	return s
 }
@@ -212,26 +293,28 @@ func ReadCOO(r io.Reader) (*Tensor, error) {
 				dims[i] = d
 			}
 			t = NewTensor(dims...)
+			tl.ids, tl.dims = make([]int32, len(dims)), dims
 			continue
 		}
 		order := t.Order()
-		if tl.fields() != order+1 {
-			return nil, fmt.Errorf("distenc: line %d: want %d indices + value, got %d fields", tl.no, order, tl.fields())
-		}
-		t.Idx = grow(t.Idx, order)
-		for i := 0; i < order; i++ {
-			f := tl.field(i)
-			v, ok := atoi(f)
-			if !ok || v < 0 || v >= t.Dims[i] || v > math.MaxInt32 {
-				return nil, fmt.Errorf("distenc: line %d: bad index %q for mode %d", tl.no, f, i)
+		if !tl.common {
+			if tl.fields() != order+1 {
+				return nil, fmt.Errorf("distenc: line %d: want %d indices + value, got %d fields", tl.no, order, tl.fields())
 			}
-			t.Idx = append(t.Idx, int32(v))
+			for i := 0; i < order; i++ {
+				f := tl.field(i)
+				v, ok := atoi(f)
+				if !ok || v < 0 || v >= t.Dims[i] || v > math.MaxInt32 {
+					return nil, fmt.Errorf("distenc: line %d: bad index %q for mode %d", tl.no, f, i)
+				}
+				tl.ids[i] = int32(v)
+			}
+			if tl.val, ok = parseValue(tl.field(order)); !ok {
+				return nil, fmt.Errorf("distenc: line %d: bad value %q", tl.no, tl.field(order))
+			}
 		}
-		val, ok := parseValue(tl.field(order))
-		if !ok {
-			return nil, fmt.Errorf("distenc: line %d: bad value %q", tl.no, tl.field(order))
-		}
-		t.Val = append(grow(t.Val, 1), val)
+		t.Idx = append(grow(tl, t.Idx, order), tl.ids...)
+		t.Val = append(grow(tl, t.Val, 1), tl.val)
 	}
 	if t == nil {
 		return nil, fmt.Errorf("distenc: empty COO input")
@@ -286,21 +369,28 @@ func ReadSimilarity(r io.Reader) (*Similarity, error) {
 				return nil, fmt.Errorf("distenc: line %d: bad node count %q", tl.no, tl.field(1))
 			}
 			n = v
+			tl.ids, tl.dims = make([]int32, 2), []int{n, n}
 			continue
 		}
-		if tl.fields() != 3 {
-			return nil, fmt.Errorf("distenc: line %d: want \"i j weight\"", tl.no)
+		if !tl.common {
+			if tl.fields() != 3 {
+				return nil, fmt.Errorf("distenc: line %d: want \"i j weight\"", tl.no)
+			}
+			i, ok1 := atoi(tl.field(0))
+			j, ok2 := atoi(tl.field(1))
+			w, ok3 := parseValue(tl.field(2))
+			if !ok1 || !ok2 || !ok3 {
+				return nil, fmt.Errorf("distenc: line %d: bad edge %q", tl.no, tl.text())
+			}
+			if i < 0 || j < 0 || i >= n || j >= n {
+				return nil, fmt.Errorf("distenc: line %d: edge (%d,%d) out of range", tl.no, i, j)
+			}
+			tl.ids[0], tl.ids[1], tl.val = int32(i), int32(j), w
 		}
-		i, ok1 := atoi(tl.field(0))
-		j, ok2 := atoi(tl.field(1))
-		w, ok3 := parseValue(tl.field(2))
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("distenc: line %d: bad edge %q", tl.no, tl.text())
-		}
-		if i < 0 || j < 0 || i >= n || j >= n || i == j {
+		if i, j := tl.ids[0], tl.ids[1]; i == j {
 			return nil, fmt.Errorf("distenc: line %d: edge (%d,%d) out of range", tl.no, i, j)
 		}
-		edges = append(grow(edges, 1), simEdge{int32(i), int32(j), w})
+		edges = append(grow(tl, edges, 1), simEdge{tl.ids[0], tl.ids[1], tl.val})
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("distenc: empty similarity input")
@@ -311,28 +401,32 @@ func ReadSimilarity(r io.Reader) (*Similarity, error) {
 // adjacency lays the edges out in one backing array by counting sort: each
 // node's neighbours are a capped sub-slice of it, in file order — element for
 // element what AddEdge in file order builds, so NewLaplacian's CSR and every
-// B-step bit are the same.
+// B-step bit are the same. off[x] counts node x's neighbours, then holds where
+// its list starts, then, advanced by the fill, where it ends.
 func adjacency(n int, edges []simEdge) *Similarity {
-	off := make([]int, n+1)
+	off := make([]int, n)
 	for _, e := range edges {
-		off[e.i+1]++
-		off[e.j+1]++
+		off[e.i]++
+		off[e.j]++
 	}
-	for x := range n {
-		off[x+1] += off[x]
+	at := 0
+	for x, d := range off {
+		off[x] = at
+		at += d
 	}
 	all := make([]graph.Edge, 2*len(edges))
-	next := slices.Clone(off[:n])
 	for _, e := range edges {
-		all[next[e.i]] = graph.Edge{To: e.j, Weight: e.w}
-		next[e.i]++
-		all[next[e.j]] = graph.Edge{To: e.i, Weight: e.w}
-		next[e.j]++
+		all[off[e.i]] = graph.Edge{To: e.j, Weight: e.w}
+		off[e.i]++
+		all[off[e.j]] = graph.Edge{To: e.i, Weight: e.w}
+		off[e.j]++
 	}
 	s := NewSimilarity(n)
+	lo := 0
 	for x := range s.Adj {
-		if lo, hi := off[x], off[x+1]; lo < hi {
+		if hi := off[x]; lo < hi {
 			s.Adj[x] = all[lo:hi:hi]
+			lo = hi
 		}
 	}
 	return s
