@@ -326,8 +326,7 @@ func main() {
 
 // solveOptions maps the solver flags to Options. The library reads a zero λ
 // or α as unset and solves at its default, so a zero is refused here rather
-// than silently replaced. -tol 0 runs every iteration, which Options spells as
-// a negative Tol.
+// than silently replaced.
 func solveOptions(rank, maxIter int, tol, lambda, alpha float64) (distenc.Options, error) {
 	def := distenc.Options{}.WithDefaults()
 	if lambda == 0 {
@@ -335,9 +334,6 @@ func solveOptions(rank, maxIter int, tol, lambda, alpha float64) (distenc.Option
 	}
 	if alpha == 0 {
 		return distenc.Options{}, fmt.Errorf("-alpha 0 would silently solve at the default α = %g", def.Alpha)
-	}
-	if tol == 0 {
-		tol = -1
 	}
 	return distenc.Options{Rank: rank, MaxIter: maxIter, Tol: tol, Lambda: lambda, Alpha: alpha}, nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -29,24 +31,51 @@ func TestSolveOptionsRefusesZeroWeights(t *testing.T) {
 	}
 }
 
-// TestSolveOptionsTolZeroRunsEveryIteration: -tol 0 runs all -maxiter
-// iterations, on a tensor where the default tolerance stops the solve early.
+// TestSolveOptionsTolZeroRunsEveryIteration: -tol 0 reaches the library as a
+// zero Tol, and a zero Tol runs all -maxiter iterations, serial and at
+// -machines 4. On this tensor (distenc-gen -dataset linear -dims 40,30,25
+// -nnz 3000 -rank 3 -seed 9, read back as the CLI reads it) -rank 3 stops at
+// iteration 156 if a zero Tol is replaced by 1e-4, so the test fails if the
+// library defaults it; -tol 1e-1 still stops early.
 func TestSolveOptionsTolZeroRunsEveryIteration(t *testing.T) {
-	d := distenc.GenerateLinearFactor([]int{20, 15, 10}, 3, 500, 9)
+	var coo bytes.Buffer
+	if err := distenc.WriteCOO(&coo, distenc.GenerateLinearFactor([]int{40, 30, 25}, 3, 3000, 9).Tensor); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := distenc.ReadCOO(&coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := distenc.NewCluster(distenc.ClusterConfig{Machines: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	for _, tc := range []struct {
 		tol       float64
 		converged bool
 	}{{1e-1, true}, {0, false}} {
-		opt, err := solveOptions(3, 60, tc.tol, 1e-2, 1e-1)
+		opt, err := solveOptions(3, 200, tc.tol, 1e-2, 1e-1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := distenc.Complete(d.Tensor, nil, opt)
-		if err != nil {
-			t.Fatal(err)
+		if math.Float64bits(opt.Tol) != math.Float64bits(tc.tol) {
+			t.Fatalf("-tol %g: Options.Tol %g", tc.tol, opt.Tol)
 		}
-		if res.Converged != tc.converged || !tc.converged && res.Iters != 60 {
-			t.Errorf("-tol %g: %d iterations, converged=%v", tc.tol, res.Iters, res.Converged)
+		opt.Seed = 1 // -seed's default
+		for _, machines := range []int{0, 4} {
+			var res *distenc.Result
+			if machines == 0 {
+				res, err = distenc.Complete(ts, nil, opt)
+			} else {
+				res, err = distenc.CompleteDistributed(c, ts, nil, distenc.DistOptions{Options: opt})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Converged != tc.converged || !tc.converged && res.Iters != 200 {
+				t.Errorf("-tol %g -machines %d: finished: %d iterations, converged=%v", tc.tol, machines, res.Iters, res.Converged)
+			}
 		}
 	}
 }

@@ -31,7 +31,8 @@ func main() {
 	}
 	defer cluster.Close()
 	res, err := distenc.CompleteDistributed(cluster, train, ds.Sims, distenc.DistOptions{
-		Options: distenc.Options{Rank: 6, MaxIter: 30, Seed: 2, Alpha: 0.5},
+		// Tol 1e-4: stop once the factors move less than this.
+		Options: distenc.Options{Rank: 6, MaxIter: 30, Tol: 1e-4, Seed: 2, Alpha: 0.5},
 	})
 	if err != nil {
 		log.Fatal(err)

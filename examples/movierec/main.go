@@ -36,14 +36,15 @@ func main() {
 
 	// DisTenC with the movie-genre similarity.
 	withAux, err := distenc.CompleteDistributed(cluster, train, ds.Sims, distenc.DistOptions{
-		Options: distenc.Options{Rank: 6, MaxIter: 60, Seed: 1, Alpha: 5},
+		// Tol 1e-4: stop once the factors move less than this.
+		Options: distenc.Options{Rank: 6, MaxIter: 60, Tol: 1e-4, Seed: 1, Alpha: 5},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The same model without auxiliary information, for contrast.
 	without, err := distenc.CompleteDistributed(cluster, train, nil, distenc.DistOptions{
-		Options: distenc.Options{Rank: 6, MaxIter: 60, Seed: 1},
+		Options: distenc.Options{Rank: 6, MaxIter: 60, Tol: 1e-4, Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -27,6 +27,7 @@ func main() {
 	serial, err := distenc.Complete(train, ds.Sims, distenc.Options{
 		Rank:    5,
 		MaxIter: 40,
+		Tol:     1e-4, // stop once the factors move less than this
 		Seed:    1,
 	})
 	if err != nil {
@@ -43,7 +44,7 @@ func main() {
 	}
 	defer cluster.Close()
 	dist, err := distenc.CompleteDistributed(cluster, train, ds.Sims, distenc.DistOptions{
-		Options: distenc.Options{Rank: 5, MaxIter: 40, Seed: 1},
+		Options: distenc.Options{Rank: 5, MaxIter: 40, Tol: 1e-4, Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

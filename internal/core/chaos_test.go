@@ -338,6 +338,56 @@ func TestResumeReproducesDistributedRun(t *testing.T) {
 	assertBitIdentical(t, "distributed resume vs full", want.Model.Factors, got.Model.Factors)
 }
 
+// TestResumeAcrossSolvers: both solvers run one loop and checkpoint the
+// same state at the same point, so a checkpoint written by Complete resumes
+// under ResumeDistributed at Partitions: 1, and one written by
+// CompleteDistributed resumes under Resume, each to the factors and Aux of
+// the uninterrupted run bit for bit.
+func TestResumeAcrossSolvers(t *testing.T) {
+	d := synth.LinearFactorDataset([]int{15, 15, 15}, 2, 900, 63)
+	base := Options{Rank: 3, MaxIter: 8, Tol: -1, Seed: 64}
+	want, err := Complete(d.Tensor, d.Sims, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rdd.MustNewCluster(rdd.Config{Machines: 2})
+	defer c.Close()
+	serial := func(o Options) (*Result, error) { return Complete(d.Tensor, d.Sims, o) }
+	resumeSerial := func(o Options) (*Result, error) { return Resume(d.Tensor, d.Sims, o) }
+	dist := func(o Options) (*Result, error) {
+		return CompleteDistributed(c, d.Tensor, d.Sims, DistOptions{Options: o, Partitions: 1})
+	}
+	resumeDist := func(o Options) (*Result, error) {
+		return ResumeDistributed(c, d.Tensor, d.Sims, DistOptions{Options: o, Partitions: 1})
+	}
+	for _, tc := range []struct {
+		name          string
+		write, resume func(Options) (*Result, error)
+	}{
+		{"serial→distributed", serial, resumeDist},
+		{"distributed→serial", dist, resumeSerial},
+	} {
+		interrupted := base
+		interrupted.MaxIter = 4
+		interrupted.CheckpointEvery = 2
+		interrupted.CheckpointDir = t.TempDir()
+		if _, err := tc.write(interrupted); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resumed := base
+		resumed.CheckpointDir = interrupted.CheckpointDir
+		got, err := tc.resume(resumed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Iters != 8 {
+			t.Errorf("%s: resumed run reports %d iterations, want 8", tc.name, got.Iters)
+		}
+		assertBitIdentical(t, tc.name+": factors", want.Model.Factors, got.Model.Factors)
+		assertBitIdentical(t, tc.name+": aux", want.Aux, got.Aux)
+	}
+}
+
 // TestResumeAfterChaoticRun combines the two recovery mechanisms: a
 // checkpointed distributed run under a fault plan is resumed on a fresh
 // cluster and still matches the clean uninterrupted solve bit-for-bit.

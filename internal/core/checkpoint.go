@@ -55,16 +55,12 @@ type checkpointState struct {
 }
 
 // maybeCheckpoint persists the state entering iteration st.iter+1 when the
-// options ask for a checkpoint at this cadence. Call right after the
-// iteration's update, when factors/aux/mult/η already hold the next
+// positive CheckpointEvery asks for a checkpoint at this cadence. Call right
+// after the iteration's update, when factors/aux/mult/η already hold the next
 // iteration's inputs.
 func (st *solverState) maybeCheckpoint() error {
-	every := st.opt.CheckpointEvery
-	if every <= 0 {
-		return nil
-	}
 	done := st.iter + 1
-	if done%every != 0 {
+	if done%st.opt.CheckpointEvery != 0 {
 		return nil
 	}
 	return writeCheckpoint(st.opt.CheckpointDir, &checkpointState{
@@ -319,35 +315,21 @@ func firstNonFinite(vals []float64) int {
 	return -1
 }
 
-// readCheckpoint parses dir's checkpoint file into the solver's internal
-// resume state.
-func readCheckpoint(dir string) (*checkpointState, error) {
-	ck, err := ReadCheckpoint(CheckpointPath(dir))
+// loadCheckpoint reads dir's checkpoint file into the solver's resume state
+// and validates it against the tensor and options a resume was asked to
+// continue with.
+func loadCheckpoint(dir string, t *sptensor.Tensor, opt Options) (*checkpointState, error) {
+	if dir == "" {
+		return nil, errors.New("core: Resume requires Options.CheckpointDir")
+	}
+	img, err := ReadCheckpoint(CheckpointPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w in %s", ErrNoCheckpoint, dir)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &checkpointState{
-		iter:    ck.Iter,
-		eta:     ck.Eta,
-		factors: ck.Factors,
-		aux:     ck.Aux,
-		mult:    ck.Duals,
-	}, nil
-}
-
-// loadCheckpoint reads and validates a checkpoint against the tensor and
-// options a resume was asked to continue with.
-func loadCheckpoint(dir string, t *sptensor.Tensor, opt Options) (*checkpointState, error) {
-	if dir == "" {
-		return nil, errors.New("core: Resume requires Options.CheckpointDir")
-	}
-	ck, err := readCheckpoint(dir)
-	if err != nil {
-		return nil, err
-	}
+	ck := &checkpointState{iter: img.Iter, eta: img.Eta, factors: img.Factors, aux: img.Aux, mult: img.Duals}
 	if len(ck.factors) != t.Order() {
 		return nil, fmt.Errorf("%w: checkpoint holds an order-%d model, tensor is order-%d",
 			ErrDimensionMismatch, len(ck.factors), t.Order())

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"distenc/internal/graph"
 	"distenc/internal/metrics"
@@ -89,7 +88,9 @@ func (b *TensorBlock) NNZ() int { return len(b.Val) }
 // EntryIndex returns a view of entry e's multi-index.
 func (b *TensorBlock) EntryIndex(e int) []int32 { return b.Idx[e*b.Order : (e+1)*b.Order] }
 
-// CompleteDistributed runs DisTenC (Algorithm 3) on the engine:
+// CompleteDistributed runs DisTenC (Algorithm 3) on the engine: the
+// iteration loop Complete runs (solverState.run), whose provider here is
+// MTTKRPStage over the cached blocks.
 //
 //  1. Greedy block partitioning of the observed tensor (Algorithm 2) with
 //     the blocks cached as an RDD (charging machine memory).
@@ -97,14 +98,19 @@ func (b *TensorBlock) EntryIndex(e int) []int32 { return b.Idx[e*b.Order : (e+1)
 //     factor rows its non-zeros touch (counted as shuffle traffic — the
 //     O(T·N·M·I·R) term of Lemma 3), computes the block's residual entries
 //     E = Ω∗(T−[[A]]) and its partial row-wise MTTKRP contributions
-//     (Eq. 11), and reduces them by row key across machines.
+//     (Eq. 11), and reduces them by row key across machines. The stages are
+//     tagged iter=t, and their walls and shuffled bytes are the iteration's
+//     MTTKRP phases.
 //  3. The driver finishes the dense algebra in one row-tiled pass per mode
 //     (solverState.update): the damped-Jacobi B-step on each sparse
 //     Laplacian, Hadamard-of-Grams F_n (Eq. 12), the Eq. (16) factor update,
 //     the Y/η bookkeeping and the next iteration's Grams — the serial
-//     solver's code.
+//     solver's code, recorded as driver spans in the task trace.
+//
+// The stage measures ‖E‖ before the iteration's update, so Trace[i] lags the
+// serial solver's post-update RMSE by one iteration.
 func CompleteDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions) (*Result, error) {
-	return completeDistributed(c, t, sims, opt, nil)
+	return solveDistributed(c, t, sims, opt, false)
 }
 
 // ResumeDistributed continues an interrupted CompleteDistributed run from the
@@ -112,113 +118,55 @@ func CompleteDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Simil
 // serial solver: the restored iteration state is bit-identical, so the
 // resumed run's factors match an uninterrupted run's bit-for-bit.
 func ResumeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions) (*Result, error) {
-	opt.Options = opt.Options.withDefaults()
-	ck, err := loadCheckpoint(opt.CheckpointDir, t, opt.Options)
+	return solveDistributed(c, t, sims, opt, true)
+}
+
+// solveDistributed is CompleteDistributed, or ResumeDistributed when resume
+// is set.
+func solveDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions, resume bool) (*Result, error) {
+	var layout *Layout
+	res, err := solve(t, sims, opt.Options, resume, func(t *sptensor.Tensor, o Options, lap []*graph.Laplacian) (provider, func(), error) {
+		opt.Options = o
+		if opt.Partitions <= 0 {
+			opt.Partitions = c.Machines()
+		}
+		layout = NewLayout(t, opt)
+		c.Note(layout.Blocking().String())
+		for _, line := range graphNotes(lap) {
+			c.Note(line)
+		}
+		blocks := layout.BlocksRDD(c)
+		blocks.Cache()
+		if err := blocks.Materialize(); err != nil {
+			return provider{}, nil, fmt.Errorf("core: caching tensor blocks: %w", err)
+		}
+		return provider{
+			mttkrp: func(st *solverState) ([][]HRows, float64, metrics.PhaseTimes, error) {
+				// Tag this iteration's stages so the stage log, task trace and
+				// Chrome-trace export attribute every span to its iteration.
+				c.SetStageTag(fmt.Sprintf("iter=%d", st.iter))
+				mark := c.StageLogLen()
+				hs, norm2, err := MTTKRPStage(c, blocks, layout, st.factors, opt)
+				var ph metrics.PhaseTimes
+				for _, s := range c.StageLogSince(mark) {
+					switch {
+					case strings.Contains(s.Name, "mttkrp-map"):
+						ph.MTTKRPMap += s.Wall
+					case strings.Contains(s.Name, "mttkrp-reduce"):
+						ph.MTTKRPReduce += s.Wall
+					}
+					ph.BytesShuffled += s.BytesShuffled
+				}
+				return hs, norm2, ph, err
+			},
+			// Driver algebra (B-steps, Eq. 16 solves, Y/η updates and the next
+			// Grams) runs between stages and is invisible to stage accounting.
+			span: c.RecordDriverSpan,
+		}, func() { c.SetStageTag(""); blocks.Unpersist() }, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return completeDistributed(c, t, sims, opt, ck)
-}
-
-// completeDistributed is the shared distributed loop; a non-nil ck replaces
-// the fresh initialization with checkpointed state and starts at its
-// iteration.
-func completeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions, ck *checkpointState) (*Result, error) {
-	opt.Options = opt.Options.withDefaults()
-	if opt.Partitions <= 0 {
-		opt.Partitions = c.Machines()
-	}
-	if err := validate(t, sims); err != nil {
-		return nil, err
-	}
-	if err := validateOptions(opt.Options); err != nil {
-		return nil, err
-	}
-	lap := laplacians(sims)
-
-	layout := NewLayout(t, opt)
-	c.Note(layout.Blocking().String())
-	for _, line := range graphNotes(lap) {
-		c.Note(line)
-	}
-	blocksRDD := layout.BlocksRDD(c)
-	blocksRDD.Cache()
-	if err := blocksRDD.Materialize(); err != nil {
-		return nil, fmt.Errorf("core: caching tensor blocks: %w", err)
-	}
-	defer blocksRDD.Unpersist()
-
-	st := newSolverState(t, lap, opt.Options)
-	if ck != nil {
-		st.restore(ck)
-	}
-	start := time.Now()
-	defer c.SetStageTag("")
-
-	for ; st.iter < opt.MaxIter; st.iter++ {
-		// Tag this iteration's stages so the stage log, task trace and
-		// Chrome-trace export attribute every span to its iteration.
-		c.SetStageTag(fmt.Sprintf("iter=%d", st.iter))
-		mark := c.StageLogLen()
-		iterStart := time.Now()
-		hs, residNorm2, err := MTTKRPStage(c, blocksRDD, layout, st.factors, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.checkResidual(residNorm2); err != nil {
-			return nil, err
-		}
-		drvStart := time.Now()
-		delta, err := st.update(hs)
-		if err != nil {
-			return nil, err
-		}
-		drvDur := time.Since(drvStart)
-		if opt.CheckpointEvery > 0 {
-			ckStart := time.Now()
-			if err := st.maybeCheckpoint(); err != nil {
-				return nil, err
-			}
-			c.RecordDriverSpan("checkpoint", ckStart, time.Since(ckStart))
-		}
-		// Driver algebra (B-steps, Eq. 16 solves, Y/η updates and the next
-		// Grams) runs between stages and is invisible to stage accounting.
-		c.RecordDriverSpan("driver-algebra", drvStart, drvDur)
-		ph := metrics.PhaseTimes{
-			Iter:   st.iter,
-			Driver: drvDur,
-			Total:  time.Since(iterStart),
-		}
-		for _, s := range c.StageLogSince(mark) {
-			switch {
-			case strings.Contains(s.Name, "mttkrp-map"):
-				ph.MTTKRPMap += s.Wall
-			case strings.Contains(s.Name, "mttkrp-reduce"):
-				ph.MTTKRPReduce += s.Wall
-			}
-			ph.BytesShuffled += s.BytesShuffled
-		}
-		st.phases = append(st.phases, ph)
-		point := metrics.ConvergencePoint{
-			Iter:    st.iter,
-			Elapsed: time.Since(start),
-			// The stage measured ‖E_t‖ before this iteration's update, so
-			// the trace lags the serial solver's post-update RMSE by one
-			// iteration — irrelevant for the convergence-rate plots.
-			TrainRMSE: trainRMSE(residNorm2, t.NNZ()),
-			MaxDelta:  delta,
-		}
-		st.trace = append(st.trace, point)
-		if opt.OnIteration != nil {
-			opt.OnIteration(point)
-		}
-		if delta < st.opt.Tol {
-			st.converged = true
-			st.iter++
-			break
-		}
-	}
-	res := st.result(start)
 	res.Blocking = layout.Blocking()
 	return res, nil
 }

@@ -24,7 +24,7 @@ import (
 )
 
 // Options configures the ADMM solver. Zero values take the defaults
-// documented per field (the paper's settings).
+// documented per field (the paper's settings); a zero Tol is a value.
 type Options struct {
 	// Rank R of the CP model (default 10).
 	Rank int
@@ -38,7 +38,8 @@ type Options struct {
 	// each iteration.
 	Eta0 float64
 	// Tol stops the loop when max_n ‖A(n)_{t+1}−A(n)_t‖²_F < Tol
-	// (Algorithm 3 line 15; default 1e-4). A negative Tol never stops it.
+	// (Algorithm 3 line 15). It has no default: zero, like any Tol ≤ 0,
+	// never stops the loop, so the solve runs MaxIter iterations.
 	Tol float64
 	// MaxIter bounds the outer iterations (default 50).
 	MaxIter int
@@ -86,9 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Eta0 == 0 {
 		o.Eta0 = 1.0
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-4
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50
@@ -150,18 +148,24 @@ const (
 // (Algorithm 3 line 14). Every ADMM solver of the module follows it.
 func NextEta(eta float64) float64 { return math.Min(etaGrowth*eta, etaMax) }
 
-func validate(t *sptensor.Tensor, sims []*graph.Similarity) error {
+// validate refuses a problem the solvers cannot run: an invalid tensor,
+// similarities that do not match its modes, and options the defaults leave
+// unusable. A negative or non-finite weight — the λ and α of Eq. 4 and the
+// initial penalty η₀ — would make the objective unbounded below or the
+// normal equations indefinite, and the solve would run on to garbage or
+// diverge late.
+func validate(t *sptensor.Tensor, sims []*graph.Similarity, o Options) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	return validateSims(t, sims)
-}
-
-// validateOptions refuses options the defaults leave unusable: a negative or
-// non-finite weight — the λ and α of Eq. 4 and the initial penalty η₀ — would
-// make the objective unbounded below or the normal equations indefinite, and
-// the solve would run on to garbage or diverge late.
-func validateOptions(o Options) error {
+	if sims != nil && len(sims) != t.Order() {
+		return fmt.Errorf("%w: %d similarities for order-%d tensor", ErrDimensionMismatch, len(sims), t.Order())
+	}
+	for n, s := range sims {
+		if s != nil && s.N != t.Dims[n] {
+			return fmt.Errorf("%w: mode %d similarity over %d objects, mode size %d", ErrDimensionMismatch, n, s.N, t.Dims[n])
+		}
+	}
 	for _, w := range []struct {
 		name string
 		v    float64
@@ -172,21 +176,6 @@ func validateOptions(o Options) error {
 	}
 	if o.CheckpointEvery > 0 && o.CheckpointDir == "" {
 		return errors.New("core: Options.CheckpointEvery set without Options.CheckpointDir")
-	}
-	return nil
-}
-
-func validateSims(t *sptensor.Tensor, sims []*graph.Similarity) error {
-	if sims == nil {
-		return nil
-	}
-	if len(sims) != t.Order() {
-		return fmt.Errorf("%w: %d similarities for order-%d tensor", ErrDimensionMismatch, len(sims), t.Order())
-	}
-	for n, s := range sims {
-		if s != nil && s.N != t.Dims[n] {
-			return fmt.Errorf("%w: mode %d similarity over %d objects, mode size %d", ErrDimensionMismatch, n, s.N, t.Dims[n])
-		}
 	}
 	return nil
 }

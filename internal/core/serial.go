@@ -12,18 +12,18 @@ import (
 )
 
 // Complete runs the CP-based tensor completion ADMM (Algorithm 1) on a
-// single machine. It is DisTenC at P = 1 without the engine: the whole tensor
-// is one mode-major block of the fused residual + MTTKRP kernel (§III-C/D —
-// E is never stored), and the driver update is the one CompleteDistributed
-// runs (the damped-Jacobi B-step; Gram products, Eq. 12; the Eq. 16 factor
-// update). Factors and Aux equal CompleteDistributed's at Partitions: 1 bit
-// for bit; Trace[i].TrainRMSE is the post-update value, one iteration ahead
-// of the distributed trace.
+// single machine. It is DisTenC at P = 1 without the engine: the iteration
+// loop of CompleteDistributed (solverState.run), whose provider here is the
+// whole tensor as one mode-major block of the fused residual + MTTKRP kernel
+// (§III-C/D — E is never stored). Factors and Aux equal CompleteDistributed's
+// at Partitions: 1 bit for bit; the kernel runs after each update, so
+// Trace[i].TrainRMSE is the post-update value, one iteration ahead of the
+// distributed trace (provider.afterUpdate).
 //
 // sims may be nil (no auxiliary information) or hold one similarity per mode
 // with nil entries for modes without auxiliary data.
 func Complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Result, error) {
-	return complete(t, sims, opt, nil)
+	return solve(t, sims, opt, false, openSerial)
 }
 
 // Resume continues an interrupted Complete run from the latest checkpoint in
@@ -32,85 +32,139 @@ func Complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Resul
 // is deterministic, so the resumed run's factors match the uninterrupted
 // run's exactly. Returns ErrNoCheckpoint when the directory holds none.
 func Resume(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	ck, err := loadCheckpoint(opt.CheckpointDir, t, opt)
-	if err != nil {
-		return nil, err
-	}
-	return complete(t, sims, opt, ck)
+	return solve(t, sims, opt, true, openSerial)
 }
 
-// complete is the shared serial loop; a non-nil ck replaces the fresh
-// initialization with checkpointed state and starts at its iteration.
-func complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, ck *checkpointState) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := validate(t, sims); err != nil {
-		return nil, err
-	}
-	if err := validateOptions(opt); err != nil {
-		return nil, err
-	}
-	st := newSolverState(t, laplacians(sims), opt)
-	if ck != nil {
-		st.restore(ck)
-	}
-	// The whole tensor as one block: global row ids are the local ids of a
-	// full-height slab, so the kernel accumulates straight into the H_n.
+// openSerial is the serial solver's provider: the whole tensor as one block,
+// whose global row ids are the local ids of a full-height slab, so the
+// kernel accumulates straight into the H_n, each one full-height run. The
+// kernel counts toward the MTTKRPMap phase, which keeps the timing breakdown
+// comparable across solvers.
+func openSerial(t *sptensor.Tensor, opt Options, _ []*graph.Laplacian) (provider, func(), error) {
 	blk := &TensorBlock{Order: t.Order(), Idx: t.Idx, Val: t.Val}
 	sortEntriesModeMajor(blk) // copies when it has to reorder; the kernel only reads
 	acc := make([][]float64, t.Order())
-	hv := make([][]HRows, t.Order()) // each H_n one full-height run
+	hv := make([][]HRows, t.Order())
 	for n, d := range t.Dims {
 		acc[n] = make([]float64, d*opt.Rank)
 		hv[n] = []HRows{{Mode: int16(n), Vals: acc[n]}}
 	}
 	scratch := newFusedScratch(t.Order(), opt.Rank)
-	// mttkrp fills every H_n = E_(n)·U(n) at the current factors and returns
-	// ‖E‖²_F — the serial counterpart of DisTenC's map + reduce stages.
-	mttkrp := func() float64 {
-		for _, h := range acc {
-			clear(h)
+	return provider{
+		mttkrp: func(st *solverState) ([][]HRows, float64, metrics.PhaseTimes, error) {
+			t0 := time.Now()
+			for _, h := range acc {
+				clear(h)
+			}
+			norm2 := fusedBlockMTTKRP(blk, blk.Idx, st.factors, opt.Rank, acc, scratch)
+			return hv, norm2, metrics.PhaseTimes{MTTKRPMap: time.Since(t0)}, nil
+		},
+		span:        func(string, time.Time, time.Duration) {},
+		afterUpdate: true,
+	}, func() {}, nil
+}
+
+// provider is what the iteration loop asks of a solver.
+type provider struct {
+	// mttkrp returns every H_n = E_(n)·U(n) at st's factors as runs of rows
+	// (as MTTKRPStage returns them), ‖E‖²_F, and the kernel's PhaseTimes.
+	mttkrp func(st *solverState) ([][]HRows, float64, metrics.PhaseTimes, error)
+	// span records a named span of driver-side work.
+	span func(name string, start time.Time, d time.Duration)
+	// afterUpdate runs the kernel after each update, and once before the
+	// first, instead of before each update: Trace[i] is then ‖E‖ at A_{i+1},
+	// not at A_i, and a solve makes MaxIter+1 kernel calls, not MaxIter. The
+	// serial solver sets it, while benchmark/probes.go reads the distributed
+	// trace with its lag. It goes with ROADMAP item 2.
+	afterUpdate bool
+}
+
+// solve is the one entry of both solvers: it applies opt's defaults, loads
+// the checkpoint when resume is set, validates the problem, opens the
+// provider, builds the solver state (restored from the checkpoint) and runs
+// the loop. done releases what open holds.
+func solve(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool,
+	open func(*sptensor.Tensor, Options, []*graph.Laplacian) (p provider, done func(), err error)) (*Result, error) {
+	opt = opt.withDefaults()
+	var ck *checkpointState
+	if resume {
+		var err error
+		if ck, err = loadCheckpoint(opt.CheckpointDir, t, opt); err != nil {
+			return nil, err
 		}
-		return fusedBlockMTTKRP(blk, blk.Idx, st.factors, opt.Rank, acc, scratch)
 	}
-	mttkrp()
+	if err := validate(t, sims, opt); err != nil {
+		return nil, err
+	}
+	lap := laplacians(sims)
+	p, done, err := open(t, opt, lap)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	st := newSolverState(t, lap, opt)
+	if ck != nil {
+		st.restore(ck)
+	}
+	return st.run(p)
+}
+
+// run is the iteration loop of both solvers, from st.iter until MaxIter or
+// until max_n ‖A_{t+1}−A_t‖²_F < Tol (Algorithm 3 line 15). An iteration
+// takes p's H_n and ‖E‖² (refusing a non-finite ‖E‖²: the solve diverged),
+// updates the state, writes a checkpoint when one is due, and records one
+// PhaseTimes, one trace point and one OnIteration call. Elapsed times run
+// from just before the first iteration.
+func (st *solverState) run(p provider) (*Result, error) {
+	var hv [][]HRows
+	var norm2 float64
+	var ph metrics.PhaseTimes
+	measure := func() (err error) {
+		hv, norm2, ph, err = p.mttkrp(st)
+		if err == nil && (math.IsNaN(norm2) || math.IsInf(norm2, 0)) {
+			err = fmt.Errorf("core: iteration %d: the solve diverged: training ‖E‖² is %v", st.iter, norm2)
+		}
+		return err
+	}
+	if p.afterUpdate {
+		if err := measure(); err != nil {
+			return nil, err
+		}
+	}
 	start := time.Now()
-	for ; st.iter < opt.MaxIter; st.iter++ {
+	for ; st.iter < st.opt.MaxIter; st.iter++ {
 		iterStart := time.Now()
+		if !p.afterUpdate {
+			if err := measure(); err != nil {
+				return nil, err
+			}
+		}
+		drvStart := time.Now()
 		delta, err := st.update(hv)
 		if err != nil {
 			return nil, err
 		}
-		driver := time.Since(iterStart)
-		// The checkpoint write is neither kernel nor driver algebra: like the
-		// distributed loop's "checkpoint" span it stays out of both phases.
-		if err := st.maybeCheckpoint(); err != nil {
-			return nil, err
+		driver := time.Since(drvStart)
+		if st.opt.CheckpointEvery > 0 { // in neither phase
+			ckStart := time.Now()
+			if err := st.maybeCheckpoint(); err != nil {
+				return nil, err
+			}
+			p.span("checkpoint", ckStart, time.Since(ckStart))
 		}
-		// One kernel call at A_{t+1} yields this iteration's training error
-		// and the next iteration's H_n; it counts toward the MTTKRPMap phase
-		// so the timing breakdown stays comparable across solvers.
-		t0 := time.Now()
-		residNorm2 := mttkrp()
-		kernel := time.Since(t0)
-		if err := st.checkResidual(residNorm2); err != nil {
-			return nil, err
+		p.span("driver-algebra", drvStart, driver)
+		if p.afterUpdate {
+			if err := measure(); err != nil {
+				return nil, err
+			}
 		}
-		st.phases = append(st.phases, metrics.PhaseTimes{
-			Iter:      st.iter,
-			MTTKRPMap: kernel,
-			Driver:    driver,
-			Total:     time.Since(iterStart),
-		})
-		point := metrics.ConvergencePoint{
-			Iter:      st.iter,
-			Elapsed:   time.Since(start),
-			TrainRMSE: trainRMSE(residNorm2, t.NNZ()),
-			MaxDelta:  delta,
-		}
+		ph.Iter, ph.Driver, ph.Total = st.iter, driver, time.Since(iterStart)
+		st.phases = append(st.phases, ph)
+		point := metrics.ConvergencePoint{Iter: st.iter, Elapsed: time.Since(start),
+			TrainRMSE: math.Sqrt(norm2 / float64(max(1, st.t.NNZ()))), MaxDelta: delta}
 		st.trace = append(st.trace, point)
-		if opt.OnIteration != nil {
-			opt.OnIteration(point)
+		if st.opt.OnIteration != nil {
+			st.opt.OnIteration(point)
 		}
 		if delta < st.opt.Tol {
 			st.converged = true
@@ -313,15 +367,6 @@ func (st *solverState) checkGram(n int, g []float64) error {
 	return nil
 }
 
-// checkResidual returns an error naming the iteration when the kernel's
-// ‖E‖²_F is not finite.
-func (st *solverState) checkResidual(residNorm2 float64) error {
-	if math.IsNaN(residNorm2) || math.IsInf(residNorm2, 0) {
-		return fmt.Errorf("core: iteration %d: the solve diverged: training ‖E‖² is %v", st.iter, residNorm2)
-	}
-	return nil
-}
-
 // driverRHS sets w = H + ηB + Y − cA element by element; h, b, y and a hold
 // at least len(w) elements.
 func driverRHS(w, h, b, y, a []float64, eta, c float64) {
@@ -412,12 +457,6 @@ func ApplyInitScale(factors []*mat.Dense, t *sptensor.Tensor, opt Options) {
 	for _, f := range factors {
 		f.Scale(scale)
 	}
-}
-
-// trainRMSE turns the kernel's ‖E‖²_F into the root-mean-square training
-// error over nnz observed cells.
-func trainRMSE(residNorm2 float64, nnz int) float64 {
-	return math.Sqrt(residNorm2 / float64(max(1, nnz)))
 }
 
 func (st *solverState) result(start time.Time) *Result {

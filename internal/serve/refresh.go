@@ -170,10 +170,9 @@ func (r *refresher) refreshModel(m *Model) error {
 	_, err = core.ResumeDistributed(c, t, nil, core.DistOptions{Options: core.Options{
 		Rank: m.Rank(),
 		// Run exactly Iters more iterations: the checkpoint restores the
-		// iteration counter, and the near-zero Tol (0 would mean "default")
-		// keeps the delta criterion from stopping the warm-start early.
+		// iteration counter.
 		MaxIter:         m.Iter + r.cfg.Iters,
-		Tol:             1e-300,
+		Tol:             0,
 		CheckpointEvery: 1,
 		CheckpointDir:   scratch,
 	}})
