@@ -52,7 +52,8 @@ func (tw pinnedTwin) generate() (*sptensor.Tensor, []*graph.Similarity) {
 		return synth.ScalabilityTensor(tw.dims, tw.nnz, 5), nil
 	}
 	d := synth.FacebookSim(synth.LinkPredConfig{Users: tw.dims[0], Days: tw.dims[2], Rank: 5, NNZ: tw.nnz, Noise: 0.05, Seed: 5})
-	// d.Sims is drawn while ranging over a map; these are drawn in order.
+	// Both user modes get the 12-community, degree-3 similarity of the
+	// driver benchmarks (communitySimilarity), drawn from a seed of their own.
 	rng := rand.New(rand.NewPCG(5, 0x51e5))
 	return d.Tensor, []*graph.Similarity{communitySimilarity(tw.dims[0], 12, 3, rng), communitySimilarity(tw.dims[1], 12, 3, rng), nil}
 }
