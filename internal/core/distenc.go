@@ -124,45 +124,48 @@ func ResumeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similar
 // solveDistributed is CompleteDistributed, or ResumeDistributed when resume
 // is set.
 func solveDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions, resume bool) (*Result, error) {
-	var layout *Layout
-	res, err := solve(t, sims, opt.Options, resume, func(t *sptensor.Tensor, o Options, lap []*graph.Laplacian) (provider, func(), error) {
-		opt.Options = o
-		if opt.Partitions <= 0 {
-			opt.Partitions = c.Machines()
-		}
-		layout = NewLayout(t, opt)
-		c.Note(layout.Blocking().String())
-		for _, line := range graphNotes(lap) {
-			c.Note(line)
-		}
-		blocks := layout.BlocksRDD(c)
-		blocks.Cache()
-		if err := blocks.Materialize(); err != nil {
-			return provider{}, nil, fmt.Errorf("core: caching tensor blocks: %w", err)
-		}
-		return provider{
-			mttkrp: func(st *solverState) ([][]HRows, float64, metrics.PhaseTimes, error) {
-				// Tag this iteration's stages so the stage log, task trace and
-				// Chrome-trace export attribute every span to its iteration.
-				c.SetStageTag(fmt.Sprintf("iter=%d", st.iter))
-				mark := c.StageLogLen()
-				hs, norm2, err := MTTKRPStage(c, blocks, layout, st.factors, opt)
-				var ph metrics.PhaseTimes
-				for _, s := range c.StageLogSince(mark) {
-					switch {
-					case strings.Contains(s.Name, "mttkrp-map"):
-						ph.MTTKRPMap += s.Wall
-					case strings.Contains(s.Name, "mttkrp-reduce"):
-						ph.MTTKRPReduce += s.Wall
-					}
-					ph.BytesShuffled += s.BytesShuffled
+	st, err := begin(t, sims, opt.Options, resume)
+	if err != nil {
+		return nil, err
+	}
+	opt.Options = st.opt
+	if opt.Partitions <= 0 {
+		opt.Partitions = c.Machines()
+	}
+	layout := NewLayout(t, opt)
+	c.Note(layout.Blocking().String())
+	for _, line := range graphNotes(st.lap) {
+		c.Note(line)
+	}
+	blocks := layout.BlocksRDD(c)
+	blocks.Cache()
+	if err := blocks.Materialize(); err != nil {
+		return nil, fmt.Errorf("core: caching tensor blocks: %w", err)
+	}
+	defer blocks.Unpersist()
+	defer c.SetStageTag("")
+	res, err := st.run(provider{
+		mttkrp: func() ([][]HRows, float64, metrics.PhaseTimes, error) {
+			// Tag this iteration's stages so the stage log, task trace and
+			// Chrome-trace export attribute every span to its iteration.
+			c.SetStageTag(fmt.Sprintf("iter=%d", st.iter))
+			mark := c.StageLogLen()
+			hs, norm2, err := MTTKRPStage(c, blocks, layout, st.factors, opt)
+			var ph metrics.PhaseTimes
+			for _, s := range c.StageLogSince(mark) {
+				switch {
+				case strings.Contains(s.Name, "mttkrp-map"):
+					ph.MTTKRPMap += s.Wall
+				case strings.Contains(s.Name, "mttkrp-reduce"):
+					ph.MTTKRPReduce += s.Wall
 				}
-				return hs, norm2, ph, err
-			},
-			// Driver algebra (B-steps, Eq. 16 solves, Y/η updates and the next
-			// Grams) runs between stages and is invisible to stage accounting.
-			span: c.RecordDriverSpan,
-		}, func() { c.SetStageTag(""); blocks.Unpersist() }, nil
+				ph.BytesShuffled += s.BytesShuffled
+			}
+			return hs, norm2, ph, err
+		},
+		// Driver algebra (B-steps, Eq. 16 solves, Y/η updates and the next
+		// Grams) runs between stages and is invisible to stage accounting.
+		span: c.RecordDriverSpan,
 	})
 	if err != nil {
 		return nil, err

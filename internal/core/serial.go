@@ -23,7 +23,7 @@ import (
 // sims may be nil (no auxiliary information) or hold one similarity per mode
 // with nil entries for modes without auxiliary data.
 func Complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Result, error) {
-	return solve(t, sims, opt, false, openSerial)
+	return completeSerial(t, sims, opt, false)
 }
 
 // Resume continues an interrupted Complete run from the latest checkpoint in
@@ -32,43 +32,49 @@ func Complete(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Resul
 // is deterministic, so the resumed run's factors match the uninterrupted
 // run's exactly. Returns ErrNoCheckpoint when the directory holds none.
 func Resume(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Result, error) {
-	return solve(t, sims, opt, true, openSerial)
+	return completeSerial(t, sims, opt, true)
 }
 
-// openSerial is the serial solver's provider: the whole tensor as one block,
-// whose global row ids are the local ids of a full-height slab, so the
-// kernel accumulates straight into the H_n, each one full-height run. The
-// kernel counts toward the MTTKRPMap phase, which keeps the timing breakdown
-// comparable across solvers.
-func openSerial(t *sptensor.Tensor, opt Options, _ []*graph.Laplacian) (provider, func(), error) {
+// completeSerial is Complete, or Resume when resume is set. Its provider is
+// the whole tensor as one block, whose global row ids are the local ids of a
+// full-height slab, so the kernel accumulates straight into the H_n, each
+// one full-height run. The kernel counts toward the MTTKRPMap phase, which
+// keeps the timing breakdown comparable across solvers.
+func completeSerial(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool) (*Result, error) {
+	st, err := begin(t, sims, opt, resume)
+	if err != nil {
+		return nil, err
+	}
+	rank := st.opt.Rank
 	blk := &TensorBlock{Order: t.Order(), Idx: t.Idx, Val: t.Val}
 	sortEntriesModeMajor(blk) // copies when it has to reorder; the kernel only reads
 	acc := make([][]float64, t.Order())
 	hv := make([][]HRows, t.Order())
 	for n, d := range t.Dims {
-		acc[n] = make([]float64, d*opt.Rank)
+		acc[n] = make([]float64, d*rank)
 		hv[n] = []HRows{{Mode: int16(n), Vals: acc[n]}}
 	}
-	scratch := newFusedScratch(t.Order(), opt.Rank)
-	return provider{
-		mttkrp: func(st *solverState) ([][]HRows, float64, metrics.PhaseTimes, error) {
+	scratch := newFusedScratch(t.Order(), rank)
+	return st.run(provider{
+		mttkrp: func() ([][]HRows, float64, metrics.PhaseTimes, error) {
 			t0 := time.Now()
 			for _, h := range acc {
 				clear(h)
 			}
-			norm2 := fusedBlockMTTKRP(blk, blk.Idx, st.factors, opt.Rank, acc, scratch)
+			norm2 := fusedBlockMTTKRP(blk, blk.Idx, st.factors, rank, acc, scratch)
 			return hv, norm2, metrics.PhaseTimes{MTTKRPMap: time.Since(t0)}, nil
 		},
 		span:        func(string, time.Time, time.Duration) {},
 		afterUpdate: true,
-	}, func() {}, nil
+	})
 }
 
 // provider is what the iteration loop asks of a solver.
 type provider struct {
-	// mttkrp returns every H_n = E_(n)·U(n) at st's factors as runs of rows
-	// (as MTTKRPStage returns them), ‖E‖²_F, and the kernel's PhaseTimes.
-	mttkrp func(st *solverState) ([][]HRows, float64, metrics.PhaseTimes, error)
+	// mttkrp returns every H_n = E_(n)·U(n) at the current factors as runs of
+	// rows (as MTTKRPStage returns them), ‖E‖²_F, and the kernel's
+	// PhaseTimes.
+	mttkrp func() ([][]HRows, float64, metrics.PhaseTimes, error)
 	// span records a named span of driver-side work.
 	span func(name string, start time.Time, d time.Duration)
 	// afterUpdate runs the kernel after each update, and once before the
@@ -79,12 +85,10 @@ type provider struct {
 	afterUpdate bool
 }
 
-// solve is the one entry of both solvers: it applies opt's defaults, loads
-// the checkpoint when resume is set, validates the problem, opens the
-// provider, builds the solver state (restored from the checkpoint) and runs
-// the loop. done releases what open holds.
-func solve(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool,
-	open func(*sptensor.Tensor, Options, []*graph.Laplacian) (p provider, done func(), err error)) (*Result, error) {
+// begin is the one entry of both solvers: it applies opt's defaults, loads
+// the checkpoint in opt.CheckpointDir when resume is set, validates the
+// problem, and builds the solver state, restored from the checkpoint.
+func begin(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool) (*solverState, error) {
 	opt = opt.withDefaults()
 	var ck *checkpointState
 	if resume {
@@ -96,17 +100,11 @@ func solve(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume boo
 	if err := validate(t, sims, opt); err != nil {
 		return nil, err
 	}
-	lap := laplacians(sims)
-	p, done, err := open(t, opt, lap)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	st := newSolverState(t, lap, opt)
+	st := newSolverState(t, laplacians(sims), opt)
 	if ck != nil {
 		st.restore(ck)
 	}
-	return st.run(p)
+	return st, nil
 }
 
 // run is the iteration loop of both solvers, from st.iter until MaxIter or
@@ -120,7 +118,7 @@ func (st *solverState) run(p provider) (*Result, error) {
 	var norm2 float64
 	var ph metrics.PhaseTimes
 	measure := func() (err error) {
-		hv, norm2, ph, err = p.mttkrp(st)
+		hv, norm2, ph, err = p.mttkrp()
 		if err == nil && (math.IsNaN(norm2) || math.IsInf(norm2, 0)) {
 			err = fmt.Errorf("core: iteration %d: the solve diverged: training ‖E‖² is %v", st.iter, norm2)
 		}
@@ -145,7 +143,7 @@ func (st *solverState) run(p provider) (*Result, error) {
 			return nil, err
 		}
 		driver := time.Since(drvStart)
-		if st.opt.CheckpointEvery > 0 { // in neither phase
+		if st.opt.CheckpointEvery > 0 { // the write is in neither phase
 			ckStart := time.Now()
 			if err := st.maybeCheckpoint(); err != nil {
 				return nil, err
