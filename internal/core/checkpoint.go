@@ -72,17 +72,6 @@ func (st *solverState) maybeCheckpoint() error {
 	})
 }
 
-// restore loads a checkpoint into the solver state, replacing the fresh
-// initialization. The next update computes the restored factors' Grams.
-func (st *solverState) restore(ck *checkpointState) {
-	st.factors = ck.factors
-	st.aux = ck.aux
-	st.mult = ck.mult
-	st.eta = ck.eta
-	st.iter = ck.iter
-	st.gram = nil
-}
-
 // writeCheckpoint atomically replaces dir's checkpoint file.
 func writeCheckpoint(dir string, ck *checkpointState) error {
 	var buf bytes.Buffer

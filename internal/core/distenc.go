@@ -98,9 +98,7 @@ func (b *TensorBlock) EntryIndex(e int) []int32 { return b.Idx[e*b.Order : (e+1)
 //     factor rows its non-zeros touch (counted as shuffle traffic — the
 //     O(T·N·M·I·R) term of Lemma 3), computes the block's residual entries
 //     E = Ω∗(T−[[A]]) and its partial row-wise MTTKRP contributions
-//     (Eq. 11), and reduces them by row key across machines. The stages are
-//     tagged iter=t, and their walls and shuffled bytes are the iteration's
-//     MTTKRP phases.
+//     (Eq. 11), and reduces them by row key across machines.
 //  3. The driver finishes the dense algebra in one row-tiled pass per mode
 //     (solverState.update): the damped-Jacobi B-step on each sparse
 //     Laplacian, Hadamard-of-Grams F_n (Eq. 12), the Eq. (16) factor update,
@@ -124,23 +122,27 @@ func ResumeDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similar
 // solveDistributed is CompleteDistributed, or ResumeDistributed when resume
 // is set.
 func solveDistributed(c *rdd.Cluster, t *sptensor.Tensor, sims []*graph.Similarity, opt DistOptions, resume bool) (*Result, error) {
-	st, err := begin(t, sims, opt.Options, resume)
+	var layout *Layout
+	var blocks *rdd.RDD[*TensorBlock]
+	st, err := begin(t, sims, opt.Options, resume, func(o Options, lap []*graph.Laplacian) error {
+		opt.Options = o
+		if opt.Partitions <= 0 {
+			opt.Partitions = c.Machines()
+		}
+		layout = NewLayout(t, opt)
+		c.Note(layout.Blocking().String())
+		for _, line := range graphNotes(lap) {
+			c.Note(line)
+		}
+		blocks = layout.BlocksRDD(c)
+		blocks.Cache()
+		if err := blocks.Materialize(); err != nil {
+			return fmt.Errorf("core: caching tensor blocks: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	opt.Options = st.opt
-	if opt.Partitions <= 0 {
-		opt.Partitions = c.Machines()
-	}
-	layout := NewLayout(t, opt)
-	c.Note(layout.Blocking().String())
-	for _, line := range graphNotes(st.lap) {
-		c.Note(line)
-	}
-	blocks := layout.BlocksRDD(c)
-	blocks.Cache()
-	if err := blocks.Materialize(); err != nil {
-		return nil, fmt.Errorf("core: caching tensor blocks: %w", err)
 	}
 	defer blocks.Unpersist()
 	defer c.SetStageTag("")

@@ -41,7 +41,7 @@ func Resume(t *sptensor.Tensor, sims []*graph.Similarity, opt Options) (*Result,
 // one full-height run. The kernel counts toward the MTTKRPMap phase, which
 // keeps the timing breakdown comparable across solvers.
 func completeSerial(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool) (*Result, error) {
-	st, err := begin(t, sims, opt, resume)
+	st, err := begin(t, sims, opt, resume, func(Options, []*graph.Laplacian) error { return nil })
 	if err != nil {
 		return nil, err
 	}
@@ -87,8 +87,10 @@ type provider struct {
 
 // begin is the one entry of both solvers: it applies opt's defaults, loads
 // the checkpoint in opt.CheckpointDir when resume is set, validates the
-// problem, and builds the solver state, restored from the checkpoint.
-func begin(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool) (*solverState, error) {
+// problem, runs setup on the defaulted options and the Laplacians, and
+// builds the solver state, restored from the checkpoint.
+func begin(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume bool,
+	setup func(Options, []*graph.Laplacian) error) (*solverState, error) {
 	opt = opt.withDefaults()
 	var ck *checkpointState
 	if resume {
@@ -100,9 +102,15 @@ func begin(t *sptensor.Tensor, sims []*graph.Similarity, opt Options, resume boo
 	if err := validate(t, sims, opt); err != nil {
 		return nil, err
 	}
-	st := newSolverState(t, laplacians(sims), opt)
+	lap := laplacians(sims)
+	if err := setup(opt, lap); err != nil {
+		return nil, err
+	}
+	st := newSolverState(t, lap, opt)
 	if ck != nil {
-		st.restore(ck)
+		// The checkpoint replaces the fresh initialization; the first update
+		// computes the restored factors' Grams.
+		st.factors, st.aux, st.mult, st.eta, st.iter = ck.factors, ck.aux, ck.mult, ck.eta, ck.iter
 	}
 	return st, nil
 }
